@@ -1,0 +1,37 @@
+"""Suite reports frozen byte for byte.
+
+The files under ``golden/`` were written by `run_suite(...).to_json()` and
+pin the whole numeric path: drawing, validation, the kernels on both sides
+of the 256-entry switch, and the report formatting.  Regenerate them only
+for a deliberate change of results.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from gentropies import CheckConfig, run_suite
+from gentropies.entropies import general_escort, havrda_charvat, strongly_additive_nath
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CONFIGS = {
+    # nath(2, -0.5) at default sizes: every joint below 256 cells
+    "nath": CheckConfig(strongly_additive_nath(2.0, -0.5), seed=1311_0324),
+    # havrda-charvat(0.5) on up to 40 x 40 joints: flattened joints and
+    # products of 256 cells and more take the vector branch
+    "hct": CheckConfig(
+        havrda_charvat(0.5), trials=20, max_rows=40, max_cols=40, seed=1311_0324
+    ),
+    # general_escort(2, -1, 0), a forcing member: the lam == 0 escort sum
+    "general_escort": CheckConfig(general_escort(2.0, -1.0, 0.0), seed=1311_0324),
+}
+
+
+def golden_path(label: str) -> Path:
+    return GOLDEN / f"suite_{label}.json"
+
+
+@pytest.mark.parametrize("label", list(CONFIGS))
+def test_report_bytes_unchanged(label):
+    assert run_suite(CONFIGS[label]).to_json() == golden_path(label).read_text()
