@@ -59,6 +59,10 @@ PROBE_JOINT = JointDistribution(((0.5, 0.0), (0.25, 0.25)))
 
 PRNG_NAME = "numpy.random.PCG64"
 
+#: Longest fair-coin chain `chain_residual` builds: the chain has 2**n
+#: float64 cells (32 MiB at n = 22), and the cache keeps the shorter ones too.
+MAX_CHAIN_LENGTH = 22
+
 
 def _compose(family: EntropyFamily, head: float, tail: float) -> float:
     if isinstance(family, HCT):
@@ -115,11 +119,14 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
 
     Additive families are checked against n * H(U_2); HCT families against
     h(n * h_inv(T(U_2))) with the family's deformation.  The chain is built
-    literally and has 2**n cells (cached across calls), so n much beyond 20
-    is memory-bound by construction.
+    literally and has 2**n cells (cached across calls), so n is capped at
+    ``MAX_CHAIN_LENGTH`` (22); longer chains raise :class:`DimensionError`
+    before anything is built.
     """
-    if n < 1:
-        raise DimensionError(f"chain length must be >= 1, got {n}")
+    if not 1 <= n <= MAX_CHAIN_LENGTH:
+        raise DimensionError(
+            f"chain length must be in 1..{MAX_CHAIN_LENGTH}, got {n}"
+        )
     return _chain(family, n)[0]
 
 

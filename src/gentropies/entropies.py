@@ -34,7 +34,14 @@ import math
 from dataclasses import dataclass, fields
 from typing import Union
 
-from ._stable import exact_sum, log2_power_sum, plogp_sum, power_sum
+from ._stable import (
+    exact_sum,
+    has_zero,
+    log2_power_sum,
+    plogp_sum,
+    power_sum,
+    weighted_log2_sum,
+)
 from .distributions import (
     Distribution,
     JointDistribution,
@@ -268,7 +275,7 @@ def make_family(
 
 
 def _check_zero_support(family: GeneralEscort, dist: Distribution) -> None:
-    if family.alpha <= 0.0 and any(v == 0.0 for v in dist.probs):
+    if family.alpha <= 0.0 and has_zero(dist._array):
         raise DomainError(
             f"zero probability with non-positive exponent alpha={family.alpha!r}"
         )
@@ -276,7 +283,7 @@ def _check_zero_support(family: GeneralEscort, dist: Distribution) -> None:
 
 def entropy(family: EntropyFamily, dist: Distribution) -> float:
     """Entropy of ``dist`` under ``family``; nonnegative, zero iff point mass."""
-    probs = dist.probs
+    probs = dist._array
     if isinstance(family, Shannon):
         return family.tau * plogp_sum(probs)
     if isinstance(family, Nath):
@@ -286,10 +293,8 @@ def entropy(family: EntropyFamily, dist: Distribution) -> float:
     if isinstance(family, GeneralEscort):
         _check_zero_support(family, dist)
         if family.lam == 0.0:
-            weights = escort(dist, family.alpha).probs
-            return family.tau * exact_sum(
-                w * math.log2(p) for w, p in zip(weights, probs) if p > 0.0
-            )
+            weights = escort(dist, family.alpha)._array
+            return family.tau * weighted_log2_sum(weights, probs)
         return -(
             log2_power_sum(probs, family.beta) - log2_power_sum(probs, family.alpha)
         ) / family.lam
@@ -342,19 +347,21 @@ def uniform_trace(family: EntropyFamily, n: int) -> float:
     """
     if n < 1:
         raise DimensionError(f"uniform trace needs n >= 1, got {n}")
-    log_u = math.log2(1.0 / n)
+    # log2 of the integer itself: float(n) overflows from n = 2**1024 on
+    log_n = math.log2(n)
+    log_u = -log_n
     if isinstance(family, Shannon):
         return family.tau * log_u
     if isinstance(family, Nath):
         if family.alpha == 1.0:
             return family.tau * log_u
-        return (family.alpha * log_u + math.log2(n)) / family.lam
+        return (family.alpha * log_u + log_n) / family.lam
     if isinstance(family, GeneralEscort):
         return family.tau * log_u
     if isinstance(family, HCT):
         try:
             zpow = (1.0 / n) ** (family.tau * family.lam)
         except OverflowError as exc:
-            raise Overflow(f"uniform trace overflowed at n={n}") from exc
+            raise Overflow(f"uniform trace overflowed at log2(n) = {log_n!r}") from exc
         return (zpow - 1.0) / family.lam
     raise TypeError(f"unknown entropy family {family!r}")

@@ -9,6 +9,7 @@ from gentropies import (
     CheckConfig,
     ConfigError,
     Deformation,
+    DimensionError,
     chain_residual,
     counterexample_probe,
     entropy,
@@ -25,7 +26,8 @@ from gentropies import (
     uniform,
     uniform_trace_residual,
 )
-from gentropies.checker import PRNG_NAME, VIOLATION_THRESHOLD
+from gentropies import checker
+from gentropies.checker import MAX_CHAIN_LENGTH, PRNG_NAME, VIOLATION_THRESHOLD
 
 GRID = constrained_grid()
 
@@ -73,6 +75,18 @@ class TestChainResidual:
         d = Deformation(-1.0)
         assert d.h(3 * d.h_inv(entropy(family, uniform(2)))) == pytest.approx(0.875, abs=1e-15)
         assert chain_residual(family, 3) < 1e-12
+
+    def test_cap_covers_the_acceptance_trace(self):
+        assert MAX_CHAIN_LENGTH >= 20
+
+    @pytest.mark.parametrize("n", [0, MAX_CHAIN_LENGTH + 1, 10 ** 6])
+    def test_out_of_range_raises_before_building(self, monkeypatch, n):
+        def refuse(_):
+            raise AssertionError("the chain was built")
+
+        monkeypatch.setattr(checker, "_chain_flat", refuse)
+        with pytest.raises(DimensionError, match=str(MAX_CHAIN_LENGTH)):
+            chain_residual(shannon(-1.0), n)
 
 
 class TestUniformTraceResidual:

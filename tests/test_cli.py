@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -108,6 +109,20 @@ class TestTrace:
         code, out, _ = run(capsys, "trace", "--family", "havrda-charvat", "--alpha", "2", "--n", "2")
         assert code == 0
         assert out == "1\n"
+
+    def test_dimension_beyond_float_range(self, capsys):
+        code, out, err = run(capsys, "trace", "--family", "shannon", "--n", str(10 ** 400))
+        assert code == 0
+        assert float(out) == pytest.approx(400 * math.log2(10.0), rel=1e-14)
+        assert err == ""
+
+    def test_hct_overflow_exit_one(self, capsys):
+        code, out, err = run(
+            capsys, "trace", "--family", "tsallis", "--alpha", "0.5", "--n", str(10 ** 400)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("Overflow: ")
 
 
 class TestCheck:

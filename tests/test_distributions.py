@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,7 @@ from conftest import distributions, joints
 from gentropies import (
     DimensionError,
     Distribution,
+    JointDistribution,
     EscortUndefined,
     FormatError,
     NegativeMass,
@@ -27,6 +29,7 @@ from gentropies import (
     write_distribution,
     write_joint,
 )
+from gentropies import distributions as distributions_module
 
 PROBE_ROWS = ((0.5, 0.0), (0.25, 0.25))
 
@@ -311,3 +314,99 @@ def test_distribution_is_normalized(d):
 def test_distribution_value_semantics():
     assert make_distribution((0.5, 0.5)) == uniform(2)
     assert Distribution((0.5, 0.5)) in {uniform(2)}
+
+
+class TestArrayLayout:
+    def test_views_are_cached_tuples(self):
+        d = make_distribution([0.25, 0.75])
+        assert d.probs == (0.25, 0.75) and d.probs is d.probs
+        j = make_joint(PROBE_ROWS)
+        assert j.rows == PROBE_ROWS and j.rows is j.rows
+        assert j.row_lengths == (2, 2) and len(j) == 2
+
+    def test_raw_constructors_accept_sequences(self):
+        assert JointDistribution([[0.5, 0.0], [0.25, 0.25]]) == make_joint(PROBE_ROWS)
+        assert hash(JointDistribution(PROBE_ROWS)) == hash(make_joint(PROBE_ROWS))
+        assert Distribution([0.5, 0.5]) == Distribution((0.5, 0.5))
+        assert repr(Distribution((0.5, 0.5))) == "Distribution(probs=(0.5, 0.5))"
+        assert Distribution((0.5, 0.5)) != (0.5, 0.5)
+
+    def test_stored_arrays_are_not_writable(self):
+        j = make_joint(PROBE_ROWS)
+        with pytest.raises(ValueError):
+            flatten(j)._array[0] = 1.0
+
+    def test_conditional_negative_index(self):
+        j = make_joint(PROBE_ROWS)
+        assert conditional(j, -1) == conditional(j, 1)
+        assert conditional(j, -2) == conditional(j, 0)
+        for k in (2, -3):
+            with pytest.raises(IndexError):
+                conditional(j, k)
+
+    @pytest.mark.parametrize("counts", [(100, 200, 300), (1, 1023), (256,), (3, 5000)])
+    def test_flatten_refinement_is_uniform_at_vector_sizes(self, counts):
+        assert flatten(refinement_joint(counts)) == uniform(sum(counts))
+
+    def test_large_product_marginal_and_conditional(self):
+        rng = np.random.default_rng(4)
+        p = make_distribution((lambda x: (x / x.sum()).tolist())(rng.exponential(1.0, 300)))
+        q = make_distribution((0.25, 0.5, 0.25))
+        j = direct_product(p, q)
+        assert j.rows == tuple(tuple(pk * ql for ql in q.probs) for pk in p.probs)
+        sums = [math.fsum(row) for row in j.rows]
+        assert marginal(j).probs == tuple(s / math.fsum(sums) for s in sums)
+        row = j.rows[-1]
+        assert conditional(j, -1).probs == tuple(v / math.fsum(row) for v in row)
+
+
+N_LARGE = 300
+GOOD = 1.0 / N_LARGE
+BAD_ENTRIES = {
+    "nan": [(5, math.nan)],
+    "inf": [(7, math.inf)],
+    "-inf": [(7, -math.inf)],
+    "negative": [(9, -1e-6)],
+    "none": [(5, None)],
+    "negative-before-none": [(3, -1.0), (10, None)],
+    "none-before-nan": [(3, None), (10, math.nan)],
+    "string": [(3, "abc")],
+    "nested": [(3, [0.1])],
+    "not-normalized": [(0, 0.5)],
+}
+
+
+def _error(fn, arg):
+    try:
+        fn(arg)
+    except Exception as exc:  # noqa: BLE001 - comparing whatever is raised
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", list(BAD_ENTRIES))
+def test_vector_validation_raises_like_the_scalar_loop(monkeypatch, case):
+    values = [GOOD] * N_LARGE
+    for i, v in BAD_ENTRIES[case]:
+        values[i] = v
+    rows = [values[:100], values[100:]]
+    vector = _error(make_distribution, values), _error(make_joint, rows)
+    monkeypatch.setattr(distributions_module, "_VECTOR_MIN", 10 ** 9)
+    scalar = _error(make_distribution, values), _error(make_joint, rows)
+    assert vector == scalar
+    assert None not in vector
+
+
+def test_vector_validation_clips_tiny_negatives():
+    values = [GOOD] * N_LARGE
+    values[4], values[5] = -1e-13, 2 * GOOD
+    d = make_distribution(values)
+    assert d.probs[4] == 0.0 and math.copysign(1.0, d.probs[4]) == 1.0
+
+
+def test_vector_validation_empty_row_after_bad_entry():
+    rows = [[GOOD] * 299 + [-1.0], [], [GOOD]]
+    with pytest.raises(NegativeMass):
+        make_joint(rows)
+    with pytest.raises(DimensionError):
+        make_joint([[GOOD] * 299, [], [GOOD, None]])

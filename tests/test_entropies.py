@@ -10,6 +10,7 @@ from gentropies import (
     DomainError,
     GeneralEscort,
     Nath,
+    Overflow,
     ParameterError,
     Shannon,
     conditional_entropy,
@@ -237,6 +238,20 @@ class TestUniformTrace:
     def test_positive_for_nontrivial_dimension(self):
         for family in GRID_FAMILIES:
             assert uniform_trace(family, 17) > 0.0
+
+    @pytest.mark.parametrize(
+        "family", [shannon(-1.0), renyi(2.0), general_escort(2.0, -1.0, 0.5)]
+    )
+    def test_dimension_beyond_float_range(self, family):
+        # float(10**400) overflows; the log2 of the integer does not
+        log_n = 400 * math.log2(10.0)
+        expected = log_n if isinstance(family, Nath) else -family.tau * log_n
+        assert uniform_trace(family, 10 ** 400) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_hct_beyond_float_range_is_typed_overflow(self, alpha):
+        with pytest.raises(Overflow):
+            uniform_trace(tsallis(alpha), 10 ** 400)
 
 
 class TestInvariants:

@@ -10,13 +10,17 @@ from gentropies import _stable
 from gentropies._stable import (
     escort_weights,
     exact_sum,
+    has_zero,
     log2_power_sum,
     plogp_sum,
     power_sum,
+    segment_sums,
+    weighted_log2_sum,
 )
 
 # Lengths on both sides of every size switch in `_stable`.
-SUM_SIZES = (1, 2, 255, 256, 1000, 2047, 2048, 2049, 4096, 6000)
+SUM_SIZES = (1, 2, 255, 256, 767, 768, 769, 1000, 2048, 6000)
+
 
 SPECIAL = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
            1e-300, 1.0, 1e300, 1e308, 1.7976931348623157e308]
@@ -32,6 +36,11 @@ def finite_floats(draw):
         return draw(st.floats(allow_nan=False, allow_infinity=False))
     lo, hi = (-1074, 1024) if kind == 2 else (-60, 4)
     return math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), draw(st.integers(lo, hi)))
+
+
+def test_sizes_straddle_the_switches():
+    for switch in (_stable._VECTOR_MIN, _stable._BINNED_MIN):
+        assert switch - 1 in SUM_SIZES and switch in SUM_SIZES
 
 
 def _tile(pool, n, seed):
@@ -88,6 +97,14 @@ KERNELS = {
     "power_sum(3)": lambda p: power_sum(p, 3.0),
     "escort_weights(2)": lambda p: np.asarray(escort_weights(p, 2.0)),
     "escort_weights(0.5)": lambda p: np.asarray(escort_weights(p, 0.5)),
+    "weighted_log2_sum": lambda p: weighted_log2_sum(p[::-1].copy(), p),
+}
+# Kernels whose two branches do the same arithmetic agree bit for bit.
+EXACT_KERNELS = {
+    "exact_sum": exact_sum,
+    "segment_sums": lambda p: segment_sums(p, [0, 1, 100, 100, len(p)]),
+    "has_zero": has_zero,
+    "has_zero(positive)": lambda p: has_zero(p + 1.0),
 }
 
 
@@ -105,3 +122,18 @@ def test_scalar_and_vector_kernels_agree(monkeypatch, kernel, n):
     monkeypatch.setattr(_stable, "_VECTOR_MIN", n)
     vector = kernel(p)
     np.testing.assert_allclose(vector, scalar, rtol=64 * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+@pytest.mark.parametrize("kernel", list(EXACT_KERNELS.values()), ids=list(EXACT_KERNELS))
+def test_scalar_and_vector_kernels_agree_exactly(monkeypatch, kernel, n):
+    rng = np.random.default_rng(n)
+    x = rng.exponential(1.0, n)
+    x[rng.choice(n, n // 10, replace=False)] = 0.0
+    p = x / x.sum()
+    monkeypatch.setattr(_stable, "_VECTOR_MIN", n + 1)
+    monkeypatch.setattr(_stable, "_BINNED_MIN", n + 1)
+    scalar = kernel(p)
+    monkeypatch.setattr(_stable, "_VECTOR_MIN", n)
+    monkeypatch.setattr(_stable, "_BINNED_MIN", n)
+    assert kernel(p) == scalar
