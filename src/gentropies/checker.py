@@ -120,8 +120,8 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
     Additive families are checked against n * H(U_2); HCT families against
     h(n * h_inv(T(U_2))) with the family's deformation.  The chain is built
     literally and has 2**n cells (cached across calls), so n is capped at
-    ``MAX_CHAIN_LENGTH`` (22); longer chains raise :class:`DimensionError`
-    before anything is built.
+    ``MAX_CHAIN_LENGTH``; longer chains raise :class:`DimensionError` before
+    anything is built.
     """
     if not 1 <= n <= MAX_CHAIN_LENGTH:
         raise DimensionError(

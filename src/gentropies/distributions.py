@@ -138,9 +138,6 @@ class JointDistribution:
         self._rows = None
         return self
 
-    def _row(self, k: int) -> np.ndarray:
-        return self._flat[self._bounds[k]:self._bounds[k + 1]]
-
     @property
     def rows(self) -> tuple[tuple[float, ...], ...]:
         if self._rows is None:
@@ -276,7 +273,9 @@ def conditional(joint: JointDistribution, k: int) -> Distribution:
     Negative ``k`` counts from the last row.  Raises :class:`ZeroMarginal`
     if row ``k`` has zero mass.
     """
-    row = joint._row(range(len(joint._bounds) - 1)[k])
+    bounds = joint._bounds
+    i = range(len(bounds) - 1)[k]
+    row = joint._flat[bounds[i]:bounds[i + 1]]
     pk = exact_sum(row)
     if pk <= 0.0:
         raise ZeroMarginal(f"row {k} has zero marginal")

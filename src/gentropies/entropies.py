@@ -349,15 +349,14 @@ def uniform_trace(family: EntropyFamily, n: int) -> float:
         raise DimensionError(f"uniform trace needs n >= 1, got {n}")
     # log2 of the integer itself: float(n) overflows from n = 2**1024 on
     log_n = math.log2(n)
-    log_u = -log_n
     if isinstance(family, Shannon):
-        return family.tau * log_u
+        return -family.tau * log_n
     if isinstance(family, Nath):
         if family.alpha == 1.0:
-            return family.tau * log_u
-        return (family.alpha * log_u + log_n) / family.lam
+            return -family.tau * log_n
+        return (log_n - family.alpha * log_n) / family.lam
     if isinstance(family, GeneralEscort):
-        return family.tau * log_u
+        return -family.tau * log_n
     if isinstance(family, HCT):
         try:
             zpow = (1.0 / n) ** (family.tau * family.lam)
