@@ -10,7 +10,6 @@ from gentropies import _stable
 from gentropies._stable import (
     escort_weights,
     exact_sum,
-    has_zero,
     log2_power_sum,
     plogp_sum,
     power_sum,
@@ -103,8 +102,6 @@ KERNELS = {
 EXACT_KERNELS = {
     "exact_sum": exact_sum,
     "segment_sums": lambda p: segment_sums(p, [0, 1, 100, 100, len(p)]),
-    "has_zero": has_zero,
-    "has_zero(positive)": lambda p: has_zero(p + 1.0),
 }
 
 
