@@ -123,11 +123,6 @@ def weighted_log2_sum(weights: np.ndarray, probs: np.ndarray) -> float:
     )
 
 
-def has_zero(probs: np.ndarray) -> bool:
-    """Whether any entry is exactly zero."""
-    return not probs.all()
-
-
 def escort_weights(probs: np.ndarray, alpha: float) -> np.ndarray:
     """Normalized weights p_k**alpha / sum_i p_i**alpha, max-factored.
 

@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._stable import _VECTOR_MIN, escort_weights, exact_sum, has_zero, segment_sums
+from ._stable import _VECTOR_MIN, escort_weights, exact_sum, segment_sums
 from .errors import (
     DimensionError,
     EscortUndefined,
@@ -291,7 +291,7 @@ def escort(p: Distribution, alpha: float) -> Distribution:
     """
     if not math.isfinite(alpha):
         raise EscortUndefined(f"escort exponent must be finite, got {alpha!r}")
-    if alpha <= 0.0 and has_zero(p._array):
+    if alpha <= 0.0 and not p._array.all():  # some entry is exactly zero
         raise EscortUndefined(
             f"escort exponent {alpha!r} needs strictly positive entries"
         )

@@ -36,7 +36,6 @@ from typing import Union
 
 from ._stable import (
     exact_sum,
-    has_zero,
     log2_power_sum,
     plogp_sum,
     power_sum,
@@ -275,7 +274,7 @@ def make_family(
 
 
 def _check_zero_support(family: GeneralEscort, dist: Distribution) -> None:
-    if family.alpha <= 0.0 and has_zero(dist._array):
+    if family.alpha <= 0.0 and not dist._array.all():  # some entry is exactly zero
         raise DomainError(
             f"zero probability with non-positive exponent alpha={family.alpha!r}"
         )
