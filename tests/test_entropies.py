@@ -141,6 +141,13 @@ class TestConstructors:
         assert family_name(f) == "hct"
         assert family_params(f) == {"alpha": 2.0, "lam": -1.0, "tau": -1.0}
 
+    @pytest.mark.parametrize("not_a_family", [None, 2.0, "renyi", Deformation(-1.0)])
+    def test_non_family_is_type_error(self, not_a_family):
+        with pytest.raises(TypeError):
+            entropy(not_a_family, uniform(2))
+        with pytest.raises(TypeError):
+            uniform_trace(not_a_family, 4)
+
 
 class TestEntropyValues:
     def test_shannon_fair_coin_is_one(self):

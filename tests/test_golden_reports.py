@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 from gentropies import CheckConfig, run_suite
-from gentropies.entropies import general_escort, havrda_charvat, strongly_additive_nath
+from gentropies.entropies import (
+    general_escort,
+    havrda_charvat,
+    nath,
+    shannon,
+    strongly_additive_nath,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -25,6 +31,15 @@ CONFIGS = {
     ),
     # general_escort(2, -1, 0), a forcing member: the lam == 0 escort sum
     "general_escort": CheckConfig(general_escort(2.0, -1.0, 0.0), seed=1311_0324),
+    # shannon(-2): the Shannon formula and the plain additive composition
+    "shannon": CheckConfig(shannon(-2.0), seed=1311_0324),
+    # nath at alpha == 1: the Shannon branch of Nath with a linear mean
+    "nath_alpha_one": CheckConfig(nath(1.0, 0.0, -1.5), seed=1311_0324),
+    # general_escort(2, -1, 1), a forcing member: the lam != 0 branch with
+    # the exponential mean
+    "general_escort_exponential": CheckConfig(
+        general_escort(2.0, -1.0, 1.0), seed=1311_0324
+    ),
 }
 
 
