@@ -25,7 +25,6 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .deformed import Deformation
 from .distributions import (
     Distribution,
     JointDistribution,
@@ -38,7 +37,6 @@ from .distributions import (
     uniform,
 )
 from .entropies import (
-    HCT,
     EntropyFamily,
     conditional_entropy,
     entropy,
@@ -64,26 +62,16 @@ PRNG_NAME = "numpy.random.PCG64"
 MAX_CHAIN_LENGTH = 22
 
 
-def _compose(family: EntropyFamily, head: float, tail: float) -> float:
-    if isinstance(family, HCT):
-        return Deformation(family.lam).add(head, tail)
-    return head + tail
-
-
 def _strong_additivity(family, joint) -> tuple[float, float]:
     whole = joint_entropy(family, joint)
-    parts = _compose(
-        family, entropy(family, marginal(joint)), conditional_entropy(family, joint)
+    parts = family.composition.add(
+        entropy(family, marginal(joint)), conditional_entropy(family, joint)
     )
     return abs(whole - parts), abs(whole)
 
 
 def strong_additivity_residual(family: EntropyFamily, joint: JointDistribution) -> float:
-    """|H(joint) - compose(H(marginal), H(conditional))|.
-
-    The composition is ordinary addition except for HCT families, which
-    compose through their deformed addition.
-    """
+    """|H(joint) - H(marginal) (+) H(conditional)| with the family's composition."""
     return _strong_additivity(family, joint)[0]
 
 
@@ -105,12 +93,8 @@ def _chain_flat(n: int) -> Distribution:
 
 def _chain(family, n) -> tuple[float, float]:
     value = entropy(family, _chain_flat(n))
-    single = entropy(family, uniform(2))
-    if isinstance(family, HCT):
-        d = Deformation(family.lam)
-        expected = d.h(n * d.h_inv(single))
-    else:
-        expected = n * single
+    d = family.composition
+    expected = d.h(n * d.h_inv(entropy(family, uniform(2))))
     return abs(value - expected), abs(value)
 
 
@@ -144,11 +128,7 @@ def _refinement(family, counts) -> tuple[float, float]:
     joint = refinement_joint(counts)
     direct = entropy(family, marginal(joint))
     whole = joint_entropy(family, joint)
-    tail = conditional_entropy(family, joint)
-    if isinstance(family, HCT):
-        rebuilt = Deformation(family.lam).subtract(whole, tail)
-    else:
-        rebuilt = whole - tail
+    rebuilt = family.composition.subtract(whole, conditional_entropy(family, joint))
     return abs(direct - rebuilt), abs(direct)
 
 
@@ -164,7 +144,7 @@ def refinement_consistency(family: EntropyFamily, counts: Sequence[int]) -> floa
 
 def _product(family, p, q) -> tuple[float, float]:
     whole = joint_entropy(family, direct_product(p, q))
-    parts = _compose(family, entropy(family, p), entropy(family, q))
+    parts = family.composition.add(entropy(family, p), entropy(family, q))
     return abs(whole - parts), abs(whole)
 
 

@@ -11,6 +11,7 @@ parameters, 2 check verdict mismatch.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +28,9 @@ from .entropies import (
 from .errors import FormatError, GentropiesError, ParameterError
 
 FAMILY_NAMES = "shannon, general, nath, renyi, tsallis, havrda-charvat, hct"
+
+#: Most points a sweep range may hold; longer ranges are refused up front.
+MAX_SWEEP_POINTS = 10 ** 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,9 +114,15 @@ def _parse_range(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ParameterError(f"unparseable range {spec!r}: {exc}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ParameterError(f"range bounds and step must be finite, got {spec!r}")
     if step <= 0.0:
         raise ParameterError(f"range step must be positive, got {step!r}")
     limit = stop + 1e-12 * max(1.0, abs(stop))
+    if (limit - start) / step >= MAX_SWEEP_POINTS:
+        raise ParameterError(
+            f"range {spec!r} holds more than {MAX_SWEEP_POINTS} points"
+        )
     values = []
     i = 0
     while (v := start + i * step) <= limit:

@@ -36,6 +36,8 @@ class Deformation:
 
     def add(self, x: float, y: float) -> float:
         """x + y + lam*x*y."""
+        if self.lam == 0.0:  # exact, also where x*y overflows (0*inf is nan)
+            return x + y
         # lam*(x*y) keeps the rounding symmetric, so add(x, y) == add(y, x)
         # exactly
         return x + y + self.lam * (x * y)

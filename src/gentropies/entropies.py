@@ -21,6 +21,7 @@ HCT(alpha, lam, tau)
     (1/lam) (sum p**alpha - 1); composes by the lam-deformed addition.
     Tsallis at lam = 1 - alpha, Havrda-Charvat at lam = 2**(1-alpha) - 1.
 
+Each family class holds its formula, uniform trace, mean and composition law.
 Conditional entropies weight the per-row entropies by the alpha-escort of
 the marginal: Shannon and the alpha == 1 / lam == 0 branches use the plain
 weighted average, Nath/GeneralEscort with lam != 0 use the quasi-linear mean
@@ -32,15 +33,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Callable, ClassVar, Union
+
+import numpy as np
 
 from ._stable import (
+    escort_weights,
     exact_sum,
     log2_power_sum,
     plogp_sum,
     power_sum,
     weighted_log2_sum,
 )
+from .deformed import Deformation
 from .distributions import (
     Distribution,
     JointDistribution,
@@ -62,11 +67,34 @@ def _require_finite(family_name: str, **params: float) -> None:
             raise ParameterError(f"{family_name}: {key} must be finite, got {value!r}")
 
 
+class _Family:
+    """A family's laws, Shannon's unless a family overrides them.
+
+    Report ``name``, entropy ``_formula`` of a probability array, uniform
+    ``_trace`` from log2 n, escort exponent ``alpha`` and exponential-mean
+    ``mean_kappa`` (0: linear mean) of the conditional entropy, and the
+    ``composition`` of a marginal's entropy with the conditional one.
+    """
+
+    name: ClassVar[str]
+    mean_kappa: ClassVar[float] = 0.0
+    composition: ClassVar[Deformation] = Deformation()  # ordinary addition
+
+    def _formula(self, probs: np.ndarray) -> float:
+        return self.tau * plogp_sum(probs)
+
+    def _trace(self, n: int, log_n: float) -> float:
+        return -self.tau * log_n
+
+
 @dataclass(frozen=True)
-class Shannon:
+class Shannon(_Family):
     """tau * sum p log2 p with tau < 0 (tau = -1 gives bits)."""
 
     tau: float = -1.0
+
+    name: ClassVar[str] = "shannon"
+    alpha: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
         _require_finite("shannon", tau=self.tau)
@@ -75,7 +103,7 @@ class Shannon:
 
 
 @dataclass(frozen=True)
-class GeneralEscort:
+class GeneralEscort(_Family):
     """The escort family with free exponent beta = alpha - tau*lam.
 
     Requires tau < 0 and beta > 0.  Only beta == 1 (alpha == 1 in the
@@ -86,6 +114,8 @@ class GeneralEscort:
     alpha: float
     tau: float
     lam: float
+
+    name: ClassVar[str] = "general_escort"
 
     def __post_init__(self) -> None:
         _require_finite("general", alpha=self.alpha, tau=self.tau, lam=self.lam)
@@ -100,14 +130,32 @@ class GeneralEscort:
     def beta(self) -> float:
         return self.alpha - self.tau * self.lam
 
+    @property
+    def mean_kappa(self) -> float:
+        return self.lam
+
+    def _formula(self, probs: np.ndarray) -> float:
+        if self.alpha <= 0.0 and not probs.all():  # some entry is exactly zero
+            raise DomainError(
+                f"zero probability with non-positive exponent alpha={self.alpha!r}"
+            )
+        if self.lam == 0.0:
+            weights = probs if self.alpha == 1.0 else escort_weights(probs, self.alpha)
+            return self.tau * weighted_log2_sum(weights, probs)
+        return -(
+            log2_power_sum(probs, self.beta) - log2_power_sum(probs, self.alpha)
+        ) / self.lam
+
 
 @dataclass(frozen=True)
-class Nath:
+class Nath(_Family):
     """(1/lam) log2 sum p**alpha for alpha != 1; the Shannon form at alpha == 1."""
 
     alpha: float
     lam: float
     tau: float
+
+    name: ClassVar[str] = "nath"
 
     def __post_init__(self) -> None:
         _require_finite("nath", alpha=self.alpha, lam=self.lam, tau=self.tau)
@@ -125,14 +173,30 @@ class Nath:
                     f"{(1.0 - self.alpha) / self.lam!r}"
                 )
 
+    @property
+    def mean_kappa(self) -> float:
+        return 0.0 if self.alpha == 1.0 else self.lam
+
+    def _formula(self, probs: np.ndarray) -> float:
+        if self.alpha == 1.0:
+            return super()._formula(probs)
+        return log2_power_sum(probs, self.alpha) / self.lam
+
+    def _trace(self, n: int, log_n: float) -> float:
+        if self.alpha == 1.0:
+            return super()._trace(n, log_n)
+        return (log_n - self.alpha * log_n) / self.lam
+
 
 @dataclass(frozen=True)
-class HCT:
+class HCT(_Family):
     """(1/lam) (sum p**alpha - 1) with the strong-additivity tie alpha - tau*lam = 1."""
 
     alpha: float
     lam: float
     tau: float
+
+    name: ClassVar[str] = "hct"
 
     def __post_init__(self) -> None:
         _require_finite("hct", alpha=self.alpha, lam=self.lam, tau=self.tau)
@@ -153,19 +217,29 @@ class HCT:
                 f"{self.alpha - self.tau * self.lam!r}"
             )
 
+    @property
+    def composition(self) -> Deformation:
+        return Deformation(self.lam)
+
+    def _formula(self, probs: np.ndarray) -> float:
+        return (power_sum(probs, self.alpha) - 1.0) / self.lam
+
+    def _trace(self, n: int, log_n: float) -> float:
+        try:
+            zpow = (1.0 / n) ** (self.tau * self.lam)
+        except OverflowError:  # 1.0 / n is not a float from n = 2**1024 on
+            try:
+                zpow = 2.0 ** (-(self.tau * self.lam) * log_n)
+            except OverflowError as exc:
+                raise Overflow(f"uniform trace overflowed at log2(n) = {log_n!r}") from exc
+        return (zpow - 1.0) / self.lam
+
 
 EntropyFamily = Union[Shannon, GeneralEscort, Nath, HCT]
 
-_FAMILY_NAMES = {
-    Shannon: "shannon",
-    GeneralEscort: "general_escort",
-    Nath: "nath",
-    HCT: "hct",
-}
-
 
 def family_name(family: EntropyFamily) -> str:
-    return _FAMILY_NAMES[type(family)]
+    return family.name
 
 
 def family_params(family: EntropyFamily) -> dict[str, float]:
@@ -218,15 +292,16 @@ def hct(alpha: float, lam: float, tau: float) -> HCT:
     return HCT(alpha, lam, tau)
 
 
-_FAMILY_FLAGS: dict[str, tuple[str, ...]] = {
-    "shannon": ("tau",),
-    "general": ("alpha", "tau", "lambda"),
-    "nath": ("alpha", "lambda", "tau"),
-    "renyi": ("alpha",),
-    "tsallis": ("alpha",),
-    "havrda-charvat": ("alpha",),
-    "havrda_charvat": ("alpha",),
-    "hct": ("alpha", "lambda", "tau"),
+#: CLI family name -> (parameter flags in constructor order, constructor).
+_FAMILY_TABLE: dict[str, tuple[tuple[str, ...], Callable[..., EntropyFamily]]] = {
+    "shannon": (("tau",), shannon),
+    "general": (("alpha", "tau", "lambda"), general_escort),
+    "nath": (("alpha", "lambda", "tau"), nath),
+    "renyi": (("alpha",), renyi),
+    "tsallis": (("alpha",), tsallis),
+    "havrda-charvat": (("alpha",), havrda_charvat),
+    "havrda_charvat": (("alpha",), havrda_charvat),
+    "hct": (("alpha", "lambda", "tau"), hct),
 }
 
 
@@ -243,9 +318,9 @@ def make_family(
     are rejected; ``shannon`` defaults to tau = -1 when the flag is omitted.
     """
     key = name.lower()
-    if key not in _FAMILY_FLAGS:
+    if key not in _FAMILY_TABLE:
         raise ParameterError(f"unknown family {name!r}")
-    allowed = _FAMILY_FLAGS[key]
+    allowed, build = _FAMILY_TABLE[key]
     given = {"alpha": alpha, "lambda": lam, "tau": tau}
     for flag, value in given.items():
         if value is not None and flag not in allowed:
@@ -253,67 +328,21 @@ def make_family(
     missing = [f for f in allowed if given[f] is None and (key, f) != ("shannon", "tau")]
     if missing:
         raise ParameterError(f"family {name!r} needs --{' --'.join(missing)}")
-
-    if key == "shannon":
-        return Shannon(tau if tau is not None else -1.0)
-    if key == "general":
-        return GeneralEscort(alpha, tau, lam)
-    if key == "nath":
-        return Nath(alpha, lam, tau)
-    if key == "renyi":
-        return renyi(alpha)
-    if key == "tsallis":
-        return tsallis(alpha)
-    if key == "hct":
-        return HCT(alpha, lam, tau)
-    return havrda_charvat(alpha)
+    # only shannon's optional tau can still be None; its default then applies
+    return build(*(given[f] for f in allowed if given[f] is not None))
 
 
 # ---------------------------------------------------------------------------
 # Entropy operations
 
 
-def _check_zero_support(family: GeneralEscort, dist: Distribution) -> None:
-    if family.alpha <= 0.0 and not dist._array.all():  # some entry is exactly zero
-        raise DomainError(
-            f"zero probability with non-positive exponent alpha={family.alpha!r}"
-        )
-
-
 def entropy(family: EntropyFamily, dist: Distribution) -> float:
     """Entropy of ``dist`` under ``family``; nonnegative, zero iff point mass."""
-    probs = dist._array
-    if isinstance(family, Shannon):
-        return family.tau * plogp_sum(probs)
-    if isinstance(family, Nath):
-        if family.alpha == 1.0:
-            return family.tau * plogp_sum(probs)
-        return log2_power_sum(probs, family.alpha) / family.lam
-    if isinstance(family, GeneralEscort):
-        _check_zero_support(family, dist)
-        if family.lam == 0.0:
-            weights = escort(dist, family.alpha)._array
-            return family.tau * weighted_log2_sum(weights, probs)
-        return -(
-            log2_power_sum(probs, family.beta) - log2_power_sum(probs, family.alpha)
-        ) / family.lam
-    if isinstance(family, HCT):
-        return (power_sum(probs, family.alpha) - 1.0) / family.lam
-    raise TypeError(f"unknown entropy family {family!r}")
-
-
-def _escort_exponent(family: EntropyFamily) -> float:
-    return 1.0 if isinstance(family, Shannon) else family.alpha
-
-
-def _uses_exponential_mean(family: EntropyFamily) -> bool:
-    # HCT deforms the composition law instead of the mean; Shannon and the
-    # alpha == 1 / lam == 0 branches average linearly.
-    if isinstance(family, GeneralEscort):
-        return family.lam != 0.0
-    if isinstance(family, Nath):
-        return family.alpha != 1.0
-    return False
+    try:
+        formula = family._formula
+    except AttributeError:
+        raise TypeError(f"unknown entropy family {family!r}") from None
+    return formula(dist._array)
 
 
 def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> float:
@@ -322,13 +351,14 @@ def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> floa
     Rows with zero marginal carry escort weight exactly 0 and are skipped.
     """
     marg = marginal(joint)
-    weights = escort(marg, _escort_exponent(family))
+    weights = escort(marg, family.alpha)
     values = [
         entropy(family, conditional(joint, k)) if w > 0.0 else 0.0
         for k, w in enumerate(weights.probs)
     ]
-    if _uses_exponential_mean(family):
-        return quasi_mean(ExponentialGenerator(kappa=family.lam), weights, values)
+    kappa = family.mean_kappa
+    if kappa != 0.0:
+        return quasi_mean(ExponentialGenerator(kappa=kappa), weights, values)
     return exact_sum(w * v for w, v in zip(weights.probs, values) if w > 0.0)
 
 
@@ -346,20 +376,9 @@ def uniform_trace(family: EntropyFamily, n: int) -> float:
     """
     if n < 1:
         raise DimensionError(f"uniform trace needs n >= 1, got {n}")
+    try:
+        trace = family._trace
+    except AttributeError:
+        raise TypeError(f"unknown entropy family {family!r}") from None
     # log2 of the integer itself: float(n) overflows from n = 2**1024 on
-    log_n = math.log2(n)
-    if isinstance(family, Shannon):
-        return -family.tau * log_n
-    if isinstance(family, Nath):
-        if family.alpha == 1.0:
-            return -family.tau * log_n
-        return (log_n - family.alpha * log_n) / family.lam
-    if isinstance(family, GeneralEscort):
-        return -family.tau * log_n
-    if isinstance(family, HCT):
-        try:
-            zpow = (1.0 / n) ** (family.tau * family.lam)
-        except OverflowError as exc:
-            raise Overflow(f"uniform trace overflowed at log2(n) = {log_n!r}") from exc
-        return (zpow - 1.0) / family.lam
-    raise TypeError(f"unknown entropy family {family!r}")
+    return trace(n, math.log2(n))

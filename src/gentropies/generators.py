@@ -41,6 +41,10 @@ class LinearGenerator:
     def invert(self, y: float) -> float:
         return -y / self.c - self.shift
 
+    def invert_mean(self, acc: float, terms: Sequence[tuple[float, float]]) -> float:
+        """g^{-1}(acc), where acc = sum w g(v) over the (w, v) ``terms``."""
+        return self.invert(acc)
+
 
 @dataclass(frozen=True)
 class ExponentialGenerator:
@@ -76,6 +80,21 @@ class ExponentialGenerator:
             )
         return math.log1p(t) / (_LN2 * self.kappa) - self.shift
 
+    def invert_mean(self, acc: float, terms: Sequence[tuple[float, float]]) -> float:
+        """g^{-1}(acc), where acc = sum w g(v) over the (w, v) ``terms``.
+
+        Where every 2**(kappa*(v + shift)) vanishes beside 1, expm1 saturates
+        and gamma*acc + 1 <= 0 leaves the domain of ``invert``; only then the
+        mean is taken max-factored: (m + log2 sum w 2**(e - m))/kappa - shift
+        over the exponents e = kappa*(v + shift), m = max e.
+        """
+        if not 1.0 + self.gamma * acc <= 0.0:  # nan stays with invert
+            return self.invert(acc)
+        exponents = [self.kappa * (v + self.shift) for _, v in terms]
+        top = max(exponents)
+        total = exact_sum(w * 2.0 ** (e - top) for (w, _), e in zip(terms, exponents))
+        return (top + math.log2(total)) / self.kappa - self.shift
+
 
 Generator = Union[LinearGenerator, ExponentialGenerator]
 
@@ -93,7 +112,6 @@ def quasi_mean(
         raise DimensionError(
             f"{len(weights)} weights for {len(values)} values"
         )
-    acc = exact_sum(
-        w * generator.evaluate(v) for w, v in zip(weights.probs, values) if w > 0.0
-    )
-    return generator.invert(acc)
+    terms = [(w, v) for w, v in zip(weights.probs, values) if w > 0.0]
+    acc = exact_sum(w * generator.evaluate(v) for w, v in terms)
+    return generator.invert_mean(acc, terms)

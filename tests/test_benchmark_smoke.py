@@ -1,6 +1,7 @@
-"""The benchmark's bulk workload runs end to end and its outputs check out.
+"""The benchmark's bulk and suite workloads run end to end and check out.
 
-Tiny sizes only (``--smoke``, about 3 s); no timing is gated.
+Tiny sizes only (``--smoke``: about 3 s for bulk, 2 s for suite, where the
+suite workload checks the verdicts of all 18 families); no timing is gated.
 """
 
 import json
@@ -8,12 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bulk_smoke_is_correct():
+@pytest.mark.parametrize("workload", ["bulk", "suite"])
+def test_smoke_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "bulk", "--smoke",
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--smoke",
          "--seed", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from gentropies.cli import main
+from gentropies.cli import MAX_SWEEP_POINTS, main
 
 
 def run(capsys, *argv):
@@ -116,9 +116,15 @@ class TestTrace:
         assert float(out) == pytest.approx(400 * math.log2(10.0), rel=1e-14)
         assert err == ""
 
+    def test_hct_beyond_float_range(self, capsys):
+        code, out, err = run(
+            capsys, "trace", "--family", "tsallis", "--alpha", "2", "--n", str(10 ** 400)
+        )
+        assert (code, out, err) == (0, "1\n", "")
+
     def test_hct_overflow_exit_one(self, capsys):
         code, out, err = run(
-            capsys, "trace", "--family", "tsallis", "--alpha", "0.5", "--n", str(10 ** 400)
+            capsys, "trace", "--family", "tsallis", "--alpha", "0.5", "--n", str(10 ** 700)
         )
         assert code == 1
         assert out == ""
@@ -204,6 +210,19 @@ class TestSweep:
         )
         assert code == 1
         assert "ParameterError" in err
+
+    @pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "0:1:inf", "nan:1:0.5", "0:nan:1"])
+    def test_non_finite_range_exit_one(self, capsys, coin_file, spec):
+        code, out, err = run(capsys, "sweep", "--family", "renyi", f"--alpha={spec}", coin_file)
+        assert (code, out) == (1, "")
+        assert err.startswith("ParameterError: ") and "finite" in err
+
+    @pytest.mark.parametrize("spec", ["0:1e12:1e-6", "0.5:1000000.5:1"])
+    def test_too_many_points_exit_one(self, capsys, coin_file, spec):
+        # refused before a single point is built
+        code, out, err = run(capsys, "sweep", "--family", "renyi", f"--alpha={spec}", coin_file)
+        assert (code, out) == (1, "")
+        assert err.startswith("ParameterError: ") and str(MAX_SWEEP_POINTS) in err
 
     def test_two_ranges_exit_one(self, capsys, coin_file):
         code, _, err = run(

@@ -17,6 +17,11 @@ class TestExamples:
     def test_plain_addition(self):
         assert Deformation(0.0).add(2.0, 3.0) == 5.0
 
+    def test_plain_addition_where_the_product_overflows(self):
+        # the additive families compose through Deformation(); 1e160 * 1e160
+        # is inf and must not turn the sum into nan
+        assert Deformation(0.0).add(1e160, 1e160) == 2e160
+
     def test_identity_element(self):
         for lam in (-2.0, 0.0, 1.5):
             assert Deformation(lam).add(7.25, 0.0) == 7.25

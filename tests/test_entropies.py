@@ -255,10 +255,18 @@ class TestUniformTrace:
         expected = log_n if isinstance(family, Nath) else -family.tau * log_n
         assert uniform_trace(family, 10 ** 400) == pytest.approx(expected, rel=1e-14)
 
-    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize(
+        "alpha, expected", [(0.5, (10 ** 200 - 1) / 0.5), (2.0, 1.0)], ids=["0.5", "2.0"]
+    )
+    def test_hct_beyond_float_range(self, alpha, expected):
+        # 1.0 / 10**400 is not a float, but n**(1 - alpha) is
+        assert uniform_trace(tsallis(alpha), 10 ** 400) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25])
     def test_hct_beyond_float_range_is_typed_overflow(self, alpha):
+        # n**(1 - alpha) itself exceeds the float range
         with pytest.raises(Overflow):
-            uniform_trace(tsallis(alpha), 10 ** 400)
+            uniform_trace(tsallis(alpha), 10 ** 700)
 
 
 class TestInvariants:

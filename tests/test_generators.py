@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -88,6 +89,18 @@ class TestQuasiMean:
         assert m == pytest.approx(
             ref_quasi_mean_exponential(-1.0, 1.0, 0.0, (0.5, 0.5), (0.0, 1.0)), abs=1e-14
         )
+
+    @pytest.mark.parametrize("gamma, shift", [(1.0, 0.0), (-2.5, 0.5)])
+    def test_saturated_exponential_mean(self, gamma, shift):
+        # 2**(-99 * 8) is far below the rounding of 1: expm1 returns -1 for
+        # both values, yet the mean is finite (just above 8).  The oracle's
+        # generator form cancels 1 - 2**-800 too, so it runs at 300 digits.
+        g = ExponentialGenerator(kappa=-99.0, gamma=gamma, shift=shift)
+        w = make_distribution((0.25, 0.75))
+        with mpmath.workdps(300):
+            ref = ref_quasi_mean_exponential(-99.0, gamma, shift, w.probs, (8.0, 9.0))
+        assert 8.0 < ref < 8.1
+        assert quasi_mean(g, w, (8.0, 9.0)) == pytest.approx(ref, rel=1e-14)
 
     @given(generators, distributions(min_size=1, max_size=6), st.floats(-6.0, 6.0))
     def test_idempotent_on_constants(self, gen, w, v):
