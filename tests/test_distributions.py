@@ -410,3 +410,33 @@ def test_vector_validation_empty_row_after_bad_entry():
         make_joint(rows)
     with pytest.raises(DimensionError):
         make_joint([[GOOD] * 299, [], [GOOD, None]])
+
+
+@st.composite
+def near_simplex_entries(draw):
+    """1-300 entries summing to 1 within tolerance, with exact zeros, -0.0
+    and tiny negatives in [-1e-12, 0) among them."""
+    n = draw(st.one_of(st.integers(1, 300), st.sampled_from([255, 256, 257])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = rng.integers(0, 4, n)
+    kinds[rng.integers(0, n)] = 0
+    positive = rng.exponential(1.0, n)
+    positive /= math.fsum(positive[kinds == 0].tolist())
+    tiny = -rng.uniform(0.0, 1e-12, n) - 5e-324
+    values = np.select([kinds == 0, kinds == 1, kinds == 2], [positive, 0.0, -0.0], tiny)
+    return values.tolist()
+
+
+@given(values=near_simplex_entries(), cut_seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_stored_entries_are_clipped_over_fsum_bit_for_bit(values, cut_seed):
+    clipped = [0.0 if v < 0.0 else v for v in values]
+    total = math.fsum(clipped)
+    expected = [(c / total).hex() for c in clipped]
+    assert [v.hex() for v in make_distribution(values).probs] == expected
+    rng = np.random.default_rng(cut_seed)
+    cuts = sorted(rng.choice(np.arange(1, len(values)), min(len(values) - 1, 5), replace=False))
+    rows = [values[i:j] for i, j in zip([0, *cuts], [*cuts, len(values)])]
+    joint = make_joint(rows)
+    assert [v.hex() for row in joint.rows for v in row] == expected
+    assert joint.row_lengths == tuple(len(row) for row in rows)
