@@ -5,11 +5,15 @@ The kernels take float64 ndarrays.  Every sum is correctly rounded (see
 Power sums are max-factored in log2 space, which keeps them finite for
 exponents far beyond the naive overflow point.
 
-Below ``_VECTOR_MIN`` entries the kernels loop in Python over ``tolist()``,
-which beats numpy's per-call overhead on the many tiny inputs of the axiom
-suite; at and above it they run in numpy.  numpy's log2/exp2/power may
-differ from the libm functions by an ulp per term, so the two branches
-agree to a few ulps, not bit for bit.
+Below ``_VECTOR_MIN`` entries the power, log and escort kernels loop in
+Python over ``tolist()``, which beats numpy's per-call overhead on the many
+tiny inputs of the axiom suite; at and above it they run in numpy.  numpy's
+log2/exp2/power may differ from the libm functions by an ulp per term, so
+the two branches agree to a few ulps, not bit for bit.
+
+``_VECTOR_MIN`` is the library's only size switch between two arithmetics:
+validation, `segment_sums` and every layer above take one path at every
+size (``_BINNED_MIN`` only picks how `exact_sum` reaches the same bits).
 """
 
 from __future__ import annotations
@@ -71,10 +75,7 @@ def exact_sum(values) -> float:
 
 def segment_sums(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
     """Exact sums of ``values[bounds[k]:bounds[k + 1]]`` for every k."""
-    if len(values) >= _VECTOR_MIN:
-        return [exact_sum(values[i:j]) for i, j in itertools.pairwise(bounds)]
-    vals = values.tolist()
-    return [math.fsum(vals[i:j]) for i, j in itertools.pairwise(bounds)]
+    return [exact_sum(values[i:j]) for i, j in itertools.pairwise(bounds)]
 
 
 def log2_power_sum(probs: np.ndarray, alpha: float) -> float:

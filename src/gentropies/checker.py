@@ -17,6 +17,7 @@ expected outcome for escort families with exponent beta != 1.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,13 +26,12 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from ._stable import exact_sum, segment_sums
 from .distributions import (
     Distribution,
     JointDistribution,
     direct_product,
     flatten,
-    make_distribution,
-    make_joint,
     marginal,
     refinement_joint,
     uniform,
@@ -45,7 +45,7 @@ from .entropies import (
     joint_entropy,
     uniform_trace,
 )
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, Overflow
 
 #: absolute residual at which a must-fail check counts as a detected violation.
 VIOLATION_THRESHOLD = 1e-3
@@ -240,15 +240,17 @@ def _random_joint(rng: np.random.Generator, max_rows: int, max_cols: int) -> Joi
         lengths = rng.integers(1, max_cols + 1, size=n_rows)
         rows = [rng.exponential(1.0, size=int(m)) for m in lengths]
         total = float(sum(float(r.sum()) for r in rows))
-        rows = [r / total for r in rows]
-        if min(math.fsum(r.tolist()) for r in rows) >= 1e-12:
-            return make_joint([r.tolist() for r in rows])
+        flat = np.concatenate(rows) / total
+        bounds = [0, *itertools.accumulate(lengths.tolist())]
+        if min(segment_sums(flat, bounds)) >= 1e-12:
+            return JointDistribution._wrap(flat / exact_sum(flat), bounds)
 
 
 def _random_distribution(rng: np.random.Generator, max_dim: int) -> Distribution:
     dim = int(rng.integers(2, max(max_dim, 2) + 1))
     e = rng.exponential(1.0, size=dim)
-    return make_distribution((e / e.sum()).tolist())
+    p = e / e.sum()
+    return Distribution._wrap(p / exact_sum(p))
 
 
 def _random_counts(rng: np.random.Generator, max_rows: int, max_cols: int) -> tuple[int, ...]:
@@ -266,6 +268,8 @@ def _aggregate(
     worst_rel = -1.0
     worst_input: Any = None
     for residual, scale, described in results:
+        if not math.isfinite(residual):
+            raise Overflow(f"{name} residual is not finite: {residual!r}")
         relative = residual / (1.0 + scale)
         residuals.append(residual)
         relatives.append(relative)
@@ -300,7 +304,8 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
     Inputs are drawn from a PCG64 generator in a fixed order (ragged
     joints, then product pairs, then refinement counts), so identical
     configurations produce byte-identical reports.  Aggregation uses max
-    and arithmetic mean only and is therefore order-independent.
+    and arithmetic mean only and is therefore order-independent.  A
+    non-finite residual raises :class:`Overflow` naming its check.
     """
     family = cfg.family
     rng = np.random.default_rng(cfg.seed)

@@ -17,8 +17,8 @@ and cached; equality and hashing are defined on them.
 The two value types are immutable: every operation returns a new object and
 is safe to call concurrently.  Validating constructors (`make_distribution`,
 `make_joint`) accept anything within the input tolerances and renormalize
-exactly by the sum; from ``_VECTOR_MIN`` entries on they validate in numpy
-and report the same first offending entry as the scalar loop.  The
+exactly by the sum.  They read and check every input in numpy, whatever
+its size, and report the same first offending entry as a scalar loop.  The
 structural constructors (`uniform`, `direct_product`, `refinement_joint`)
 build their entries directly so that identities such as
 ``flatten(refinement_joint(counts)) == uniform(sum(counts))`` hold exactly,
@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._stable import _VECTOR_MIN, escort_weights, exact_sum, segment_sums
+from ._stable import escort_weights, exact_sum, segment_sums
 from .errors import (
     DimensionError,
     EscortUndefined,
@@ -57,13 +57,6 @@ from .errors import (
 SUM_TOLERANCE = 1e-9
 #: entries in [-NEGATIVE_TOLERANCE, 0) are clipped to 0; below is an error.
 NEGATIVE_TOLERANCE = 1e-12
-
-
-def _divided(values: list[float] | np.ndarray, total: float) -> np.ndarray:
-    """values / total entry by entry, as a fresh array."""
-    if isinstance(values, np.ndarray):
-        return values / total
-    return np.array([v / total for v in values])
 
 
 class Distribution:
@@ -176,22 +169,19 @@ def _clip(values: Iterable[float], what: str) -> list[float]:
     return out
 
 
-def _clipped(parts: list[Sequence[float]], size: int, what: str) -> list[float] | np.ndarray:
-    """`_clip` of the ``size`` concatenated entries of ``parts``.
+def _clipped(parts: list[Sequence[float]], size: int, what: str) -> np.ndarray:
+    """`_clip` of the ``size`` concatenated entries of ``parts``, as a float64 array.
 
-    Returns a list below ``_VECTOR_MIN`` entries; from there on numpy reads
-    and checks them and a float64 array is returned.  Entries numpy cannot
-    read as floats go through `_clip`, so every error names the same first
-    offender whichever branch runs.
+    numpy reads and checks the entries at every size.  Entries numpy cannot
+    read as floats, and the first entry its checks reject, go through
+    `_clip`, so every error names the same first offender as that loop.
     """
-    if size < _VECTOR_MIN:
-        return _clip(itertools.chain.from_iterable(parts), what)
     try:
         arr = np.fromiter(itertools.chain.from_iterable(parts), np.float64, size)
     except (TypeError, ValueError):
-        return _clip(itertools.chain.from_iterable(parts), what)
-    lo = arr.min()
-    if not (lo >= -NEGATIVE_TOLERANCE and arr.max() < math.inf):
+        return np.array(_clip(itertools.chain.from_iterable(parts), what))
+    lo = arr.min(initial=0.0)  # the initial 0.0 lets empty input through
+    if not (lo >= -NEGATIVE_TOLERANCE and arr.max(initial=0.0) < math.inf):
         # numpy reads None as nan: rerun `_clip` up to the first offender
         first = int((~np.isfinite(arr) | (arr < -NEGATIVE_TOLERANCE)).argmax())
         _clip(itertools.islice(itertools.chain.from_iterable(parts), first + 1), what)
@@ -222,7 +212,7 @@ def make_distribution(values: Sequence[float]) -> Distribution:
     total = exact_sum(vals)
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise NotNormalized(f"probabilities sum to {total!r}, not 1")
-    return Distribution._wrap(_divided(vals, total))
+    return Distribution._wrap(vals / total)
 
 
 def make_joint(rows: Sequence[Sequence[float]]) -> JointDistribution:
@@ -243,7 +233,7 @@ def make_joint(rows: Sequence[Sequence[float]]) -> JointDistribution:
     total = exact_sum(flat)
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise NotNormalized(f"joint entries sum to {total!r}, not 1")
-    return JointDistribution._wrap(_divided(flat, total), bounds)
+    return JointDistribution._wrap(flat / total, bounds)
 
 
 def uniform(n: int) -> Distribution:
@@ -264,7 +254,7 @@ def direct_product(p: Distribution, q: Distribution) -> JointDistribution:
 def marginal(joint: JointDistribution) -> Distribution:
     """Row-sum marginal p_k = sum_l r_kl, returned exactly normalized."""
     sums = segment_sums(joint._flat, joint._bounds)
-    return Distribution._wrap(_divided(sums, exact_sum(sums)))
+    return Distribution._wrap(np.array(sums) / exact_sum(sums))
 
 
 def conditional(joint: JointDistribution, k: int) -> Distribution:

@@ -337,12 +337,18 @@ def make_family(
 
 
 def entropy(family: EntropyFamily, dist: Distribution) -> float:
-    """Entropy of ``dist`` under ``family``; nonnegative, zero iff point mass."""
+    """Entropy of ``dist`` under ``family``; nonnegative, zero iff point mass.
+
+    Raises :class:`Overflow` when the value is past the float range.
+    """
     try:
         formula = family._formula
     except AttributeError:
         raise TypeError(f"unknown entropy family {family!r}") from None
-    return formula(dist._array)
+    value = formula(dist._array)
+    if not math.isfinite(value):
+        raise Overflow(f"{family.name} entropy is not finite: {value!r}")
+    return value
 
 
 def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> float:

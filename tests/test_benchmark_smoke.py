@@ -1,7 +1,9 @@
-"""The benchmark's bulk and suite workloads run end to end and check out.
+"""The benchmark's bulk, suite and cli workloads run end to end and check out.
 
 Tiny sizes only (``--smoke``: about 3 s for bulk, 2 s for suite, where the
-suite workload checks the verdicts of all 18 families); no timing is gated.
+suite workload checks the verdicts of all 18 families, and 8 s for cli,
+which checks every command's stdout byte for byte against the in-process
+values); no timing is gated.
 """
 
 import json
@@ -14,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["bulk", "suite"])
+@pytest.mark.parametrize("workload", ["bulk", "suite", "cli"])
 def test_smoke_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--smoke",

@@ -10,11 +10,13 @@ from gentropies import (
     ConfigError,
     Deformation,
     DimensionError,
+    Overflow,
     chain_residual,
     counterexample_probe,
     entropy,
     general_escort,
     havrda_charvat,
+    hct,
     make_distribution,
     product_additivity_residual,
     refinement_consistency,
@@ -215,6 +217,19 @@ class TestRunSuite:
         for check in report.checks:
             assert check.max_relative_residual <= check.max_residual + 1e-30
             assert check.mean_residual <= check.max_residual
+
+    @pytest.mark.parametrize(
+        "family, check",
+        [
+            (shannon(-1.7e308), "shannon entropy"),
+            # finite entropies whose lam-deformed composition overflows
+            (hct(2.0, -1e-308, -1e308), "strong_additivity residual"),
+        ],
+        ids=["entropy", "composition"],
+    )
+    def test_non_finite_is_typed_overflow(self, family, check):
+        with pytest.raises(Overflow, match=f"{check} is not finite"):
+            run_suite(CheckConfig(family=family, trials=5))
 
     @pytest.mark.parametrize("_, family", GRID)
     def test_grid_families_pass_quick_suite(self, _, family):

@@ -77,6 +77,13 @@ class TestCompute:
         assert code == 1
         assert "ParameterError" in err
 
+    def test_overflowing_entropy_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "u4.csv"
+        path.write_text("0.25,0.25,0.25,0.25\n")
+        code, out, err = run(capsys, "compute", "--family", "shannon", "--tau=-1.7e308", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("Overflow: ")
+
 
 class TestJointCommands:
     def test_conditional(self, capsys, probe_file):
@@ -169,6 +176,13 @@ class TestCheck:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_overflow_exit_one(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--family", "shannon", "--tau=-1.7e308", "--trials", "5"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("Overflow: ")
 
     def test_bad_config_exit_one(self, capsys):
         code, _, err = run(

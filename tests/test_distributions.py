@@ -384,17 +384,25 @@ def _error(fn, arg):
     return None
 
 
+def _reference_error(values, what, summed):
+    """What the `_clip` reference loop raises, else the sum check's error."""
+    try:
+        total = math.fsum(distributions_module._clip(values, what))
+    except Exception as exc:  # noqa: BLE001 - comparing whatever is raised
+        return type(exc), str(exc)
+    return NotNormalized, f"{summed} sum to {total!r}, not 1"
+
+
 @pytest.mark.parametrize("case", list(BAD_ENTRIES))
-def test_vector_validation_raises_like_the_scalar_loop(monkeypatch, case):
-    values = [GOOD] * N_LARGE
-    for i, v in BAD_ENTRIES[case]:
-        values[i] = v
-    rows = [values[:100], values[100:]]
-    vector = _error(make_distribution, values), _error(make_joint, rows)
-    monkeypatch.setattr(distributions_module, "_VECTOR_MIN", 10 ** 9)
-    scalar = _error(make_distribution, values), _error(make_joint, rows)
-    assert vector == scalar
-    assert None not in vector
+def test_vector_validation_raises_like_the_scalar_loop(case):
+    for n in (3, 255, N_LARGE):
+        values = [1.0 / n] * n
+        for i, v in BAD_ENTRIES[case]:
+            values[i % n] = v  # keeps the offenders' order at n = 3
+        rows = [values[:n // 3], values[n // 3:]]
+        expected = _reference_error(values, "probability", "probabilities")
+        assert _error(make_distribution, values) == expected
+        assert _error(make_joint, rows) == _reference_error(values, "joint", "joint entries")
 
 
 def test_vector_validation_clips_tiny_negatives():

@@ -185,6 +185,12 @@ class TestEntropyValues:
         value = entropy(renyi(100.0), make_distribution((0.3, 0.7)))
         assert value == pytest.approx(-math.log2(0.7) * 100.0 / 99.0, rel=1e-9)
 
+    def test_non_finite_value_is_typed_overflow(self):
+        # -1.7e308 * -2 is past the float range
+        with pytest.raises(Overflow, match="shannon entropy is not finite"):
+            entropy(shannon(-1.7e308), uniform(4))
+        assert entropy(shannon(-1.7e308), uniform(2)) == 1.7e308
+
 
 class TestConditionalAndJoint:
     def test_shannon_probe(self):
