@@ -400,8 +400,9 @@ def test_vector_validation_raises_like_the_scalar_loop(case):
         for i, v in BAD_ENTRIES[case]:
             values[i % n] = v  # keeps the offenders' order at n = 3
         rows = [values[:n // 3], values[n // 3:]]
-        expected = _reference_error(values, "probability", "probabilities")
-        assert _error(make_distribution, values) == expected
+        assert _error(make_distribution, values) == _reference_error(
+            values, "probability", "probabilities"
+        )
         assert _error(make_joint, rows) == _reference_error(values, "joint", "joint entries")
 
 
