@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import constrained_grid
@@ -13,13 +14,17 @@ from gentropies import (
     Overflow,
     chain_residual,
     counterexample_probe,
+    direct_product,
     entropy,
     general_escort,
     havrda_charvat,
     hct,
+    joint_entropy,
     make_distribution,
+    marginal,
     product_additivity_residual,
     refinement_consistency,
+    refinement_joint,
     renyi,
     run_suite,
     shannon,
@@ -29,6 +34,7 @@ from gentropies import (
     uniform_trace_residual,
 )
 from gentropies import checker
+from gentropies.entropies import nath
 from gentropies.checker import MAX_CHAIN_LENGTH, PRNG_NAME, VIOLATION_THRESHOLD
 
 GRID = constrained_grid()
@@ -244,3 +250,103 @@ class TestRunSuite:
         assert all(1 <= len(r) <= 2 for r in rows)
         total = math.fsum(v for row in rows for v in row)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _drawn_inputs(cfg):
+    """The suite's random inputs, drawn in `run_suite`'s order."""
+    rng = np.random.default_rng(cfg.seed)
+    joints = [checker._random_joint(rng, cfg.max_rows, cfg.max_cols) for _ in range(cfg.trials)]
+    pairs = [
+        (
+            checker._random_distribution(rng, cfg.max_rows),
+            checker._random_distribution(rng, cfg.max_cols),
+        )
+        for _ in range(cfg.trials)
+    ]
+    counts = [checker._random_counts(rng, cfg.max_rows, cfg.max_cols) for _ in range(cfg.trials)]
+    return joints, pairs, counts
+
+
+def _public_trials(family, cfg):
+    """check name -> (residual, |reference value|, worst_input) per trial,
+    from the public residual functions, one input at a time."""
+    joints, pairs, counts = _drawn_inputs(cfg)
+    return {
+        "strong_additivity": [
+            (
+                strong_additivity_residual(family, j),
+                abs(joint_entropy(family, j)),
+                {"rows": [list(r) for r in j.rows]},
+            )
+            for j in joints
+        ],
+        "counterexample_probe": [
+            (
+                counterexample_probe(family),
+                abs(joint_entropy(family, PROBE_JOINT)),
+                {"rows": [list(r) for r in PROBE_JOINT.rows]},
+            )
+        ],
+        "product_additivity": [
+            (
+                product_additivity_residual(family, p, q),
+                abs(joint_entropy(family, direct_product(p, q))),
+                {"p": list(p.probs), "q": list(q.probs)},
+            )
+            for p, q in pairs
+        ],
+        "refinement_consistency": [
+            (
+                refinement_consistency(family, c),
+                abs(entropy(family, marginal(refinement_joint(c)))),
+                {"counts": list(c)},
+            )
+            for c in counts
+        ],
+        # the fair-coin chain of length n is U_(2**n) bit for bit
+        "chain": [
+            (chain_residual(family, n), abs(entropy(family, uniform(2 ** n))), {"n": n})
+            for n in range(1, 13)
+        ],
+        "uniform_trace": [
+            (uniform_trace_residual(family, n), abs(entropy(family, uniform(n))), {"n": n})
+            for n in (2 ** k for k in range(1, 15))
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        shannon(-1.0),
+        renyi(0.5),
+        tsallis(2.0),
+        nath(1.0, 0.0, -1.5),
+        general_escort(2.0, -1.0, 1.0),
+        general_escort(3.0, -1.0, 0.0),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize(
+    "sizes",
+    [{"trials": 20}, {"trials": 3, "max_rows": 3, "max_cols": 600}],
+    ids=["8x8", "3x600"],
+)
+def test_suite_residuals_equal_the_public_functions(family, sizes):
+    """Every reported number is what the public residual functions give on
+    the drawn inputs, trial by trial: the maxima, the fsum means and the
+    worst input agree exactly."""
+    cfg = CheckConfig(family=family, seed=2024, **sizes)
+    report = run_suite(cfg)
+    trials = _public_trials(family, cfg)
+    assert [c.name for c in report.checks] == sorted(trials)
+    for record in report.checks:
+        results = trials[record.name]
+        residuals = [r for r, _, _ in results]
+        relatives = [r / (1.0 + s) for r, s, _ in results]
+        worst = max(range(len(results)), key=relatives.__getitem__)  # first maximum
+        assert record.max_residual == max(residuals), record.name
+        assert record.mean_residual == math.fsum(residuals) / len(residuals), record.name
+        assert record.max_relative_residual == relatives[worst], record.name
+        assert record.mean_relative_residual == math.fsum(relatives) / len(relatives), record.name
+        assert record.worst_input == results[worst][2], record.name

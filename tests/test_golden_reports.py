@@ -15,6 +15,7 @@ from gentropies.entropies import (
     general_escort,
     havrda_charvat,
     nath,
+    renyi,
     shannon,
     strongly_additive_nath,
 )
@@ -39,6 +40,15 @@ CONFIGS = {
     # the exponential mean
     "general_escort_exponential": CheckConfig(
         general_escort(2.0, -1.0, 1.0), seed=1311_0324
+    ),
+    # rows of up to 600 cells: within one joint, rows on both sides of the
+    # 256-entry switch, under the escort (alpha 0.5) and exponential mean ...
+    "wide_rows_renyi": CheckConfig(
+        renyi(0.5), trials=5, max_rows=3, max_cols=600, seed=1311_0324
+    ),
+    # ... and under the lam == 0 escort sum of a forcing member
+    "wide_rows_general_escort": CheckConfig(
+        general_escort(3.0, -1.0, 0.0), trials=5, max_rows=3, max_cols=600, seed=1311_0324
     ),
 }
 

@@ -134,3 +134,53 @@ def test_scalar_and_vector_kernels_agree_exactly(monkeypatch, kernel, n):
     monkeypatch.setattr(_stable, "_VECTOR_MIN", n)
     monkeypatch.setattr(_stable, "_BINNED_MIN", n)
     assert kernel(p) == scalar
+
+
+@st.composite
+def csr_arrays(draw):
+    """A flat array of spans of 1-600 entries (straddling 256), each span a
+    distribution with about 10 % exact zeros, and a selection of its spans
+    (some skipped)."""
+    lengths = draw(st.lists(
+        st.one_of(st.integers(1, 12), st.integers(200, 320), st.integers(1, 600)),
+        min_size=1, max_size=8,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for m in lengths:
+        x = rng.exponential(1.0, m)
+        x[rng.random(m) < 0.1] = 0.0
+        x[rng.integers(0, m)] = 1.0 + rng.random()  # one positive entry at least
+        parts.append(x / x.sum())
+    bounds = np.cumsum([0, *lengths]).tolist()
+    keep = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
+    spans = [(i, j) for (i, j), k in zip(zip(bounds, bounds[1:]), keep) if k]
+    return np.concatenate(parts), spans
+
+
+SPAN_KERNELS = {
+    "plogp_sum": lambda p, spans: [plogp_sum(p[i:j]) for i, j in spans],
+    "log2_power_sum(0.5)": lambda p, spans: [log2_power_sum(p[i:j], 0.5) for i, j in spans],
+    "log2_power_sum(100)": lambda p, spans: [log2_power_sum(p[i:j], 100.0) for i, j in spans],
+    "power_sum(3)": lambda p, spans: [power_sum(p[i:j], 3.0) for i, j in spans],
+    "escort_weights(2)": lambda p, spans: [escort_weights(p[i:j], 2.0) for i, j in spans],
+    "escort_weights(0.5)": lambda p, spans: [escort_weights(p[i:j], 0.5) for i, j in spans],
+    # weights computed entry by entry, so a span's weights are the same alone
+    "weighted_log2_sum": lambda p, spans: [
+        weighted_log2_sum(np.sqrt(p[i:j]), p[i:j]) for i, j in spans
+    ],
+}
+
+
+@pytest.mark.parametrize("kernel", list(SPAN_KERNELS.values()), ids=list(SPAN_KERNELS))
+@given(data=csr_arrays())
+@settings(max_examples=60, deadline=None)
+def test_span_kernels_equal_each_slice_alone(kernel, data):
+    """Each span's result is the kernel's result on a standalone copy of the
+    span, bit for bit, whichever branch its length takes."""
+    flat, spans = data
+    batched = kernel(flat, spans)
+    alone = [kernel(flat[i:j].copy(), [(0, j - i)])[0] for i, j in spans]
+    assert len(batched) == len(alone)
+    for got, want in zip(batched, alone):
+        np.testing.assert_array_equal(got, want)
