@@ -5,11 +5,18 @@ The kernels take float64 ndarrays.  Every sum is correctly rounded (see
 Power sums are max-factored in log2 space, which keeps them finite for
 exponents far beyond the naive overflow point.
 
-Below ``_VECTOR_MIN`` entries the power, log and escort kernels loop in
-Python over ``tolist()``, which beats numpy's per-call overhead on the many
-tiny inputs of the axiom suite; at and above it they run in numpy.  numpy's
-log2/exp2/power may differ from the libm functions by an ulp per term, so
-the two branches agree to a few ulps, not bit for bit.
+The power, log and escort kernels are span kernels: they take one flat
+array plus a list of ``(start, stop)`` spans and return one result per span
+(`escort_weights` returns one array, normalized within each span).  A
+single distribution is the one-span case; a joint's rows, or every trial
+of the axiom suite, are many spans of one array.  Each span takes its
+branch by its own length, so it gets the same bits as it would alone:
+below ``_VECTOR_MIN`` entries a Python loop over libm, which beats numpy's
+per-call overhead on tiny inputs (spans that are short on average share
+one ``tolist()`` of the whole array); at and above it numpy on the span's
+slice.  numpy's log2/exp2/power may differ from the libm
+functions by an ulp per term, so the two branches agree to a few ulps, not
+bit for bit.
 
 ``_VECTOR_MIN`` is the library's only size switch between two arithmetics:
 validation, `segment_sums` and every layer above take one path at every
@@ -25,6 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Overflow
+
+#: (start, stop) index pairs into a flat array, one per segment.
+Spans = Sequence[tuple[int, int]]
 
 # Below this length plain Python loops beat numpy's per-call overhead.
 _VECTOR_MIN = 256
@@ -73,79 +83,127 @@ def exact_sum(values) -> float:
     return math.fsum(totals[totals != 0.0].tolist())
 
 
+def _pieces(values: np.ndarray, spans: Spans, short_below: int):
+    """Each span's entries: a list below ``short_below`` entries, else an array view.
+
+    The lists are slices of one shared ``tolist()`` when the spans average
+    fewer than ``short_below`` entries, so many tiny spans cost one
+    conversion; otherwise each short span converts only its own slice.
+    """
+    shared = values.tolist() if len(values) < short_below * len(spans) else None
+    for i, j in spans:
+        if j - i >= short_below:
+            yield values[i:j]
+        elif shared is not None:
+            yield shared[i:j]
+        else:
+            yield values[i:j].tolist()
+
+
 def segment_sums(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
     """Exact sums of ``values[bounds[k]:bounds[k + 1]]`` for every k."""
-    return [exact_sum(values[i:j]) for i, j in itertools.pairwise(bounds)]
+    return [
+        math.fsum(part) if type(part) is list else exact_sum(part)
+        for part in _pieces(values, list(itertools.pairwise(bounds)), _BINNED_MIN)
+    ]
 
 
-def log2_power_sum(probs: np.ndarray, alpha: float) -> float:
-    """log2 of sum_k p_k**alpha over the positive entries of ``probs``.
+# The loops below build lists for math.fsum: faster than generators, same sums.
+
+
+def log2_power_sum(flat: np.ndarray, spans: Spans, alpha: float) -> list[float]:
+    """Per span, log2 of sum_k p_k**alpha over its positive entries.
 
     Factoring out the largest term keeps every intermediate in [0, 1], so
-    the result is finite for |alpha| up to several hundred.  At least one
-    entry must be positive.
+    the result is finite for |alpha| up to several hundred.  Every span
+    needs a positive entry.
     """
-    if len(probs) >= _VECTOR_MIN:
-        t = alpha * np.log2(probs[probs > 0.0])
-        m = float(t.max())
-        s = exact_sum(np.exp2(t - m))
-    else:
-        logs = [alpha * math.log2(p) for p in probs.tolist() if p > 0.0]
-        m = max(logs)
-        s = math.fsum(2.0 ** (t - m) for t in logs)
-    return m + math.log2(s)
+    log2 = math.log2
+    out = []
+    for part in _pieces(flat, spans, _VECTOR_MIN):
+        if type(part) is list:
+            logs = [alpha * log2(p) for p in part if p > 0.0]
+            m = max(logs)
+            s = math.fsum([2.0 ** (t - m) for t in logs])
+        else:
+            t = alpha * np.log2(part[part > 0.0])
+            m = float(t.max())
+            s = exact_sum(np.exp2(t - m))
+        out.append(m + log2(s))
+    return out
 
 
-def power_sum(probs: np.ndarray, alpha: float) -> float:
-    """sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0)."""
+def power_sum(flat: np.ndarray, spans: Spans, alpha: float) -> list[float]:
+    """Per span, sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0)."""
     try:
-        if len(probs) >= _VECTOR_MIN:
-            return exact_sum(np.power(probs[probs > 0.0], alpha))
-        return math.fsum(p ** alpha for p in probs.tolist() if p > 0.0)
+        return [
+            math.fsum([p ** alpha for p in part if p > 0.0])
+            if type(part) is list
+            else exact_sum(np.power(part[part > 0.0], alpha))
+            for part in _pieces(flat, spans, _VECTOR_MIN)
+        ]
     except OverflowError as exc:
         raise Overflow(f"power sum with exponent {alpha!r} overflowed") from exc
 
 
-def plogp_sum(probs: np.ndarray) -> float:
-    """sum_k p_k * log2(p_k) over positive entries (0*log 0 := 0)."""
-    if len(probs) >= _VECTOR_MIN:
-        pos = probs[probs > 0.0]
-        return exact_sum(pos * np.log2(pos))
-    return math.fsum(p * math.log2(p) for p in probs.tolist() if p > 0.0)
+def plogp_sum(flat: np.ndarray, spans: Spans) -> list[float]:
+    """Per span, sum_k p_k * log2(p_k) over positive entries (0*log 0 := 0)."""
+    log2 = math.log2
+    out = []
+    for part in _pieces(flat, spans, _VECTOR_MIN):
+        if type(part) is list:
+            out.append(math.fsum([p * log2(p) for p in part if p > 0.0]))
+        else:
+            pos = part[part > 0.0]
+            out.append(exact_sum(pos * np.log2(pos)))
+    return out
 
 
-def weighted_log2_sum(weights: np.ndarray, probs: np.ndarray) -> float:
-    """sum_k w_k * log2(p_k) over the positive entries of ``probs``."""
-    if len(probs) >= _VECTOR_MIN:
-        mask = probs > 0.0
-        return exact_sum(weights[mask] * np.log2(probs[mask]))
-    return math.fsum(
-        w * math.log2(p) for w, p in zip(weights.tolist(), probs.tolist()) if p > 0.0
-    )
+def weighted_log2_sum(weights: np.ndarray, flat: np.ndarray, spans: Spans) -> list[float]:
+    """Per span, sum_k w_k * log2(p_k) over the positive entries p_k of ``flat``."""
+    log2 = math.log2
+    out = []
+    for ws, ps in zip(_pieces(weights, spans, _VECTOR_MIN), _pieces(flat, spans, _VECTOR_MIN)):
+        if type(ps) is list:
+            out.append(math.fsum([w * log2(p) for w, p in zip(ws, ps) if p > 0.0]))
+        else:
+            mask = ps > 0.0
+            out.append(exact_sum(ws[mask] * np.log2(ps[mask])))
+    return out
 
 
-def escort_weights(probs: np.ndarray, alpha: float) -> np.ndarray:
-    """Normalized weights p_k**alpha / sum_i p_i**alpha, max-factored.
+def escort_weights(flat: np.ndarray, spans: Spans, alpha: float) -> np.ndarray:
+    """Weights p_k**alpha / sum_i p_i**alpha, normalized within each span, max-factored.
 
     Zero entries keep weight exactly 0 (valid only for alpha > 0; callers
-    enforce positivity of the input when alpha <= 0).  ``alpha == 1``
-    returns the input unchanged, so the identity holds exactly.
+    enforce positivity of the input when alpha <= 0), and so do entries
+    outside every span.  ``alpha == 1`` returns the input unchanged, so the
+    identity holds exactly.  A span without a positive entry raises
+    ``ValueError``.
     """
     if alpha == 1.0:
-        return probs
-    n = len(probs)
-    if n >= _VECTOR_MIN:
-        out = np.zeros(n)
-        mask = probs > 0.0
-        t = alpha * np.log2(probs[mask])
-        w = np.exp2(t - t.max())
-        out[mask] = w / exact_sum(w)
-        return out
-    indexed = [(i, alpha * math.log2(p)) for i, p in enumerate(probs.tolist()) if p > 0.0]
-    m = max(t for _, t in indexed)
-    scaled = [(i, 2.0 ** (t - m)) for i, t in indexed]
-    total = math.fsum(w for _, w in scaled)
-    out_list = [0.0] * n
-    for i, w in scaled:
-        out_list[i] = w / total
-    return np.array(out_list)
+        return flat
+    log2, inf = math.log2, math.inf
+    n = len(flat)
+    # many short spans fill one list, converted once at the end
+    out = [0.0] * n if n < _VECTOR_MIN * len(spans) else np.zeros(n)
+    longs = []
+    for (i, j), part in zip(spans, _pieces(flat, spans, _VECTOR_MIN)):
+        if type(part) is list:
+            # entries that are not positive get 2**-inf = 0
+            logs = [alpha * log2(p) if p > 0.0 else -inf for p in part]
+            m = max(logs, default=-inf)
+            if m == -inf:
+                raise ValueError("escort weights of a span without a positive entry")
+            scaled = [2.0 ** (t - m) for t in logs]
+            total = math.fsum(scaled)
+            out[i:j] = [w / total for w in scaled]
+        else:
+            mask = part > 0.0
+            t = alpha * np.log2(part[mask])
+            w = np.exp2(t - t.max())
+            longs.append((i, j, mask, w / exact_sum(w)))
+    out = np.asarray(out, dtype=np.float64)
+    for i, j, mask, w in longs:
+        out[i:j][mask] = w
+    return out

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -32,17 +32,17 @@ from .distributions import (
     JointDistribution,
     direct_product,
     flatten,
-    marginal,
+    group_marginals,
     refinement_joint,
     uniform,
 )
 from .entropies import (
     EntropyFamily,
-    conditional_entropy,
+    conditional_entropies,
     entropy,
     family_name,
     family_params,
-    joint_entropy,
+    span_entropies,
     uniform_trace,
 )
 from .errors import ConfigError, DimensionError, Overflow
@@ -61,18 +61,62 @@ PRNG_NAME = "numpy.random.PCG64"
 #: float64 cells (32 MiB at n = 22), and the cache keeps the shorter ones too.
 MAX_CHAIN_LENGTH = 22
 
+#: Largest ``trials * max_rows * max_cols`` that `run_suite` accepts.  The
+#: suite draws every trial before checking any: 8 bytes per drawn cell (the
+#: joints take a quarter of the bound on average, 32 MiB at the bound) plus
+#: about a kilobyte of Python objects per trial.
+MAX_SUITE_CELLS = 2 ** 24
 
-def _strong_additivity(family, joint) -> tuple[float, float]:
-    whole = joint_entropy(family, joint)
-    parts = family.composition.add(
-        entropy(family, marginal(joint)), conditional_entropy(family, joint)
+#: Trials per batch of a check in `run_suite`: this bounds the arrays one
+#: batch allocates, whatever the number of trials.
+_BATCH_TRIALS = 1024
+
+
+def _concat(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The arrays end to end, and the span each one occupies."""
+    bounds = [0, *itertools.accumulate(len(a) for a in arrays)]
+    flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    return flat, list(itertools.pairwise(bounds))
+
+
+def _batch(joints: Sequence[JointDistribution]) -> tuple[JointDistribution, list[int]]:
+    """All rows of ``joints`` end to end in one joint, and the row index where
+    each joint starts, followed by the row count."""
+    if len(joints) == 1:
+        return joints[0], [0, len(joints[0])]
+    bounds, groups = [0], [0]
+    for joint in joints:
+        offset = bounds[-1]
+        bounds += [offset + b for b in joint._bounds[1:]]
+        groups.append(len(bounds) - 1)
+    return JointDistribution._wrap(np.concatenate([j._flat for j in joints]), bounds), groups
+
+
+def _cell_spans(batch: JointDistribution, groups: Sequence[int]) -> list[tuple[int, int]]:
+    bounds = batch._bounds
+    return [(bounds[a], bounds[b]) for a, b in itertools.pairwise(groups)]
+
+
+# Each check below takes a batch of inputs and returns the residual of every
+# input and the magnitude of its reference value; the public functions are
+# its one-input case.
+
+
+def _strong_additivity(family, joints) -> tuple[list[float], list[float]]:
+    batch, groups = _batch(joints)
+    whole = span_entropies(family, batch._flat, _cell_spans(batch, groups))
+    margs = group_marginals(batch, groups)
+    parts = zip(
+        span_entropies(family, margs, list(itertools.pairwise(groups))),
+        conditional_entropies(family, batch, groups, margs),
     )
-    return abs(whole - parts), abs(whole)
+    add = family.composition.add
+    return [abs(w - add(m, c)) for w, (m, c) in zip(whole, parts)], [abs(w) for w in whole]
 
 
 def strong_additivity_residual(family: EntropyFamily, joint: JointDistribution) -> float:
     """|H(joint) - H(marginal) (+) H(conditional)| with the family's composition."""
-    return _strong_additivity(family, joint)[0]
+    return _strong_additivity(family, [joint])[0][0]
 
 
 def counterexample_probe(family: EntropyFamily) -> float:
@@ -81,7 +125,7 @@ def counterexample_probe(family: EntropyFamily) -> float:
     Vanishes (to rounding) exactly for the strongly additive members; stays
     above ~1e-1 for escort exponents beta != 1.
     """
-    return _strong_additivity(family, PROBE_JOINT)[0]
+    return _strong_additivity(family, [PROBE_JOINT])[0][0]
 
 
 @lru_cache(maxsize=32)
@@ -91,11 +135,11 @@ def _chain_flat(n: int) -> Distribution:
     return flatten(direct_product(_chain_flat(n - 1), uniform(2)))
 
 
-def _chain(family, n) -> tuple[float, float]:
-    value = entropy(family, _chain_flat(n))
+def _chain(family, lengths) -> tuple[list[float], list[float]]:
+    values = span_entropies(family, *_concat([_chain_flat(n)._array for n in lengths]))
     d = family.composition
-    expected = d.h(n * d.h_inv(entropy(family, uniform(2))))
-    return abs(value - expected), abs(value)
+    coin = d.h_inv(entropy(family, uniform(2)))
+    return [abs(v - d.h(n * coin)) for v, n in zip(values, lengths)], [abs(v) for v in values]
 
 
 def chain_residual(family: EntropyFamily, n: int) -> float:
@@ -111,25 +155,33 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
         raise DimensionError(
             f"chain length must be in 1..{MAX_CHAIN_LENGTH}, got {n}"
         )
-    return _chain(family, n)[0]
+    return _chain(family, [n])[0][0]
 
 
-def _trace(family, n) -> tuple[float, float]:
-    value = entropy(family, uniform(n))
-    return abs(value - uniform_trace(family, n)), abs(value)
+def _trace(family, dims) -> tuple[list[float], list[float]]:
+    values = span_entropies(family, *_concat([uniform(n)._array for n in dims]))
+    return (
+        [abs(v - uniform_trace(family, n)) for v, n in zip(values, dims)],
+        [abs(v) for v in values],
+    )
 
 
 def uniform_trace_residual(family: EntropyFamily, n: int) -> float:
     """|entropy at U_n - closed-form uniform trace|."""
-    return _trace(family, n)[0]
+    return _trace(family, [n])[0][0]
 
 
-def _refinement(family, counts) -> tuple[float, float]:
-    joint = refinement_joint(counts)
-    direct = entropy(family, marginal(joint))
-    whole = joint_entropy(family, joint)
-    rebuilt = family.composition.subtract(whole, conditional_entropy(family, joint))
-    return abs(direct - rebuilt), abs(direct)
+def _refinement(family, counts_list) -> tuple[list[float], list[float]]:
+    batch, groups = _batch([refinement_joint(counts) for counts in counts_list])
+    margs = group_marginals(batch, groups)
+    direct = span_entropies(family, margs, list(itertools.pairwise(groups)))
+    whole = span_entropies(family, batch._flat, _cell_spans(batch, groups))
+    subtract = family.composition.subtract
+    rebuilt = [
+        subtract(w, c)
+        for w, c in zip(whole, conditional_entropies(family, batch, groups, margs))
+    ]
+    return [abs(d - r) for d, r in zip(direct, rebuilt)], [abs(d) for d in direct]
 
 
 def refinement_consistency(family: EntropyFamily, counts: Sequence[int]) -> float:
@@ -139,20 +191,23 @@ def refinement_consistency(family: EntropyFamily, counts: Sequence[int]) -> floa
     additive family the marginal entropy must equal the joint entropy minus
     (deformed-minus for HCT) the conditional entropy.
     """
-    return _refinement(family, counts)[0]
+    return _refinement(family, [counts])[0][0]
 
 
-def _product(family, p, q) -> tuple[float, float]:
-    whole = joint_entropy(family, direct_product(p, q))
-    parts = family.composition.add(entropy(family, p), entropy(family, q))
-    return abs(whole - parts), abs(whole)
+def _product(family, pairs) -> tuple[list[float], list[float]]:
+    ps = [p._array for p, _ in pairs]
+    qs = [q._array for _, q in pairs]
+    whole = span_entropies(family, *_concat([np.outer(p, q).ravel() for p, q in zip(ps, qs)]))
+    parts = zip(span_entropies(family, *_concat(ps)), span_entropies(family, *_concat(qs)))
+    add = family.composition.add
+    return [abs(w - add(a, b)) for w, (a, b) in zip(whole, parts)], [abs(w) for w in whole]
 
 
 def product_additivity_residual(
     family: EntropyFamily, p: Distribution, q: Distribution
 ) -> float:
     """Additivity defect on the direct product of two distributions."""
-    return _product(family, p, q)[0]
+    return _product(family, [(p, q)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +293,11 @@ def _random_joint(rng: np.random.Generator, max_rows: int, max_cols: int) -> Joi
     while True:
         n_rows = int(rng.integers(2, max_rows + 1))
         lengths = rng.integers(1, max_cols + 1, size=n_rows)
-        rows = [rng.exponential(1.0, size=int(m)) for m in lengths]
-        total = float(sum(float(r.sum()) for r in rows))
-        flat = np.concatenate(rows) / total
         bounds = [0, *itertools.accumulate(lengths.tolist())]
+        cells = rng.exponential(1.0, size=bounds[-1])
+        # numpy's row by row sums, whose rounding the reports depend on
+        total = float(sum(float(cells[i:j].sum()) for i, j in itertools.pairwise(bounds)))
+        flat = cells / total
         if min(segment_sums(flat, bounds)) >= 1e-12:
             return JointDistribution._wrap(flat / exact_sum(flat), bounds)
 
@@ -255,27 +311,50 @@ def _random_distribution(rng: np.random.Generator, max_dim: int) -> Distribution
 
 def _random_counts(rng: np.random.Generator, max_rows: int, max_cols: int) -> tuple[int, ...]:
     length = int(rng.integers(2, max_rows + 1))
-    return tuple(int(c) for c in rng.integers(1, max_cols + 1, size=length))
+    return tuple(rng.integers(1, max_cols + 1, size=length).tolist())
+
+
+def _measure(name: str, check, family, inputs: Sequence) -> tuple[list[float], list[float]]:
+    """``check`` over ``inputs``, in batches of up to ``_BATCH_TRIALS``.
+
+    If a batch fails, its inputs are replayed one at a time, so the error
+    raised, like a non-finite residual (:class:`Overflow`), is the first
+    that a trial-by-trial run would meet.
+    """
+    residuals, scales = [], []
+    for start in range(0, len(inputs), _BATCH_TRIALS):
+        batch = inputs[start:start + _BATCH_TRIALS]
+        try:
+            batch_residuals, batch_scales = check(family, batch)
+        except Exception as exc:  # noqa: BLE001 - replayed below, then re-raised
+            if len(batch) == 1:
+                raise
+            failure = exc
+        else:
+            failure = None
+        if failure is not None:
+            for one in batch:
+                _measure(name, check, family, [one])
+            raise failure
+        for residual in batch_residuals:
+            if not math.isfinite(residual):
+                raise Overflow(f"{name} residual is not finite: {residual!r}")
+        residuals += batch_residuals
+        scales += batch_scales
+    return residuals, scales
 
 
 def _aggregate(
     name: str,
-    results: Iterable[tuple[float, float, Any]],
+    residuals: Sequence[float],
+    scales: Sequence[float],
+    inputs: Sequence,
+    describe: Callable[[Any], Any],
     tolerance: float,
 ) -> CheckRecord:
-    residuals = []
-    relatives = []
-    worst_rel = -1.0
-    worst_input: Any = None
-    for residual, scale, described in results:
-        if not math.isfinite(residual):
-            raise Overflow(f"{name} residual is not finite: {residual!r}")
-        relative = residual / (1.0 + scale)
-        residuals.append(residual)
-        relatives.append(relative)
-        if relative > worst_rel:
-            worst_rel = relative
-            worst_input = described
+    relatives = [r / (1.0 + s) for r, s in zip(residuals, scales)]
+    worst = max(range(len(relatives)), key=relatives.__getitem__)  # the first maximum
+    worst_rel = relatives[worst]
     max_abs = max(residuals)
     if worst_rel <= tolerance:
         verdict = "pass"
@@ -289,7 +368,7 @@ def _aggregate(
         mean_residual=math.fsum(residuals) / len(residuals),
         max_relative_residual=worst_rel,
         mean_relative_residual=math.fsum(relatives) / len(relatives),
-        worst_input=worst_input,
+        worst_input=describe(inputs[worst]),
         verdict=verdict,
     )
 
@@ -303,10 +382,20 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
 
     Inputs are drawn from a PCG64 generator in a fixed order (ragged
     joints, then product pairs, then refinement counts), so identical
-    configurations produce byte-identical reports.  Aggregation uses max
-    and arithmetic mean only and is therefore order-independent.  A
-    non-finite residual raises :class:`Overflow` naming its check.
+    configurations produce byte-identical reports.  Each check then runs
+    over its trials in batches of up to ``_BATCH_TRIALS``, with the same
+    arithmetic per trial as the public residual functions.  Aggregation uses max and arithmetic mean
+    only and is therefore order-independent.  A non-finite residual raises
+    :class:`Overflow` naming its check.  Every trial is held in memory, so
+    a configuration whose ``trials * max_rows * max_cols`` exceeds
+    ``MAX_SUITE_CELLS`` raises :class:`ConfigError` before anything is drawn.
     """
+    cells = cfg.trials * cfg.max_rows * cfg.max_cols
+    if cells > MAX_SUITE_CELLS:
+        raise ConfigError(
+            f"trials * max_rows * max_cols = {cells} exceeds the suite's "
+            f"budget of {MAX_SUITE_CELLS} cells"
+        )
     family = cfg.family
     rng = np.random.default_rng(cfg.seed)
     joints = [_random_joint(rng, cfg.max_rows, cfg.max_cols) for _ in range(cfg.trials)]
@@ -315,49 +404,21 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
         for _ in range(cfg.trials)
     ]
     counts_list = [_random_counts(rng, cfg.max_rows, cfg.max_cols) for _ in range(cfg.trials)]
-    chain_lengths = range(1, 13)
+    chain_lengths = list(range(1, 13))
     trace_dims = [2 ** k for k in range(1, 15)]
 
+    checks = [
+        ("strong_additivity", _strong_additivity, joints, _joint_as_input),
+        ("counterexample_probe", _strong_additivity, [PROBE_JOINT], _joint_as_input),
+        ("product_additivity", _product, pairs,
+         lambda pq: {"p": list(pq[0].probs), "q": list(pq[1].probs)}),
+        ("refinement_consistency", _refinement, counts_list, lambda c: {"counts": list(c)}),
+        ("chain", _chain, chain_lengths, lambda n: {"n": n}),
+        ("uniform_trace", _trace, trace_dims, lambda n: {"n": n}),
+    ]
     records = [
-        _aggregate(
-            "strong_additivity",
-            (
-                (*_strong_additivity(family, j), _joint_as_input(j))
-                for j in joints
-            ),
-            cfg.tolerance,
-        ),
-        _aggregate(
-            "counterexample_probe",
-            [(*_strong_additivity(family, PROBE_JOINT), _joint_as_input(PROBE_JOINT))],
-            cfg.tolerance,
-        ),
-        _aggregate(
-            "product_additivity",
-            (
-                (*_product(family, p, q), {"p": list(p.probs), "q": list(q.probs)})
-                for p, q in pairs
-            ),
-            cfg.tolerance,
-        ),
-        _aggregate(
-            "refinement_consistency",
-            (
-                (*_refinement(family, counts), {"counts": list(counts)})
-                for counts in counts_list
-            ),
-            cfg.tolerance,
-        ),
-        _aggregate(
-            "chain",
-            ((*_chain(family, n), {"n": n}) for n in chain_lengths),
-            cfg.tolerance,
-        ),
-        _aggregate(
-            "uniform_trace",
-            ((*_trace(family, n), {"n": n}) for n in trace_dims),
-            cfg.tolerance,
-        ),
+        _aggregate(name, *_measure(name, check, family, inputs), inputs, describe, cfg.tolerance)
+        for name, check, inputs, describe in checks
     ]
     records.sort(key=lambda r: r.name)
     if all(r.verdict == "pass" for r in records):

@@ -112,7 +112,7 @@ class JointDistribution:
     distribution.
     """
 
-    __slots__ = ("_flat", "_bounds", "_rows")
+    __slots__ = ("_flat", "_bounds", "_rows", "_sums")
 
     def __init__(self, rows: Sequence[Sequence[float]]) -> None:
         rows = [list(row) for row in rows]
@@ -120,6 +120,7 @@ class JointDistribution:
         self._flat.setflags(write=False)
         self._bounds = [0, *itertools.accumulate(len(row) for row in rows)]
         self._rows = None
+        self._sums = None
 
     @classmethod
     def _wrap(cls, flat: np.ndarray, bounds: Sequence[int]) -> JointDistribution:
@@ -129,7 +130,14 @@ class JointDistribution:
         self._flat = flat
         self._bounds = bounds
         self._rows = None
+        self._sums = None
         return self
+
+    def _row_sums(self) -> np.ndarray:
+        """The exact sum of every row, computed on first use and cached."""
+        if self._sums is None:
+            self._sums = np.array(segment_sums(self._flat, self._bounds))
+        return self._sums
 
     @property
     def rows(self) -> tuple[tuple[float, ...], ...]:
@@ -159,8 +167,13 @@ class JointDistribution:
 
 def _clip(values: Iterable[float], what: str) -> list[float]:
     out = []
-    for v in values:
-        v = float(v)
+    for entry in values:
+        try:
+            v = float(entry)
+        except (TypeError, ValueError):
+            raise FormatError(f"{what} entry {entry!r} is not a number") from None
+        except OverflowError:  # an int beyond the float range
+            raise NotNormalized(f"{what} entry {entry!r} is not finite") from None
         if not math.isfinite(v):
             raise NotNormalized(f"{what} entry {v!r} is not finite")
         if v < -NEGATIVE_TOLERANCE:
@@ -178,7 +191,7 @@ def _clipped(parts: list[Sequence[float]], size: int, what: str) -> np.ndarray:
     """
     try:
         arr = np.fromiter(itertools.chain.from_iterable(parts), np.float64, size)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return np.array(_clip(itertools.chain.from_iterable(parts), what))
     lo = arr.min(initial=0.0)  # the initial 0.0 lets empty input through
     if not (lo >= -NEGATIVE_TOLERANCE and arr.max(initial=0.0) < math.inf):
@@ -251,10 +264,20 @@ def direct_product(p: Distribution, q: Distribution) -> JointDistribution:
     )
 
 
+def group_marginals(joint: JointDistribution, groups: Sequence[int]) -> np.ndarray:
+    """The marginals of consecutive row groups of ``joint``, end to end.
+
+    Rows ``groups[t]`` to ``groups[t + 1] - 1`` form joint t; each group's
+    exact row sums are divided by that group's exact total.
+    """
+    sums = joint._row_sums()
+    totals = segment_sums(sums, groups)
+    return sums / np.repeat(totals, np.diff(groups))
+
+
 def marginal(joint: JointDistribution) -> Distribution:
     """Row-sum marginal p_k = sum_l r_kl, returned exactly normalized."""
-    sums = segment_sums(joint._flat, joint._bounds)
-    return Distribution._wrap(np.array(sums) / exact_sum(sums))
+    return Distribution._wrap(group_marginals(joint, [0, len(joint)]))
 
 
 def conditional(joint: JointDistribution, k: int) -> Distribution:
@@ -266,7 +289,7 @@ def conditional(joint: JointDistribution, k: int) -> Distribution:
     bounds = joint._bounds
     i = range(len(bounds) - 1)[k]
     row = joint._flat[bounds[i]:bounds[i + 1]]
-    pk = exact_sum(row)
+    pk = joint._row_sums()[i]
     if pk <= 0.0:
         raise ZeroMarginal(f"row {k} has zero marginal")
     return Distribution._wrap(row / pk)
@@ -279,15 +302,19 @@ def escort(p: Distribution, alpha: float) -> Distribution:
     transform stays accurate for extreme exponents.  0**alpha := 0 for
     alpha > 0; for alpha <= 0 every entry must be strictly positive.
     """
+    weights = _escort(p._array, [(0, len(p))], alpha)
+    return p if weights is p._array else Distribution._wrap(weights)
+
+
+def _escort(flat: np.ndarray, spans: Sequence[tuple[int, int]], alpha: float) -> np.ndarray:
+    """`escort` of each span of ``flat``, where the spans cover all of it."""
     if not math.isfinite(alpha):
         raise EscortUndefined(f"escort exponent must be finite, got {alpha!r}")
-    if alpha <= 0.0 and not p._array.all():  # some entry is exactly zero
+    if alpha <= 0.0 and not flat.all():  # some entry is exactly zero
         raise EscortUndefined(
             f"escort exponent {alpha!r} needs strictly positive entries"
         )
-    if alpha == 1.0:
-        return p
-    return Distribution._wrap(escort_weights(p._array, alpha))
+    return escort_weights(flat, spans, alpha)
 
 
 def refinement_joint(counts: Sequence[int]) -> JointDistribution:

@@ -31,31 +31,32 @@ with exponential generator 2**(lam*x), and HCT always averages linearly
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
 
 from ._stable import (
+    Spans,
     escort_weights,
-    exact_sum,
     log2_power_sum,
     plogp_sum,
     power_sum,
+    segment_sums,
     weighted_log2_sum,
 )
 from .deformed import Deformation
 from .distributions import (
     Distribution,
     JointDistribution,
-    conditional,
-    escort,
+    _escort,
     flatten,
-    marginal,
+    group_marginals,
 )
 from .errors import DimensionError, DomainError, Overflow, ParameterError
-from .generators import ExponentialGenerator, quasi_mean
+from .generators import ExponentialGenerator, weighted_mean
 
 #: |alpha - tau*lam - 1| allowed when validating HCT parameters.
 HCT_CONSTRAINT_TOLERANCE = 1e-9
@@ -70,18 +71,19 @@ def _require_finite(family_name: str, **params: float) -> None:
 class _Family:
     """A family's laws, Shannon's unless a family overrides them.
 
-    Report ``name``, entropy ``_formula`` of a probability array, uniform
-    ``_trace`` from log2 n, escort exponent ``alpha`` and exponential-mean
-    ``mean_kappa`` (0: linear mean) of the conditional entropy, and the
-    ``composition`` of a marginal's entropy with the conditional one.
+    Report ``name``, entropy ``_formula`` of each span of a flat array of
+    distributions (one value per span), uniform ``_trace`` from log2 n,
+    escort exponent ``alpha`` and exponential-mean ``mean_kappa`` (0: linear
+    mean) of the conditional entropy, and the ``composition`` of a
+    marginal's entropy with the conditional one.
     """
 
     name: ClassVar[str]
     mean_kappa: ClassVar[float] = 0.0
     composition: ClassVar[Deformation] = Deformation()  # ordinary addition
 
-    def _formula(self, probs: np.ndarray) -> float:
-        return self.tau * plogp_sum(probs)
+    def _formula(self, flat: np.ndarray, spans: Spans) -> list[float]:
+        return [self.tau * s for s in plogp_sum(flat, spans)]
 
     def _trace(self, n: int, log_n: float) -> float:
         return -self.tau * log_n
@@ -134,17 +136,21 @@ class GeneralEscort(_Family):
     def mean_kappa(self) -> float:
         return self.lam
 
-    def _formula(self, probs: np.ndarray) -> float:
-        if self.alpha <= 0.0 and not probs.all():  # some entry is exactly zero
+    def _formula(self, flat: np.ndarray, spans: Spans) -> list[float]:
+        # some span holds an exact zero
+        if self.alpha <= 0.0 and not all(flat[i:j].all() for i, j in spans):
             raise DomainError(
                 f"zero probability with non-positive exponent alpha={self.alpha!r}"
             )
         if self.lam == 0.0:
-            weights = probs if self.alpha == 1.0 else escort_weights(probs, self.alpha)
-            return self.tau * weighted_log2_sum(weights, probs)
-        return -(
-            log2_power_sum(probs, self.beta) - log2_power_sum(probs, self.alpha)
-        ) / self.lam
+            weights = escort_weights(flat, spans, self.alpha)
+            return [self.tau * s for s in weighted_log2_sum(weights, flat, spans)]
+        return [
+            -(b - a) / self.lam
+            for b, a in zip(
+                log2_power_sum(flat, spans, self.beta), log2_power_sum(flat, spans, self.alpha)
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -177,10 +183,10 @@ class Nath(_Family):
     def mean_kappa(self) -> float:
         return 0.0 if self.alpha == 1.0 else self.lam
 
-    def _formula(self, probs: np.ndarray) -> float:
+    def _formula(self, flat: np.ndarray, spans: Spans) -> list[float]:
         if self.alpha == 1.0:
-            return super()._formula(probs)
-        return log2_power_sum(probs, self.alpha) / self.lam
+            return super()._formula(flat, spans)
+        return [s / self.lam for s in log2_power_sum(flat, spans, self.alpha)]
 
     def _trace(self, n: int, log_n: float) -> float:
         if self.alpha == 1.0:
@@ -221,8 +227,8 @@ class HCT(_Family):
     def composition(self) -> Deformation:
         return Deformation(self.lam)
 
-    def _formula(self, probs: np.ndarray) -> float:
-        return (power_sum(probs, self.alpha) - 1.0) / self.lam
+    def _formula(self, flat: np.ndarray, spans: Spans) -> list[float]:
+        return [(s - 1.0) / self.lam for s in power_sum(flat, spans, self.alpha)]
 
     def _trace(self, n: int, log_n: float) -> float:
         try:
@@ -336,19 +342,56 @@ def make_family(
 # Entropy operations
 
 
+def span_entropies(family: EntropyFamily, flat: np.ndarray, spans: Spans) -> list[float]:
+    """`entropy` of the distribution in each span of ``flat``."""
+    try:
+        formula = family._formula
+    except AttributeError:
+        raise TypeError(f"unknown entropy family {family!r}") from None
+    values = formula(flat, spans)
+    if not all(map(math.isfinite, values)):
+        value = next(v for v in values if not math.isfinite(v))
+        raise Overflow(f"{family.name} entropy is not finite: {value!r}")
+    return values
+
+
 def entropy(family: EntropyFamily, dist: Distribution) -> float:
     """Entropy of ``dist`` under ``family``; nonnegative, zero iff point mass.
 
     Raises :class:`Overflow` when the value is past the float range.
     """
-    try:
-        formula = family._formula
-    except AttributeError:
-        raise TypeError(f"unknown entropy family {family!r}") from None
-    value = formula(dist._array)
-    if not math.isfinite(value):
-        raise Overflow(f"{family.name} entropy is not finite: {value!r}")
-    return value
+    return span_entropies(family, dist._array, [(0, len(dist))])[0]
+
+
+def conditional_entropies(
+    family: EntropyFamily, joint: JointDistribution, groups: Sequence[int], margs: np.ndarray
+) -> list[float]:
+    """`conditional_entropy` of each group of consecutive rows of ``joint``.
+
+    Rows ``groups[t]`` to ``groups[t + 1] - 1`` form joint t, and ``margs``
+    holds the groups' marginals end to end (see `distributions.group_marginals`).
+    Every row is divided by its exact sum at once; one formula call then
+    covers the rows of positive escort weight.
+    """
+    weights = _escort(margs, list(itertools.pairwise(groups)), family.alpha)
+    positive = np.flatnonzero(weights > 0.0)
+    bounds = joint._bounds
+    sums = joint._row_sums()
+    # rows of zero weight are never read; dividing them by 1 spares a 0/0
+    divisors = np.repeat(np.where(sums > 0.0, sums, 1.0), np.diff(bounds))
+    values = span_entropies(
+        family,
+        joint._flat / divisors,
+        [(bounds[k], bounds[k + 1]) for k in positive.tolist()],
+    )
+    # where each group's rows start among the positive ones
+    starts = np.searchsorted(positive, groups).tolist()
+    kappa = family.mean_kappa
+    if kappa == 0.0:
+        return segment_sums(weights[positive] * np.array(values), starts)
+    generator = ExponentialGenerator(kappa=kappa)
+    terms = list(zip(weights[positive].tolist(), values))
+    return [weighted_mean(generator, terms[i:j]) for i, j in itertools.pairwise(starts)]
 
 
 def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> float:
@@ -356,16 +399,8 @@ def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> floa
 
     Rows with zero marginal carry escort weight exactly 0 and are skipped.
     """
-    marg = marginal(joint)
-    weights = escort(marg, family.alpha)
-    values = [
-        entropy(family, conditional(joint, k)) if w > 0.0 else 0.0
-        for k, w in enumerate(weights.probs)
-    ]
-    kappa = family.mean_kappa
-    if kappa != 0.0:
-        return quasi_mean(ExponentialGenerator(kappa=kappa), weights, values)
-    return exact_sum(w * v for w, v in zip(weights.probs, values) if w > 0.0)
+    groups = [0, len(joint)]
+    return conditional_entropies(family, joint, groups, group_marginals(joint, groups))[0]
 
 
 def joint_entropy(family: EntropyFamily, joint: JointDistribution) -> float:

@@ -112,6 +112,10 @@ def quasi_mean(
         raise DimensionError(
             f"{len(weights)} weights for {len(values)} values"
         )
-    terms = [(w, v) for w, v in zip(weights.probs, values) if w > 0.0]
+    return weighted_mean(generator, [(w, v) for w, v in zip(weights.probs, values) if w > 0.0])
+
+
+def weighted_mean(generator: Generator, terms: Sequence[tuple[float, float]]) -> float:
+    """g^{-1}(sum w g(v)) over (weight, value) ``terms`` of positive weight."""
     acc = exact_sum(w * generator.evaluate(v) for w, v in terms)
     return generator.invert_mean(acc, terms)

@@ -11,6 +11,7 @@ from gentropies import (
     ConfigError,
     Deformation,
     DimensionError,
+    DomainError,
     Overflow,
     chain_residual,
     counterexample_probe,
@@ -21,6 +22,7 @@ from gentropies import (
     hct,
     joint_entropy,
     make_distribution,
+    make_joint,
     marginal,
     product_additivity_residual,
     refinement_consistency,
@@ -35,7 +37,12 @@ from gentropies import (
 )
 from gentropies import checker
 from gentropies.entropies import nath
-from gentropies.checker import MAX_CHAIN_LENGTH, PRNG_NAME, VIOLATION_THRESHOLD
+from gentropies.checker import (
+    MAX_CHAIN_LENGTH,
+    MAX_SUITE_CELLS,
+    PRNG_NAME,
+    VIOLATION_THRESHOLD,
+)
 
 GRID = constrained_grid()
 
@@ -242,6 +249,28 @@ class TestRunSuite:
         report = run_suite(CheckConfig(family=family, trials=40, seed=99))
         assert report.verdict == "pass", report.to_json()
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"trials": MAX_SUITE_CELLS // 64 + 1},
+            {"trials": 2, "max_rows": 2 ** 12, "max_cols": 2 ** 11 + 1},
+            {"trials": 10 ** 12, "max_rows": 10 ** 6, "max_cols": 10 ** 6},
+        ],
+        ids=["trials", "rows-and-cols", "huge"],
+    )
+    def test_cell_budget_raises_before_drawing(self, monkeypatch, sizes):
+        def refuse(*_):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(checker, "_random_joint", refuse)
+        with pytest.raises(ConfigError, match=str(MAX_SUITE_CELLS)):
+            run_suite(CheckConfig(family=shannon(), **sizes))
+
+    def test_cell_budget_admits_its_bound(self):
+        # 10**5 trials at the default 8 x 8 fit; so does the bound itself
+        assert 10 ** 5 * 64 <= MAX_SUITE_CELLS
+        assert (MAX_SUITE_CELLS // 64) * 64 <= MAX_SUITE_CELLS
+
     def test_joint_sizes_respect_bounds(self):
         report = run_suite(CheckConfig(family=shannon(), trials=20, seed=5, max_rows=3, max_cols=2))
         strong = next(c for c in report.checks if c.name == "strong_additivity")
@@ -350,3 +379,69 @@ def test_suite_residuals_equal_the_public_functions(family, sizes):
         assert record.max_relative_residual == relatives[worst], record.name
         assert record.mean_relative_residual == math.fsum(relatives) / len(relatives), record.name
         assert record.worst_input == results[worst][2], record.name
+
+
+# The batched checks against their one-input case, input by input.
+BATCH_FAMILIES = [
+    shannon(-1.0),
+    renyi(3.0),
+    havrda_charvat(0.5),
+    nath(1.0, 0.0, -1.5),
+    general_escort(0.5, -1.0, 0.0),
+    general_escort(2.0, -1.0, -0.5),
+]
+
+
+def _wide_rows_joint(rng):
+    """A joint with rows on both sides of 256 cells, one of them all zero."""
+    cells = [rng.exponential(1.0, m) for m in (3, 300, 1, 257, 255)]
+    cells.insert(2, np.zeros(4))
+    total = sum(c.sum() for c in cells)
+    return make_joint([(c / total).tolist() for c in cells])
+
+
+@pytest.mark.parametrize("family", BATCH_FAMILIES, ids=repr)
+def test_batched_checks_equal_the_public_functions(family):
+    rng = np.random.default_rng(77)
+    joints = [checker._random_joint(rng, 6, 9) for _ in range(12)]
+    joints += [PROBE_JOINT, _wide_rows_joint(rng)]
+    pairs = [
+        (checker._random_distribution(rng, 5), checker._random_distribution(rng, 400))
+        for _ in range(6)
+    ]
+    counts = [checker._random_counts(rng, 5, 300) for _ in range(6)] + [(1,), (2, 1)]
+    cases = [
+        (checker._strong_additivity, joints, lambda j: strong_additivity_residual(family, j)),
+        (checker._product, pairs, lambda pq: product_additivity_residual(family, *pq)),
+        (checker._refinement, counts, lambda c: refinement_consistency(family, c)),
+        (checker._chain, [1, 9, 2, 12], lambda n: chain_residual(family, n)),
+        (checker._trace, [1, 3, 256, 2, 1000], lambda n: uniform_trace_residual(family, n)),
+    ]
+    for check, inputs, public in cases:
+        residuals, scales = check(family, inputs)
+        assert residuals == [public(x) for x in inputs], check.__name__
+        assert scales == [check(family, [x])[1][0] for x in inputs], check.__name__
+
+
+@pytest.mark.parametrize("batch_trials", [2, checker._BATCH_TRIALS])
+def test_failed_batch_raises_what_a_trial_by_trial_run_meets_first(monkeypatch, batch_trials):
+    monkeypatch.setattr(checker, "_BATCH_TRIALS", batch_trials)
+
+    # input 1 has a non-finite residual; input 2 makes its batch fail
+    def check(family, inputs):
+        if 2 in inputs:
+            raise DomainError("input 2")
+        return [math.inf if x == 1 else 0.0 for x in inputs], [0.0] * len(inputs)
+
+    with pytest.raises(Overflow, match="demo residual is not finite"):
+        checker._measure("demo", check, shannon(), [0, 1, 2, 3])
+    with pytest.raises(DomainError, match="input 2"):
+        checker._measure("demo", check, shannon(), [0, 2, 1, 3])
+    assert checker._measure("demo", check, shannon(), [0, 3, 0]) == ([0.0] * 3, [0.0] * 3)
+
+
+def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
+    cfg = CheckConfig(family=general_escort(2.0, -1.0, 1.0), trials=23, seed=5)
+    whole = run_suite(cfg).to_json()
+    monkeypatch.setattr(checker, "_BATCH_TRIALS", 4)
+    assert run_suite(cfg).to_json() == whole

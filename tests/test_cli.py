@@ -191,6 +191,14 @@ class TestCheck:
         assert code == 1
         assert "ConfigError" in err
 
+    def test_over_the_cell_budget_exit_one(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--family", "shannon", "--trials", "10000",
+            "--max-rows", "100", "--max-cols", "100",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("ConfigError: trials * max_rows * max_cols = 100000000 exceeds")
+
 
 class TestSweep:
     def test_uniform_renyi(self, capsys, coin_file):

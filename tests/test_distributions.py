@@ -406,6 +406,30 @@ def test_vector_validation_raises_like_the_scalar_loop(case):
         assert _error(make_joint, rows) == _reference_error(values, "joint", "joint entries")
 
 
+@pytest.mark.parametrize(
+    "entry, error, message",
+    [
+        ("abc", FormatError, "entry 'abc' is not a number"),
+        ([0.5], FormatError, r"entry \[0.5\] is not a number"),
+        (None, FormatError, "entry None is not a number"),
+        (10 ** 400, NotNormalized, "entry 1000+ is not finite"),
+    ],
+    ids=["string", "nested", "none", "int-beyond-float"],
+)
+@pytest.mark.parametrize("n", [3, N_LARGE])
+def test_unreadable_entries_are_typed_errors(entry, error, message, n):
+    values = [1.0 / n] * n
+    values[1] = entry
+    with pytest.raises(error, match=f"probability {message}"):
+        make_distribution(values)
+    with pytest.raises(error, match=f"joint {message}"):
+        make_joint([values[:1], values[1:]])
+
+
+def test_numeric_strings_stay_accepted():
+    assert make_distribution([0.5, "0.5"]) == make_distribution([0.5, 0.5])
+
+
 def test_vector_validation_clips_tiny_negatives():
     values = [GOOD] * N_LARGE
     values[4], values[5] = -1e-13, 2 * GOOD

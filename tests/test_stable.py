@@ -90,13 +90,13 @@ def test_exact_sum_of_probabilities_is_fsum():
 
 
 KERNELS = {
-    "plogp_sum": lambda p: plogp_sum(p),
-    "log2_power_sum(0.5)": lambda p: log2_power_sum(p, 0.5),
-    "log2_power_sum(100)": lambda p: log2_power_sum(p, 100.0),
-    "power_sum(3)": lambda p: power_sum(p, 3.0),
-    "escort_weights(2)": lambda p: np.asarray(escort_weights(p, 2.0)),
-    "escort_weights(0.5)": lambda p: np.asarray(escort_weights(p, 0.5)),
-    "weighted_log2_sum": lambda p: weighted_log2_sum(p[::-1].copy(), p),
+    "plogp_sum": lambda p: plogp_sum(p, [(0, len(p))]),
+    "log2_power_sum(0.5)": lambda p: log2_power_sum(p, [(0, len(p))], 0.5),
+    "log2_power_sum(100)": lambda p: log2_power_sum(p, [(0, len(p))], 100.0),
+    "power_sum(3)": lambda p: power_sum(p, [(0, len(p))], 3.0),
+    "escort_weights(2)": lambda p: escort_weights(p, [(0, len(p))], 2.0),
+    "escort_weights(0.5)": lambda p: escort_weights(p, [(0, len(p))], 0.5),
+    "weighted_log2_sum": lambda p: weighted_log2_sum(p[::-1].copy(), p, [(0, len(p))]),
 }
 # Kernels whose two branches do the same arithmetic agree bit for bit.
 EXACT_KERNELS = {
@@ -158,17 +158,19 @@ def csr_arrays(draw):
     return np.concatenate(parts), spans
 
 
+def _span_slices(out, spans):
+    return [out[i:j] for i, j in spans]
+
+
 SPAN_KERNELS = {
-    "plogp_sum": lambda p, spans: [plogp_sum(p[i:j]) for i, j in spans],
-    "log2_power_sum(0.5)": lambda p, spans: [log2_power_sum(p[i:j], 0.5) for i, j in spans],
-    "log2_power_sum(100)": lambda p, spans: [log2_power_sum(p[i:j], 100.0) for i, j in spans],
-    "power_sum(3)": lambda p, spans: [power_sum(p[i:j], 3.0) for i, j in spans],
-    "escort_weights(2)": lambda p, spans: [escort_weights(p[i:j], 2.0) for i, j in spans],
-    "escort_weights(0.5)": lambda p, spans: [escort_weights(p[i:j], 0.5) for i, j in spans],
+    "plogp_sum": plogp_sum,
+    "log2_power_sum(0.5)": lambda p, spans: log2_power_sum(p, spans, 0.5),
+    "log2_power_sum(100)": lambda p, spans: log2_power_sum(p, spans, 100.0),
+    "power_sum(3)": lambda p, spans: power_sum(p, spans, 3.0),
+    "escort_weights(2)": lambda p, spans: _span_slices(escort_weights(p, spans, 2.0), spans),
+    "escort_weights(0.5)": lambda p, spans: _span_slices(escort_weights(p, spans, 0.5), spans),
     # weights computed entry by entry, so a span's weights are the same alone
-    "weighted_log2_sum": lambda p, spans: [
-        weighted_log2_sum(np.sqrt(p[i:j]), p[i:j]) for i, j in spans
-    ],
+    "weighted_log2_sum": lambda p, spans: weighted_log2_sum(np.sqrt(p), p, spans),
 }
 
 
