@@ -178,26 +178,27 @@ def escort_weights(flat: np.ndarray, spans: Spans, alpha: float) -> np.ndarray:
     Zero entries keep weight exactly 0 (valid only for alpha > 0; callers
     enforce positivity of the input when alpha <= 0), and so do entries
     outside every span.  ``alpha == 1`` returns the input unchanged, so the
-    identity holds exactly.  A span without a positive entry raises
-    ``ValueError``.
+    identity holds exactly.
     """
     if alpha == 1.0:
         return flat
-    log2, inf = math.log2, math.inf
+    log2 = math.log2
     n = len(flat)
     # many short spans fill one list, converted once at the end
     out = [0.0] * n if n < _VECTOR_MIN * len(spans) else np.zeros(n)
     longs = []
     for (i, j), part in zip(spans, _pieces(flat, spans, _VECTOR_MIN)):
         if type(part) is list:
-            # entries that are not positive get 2**-inf = 0
-            logs = [alpha * log2(p) if p > 0.0 else -inf for p in part]
-            m = max(logs, default=-inf)
-            if m == -inf:
-                raise ValueError("escort weights of a span without a positive entry")
+            pos = [p for p in part if p > 0.0]
+            logs = [alpha * log2(p) for p in pos]
+            m = max(logs)
             scaled = [2.0 ** (t - m) for t in logs]
             total = math.fsum(scaled)
-            out[i:j] = [w / total for w in scaled]
+            weights = [w / total for w in scaled]
+            if len(pos) < len(part):  # zero weights back in place
+                it = iter(weights)
+                weights = [next(it) if p > 0.0 else 0.0 for p in part]
+            out[i:j] = weights
         else:
             mask = part > 0.0
             t = alpha * np.log2(part[mask])
