@@ -14,9 +14,8 @@ branch by its own length, so it gets the same bits as it would alone:
 below ``_VECTOR_MIN`` entries a Python loop over libm, which beats numpy's
 per-call overhead on tiny inputs (spans that are short on average share
 one ``tolist()`` of the whole array); at and above it numpy on the span's
-slice.  numpy's log2/exp2/power may differ from the libm
-functions by an ulp per term, so the two branches agree to a few ulps, not
-bit for bit.
+slice.  numpy's log2/exp2/power may differ from the libm functions by an
+ulp per term, so the two branches agree to a few ulps, not bit for bit.
 
 ``_VECTOR_MIN`` is the library's only size switch between two arithmetics:
 validation, `segment_sums` and every layer above take one path at every
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -83,7 +82,9 @@ def exact_sum(values) -> float:
     return math.fsum(totals[totals != 0.0].tolist())
 
 
-def _pieces(values: np.ndarray, spans: Spans, short_below: int):
+def _pieces(
+    values: np.ndarray, spans: Spans, short_below: int
+) -> Iterator[list[float] | np.ndarray]:
     """Each span's entries: a list below ``short_below`` entries, else an array view.
 
     The lists are slices of one shared ``tolist()`` when the spans average
@@ -102,10 +103,8 @@ def _pieces(values: np.ndarray, spans: Spans, short_below: int):
 
 def segment_sums(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
     """Exact sums of ``values[bounds[k]:bounds[k + 1]]`` for every k."""
-    return [
-        math.fsum(part) if type(part) is list else exact_sum(part)
-        for part in _pieces(values, list(itertools.pairwise(bounds)), _BINNED_MIN)
-    ]
+    spans = list(itertools.pairwise(bounds))
+    return [exact_sum(part) for part in _pieces(values, spans, _BINNED_MIN)]
 
 
 # The loops below build lists for math.fsum: faster than generators, same sums.
