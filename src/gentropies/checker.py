@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -30,8 +29,6 @@ from ._stable import exact_sum, segment_sums
 from .distributions import (
     Distribution,
     JointDistribution,
-    direct_product,
-    flatten,
     group_marginals,
     refinement_joint,
     uniform,
@@ -57,15 +54,19 @@ PROBE_JOINT = JointDistribution(((0.5, 0.0), (0.25, 0.25)))
 
 PRNG_NAME = "numpy.random.PCG64"
 
-#: Longest fair-coin chain `chain_residual` builds: the chain has 2**n
-#: float64 cells (32 MiB at n = 22), and the cache keeps the shorter ones too.
+#: Longest fair-coin chain `chain_residual` checks: each call builds the
+#: chain's 2**n float64 cells (32 MiB at n = 22).
 MAX_CHAIN_LENGTH = 22
 
-#: Largest ``trials * max_rows * max_cols`` that `run_suite` accepts.  The
-#: suite draws every trial before checking any: 8 bytes per drawn cell (the
-#: joints take a quarter of the bound on average, 32 MiB at the bound) plus
-#: about a kilobyte of Python objects per trial.
+#: Largest ``trials * max(max_rows * max_cols, MIN_TRIAL_CELLS)`` that
+#: `run_suite` accepts.  The suite draws every trial before checking any:
+#: 8 bytes per drawn cell (the joints take a quarter of the bound on average,
+#: 32 MiB at the bound) plus about a kilobyte of Python objects per trial.
 MAX_SUITE_CELLS = 2 ** 24
+
+#: Least charge per trial against ``MAX_SUITE_CELLS`` (the default 8 x 8
+#: shape), for the Python objects every drawn trial holds whatever its shape.
+MIN_TRIAL_CELLS = 64
 
 #: Trials per batch of a check in `run_suite`: this bounds the arrays one
 #: batch allocates, whatever the number of trials.
@@ -128,15 +129,9 @@ def counterexample_probe(family: EntropyFamily) -> float:
     return _strong_additivity(family, [PROBE_JOINT])[0][0]
 
 
-@lru_cache(maxsize=32)
-def _chain_flat(n: int) -> Distribution:
-    if n == 1:
-        return uniform(2)
-    return flatten(direct_product(_chain_flat(n - 1), uniform(2)))
-
-
 def _chain(family, lengths) -> tuple[list[float], list[float]]:
-    values = span_entropies(family, *_concat([_chain_flat(n)._array for n in lengths]))
+    # every product of powers of two is exact, so U_2^{(x)n} is U_{2**n} bit for bit
+    values = span_entropies(family, *_concat([uniform(2 ** n)._array for n in lengths]))
     d = family.composition
     coin = d.h_inv(entropy(family, uniform(2)))
     return [abs(v - d.h(n * coin)) for v, n in zip(values, lengths)], [abs(v) for v in values]
@@ -146,10 +141,10 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
     """Additivity defect of the n-fold direct power of the fair coin.
 
     Additive families are checked against n * H(U_2); HCT families against
-    h(n * h_inv(T(U_2))) with the family's deformation.  The chain is built
-    literally and has 2**n cells (cached across calls), so n is capped at
-    ``MAX_CHAIN_LENGTH``; longer chains raise :class:`DimensionError` before
-    anything is built.
+    h(n * h_inv(T(U_2))) with the family's deformation.  The chain is
+    U_{2**n}, which the products of powers of two reproduce exactly; it has
+    2**n cells, so n is capped at ``MAX_CHAIN_LENGTH`` and longer chains
+    raise :class:`DimensionError` before anything is built.
     """
     if not 1 <= n <= MAX_CHAIN_LENGTH:
         raise DimensionError(
@@ -387,13 +382,15 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
     arithmetic per trial as the public residual functions.  Aggregation uses max and arithmetic mean
     only and is therefore order-independent.  A non-finite residual raises
     :class:`Overflow` naming its check.  Every trial is held in memory, so
-    a configuration whose ``trials * max_rows * max_cols`` exceeds
-    ``MAX_SUITE_CELLS`` raises :class:`ConfigError` before anything is drawn.
+    a configuration over the ``MAX_SUITE_CELLS`` budget raises
+    :class:`ConfigError` before anything is drawn.
     """
-    cells = cfg.trials * cfg.max_rows * cfg.max_cols
+    per_trial = max(cfg.max_rows * cfg.max_cols, MIN_TRIAL_CELLS)
+    cells = cfg.trials * per_trial
     if cells > MAX_SUITE_CELLS:
+        shape = "max_rows * max_cols" if per_trial > MIN_TRIAL_CELLS else "MIN_TRIAL_CELLS"
         raise ConfigError(
-            f"trials * max_rows * max_cols = {cells} exceeds the suite's "
+            f"trials * {shape} = {cells} exceeds the suite's "
             f"budget of {MAX_SUITE_CELLS} cells"
         )
     family = cfg.family

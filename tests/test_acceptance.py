@@ -32,7 +32,6 @@ from gentropies import (
     uniform,
     uniform_trace,
 )
-from gentropies.checker import _chain_flat
 from gentropies.cli import main
 from reference import ref_joint_entropy
 
@@ -157,7 +156,6 @@ def test_criterion_4_analyticity_trace():
             worst_chain = max(worst_chain, residual)
             if residual > 1e-9:
                 chain_ok = False
-    _chain_flat.cache_clear()
     _verdict(
         "criterion 4: analyticity trace",
         trace_ok and chain_ok,

@@ -33,6 +33,7 @@ from gentropies import (
     strong_additivity_residual,
     tsallis,
     uniform,
+    uniform_trace,
     uniform_trace_residual,
 )
 from gentropies import checker
@@ -45,6 +46,8 @@ from gentropies.checker import (
 )
 
 GRID = constrained_grid()
+#: one member of each kind, for the checks that are too costly on the whole grid
+THREE = [("shannon(-1)", shannon(-1.0)), ("renyi(2)", renyi(2.0)), ("tsallis(2)", tsallis(2.0))]
 
 
 class TestStrongAdditivityResidual:
@@ -99,7 +102,7 @@ class TestChainResidual:
         def refuse(_):
             raise AssertionError("the chain was built")
 
-        monkeypatch.setattr(checker, "_chain_flat", refuse)
+        monkeypatch.setattr(checker, "uniform", refuse)
         with pytest.raises(DimensionError, match=str(MAX_CHAIN_LENGTH)):
             chain_residual(shannon(-1.0), n)
 
@@ -113,6 +116,34 @@ class TestUniformTraceResidual:
 
     def test_tsallis_half_sixteen(self):
         assert uniform_trace_residual(tsallis(0.5), 16) < 1e-12
+
+
+class TestNonDyadicDimensions:
+    """The paper's hypothesis is analyticity in the dimension n, so the trace
+    and product additivity must hold where 1/n is not exact, too."""
+
+    @staticmethod
+    def relative_trace_residual(family, n):
+        return uniform_trace_residual(family, n) / (1.0 + abs(uniform_trace(family, n)))
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 10, 100, 999, 1000, 3 ** 10])
+    @pytest.mark.parametrize("_, family", GRID)
+    def test_trace(self, _, family, n):
+        assert self.relative_trace_residual(family, n) <= 1e-12
+
+    @pytest.mark.parametrize("n", [10 ** 5, 999983, 2 * 3 ** 12])
+    @pytest.mark.parametrize("_, family", THREE)
+    def test_trace_large(self, _, family, n):
+        assert self.relative_trace_residual(family, n) <= 1e-12
+
+    @pytest.mark.parametrize("a, b", [(3, 7), (7, 1000)])
+    @pytest.mark.parametrize("_, family", GRID)
+    def test_product(self, _, family, a, b):
+        assert product_additivity_residual(family, uniform(a), uniform(b)) <= 1e-9
+
+    @pytest.mark.parametrize("_, family", THREE)
+    def test_product_large(self, _, family):
+        assert product_additivity_residual(family, uniform(999), uniform(1001)) <= 1e-9
 
 
 class TestRefinementConsistency:
@@ -255,8 +286,10 @@ class TestRunSuite:
             {"trials": MAX_SUITE_CELLS // 64 + 1},
             {"trials": 2, "max_rows": 2 ** 12, "max_cols": 2 ** 11 + 1},
             {"trials": 10 ** 12, "max_rows": 10 ** 6, "max_cols": 10 ** 6},
+            # 2**24 cells, but each trial is charged the default 8 x 8 footprint
+            {"trials": 2 ** 23, "max_rows": 2, "max_cols": 1},
         ],
-        ids=["trials", "rows-and-cols", "huge"],
+        ids=["trials", "rows-and-cols", "huge", "small-shape"],
     )
     def test_cell_budget_raises_before_drawing(self, monkeypatch, sizes):
         def refuse(*_):

@@ -3,6 +3,15 @@ import math
 
 import pytest
 
+from gentropies import (
+    CheckConfig,
+    conditional_entropy,
+    joint_entropy,
+    make_joint,
+    renyi,
+    run_suite,
+    tsallis,
+)
 from gentropies.cli import MAX_SWEEP_POINTS, main
 
 
@@ -104,6 +113,29 @@ class TestJointCommands:
         code, out, _ = run(capsys, "joint", "--family", "renyi", "--alpha", "2", str(path))
         assert code == 0
         assert out == "1.41503749927884\n"
+
+
+class TestReplayWorstInput:
+    """A report's worst input, written as a file, replays through the CLI."""
+
+    @pytest.mark.parametrize(
+        "family, flags",
+        [(renyi(2.0), ["--family", "renyi", "--alpha", "2"]),
+         (tsallis(2.0), ["--family", "tsallis", "--alpha", "2"])],
+        ids=["renyi(2)", "tsallis(2)"],
+    )
+    def test_strong_additivity_worst_input(self, capsys, tmp_path, family, flags):
+        report = run_suite(CheckConfig(family=family, trials=20, seed=3))
+        worst = next(c for c in report.checks if c.name == "strong_additivity").worst_input
+        path = tmp_path / "worst.json"
+        path.write_text(json.dumps(worst) + "\n")
+        joint = make_joint(worst["rows"])
+        for command, value in [
+            ("joint", joint_entropy(family, joint)),
+            ("conditional", conditional_entropy(family, joint)),
+        ]:
+            code, out, err = run(capsys, command, *flags, str(path))
+            assert (code, out, err) == (0, f"{value:.15g}\n", "")
 
 
 class TestTrace:

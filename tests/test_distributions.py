@@ -210,6 +210,13 @@ class TestFlatten:
         flat = flatten(direct_product(p, q))
         assert flat.probs == (0.125, 0.125, 0.375, 0.375)
 
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_fair_coin_step_is_uniform_bit_for_bit(self, n):
+        # products of powers of two are exact: by induction the n-fold
+        # fair-coin chain is uniform(2**n), which the chain check relies on
+        step = flatten(direct_product(uniform(2 ** (n - 1)), uniform(2)))
+        assert step._array.tobytes() == uniform(2 ** n)._array.tobytes()
+
 
 class TestJointValidation:
     def test_empty_joint(self):
