@@ -45,6 +45,7 @@ from ._stable import (
     plogp_sum,
     power_sum,
     segment_sums,
+    span_cells,
     weighted_log2_sum,
 )
 from .deformed import Deformation
@@ -138,7 +139,7 @@ class GeneralEscort(_Family):
 
     def _formula(self, flat: np.ndarray, spans: Spans) -> list[float]:
         # some span holds an exact zero
-        if self.alpha <= 0.0 and not all(flat[i:j].all() for i, j in spans):
+        if self.alpha <= 0.0 and not span_cells(flat, spans).all():
             raise DomainError(
                 f"zero probability with non-positive exponent alpha={self.alpha!r}"
             )

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -25,12 +26,14 @@ from gentropies import (
     uniform,
     uniform_trace,
 )
+from gentropies import entropies
 from gentropies.entropies import (
     general_escort,
     havrda_charvat,
     nath,
     renyi,
     shannon,
+    span_entropies,
     strongly_additive_nath,
     tsallis,
 )
@@ -180,6 +183,23 @@ class TestEntropyValues:
             entropy(f, make_distribution((1.0, 0.0)))
         positive = make_distribution((0.5, 0.5))
         assert math.isfinite(entropy(f, positive))
+
+    @pytest.mark.parametrize("spans", [
+        [(0, 2), (2, 4)],  # contiguous, the zero in the second span
+        [(0, 2), (4, 6), (6, 9)],  # a gap, the zero in the last span
+    ])
+    def test_zero_in_any_span_raises_before_any_kernel(self, monkeypatch, spans):
+        def refuse(*args):
+            raise AssertionError("a kernel ran before the zero check")
+
+        f = general_escort(-1.0, -1.0, 3.0)  # alpha <= 0
+        flat = np.array([0.5, 0.5, 0.0, 1.0, 0.25, 0.75, 0.3, 0.0, 0.7])
+        monkeypatch.setattr(entropies, "log2_power_sum", refuse)
+        with pytest.raises(DomainError):
+            span_entropies(f, flat, spans)
+        monkeypatch.undo()
+        # spans that skip every zero are fine
+        assert all(map(math.isfinite, span_entropies(f, flat, [(0, 2), (3, 6)])))
 
     def test_huge_alpha_stays_finite(self):
         value = entropy(renyi(100.0), make_distribution((0.3, 0.7)))

@@ -1,6 +1,8 @@
 """The numeric kernels: exact sums and the scalar/vector size switch."""
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,3 +188,166 @@ def test_span_kernels_equal_each_slice_alone(kernel, data):
     assert len(batched) == len(alone)
     for got, want in zip(batched, alone):
         np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def long_csr_arrays(draw, zero_spans=False):
+    """Like `csr_arrays`, with several spans of 256 entries or more per batch
+    (some of 768 or more), exponents spread over up to a few hundred
+    binades, and, with ``zero_spans``, spans whose entries are all zero."""
+    lengths = draw(st.lists(
+        st.one_of(st.integers(1, 12), st.integers(250, 300), st.integers(760, 2000)),
+        min_size=2, max_size=8,
+    ).filter(lambda ls: sum(m >= 256 for m in ls) >= 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for m in lengths:
+        x = rng.exponential(1.0, m) ** rng.uniform(1.0, 30.0)
+        x[rng.random(m) < 0.1] = 0.0
+        x[rng.integers(0, m)] = 1.0 + rng.random()
+        x /= x.sum()
+        if zero_spans and draw(st.booleans()):
+            x[:] = 0.0
+        parts.append(x)
+    bounds = np.cumsum([0, *lengths]).tolist()
+    keep = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
+    spans = [(i, j) for (i, j), k in zip(zip(bounds, bounds[1:]), keep) if k]
+    return np.concatenate(parts), spans
+
+
+# An all-zero span is a valid input of these kernels only.
+ZERO_SPAN_KERNELS = {"plogp_sum", "power_sum(3)"}
+
+
+@pytest.mark.parametrize("name", list(SPAN_KERNELS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_span_kernels_equal_each_slice_alone_with_long_spans(name, data):
+    """`test_span_kernels_equal_each_slice_alone` on batches of long spans,
+    which the long branch takes together."""
+    kernel = SPAN_KERNELS[name]
+    flat, spans = data.draw(long_csr_arrays(zero_spans=name in ZERO_SPAN_KERNELS))
+    batched = kernel(flat, spans)
+    alone = [kernel(flat[i:j].copy(), [(0, j - i)])[0] for i, j in spans]
+    assert len(batched) == len(alone)
+    for got, want in zip(batched, alone):
+        np.testing.assert_array_equal(got, want)
+
+
+ELEMENTWISE = {
+    "log2": np.log2,
+    "exp2": lambda x, out=None: np.exp2(-1e3 * x, out=out),
+    "multiply": lambda x, out=None: np.multiply(x, 0.7, out=out),
+    "multiply-array": lambda x, out=None: np.multiply(x, x, out=out),
+    **{f"power({a})": (lambda x, out=None, a=a: np.power(x, a, out=out))
+       for a in (0.5, 2.0, 3.0, 0.3, 100.0)},
+}
+
+
+@pytest.mark.parametrize("op", list(ELEMENTWISE.values()), ids=list(ELEMENTWISE))
+def test_elementwise_bits_do_not_depend_on_the_slice(op):
+    """The long branch applies numpy to the cells of many spans at once, and
+    in place where it can; each span's terms must keep the bits that the span
+    alone would get."""
+    rng = np.random.default_rng(11)
+    x = rng.exponential(1.0, 4096)
+    x /= x.sum()
+    whole = op(x).view(np.int64)
+    for k in range(64):
+        for m in (1, 7, 8, 9, 63, 255, 256, 1000):
+            part = x[k:k + m]
+            np.testing.assert_array_equal(op(part).view(np.int64), whole[k:k + m])
+            np.testing.assert_array_equal(op(part.copy()).view(np.int64), whole[k:k + m])
+    in_place = x.copy()
+    np.testing.assert_array_equal(op(in_place, out=in_place).view(np.int64), whole)
+
+
+def _fsum_each(values, bounds):
+    """``math.fsum`` of each segment: the first failing segment raises."""
+    return [math.fsum(values[i:j].tolist()) for i, j in itertools.pairwise(bounds)]
+
+
+def _outcomes(sums, values, bounds):
+    """``sums(values, bounds)`` in hex, or the type of the error it raises."""
+    try:
+        result = sums(values, bounds)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return ["nan" if math.isnan(v) else v.hex() for v in result]
+
+
+def _segments(pool, lengths, seed):
+    """Segments of the given lengths end to end, each tiled from its own
+    subset of ``pool``, so that some segments hold huge entries and some
+    do not; and their bounds."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for k, m in enumerate(lengths):
+        subset = rng.choice(len(pool), rng.integers(1, len(pool) + 1), replace=False)
+        parts.append(_tile([pool[i] for i in subset], m, seed + k))
+    return np.concatenate(parts), np.cumsum([0, *lengths]).tolist()
+
+
+SEGMENT_LENGTHS = st.one_of(
+    st.integers(0, 8), st.integers(250, 262), st.integers(760, 776), st.integers(1000, 1100)
+)
+
+
+@given(
+    pool=st.lists(finite_floats(), min_size=1, max_size=10),
+    lengths=st.lists(SEGMENT_LENGTHS, min_size=1, max_size=10),
+    special=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_segment_sums_are_fsum_per_segment(pool, lengths, special, seed):
+    """Bit for bit, or the same error type; inf or nan lands in one segment.
+
+    Huge entries of one sign overflow fsum's partials (``OverflowError``)
+    and inf next to -inf is undefined (``ValueError``), so segments may
+    fail in different ways: the first one in order decides.
+    """
+    x, bounds = _segments(pool, lengths, seed)
+    if special and bounds[-1] > 0:
+        rng = np.random.default_rng(seed)
+        k = int(rng.choice(np.flatnonzero(lengths)))
+        x[rng.choice(np.arange(bounds[k], bounds[k + 1]), len(special))] = special
+    assert _outcomes(segment_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
+
+
+FAILING_SEGMENTS = {
+    "long overflow": [1e308, 1e308] * 200,
+    "long inf - inf": [math.inf, -math.inf] + [1.0] * 300,
+    "short overflow": [1e308, 1e308],
+    "short inf - inf": [math.inf, -math.inf],
+}
+
+
+@pytest.mark.parametrize("order", [
+    *itertools.permutations(FAILING_SEGMENTS),
+    *itertools.permutations(["long overflow", "long inf - inf"]),  # no short branch
+], ids=str)
+def test_segment_sums_raise_what_the_first_failing_segment_raises(order):
+    parts = [[0.5] * 300, *(FAILING_SEGMENTS[name] for name in order)]
+    bounds = np.cumsum([0, *map(len, parts)]).tolist()
+    x = np.array([v for part in parts for v in part])
+    assert _outcomes(segment_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
+    assert _outcomes(_fsum_each, x, bounds) in (OverflowError, ValueError)
+
+
+@given(
+    pool=st.lists(finite_floats(), min_size=1, max_size=10),
+    lengths=st.lists(SEGMENT_LENGTHS, min_size=2, max_size=8),
+    chunk=st.integers(5, 3000),
+    table_bins=st.integers(1, 5000),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_binned_sums_with_chunks_across_segments(pool, lengths, chunk, table_bins, seed):
+    """Small chunks (at most ``_BIN_CHUNK`` entries, ``_TABLE_BINS`` bins)
+    cross segment boundaries; every sum stays ``math.fsum`` bit for bit."""
+    x, bounds = _segments(pool, lengths, seed)
+    with mock.patch.object(_stable, "_BIN_CHUNK", chunk), \
+            mock.patch.object(_stable, "_TABLE_BINS", table_bins):
+        assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
+        assert _outcomes(segment_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
