@@ -6,19 +6,23 @@ the order of the input terms.  Power sums are max-factored in log2 space,
 which keeps them finite for exponents far beyond the naive overflow point.
 
 The power, log and escort kernels and `segment_sums` are span kernels: they
-take one flat array plus a list of ``(start, stop)`` spans and return one
-result per span (`escort_weights` returns one array, normalized within each
-span).  A single distribution is the one-span case; a joint's rows, or
-every trial of the axiom suite, are many spans of one array.  Each span
-takes its branch by its own length, and gets the bits it would get alone:
+take one flat array plus ``(start, stop)`` spans and return one result per
+span (`escort_weights` returns one array, normalized within each span).  A
+single distribution is the one-span case; a joint's rows, or every trial of
+the axiom suite, are many spans of one array.  Each span takes its branch
+by its own length, and gets the bits it would get alone.  A branch takes
+all of its spans at once: one pass over their positive entries, per-span
+maxima from ``np.maximum.reduceat`` (exact), and the basic operations
+(``alpha * t``, ``t - m``, ``w / total``) in numpy, which rounds them as
+Python does.  The branches differ only in their transcendentals and their
+final sums:
 
-- below ``_VECTOR_MIN`` entries, a Python loop over libm, which beats
-  numpy's per-call overhead on tiny inputs (spans that are short on average
-  share one ``tolist()`` of the whole array);
-- at and above it, numpy, over the cells of all such spans at once: the
-  elementwise functions give the same bits on a slice as on a whole array,
-  ``np.maximum.reduceat`` takes the per-span maxima, and one segmented
-  exact sum (`_segment_fsum`) rounds every span's total.
+- below ``_VECTOR_MIN`` entries, libm: one C-level ``map`` of ``math.log2``
+  or float ``**`` over the cells of all such spans, and ``math.fsum`` over
+  each span's slice of one list, which beat numpy's per-call overhead and
+  binning on tiny spans;
+- at and above it, numpy's log2/exp2/power and one segmented exact sum
+  (`_segment_fsum`).
 
 numpy's log2/exp2/power may differ from the libm functions by an ulp per
 term, so the two branches agree to a few ulps, not bit for bit.
@@ -32,16 +36,17 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import Overflow
 
-#: (start, stop) index pairs into a flat array, one per segment.
-Spans = Sequence[tuple[int, int]]
+#: (start, stop) index pairs into a flat array, one per segment: a sequence
+#: of pairs or an ``(n, 2)`` integer array.
+Spans = Union[Sequence[tuple[int, int]], np.ndarray]
 
-# Below this length plain Python loops beat numpy's per-call overhead.
+# Below this length libm over Python floats beats numpy's per-call overhead.
 _VECTOR_MIN = 256
 
 # Below this length math.fsum over tolist() beats the binned sum: both take
@@ -153,29 +158,38 @@ def _segment_fsum(values: np.ndarray, counts: Sequence[int]) -> list[float]:
     return [fsum(totals[i:j]) for i, j in itertools.pairwise(bounds)]
 
 
-def _where(spans: Spans) -> slice | np.ndarray:
+def spans_of(bounds: Sequence[int]) -> np.ndarray:
+    """The spans between consecutive ``bounds``, as an ``(n, 2)`` intp array."""
+    bounds = np.asarray(bounds, dtype=np.intp)
+    return np.array((bounds[:-1], bounds[1:])).T
+
+
+def _span_array(spans: Spans) -> np.ndarray:
+    """``spans`` as an ``(n, 2)`` intp array of starts and stops."""
+    if isinstance(spans, np.ndarray):
+        return spans
+    pairs = itertools.chain.from_iterable(spans)
+    return np.fromiter(pairs, np.intp, 2 * len(spans)).reshape(-1, 2)
+
+
+def _where(spans: np.ndarray) -> slice | np.ndarray:
     """The positions of the entries of ``spans``, end to end: a slice when
-    the spans are contiguous, else an index array."""
-    if all(a[1] == b[0] for a, b in itertools.pairwise(spans)):
-        return slice(spans[0][0], spans[-1][1]) if spans else slice(0, 0)
-    starts, stops = np.array(spans, dtype=np.intp).T
+    the spans are contiguous (or fewer than two), else an index array."""
+    if len(spans) < 2 or not np.count_nonzero(spans[1:, 0] - spans[:-1, 1]):
+        return slice(int(spans[0, 0]), int(spans[-1, 1])) if len(spans) else slice(0, 0)
+    starts, stops = spans.T
     lengths = stops - starts
     # entry e of span k sits at starts[k] + e - (where span k starts end to end)
-    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return np.arange(lengths.sum()) + np.repeat(starts - lengths.cumsum() + lengths, lengths)
 
 
 def span_cells(values: np.ndarray, spans: Spans) -> np.ndarray:
     """The entries of ``spans`` end to end: a view when the spans are contiguous."""
-    return values[_where(spans)]
+    return values[_where(_span_array(spans))]
 
 
-def _starts(counts: Sequence[int]) -> list[int]:
-    """Where each run of ``counts[k]`` consecutive entries starts."""
-    return [0, *itertools.accumulate(counts[:-1])]
-
-
-def _long_cells(flat: np.ndarray, spans: Spans):
-    """The positive entries of ``spans`` end to end, for the long branch.
+def _cells(flat: np.ndarray, spans: np.ndarray):
+    """The positive entries of ``spans`` end to end.
 
     Returns the positions of the spans' entries (see `_where`), the positive
     entries, the mask of the positive ones among all (``None`` when every
@@ -183,80 +197,97 @@ def _long_cells(flat: np.ndarray, spans: Spans):
     """
     where = _where(spans)
     x = flat[where]
-    counts = [j - i for i, j in spans]
+    counts = spans[:, 1] - spans[:, 0]
     pos = x > 0.0
     if np.count_nonzero(pos) == len(pos):
         return where, x, None, counts
-    return where, x[pos], pos, np.add.reduceat(pos, _starts(counts), dtype=np.intp).tolist()
+    # reduceat over the spans that have entries (it misreads empty ones)
+    nonempty = np.flatnonzero(counts)
+    positives = np.zeros_like(counts)
+    positives[nonempty] = np.add.reduceat(pos, (counts.cumsum() - counts)[nonempty], dtype=np.intp)
+    return where, x[pos], pos, positives
 
 
-def _spread(per_span: np.ndarray, counts: list[int]):
+def _libm(fn: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:
+    """``fn`` of every entry of ``x`` (and of ``args``) over Python floats:
+    libm in one C-level map, which beats numpy's per-call overhead on tiny
+    inputs.  The transcendentals below take it for a short group of spans,
+    and numpy for a long one."""
+    return np.fromiter(map(fn, x.tolist(), *args), np.float64, len(x))
+
+
+def _log2(x: np.ndarray, short: bool) -> np.ndarray:
+    return _libm(math.log2, x) if short else np.log2(x)
+
+
+def _exp2(t: np.ndarray, short: bool) -> np.ndarray:  # in place for a long group
+    return _libm((2.0).__pow__, t) if short else np.exp2(t, out=t)
+
+
+def _power(x: np.ndarray, alpha: float, short: bool) -> np.ndarray:
+    # float ** raises OverflowError where numpy returns inf
+    return _libm(float.__pow__, x, itertools.repeat(alpha)) if short else np.power(x, alpha)
+
+
+def _sums(terms: np.ndarray, counts: np.ndarray, short: bool) -> list[float]:
+    """The exact sum of each run of ``counts[k]`` consecutive ``terms``:
+    ``math.fsum`` over each run's slice of one list for a short group, one
+    segmented exact sum for a long group."""
+    if not short:
+        return _segment_fsum(terms, counts.tolist())
+    values, fsum = terms.tolist(), math.fsum
+    ends = counts.cumsum().tolist()
+    return [fsum(values[i:j]) for i, j in zip([0, *ends], ends)]
+
+
+def _spread(per_span: np.ndarray, counts: np.ndarray):
     """``per_span[k]`` repeated ``counts[k]`` times (a scalar for one span)."""
     return per_span[0] if len(counts) == 1 else np.repeat(per_span, counts)
 
 
-def _scaled_powers(x: np.ndarray, counts: list[int], alpha: float):
-    """Per span the largest t = alpha * log2(x), m, and every 2**(t - m),
-    computed in place in one buffer.  Every span needs an entry."""
-    if 0 in counts:
+def _scaled_powers(x: np.ndarray, counts: np.ndarray, alpha: float, short: bool):
+    """Per span the largest t = alpha * log2(x), m, and every 2**(t - m).
+    Every span needs a positive entry."""
+    if np.count_nonzero(counts) < len(counts):
         raise ValueError("every span needs a positive entry")
-    t = np.log2(x)
+    t = _log2(x, short)
     t *= alpha
-    m = np.maximum.reduceat(t, _starts(counts))
+    m = np.maximum.reduceat(t, counts.cumsum() - counts)
     t -= _spread(m, counts)
-    return m, np.exp2(t, out=t)
+    return m, _exp2(t, short)
 
 
-def _lists(values: np.ndarray, spans: Spans) -> Iterator[list[float]]:
-    """Each span's entries as a list, for the short branch.
-
-    The lists are slices of one shared ``tolist()`` when the spans average
-    fewer than ``_VECTOR_MIN`` entries of ``values``, so many tiny spans
-    cost one conversion; otherwise each span converts only its own slice.
-    """
-    shared = values.tolist() if len(values) < _VECTOR_MIN * len(spans) else None
-    for i, j in spans:
-        yield shared[i:j] if shared is not None else values[i:j].tolist()
-
-
-def _split(spans: Spans) -> tuple[Spans, Spans]:
-    """The spans below ``_VECTOR_MIN`` entries and the others, each in order."""
-    shorts = [s for s in spans if s[1] - s[0] < _VECTOR_MIN]
-    if len(shorts) == len(spans):
-        return spans, []
-    return shorts, [s for s in spans if s[1] - s[0] >= _VECTOR_MIN]
-
-
-def _span_map(spans: Spans, short: Callable[[Spans], list], long: Callable[[Spans], list]) -> list:
-    """One result per span, in span order: ``short`` maps the spans below
-    ``_VECTOR_MIN`` entries to their results, ``long`` all the others.
+def _span_map(spans: Spans, group: Callable[[np.ndarray, bool], Sequence[float]]) -> list:
+    """One result per span, in span order: ``group(spans, short)`` maps a
+    group of spans, all below ``_VECTOR_MIN`` entries (``short``) or all at
+    or above it, to their results.
 
     An error is the one that the first failing span raises alone.
     """
-    shorts, longs = _split(spans)
-    if not longs:
-        return short(spans)
-    if not shorts:
-        return long(spans)
+    spans = _span_array(spans)
+    if not len(spans):
+        return []
+    short = spans[:, 1] - spans[:, 0] < _VECTOR_MIN
     try:
-        short_results, long_results = iter(short(shorts)), iter(long(longs))
+        if np.count_nonzero(short) in (0, len(spans)):
+            return group(spans, bool(short[0]))
+        out = np.empty(len(spans))
+        out[short] = group(spans[short], True)
+        out[~short] = group(spans[~short], False)
+        return out.tolist()
     except (OverflowError, ValueError):
-        for span in spans:
-            (short if span[1] - span[0] < _VECTOR_MIN else long)([span])
+        if len(spans) > 1:
+            for span, alone in zip(spans, short.tolist()):
+                group(span[None], alone)
         raise
-    return [next(long_results) if j - i >= _VECTOR_MIN else next(short_results) for i, j in spans]
 
 
 def segment_sums(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
     """Exact sums of ``values[bounds[k]:bounds[k + 1]]`` for every k."""
     return _span_map(
-        list(itertools.pairwise(bounds)),
-        lambda spans: [math.fsum(part) for part in _lists(values, spans)],
-        lambda spans: _segment_fsum(span_cells(values, spans), [j - i for i, j in spans]),
+        spans_of(bounds),
+        lambda spans, short: _sums(values[_where(spans)], spans[:, 1] - spans[:, 0], short),
     )
-
-
-# The loops below build lists for math.fsum: faster than generators, same sums.
 
 
 def log2_power_sum(flat: np.ndarray, spans: Spans, alpha: float) -> list[float]:
@@ -268,72 +299,50 @@ def log2_power_sum(flat: np.ndarray, spans: Spans, alpha: float) -> list[float]:
     """
     log2 = math.log2
 
-    def short(spans):
-        out = []
-        for part in _lists(flat, spans):
-            logs = [alpha * log2(p) for p in part if p > 0.0]
-            m = max(logs)
-            out.append(m + log2(math.fsum([2.0 ** (t - m) for t in logs])))
-        return out
+    def group(spans, short):
+        _, x, _, counts = _cells(flat, spans)
+        m, terms = _scaled_powers(x, counts, alpha, short)
+        return [a + log2(s) for a, s in zip(m.tolist(), _sums(terms, counts, short))]
 
-    def long(spans):
-        _, x, _, counts = _long_cells(flat, spans)
-        m, terms = _scaled_powers(x, counts, alpha)
-        return [a + log2(s) for a, s in zip(m.tolist(), _segment_fsum(terms, counts))]
-
-    return _span_map(spans, short, long)
+    return _span_map(spans, group)
 
 
 def power_sum(flat: np.ndarray, spans: Spans, alpha: float) -> list[float]:
     """Per span, sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0)."""
 
-    def short(spans):
-        return [math.fsum([p ** alpha for p in part if p > 0.0]) for part in _lists(flat, spans)]
-
-    def long(spans):
-        _, x, _, counts = _long_cells(flat, spans)
-        return _segment_fsum(np.power(x, alpha), counts)
+    def group(spans, short):
+        _, x, _, counts = _cells(flat, spans)
+        return _sums(_power(x, alpha, short), counts, short)
 
     try:
-        return _span_map(spans, short, long)
+        return _span_map(spans, group)
     except OverflowError as exc:
         raise Overflow(f"power sum with exponent {alpha!r} overflowed") from exc
 
 
 def plogp_sum(flat: np.ndarray, spans: Spans) -> list[float]:
     """Per span, sum_k p_k * log2(p_k) over positive entries (0*log 0 := 0)."""
-    log2 = math.log2
 
-    def short(spans):
-        return [math.fsum([p * log2(p) for p in part if p > 0.0]) for part in _lists(flat, spans)]
-
-    def long(spans):
-        _, x, _, counts = _long_cells(flat, spans)
-        terms = np.log2(x)
+    def group(spans, short):
+        _, x, _, counts = _cells(flat, spans)
+        terms = _log2(x, short)
         terms *= x
-        return _segment_fsum(terms, counts)
+        return _sums(terms, counts, short)
 
-    return _span_map(spans, short, long)
+    return _span_map(spans, group)
 
 
 def weighted_log2_sum(weights: np.ndarray, flat: np.ndarray, spans: Spans) -> list[float]:
     """Per span, sum_k w_k * log2(p_k) over the positive entries p_k of ``flat``."""
-    log2 = math.log2
 
-    def short(spans):
-        return [
-            math.fsum([w * log2(p) for w, p in zip(ws, ps) if p > 0.0])
-            for ws, ps in zip(_lists(weights, spans), _lists(flat, spans))
-        ]
-
-    def long(spans):
-        where, x, pos, counts = _long_cells(flat, spans)
+    def group(spans, short):
+        where, x, pos, counts = _cells(flat, spans)
         w = weights[where]
-        terms = np.log2(x)
+        terms = _log2(x, short)
         terms *= w if pos is None else w[pos]
-        return _segment_fsum(terms, counts)
+        return _sums(terms, counts, short)
 
-    return _span_map(spans, short, long)
+    return _span_map(spans, group)
 
 
 def escort_weights(flat: np.ndarray, spans: Spans, alpha: float) -> np.ndarray:
@@ -346,30 +355,19 @@ def escort_weights(flat: np.ndarray, spans: Spans, alpha: float) -> np.ndarray:
     """
     if alpha == 1.0:
         return flat
-    log2 = math.log2
     out = np.zeros(len(flat))
-    shorts, longs = _split(spans)
-    if shorts:
-        weights = []  # the short spans' weights end to end, written at once
-        for part in _lists(flat, shorts):
-            pos = [p for p in part if p > 0.0]
-            logs = [alpha * log2(p) for p in pos]
-            m = max(logs)
-            scaled = [2.0 ** (t - m) for t in logs]
-            total = math.fsum(scaled)
-            ws = [w / total for w in scaled]
-            if len(pos) < len(part):  # zero weights back in place
-                it = iter(ws)
-                ws = [next(it) if p > 0.0 else 0.0 for p in part]
-            weights += ws
-        out[_where(shorts)] = weights
-    if longs:
-        where, x, pos, counts = _long_cells(flat, longs)
-        w = _scaled_powers(x, counts, alpha)[1]
-        w /= _spread(np.array(_segment_fsum(w, counts)), counts)
+
+    def group(spans, short):  # writes the weights, returns the totals
+        where, x, pos, counts = _cells(flat, spans)
+        w = _scaled_powers(x, counts, alpha, short)[1]
+        totals = _sums(w, counts, short)
+        w /= _spread(np.array(totals), counts)
         if pos is not None:  # zero weights back in place
             full = np.zeros(pos.size)
             full[pos] = w
             w = full
         out[where] = w
+        return totals
+
+    _span_map(spans, group)
     return out

@@ -25,12 +25,12 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ._stable import exact_sum, segment_sums
+from ._stable import segment_sums, span_cells, spans_of
 from .distributions import (
     Distribution,
     JointDistribution,
+    _check_counts,
     group_marginals,
-    refinement_joint,
     uniform,
 )
 from .entropies import (
@@ -62,10 +62,15 @@ MAX_CHAIN_LENGTH = 22
 #: `run_suite` accepts.  The suite draws every trial before checking any:
 #: 8 bytes per drawn cell (the joints take a quarter of the bound on average,
 #: 32 MiB at the bound) plus about a kilobyte of Python objects per trial.
+#: The trials are normalized in chunks of ``_BATCH_TRIALS``, so the draws
+#: waiting for a chunk's normalization add no more than one chunk.
 MAX_SUITE_CELLS = 2 ** 24
 
 #: Least charge per trial against ``MAX_SUITE_CELLS`` (the default 8 x 8
-#: shape), for the Python objects every drawn trial holds whatever its shape.
+#: shape), for the Python objects every drawn trial holds whatever its shape:
+#: a joint, its row bounds, two distributions and a tuple of counts, each
+#: joint and distribution a view of its chunk's flat array (0.85-1.1 KB per
+#: trial from 2 x 1 to 8 x 8, cells included).
 MIN_TRIAL_CELLS = 64
 
 #: Trials per batch of a check in `run_suite`: this bounds the arrays one
@@ -73,11 +78,10 @@ MIN_TRIAL_CELLS = 64
 _BATCH_TRIALS = 1024
 
 
-def _concat(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _concat(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The arrays end to end, and the span each one occupies."""
-    bounds = [0, *itertools.accumulate(len(a) for a in arrays)]
     flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-    return flat, list(itertools.pairwise(bounds))
+    return flat, spans_of(np.cumsum([0, *map(len, arrays)]))
 
 
 def _batch(joints: Sequence[JointDistribution]) -> tuple[JointDistribution, list[int]]:
@@ -93,9 +97,9 @@ def _batch(joints: Sequence[JointDistribution]) -> tuple[JointDistribution, list
     return JointDistribution._wrap(np.concatenate([j._flat for j in joints]), bounds), groups
 
 
-def _cell_spans(batch: JointDistribution, groups: Sequence[int]) -> list[tuple[int, int]]:
-    bounds = batch._bounds
-    return [(bounds[a], bounds[b]) for a, b in itertools.pairwise(groups)]
+def _cell_spans(bounds: Sequence[int], groups: Sequence[int]) -> np.ndarray:
+    """The cells of each group of rows, from the row ``bounds``."""
+    return spans_of(np.asarray(bounds)[groups])
 
 
 # Each check below takes a batch of inputs and returns the residual of every
@@ -105,10 +109,10 @@ def _cell_spans(batch: JointDistribution, groups: Sequence[int]) -> list[tuple[i
 
 def _strong_additivity(family, joints) -> tuple[list[float], list[float]]:
     batch, groups = _batch(joints)
-    whole = span_entropies(family, batch._flat, _cell_spans(batch, groups))
+    whole = span_entropies(family, batch._flat, _cell_spans(batch._bounds, groups))
     margs = group_marginals(batch, groups)
     parts = zip(
-        span_entropies(family, margs, list(itertools.pairwise(groups))),
+        span_entropies(family, margs, spans_of(groups)),
         conditional_entropies(family, batch, groups, margs),
     )
     add = family.composition.add
@@ -167,10 +171,16 @@ def uniform_trace_residual(family: EntropyFamily, n: int) -> float:
 
 
 def _refinement(family, counts_list) -> tuple[list[float], list[float]]:
-    batch, groups = _batch([refinement_joint(counts) for counts in counts_list])
+    # the refinement joints end to end: joint t has one row of m_i cells of
+    # 1/m per count m_i of ``counts_list[t]``, m their sum
+    bounds = [0, *itertools.accumulate(int(c) for counts in counts_list for c in counts)]
+    groups = [0, *itertools.accumulate(map(len, counts_list))]
+    cells = _cell_spans(bounds, groups)
+    sizes = cells[:, 1] - cells[:, 0]
+    batch = JointDistribution._wrap(np.repeat([1.0 / m for m in sizes.tolist()], sizes), bounds)
     margs = group_marginals(batch, groups)
-    direct = span_entropies(family, margs, list(itertools.pairwise(groups)))
-    whole = span_entropies(family, batch._flat, _cell_spans(batch, groups))
+    direct = span_entropies(family, margs, spans_of(groups))
+    whole = span_entropies(family, batch._flat, cells)
     subtract = family.composition.subtract
     rebuilt = [
         subtract(w, c)
@@ -186,14 +196,20 @@ def refinement_consistency(family: EntropyFamily, counts: Sequence[int]) -> floa
     additive family the marginal entropy must equal the joint entropy minus
     (deformed-minus for HCT) the conditional entropy.
     """
+    _check_counts(counts)
     return _refinement(family, [counts])[0][0]
 
 
 def _product(family, pairs) -> tuple[list[float], list[float]]:
-    ps = [p._array for p, _ in pairs]
-    qs = [q._array for _, q in pairs]
-    whole = span_entropies(family, *_concat([np.outer(p, q).ravel() for p, q in zip(ps, qs)]))
-    parts = zip(span_entropies(family, *_concat(ps)), span_entropies(family, *_concat(qs)))
+    ps, p_spans = _concat([p._array for p, _ in pairs])
+    qs, q_spans = _concat([q._array for _, q in pairs])
+    # the outer products end to end: one row per entry of p, its pair's q
+    lengths = p_spans[:, 1] - p_spans[:, 0]
+    rows = np.repeat(q_spans, lengths, axis=0)
+    cells = np.repeat(ps, rows[:, 1] - rows[:, 0]) * span_cells(qs, rows)
+    sizes = lengths * (q_spans[:, 1] - q_spans[:, 0])
+    whole = span_entropies(family, cells, spans_of(np.cumsum([0, *sizes])))
+    parts = zip(span_entropies(family, ps, p_spans), span_entropies(family, qs, q_spans))
     add = family.composition.add
     return [abs(w - add(a, b)) for w, (a, b) in zip(whole, parts)], [abs(w) for w in whole]
 
@@ -282,26 +298,78 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
+def _normalized(parts: Sequence[np.ndarray], totals: Sequence[float]):
+    """Each ``parts[t] / totals[t]`` divided by its own exact sum, end to
+    end, and where each part starts, followed by the length."""
+    sizes = [len(part) for part in parts]
+    flat = np.concatenate(parts)
+    flat /= np.repeat(totals, sizes)
+    starts = [0, *itertools.accumulate(sizes)]
+    flat /= np.repeat(segment_sums(flat, starts), sizes)
+    return flat, starts
+
+
+def _rows_clear(row_sums: Sequence[float], total: float) -> bool:
+    """Whether numpy's ``row_sums`` alone show that every row of the cells
+    divided by ``total`` sums exactly to 1e-12 or more: the factor 2 covers
+    the rounding of the row sums and of the division (rows below 2**50 cells)."""
+    return min(row_sums) > 2e-12 * total
+
+
+def _random_joints(
+    rng: np.random.Generator, trials: int, max_rows: int, max_cols: int
+) -> list[JointDistribution]:
+    """``trials`` joints, drawn one after another, normalized all at once."""
+    cells, totals, row_bounds = [], [], []
+    for _ in range(trials):
+        # rows with marginal below 1e-12 are excluded by redrawing the joint,
+        # so conditionals are always defined
+        while True:
+            n_rows = int(rng.integers(2, max_rows + 1))
+            lengths = rng.integers(1, max_cols + 1, size=n_rows)
+            bounds = [0, *itertools.accumulate(lengths.tolist())]
+            drawn = rng.exponential(1.0, size=bounds[-1])
+            # numpy's row by row sums, whose rounding the reports depend on
+            rows = [float(drawn[i:j].sum()) for i, j in itertools.pairwise(bounds)]
+            total = float(sum(rows))
+            if _rows_clear(rows, total) or min(segment_sums(drawn / total, bounds)) >= 1e-12:
+                break
+        cells.append(drawn)
+        totals.append(total)
+        row_bounds.append(bounds)
+    flat, starts = _normalized(cells, totals)
+    return [
+        JointDistribution._wrap(flat[i:j], bounds)
+        for i, j, bounds in zip(starts, starts[1:], row_bounds)
+    ]
+
+
 def _random_joint(rng: np.random.Generator, max_rows: int, max_cols: int) -> JointDistribution:
-    # rows with marginal below 1e-12 are excluded by redrawing the joint,
-    # so conditionals are always defined
-    while True:
-        n_rows = int(rng.integers(2, max_rows + 1))
-        lengths = rng.integers(1, max_cols + 1, size=n_rows)
-        bounds = [0, *itertools.accumulate(lengths.tolist())]
-        cells = rng.exponential(1.0, size=bounds[-1])
-        # numpy's row by row sums, whose rounding the reports depend on
-        total = float(sum(float(cells[i:j].sum()) for i, j in itertools.pairwise(bounds)))
-        flat = cells / total
-        if min(segment_sums(flat, bounds)) >= 1e-12:
-            return JointDistribution._wrap(flat / exact_sum(flat), bounds)
+    return _random_joints(rng, 1, max_rows, max_cols)[0]
+
+
+def _random_distributions(rng: np.random.Generator, max_dims: Sequence[int]) -> list[Distribution]:
+    """One distribution per entry of ``max_dims``, drawn one after another,
+    normalized all at once."""
+    draws = []
+    for max_dim in max_dims:
+        dim = int(rng.integers(2, max(max_dim, 2) + 1))
+        draws.append(rng.exponential(1.0, size=dim))
+    flat, starts = _normalized(draws, [e.sum() for e in draws])
+    return [Distribution._wrap(flat[i:j]) for i, j in zip(starts, starts[1:])]
 
 
 def _random_distribution(rng: np.random.Generator, max_dim: int) -> Distribution:
-    dim = int(rng.integers(2, max(max_dim, 2) + 1))
-    e = rng.exponential(1.0, size=dim)
-    p = e / e.sum()
-    return Distribution._wrap(p / exact_sum(p))
+    return _random_distributions(rng, [max_dim])[0]
+
+
+def _drawn(draw: Callable[[int], list], trials: int) -> list:
+    """``draw(n)`` over chunks of up to ``_BATCH_TRIALS`` trials, end to end,
+    so that only one chunk's own draws wait for their normalization."""
+    out = []
+    for start in range(0, trials, _BATCH_TRIALS):
+        out += draw(min(_BATCH_TRIALS, trials - start))
+    return out
 
 
 def _random_counts(rng: np.random.Generator, max_rows: int, max_cols: int) -> tuple[int, ...]:
@@ -395,12 +463,11 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
         )
     family = cfg.family
     rng = np.random.default_rng(cfg.seed)
-    joints = [_random_joint(rng, cfg.max_rows, cfg.max_cols) for _ in range(cfg.trials)]
-    pairs = [
-        (_random_distribution(rng, cfg.max_rows), _random_distribution(rng, cfg.max_cols))
-        for _ in range(cfg.trials)
-    ]
-    counts_list = [_random_counts(rng, cfg.max_rows, cfg.max_cols) for _ in range(cfg.trials)]
+    rows, cols = cfg.max_rows, cfg.max_cols
+    joints = _drawn(lambda n: _random_joints(rng, n, rows, cols), cfg.trials)
+    dists = _drawn(lambda n: _random_distributions(rng, [rows, cols] * n), cfg.trials)
+    pairs = list(zip(dists[::2], dists[1::2]))
+    counts_list = [_random_counts(rng, rows, cols) for _ in range(cfg.trials)]
     chain_lengths = list(range(1, 13))
     trace_dims = [2 ** k for k in range(1, 15)]
 

@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._stable import escort_weights, exact_sum, segment_sums
+from ._stable import Spans, escort_weights, exact_sum, segment_sums
 from .errors import (
     DimensionError,
     EscortUndefined,
@@ -306,7 +306,7 @@ def escort(p: Distribution, alpha: float) -> Distribution:
     return p if weights is p._array else Distribution._wrap(weights)
 
 
-def _escort(flat: np.ndarray, spans: Sequence[tuple[int, int]], alpha: float) -> np.ndarray:
+def _escort(flat: np.ndarray, spans: Spans, alpha: float) -> np.ndarray:
     """`escort` of each span of ``flat``, where the spans cover all of it."""
     if not math.isfinite(alpha):
         raise EscortUndefined(f"escort exponent must be finite, got {alpha!r}")
@@ -317,6 +317,14 @@ def _escort(flat: np.ndarray, spans: Sequence[tuple[int, int]], alpha: float) ->
     return escort_weights(flat, spans, alpha)
 
 
+def _check_counts(counts: Sequence[int]) -> None:
+    """Raise :class:`DimensionError` unless ``counts`` are block sizes of a refinement."""
+    if not counts:
+        raise DimensionError("refinement needs at least one block")
+    if any(c < 1 for c in counts):
+        raise DimensionError(f"refinement counts must be >= 1, got {tuple(counts)}")
+
+
 def refinement_joint(counts: Sequence[int]) -> JointDistribution:
     """The even refinement joint: row i holds m_i cells of exactly 1/m.
 
@@ -324,10 +332,7 @@ def refinement_joint(counts: Sequence[int]) -> JointDistribution:
     conditional row is uniform, which is the construction that pins the
     entropy of rational distributions to the uniform trace.
     """
-    if not counts:
-        raise DimensionError("refinement needs at least one block")
-    if any(c < 1 for c in counts):
-        raise DimensionError(f"refinement counts must be >= 1, got {tuple(counts)}")
+    _check_counts(counts)
     bounds = [0, *itertools.accumulate(int(c) for c in counts)]
     return JointDistribution._wrap(np.full(bounds[-1], 1.0 / bounds[-1]), bounds)
 

@@ -31,7 +31,6 @@ with exponential generator 2**(lam*x), and HCT always averages linearly
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Sequence, Union
@@ -46,6 +45,7 @@ from ._stable import (
     power_sum,
     segment_sums,
     span_cells,
+    spans_of,
     weighted_log2_sum,
 )
 from .deformed import Deformation
@@ -57,7 +57,7 @@ from .distributions import (
     group_marginals,
 )
 from .errors import DimensionError, DomainError, Overflow, ParameterError
-from .generators import ExponentialGenerator, weighted_mean
+from .generators import ExponentialGenerator, weighted_means
 
 #: |alpha - tau*lam - 1| allowed when validating HCT parameters.
 HCT_CONSTRAINT_TOLERANCE = 1e-9
@@ -374,25 +374,19 @@ def conditional_entropies(
     Every row is divided by its exact sum at once; one formula call then
     covers the rows of positive escort weight.
     """
-    weights = _escort(margs, list(itertools.pairwise(groups)), family.alpha)
+    weights = _escort(margs, spans_of(groups), family.alpha)
     positive = np.flatnonzero(weights > 0.0)
-    bounds = joint._bounds
+    rows = spans_of(joint._bounds)
     sums = joint._row_sums()
     # rows of zero weight are never read; dividing them by 1 spares a 0/0
-    divisors = np.repeat(np.where(sums > 0.0, sums, 1.0), np.diff(bounds))
-    values = span_entropies(
-        family,
-        joint._flat / divisors,
-        [(bounds[k], bounds[k + 1]) for k in positive.tolist()],
-    )
+    divisors = np.repeat(np.where(sums > 0.0, sums, 1.0), rows[:, 1] - rows[:, 0])
+    values = np.array(span_entropies(family, joint._flat / divisors, rows[positive]))
     # where each group's rows start among the positive ones
     starts = np.searchsorted(positive, groups).tolist()
     kappa = family.mean_kappa
     if kappa == 0.0:
-        return segment_sums(weights[positive] * np.array(values), starts)
-    generator = ExponentialGenerator(kappa=kappa)
-    terms = list(zip(weights[positive].tolist(), values))
-    return [weighted_mean(generator, terms[i:j]) for i, j in itertools.pairwise(starts)]
+        return segment_sums(weights[positive] * values, starts)
+    return weighted_means(ExponentialGenerator(kappa=kappa), weights[positive], values, starts)
 
 
 def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> float:

@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from ._stable import exact_sum
+import numpy as np
+
+from ._stable import _libm, exact_sum, segment_sums
 from .errors import DimensionError, DomainError, Overflow, ParameterError
 from .distributions import Distribution
 
@@ -35,7 +37,8 @@ class LinearGenerator:
         if self.c == 0.0:
             raise ParameterError("linear generator needs c != 0")
 
-    def evaluate(self, x: float) -> float:
+    def evaluate(self, x):
+        """g(x) of a float, or of every entry of a float64 array."""
         return -self.c * (x + self.shift)
 
     def invert(self, y: float) -> float:
@@ -62,11 +65,24 @@ class ExponentialGenerator:
         if self.gamma == 0.0:
             raise ParameterError("exponential generator needs gamma != 0")
 
-    def evaluate(self, x: float) -> float:
-        # expm1 keeps small exponents from cancelling in 2**t - 1
+    def evaluate(self, x):
+        """g(x) of a float, or of every entry of a float64 array.
+
+        expm1 keeps small exponents from cancelling in 2**t - 1.  An array
+        takes libm's expm1 in one C-level map and the basic operations in
+        numpy, which rounds them as Python does, so every entry gets the bits
+        it gets alone.
+        """
+        exponent = (x + self.shift) * (_LN2 * self.kappa)
         try:
-            grown = math.expm1(_LN2 * self.kappa * (x + self.shift))
+            if isinstance(exponent, np.ndarray):
+                grown = _libm(math.expm1, exponent)
+            else:
+                grown = math.expm1(exponent)
         except OverflowError as exc:
+            if isinstance(x, np.ndarray):  # the first entry that overflows alone
+                for one in x.tolist():
+                    self.evaluate(one)
             raise Overflow(
                 f"generator exponent {self.kappa * (x + self.shift)!r} overflowed"
             ) from exc
@@ -117,5 +133,18 @@ def quasi_mean(
 
 def weighted_mean(generator: Generator, terms: Sequence[tuple[float, float]]) -> float:
     """g^{-1}(sum w g(v)) over (weight, value) ``terms`` of positive weight."""
-    acc = exact_sum(w * generator.evaluate(v) for w, v in terms)
-    return generator.invert_mean(acc, terms)
+    weights, values = np.array(terms, dtype=np.float64).reshape(-1, 2).T
+    return weighted_means(generator, weights, values, [0, len(terms)])[0]
+
+
+def weighted_means(
+    generator: Generator, weights: np.ndarray, values: np.ndarray, starts: Sequence[int]
+) -> list[float]:
+    """`weighted_mean` of each run of terms ``starts[t]`` to ``starts[t + 1] - 1``.
+
+    g is evaluated on all values at once, and every run's accumulator is
+    one exact sum (see `segment_sums`).
+    """
+    acc = segment_sums(weights * generator.evaluate(values), starts)
+    terms = list(zip(weights.tolist(), values.tolist()))
+    return [generator.invert_mean(a, terms[i:j]) for a, i, j in zip(acc, starts, starts[1:])]

@@ -1,0 +1,65 @@
+"""The short branch of the span kernels, one span at a time, in plain Python.
+
+Each function is the per-span loop over libm (``math.log2``, float ``**``,
+``math.expm1``) and ``math.fsum`` that defines what a span below
+``_stable._VECTOR_MIN`` entries must give, bit for bit; the package takes
+all short spans of a call in one pass instead.  ``weighted_mean`` is the
+quasi-linear mean with one ``expm1`` per term.
+"""
+
+from __future__ import annotations
+
+import math
+
+from gentropies.errors import Overflow
+from gentropies.generators import ExponentialGenerator
+
+_LN2 = math.log(2.0)
+
+
+def log2_power_sum(part, alpha):
+    logs = [alpha * math.log2(p) for p in part if p > 0.0]
+    m = max(logs)
+    return m + math.log2(math.fsum([2.0 ** (t - m) for t in logs]))
+
+
+def power_sum(part, alpha):
+    try:
+        return math.fsum([p ** alpha for p in part if p > 0.0])
+    except OverflowError as exc:
+        raise Overflow(f"power sum with exponent {alpha!r} overflowed") from exc
+
+
+def plogp_sum(part):
+    return math.fsum([p * math.log2(p) for p in part if p > 0.0])
+
+
+def weighted_log2_sum(weights, part):
+    return math.fsum([w * math.log2(p) for w, p in zip(weights, part) if p > 0.0])
+
+
+def escort_weights(part, alpha):
+    logs = [alpha * math.log2(p) for p in part if p > 0.0]
+    m = max(logs)
+    scaled = [2.0 ** (t - m) for t in logs]
+    total = math.fsum(scaled)
+    weights = iter([w / total for w in scaled])
+    return [next(weights) if p > 0.0 else 0.0 for p in part]
+
+
+def evaluate(generator, x):
+    """g(x) with one expm1 for an exponential generator."""
+    if not isinstance(generator, ExponentialGenerator):
+        return generator.evaluate(x)
+    try:
+        grown = math.expm1(_LN2 * generator.kappa * (x + generator.shift))
+    except OverflowError as exc:
+        raise Overflow(
+            f"generator exponent {generator.kappa * (x + generator.shift)!r} overflowed"
+        ) from exc
+    return grown / generator.gamma
+
+
+def weighted_mean(generator, terms):
+    acc = math.fsum([w * evaluate(generator, v) for w, v in terms])
+    return generator.invert_mean(acc, terms)

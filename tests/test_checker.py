@@ -478,3 +478,67 @@ def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
     whole = run_suite(cfg).to_json()
     monkeypatch.setattr(checker, "_BATCH_TRIALS", 4)
     assert run_suite(cfg).to_json() == whole
+
+
+class _SmallRows:
+    """A PCG64 generator whose every other exponential draw keeps only its
+    last cell: then every row but the last sums below 1e-12, and the joint
+    is redrawn."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._calls = 0
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def exponential(self, *args, **kwargs):
+        cells = self._rng.exponential(*args, **kwargs)
+        self._calls += 1
+        if self._calls % 2:
+            cells[:-1] *= 1e-20
+        return cells
+
+
+@pytest.mark.parametrize("defer", [False, True], ids=["row-sum-bound", "exact-test"])
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, _SmallRows], ids=["pcg64", "redraws"])
+@pytest.mark.parametrize("shape", [(8, 8), (3, 40), (2, 1)], ids=str)
+def test_batched_draws_equal_one_trial_draws(monkeypatch, defer, make_rng, shape):
+    """N batched draws are N one-trial draws byte for byte, on the same
+    stream; with ``defer`` the row-sum bound clears nothing, so every joint
+    takes the exact redraw test."""
+    if defer:
+        monkeypatch.setattr(checker, "_rows_clear", lambda row_sums, total: False)
+    max_rows, max_cols = shape
+    batched, alone = make_rng(5), make_rng(5)
+    joints = checker._random_joints(batched, 25, max_rows, max_cols)
+    if make_rng is _SmallRows:  # every joint was drawn twice
+        assert batched._calls == 50
+    dists = checker._random_distributions(batched, [max_rows, max_cols] * 25)
+    for joint in joints:
+        one = checker._random_joint(alone, max_rows, max_cols)
+        assert joint._flat.tobytes() == one._flat.tobytes()
+        assert list(joint._bounds) == list(one._bounds)
+        rows = checker.segment_sums(joint._flat, joint._bounds)
+        assert min(rows) >= 1e-12 and math.fsum(rows) == pytest.approx(1.0, abs=1e-15)
+    for dist, max_dim in zip(dists, [max_rows, max_cols] * 25):
+        one = checker._random_distribution(alone, max_dim)
+        assert dist._array.tobytes() == one._array.tobytes()
+    assert batched.integers(2 ** 62) == alone.integers(2 ** 62)
+
+
+def test_reports_do_not_depend_on_the_row_sum_bound(monkeypatch):
+    cfg = CheckConfig(family=renyi(2.0), trials=50, seed=9)
+    bound = run_suite(cfg).to_json()
+    monkeypatch.setattr(checker, "_rows_clear", lambda row_sums, total: False)
+    assert run_suite(cfg).to_json() == bound
+
+
+def test_cell_budget_raises_before_the_batched_drawer(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(checker, "_random_joints", refuse)
+    monkeypatch.setattr(checker, "_random_distributions", refuse)
+    with pytest.raises(ConfigError, match=str(MAX_SUITE_CELLS)):
+        run_suite(CheckConfig(family=shannon(), trials=2 ** 23, max_rows=2, max_cols=1))

@@ -404,3 +404,30 @@ class TestShannonLimits:
         base = entropy(shannon(-1.0), p)
         for eps in (1e-5, -1e-5):
             assert abs(entropy(havrda_charvat(1.0 + eps), p) - base) <= 1e-3
+
+
+def test_conditional_overflow_text_is_weighted_means():
+    """The exponential means of a batch of joints overflow with the text
+    that the first overflowing term raises in a per-term loop."""
+    from gentropies import checker, escort, marginal
+    from gentropies.distributions import conditional, group_marginals
+    from gentropies.generators import ExponentialGenerator
+    import libm_reference as libm
+
+    # beta = 0.5, kappa = 3.5: a row holding 1e-110 has entropy near 313,
+    # and 2**(3.5 * 313) is past the float range
+    family = general_escort(-3.0, -1.0, 3.5)
+    fine = make_joint([[0.25, 0.25], [0.25, 0.25]])
+    tiny = make_joint([[0.25, 0.25], [0.5, 1e-110]])
+    tinier = make_joint([[0.5, 1e-120], [0.5]])
+    batch, groups = checker._batch([fine, tiny, tinier])
+    with pytest.raises(Overflow, match="generator exponent") as batched:
+        entropies.conditional_entropies(family, batch, groups, group_marginals(batch, groups))
+    weights = escort(marginal(tiny), family.alpha).probs
+    terms = [(w, entropy(family, conditional(tiny, k))) for k, w in enumerate(weights)]
+    with pytest.raises(Overflow) as alone:
+        libm.weighted_mean(ExponentialGenerator(kappa=family.mean_kappa), terms)
+    assert str(batched.value) == str(alone.value)
+    with pytest.raises(Overflow) as public:
+        conditional_entropy(family, tiny)
+    assert str(public.value) == str(alone.value)

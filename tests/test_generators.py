@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import distributions
 from gentropies import (
@@ -10,11 +10,14 @@ from gentropies import (
     DomainError,
     ExponentialGenerator,
     LinearGenerator,
+    Overflow,
     ParameterError,
     make_distribution,
     quasi_mean,
     uniform,
 )
+from gentropies.generators import weighted_mean
+import libm_reference as libm
 from reference import ref_quasi_mean_exponential, ref_quasi_mean_linear
 
 exponential_gens = st.builds(
@@ -170,3 +173,33 @@ class TestQuasiMean:
         ours = quasi_mean(gen, w, values)
         ref = ref_quasi_mean_exponential(gen.kappa, gen.gamma, gen.shift, w.probs, values)
         assert ours == pytest.approx(ref, rel=1e-11, abs=1e-12)
+
+
+def _mean_outcome(mean, generator, terms):
+    """The mean in hex, or the type and text of its error."""
+    try:
+        value = mean(generator, terms)
+    except (Overflow, DomainError) as exc:
+        return type(exc), str(exc)
+    return "nan" if math.isnan(value) else value.hex()
+
+
+@given(
+    generator=st.one_of(exponential_gens, linear_gens, st.sampled_from([
+        ExponentialGenerator(kappa=1.0), ExponentialGenerator(kappa=-3.5),
+        ExponentialGenerator(kappa=100.0),
+    ])),
+    terms=st.lists(
+        st.tuples(
+            st.floats(1e-3, 1.0),
+            st.one_of(st.floats(-20.0, 20.0), st.floats(-3000.0, 3000.0)),
+        ),
+        max_size=30,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_weighted_mean_equals_the_per_term_reference(generator, terms):
+    """g evaluated on all values at once gives the bits of one expm1 per
+    term, through the saturated branch and up to the same `Overflow` text."""
+    assert _mean_outcome(weighted_mean, generator, terms) == _mean_outcome(
+        libm.weighted_mean, generator, terms)

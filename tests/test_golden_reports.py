@@ -6,6 +6,7 @@ of the 256-entry switch, and the report formatting.  Regenerate them only
 for a deliberate change of results.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from gentropies.entropies import (
     renyi,
     shannon,
     strongly_additive_nath,
+    tsallis,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -60,3 +62,41 @@ def golden_path(label: str) -> Path:
 @pytest.mark.parametrize("label", list(CONFIGS))
 def test_report_bytes_unchanged(label):
     assert run_suite(CONFIGS[label]).to_json() == golden_path(label).read_text()
+
+
+# The 18 families of the benchmark's `suite` workload, in its order: the
+# strongly additive grid, then the forcing members with beta != 1.
+DIGEST_FAMILIES = [
+    shannon(-1.0),
+    shannon(-2.0),
+    renyi(0.5),
+    renyi(2.0),
+    renyi(3.0),
+    strongly_additive_nath(0.5, 1.0),
+    strongly_additive_nath(2.0, -0.5),
+    tsallis(0.5),
+    tsallis(2.0),
+    tsallis(3.0),
+    havrda_charvat(0.5),
+    havrda_charvat(2.0),
+    general_escort(1.0, -1.0, -0.5),
+    general_escort(0.5, -1.0, 0.0),
+    general_escort(1.0, -1.0, 1.0),
+    general_escort(2.0, -1.0, 0.0),
+    general_escort(2.0, -1.0, 1.0),
+    general_escort(3.0, -1.0, 0.0),
+]
+DIGEST = "a46d04cf8fcd1b256a2a41a0efcf0280691052800c3d7edcd7b968b0b8e62162"
+
+
+def test_108_report_digest_unchanged():
+    """SHA-256 over 108 reports: 18 families x 3 seeds x 2 shapes, the
+    default 8 x 8 joints and 40 x 40 ones, whose flattened joints and
+    products take the long branch."""
+    digest = hashlib.sha256()
+    for family in DIGEST_FAMILIES:
+        for seed in (0, 7, 12345):
+            for trials, size in ((100, 8), (30, 40)):
+                cfg = CheckConfig(family, trials, max_rows=size, max_cols=size, seed=seed)
+                digest.update(run_suite(cfg).to_json().encode())
+    assert digest.hexdigest() == DIGEST

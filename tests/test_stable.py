@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import libm_reference as libm
 from gentropies import _stable
 from gentropies._stable import (
     escort_weights,
@@ -18,6 +19,7 @@ from gentropies._stable import (
     segment_sums,
     weighted_log2_sum,
 )
+from gentropies.errors import Overflow
 
 # Lengths on both sides of every size switch in `_stable`.
 SUM_SIZES = (1, 2, 255, 256, 767, 768, 769, 1000, 2048, 6000)
@@ -351,3 +353,129 @@ def test_binned_sums_with_chunks_across_segments(pool, lengths, chunk, table_bin
             mock.patch.object(_stable, "_TABLE_BINS", table_bins):
         assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
         assert _outcomes(segment_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
+
+
+# The short branch against its per-span definition (tests/libm_reference.py).
+
+ALPHAS = (-3.0, 0.5, 2.0, 3.0, 100.0)
+
+
+@st.composite
+def short_batches(draw):
+    """0-300 spans below ``_VECTOR_MIN`` entries end to end, some of them
+    skipped: zero-laden spans, spans with a single positive entry, entries
+    spread over up to a few hundred binades, subnormals and, in some
+    batches, spans with no positive entry."""
+    n = draw(st.integers(0, 300))
+    spread = draw(st.sampled_from([1.0, 5.0, 30.0]))
+    subnormals, empties = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for _ in range(n):
+        longest = 12 if rng.random() < 0.9 else _stable._VECTOR_MIN
+        m = int(rng.integers(1, longest))
+        x = rng.exponential(1.0, m) ** spread
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            x[rng.random(m) < 0.5] = 0.0
+        elif kind == 1:  # a single positive entry
+            x[:] = 0.0
+            x[rng.integers(0, m)] = rng.random() + 0.5
+        if subnormals and rng.random() < 0.2:
+            x[rng.integers(0, m)] = math.ldexp(rng.random(), -1022 - int(rng.integers(1, 52)))
+        if empties and rng.random() < 0.02:
+            x[:] = 0.0
+        parts.append(x)
+    bounds = np.cumsum([0, *map(len, parts)]).tolist()
+    keep = rng.random(n) < 0.8
+    spans = [(i, j) for i, j, k in zip(bounds, bounds[1:], keep) if k]
+    flat = np.concatenate(parts) if parts else np.zeros(0)
+    return flat, spans, bounds
+
+
+def _per_span(reference, spans):
+    """The reference on each span: the hex of every result, or the type of
+    the first span's error."""
+    out = []
+    for i, j in spans:
+        try:
+            value = reference(i, j)
+        except (ValueError, OverflowError, Overflow) as exc:
+            return type(exc)
+        out.append([v.hex() for v in value] if isinstance(value, list) else value.hex())
+    return out
+
+
+def _batched(kernel, spans):
+    try:
+        values = kernel()
+    except (ValueError, OverflowError, Overflow) as exc:
+        return type(exc)
+    return [[v.hex() for v in value] if isinstance(value, list) else value.hex()
+            for value in values]
+
+
+def _short_cases(flat, spans, alpha):
+    """kernel name -> (batched call, reference on span (i, j))."""
+
+    def part(i, j):
+        return flat[i:j].tolist()
+
+    weights = np.sqrt(flat) * 0.75
+
+    def escorts():
+        return [w.tolist() for w in _span_slices(escort_weights(flat, spans, alpha), spans)]
+
+    return {
+        "log2_power_sum": (lambda: log2_power_sum(flat, spans, alpha),
+                           lambda i, j: libm.log2_power_sum(part(i, j), alpha)),
+        "power_sum": (lambda: power_sum(flat, spans, alpha),
+                      lambda i, j: libm.power_sum(part(i, j), alpha)),
+        "plogp_sum": (lambda: plogp_sum(flat, spans),
+                      lambda i, j: libm.plogp_sum(part(i, j))),
+        "weighted_log2_sum": (
+            lambda: weighted_log2_sum(weights, flat, spans),
+            lambda i, j: libm.weighted_log2_sum(weights[i:j].tolist(), part(i, j)),
+        ),
+        "escort_weights": (escorts, lambda i, j: libm.escort_weights(part(i, j), alpha)),
+    }
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@given(data=short_batches())
+@settings(max_examples=40, deadline=None)
+def test_short_batches_equal_the_per_span_reference(alpha, data):
+    """Every short span of a batch gets the bits of the per-span libm loop,
+    or the batch raises the error type of the first failing span."""
+    flat, spans, bounds = data
+    for name, (kernel, reference) in _short_cases(flat, spans, alpha).items():
+        assert _batched(kernel, spans) == _per_span(reference, spans), name
+    if alpha == ALPHAS[0]:  # segment_sums does not take alpha
+        sums = list(itertools.pairwise(bounds))
+        assert _batched(lambda: segment_sums(flat, bounds), sums) == _per_span(
+            lambda i, j: math.fsum(flat[i:j].tolist()), sums)
+
+
+@pytest.mark.parametrize("name", ["log2_power_sum", "power_sum", "plogp_sum",
+                                  "weighted_log2_sum", "escort_weights"])
+def test_no_spans(name):
+    """``np.maximum.reduceat`` raises IndexError on empty input: no span
+    reaches it."""
+    flat = np.array([0.25, 0.75])
+    kernel, _ = _short_cases(flat, [], 2.0)[name]
+    assert kernel() == []
+    assert segment_sums(flat, [0]) == []
+    np.testing.assert_array_equal(escort_weights(flat, [], 2.0), np.zeros(2))
+
+
+def test_power_sum_overflow_inside_a_short_batch():
+    """float ** raises where numpy returns inf: a span that overflows makes
+    the whole batch raise `Overflow`, as that span does alone."""
+    flat = np.array([0.5, 0.5, 1e-120, 1.0, 0.25, 0.75])
+    spans = [(0, 2), (2, 4), (4, 6)]
+    with pytest.raises(Overflow, match=r"power sum with exponent -3\.0 overflowed"):
+        power_sum(flat, spans, -3.0)
+    with pytest.raises(Overflow, match=r"power sum with exponent -3\.0 overflowed"):
+        libm.power_sum(flat[2:4].tolist(), -3.0)
+    assert power_sum(flat, [(0, 2), (4, 6)], -3.0) == [
+        libm.power_sum([0.5, 0.5], -3.0), libm.power_sum([0.25, 0.75], -3.0)]
