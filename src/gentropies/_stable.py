@@ -1,34 +1,37 @@
 """Stable numeric kernels shared by the distribution and entropy layers.
 
-The kernels take float64 ndarrays.  Every sum is correctly rounded, equal
-to ``math.fsum`` bit for bit (see `exact_sum`), so results do not depend on
-the order of the input terms.  Power sums are max-factored in log2 space,
-which keeps them finite for exponents far beyond the naive overflow point.
+The kernels take float64 ndarrays.  Every sum equals ``math.fsum`` bit for
+bit, so results do not depend on the order of the terms.  A long sum takes
+blocks of w <= 2**m entries; with sigma a power of two >= 2**m * max|p|,
+each entry p splits exactly into q = (sigma + p) - sigma and p - q (Rump,
+Ogita and Oishi, "Accurate floating-point summation part I", 2008).  The
+q's are multiples of ulp(sigma)/2 and no w of them sum past sigma, so numpy
+sums them exactly in any order; what a few levels leave goes to exponent
+bins (Neal, arXiv:1505.05571), and ``math.fsum`` rounds the exact pieces
+once (see `exact_sum`).  Power sums are max-factored in log2 space, which
+keeps them finite for exponents far beyond the naive overflow point.
 
 The power, log and escort kernels and `segment_sums` are span kernels: they
 take one flat array plus ``(start, stop)`` spans and return one result per
 span (`escort_weights` returns one array, normalized within each span).  A
 single distribution is the one-span case; a joint's rows, or every trial of
-the axiom suite, are many spans of one array.  Each span takes its branch
-by its own length, and gets the bits it would get alone.  A branch takes
-all of its spans at once: one pass over their positive entries, per-span
-maxima from ``np.maximum.reduceat`` (exact), and the basic operations
+the axiom suite, are many spans of one array.  Each span takes its branch by
+its own length, and gets the bits it would get alone.  A branch takes all of
+its spans at once: one pass over their positive entries, per-span maxima
+from ``np.maximum.reduceat`` (exact), and the basic operations
 (``alpha * t``, ``t - m``, ``w / total``) in numpy, which rounds them as
-Python does.  The branches differ only in their transcendentals and their
-final sums:
+Python does.  The branches differ only in their transcendentals and sums:
 
 - below ``_VECTOR_MIN`` entries, libm: one C-level ``map`` of ``math.log2``
   or float ``**`` over the cells of all such spans, and ``math.fsum`` over
-  each span's slice of one list, which beat numpy's per-call overhead and
-  binning on tiny spans;
-- at and above it, numpy's log2/exp2/power and one segmented exact sum
-  (`_segment_fsum`).
+  each span's slice of one list, which beat numpy's per-call overhead;
+- at and above it, numpy's log2/exp2/power and one blocked exact sum.
 
 numpy's log2/exp2/power may differ from the libm functions by an ulp per
 term, so the two branches agree to a few ulps, not bit for bit.
 ``_VECTOR_MIN`` is the library's only size switch between two arithmetics:
-validation and every layer above take one path at every size
-(``_BINNED_MIN`` only picks how `exact_sum` reaches the same bits).
+validation and every layer above take one path at every size (``_BINNED_MIN``
+only picks how `exact_sum` reaches the same bits).
 """
 
 from __future__ import annotations
@@ -46,116 +49,130 @@ from .errors import Overflow
 #: of pairs or an ``(n, 2)`` integer array.
 Spans = Union[Sequence[tuple[int, int]], np.ndarray]
 
-# Below this length libm over Python floats beats numpy's per-call overhead.
-_VECTOR_MIN = 256
-
-# Below this length math.fsum over tolist() beats the binned sum: both take
-# 20-30 us at 512-640 entries, the binned sum wins from about 768 on and is
-# 1.7x faster at 1024.
-_BINNED_MIN = 768
-# Binned sums start at this biased exponent (|x| >= 2**961), and at inf/nan:
-# there math.fsum decides (it may overflow an intermediate or meet inf - inf).
-_BINNED_EXP_CAP = 1023 + 961
-# Clears the low 26 of the 52 stored mantissa bits.
-_HIGH_MASK = ~np.int64(2 ** 26 - 1)
-# Clears the sign bit.
-_ABS_MASK = np.int64(2 ** 63 - 1)
-# Each bin adds at most this many halves of at most 27 bits: every partial
-# sum stays an integer multiple of the bin's unit below 2**53, so it is exact.
-_BIN_CHUNK = 2 ** 26
-# A segmented sum keys at most this many (segment, exponent) bins at once,
-# which bounds its tables (32 MB with both halves) whatever the exponent range
-# of the terms.
-_TABLE_BINS = 2 ** 20
+_VECTOR_MIN = 256  # below this length libm over Python floats beats numpy's overhead
+_BINNED_MIN = 768  # below this length math.fsum over tolist() beats the blocked sum
+# Blocks of the exact sum: at most this many entries, so that its buffers
+# stay in cache and no temporary is larger.
+_BLOCK = 2 ** 15
+_LEVELS = 3  # extraction levels per block; what they leave goes to the bins
+_BIN_CHUNK = 2 ** 18  # entries in the bins of one run at most: they stay exact
+_PENDING = 2 ** 12  # about this many pieces of complete runs wait for fsum
+_HIGH_MASK = ~np.int64(2 ** 26 - 1)  # clears the low 26 of the 52 mantissa bits
 
 
 def exact_sum(values) -> float:
     """Correctly rounded sum of floats, equal to ``math.fsum`` bit for bit.
 
-    A float64 ndarray of ``_BINNED_MIN`` entries or more is summed without
-    leaving numpy, by exponent-binned accumulation (after Neal, "Fast exact
-    summation using small and large superaccumulators", 2015): each entry
-    splits into a high half (the sign, exponent and top 26 mantissa bits)
-    and the exact remainder, the halves are totalled per binary exponent
-    with ``bincount`` (exact, see ``_BIN_CHUNK``), and ``math.fsum`` rounds
-    the few thousand bin totals once.  Non-finite or huge entries (see
-    ``_BINNED_EXP_CAP``), and every other input, go to ``math.fsum``
-    directly, so its inf/nan/overflow behaviour is kept.  `_segment_fsum`
-    sums many segments of one array the same way.
+    A float64 ndarray of ``_BINNED_MIN`` entries or more goes in blocks of
+    w <= 2**m entries (at most ``_BLOCK``) through up to ``_LEVELS`` levels
+    of Rump, Ogita and Oishi's extraction: with sigma a power of two >=
+    2**m * max|p|, each p splits exactly into q = (sigma + p) - sigma, a
+    multiple of ulp(sigma)/2 of at most max|p|, and p - q; no partial sum of
+    the w q's passes sigma = 2**53 * ulp(sigma)/2, so ``add.reduce`` sums
+    them exactly in any order.  What the levels leave, or a block too wide
+    for them, goes to Neal's exponent bins (see `_segment_fsum`), and
+    ``math.fsum`` rounds the exact pieces once.  An inf, nan or |x| >= 2**961
+    sends the sum to ``math.fsum``, as does any other input.
     """
-    if type(values) is not np.ndarray:
-        return math.fsum(values)
-    if len(values) < _BINNED_MIN or values.dtype != np.float64:
-        return math.fsum(values.tolist())
-    bits = values.view(np.int64)
-    exps = bits >> 52
-    exps &= 0x7FF
-    if exps.max() >= _BINNED_EXP_CAP:
-        return math.fsum(values.tolist())
-    half = (bits & _HIGH_MASK).view(np.float64)  # the high halves, then the low ones
-    chunks = [slice(i, i + _BIN_CHUNK) for i in range(0, values.size, _BIN_CHUNK)]
-    totals = [np.bincount(exps[c], weights=half[c]) for c in chunks]
-    np.subtract(values, half, out=half)
-    totals = np.concatenate(totals + [np.bincount(exps[c], weights=half[c]) for c in chunks])
-    return math.fsum(totals[totals != 0.0].tolist())
+    if type(values) is not np.ndarray or values.dtype != np.float64:
+        return math.fsum(values.tolist() if type(values) is np.ndarray else values)
+    return _segment_fsum(values, [len(values)])[0]
 
 
 def _segment_fsum(values: np.ndarray, counts: Sequence[int]) -> list[float]:
     """``math.fsum`` of each run of ``counts[k]`` consecutive ``values``, bit for bit.
 
-    `exact_sum`'s binned sum over all segments at once.  Each half is
-    totalled by one ``bincount`` keyed by segment and exponent, over the
-    exponents from the smallest nonzero entry's to the largest (zeros join
-    the lowest bin), and ``math.fsum`` rounds each segment's nonzero bin
-    totals.  A chunk of at most ``_BIN_CHUNK`` entries and ``_TABLE_BINS``
-    bins goes to each ``bincount``; a segment may run over several chunks.
-    One segment is summed by `exact_sum`, and so is every segment when
-    some entry is inf, nan or at least 2**961 in magnitude, in order, so an
-    error is the one the first such segment raises.
+    `exact_sum` of all runs at once.  A bin holds high halves (sign, biased
+    exponent E in 8g..8g+7, top 26 mantissa bits) or low halves (the exact
+    rests) of one run: up to 2**18 high halves sum exactly, as multiples of
+    2**(8g - 1049) below 2**(8g - 997), and so do the low ones, multiples of
+    2**(8g - 1075) below 2**(8g - 1024).  A run takes 256 bins of a block, so
+    runs should be long (the kernels send ``_VECTOR_MIN`` entries or more).
+    If an entry is inf, nan or |x| >= 2**961, ``math.fsum`` takes each run
+    in order, so an error is the first failing run's.
     """
-    if len(counts) == 1:
-        return [exact_sum(values)]
-    if not values.size:
-        return [0.0] * len(counts)
+    n, k = len(values), len(counts)
+    if k == 1 and n < _BINNED_MIN:
+        return [math.fsum(values.tolist())]
     ends = list(itertools.accumulate(counts))
-    bits = values.view(np.int64)
-    keys = bits & _ABS_MASK  # the magnitudes' bits, then the keys
-    top, bottom = int(keys.max()), int(keys.min())
-    if top >> 52 >= _BINNED_EXP_CAP:
-        return [exact_sum(values[i:j]) for i, j in zip([0, *ends], ends)]
-    zeros = bottom == 0
-    if zeros:  # the smallest nonzero magnitude: zeros wrap round to the top
-        keys -= 1
-        bottom = int(keys.view(np.uint64).min()) + 1
-        keys += 1
-    top, low_exp = top >> 52, min(bottom >> 52, top >> 52)
-    width = top - low_exp + 1
-    keys >>= 52
-    if zeros:
-        np.maximum(keys, low_exp, out=keys)
-    buffer = np.repeat(np.arange(-low_exp, len(counts) * width - low_exp, width), counts)
-    keys += buffer
-    n = len(values)
-    group = max(1, _TABLE_BINS // width)  # segments per chunk
-    cuts = sorted({*range(0, n, _BIN_CHUNK), *(i for i in [0, *ends][::group] if i < n)})
-    nonzero_bins = np.zeros(len(counts), dtype=np.intp)
-    totals = []
-    for i, j in zip(cuts, [*cuts[1:], n]):
-        first, last = bisect.bisect_right(ends, i), bisect.bisect_right(ends, j - 1)
-        chunk = keys[i:j] - first * width if first else keys[i:j]
-        size = (last - first + 1) * width
-        half = np.bitwise_and(bits[i:j], _HIGH_MASK, out=buffer[:j - i]).view(np.float64)
-        high = np.bincount(chunk, weights=half, minlength=size)
-        np.subtract(values[i:j], half, out=half)
-        low = np.bincount(chunk, weights=half, minlength=size)
-        # row k: segment first + k, its high-half bins then its low-half bins
-        table = np.concatenate([high.reshape(-1, width), low.reshape(-1, width)], axis=1)
-        nonzero = table != 0.0
-        nonzero_bins[first:last + 1] += nonzero.sum(axis=1)
-        totals += table[nonzero].tolist()
-    fsum = math.fsum
-    bounds = [0, *itertools.accumulate(nonzero_bins.tolist())]
-    return [fsum(totals[i:j]) for i, j in itertools.pairwise(bounds)]
+    size = min(n, _BLOCK) or 1
+    m = max(size - 1, 1).bit_length()  # size <= 2**m
+    q, r = np.empty(size), None  # the rest after each level; a later level's q
+    out, pending = [], [(np.zeros(0, np.intp), np.zeros(0))]  # sums; (runs, exact pieces)
+    held, at = 0, -1  # the bins `acc` of run `at` hold `held` entries
+    for b0 in range(0, n + size, size):  # the last block is empty: it flushes `acc`
+        p = values[b0:b0 + size]
+        w = len(p)
+        first, last = bisect.bisect_right(ends, b0), bisect.bisect_right(ends, b0 + w - 1)
+        if held and (first != at or last != at or held + w > _BIN_CHUNK):
+            pending.append((np.full(np.count_nonzero(acc), at), acc[acc != 0.0]))
+            held = 0
+        if not w:
+            break
+        lo, hi = p.min(), p.max()
+        top = max(hi, -lo)
+        if not top < 2.0 ** 961:
+            return [math.fsum(values[i:j].tolist()) for i, j in zip([0, *ends], ends)]
+        offsets, segs = [0], [first]  # the runs with entries in the block, and their starts
+        if first < last:
+            starts = np.array([b0, *ends[first:last], b0 + w]) - b0
+            segs = np.flatnonzero(starts[1:] != starts[:-1])
+            offsets, segs = starts[segs], segs + first
+        src, e = p, math.frexp(top)[1]  # max|src| <= 2**e
+        floor = math.ldexp(1.0, e - _LEVELS * (53 - m) + 52)  # the levels leave bits below
+        least = lo if lo > 0.0 else -hi if hi < 0.0 else 0.0  # the least nonzero |p|
+        if not least and top:  # zeros or both signs: zeros wrap to the top of the minimum
+            least = ((np.abs(p).view(np.int64) - 1).view(np.uint64).min() + 1).view(np.float64)
+        sample = np.abs(p[::max(1, w >> 7)])  # entries out of the levels' reach, in a sample
+        wide = least < floor and 8 * np.count_nonzero(sample[sample < floor]) > len(sample)
+        for level in range(0 if wide or not top else _LEVELS):
+            r = np.empty(size) if r is None and level else r
+            sigma, t = math.ldexp(1.0, e + m), (r if level else q)[:w]
+            np.add(src, sigma, out=t)
+            t -= sigma
+            pending.append((segs, np.add.reduceat(t, offsets)))
+            src = np.subtract(src, t, out=q[:w])
+            e += m - 53  # |p - q| <= ulp(sigma)/2 <= 2**e
+            # the p - q are multiples of ulp(least), so once least >= 2**(e + m - 1)
+            # w of them sum exactly below 2**(e + m) <= 2**53 * ulp(least)
+            if least >= math.ldexp(1.0, e + m - 1):
+                pending.append((segs, np.add.reduceat(src, offsets)))
+                top = 0
+            top = top and src.any()
+            if not top:
+                break
+        if top:  # the bins: per run, half and eight exponents
+            where = slice(None) if src is p else np.flatnonzero(src)
+            x = src[where]  # p or a copy: q and r are free
+            key = np.right_shift(x.view(np.int64), 55) & 0xFF
+            r = np.empty(size) if r is None else r
+            high = np.bitwise_and(x.view(np.int64), _HIGH_MASK, out=q[:len(x)].view(np.int64))
+            halves = high.view(np.float64), np.subtract(x, high.view(np.float64), out=r[:len(x)])
+            if first < last:
+                key += np.repeat(np.arange(len(segs)) << 8, np.diff(offsets, append=w))[where]
+            table = np.concatenate([np.bincount(key, h, len(segs) << 8) for h in halves])
+            if first == last:  # the bins of one run add up over its blocks
+                acc, held, at = acc + table if held else table, held + w, first
+            else:
+                nonzero = np.flatnonzero(table)
+                pending.append((segs[(nonzero >> 8) % len(segs)], table[nonzero]))
+        if last > len(out) and sum(len(v) for _, v in pending) > _PENDING:
+            _round(out, pending, last)
+    if k == 1:
+        return [math.fsum(np.concatenate([v for _, v in pending]).tolist())]
+    _round(out, pending, k)
+    return out
+
+
+def _round(out: list, pending: list, stop: int) -> None:
+    """Appends to ``out`` the ``math.fsum`` of the ``pending`` pieces of each
+    run from ``len(out)`` up to ``stop``; those of later runs wait on."""
+    runs, values = map(np.concatenate, zip(*pending))
+    now = runs < stop
+    ready = values[now][np.argsort(runs[now], kind="stable")].tolist()
+    bounds = [0, *np.bincount(runs[now] - len(out), minlength=stop - len(out)).cumsum().tolist()]
+    pending[:] = [(runs[~now], values[~now])]
+    out += [math.fsum(ready[i:j]) for i, j in itertools.pairwise(bounds)]
 
 
 def spans_of(bounds: Sequence[int]) -> np.ndarray:

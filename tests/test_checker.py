@@ -295,7 +295,8 @@ class TestRunSuite:
         def refuse(*_):
             raise AssertionError("a trial was drawn")
 
-        monkeypatch.setattr(checker, "_random_joint", refuse)
+        monkeypatch.setattr(checker, "_random_joints", refuse)
+        monkeypatch.setattr(checker, "_random_distributions", refuse)
         with pytest.raises(ConfigError, match=str(MAX_SUITE_CELLS)):
             run_suite(CheckConfig(family=shannon(), **sizes))
 
@@ -532,13 +533,3 @@ def test_reports_do_not_depend_on_the_row_sum_bound(monkeypatch):
     bound = run_suite(cfg).to_json()
     monkeypatch.setattr(checker, "_rows_clear", lambda row_sums, total: False)
     assert run_suite(cfg).to_json() == bound
-
-
-def test_cell_budget_raises_before_the_batched_drawer(monkeypatch):
-    def refuse(*_):
-        raise AssertionError("a trial was drawn")
-
-    monkeypatch.setattr(checker, "_random_joints", refuse)
-    monkeypatch.setattr(checker, "_random_distributions", refuse)
-    with pytest.raises(ConfigError, match=str(MAX_SUITE_CELLS)):
-        run_suite(CheckConfig(family=shannon(), trials=2 ** 23, max_rows=2, max_cols=1))

@@ -18,7 +18,15 @@ from gentropies import (
     make_distribution,
     make_joint,
 )
-from gentropies.entropies import general_escort, nath, shannon, tsallis
+from gentropies.entropies import (
+    general_escort,
+    havrda_charvat,
+    nath,
+    renyi,
+    shannon,
+    tsallis,
+    uniform_trace,
+)
 from reference import ref_conditional_entropy, ref_entropy, ref_joint_entropy
 
 ALPHAS = (0.5, 3.0, 100.0)
@@ -95,3 +103,42 @@ def test_joint_entropy(family, joint_rows):
     assert joint_entropy(family, joint) == pytest.approx(
         ref_joint_entropy(family, rows), rel=1e-12, abs=1e-13
     )
+
+
+# Large inputs, past one block of the exact sums: a 2**12-entry draw, pinned
+# by the oracle, tiled m times and shuffled.  The tiled input is the product
+# of the draw with U_m, so its entropy is the draw's composed with the
+# uniform trace of m.
+TILED_FAMILIES = {
+    "shannon": shannon(),
+    "renyi(2)": renyi(2.0),
+    "renyi(100)": renyi(100.0),
+    "tsallis(2)": tsallis(2.0),
+    "havrda_charvat(0.5)": havrda_charvat(0.5),
+    "general_escort(2,-1,0)": general_escort(2.0, -1.0, 0.0),
+    "general_escort(2,-1,1)": general_escort(2.0, -1.0, 1.0),
+}
+TILED_SIZES = (2 ** 15 + 2 ** 12, 2 ** 20)
+
+
+@pytest.fixture(scope="module")
+def tile_base():
+    x = _draw(np.random.default_rng(4096), 2 ** 12)
+    return make_distribution((x / x.sum()).tolist())
+
+
+@pytest.fixture(scope="module", params=TILED_SIZES, ids=[f"n={n}" for n in TILED_SIZES])
+def tiled(request, tile_base):
+    m = request.param // len(tile_base)
+    rng = np.random.default_rng(request.param)
+    cells = np.tile(np.array(tile_base.probs), m) / m
+    return m, make_distribution(cells[rng.permutation(len(cells))].tolist())
+
+
+@pytest.mark.parametrize("name", list(TILED_FAMILIES))
+def test_tiled_draw_composes_with_the_uniform_trace(name, tile_base, tiled):
+    family = TILED_FAMILIES[name]
+    m, dist = tiled
+    expected = family.composition.add(
+        ref_entropy(family, tile_base.probs), uniform_trace(family, m))
+    assert entropy(family, dist) == pytest.approx(expected, rel=1e-12, abs=1e-13)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -340,19 +341,143 @@ def test_segment_sums_raise_what_the_first_failing_segment_raises(order):
 @given(
     pool=st.lists(finite_floats(), min_size=1, max_size=10),
     lengths=st.lists(SEGMENT_LENGTHS, min_size=2, max_size=8),
+    block=st.integers(5, 3000),
     chunk=st.integers(5, 3000),
-    table_bins=st.integers(1, 5000),
+    pending=st.integers(1, 5000),
     seed=st.integers(0, 2 ** 32 - 1),
 )
 @settings(max_examples=100, deadline=None)
-def test_binned_sums_with_chunks_across_segments(pool, lengths, chunk, table_bins, seed):
-    """Small chunks (at most ``_BIN_CHUNK`` entries, ``_TABLE_BINS`` bins)
-    cross segment boundaries; every sum stays ``math.fsum`` bit for bit."""
+def test_binned_sums_with_chunks_across_segments(pool, lengths, block, chunk, pending, seed):
+    """Small blocks, bin chunks and batches of pieces (at most ``_BLOCK`` and
+    ``_BIN_CHUNK`` entries, about ``_PENDING`` pieces) cross segment
+    boundaries; every sum stays ``math.fsum`` bit for bit."""
     x, bounds = _segments(pool, lengths, seed)
-    with mock.patch.object(_stable, "_BIN_CHUNK", chunk), \
-            mock.patch.object(_stable, "_TABLE_BINS", table_bins):
+    with mock.patch.object(_stable, "_BLOCK", block), \
+            mock.patch.object(_stable, "_BIN_CHUNK", chunk), \
+            mock.patch.object(_stable, "_PENDING", pending):
         assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
         assert _outcomes(segment_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
+
+
+def _blocked_sums(values, bounds):
+    """`_stable._segment_fsum` on the segments between ``bounds``, every one
+    of them long or short."""
+    return _stable._segment_fsum(values, np.diff(bounds).tolist())
+
+
+# Segment contents: how each reaches, or skips, the extraction levels and the bins.
+def _content(kind, m, rng):
+    if kind == "narrow":  # a few binades: the levels take every bit
+        x = rng.uniform(0.5, 8.0, m)
+    elif kind == "wide":  # hundreds of binades: straight to the bins
+        x = np.ldexp(rng.uniform(0.5, 1.0, m), rng.integers(-700, 300, m))
+    elif kind == "tail":  # a few entries out of the levels' reach: the binned remainder
+        x = rng.uniform(0.5, 8.0, m)
+        x[rng.random(m) < 0.05] = np.ldexp(rng.uniform(0.5, 1.0), int(rng.integers(-900, -100)))
+    elif kind == "subnormal":
+        x = rng.integers(1, 2 ** 52, m) * 5e-324
+    else:  # all zero
+        x = np.zeros(m)
+    return x * rng.choice([-1.0, 1.0], m)
+
+
+BLOCK_CONTENTS = ("narrow", "wide", "tail", "subnormal", "zero")
+
+
+@given(
+    parts=st.lists(st.tuples(st.sampled_from(BLOCK_CONTENTS), st.integers(0, 40)),
+                   min_size=1, max_size=12),
+    block=st.integers(5, 64),
+    levels=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_blocked_sums_at_block_edges(parts, block, levels, seed):
+    """Blocks of a few entries, each holding several segments: empty
+    segments between non-empty ones, blocks of subnormals or zeros only,
+    blocks that go to the bins directly, and blocks whose levels leave a
+    binned remainder.  Every sum is ``math.fsum`` bit for bit."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([np.zeros(0), *(_content(kind, m, rng) for kind, m in parts)])
+    bounds = np.cumsum([0, *(m for _, m in parts)]).tolist()
+    with mock.patch.object(_stable, "_BLOCK", block), \
+            mock.patch.object(_stable, "_LEVELS", levels), \
+            mock.patch.object(_stable, "_BINNED_MIN", 0):
+        assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
+        assert _outcomes(_blocked_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
+
+
+@given(
+    kinds=st.lists(st.sampled_from(BLOCK_CONTENTS), min_size=1, max_size=4),
+    lengths=st.lists(st.one_of(st.integers(0, 3),
+                               st.integers(_stable._BLOCK - 300, _stable._BLOCK + 300)),
+                     min_size=1, max_size=4),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_sums_past_one_block(kinds, lengths, seed):
+    """Inputs longer than ``_BLOCK``: blocks that start and end inside a
+    segment, and bins of one segment that add up over several blocks."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([np.zeros(0)] + [_content(kinds[i % len(kinds)], m, rng)
+                                        for i, m in enumerate(lengths)])
+    bounds = np.cumsum([0, *lengths]).tolist()
+    assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
+    assert _outcomes(_blocked_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
+    assert _outcomes(segment_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
+
+
+def test_levels_take_the_rest_whole_only_where_its_sum_is_exact():
+    """A tie that the last bit of one entry breaks: 1023 entries of
+    1 + 768 * 2**-52, each leaving 3/4 of a unit after the first level, and
+    one of 2**-35 * (1 + 2**-52).  The sum of the first level's rests
+    cannot hold that last bit; a second level keeps it."""
+    x = np.full(1024, 1.0 + 768 * 2.0 ** -52)
+    x[517] = 2.0 ** -35 * (1.0 + 2.0 ** -52)
+    without = x.copy()
+    without[517] = 2.0 ** -35
+    assert math.fsum(x.tolist()) != math.fsum(without.tolist())
+    assert exact_sum(x) == math.fsum(x.tolist())
+
+
+def test_bins_of_one_run_round_every_chunk():
+    """2**20 entries of one run in the bins: a quarter far below the rest,
+    so that every block goes to the bins straight away; the rest in the top
+    binade of an exponent group, and last a few in its bottom binade, whose
+    low bits a bin past 2**18 entries would lose."""
+    rng = np.random.default_rng(18)
+    x = rng.uniform(256.0, 512.0, 2 ** 20)  # biased exponent 1031 = 8 * 128 + 7
+    x[::4] = rng.uniform(1.0, 2.0, 2 ** 18) * 1e-200
+    x[-1000:] = rng.uniform(2.0, 4.0, 1000)  # biased exponent 1024 = 8 * 128
+    assert exact_sum(x) == math.fsum(x.tolist())
+    assert segment_sums(x, [0, 5, len(x)]) == [math.fsum(x[:5].tolist()), math.fsum(x[5:].tolist())]
+
+
+def _traced_peak(fn) -> int:
+    """The most bytes that ``fn()`` holds at once, as tracemalloc (which
+    sees numpy's buffers) counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_sums_hold_no_input_sized_temporary():
+    """The blocked sum works in buffers of one block: on 2**20 entries (8 MB)
+    its peak stays under 2 MB, on one segment or on 1024 rows."""
+    rng = np.random.default_rng(15)
+    x = rng.exponential(1.0, 2 ** 20)
+    x[rng.random(x.size) < 0.1] = 0.0
+    x /= x.sum()
+    bounds = np.cumsum([0, *rng.integers(256, 1025, 1024)]).tolist()
+    rows = x[:bounds[-1]]
+    wide = x ** 50.0  # over hundreds of binades: the bins
+    for fn in (lambda: exact_sum(x), lambda: exact_sum(wide),
+               lambda: segment_sums(rows, bounds), lambda: segment_sums(wide[:bounds[-1]], bounds)):
+        assert _traced_peak(fn) < 2 * 2 ** 20
 
 
 # The short branch against its per-span definition (tests/libm_reference.py).
