@@ -23,9 +23,15 @@ from ``np.maximum.reduceat`` (exact), and the basic operations
 Python does.  The branches differ only in their transcendentals and sums:
 
 - below ``_VECTOR_MIN`` entries, libm: one C-level ``map`` of ``math.log2``
-  or float ``**`` over the cells of all such spans, and ``math.fsum`` over
-  each span's slice of one list, which beat numpy's per-call overhead;
+  or ``math.pow`` over the cells of all such spans, and a ``math.fsum`` per
+  span, fed by ``islice`` from that map or one list, which beat numpy's
+  per-call overhead;
 - at and above it, numpy's log2/exp2/power and one blocked exact sum.
+
+``math.pow(x, a)`` makes the C ``pow`` call that ``x ** a`` makes, at about
+half the cost: for the positive x and finite a of the kernels both give the
+same bits, and both raise ``OverflowError`` where the result would be
+infinite (``tests/test_stable.py`` pins it).
 
 numpy's log2/exp2/power may differ from the libm functions by an ulp per
 term, so the two branches agree to a few ulps, not bit for bit.
@@ -228,8 +234,8 @@ def _cells(flat: np.ndarray, spans: np.ndarray):
 def _libm(fn: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:
     """``fn`` of every entry of ``x`` (and of ``args``) over Python floats:
     libm in one C-level map, which beats numpy's per-call overhead on tiny
-    inputs.  The transcendentals below take it for a short group of spans,
-    and numpy for a long one."""
+    inputs, as an array for the numpy steps that follow (see `_exp2` for the
+    maps that only `_sums` reads)."""
     return np.fromiter(map(fn, x.tolist(), *args), np.float64, len(x))
 
 
@@ -237,24 +243,22 @@ def _log2(x: np.ndarray, short: bool) -> np.ndarray:
     return _libm(math.log2, x) if short else np.log2(x)
 
 
-def _exp2(t: np.ndarray, short: bool) -> np.ndarray:  # in place for a long group
-    return _libm((2.0).__pow__, t) if short else np.exp2(t, out=t)
+def _exp2(t: np.ndarray, short: bool):  # a lazy math.pow map if short, else in place
+    return map(math.pow, itertools.repeat(2.0), t.tolist()) if short else np.exp2(t, out=t)
 
 
-def _power(x: np.ndarray, alpha: float, short: bool) -> np.ndarray:
-    # float ** raises OverflowError where numpy returns inf
-    return _libm(float.__pow__, x, itertools.repeat(alpha)) if short else np.power(x, alpha)
+def _power(x: np.ndarray, alpha: float, short: bool):  # pow raises where numpy gives inf
+    return map(math.pow, x.tolist(), itertools.repeat(alpha)) if short else np.power(x, alpha)
 
 
-def _sums(terms: np.ndarray, counts: np.ndarray, short: bool) -> list[float]:
+def _sums(terms, counts: np.ndarray, short: bool) -> list[float]:
     """The exact sum of each run of ``counts[k]`` consecutive ``terms``:
-    ``math.fsum`` over each run's slice of one list for a short group, one
-    segmented exact sum for a long group."""
+    for a short group a ``math.fsum`` per run over an ``islice`` of the terms
+    (an array or an iterator), for a long group one segmented exact sum."""
     if not short:
         return _segment_fsum(terms, counts.tolist())
-    values, fsum = terms.tolist(), math.fsum
-    ends = counts.cumsum().tolist()
-    return [fsum(values[i:j]) for i, j in zip([0, *ends], ends)]
+    terms = iter(terms.tolist() if isinstance(terms, np.ndarray) else terms)
+    return list(map(math.fsum, map(itertools.islice, itertools.repeat(terms), counts.tolist())))
 
 
 def _spread(per_span: np.ndarray, counts: np.ndarray):
@@ -262,16 +266,26 @@ def _spread(per_span: np.ndarray, counts: np.ndarray):
     return per_span[0] if len(counts) == 1 else np.repeat(per_span, counts)
 
 
-def _scaled_powers(x: np.ndarray, counts: np.ndarray, alpha: float, short: bool):
-    """Per span the largest t = alpha * log2(x), m, and every 2**(t - m).
+def _scaled_powers(logs: np.ndarray, counts: np.ndarray, alpha: float, short: bool, keep=False):
+    """Per span the largest t = alpha * log2(x), m, and every 2**(t - m),
+    from the ``logs`` of the positive x (overwritten unless ``keep``).
     Every span needs a positive entry."""
     if np.count_nonzero(counts) < len(counts):
         raise ValueError("every span needs a positive entry")
-    t = _log2(x, short)
-    t *= alpha
+    t = np.multiply(logs, alpha, out=None if keep else logs)
     m = np.maximum.reduceat(t, counts.cumsum() - counts)
     t -= _spread(m, counts)
     return m, _exp2(t, short)
+
+
+def _escort(logs: np.ndarray, counts: np.ndarray, alpha: float, short: bool, keep=False):
+    """The alpha-escort weights of each span's positive x from their ``logs``
+    (see `_scaled_powers`), and the sum that normalized each span."""
+    w = _scaled_powers(logs, counts, alpha, short, keep)[1]
+    w = np.fromiter(w, np.float64, len(logs)) if short else w
+    totals = _sums(w, counts, short)
+    w /= _spread(np.array(totals), counts)
+    return w, totals
 
 
 def _span_map(spans: Spans, group: Callable[[np.ndarray, bool], Sequence[float]]) -> list:
@@ -307,19 +321,26 @@ def segment_sums(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
     )
 
 
-def log2_power_sum(flat: np.ndarray, spans: Spans, alpha: float) -> list[float]:
-    """Per span, log2 of sum_k p_k**alpha over its positive entries.
+def log2_power_sum(
+    flat: np.ndarray, spans: Spans, alpha: float, minus: float | None = None
+) -> list[float]:
+    """Per span, log2 of sum_k p_k**alpha over its positive entries, less
+    the same for exponent ``minus`` if given (from one log2 per entry).
 
     Factoring out the largest term keeps every intermediate in [0, 1], so
     the result is finite for |alpha| up to several hundred.  Every span
     needs a positive entry.
     """
-    log2 = math.log2
 
     def group(spans, short):
         _, x, _, counts = _cells(flat, spans)
-        m, terms = _scaled_powers(x, counts, alpha, short)
-        return [a + log2(s) for a, s in zip(m.tolist(), _sums(terms, counts, short))]
+        logs = _log2(x, short)
+        exponents, values = [alpha] if minus is None else [alpha, minus], []
+        for k, a in enumerate(exponents):  # the last one may overwrite the logs
+            m, terms = _scaled_powers(logs, counts, a, short, keep=k < len(exponents) - 1)
+            sums = _sums(terms, counts, short)
+            values.append([b + math.log2(s) for b, s in zip(m.tolist(), sums)])
+        return values[0] if minus is None else [a - b for a, b in zip(*values)]
 
     return _span_map(spans, group)
 
@@ -339,25 +360,26 @@ def power_sum(flat: np.ndarray, spans: Spans, alpha: float) -> list[float]:
 
 def plogp_sum(flat: np.ndarray, spans: Spans) -> list[float]:
     """Per span, sum_k p_k * log2(p_k) over positive entries (0*log 0 := 0)."""
-
-    def group(spans, short):
-        _, x, _, counts = _cells(flat, spans)
-        terms = _log2(x, short)
-        terms *= x
-        return _sums(terms, counts, short)
-
-    return _span_map(spans, group)
+    return weighted_log2_sum(None, flat, spans)
 
 
-def weighted_log2_sum(weights: np.ndarray, flat: np.ndarray, spans: Spans) -> list[float]:
-    """Per span, sum_k w_k * log2(p_k) over the positive entries p_k of ``flat``."""
+def weighted_log2_sum(
+    weights: np.ndarray | None, flat: np.ndarray, spans: Spans, alpha: float = 1.0
+) -> list[float]:
+    """Per span, sum_k w_k * log2(p_k) over the positive entries p_k of ``flat``.
+
+    Without ``weights``, w is each span's `escort_weights` of ``alpha`` (p
+    itself at alpha 1), bit for bit, from the same log2 per entry.
+    """
 
     def group(spans, short):
         where, x, pos, counts = _cells(flat, spans)
-        w = weights[where]
-        terms = _log2(x, short)
-        terms *= w if pos is None else w[pos]
-        return _sums(terms, counts, short)
+        logs = _log2(x, short)
+        if weights is not None:
+            logs *= weights[where] if pos is None else weights[where][pos]
+        else:
+            logs *= x if alpha == 1.0 else _escort(logs, counts, alpha, short, keep=True)[0]
+        return _sums(logs, counts, short)
 
     return _span_map(spans, group)
 
@@ -376,9 +398,7 @@ def escort_weights(flat: np.ndarray, spans: Spans, alpha: float) -> np.ndarray:
 
     def group(spans, short):  # writes the weights, returns the totals
         where, x, pos, counts = _cells(flat, spans)
-        w = _scaled_powers(x, counts, alpha, short)[1]
-        totals = _sums(w, counts, short)
-        w /= _spread(np.array(totals), counts)
+        w, totals = _escort(_log2(x, short), counts, alpha, short)
         if pos is not None:  # zero weights back in place
             full = np.zeros(pos.size)
             full[pos] = w

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -59,18 +59,17 @@ PRNG_NAME = "numpy.random.PCG64"
 MAX_CHAIN_LENGTH = 22
 
 #: Largest ``trials * max(max_rows * max_cols, MIN_TRIAL_CELLS)`` that
-#: `run_suite` accepts.  The suite draws every trial before checking any:
-#: 8 bytes per drawn cell (the joints take a quarter of the bound on average,
-#: 32 MiB at the bound) plus about a kilobyte of Python objects per trial.
-#: The trials are normalized in chunks of ``_BATCH_TRIALS``, so the draws
-#: waiting for a chunk's normalization add no more than one chunk.
+#: `run_suite` accepts.  The suite draws every trial before checking any,
+#: into one CSR store per check: 8 bytes per drawn cell (the joints take a
+#: quarter of the bound on average, 32 MiB at the bound) and per row and
+#: trial bound.  The trials are normalized in chunks of ``_BATCH_TRIALS``,
+#: so the draws waiting for a chunk's normalization add no more than one chunk.
 MAX_SUITE_CELLS = 2 ** 24
 
 #: Least charge per trial against ``MAX_SUITE_CELLS`` (the default 8 x 8
-#: shape), for the Python objects every drawn trial holds whatever its shape:
-#: a joint, its row bounds, two distributions and a tuple of counts, each
-#: joint and distribution a view of its chunk's flat array (0.85-1.1 KB per
-#: trial from 2 x 1 to 8 x 8, cells included).
+#: shape), for what every trial holds whatever its shape: the stores take
+#: 0.18-0.4 KB per trial from 2 x 1 to 8 x 8, and the residuals and their
+#: scales about 0.2 KB of Python floats more.
 MIN_TRIAL_CELLS = 64
 
 #: Trials per batch of a check in `run_suite`: this bounds the arrays one
@@ -78,28 +77,45 @@ MIN_TRIAL_CELLS = 64
 _BATCH_TRIALS = 1024
 
 
-def _concat(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays end to end, and the span each one occupies."""
-    flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-    return flat, spans_of(np.cumsum([0, *map(len, arrays)]))
+def _starts(lengths) -> np.ndarray:
+    """Where each of consecutive pieces of ``lengths`` starts, then the end."""
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
 
 
-def _batch(joints: Sequence[JointDistribution]) -> tuple[JointDistribution, list[int]]:
-    """All rows of ``joints`` end to end in one joint, and the row index where
-    each joint starts, followed by the row count."""
-    if len(joints) == 1:
-        return joints[0], [0, len(joints[0])]
-    bounds, groups = [0], [0]
-    for joint in joints:
-        offset = bounds[-1]
-        bounds += [offset + b for b in joint._bounds[1:]]
-        groups.append(len(bounds) - 1)
-    return JointDistribution._wrap(np.concatenate([j._flat for j in joints]), bounds), groups
+class _Trials:
+    """Trials in one CSR store: ``flat`` cut into rows of ``row_lengths``
+    cells, row k being ``flat[bounds[k]:bounds[k + 1]]``, and the rows into
+    trials of ``trial_rows`` rows, trial t being rows ``offsets[t]`` to
+    ``offsets[t + 1] - 1``.  A check reads a batch of trials as arrays,
+    without an object per trial; slicing gives a run of trials as a store
+    over a view of the same cells."""
+
+    __slots__ = ("flat", "bounds", "offsets")
+
+    def __init__(self, flat: np.ndarray, row_lengths, trial_rows) -> None:
+        self.flat, self.bounds, self.offsets = flat, _starts(row_lengths), _starts(trial_rows)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, trials: slice) -> _Trials:
+        start, stop, _ = trials.indices(len(self))
+        rows = self.offsets[start:stop + 1]
+        bounds = self.bounds[rows[0]:rows[-1] + 1]
+        return _Trials(self.flat[bounds[0]:bounds[-1]], np.diff(bounds), np.diff(rows))
+
+    def rows(self) -> list[list]:
+        """Every row, as a list."""
+        return [self.flat[i:j].tolist() for i, j in itertools.pairwise(self.bounds.tolist())]
 
 
-def _cell_spans(bounds: Sequence[int], groups: Sequence[int]) -> np.ndarray:
-    """The cells of each group of rows, from the row ``bounds``."""
-    return spans_of(np.asarray(bounds)[groups])
+def _trials(inputs, parts: Callable[[Any], tuple[np.ndarray, Sequence[int]]]) -> _Trials:
+    """``inputs`` as a store: a store as it is, else one trial per x of ``parts(x)``."""
+    if isinstance(inputs, _Trials):
+        return inputs
+    cells, lengths = zip(*map(parts, inputs))
+    flat = cells[0] if len(cells) == 1 else np.concatenate(cells)
+    return _Trials(flat, np.concatenate(lengths), list(map(len, lengths)))
 
 
 # Each check below takes a batch of inputs and returns the residual of every
@@ -108,13 +124,12 @@ def _cell_spans(bounds: Sequence[int], groups: Sequence[int]) -> np.ndarray:
 
 
 def _strong_additivity(family, joints) -> tuple[list[float], list[float]]:
-    batch, groups = _batch(joints)
-    whole = span_entropies(family, batch._flat, _cell_spans(batch._bounds, groups))
-    margs = group_marginals(batch, groups)
-    parts = zip(
-        span_entropies(family, margs, spans_of(groups)),
-        conditional_entropies(family, batch, groups, margs),
-    )
+    t = _trials(joints, lambda joint: (joint._flat, np.diff(joint._bounds)))
+    batch = JointDistribution._wrap(t.flat, t.bounds)
+    whole = span_entropies(family, t.flat, spans_of(t.bounds[t.offsets]))
+    margs = group_marginals(batch, t.offsets)
+    parts = zip(span_entropies(family, margs, spans_of(t.offsets)),
+                conditional_entropies(family, batch, t.offsets, margs))
     add = family.composition.add
     return [abs(w - add(m, c)) for w, (m, c) in zip(whole, parts)], [abs(w) for w in whole]
 
@@ -135,7 +150,8 @@ def counterexample_probe(family: EntropyFamily) -> float:
 
 def _chain(family, lengths) -> tuple[list[float], list[float]]:
     # every product of powers of two is exact, so U_2^{(x)n} is U_{2**n} bit for bit
-    values = span_entropies(family, *_concat([uniform(2 ** n)._array for n in lengths]))
+    t = _trials(lengths, lambda n: (uniform(2 ** n)._array, [2 ** n]))
+    values = span_entropies(family, t.flat, spans_of(t.bounds))
     d = family.composition
     coin = d.h_inv(entropy(family, uniform(2)))
     return [abs(v - d.h(n * coin)) for v, n in zip(values, lengths)], [abs(v) for v in values]
@@ -158,11 +174,10 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
 
 
 def _trace(family, dims) -> tuple[list[float], list[float]]:
-    values = span_entropies(family, *_concat([uniform(n)._array for n in dims]))
-    return (
-        [abs(v - uniform_trace(family, n)) for v, n in zip(values, dims)],
-        [abs(v) for v in values],
-    )
+    t = _trials(dims, lambda n: (uniform(n)._array, [n]))
+    values = span_entropies(family, t.flat, spans_of(t.bounds))
+    residuals = [abs(v - uniform_trace(family, n)) for v, n in zip(values, dims)]
+    return residuals, [abs(v) for v in values]
 
 
 def uniform_trace_residual(family: EntropyFamily, n: int) -> float:
@@ -171,21 +186,20 @@ def uniform_trace_residual(family: EntropyFamily, n: int) -> float:
 
 
 def _refinement(family, counts_list) -> tuple[list[float], list[float]]:
+    t = _trials(counts_list, lambda counts: (np.array(counts, dtype=np.intp), [len(counts)]))
     # the refinement joints end to end: joint t has one row of m_i cells of
-    # 1/m per count m_i of ``counts_list[t]``, m their sum
-    bounds = [0, *itertools.accumulate(int(c) for counts in counts_list for c in counts)]
-    groups = [0, *itertools.accumulate(map(len, counts_list))]
-    cells = _cell_spans(bounds, groups)
+    # 1/m per count m_i of trial t (its one row of the store), m their sum
+    bounds = _starts(t.flat)
+    groups = t.bounds[t.offsets]
+    cells = spans_of(bounds[groups])
     sizes = cells[:, 1] - cells[:, 0]
-    batch = JointDistribution._wrap(np.repeat([1.0 / m for m in sizes.tolist()], sizes), bounds)
+    batch = JointDistribution._wrap(np.repeat(1.0 / sizes, sizes), bounds)
     margs = group_marginals(batch, groups)
     direct = span_entropies(family, margs, spans_of(groups))
     whole = span_entropies(family, batch._flat, cells)
     subtract = family.composition.subtract
-    rebuilt = [
-        subtract(w, c)
-        for w, c in zip(whole, conditional_entropies(family, batch, groups, margs))
-    ]
+    conditionals = conditional_entropies(family, batch, groups, margs)
+    rebuilt = [subtract(w, c) for w, c in zip(whole, conditionals)]
     return [abs(d - r) for d, r in zip(direct, rebuilt)], [abs(d) for d in direct]
 
 
@@ -201,17 +215,19 @@ def refinement_consistency(family: EntropyFamily, counts: Sequence[int]) -> floa
 
 
 def _product(family, pairs) -> tuple[list[float], list[float]]:
-    ps, p_spans = _concat([p._array for p, _ in pairs])
-    qs, q_spans = _concat([q._array for _, q in pairs])
+    t = _trials(pairs, lambda pq: (np.concatenate([d._array for d in pq]), list(map(len, pq))))
+    rows = spans_of(t.bounds)  # p and q of each trial
+    p, q = rows[0::2], rows[1::2]
     # the outer products end to end: one row per entry of p, its pair's q
-    lengths = p_spans[:, 1] - p_spans[:, 0]
-    rows = np.repeat(q_spans, lengths, axis=0)
-    cells = np.repeat(ps, rows[:, 1] - rows[:, 0]) * span_cells(qs, rows)
-    sizes = lengths * (q_spans[:, 1] - q_spans[:, 0])
-    whole = span_entropies(family, cells, spans_of(np.cumsum([0, *sizes])))
-    parts = zip(span_entropies(family, ps, p_spans), span_entropies(family, qs, q_spans))
+    lengths = p[:, 1] - p[:, 0]
+    q_rows = np.repeat(q, lengths, axis=0)
+    cells = np.repeat(span_cells(t.flat, p), q_rows[:, 1] - q_rows[:, 0])
+    cells *= span_cells(t.flat, q_rows)
+    whole = span_entropies(family, cells, spans_of(_starts(lengths * (q[:, 1] - q[:, 0]))))
+    parts = span_entropies(family, t.flat, rows)
     add = family.composition.add
-    return [abs(w - add(a, b)) for w, (a, b) in zip(whole, parts)], [abs(w) for w in whole]
+    residuals = [abs(w - add(a, b)) for w, a, b in zip(whole, parts[0::2], parts[1::2])]
+    return residuals, [abs(w) for w in whole]
 
 
 def product_additivity_residual(
@@ -274,39 +290,20 @@ class CheckReport:
     verdict: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "seed": self.seed,
-            "prng": self.prng,
-            "checks": [
-                {
-                    "name": c.name,
-                    "max_residual": c.max_residual,
-                    "mean_residual": c.mean_residual,
-                    "max_relative_residual": c.max_relative_residual,
-                    "mean_relative_residual": c.mean_relative_residual,
-                    "worst_input": c.worst_input,
-                    "verdict": c.verdict,
-                }
-                for c in self.checks
-            ],
-            "verdict": self.verdict,
-        }
+        """The fields in declaration order, the checks as a list of dicts."""
+        return {**asdict(self), "checks": [asdict(c) for c in self.checks]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _normalized(parts: Sequence[np.ndarray], totals: Sequence[float]):
-    """Each ``parts[t] / totals[t]`` divided by its own exact sum, end to
-    end, and where each part starts, followed by the length."""
+def _normalized(parts: Sequence[np.ndarray], totals: Sequence[float]) -> np.ndarray:
+    """Each ``parts[t] / totals[t]`` divided by its own exact sum, end to end."""
     sizes = [len(part) for part in parts]
     flat = np.concatenate(parts)
     flat /= np.repeat(totals, sizes)
-    starts = [0, *itertools.accumulate(sizes)]
-    flat /= np.repeat(segment_sums(flat, starts), sizes)
-    return flat, starts
+    flat /= np.repeat(segment_sums(flat, _starts(sizes)), sizes)
+    return flat
 
 
 def _rows_clear(row_sums: Sequence[float], total: float) -> bool:
@@ -316,65 +313,92 @@ def _rows_clear(row_sums: Sequence[float], total: float) -> bool:
     return min(row_sums) > 2e-12 * total
 
 
-def _random_joints(
-    rng: np.random.Generator, trials: int, max_rows: int, max_cols: int
-) -> list[JointDistribution]:
+# Each draw below returns the cells of its trials end to end, their row
+# lengths and the rows of each trial: the arguments of `_Trials`.
+
+
+def _draw_joints(rng: np.random.Generator, trials: int, max_rows: int, max_cols: int):
     """``trials`` joints, drawn one after another, normalized all at once."""
-    cells, totals, row_bounds = [], [], []
+    cells, totals, lengths, add = [], [], [], np.add.reduce
     for _ in range(trials):
         # rows with marginal below 1e-12 are excluded by redrawing the joint,
         # so conditionals are always defined
         while True:
             n_rows = int(rng.integers(2, max_rows + 1))
-            lengths = rng.integers(1, max_cols + 1, size=n_rows)
-            bounds = [0, *itertools.accumulate(lengths.tolist())]
+            sizes = rng.integers(1, max_cols + 1, size=n_rows)
+            bounds = [0, *itertools.accumulate(sizes.tolist())]
             drawn = rng.exponential(1.0, size=bounds[-1])
-            # numpy's row by row sums, whose rounding the reports depend on
-            rows = [float(drawn[i:j].sum()) for i, j in itertools.pairwise(bounds)]
+            # numpy's row by row sums (``add.reduce`` is ``ndarray.sum``), whose
+            # rounding the reports depend on
+            rows = [float(add(drawn[i:j])) for i, j in itertools.pairwise(bounds)]
             total = float(sum(rows))
             if _rows_clear(rows, total) or min(segment_sums(drawn / total, bounds)) >= 1e-12:
                 break
         cells.append(drawn)
         totals.append(total)
-        row_bounds.append(bounds)
-    flat, starts = _normalized(cells, totals)
-    return [
-        JointDistribution._wrap(flat[i:j], bounds)
-        for i, j, bounds in zip(starts, starts[1:], row_bounds)
-    ]
+        lengths.append(sizes)
+    return _normalized(cells, totals), np.concatenate(lengths), list(map(len, lengths))
 
 
-def _random_joint(rng: np.random.Generator, max_rows: int, max_cols: int) -> JointDistribution:
-    return _random_joints(rng, 1, max_rows, max_cols)[0]
-
-
-def _random_distributions(rng: np.random.Generator, max_dims: Sequence[int]) -> list[Distribution]:
+def _draw_distributions(rng: np.random.Generator, max_dims: Sequence[int]):
     """One distribution per entry of ``max_dims``, drawn one after another,
-    normalized all at once."""
+    normalized all at once: one trial of one row each."""
     draws = []
     for max_dim in max_dims:
         dim = int(rng.integers(2, max(max_dim, 2) + 1))
         draws.append(rng.exponential(1.0, size=dim))
-    flat, starts = _normalized(draws, [e.sum() for e in draws])
-    return [Distribution._wrap(flat[i:j]) for i, j in zip(starts, starts[1:])]
+    flat = _normalized(draws, [np.add.reduce(e) for e in draws])
+    return flat, list(map(len, draws)), [1] * len(draws)
 
 
-def _random_distribution(rng: np.random.Generator, max_dim: int) -> Distribution:
+def _draw_counts(rng: np.random.Generator, trials: int, max_rows: int, max_cols: int):
+    """``trials`` refinement block sizes, one trial of one row each."""
+    draws = [rng.integers(1, max_cols + 1, size=int(rng.integers(2, max_rows + 1)))
+             for _ in range(trials)]
+    return np.concatenate(draws), list(map(len, draws)), [1] * trials
+
+
+def _drawn(draw: Callable[[int], tuple], trials: int) -> tuple:
+    """``draw(n)`` over chunks of up to ``_BATCH_TRIALS`` trials, end to end,
+    so that only one chunk's own draws wait for their normalization."""
+    chunks = [draw(min(_BATCH_TRIALS, trials - s)) for s in range(0, trials, _BATCH_TRIALS)]
+    return tuple(map(np.concatenate, zip(*chunks)))
+
+
+def _draw_suite(cfg: CheckConfig) -> tuple[_Trials, _Trials, _Trials]:
+    """The suite's joints, product pairs and refinement counts, in that order."""
+    rng = np.random.default_rng(cfg.seed)
+    rows, cols = cfg.max_rows, cfg.max_cols
+    joints = _Trials(*_drawn(lambda n: _draw_joints(rng, n, rows, cols), cfg.trials))
+    cells, sizes, _ = _drawn(lambda n: _draw_distributions(rng, [rows, cols] * n), cfg.trials)
+    counts = _Trials(*_drawn(lambda n: _draw_counts(rng, n, rows, cols), cfg.trials))
+    return joints, _Trials(cells, sizes, [2] * cfg.trials), counts
+
+
+# The draws as objects, one per trial (the suite reads the stores).
+
+
+def _random_joints(rng, trials: int, max_rows: int, max_cols: int) -> list[JointDistribution]:
+    store = _Trials(*_draw_joints(rng, trials, max_rows, max_cols))
+    ones = (store[t:t + 1] for t in range(trials))
+    return [JointDistribution._wrap(one.flat, one.bounds.tolist()) for one in ones]
+
+
+def _random_joint(rng, max_rows: int, max_cols: int) -> JointDistribution:
+    return _random_joints(rng, 1, max_rows, max_cols)[0]
+
+
+def _random_distributions(rng, max_dims: Sequence[int]) -> list[Distribution]:
+    flat, sizes, _ = _draw_distributions(rng, max_dims)
+    return [Distribution._wrap(d) for d in np.split(flat, np.cumsum(sizes)[:-1])]
+
+
+def _random_distribution(rng, max_dim: int) -> Distribution:
     return _random_distributions(rng, [max_dim])[0]
 
 
-def _drawn(draw: Callable[[int], list], trials: int) -> list:
-    """``draw(n)`` over chunks of up to ``_BATCH_TRIALS`` trials, end to end,
-    so that only one chunk's own draws wait for their normalization."""
-    out = []
-    for start in range(0, trials, _BATCH_TRIALS):
-        out += draw(min(_BATCH_TRIALS, trials - start))
-    return out
-
-
-def _random_counts(rng: np.random.Generator, max_rows: int, max_cols: int) -> tuple[int, ...]:
-    length = int(rng.integers(2, max_rows + 1))
-    return tuple(rng.integers(1, max_cols + 1, size=length).tolist())
+def _random_counts(rng, max_rows: int, max_cols: int) -> tuple[int, ...]:
+    return tuple(_draw_counts(rng, 1, max_rows, max_cols)[0].tolist())
 
 
 def _measure(name: str, check, family, inputs: Sequence) -> tuple[list[float], list[float]]:
@@ -396,8 +420,8 @@ def _measure(name: str, check, family, inputs: Sequence) -> tuple[list[float], l
         else:
             failure = None
         if failure is not None:
-            for one in batch:
-                _measure(name, check, family, [one])
+            for t in range(len(batch)):  # one-trial slices of a store or a list
+                _measure(name, check, family, batch[t:t + 1])
             raise failure
         for residual in batch_residuals:
             if not math.isfinite(residual):
@@ -407,37 +431,23 @@ def _measure(name: str, check, family, inputs: Sequence) -> tuple[list[float], l
     return residuals, scales
 
 
-def _aggregate(
-    name: str,
-    residuals: Sequence[float],
-    scales: Sequence[float],
-    inputs: Sequence,
-    describe: Callable[[Any], Any],
-    tolerance: float,
-) -> CheckRecord:
+def _aggregate(name: str, residuals: Sequence[float], scales: Sequence[float], inputs,
+               describe: Callable[[Any], Any], tolerance: float) -> CheckRecord:
     relatives = [r / (1.0 + s) for r, s in zip(residuals, scales)]
     worst = max(range(len(relatives)), key=relatives.__getitem__)  # the first maximum
     worst_rel = relatives[worst]
     max_abs = max(residuals)
-    if worst_rel <= tolerance:
-        verdict = "pass"
-    elif max_abs >= VIOLATION_THRESHOLD:
-        verdict = "violation detected"
-    else:
-        verdict = "fail"
+    verdict = ("pass" if worst_rel <= tolerance
+               else "violation detected" if max_abs >= VIOLATION_THRESHOLD else "fail")
     return CheckRecord(
         name=name,
         max_residual=max_abs,
         mean_residual=math.fsum(residuals) / len(residuals),
         max_relative_residual=worst_rel,
         mean_relative_residual=math.fsum(relatives) / len(relatives),
-        worst_input=describe(inputs[worst]),
+        worst_input=describe(inputs[worst:worst + 1]),
         verdict=verdict,
     )
-
-
-def _joint_as_input(joint: JointDistribution) -> dict[str, Any]:
-    return {"rows": [list(r) for r in joint.rows]}
 
 
 def run_suite(cfg: CheckConfig) -> CheckReport:
@@ -462,35 +472,24 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
             f"budget of {MAX_SUITE_CELLS} cells"
         )
     family = cfg.family
-    rng = np.random.default_rng(cfg.seed)
-    rows, cols = cfg.max_rows, cfg.max_cols
-    joints = _drawn(lambda n: _random_joints(rng, n, rows, cols), cfg.trials)
-    dists = _drawn(lambda n: _random_distributions(rng, [rows, cols] * n), cfg.trials)
-    pairs = list(zip(dists[::2], dists[1::2]))
-    counts_list = [_random_counts(rng, rows, cols) for _ in range(cfg.trials)]
-    chain_lengths = list(range(1, 13))
-    trace_dims = [2 ** k for k in range(1, 15)]
-
+    joints, pairs, counts = _draw_suite(cfg)
     checks = [
-        ("strong_additivity", _strong_additivity, joints, _joint_as_input),
-        ("counterexample_probe", _strong_additivity, [PROBE_JOINT], _joint_as_input),
-        ("product_additivity", _product, pairs,
-         lambda pq: {"p": list(pq[0].probs), "q": list(pq[1].probs)}),
-        ("refinement_consistency", _refinement, counts_list, lambda c: {"counts": list(c)}),
-        ("chain", _chain, chain_lengths, lambda n: {"n": n}),
-        ("uniform_trace", _trace, trace_dims, lambda n: {"n": n}),
+        ("strong_additivity", _strong_additivity, joints, lambda t: {"rows": t.rows()}),
+        ("counterexample_probe", _strong_additivity, [PROBE_JOINT],
+         lambda js: {"rows": [list(r) for r in js[0].rows]}),
+        ("product_additivity", _product, pairs, lambda t: dict(zip("pq", t.rows()))),
+        ("refinement_consistency", _refinement, counts, lambda t: {"counts": t.rows()[0]}),
+        ("chain", _chain, list(range(1, 13)), lambda n: {"n": n[0]}),
+        ("uniform_trace", _trace, [2 ** k for k in range(1, 15)], lambda n: {"n": n[0]}),
     ]
     records = [
         _aggregate(name, *_measure(name, check, family, inputs), inputs, describe, cfg.tolerance)
         for name, check, inputs, describe in checks
     ]
     records.sort(key=lambda r: r.name)
-    if all(r.verdict == "pass" for r in records):
-        overall = "pass"
-    elif any(r.verdict == "violation detected" for r in records):
-        overall = "violation detected"
-    else:
-        overall = "fail"
+    verdicts = {r.verdict for r in records}
+    overall = ("pass" if verdicts == {"pass"}
+               else "violation detected" if "violation detected" in verdicts else "fail")
     return CheckReport(
         family=family_name(family),
         params=family_params(family),

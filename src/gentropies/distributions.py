@@ -185,12 +185,14 @@ def _clip(values: Iterable[float], what: str) -> list[float]:
 def _clipped(parts: list[Sequence[float]], size: int, what: str) -> np.ndarray:
     """`_clip` of the ``size`` concatenated entries of ``parts``, as a float64 array.
 
-    numpy reads and checks the entries at every size.  Entries numpy cannot
-    read as floats, and the first entry its checks reject, go through
-    `_clip`, so every error names the same first offender as that loop.
+    numpy reads and checks the entries at every size (a single part directly,
+    not through a chain).  Entries numpy cannot read as floats, and the first
+    entry its checks reject, go through `_clip`, so every error names the same
+    first offender as that loop.
     """
+    entries = parts[0] if len(parts) == 1 else itertools.chain.from_iterable(parts)
     try:
-        arr = np.fromiter(itertools.chain.from_iterable(parts), np.float64, size)
+        arr = np.fromiter(entries, np.float64, size)
     except (TypeError, ValueError, OverflowError):
         return np.array(_clip(itertools.chain.from_iterable(parts), what))
     lo = arr.min(initial=0.0)  # the initial 0.0 lets empty input through

@@ -39,7 +39,6 @@ import numpy as np
 
 from ._stable import (
     Spans,
-    escort_weights,
     log2_power_sum,
     plogp_sum,
     power_sum,
@@ -144,14 +143,8 @@ class GeneralEscort(_Family):
                 f"zero probability with non-positive exponent alpha={self.alpha!r}"
             )
         if self.lam == 0.0:
-            weights = escort_weights(flat, spans, self.alpha)
-            return [self.tau * s for s in weighted_log2_sum(weights, flat, spans)]
-        return [
-            -(b - a) / self.lam
-            for b, a in zip(
-                log2_power_sum(flat, spans, self.beta), log2_power_sum(flat, spans, self.alpha)
-            )
-        ]
+            return [self.tau * s for s in weighted_log2_sum(None, flat, spans, self.alpha)]
+        return [-d / self.lam for d in log2_power_sum(flat, spans, self.beta, self.alpha)]
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ Each function is the per-span loop over libm (``math.log2``, float ``**``,
 ``_stable._VECTOR_MIN`` entries must give, bit for bit; the package takes
 all short spans of a call in one pass instead.  ``weighted_mean`` is the
 quasi-linear mean with one ``expm1`` per term.
+
+The powers here stay float ``**`` on purpose: the package takes them through
+``math.pow``, and ``**`` is the independent definition it is checked against.
 """
 
 from __future__ import annotations

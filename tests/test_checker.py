@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,10 +296,27 @@ class TestRunSuite:
         def refuse(*_):
             raise AssertionError("a trial was drawn")
 
-        monkeypatch.setattr(checker, "_random_joints", refuse)
-        monkeypatch.setattr(checker, "_random_distributions", refuse)
+        for draw in ("_draw_joints", "_draw_distributions", "_draw_counts"):
+            monkeypatch.setattr(checker, draw, refuse)
         with pytest.raises(ConfigError, match=str(MAX_SUITE_CELLS)):
             run_suite(CheckConfig(family=shannon(), **sizes))
+
+    @pytest.mark.parametrize("shape, parent_bytes", [((2, 1), 858), ((8, 8), 1074)], ids=str)
+    def test_drawn_trials_are_compact(self, shape, parent_bytes):
+        """The drawn trials live in CSR stores: at 20 000 trials they hold
+        fewer bytes per trial (traced) than the objects per trial did
+        (``parent_bytes``, cells included), about 0.18 and 0.4 KB."""
+        rows, cols = shape
+        cfg = CheckConfig(family=shannon(), trials=20_000, max_rows=rows, max_cols=cols)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stores = checker._draw_suite(cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert [len(store) for store in stores] == [cfg.trials] * 3
+        assert held / cfg.trials < parent_bytes
 
     def test_cell_budget_admits_its_bound(self):
         # 10**5 trials at the default 8 x 8 fit; so does the bound itself

@@ -444,6 +444,25 @@ def test_vector_validation_clips_tiny_negatives():
     assert d.probs[4] == 0.0 and math.copysign(1.0, d.probs[4]) == 1.0
 
 
+def test_single_list_read_equals_the_chained_read():
+    """`make_distribution` reads its one list directly, not through a chain
+    of parts: 2**17 entries, ints and tiny negatives among them, give the
+    bytes of the chained read."""
+    n = 2 ** 17
+    rng = np.random.default_rng(17)
+    odd = rng.choice(n, 64, replace=False)
+    x = rng.exponential(1.0, n)
+    x[odd] = 0.0
+    values = (x / x.sum()).tolist()
+    for i in odd.tolist():
+        values[i] = -1e-13 if i % 2 else 0
+    chained = distributions_module._clipped([values[:n // 3], values[n // 3:]], n, "probability")
+    direct = distributions_module._clipped([values], n, "probability")
+    assert direct.tobytes() == chained.tobytes()
+    expected = chained / distributions_module.exact_sum(chained)
+    assert make_distribution(values)._array.tobytes() == expected.tobytes()
+
+
 def test_vector_validation_empty_row_after_bad_entry():
     rows = [[GOOD] * 299 + [-1.0], [], [GOOD]]
     with pytest.raises(NegativeMass):

@@ -409,7 +409,7 @@ class TestShannonLimits:
 def test_conditional_overflow_text_is_weighted_means():
     """The exponential means of a batch of joints overflow with the text
     that the first overflowing term raises in a per-term loop."""
-    from gentropies import checker, escort, marginal
+    from gentropies import JointDistribution, escort, marginal
     from gentropies.distributions import conditional, group_marginals
     from gentropies.generators import ExponentialGenerator
     import libm_reference as libm
@@ -420,7 +420,8 @@ def test_conditional_overflow_text_is_weighted_means():
     fine = make_joint([[0.25, 0.25], [0.25, 0.25]])
     tiny = make_joint([[0.25, 0.25], [0.5, 1e-110]])
     tinier = make_joint([[0.5, 1e-120], [0.5]])
-    batch, groups = checker._batch([fine, tiny, tinier])
+    # the three joints' rows end to end, and the row where each joint starts
+    batch, groups = JointDistribution([*fine.rows, *tiny.rows, *tinier.rows]), [0, 2, 4, 6]
     with pytest.raises(Overflow, match="generator exponent") as batched:
         entropies.conditional_entropies(family, batch, groups, group_marginals(batch, groups))
     weights = escort(marginal(tiny), family.alpha).probs
@@ -431,3 +432,48 @@ def test_conditional_overflow_text_is_weighted_means():
     with pytest.raises(Overflow) as public:
         conditional_entropy(family, tiny)
     assert str(public.value) == str(alone.value)
+
+
+# GeneralEscort takes one log2 per cell: its formula equals the composition
+# of the separate kernels bit for bit.
+
+
+def _escort_formula_from_separate_kernels(family, flat, spans):
+    from gentropies._stable import escort_weights, log2_power_sum, weighted_log2_sum
+
+    if family.lam == 0.0:
+        weights = escort_weights(flat, spans, family.alpha)
+        return [family.tau * s for s in weighted_log2_sum(weights, flat, spans)]
+    beta = log2_power_sum(flat, spans, family.beta)
+    alpha = log2_power_sum(flat, spans, family.alpha)
+    return [-(b - a) / family.lam for b, a in zip(beta, alpha)]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        general_escort(2.0, -1.0, 1.0),
+        general_escort(1.0, -1.0, -0.5),
+        general_escort(2.0, -1.0, 0.0),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize(
+    "lengths",
+    [[2, 7, 1, 255, 40], [256, 300, 1000], [3, 256, 1, 700, 255, 2]],
+    ids=["short", "long", "mixed"],
+)
+def test_shared_log2_equals_the_separate_kernels(family, lengths):
+    rng = np.random.default_rng(len(lengths))
+    parts = []
+    for m in lengths:
+        x = rng.exponential(1.0, m) ** 4
+        x[rng.random(m) < 0.3] = 0.0  # zeros in most spans
+        x[rng.integers(0, m)] = 1.0
+        parts.append(x / x.sum())
+    flat = np.concatenate(parts)
+    bounds = np.cumsum([0, *lengths])
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))[::-1]  # out of order too
+    got = span_entropies(family, flat, spans)
+    expected = _escort_formula_from_separate_kernels(family, flat, spans)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]

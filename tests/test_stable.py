@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import tracemalloc
 from unittest import mock
 
@@ -604,3 +605,34 @@ def test_power_sum_overflow_inside_a_short_batch():
         libm.power_sum(flat[2:4].tolist(), -3.0)
     assert power_sum(flat, [(0, 2), (4, 6)], -3.0) == [
         libm.power_sum([0.5, 0.5], -3.0), libm.power_sum([0.25, 0.75], -3.0)]
+
+
+# The libm entry points of the short branch: ``math.pow`` is float ``**``
+# (the same C pow call) bit for bit, and raises where it raises.
+
+POSITIVE_DOUBLES = st.one_of(
+    st.floats(5e-324, 2.2250738585072014e-308),  # subnormals
+    st.floats(0.999, 1.001),
+    st.floats(1e300, 1.7976931348623157e308),
+    st.sampled_from([5e-324, 1.0, 1e308, 1.7976931348623157e308]),
+    st.floats(5e-324, 1.7976931348623157e308),
+)
+
+
+def _pow_bits(pow_, x, a):
+    try:
+        return pow_(x, a).hex()
+    except OverflowError:
+        return OverflowError
+
+
+@given(x=POSITIVE_DOUBLES, alpha=st.sampled_from([-300.0, -1.0, 0.5, 2.0, 100.0]))
+@settings(max_examples=500, deadline=None)
+def test_math_pow_is_float_pow(x, alpha):
+    assert _pow_bits(math.pow, x, alpha) == _pow_bits(operator.pow, x, alpha)
+
+
+@given(t=st.one_of(st.floats(-1100.0, 0.0), st.just(-math.inf)))
+@settings(max_examples=500, deadline=None)
+def test_math_pow_of_two_is_float_pow(t):
+    assert math.pow(2.0, t).hex() == (2.0 ** t).hex()
