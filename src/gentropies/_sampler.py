@@ -1,0 +1,198 @@
+"""numpy's ``Generator.integers`` and ``Generator.exponential(1.0)`` draws,
+and its ``add.reduce`` row sums, bit for bit, with no array per draw and no
+numpy call per row.
+
+`Draws` appends the draws of one generator to two growing buffers through
+the C samplers that ``numpy.random._generator`` exports,
+``random_bounded_uint64_fill`` and ``random_standard_exponential_fill``: the
+functions behind those two methods, called through ctypes on the
+generator's own bit generator, so the stream is the one the methods would
+draw.  Where the samplers are missing, or do not reproduce the methods on a
+fixed seed (`c_samplers` is then None), or for a generator that is not a
+``numpy.random.Generator``, `Draws` calls the methods themselves.
+
+`row_sums` replays numpy's pairwise summation over many rows at once.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+
+import numpy as np
+
+#: Longest row whose sum `row_sums` replays; longer rows go to ``add.reduce``.
+_PAIRWISE_BLOCK = 128
+
+
+@functools.cache
+def c_samplers():
+    """numpy's exported (bounded integers, standard exponential) fill
+    functions, or None where they cannot be loaded or do not draw what the
+    Generator methods draw.  Loaded on first use: touching
+    ``numpy.random`` imports it."""
+    try:
+        from numpy.random import _generator
+
+        lib = ctypes.CDLL(_generator.__file__)
+        bounded, exponential = lib.random_bounded_uint64_fill, lib.random_standard_exponential_fill
+    except (ImportError, OSError, AttributeError):
+        return None
+    p, count = ctypes.c_void_p, ctypes.c_ssize_t
+    bounded.argtypes = [p, ctypes.c_uint64, ctypes.c_uint64, count, ctypes.c_bool, p]
+    exponential.argtypes = [p, count, p]
+    bounded.restype = exponential.restype = None
+    return (bounded, exponential) if _reproduces((bounded, exponential)) else None
+
+
+def _reproduces(fills) -> bool:
+    """Whether ``fills`` draw the cells, and leave the stream, as the
+    Generator methods do on a fixed seed."""
+    runs = []
+    for use in (fills, None):
+        rng = np.random.default_rng(1311_0324)
+        draws = Draws(rng, use)
+        draws.exponential(draws.integers(1, 9, draws.integer(2, 8)))
+        draws.integers(1, 1, 3)
+        draws.integers(1, 2 ** 40, 5)
+        drawn = draws.ints.used().tolist(), draws.cells.used().tolist()
+        runs.append((*drawn, rng.integers(2 ** 62)))
+    return runs[0] == runs[1]
+
+
+class _Buffer:
+    """A growing array: ``used()`` is what was appended so far."""
+
+    __slots__ = ("array", "view", "address", "size")
+
+    def __init__(self, dtype, capacity: int = 256) -> None:
+        self.array = np.empty(capacity, dtype)
+        self.view, self.address, self.size = memoryview(self.array), self.array.ctypes.data, 0
+
+    def take(self, count: int) -> int:
+        """Room for ``count`` more items, doubling as needed: their start."""
+        start = self.size
+        if start + count > len(self.array):
+            grown = np.empty(max(2 * len(self.array), start + count), self.array.dtype)
+            grown[:start] = self.array[:start]
+            self.array, self.view, self.address = grown, memoryview(grown), grown.ctypes.data
+        self.size = start + count
+        return start
+
+    def used(self) -> np.ndarray:
+        return self.array[:self.size]
+
+
+class Draws:
+    """One generator's draws, appended in order: integers to ``ints`` and
+    exponential cells to ``cells``.  With ``fills`` (`c_samplers()`), the
+    draws go through numpy's C samplers, else through ``rng.integers`` and
+    ``rng.exponential``; the stream and the cells are the same."""
+
+    def __init__(self, rng, fills=None) -> None:
+        self.ints, self.cells = _Buffer(np.int64), _Buffer(np.float64)
+        self._one = _Buffer(np.int64, 1)
+        # the C samplers write through the bit generator's address: ``rng``
+        # is held, so that its state outlives every call
+        self.rng, self.c = rng, fills is not None
+        if self.c:
+            state, lock = rng.bit_generator.ctypes.bit_generator, rng.bit_generator.lock
+            bounded, exponential = fills
+
+            def fill_ints(low, high, count, buf, start):
+                bounded(state, low, high - low, count, False, buf.address + 8 * start)
+
+            def fill_cells(count, buf, start):
+                exponential(state, count, buf.address + 8 * start)
+        else:
+            def fill_ints(low, high, count, buf, start):
+                buf.array[start:start + count] = rng.integers(low, high + 1, size=count)
+
+            def fill_cells(count, buf, start):
+                buf.array[start:start + count] = rng.exponential(1.0, size=count)
+        self._fill_ints, self._fill_cells = fill_ints, fill_cells
+
+    def integer(self, low: int, high: int) -> int:
+        """One draw from [low, high], as ``rng.integers(low, high + 1)``; not kept."""
+        self._fill_ints(low, high, 1, self._one, 0)
+        return self._one.view[0]
+
+    def integers(self, low: int, high: int, count: int) -> int:
+        """``count`` draws from [low, high] onto ``ints``: their sum."""
+        start = self.ints.take(count)
+        self._fill_ints(low, high, count, self.ints, start)
+        return sum(self.ints.view[start:start + count])
+
+    def exponential(self, count: int) -> None:
+        """``count`` standard exponential draws onto ``cells``."""
+        self._fill_cells(count, self.cells, self.cells.take(count))
+
+    def mark(self) -> tuple[int, int]:
+        return self.ints.size, self.cells.size
+
+    def since(self, mark: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """The integers and the cells appended after ``mark``."""
+        return self.ints.array[mark[0]:self.ints.size], self.cells.array[mark[1]:self.cells.size]
+
+    def rewind(self, mark: tuple[int, int]) -> None:
+        """Drop what was appended after ``mark`` (the stream stays drawn)."""
+        self.ints.size, self.cells.size = mark
+
+
+def draws(rng, c: bool = True) -> Draws:
+    """`Draws` of ``rng``, through the C samplers if ``c`` and they serve it."""
+    return Draws(rng, c_samplers() if c and isinstance(rng, np.random.Generator) else None)
+
+
+def _places(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each item of consecutive runs of ``counts`` items, its run and
+    its place in the run."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def sequential_sums(values: np.ndarray, counts) -> np.ndarray:
+    """The left-to-right sum of each consecutive run of ``counts`` values,
+    as Python's ``sum`` of floats up to 3.11: runs padded with zeros, which
+    add exactly, and accumulated along."""
+    counts = np.asarray(counts)
+    run, place = _places(counts)
+    padded = np.zeros((len(counts), int(counts.max())))
+    padded[run, place] = values
+    return np.add.accumulate(padded, axis=1)[:, -1]
+
+
+def row_sums(cells: np.ndarray, lengths) -> np.ndarray:
+    """``np.add.reduce`` of each consecutive row of ``lengths`` cells
+    (non-negative), bit for bit, in a few numpy calls for all rows.
+
+    numpy sums a row of n cells pairwise: below 8 cells left to right from
+    0.0; up to 128 cells in eight accumulators over whole blocks of 8,
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    tail left to right.  Longer rows are summed by ``add.reduce`` itself."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    sums = np.empty(len(lengths))
+    short = lengths <= _PAIRWISE_BLOCK
+    if not short.all():
+        ends = np.cumsum(lengths)
+        for row in np.flatnonzero(~short):
+            sums[row] = np.add.reduce(cells[ends[row] - lengths[row]:ends[row]])
+        cells, lengths = cells[np.repeat(short, lengths)], lengths[short]
+    if not len(lengths):
+        return sums
+    # cell k of row i goes to column i of a zero matrix, to line k if it lies
+    # in the row's whole blocks of 8 (the first ``width`` lines), else to the
+    # tail lines, after the line that takes the blocks' pairwise sum
+    width = max(int(lengths.max()) // 8, 1) * 8
+    row, k = _places(lengths)
+    head = np.where(lengths >= 8, lengths - lengths % 8, 0)[row]
+    lines = np.zeros((width + 8, len(lengths)))
+    lines[np.where(k < head, k, k - head + width + 1), row] = cells
+    r = lines[:8]  # each accumulator over its blocks, in order
+    for block in range(8, width, 8):
+        r += lines[block:block + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for line in lines[width + 1:]:
+        total += line
+    sums[short] = total
+    return sums

@@ -4,10 +4,12 @@ Each residual operation measures one identity these entropy families are
 characterized by: strong additivity on arbitrary ragged joints, additivity
 on direct products and on the n-fold fair-coin chain, the closed-form
 uniform trace, and the reconstruction of a rational distribution's entropy
-from its even refinement.  `run_suite` draws seeded random inputs, runs every check plus
-the fixed counterexample probe, and aggregates residuals into a
-reproducible report: the same configuration always serializes to identical
-bytes.
+from its even refinement.  `run_suite` draws seeded random inputs, runs
+every check plus the fixed counterexample probe, and aggregates residuals
+into a reproducible report: the same configuration always serializes to
+identical bytes.  It draws through numpy's exported C samplers on the seed's
+PCG64 stream, or where they are missing or differ (``_sampler.c_samplers()``
+is None) through the Generator methods: the same numbers either way.
 
 Verdicts compare the residual relative to 1 + |reference value| against the
 configured tolerance; a check whose absolute residual reaches
@@ -124,12 +126,16 @@ def _trials(inputs, parts: Callable[[Any], tuple[np.ndarray, Sequence[int]]]) ->
 
 
 def _strong_additivity(family, joints) -> tuple[list[float], list[float]]:
-    t = _trials(joints, lambda joint: (joint._flat, np.diff(joint._bounds)))
-    batch = JointDistribution._wrap(t.flat, t.bounds)
-    whole = span_entropies(family, t.flat, spans_of(t.bounds[t.offsets]))
-    margs = group_marginals(batch, t.offsets)
-    parts = zip(span_entropies(family, margs, spans_of(t.offsets)),
-                conditional_entropies(family, batch, t.offsets, margs))
+    if isinstance(joints, _Trials) or len(joints) != 1:
+        t = _trials(joints, lambda joint: (joint._flat, np.diff(joint._bounds)))
+        batch = JointDistribution._wrap(t.flat, t.bounds)
+        groups, ends = t.offsets, t.bounds[t.offsets]
+    else:  # one joint, whose cached exact row sums serve again
+        batch, groups, ends = joints[0], [0, len(joints[0])], [0, len(joints[0]._flat)]
+    whole = span_entropies(family, batch._flat, spans_of(ends))
+    margs = group_marginals(batch, groups)
+    parts = zip(span_entropies(family, margs, spans_of(groups)),
+                conditional_entropies(family, batch, groups, margs))
     add = family.composition.add
     return [abs(w - add(m, c)) for w, (m, c) in zip(whole, parts)], [abs(w) for w in whole]
 
@@ -297,65 +303,85 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _normalized(parts: Sequence[np.ndarray], totals: Sequence[float]) -> np.ndarray:
-    """Each ``parts[t] / totals[t]`` divided by its own exact sum, end to end."""
-    sizes = [len(part) for part in parts]
-    flat = np.concatenate(parts)
-    flat /= np.repeat(totals, sizes)
-    flat /= np.repeat(segment_sums(flat, _starts(sizes)), sizes)
+def _normalized(cells: np.ndarray, totals, counts) -> np.ndarray:
+    """Each trial's ``counts[t]`` cells over ``totals[t]``, then over their exact sum."""
+    flat = cells / np.repeat(totals, counts)
+    flat /= np.repeat(segment_sums(flat, _starts(counts)), counts)
     return flat
 
 
-def _rows_clear(row_sums: Sequence[float], total: float) -> bool:
-    """Whether numpy's ``row_sums`` alone show that every row of the cells
-    divided by ``total`` sums exactly to 1e-12 or more: the factor 2 covers
-    the rounding of the row sums and of the division (rows below 2**50 cells)."""
-    return min(row_sums) > 2e-12 * total
+def _rows_clear(least_row, total):
+    """Whether the least numpy row sum shows that every row over ``total`` sums to 1e-12 or
+    more: 2x covers the rounding of row sums and division (rows below 2**50 cells)."""
+    return least_row > 2e-12 * total
 
 
 # Each draw below returns the cells of its trials end to end, their row
-# lengths and the rows of each trial: the arguments of `_Trials`.
+# lengths and the rows of each trial: the arguments of `_Trials`.  `_sampler`
+# is imported on the first draw: a process that draws nothing never loads it.
 
 
-def _draw_joints(rng: np.random.Generator, trials: int, max_rows: int, max_cols: int):
-    """``trials`` joints, drawn one after another, normalized all at once."""
-    cells, totals, lengths, add = [], [], [], np.add.reduce
-    for _ in range(trials):
-        # rows with marginal below 1e-12 are excluded by redrawing the joint,
-        # so conditionals are always defined
-        while True:
-            n_rows = int(rng.integers(2, max_rows + 1))
-            sizes = rng.integers(1, max_cols + 1, size=n_rows)
-            bounds = [0, *itertools.accumulate(sizes.tolist())]
-            drawn = rng.exponential(1.0, size=bounds[-1])
-            # numpy's row by row sums (``add.reduce`` is ``ndarray.sum``), whose
-            # rounding the reports depend on
-            rows = [float(add(drawn[i:j])) for i, j in itertools.pairwise(bounds)]
-            total = float(sum(rows))
-            if _rows_clear(rows, total) or min(segment_sums(drawn / total, bounds)) >= 1e-12:
-                break
-        cells.append(drawn)
-        totals.append(total)
-        lengths.append(sizes)
-    return _normalized(cells, totals), np.concatenate(lengths), list(map(len, lengths))
+def _draw_joints(rng, trials: int, max_rows: int, max_cols: int):
+    """``trials`` joints, drawn one after another, normalized all at once.
+
+    A joint with a row whose marginal falls below 1e-12 is redrawn, so
+    conditionals are always defined.  A generator's joints are first drawn
+    untested, as their row sums almost always clear them (`_rows_clear`); if
+    one needs the exact test, all are drawn again from the same state, joint
+    by joint, through the Generator methods."""
+    from . import _sampler
+    tested = not isinstance(rng, np.random.Generator)
+    start = None if tested else rng.bit_generator.state
+    while True:
+        draws, trial_rows = _sampler.draws(rng, c=not tested), []
+        for _ in range(trials):
+            while True:
+                mark = draws.mark()
+                trial_rows.append(draws.integer(2, max_rows))
+                draws.exponential(draws.integers(1, max_cols, trial_rows[-1]))
+                if not tested:
+                    break
+                sizes, cells = draws.since(mark)
+                totals, clear = _totals(_sampler, sizes, cells, trial_rows[-1:])
+                if np.all(clear) or min(segment_sums(cells / totals[0], _starts(sizes))) >= 1e-12:
+                    break
+                draws.rewind(mark)
+                trial_rows.pop()
+        sizes, cells = draws.ints.used(), draws.cells.used()
+        totals, clear = _totals(_sampler, sizes, cells, trial_rows)
+        if tested or np.all(clear):
+            counts = np.add.reduceat(sizes, _starts(trial_rows)[:-1])
+            return _normalized(cells, totals, counts), sizes, trial_rows
+        rng.bit_generator.state, tested = start, True
 
 
-def _draw_distributions(rng: np.random.Generator, max_dims: Sequence[int]):
+def _totals(sampler, sizes, cells, trial_rows):
+    """Each joint's total, Python's sum of its numpy row sums, and whether they clear it."""
+    rows = sampler.row_sums(cells, sizes)
+    totals = sampler.sequential_sums(rows, trial_rows)
+    return totals, _rows_clear(np.minimum.reduceat(rows, _starts(trial_rows)[:-1]), totals)
+
+
+def _draw_distributions(rng, max_dims: Sequence[int]):
     """One distribution per entry of ``max_dims``, drawn one after another,
     normalized all at once: one trial of one row each."""
-    draws = []
+    from . import _sampler
+    draws, dims = _sampler.draws(rng), []
     for max_dim in max_dims:
-        dim = int(rng.integers(2, max(max_dim, 2) + 1))
-        draws.append(rng.exponential(1.0, size=dim))
-    flat = _normalized(draws, [np.add.reduce(e) for e in draws])
-    return flat, list(map(len, draws)), [1] * len(draws)
+        dims.append(draws.integer(2, max(max_dim, 2)))
+        draws.exponential(dims[-1])
+    cells = draws.cells.used()
+    return _normalized(cells, _sampler.row_sums(cells, dims), dims), dims, [1] * len(dims)
 
 
-def _draw_counts(rng: np.random.Generator, trials: int, max_rows: int, max_cols: int):
+def _draw_counts(rng, trials: int, max_rows: int, max_cols: int):
     """``trials`` refinement block sizes, one trial of one row each."""
-    draws = [rng.integers(1, max_cols + 1, size=int(rng.integers(2, max_rows + 1)))
-             for _ in range(trials)]
-    return np.concatenate(draws), list(map(len, draws)), [1] * trials
+    from . import _sampler
+    draws, lengths = _sampler.draws(rng), []
+    for _ in range(trials):
+        lengths.append(draws.integer(2, max_rows))
+        draws.integers(1, max_cols, lengths[-1])
+    return draws.ints.used(), lengths, [1] * trials
 
 
 def _drawn(draw: Callable[[int], tuple], trials: int) -> tuple:
@@ -373,32 +399,6 @@ def _draw_suite(cfg: CheckConfig) -> tuple[_Trials, _Trials, _Trials]:
     cells, sizes, _ = _drawn(lambda n: _draw_distributions(rng, [rows, cols] * n), cfg.trials)
     counts = _Trials(*_drawn(lambda n: _draw_counts(rng, n, rows, cols), cfg.trials))
     return joints, _Trials(cells, sizes, [2] * cfg.trials), counts
-
-
-# The draws as objects, one per trial (the suite reads the stores).
-
-
-def _random_joints(rng, trials: int, max_rows: int, max_cols: int) -> list[JointDistribution]:
-    store = _Trials(*_draw_joints(rng, trials, max_rows, max_cols))
-    ones = (store[t:t + 1] for t in range(trials))
-    return [JointDistribution._wrap(one.flat, one.bounds.tolist()) for one in ones]
-
-
-def _random_joint(rng, max_rows: int, max_cols: int) -> JointDistribution:
-    return _random_joints(rng, 1, max_rows, max_cols)[0]
-
-
-def _random_distributions(rng, max_dims: Sequence[int]) -> list[Distribution]:
-    flat, sizes, _ = _draw_distributions(rng, max_dims)
-    return [Distribution._wrap(d) for d in np.split(flat, np.cumsum(sizes)[:-1])]
-
-
-def _random_distribution(rng, max_dim: int) -> Distribution:
-    return _random_distributions(rng, [max_dim])[0]
-
-
-def _random_counts(rng, max_rows: int, max_cols: int) -> tuple[int, ...]:
-    return tuple(_draw_counts(rng, 1, max_rows, max_cols)[0].tolist())
 
 
 def _measure(name: str, check, family, inputs: Sequence) -> tuple[list[float], list[float]]:

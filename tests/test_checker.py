@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import constrained_grid
+from trial_views import (
+    random_counts,
+    random_distribution,
+    random_distributions,
+    random_joint,
+    random_joints,
+)
 from gentropies import (
     PROBE_JOINT,
     CheckConfig,
@@ -66,6 +73,23 @@ class TestStrongAdditivityResidual:
         r = strong_additivity_residual(general_escort(2.0, -1.0, 1.0), PROBE_JOINT)
         assert r >= 1e-2
         assert r == pytest.approx(0.32192809488736235, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "residual, joint",
+        [
+            (strong_additivity_residual, direct_product(uniform(64), uniform(48))),
+            (lambda family, _: counterexample_probe(family), PROBE_JOINT),
+        ],
+        ids=["strong_additivity_residual", "counterexample_probe"],
+    )
+    def test_a_reused_joint_keeps_its_exact_row_sums(self, residual, joint):
+        first = residual(shannon(), joint)
+        sums = joint._sums
+        assert sums is not None
+        assert residual(shannon(), joint) == first
+        fresh = checker.JointDistribution._wrap(joint._flat.copy(), list(joint._bounds))
+        assert residual(renyi(2.0), joint) == strong_additivity_residual(renyi(2.0), fresh)
+        assert joint._sums is sums
 
 
 class TestCounterexampleProbe:
@@ -336,15 +360,15 @@ class TestRunSuite:
 def _drawn_inputs(cfg):
     """The suite's random inputs, drawn in `run_suite`'s order."""
     rng = np.random.default_rng(cfg.seed)
-    joints = [checker._random_joint(rng, cfg.max_rows, cfg.max_cols) for _ in range(cfg.trials)]
+    joints = [random_joint(rng, cfg.max_rows, cfg.max_cols) for _ in range(cfg.trials)]
     pairs = [
         (
-            checker._random_distribution(rng, cfg.max_rows),
-            checker._random_distribution(rng, cfg.max_cols),
+            random_distribution(rng, cfg.max_rows),
+            random_distribution(rng, cfg.max_cols),
         )
         for _ in range(cfg.trials)
     ]
-    counts = [checker._random_counts(rng, cfg.max_rows, cfg.max_cols) for _ in range(cfg.trials)]
+    counts = [random_counts(rng, cfg.max_rows, cfg.max_cols) for _ in range(cfg.trials)]
     return joints, pairs, counts
 
 
@@ -455,13 +479,13 @@ def _wide_rows_joint(rng):
 @pytest.mark.parametrize("family", BATCH_FAMILIES, ids=repr)
 def test_batched_checks_equal_the_public_functions(family):
     rng = np.random.default_rng(77)
-    joints = [checker._random_joint(rng, 6, 9) for _ in range(12)]
+    joints = [random_joint(rng, 6, 9) for _ in range(12)]
     joints += [PROBE_JOINT, _wide_rows_joint(rng)]
     pairs = [
-        (checker._random_distribution(rng, 5), checker._random_distribution(rng, 400))
+        (random_distribution(rng, 5), random_distribution(rng, 400))
         for _ in range(6)
     ]
-    counts = [checker._random_counts(rng, 5, 300) for _ in range(6)] + [(1,), (2, 1)]
+    counts = [random_counts(rng, 5, 300) for _ in range(6)] + [(1,), (2, 1)]
     cases = [
         (checker._strong_additivity, joints, lambda j: strong_additivity_residual(family, j)),
         (checker._product, pairs, lambda pq: product_additivity_residual(family, *pq)),
@@ -530,18 +554,18 @@ def test_batched_draws_equal_one_trial_draws(monkeypatch, defer, make_rng, shape
         monkeypatch.setattr(checker, "_rows_clear", lambda row_sums, total: False)
     max_rows, max_cols = shape
     batched, alone = make_rng(5), make_rng(5)
-    joints = checker._random_joints(batched, 25, max_rows, max_cols)
+    joints = random_joints(batched, 25, max_rows, max_cols)
     if make_rng is _SmallRows:  # every joint was drawn twice
         assert batched._calls == 50
-    dists = checker._random_distributions(batched, [max_rows, max_cols] * 25)
+    dists = random_distributions(batched, [max_rows, max_cols] * 25)
     for joint in joints:
-        one = checker._random_joint(alone, max_rows, max_cols)
+        one = random_joint(alone, max_rows, max_cols)
         assert joint._flat.tobytes() == one._flat.tobytes()
         assert list(joint._bounds) == list(one._bounds)
         rows = checker.segment_sums(joint._flat, joint._bounds)
         assert min(rows) >= 1e-12 and math.fsum(rows) == pytest.approx(1.0, abs=1e-15)
     for dist, max_dim in zip(dists, [max_rows, max_cols] * 25):
-        one = checker._random_distribution(alone, max_dim)
+        one = random_distribution(alone, max_dim)
         assert dist._array.tobytes() == one._array.tobytes()
     assert batched.integers(2 ** 62) == alone.integers(2 ** 62)
 
