@@ -1,15 +1,13 @@
 """Stable numeric kernels shared by the distribution and entropy layers.
 
 The kernels take float64 ndarrays.  Every sum equals ``math.fsum`` bit for
-bit, so results do not depend on the order of the terms.  A long sum takes
-blocks of w <= 2**m entries; with sigma a power of two >= 2**m * max|p|,
-each entry p splits exactly into q = (sigma + p) - sigma and p - q (Rump,
-Ogita and Oishi, "Accurate floating-point summation part I", 2008).  The
-q's are multiples of ulp(sigma)/2 and no w of them sum past sigma, so numpy
-sums them exactly in any order; what a few levels leave goes to exponent
-bins (Neal, arXiv:1505.05571), and ``math.fsum`` rounds the exact pieces
-once (see `exact_sum`).  Power sums are max-factored in log2 space, which
-keeps them finite for exponents far beyond the naive overflow point.
+bit, so results do not depend on the order of the terms.  A long sum runs
+in blocks through levels of error-free extraction (Rump, Ogita and Oishi,
+"Accurate floating-point summation part I", 2008); ``math.fsum`` rounds
+their exact pieces where a bound on what the levels leave certifies that
+rounding, and sums the entries elsewhere (see `exact_sum`).  Power sums are
+max-factored in log2 space, which keeps them finite for exponents far beyond
+the naive overflow point.
 
 The power, log and escort kernels and `segment_sums` are span kernels: they
 take one flat array plus ``(start, stop)`` spans and return one result per
@@ -36,7 +34,7 @@ infinite (``tests/test_stable.py`` pins it).
 numpy's log2/exp2/power may differ from the libm functions by an ulp per
 term, so the two branches agree to a few ulps, not bit for bit.
 ``_VECTOR_MIN`` is the library's only size switch between two arithmetics:
-validation and every layer above take one path at every size (``_BINNED_MIN``
+validation and every layer above take one path at every size (``_BLOCKED_MIN``
 only picks how `exact_sum` reaches the same bits).
 """
 
@@ -56,29 +54,27 @@ from .errors import Overflow
 Spans = Union[Sequence[tuple[int, int]], np.ndarray]
 
 _VECTOR_MIN = 256  # below this length libm over Python floats beats numpy's overhead
-_BINNED_MIN = 768  # below this length math.fsum over tolist() beats the blocked sum
+_BLOCKED_MIN = 640  # below this length math.fsum over tolist() beats the blocked sum
 # Blocks of the exact sum: at most this many entries, so that its buffers
 # stay in cache and no temporary is larger.
 _BLOCK = 2 ** 15
-_LEVELS = 3  # extraction levels per block; what they leave goes to the bins
-_BIN_CHUNK = 2 ** 18  # entries in the bins of one run at most: they stay exact
+_LEVELS = 3  # extraction levels per block; what they leave is only bounded
 _PENDING = 2 ** 12  # about this many pieces of complete runs wait for fsum
-_HIGH_MASK = ~np.int64(2 ** 26 - 1)  # clears the low 26 of the 52 mantissa bits
 
 
 def exact_sum(values) -> float:
     """Correctly rounded sum of floats, equal to ``math.fsum`` bit for bit.
 
-    A float64 ndarray of ``_BINNED_MIN`` entries or more goes in blocks of
+    A float64 ndarray of ``_BLOCKED_MIN`` entries or more goes in blocks of
     w <= 2**m entries (at most ``_BLOCK``) through up to ``_LEVELS`` levels
     of Rump, Ogita and Oishi's extraction: with sigma a power of two >=
     2**m * max|p|, each p splits exactly into q = (sigma + p) - sigma, a
     multiple of ulp(sigma)/2 of at most max|p|, and p - q; no partial sum of
     the w q's passes sigma = 2**53 * ulp(sigma)/2, so ``add.reduce`` sums
-    them exactly in any order.  What the levels leave, or a block too wide
-    for them, goes to Neal's exponent bins (see `_segment_fsum`), and
-    ``math.fsum`` rounds the exact pieces once.  An inf, nan or |x| >= 2**961
-    sends the sum to ``math.fsum``, as does any other input.
+    them exactly in any order, and ``math.fsum`` rounds the exact pieces once
+    if a bound on what the levels leave certifies it, else sums the entries
+    (see `_round`).  An inf, nan or |x| >= 2**961 sends the sum to
+    ``math.fsum``, as does any other input.
     """
     if type(values) is not np.ndarray or values.dtype != np.float64:
         return math.fsum(values.tolist() if type(values) is np.ndarray else values)
@@ -88,33 +84,23 @@ def exact_sum(values) -> float:
 def _segment_fsum(values: np.ndarray, counts: Sequence[int]) -> list[float]:
     """``math.fsum`` of each run of ``counts[k]`` consecutive ``values``, bit for bit.
 
-    `exact_sum` of all runs at once.  A bin holds high halves (sign, biased
-    exponent E in 8g..8g+7, top 26 mantissa bits) or low halves (the exact
-    rests) of one run: up to 2**18 high halves sum exactly, as multiples of
-    2**(8g - 1049) below 2**(8g - 997), and so do the low ones, multiples of
-    2**(8g - 1075) below 2**(8g - 1024).  A run takes 256 bins of a block, so
-    runs should be long (the kernels send ``_VECTOR_MIN`` entries or more).
-    If an entry is inf, nan or |x| >= 2**961, ``math.fsum`` takes each run
-    in order, so an error is the first failing run's.
+    `exact_sum` of all runs at once.  If an entry is inf, nan or |x| >=
+    2**961, ``math.fsum`` takes each run in order, so an error is the first
+    failing run's.
     """
     n, k = len(values), len(counts)
-    if k == 1 and n < _BINNED_MIN:
+    if k == 1 and n < _BLOCKED_MIN:
         return [math.fsum(values.tolist())]
     ends = list(itertools.accumulate(counts))
     size = min(n, _BLOCK) or 1
     m = max(size - 1, 1).bit_length()  # size <= 2**m
     q, r = np.empty(size), None  # the rest after each level; a later level's q
     out, pending = [], [(np.zeros(0, np.intp), np.zeros(0))]  # sums; (runs, exact pieces)
-    held, at = 0, -1  # the bins `acc` of run `at` hold `held` entries
-    for b0 in range(0, n + size, size):  # the last block is empty: it flushes `acc`
+    rest = np.zeros(k)  # per run, the sum of |what the levels leave|, rounded
+    for b0 in range(0, n, size):
         p = values[b0:b0 + size]
         w = len(p)
         first, last = bisect.bisect_right(ends, b0), bisect.bisect_right(ends, b0 + w - 1)
-        if held and (first != at or last != at or held + w > _BIN_CHUNK):
-            pending.append((np.full(np.count_nonzero(acc), at), acc[acc != 0.0]))
-            held = 0
-        if not w:
-            break
         lo, hi = p.min(), p.max()
         top = max(hi, -lo)
         if not top < 2.0 ** 961:
@@ -125,13 +111,10 @@ def _segment_fsum(values: np.ndarray, counts: Sequence[int]) -> list[float]:
             segs = np.flatnonzero(starts[1:] != starts[:-1])
             offsets, segs = starts[segs], segs + first
         src, e = p, math.frexp(top)[1]  # max|src| <= 2**e
-        floor = math.ldexp(1.0, e - _LEVELS * (53 - m) + 52)  # the levels leave bits below
         least = lo if lo > 0.0 else -hi if hi < 0.0 else 0.0  # the least nonzero |p|
         if not least and top:  # zeros or both signs: zeros wrap to the top of the minimum
             least = ((np.abs(p).view(np.int64) - 1).view(np.uint64).min() + 1).view(np.float64)
-        sample = np.abs(p[::max(1, w >> 7)])  # entries out of the levels' reach, in a sample
-        wide = least < floor and 8 * np.count_nonzero(sample[sample < floor]) > len(sample)
-        for level in range(0 if wide or not top else _LEVELS):
+        for level in range(_LEVELS if top else 0):
             r = np.empty(size) if r is None and level else r
             sigma, t = math.ldexp(1.0, e + m), (r if level else q)[:w]
             np.add(src, sigma, out=t)
@@ -147,38 +130,40 @@ def _segment_fsum(values: np.ndarray, counts: Sequence[int]) -> list[float]:
             top = top and src.any()
             if not top:
                 break
-        if top:  # the bins: per run, half and eight exponents
-            where = slice(None) if src is p else np.flatnonzero(src)
-            x = src[where]  # p or a copy: q and r are free
-            key = np.right_shift(x.view(np.int64), 55) & 0xFF
-            r = np.empty(size) if r is None else r
-            high = np.bitwise_and(x.view(np.int64), _HIGH_MASK, out=q[:len(x)].view(np.int64))
-            halves = high.view(np.float64), np.subtract(x, high.view(np.float64), out=r[:len(x)])
-            if first < last:
-                key += np.repeat(np.arange(len(segs)) << 8, np.diff(offsets, append=w))[where]
-            table = np.concatenate([np.bincount(key, h, len(segs) << 8) for h in halves])
-            if first == last:  # the bins of one run add up over its blocks
-                acc, held, at = acc + table if held else table, held + w, first
-            else:
-                nonzero = np.flatnonzero(table)
-                pending.append((segs[(nonzero >> 8) % len(segs)], table[nonzero]))
+        if top:
+            rest[segs] += np.add.reduceat(np.abs(src, out=src), offsets)
         if last > len(out) and sum(len(v) for _, v in pending) > _PENDING:
-            _round(out, pending, last)
-    if k == 1:
-        return [math.fsum(np.concatenate([v for _, v in pending]).tolist())]
-    _round(out, pending, k)
+            _round(out, pending, last, rest, values, ends)
+    _round(out, pending, k, rest, values, ends)
     return out
 
 
-def _round(out: list, pending: list, stop: int) -> None:
-    """Appends to ``out`` the ``math.fsum`` of the ``pending`` pieces of each
-    run from ``len(out)`` up to ``stop``; those of later runs wait on."""
-    runs, values = map(np.concatenate, zip(*pending))
-    now = runs < stop
-    ready = values[now][np.argsort(runs[now], kind="stable")].tolist()
-    bounds = [0, *np.bincount(runs[now] - len(out), minlength=stop - len(out)).cumsum().tolist()]
-    pending[:] = [(runs[~now], values[~now])]
+def _round(out: list, pending: list, stop: int, rest: np.ndarray, values, ends) -> None:
+    """Appends to ``out`` the sum of each run from ``len(out)`` up to ``stop``
+    (the ``pending`` pieces of later runs wait on): the ``math.fsum`` h of its
+    pieces if ``rest[run]``, a bound on what they miss, is 0 or, plus the residual
+    d past h, below half an ulp of h (a quarter at a power of two); else fsum of values."""
+    done = len(out)
+    if stop - done == 1 == len(rest) - done:  # the last run: every piece is its own
+        ready = np.concatenate([v for _, v in pending]).tolist()
+        bounds = [0, len(ready)]
+    else:
+        runs, pieces = map(np.concatenate, zip(*pending))
+        order = runs.argsort(kind="stable")
+        runs, pieces = runs[order], pieces[order]
+        bounds = runs.searchsorted(np.arange(done, stop + 1)).tolist()
+        ready = pieces[:bounds[-1]].tolist()
+        pending[:] = [(runs[bounds[-1]:], pieces[bounds[-1]:])]
     out += [math.fsum(ready[i:j]) for i, j in itertools.pairwise(bounds)]
+    for run in rest[done:stop].nonzero()[0].tolist():
+        i, j, run = bounds[run], bounds[run + 1], done + run
+        h = out[run]
+        margin = math.ulp(h) / (4.0 if abs(math.frexp(h)[0]) == 0.5 else 2.0)
+        # the 2**-20 covers the roundings of d and of the bound
+        if not (abs(math.fsum(ready[i:j] + [-h])) + rest[run]) * (1.0 + 2.0 ** -20) < margin:
+            i, j = ends[run - 1] if run else 0, ends[run]  # block-sized lists for fsum
+            out[run] = math.fsum(itertools.chain.from_iterable(
+                values[b:min(b + _BLOCK, j)].tolist() for b in range(i, j, _BLOCK)))
 
 
 def spans_of(bounds: Sequence[int]) -> np.ndarray:

@@ -24,7 +24,7 @@ from gentropies._stable import (
 from gentropies.errors import Overflow
 
 # Lengths on both sides of every size switch in `_stable`.
-SUM_SIZES = (1, 2, 255, 256, 767, 768, 769, 1000, 2048, 6000)
+SUM_SIZES = (1, 2, 255, 256, 639, 640, 641, 1000, 2048, 6000)
 
 
 SPECIAL = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
@@ -44,7 +44,7 @@ def finite_floats(draw):
 
 
 def test_sizes_straddle_the_switches():
-    for switch in (_stable._VECTOR_MIN, _stable._BINNED_MIN):
+    for switch in (_stable._VECTOR_MIN, _stable._BLOCKED_MIN):
         assert switch - 1 in SUM_SIZES and switch in SUM_SIZES
 
 
@@ -135,10 +135,10 @@ def test_scalar_and_vector_kernels_agree_exactly(monkeypatch, kernel, n):
     x[rng.choice(n, n // 10, replace=False)] = 0.0
     p = x / x.sum()
     monkeypatch.setattr(_stable, "_VECTOR_MIN", n + 1)
-    monkeypatch.setattr(_stable, "_BINNED_MIN", n + 1)
+    monkeypatch.setattr(_stable, "_BLOCKED_MIN", n + 1)
     scalar = kernel(p)
     monkeypatch.setattr(_stable, "_VECTOR_MIN", n)
-    monkeypatch.setattr(_stable, "_BINNED_MIN", n)
+    monkeypatch.setattr(_stable, "_BLOCKED_MIN", n)
     assert kernel(p) == scalar
 
 
@@ -197,10 +197,10 @@ def test_span_kernels_equal_each_slice_alone(kernel, data):
 @st.composite
 def long_csr_arrays(draw, zero_spans=False):
     """Like `csr_arrays`, with several spans of 256 entries or more per batch
-    (some of 768 or more), exponents spread over up to a few hundred
+    (some of 640 or more), exponents spread over up to a few hundred
     binades, and, with ``zero_spans``, spans whose entries are all zero."""
     lengths = draw(st.lists(
-        st.one_of(st.integers(1, 12), st.integers(250, 300), st.integers(760, 2000)),
+        st.one_of(st.integers(1, 12), st.integers(250, 300), st.integers(632, 2000)),
         min_size=2, max_size=8,
     ).filter(lambda ls: sum(m >= 256 for m in ls) >= 2))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -343,18 +343,16 @@ def test_segment_sums_raise_what_the_first_failing_segment_raises(order):
     pool=st.lists(finite_floats(), min_size=1, max_size=10),
     lengths=st.lists(SEGMENT_LENGTHS, min_size=2, max_size=8),
     block=st.integers(5, 3000),
-    chunk=st.integers(5, 3000),
     pending=st.integers(1, 5000),
     seed=st.integers(0, 2 ** 32 - 1),
 )
 @settings(max_examples=100, deadline=None)
-def test_binned_sums_with_chunks_across_segments(pool, lengths, block, chunk, pending, seed):
-    """Small blocks, bin chunks and batches of pieces (at most ``_BLOCK`` and
-    ``_BIN_CHUNK`` entries, about ``_PENDING`` pieces) cross segment
-    boundaries; every sum stays ``math.fsum`` bit for bit."""
+def test_binned_sums_with_chunks_across_segments(pool, lengths, block, pending, seed):
+    """Small blocks and batches of pieces (at most ``_BLOCK`` entries, about
+    ``_PENDING`` pieces) cross segment boundaries; every sum stays
+    ``math.fsum`` bit for bit."""
     x, bounds = _segments(pool, lengths, seed)
     with mock.patch.object(_stable, "_BLOCK", block), \
-            mock.patch.object(_stable, "_BIN_CHUNK", chunk), \
             mock.patch.object(_stable, "_PENDING", pending):
         assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
         assert _outcomes(segment_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
@@ -366,13 +364,13 @@ def _blocked_sums(values, bounds):
     return _stable._segment_fsum(values, np.diff(bounds).tolist())
 
 
-# Segment contents: how each reaches, or skips, the extraction levels and the bins.
+# Segment contents: how each reaches the extraction levels and what they leave.
 def _content(kind, m, rng):
     if kind == "narrow":  # a few binades: the levels take every bit
         x = rng.uniform(0.5, 8.0, m)
-    elif kind == "wide":  # hundreds of binades: straight to the bins
+    elif kind == "wide":  # hundreds of binades: the levels leave a rest everywhere
         x = np.ldexp(rng.uniform(0.5, 1.0, m), rng.integers(-700, 300, m))
-    elif kind == "tail":  # a few entries out of the levels' reach: the binned remainder
+    elif kind == "tail":  # a few entries out of the levels' reach: a sparse rest
         x = rng.uniform(0.5, 8.0, m)
         x[rng.random(m) < 0.05] = np.ldexp(rng.uniform(0.5, 1.0), int(rng.integers(-900, -100)))
     elif kind == "subnormal":
@@ -396,14 +394,14 @@ BLOCK_CONTENTS = ("narrow", "wide", "tail", "subnormal", "zero")
 def test_blocked_sums_at_block_edges(parts, block, levels, seed):
     """Blocks of a few entries, each holding several segments: empty
     segments between non-empty ones, blocks of subnormals or zeros only,
-    blocks that go to the bins directly, and blocks whose levels leave a
-    binned remainder.  Every sum is ``math.fsum`` bit for bit."""
+    and blocks whose levels leave a rest, dense or sparse.  Every sum is
+    ``math.fsum`` bit for bit."""
     rng = np.random.default_rng(seed)
     x = np.concatenate([np.zeros(0), *(_content(kind, m, rng) for kind, m in parts)])
     bounds = np.cumsum([0, *(m for _, m in parts)]).tolist()
     with mock.patch.object(_stable, "_BLOCK", block), \
             mock.patch.object(_stable, "_LEVELS", levels), \
-            mock.patch.object(_stable, "_BINNED_MIN", 0):
+            mock.patch.object(_stable, "_BLOCKED_MIN", 0):
         assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
         assert _outcomes(_blocked_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
 
@@ -418,7 +416,8 @@ def test_blocked_sums_at_block_edges(parts, block, levels, seed):
 @settings(max_examples=20, deadline=None)
 def test_sums_past_one_block(kinds, lengths, seed):
     """Inputs longer than ``_BLOCK``: blocks that start and end inside a
-    segment, and bins of one segment that add up over several blocks."""
+    segment, and bounds on the rest of one segment that add up over several
+    blocks."""
     rng = np.random.default_rng(seed)
     x = np.concatenate([np.zeros(0)] + [_content(kinds[i % len(kinds)], m, rng)
                                         for i, m in enumerate(lengths)])
@@ -441,15 +440,38 @@ def test_levels_take_the_rest_whole_only_where_its_sum_is_exact():
     assert exact_sum(x) == math.fsum(x.tolist())
 
 
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("run", [
+    [1.0, 2.0 ** -53, 2.0 ** -300],  # up from a power of two
+    [1.5, 2.0 ** -53, 2.0 ** -300],
+    [1.0, -2.0 ** -54, -2.0 ** -300],  # down from one: the narrower gap
+], ids=["power-up", "even-up", "power-down"])
+def test_rest_that_the_pieces_cannot_certify_goes_to_fsum(run, sign, levels):
+    """With one level the pieces hold only the head, and the rest reaches
+    the rounding margin; from two levels on they make an exact tie between
+    two floats, which the rest 2**-300 breaks.  Either way the rounding of
+    the pieces cannot stand, and the run goes to ``math.fsum``."""
+    run = [sign * v for v in run]
+    x = np.array(run * 3)
+    expected = math.fsum(run)
+    assert expected != math.fsum(run[:2])
+    with mock.patch.object(_stable, "_BLOCK", 3), mock.patch.object(_stable, "_LEVELS", levels):
+        assert _stable._segment_fsum(x, [3, 3, 3]) == [expected] * 3
+        assert _stable._segment_fsum(x, [9]) == [math.fsum(x.tolist())]
+        with mock.patch.object(_stable, "_BLOCKED_MIN", 0):
+            assert _stable._segment_fsum(x[:3], [3]) == [expected]
+
+
 def test_bins_of_one_run_round_every_chunk():
-    """2**20 entries of one run in the bins: a quarter far below the rest,
-    so that every block goes to the bins straight away; the rest in the top
-    binade of an exponent group, and last a few in its bottom binade, whose
-    low bits a bin past 2**18 entries would lose."""
+    """2**20 entries of one run: a quarter some 670 binades below the rest,
+    so that every block's levels leave a rest, which the bound must cover
+    over all 32 blocks; the others in [256, 512), and last a few in [2, 4),
+    whose low bits the pieces must keep."""
     rng = np.random.default_rng(18)
-    x = rng.uniform(256.0, 512.0, 2 ** 20)  # biased exponent 1031 = 8 * 128 + 7
+    x = rng.uniform(256.0, 512.0, 2 ** 20)
     x[::4] = rng.uniform(1.0, 2.0, 2 ** 18) * 1e-200
-    x[-1000:] = rng.uniform(2.0, 4.0, 1000)  # biased exponent 1024 = 8 * 128
+    x[-1000:] = rng.uniform(2.0, 4.0, 1000)
     assert exact_sum(x) == math.fsum(x.tolist())
     assert segment_sums(x, [0, 5, len(x)]) == [math.fsum(x[:5].tolist()), math.fsum(x[5:].tolist())]
 
@@ -475,10 +497,20 @@ def test_sums_hold_no_input_sized_temporary():
     x /= x.sum()
     bounds = np.cumsum([0, *rng.integers(256, 1025, 1024)]).tolist()
     rows = x[:bounds[-1]]
-    wide = x ** 50.0  # over hundreds of binades: the bins
+    wide = x ** 50.0  # over hundreds of binades: the levels leave a rest
     for fn in (lambda: exact_sum(x), lambda: exact_sum(wide),
                lambda: segment_sums(rows, bounds), lambda: segment_sums(wide[:bounds[-1]], bounds)):
         assert _traced_peak(fn) < 2 * 2 ** 20
+
+
+def test_uncertified_run_sums_a_block_at_a_time():
+    """A 2**20-entry run whose pieces tie with a nonzero rest (see
+    `test_rest_that_the_pieces_cannot_certify_goes_to_fsum`) goes to
+    ``math.fsum`` a block at a time: its peak stays under 2 MB."""
+    x = np.zeros(2 ** 20)
+    x[:3] = 1.0, 2.0 ** -53, 2.0 ** -300
+    assert exact_sum(x) == math.fsum(x.tolist()) == 1.0 + 2.0 ** -52
+    assert _traced_peak(lambda: exact_sum(x)) < 2 * 2 ** 20
 
 
 # The short branch against its per-span definition (tests/libm_reference.py).
