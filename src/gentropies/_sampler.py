@@ -9,9 +9,11 @@ functions behind those two methods, called through ctypes on the
 generator's own bit generator, so the stream is the one the methods would
 draw.  Where the samplers are missing, or do not reproduce the methods on a
 fixed seed (`c_samplers` is then None), or for a generator that is not a
-``numpy.random.Generator``, `Draws` calls the methods themselves.
+``numpy.random.Generator``, `Draws` calls the methods themselves.  It only
+appends: the stream is never rewound, and a caller skips what it refuses.
 
-`row_sums` replays numpy's pairwise summation over many rows at once.
+`row_sums` replays numpy's pairwise summation over many rows at once
+(``add.reduceat`` sums each row left to right, not pairwise).
 """
 
 from __future__ import annotations
@@ -127,21 +129,10 @@ class Draws:
         """``count`` standard exponential draws onto ``cells``."""
         self._fill_cells(count, self.cells, self.cells.take(count))
 
-    def mark(self) -> tuple[int, int]:
-        return self.ints.size, self.cells.size
 
-    def since(self, mark: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """The integers and the cells appended after ``mark``."""
-        return self.ints.array[mark[0]:self.ints.size], self.cells.array[mark[1]:self.cells.size]
-
-    def rewind(self, mark: tuple[int, int]) -> None:
-        """Drop what was appended after ``mark`` (the stream stays drawn)."""
-        self.ints.size, self.cells.size = mark
-
-
-def draws(rng, c: bool = True) -> Draws:
-    """`Draws` of ``rng``, through the C samplers if ``c`` and they serve it."""
-    return Draws(rng, c_samplers() if c and isinstance(rng, np.random.Generator) else None)
+def draws(rng) -> Draws:
+    """`Draws` of ``rng``, through the C samplers if they serve it."""
+    return Draws(rng, c_samplers() if isinstance(rng, np.random.Generator) else None)
 
 
 def _places(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,6 +32,7 @@ from .distributions import (
     Distribution,
     JointDistribution,
     _check_counts,
+    _integer,
     group_marginals,
     uniform,
 )
@@ -172,7 +173,7 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
     2**n cells, so n is capped at ``MAX_CHAIN_LENGTH`` and longer chains
     raise :class:`DimensionError` before anything is built.
     """
-    if not 1 <= n <= MAX_CHAIN_LENGTH:
+    if not 1 <= _integer(n, "chain length") <= MAX_CHAIN_LENGTH:
         raise DimensionError(
             f"chain length must be in 1..{MAX_CHAIN_LENGTH}, got {n}"
         )
@@ -259,6 +260,8 @@ class CheckConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
+        for name in ("trials", "max_rows", "max_cols", "seed"):  # stored as Python ints
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.max_rows < 2:
@@ -324,42 +327,34 @@ def _rows_clear(least_row, total):
 def _draw_joints(rng, trials: int, max_rows: int, max_cols: int):
     """``trials`` joints, drawn one after another, normalized all at once.
 
-    A joint with a row whose marginal falls below 1e-12 is redrawn, so
-    conditionals are always defined.  A generator's joints are first drawn
-    untested, as their row sums almost always clear them (`_rows_clear`); if
-    one needs the exact test, all are drawn again from the same state, joint
-    by joint, through the Generator methods."""
+    A candidate joint with a row whose marginal falls below 1e-12 is
+    refused and the next candidate on the stream takes its place, so
+    conditionals are always defined: the joints are the candidates that
+    pass, in stream order.  The candidates are drawn ``trials`` at a time;
+    those that their numpy row sums do not clear (`_rows_clear`) take the
+    exact test, and as many more are drawn as failed it."""
     from . import _sampler
-    tested = not isinstance(rng, np.random.Generator)
-    start = None if tested else rng.bit_generator.state
-    while True:
-        draws, trial_rows = _sampler.draws(rng, c=not tested), []
-        for _ in range(trials):
-            while True:
-                mark = draws.mark()
-                trial_rows.append(draws.integer(2, max_rows))
-                draws.exponential(draws.integers(1, max_cols, trial_rows[-1]))
-                if not tested:
-                    break
-                sizes, cells = draws.since(mark)
-                totals, clear = _totals(_sampler, sizes, cells, trial_rows[-1:])
-                if np.all(clear) or min(segment_sums(cells / totals[0], _starts(sizes))) >= 1e-12:
-                    break
-                draws.rewind(mark)
-                trial_rows.pop()
+    draws, trial_rows, keep = _sampler.draws(rng), [], np.zeros(0, bool)
+    while need := trials - np.count_nonzero(keep):
+        for _ in range(need):
+            trial_rows.append(draws.integer(2, max_rows))
+            draws.exponential(draws.integers(1, max_cols, trial_rows[-1]))
         sizes, cells = draws.ints.used(), draws.cells.used()
-        totals, clear = _totals(_sampler, sizes, cells, trial_rows)
-        if tested or np.all(clear):
-            counts = np.add.reduceat(sizes, _starts(trial_rows)[:-1])
-            return _normalized(cells, totals, counts), sizes, trial_rows
-        rng.bit_generator.state, tested = start, True
-
-
-def _totals(sampler, sizes, cells, trial_rows):
-    """Each joint's total, Python's sum of its numpy row sums, and whether they clear it."""
-    rows = sampler.row_sums(cells, sizes)
-    totals = sampler.sequential_sums(rows, trial_rows)
-    return totals, _rows_clear(np.minimum.reduceat(rows, _starts(trial_rows)[:-1]), totals)
+        rows, starts = _sampler.row_sums(cells, sizes), _starts(trial_rows)[:-1]
+        totals, counts = _sampler.sequential_sums(rows, trial_rows), np.add.reduceat(sizes, starts)
+        clear = _rows_clear(np.minimum.reduceat(rows, starts), totals)
+        keep = np.zeros(len(trial_rows), bool) | clear  # one verdict per candidate
+        if not keep.all():
+            doubt, doubt_rows = ~keep, np.repeat(~keep, trial_rows)
+            scaled = cells[np.repeat(doubt_rows, sizes)] / np.repeat(totals[doubt], counts[doubt])
+            exact = segment_sums(scaled, _starts(sizes[doubt_rows]))
+            least = np.minimum.reduceat(exact, _starts(np.asarray(trial_rows)[doubt])[:-1])
+            keep[doubt] = least >= 1e-12
+    if not keep.all():  # drop the refused candidates
+        kept_rows = np.repeat(keep, trial_rows)
+        cells, sizes = cells[np.repeat(kept_rows, sizes)], sizes[kept_rows]
+        totals, counts, trial_rows = totals[keep], counts[keep], np.asarray(trial_rows)[keep]
+    return _normalized(cells, totals, counts), sizes, trial_rows
 
 
 def _draw_distributions(rng, max_dims: Sequence[int]):

@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -251,8 +252,17 @@ def make_joint(rows: Sequence[Sequence[float]]) -> JointDistribution:
     return JointDistribution._wrap(flat / total, bounds)
 
 
+def _integer(value, what: str, error: type[Exception] = DimensionError) -> int:
+    """``value`` as a Python int if it is an integer (numpy's too), else ``error``."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 def uniform(n: int) -> Distribution:
     """The n-dimensional uniform distribution (every entry exactly 1/n)."""
+    n = _integer(n, "uniform dimension")
     if n < 1:
         raise DimensionError(f"uniform dimension must be >= 1, got {n}")
     return Distribution._wrap(np.full(n, 1.0 / n))
@@ -323,7 +333,7 @@ def _check_counts(counts: Sequence[int]) -> None:
     """Raise :class:`DimensionError` unless ``counts`` are block sizes of a refinement."""
     if not counts:
         raise DimensionError("refinement needs at least one block")
-    if any(c < 1 for c in counts):
+    if any(_integer(c, "refinement count") < 1 for c in counts):
         raise DimensionError(f"refinement counts must be >= 1, got {tuple(counts)}")
 
 

@@ -12,6 +12,7 @@ from trial_views import (
     random_distributions,
     random_joint,
     random_joints,
+    reference_joints,
 )
 from gentropies import (
     PROBE_JOINT,
@@ -44,7 +45,7 @@ from gentropies import (
     uniform_trace,
     uniform_trace_residual,
 )
-from gentropies import checker
+from gentropies import _sampler, checker
 from gentropies.entropies import nath
 from gentropies.checker import (
     MAX_CHAIN_LENGTH,
@@ -131,6 +132,11 @@ class TestChainResidual:
         with pytest.raises(DimensionError, match=str(MAX_CHAIN_LENGTH)):
             chain_residual(shannon(-1.0), n)
 
+    def test_length_must_be_an_integer(self):
+        with pytest.raises(DimensionError, match="chain length must be an integer, got 3.0"):
+            chain_residual(shannon(-1.0), 3.0)
+        assert chain_residual(shannon(-1.0), np.int64(3)) == chain_residual(shannon(-1.0), 3)
+
 
 class TestUniformTraceResidual:
     def test_shannon_1024(self):
@@ -185,6 +191,14 @@ class TestRefinementConsistency:
     def test_two_three_five_renyi(self):
         assert refinement_consistency(renyi(2.0), (2, 3, 5)) < 1e-9
 
+    def test_counts_must_be_integers(self):
+        """A count of 1.5 is not read as 1."""
+        with pytest.raises(DimensionError, match="refinement count must be an integer, got 1.5"):
+            refinement_consistency(renyi(2.0), [1.5, 2])
+        counts = list(map(np.int64, (2, 3, 5)))
+        assert refinement_consistency(renyi(2.0), counts) == refinement_consistency(
+            renyi(2.0), (2, 3, 5))
+
 
 class TestProductAdditivityResidual:
     @pytest.mark.parametrize("_, family", GRID)
@@ -225,6 +239,26 @@ class TestCheckConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             CheckConfig(family=shannon(), **kwargs)
+
+    @pytest.mark.parametrize("sampler", ["c", "methods"])
+    @pytest.mark.parametrize(
+        "field, value", [("trials", 10.0), ("max_rows", 8.5), ("max_cols", "8"), ("seed", 1.5)]
+    )
+    def test_integer_fields_refuse_other_numbers(self, monkeypatch, sampler, field, value):
+        """The same refusal whether or not the C samplers draw."""
+        if sampler == "methods":
+            monkeypatch.setattr(_sampler, "c_samplers", lambda: None)
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            run_suite(CheckConfig(renyi(2.0), **{"trials": 5, field: value}))
+
+    @pytest.mark.parametrize("sampler", ["c", "methods"])
+    def test_numpy_integers_are_stored_as_ints(self, monkeypatch, sampler):
+        if sampler == "methods":
+            monkeypatch.setattr(_sampler, "c_samplers", lambda: None)
+        values = {"trials": 5, "max_rows": 4, "max_cols": 3, "seed": 7}
+        cfg = CheckConfig(renyi(2.0), **{k: np.int64(v) for k, v in values.items()})
+        assert all(type(getattr(cfg, k)) is int for k in values)
+        assert run_suite(cfg).to_json() == run_suite(CheckConfig(renyi(2.0), **values)).to_json()
 
 
 class TestRunSuite:
@@ -568,6 +602,22 @@ def test_batched_draws_equal_one_trial_draws(monkeypatch, defer, make_rng, shape
         one = random_distribution(alone, max_dim)
         assert dist._array.tobytes() == one._array.tobytes()
     assert batched.integers(2 ** 62) == alone.integers(2 ** 62)
+
+
+@pytest.mark.parametrize("defer", [False, True], ids=["row-sum-bound", "exact-test"])
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, _SmallRows], ids=["pcg64", "redraws"])
+@pytest.mark.parametrize("shape", [(8, 8), (3, 40), (2, 1)], ids=str)
+def test_drawn_joints_are_the_reference_rejection_loop(monkeypatch, defer, make_rng, shape):
+    """`_draw_joints` keeps the candidates that the one-at-a-time loop of
+    `reference_joints` keeps, byte for byte, and leaves the stream where it does."""
+    if defer:
+        monkeypatch.setattr(checker, "_rows_clear", lambda row_sums, total: False)
+    drawn, reference = make_rng(5), make_rng(5)
+    flat, sizes, trial_rows = checker._draw_joints(drawn, 25, *shape)
+    expected = reference_joints(reference, 25, *shape)
+    assert flat.tobytes() == expected[0].tobytes()
+    assert list(sizes) == list(expected[1]) and list(trial_rows) == expected[2]
+    assert drawn.integers(2 ** 62) == reference.integers(2 ** 62)
 
 
 def test_reports_do_not_depend_on_the_row_sum_bound(monkeypatch):

@@ -71,6 +71,11 @@ class TestUniform:
         with pytest.raises(DimensionError):
             uniform(0)
 
+    def test_dimension_must_be_an_integer(self):
+        with pytest.raises(DimensionError, match="uniform dimension must be an integer, got 2.5"):
+            uniform(2.5)
+        assert uniform(np.int64(3)) == uniform(3)
+
 
 class TestDirectProduct:
     def test_point_mass_column(self):
@@ -194,6 +199,12 @@ class TestRefinementJoint:
             refinement_joint(())
         with pytest.raises(DimensionError):
             refinement_joint((2, 0))
+
+    def test_counts_must_be_integers(self):
+        """Rows of 1.5 cells are not built as rows of 1."""
+        with pytest.raises(DimensionError, match="refinement count must be an integer, got 1.5"):
+            refinement_joint([1.5, 2])
+        assert refinement_joint([np.int64(2), np.int64(3)]) == refinement_joint((2, 3))
 
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=6))
     def test_flatten_is_uniform_exactly(self, counts):

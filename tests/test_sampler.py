@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentropies import CheckConfig, _sampler, run_suite
+from trial_views import reference_joints
+from gentropies import CheckConfig, _sampler, checker, run_suite
 from gentropies.entropies import general_escort, renyi, tsallis
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -67,15 +68,12 @@ def test_sequential_sums_are_left_to_right(counts):
     assert _sampler.sequential_sums(values, counts).tolist() == expected
 
 
-def _joint_draws(fills, seed: int, trials: int, max_rows: int, max_cols: int):
-    """``trials`` joints' raw draws as `checker._draw_joints` makes them, and
-    the stream's next draw after them."""
+def _joint_draws(draw, seed: int, trials: int, max_rows: int, max_cols: int):
+    """``trials`` joints drawn by ``draw`` on ``seed``, and the stream's next
+    draw after them."""
     rng = np.random.default_rng(seed)
-    draws, trial_rows = _sampler.Draws(rng, fills), []
-    for _ in range(trials):
-        trial_rows.append(draws.integer(2, max_rows))
-        draws.exponential(draws.integers(1, max_cols, trial_rows[-1]))
-    return trial_rows, draws.ints.used().tolist(), draws.cells.used().tobytes(), rng.integers(2 ** 62)
+    flat, sizes, trial_rows = draw(rng, trials, max_rows, max_cols)
+    return flat.tobytes(), list(sizes), list(trial_rows), rng.integers(2 ** 62)
 
 
 @pytest.mark.parametrize(
@@ -86,17 +84,17 @@ def _joint_draws(fills, seed: int, trials: int, max_rows: int, max_cols: int):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 64 - 1), data=st.data())
 def test_c_samplers_draw_what_the_generator_methods_draw(shape, max_trials, seed, data):
-    """The cells, the row lengths and the stream after them."""
+    """The joints of `checker._draw_joints`, drawn through the C samplers,
+    are those of the Generator methods, and so is the stream after them."""
     trials = data.draw(st.integers(1, max_trials))
-    c = _joint_draws(_sampler.c_samplers(), seed, trials, *shape)
-    assert c == _joint_draws(None, seed, trials, *shape)
+    c = _joint_draws(checker._draw_joints, seed, trials, *shape)
+    assert c == _joint_draws(reference_joints, seed, trials, *shape)
 
 
 def test_the_c_samplers_serve_a_pcg64_generator():
     """A silent fall-back would still pass every report test, only slower."""
     assert _sampler.c_samplers() is not None
     assert _sampler.draws(np.random.default_rng(0)).c
-    assert not _sampler.draws(np.random.default_rng(0), c=False).c
 
 
 def test_samplers_that_are_missing_or_draw_otherwise_are_not_used(monkeypatch):

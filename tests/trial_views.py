@@ -1,5 +1,9 @@
 """The suite's draws as objects, one per trial: `run_suite` reads the
-stores of `checker._draw_suite`; the tests compare trials one by one."""
+stores of `checker._draw_suite`; the tests compare trials one by one.  And
+`reference_joints`, the joints that `checker._draw_joints` must draw."""
+
+import itertools
+import math
 
 import numpy as np
 
@@ -28,3 +32,29 @@ def random_distribution(rng, max_dim: int) -> Distribution:
 
 def random_counts(rng, max_rows: int, max_cols: int) -> tuple[int, ...]:
     return tuple(checker._draw_counts(rng, 1, max_rows, max_cols)[0].tolist())
+
+
+def reference_joints(rng, trials: int, max_rows: int, max_cols: int):
+    """The rejection rule of `checker._draw_joints`, one candidate joint at
+    a time through ``rng.integers`` and ``rng.exponential``: its total is the
+    left-to-right sum of its ``np.add.reduce`` row sums, and it is kept when
+    the least exact row sum of ``cells / total`` is 1e-12 or more, else the
+    next candidate takes its place.  Returns what `checker._draw_joints`
+    does: the kept joints' cells, each over its exact sum, end to end; their
+    row lengths; and the rows of each joint."""
+    flat, sizes, trial_rows = [], [], []
+    while len(trial_rows) < trials:
+        rows = int(rng.integers(2, max_rows + 1))
+        lengths = rng.integers(1, max_cols + 1, size=rows).tolist()
+        cells = rng.exponential(1.0, size=sum(lengths))
+        bounds = list(itertools.pairwise(itertools.accumulate(lengths, initial=0)))
+        total = 0.0
+        for i, j in bounds:
+            total += float(np.add.reduce(cells[i:j]))
+        scaled = cells / total
+        terms = scaled.tolist()
+        if min(math.fsum(terms[i:j]) for i, j in bounds) >= 1e-12:
+            flat.append(scaled / math.fsum(terms))
+            sizes += lengths
+            trial_rows.append(rows)
+    return np.concatenate(flat), np.array(sizes), trial_rows
