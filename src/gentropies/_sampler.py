@@ -12,8 +12,9 @@ fixed seed (`c_samplers` is then None), or for a generator that is not a
 ``numpy.random.Generator``, `Draws` calls the methods themselves.  It only
 appends: the stream is never rewound, and a caller skips what it refuses.
 
-`row_sums` replays numpy's pairwise summation over many rows at once
-(``add.reduceat`` sums each row left to right, not pairwise).
+In `row_sums` numpy sums the rows, grouped by length: one ``add.reduce``
+along the rows of each group (``add.reduceat`` would sum each row left to
+right, not pairwise as ``add.reduce`` does).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import functools
 
 import numpy as np
 
-#: Longest row whose sum `row_sums` replays; longer rows go to ``add.reduce``.
-_PAIRWISE_BLOCK = 128
+from ._stable import span_cells
 
 
 @functools.cache
@@ -89,7 +89,8 @@ class Draws:
     """One generator's draws, appended in order: integers to ``ints`` and
     exponential cells to ``cells``.  With ``fills`` (`c_samplers()`), the
     draws go through numpy's C samplers, else through ``rng.integers`` and
-    ``rng.exponential``; the stream and the cells are the same."""
+    ``rng.exponential``; the stream and the cells are the same.  The C path
+    takes no lock, while the methods do: ``run_suite``'s generator is private."""
 
     def __init__(self, rng, fills=None) -> None:
         self.ints, self.cells = _Buffer(np.int64), _Buffer(np.float64)
@@ -98,7 +99,7 @@ class Draws:
         # is held, so that its state outlives every call
         self.rng, self.c = rng, fills is not None
         if self.c:
-            state, lock = rng.bit_generator.ctypes.bit_generator, rng.bit_generator.lock
+            state = rng.bit_generator.ctypes.bit_generator
             bounded, exponential = fills
 
             def fill_ints(low, high, count, buf, start):
@@ -135,55 +136,29 @@ def draws(rng) -> Draws:
     return Draws(rng, c_samplers() if isinstance(rng, np.random.Generator) else None)
 
 
-def _places(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each item of consecutive runs of ``counts`` items, its run and
-    its place in the run."""
-    run = np.repeat(np.arange(len(counts)), counts)
-    return run, np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def sequential_sums(values: np.ndarray, counts) -> np.ndarray:
     """The left-to-right sum of each consecutive run of ``counts`` values,
     as Python's ``sum`` of floats up to 3.11: runs padded with zeros, which
     add exactly, and accumulated along."""
     counts = np.asarray(counts)
-    run, place = _places(counts)
     padded = np.zeros((len(counts), int(counts.max())))
-    padded[run, place] = values
+    padded[np.arange(padded.shape[1]) < counts[:, None]] = values  # row-major: runs in order
     return np.add.accumulate(padded, axis=1)[:, -1]
 
 
 def row_sums(cells: np.ndarray, lengths) -> np.ndarray:
-    """``np.add.reduce`` of each consecutive row of ``lengths`` cells
-    (non-negative), bit for bit, in a few numpy calls for all rows.
-
-    numpy sums a row of n cells pairwise: below 8 cells left to right from
-    0.0; up to 128 cells in eight accumulators over whole blocks of 8,
-    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-    tail left to right.  Longer rows are summed by ``add.reduce`` itself."""
+    """``np.add.reduce`` of each consecutive row of ``lengths`` cells, bit for
+    bit: the rows in order of length, and each run of rows of one length
+    reduced along the rows of one matrix, which sums every row as alone."""
     lengths = np.asarray(lengths, dtype=np.intp)
+    order, ends = lengths.argsort(kind="stable"), np.cumsum(lengths)
+    ordered = span_cells(cells, np.array((ends - lengths, ends)).T[order])
+    rows = np.bincount(lengths)  # the number of rows of each length
+    in_order, i, at = np.empty(len(lengths)), 0, 0
+    for n in np.flatnonzero(rows).tolist():
+        j = i + int(rows[n])
+        np.add.reduce(ordered[at:at + (j - i) * n].reshape(j - i, n), axis=1, out=in_order[i:j])
+        i, at = j, at + (j - i) * n
     sums = np.empty(len(lengths))
-    short = lengths <= _PAIRWISE_BLOCK
-    if not short.all():
-        ends = np.cumsum(lengths)
-        for row in np.flatnonzero(~short):
-            sums[row] = np.add.reduce(cells[ends[row] - lengths[row]:ends[row]])
-        cells, lengths = cells[np.repeat(short, lengths)], lengths[short]
-    if not len(lengths):
-        return sums
-    # cell k of row i goes to column i of a zero matrix, to line k if it lies
-    # in the row's whole blocks of 8 (the first ``width`` lines), else to the
-    # tail lines, after the line that takes the blocks' pairwise sum
-    width = max(int(lengths.max()) // 8, 1) * 8
-    row, k = _places(lengths)
-    head = np.where(lengths >= 8, lengths - lengths % 8, 0)[row]
-    lines = np.zeros((width + 8, len(lengths)))
-    lines[np.where(k < head, k, k - head + width + 1), row] = cells
-    r = lines[:8]  # each accumulator over its blocks, in order
-    for block in range(8, width, 8):
-        r += lines[block:block + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for line in lines[width + 1:]:
-        total += line
-    sums[short] = total
+    sums[order] = in_order
     return sums

@@ -104,7 +104,7 @@ def _segment_fsum(values: np.ndarray, counts: Sequence[int]) -> list[float]:
         lo, hi = p.min(), p.max()
         top = max(hi, -lo)
         if not top < 2.0 ** 961:
-            return [math.fsum(values[i:j].tolist()) for i, j in zip([0, *ends], ends)]
+            return [_fsum(values, i, j) for i, j in zip([0, *ends], ends)]
         offsets, segs = [0], [first]  # the runs with entries in the block, and their starts
         if first < last:
             starts = np.array([b0, *ends[first:last], b0 + w]) - b0
@@ -161,9 +161,13 @@ def _round(out: list, pending: list, stop: int, rest: np.ndarray, values, ends) 
         margin = math.ulp(h) / (4.0 if abs(math.frexp(h)[0]) == 0.5 else 2.0)
         # the 2**-20 covers the roundings of d and of the bound
         if not (abs(math.fsum(ready[i:j] + [-h])) + rest[run]) * (1.0 + 2.0 ** -20) < margin:
-            i, j = ends[run - 1] if run else 0, ends[run]  # block-sized lists for fsum
-            out[run] = math.fsum(itertools.chain.from_iterable(
-                values[b:min(b + _BLOCK, j)].tolist() for b in range(i, j, _BLOCK)))
+            out[run] = _fsum(values, ends[run - 1] if run else 0, ends[run])
+
+
+def _fsum(values: np.ndarray, i: int, j: int) -> float:
+    """``math.fsum`` of ``values[i:j]``, fed one block-sized list at a time."""
+    return math.fsum(itertools.chain.from_iterable(
+        values[b:min(b + _BLOCK, j)].tolist() for b in range(i, j, _BLOCK)))
 
 
 def spans_of(bounds: Sequence[int]) -> np.ndarray:

@@ -331,7 +331,7 @@ def _escort(flat: np.ndarray, spans: Spans, alpha: float) -> np.ndarray:
 
 def _check_counts(counts: Sequence[int]) -> None:
     """Raise :class:`DimensionError` unless ``counts`` are block sizes of a refinement."""
-    if not counts:
+    if len(counts) == 0:  # ``not counts`` is ambiguous for an array
         raise DimensionError("refinement needs at least one block")
     if any(_integer(c, "refinement count") < 1 for c in counts):
         raise DimensionError(f"refinement counts must be >= 1, got {tuple(counts)}")
@@ -365,16 +365,12 @@ def _parse_floats(text: str, where: str) -> list[float]:
         raise FormatError(f"unparseable number in {where}: {exc}") from exc
 
 
-def _number_list(obj, where: str) -> list[float]:
+def _number_list(obj, where: str) -> list:
+    """``obj`` if it is a list; its entries are read and checked by the
+    validating constructors."""
     if not isinstance(obj, list):
         raise FormatError(f"{where}: expected a list of numbers, got {type(obj).__name__}")
-    out = []
-    for v in obj:
-        try:
-            out.append(float(v))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{where}: non-numeric entry {v!r}") from exc
-    return out
+    return obj
 
 
 def read_distributions(path: str | Path) -> list[Distribution]:

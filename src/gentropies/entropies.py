@@ -52,6 +52,7 @@ from .distributions import (
     Distribution,
     JointDistribution,
     _escort,
+    _integer,
     flatten,
     group_marginals,
 )
@@ -403,6 +404,7 @@ def uniform_trace(family: EntropyFamily, n: int) -> float:
     trace that the uniformity axioms constrain, e.g. log2 n for Renyi and
     (n**(1 - alpha) - 1)/lam for Tsallis-like members.
     """
+    n = _integer(n, "uniform trace dimension")
     if n < 1:
         raise DimensionError(f"uniform trace needs n >= 1, got {n}")
     try:

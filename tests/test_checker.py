@@ -199,6 +199,12 @@ class TestRefinementConsistency:
         assert refinement_consistency(renyi(2.0), counts) == refinement_consistency(
             renyi(2.0), (2, 3, 5))
 
+    def test_counts_may_be_an_array(self):
+        residual = refinement_consistency(renyi(2.0), np.array([1, 2]))
+        assert residual.hex() == refinement_consistency(renyi(2.0), [1, 2]).hex()
+        with pytest.raises(DimensionError):
+            refinement_consistency(renyi(2.0), np.array([], dtype=int))
+
 
 class TestProductAdditivityResidual:
     @pytest.mark.parametrize("_, family", GRID)

@@ -115,6 +115,19 @@ class TestJointCommands:
         assert out == "1.41503749927884\n"
 
 
+@pytest.mark.parametrize("command", ["compute", "joint", "conditional"])
+def test_integer_past_the_float_range_exit_one(capsys, tmp_path, command):
+    """float() of such a JSON integer raises OverflowError: the validating
+    constructors report it as a non-finite entry, with no traceback."""
+    huge = "1" + "0" * 400
+    path = tmp_path / "huge.json"
+    body = f'"p": [0.5, {huge}]' if command == "compute" else f'"rows": [[0.5], [{huge}]]'
+    path.write_text(f"{{{body}}}")
+    code, out, err = run(capsys, command, "--family", "shannon", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("NotNormalized: ") and "Traceback" not in err
+
+
 class TestReplayWorstInput:
     """A report's worst input, written as a file, replays through the CLI."""
 

@@ -206,6 +206,13 @@ class TestRefinementJoint:
             refinement_joint([1.5, 2])
         assert refinement_joint([np.int64(2), np.int64(3)]) == refinement_joint((2, 3))
 
+    def test_counts_may_be_an_array(self):
+        """An array's truth value is ambiguous: its length decides emptiness."""
+        j, expected = refinement_joint(np.array([1, 2])), refinement_joint([1, 2])
+        assert (j._flat.tobytes(), list(j._bounds)) == (expected._flat.tobytes(), list(expected._bounds))
+        with pytest.raises(DimensionError):
+            refinement_joint(np.array([], dtype=int))
+
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=6))
     def test_flatten_is_uniform_exactly(self, counts):
         assert flatten(refinement_joint(counts)) == uniform(sum(counts))
@@ -307,6 +314,18 @@ class TestFileFormats:
         path.write_text(payload)
         with pytest.raises(FormatError):
             read_distributions(path)
+
+    def test_readers_reject_an_integer_past_the_float_range(self, tmp_path):
+        """The entries reach the validating constructors unconverted: an
+        integer float() cannot read is a typed error, not an OverflowError."""
+        huge = "1" + "0" * 400
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"p": [0.5, {huge}]}}')
+        with pytest.raises(NotNormalized, match="probability entry 1000+ is not finite"):
+            read_distributions(path)
+        path.write_text(f'{{"rows": [[0.5], [{huge}]]}}')
+        with pytest.raises(NotNormalized, match="joint entry 1000+ is not finite"):
+            read_joint(path)
 
     def test_joint_reader_rejects_non_numeric_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ from conftest import constrained_grid, distributions, joints
 from gentropies import (
     HCT,
     Deformation,
+    DimensionError,
     DomainError,
     GeneralEscort,
     Nath,
@@ -287,6 +288,13 @@ class TestUniformTrace:
     def test_hct_beyond_float_range(self, alpha, expected):
         # 1.0 / 10**400 is not a float, but n**(1 - alpha) is
         assert uniform_trace(tsallis(alpha), 10 ** 400) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2.5, math.inf, math.nan, "4"], ids=repr)
+    def test_dimension_must_be_an_integer(self, n):
+        """As for ``uniform(n)``: 2.5 is not traced as log2(2.5)."""
+        with pytest.raises(DimensionError, match="uniform trace dimension must be an integer"):
+            uniform_trace(renyi(2.0), n)
+        assert uniform_trace(renyi(2.0), np.int64(8)) == uniform_trace(renyi(2.0), 8)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.25])
     def test_hct_beyond_float_range_is_typed_overflow(self, alpha):

@@ -55,6 +55,17 @@ def test_row_sums_of_every_length_at_once():
         assert _sampler.row_sums(cells, lengths).tobytes() == _reduced(cells, lengths)
 
 
+def test_row_sums_of_many_rows_per_length():
+    """20,000 rows each of 3, 8 and 129 cells and one row of 2**16 + 1:
+    each length one matrix of many rows, shuffled, ascending, descending."""
+    rng = np.random.default_rng(14)
+    lengths = np.repeat([3, 8, 129], 20_000).tolist() + [2 ** 16 + 1]
+    rng.shuffle(lengths)
+    for order in (lengths, sorted(lengths), sorted(lengths, reverse=True)):
+        cells = _cells(rng, sum(order), 0.2, 0.0)
+        assert _sampler.row_sums(cells, order).tobytes() == _reduced(cells, order)
+
+
 @pytest.mark.parametrize("counts", [[1], [3, 1, 4], [2] * 50, [1000, 1, 7]], ids=str)
 def test_sequential_sums_are_left_to_right(counts):
     values = _cells(np.random.default_rng(3), sum(counts), 0.1, 0.1)

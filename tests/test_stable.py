@@ -513,6 +513,19 @@ def test_uncertified_run_sums_a_block_at_a_time():
     assert _traced_peak(lambda: exact_sum(x)) < 2 * 2 ** 20
 
 
+def test_non_finite_runs_sum_a_block_at_a_time():
+    """An inf or nan sends the sum to ``math.fsum``, a block at a time: on
+    2**20 entries, one run or two, the peak stays under 2 MB."""
+    x = np.zeros(2 ** 20)
+    x[-1] = math.inf
+    assert exact_sum(x) == math.inf
+    assert _traced_peak(lambda: exact_sum(x)) < 2 * 2 ** 20
+    x[-1] = math.nan
+    halves = [0, 2 ** 19, 2 ** 20]
+    assert [str(s) for s in segment_sums(x, halves)] == ["0.0", "nan"]
+    assert _traced_peak(lambda: segment_sums(x, halves)) < 2 * 2 ** 20
+
+
 # The short branch against its per-span definition (tests/libm_reference.py).
 
 ALPHAS = (-3.0, 0.5, 2.0, 3.0, 100.0)
