@@ -59,10 +59,9 @@ _BLOCKED_MIN = 640  # below this length math.fsum over tolist() beats the blocke
 # stay in cache and no temporary is larger.
 _BLOCK = 2 ** 15
 _LEVELS = 3  # extraction levels per block; what they leave is only bounded
-_PENDING = 2 ** 12  # about this many pieces of complete runs wait for fsum
 
 
-def exact_sum(values) -> float:
+def exact_sum(values: np.ndarray) -> float:
     """Correctly rounded sum of floats, equal to ``math.fsum`` bit for bit.
 
     A float64 ndarray of ``_BLOCKED_MIN`` entries or more goes in blocks of
@@ -74,10 +73,8 @@ def exact_sum(values) -> float:
     them exactly in any order, and ``math.fsum`` rounds the exact pieces once
     if a bound on what the levels leave certifies it, else sums the entries
     (see `_round`).  An inf, nan or |x| >= 2**961 sends the sum to
-    ``math.fsum``, as does any other input.
+    ``math.fsum``.
     """
-    if type(values) is not np.ndarray or values.dtype != np.float64:
-        return math.fsum(values.tolist() if type(values) is np.ndarray else values)
     return _segment_fsum(values, [len(values)])[0]
 
 
@@ -95,7 +92,7 @@ def _segment_fsum(values: np.ndarray, counts: Sequence[int]) -> list[float]:
     size = min(n, _BLOCK) or 1
     m = max(size - 1, 1).bit_length()  # size <= 2**m
     q, r = np.empty(size), None  # the rest after each level; a later level's q
-    out, pending = [], [(np.zeros(0, np.intp), np.zeros(0))]  # sums; (runs, exact pieces)
+    pending = [(np.zeros(0, np.intp), np.zeros(0))]  # (runs, exact pieces) of every level
     rest = np.zeros(k)  # per run, the sum of |what the levels leave|, rounded
     for b0 in range(0, n, size):
         p = values[b0:b0 + size]
@@ -132,36 +129,30 @@ def _segment_fsum(values: np.ndarray, counts: Sequence[int]) -> list[float]:
                 break
         if top:
             rest[segs] += np.add.reduceat(np.abs(src, out=src), offsets)
-        if last > len(out) and sum(len(v) for _, v in pending) > _PENDING:
-            _round(out, pending, last, rest, values, ends)
-    _round(out, pending, k, rest, values, ends)
-    return out
+    return _round(pending, rest, values, ends)
 
 
-def _round(out: list, pending: list, stop: int, rest: np.ndarray, values, ends) -> None:
-    """Appends to ``out`` the sum of each run from ``len(out)`` up to ``stop``
-    (the ``pending`` pieces of later runs wait on): the ``math.fsum`` h of its
-    pieces if ``rest[run]``, a bound on what they miss, is 0 or, plus the residual
-    d past h, below half an ulp of h (a quarter at a power of two); else fsum of values."""
-    done = len(out)
-    if stop - done == 1 == len(rest) - done:  # the last run: every piece is its own
+def _round(pending: list, rest: np.ndarray, values, ends) -> list[float]:
+    """Every run's sum, in one call after the last block: the ``math.fsum`` h
+    of its ``pending`` pieces if ``rest[run]``, a bound on what they miss, is 0
+    or, plus the residual d past h, below half an ulp of h (a quarter at a power
+    of two); else ``math.fsum`` of its values."""
+    if len(rest) == 1:  # one run: every piece is its own
         ready = np.concatenate([v for _, v in pending]).tolist()
         bounds = [0, len(ready)]
     else:
         runs, pieces = map(np.concatenate, zip(*pending))
         order = runs.argsort(kind="stable")
-        runs, pieces = runs[order], pieces[order]
-        bounds = runs.searchsorted(np.arange(done, stop + 1)).tolist()
-        ready = pieces[:bounds[-1]].tolist()
-        pending[:] = [(runs[bounds[-1]:], pieces[bounds[-1]:])]
-    out += [math.fsum(ready[i:j]) for i, j in itertools.pairwise(bounds)]
-    for run in rest[done:stop].nonzero()[0].tolist():
-        i, j, run = bounds[run], bounds[run + 1], done + run
-        h = out[run]
+        ready = pieces[order].tolist()
+        bounds = runs[order].searchsorted(np.arange(len(rest) + 1)).tolist()
+    out = [math.fsum(ready[i:j]) for i, j in itertools.pairwise(bounds)]
+    for run in rest.nonzero()[0].tolist():
+        i, j, h = bounds[run], bounds[run + 1], out[run]
         margin = math.ulp(h) / (4.0 if abs(math.frexp(h)[0]) == 0.5 else 2.0)
         # the 2**-20 covers the roundings of d and of the bound
         if not (abs(math.fsum(ready[i:j] + [-h])) + rest[run]) * (1.0 + 2.0 ** -20) < margin:
             out[run] = _fsum(values, ends[run - 1] if run else 0, ends[run])
+    return out
 
 
 def _fsum(values: np.ndarray, i: int, j: int) -> float:

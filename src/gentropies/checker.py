@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -210,15 +210,14 @@ def _refinement(family, counts_list) -> tuple[list[float], list[float]]:
     return [abs(d - r) for d, r in zip(direct, rebuilt)], [abs(d) for d in direct]
 
 
-def refinement_consistency(family: EntropyFamily, counts: Sequence[int]) -> float:
+def refinement_consistency(family: EntropyFamily, counts: Iterable[int]) -> float:
     """Residual of reconstructing H(m_1/m, ..., m_n/m) from its refinement.
 
     The refinement joint has uniform conditional rows, so for a strongly
     additive family the marginal entropy must equal the joint entropy minus
     (deformed-minus for HCT) the conditional entropy.
     """
-    _check_counts(counts)
-    return _refinement(family, [counts])[0][0]
+    return _refinement(family, [_check_counts(counts)])[0][0]
 
 
 def _product(family, pairs) -> tuple[list[float], list[float]]:

@@ -19,6 +19,7 @@ from .checker import CheckConfig, run_suite
 from .distributions import read_distributions, read_joint
 from .entropies import (
     EntropyFamily,
+    _family_builder,
     conditional_entropy,
     entropy,
     joint_entropy,
@@ -134,6 +135,7 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _family_builder(args.family, args.alpha, args.lam, args.tau)  # the name and the flag set
     raw = {"alpha": args.alpha, "lambda": args.lam, "tau": args.tau}
     ranged = [k for k, v in raw.items() if v is not None and ":" in v]
     if len(ranged) != 1:

@@ -329,22 +329,24 @@ def _escort(flat: np.ndarray, spans: Spans, alpha: float) -> np.ndarray:
     return escort_weights(flat, spans, alpha)
 
 
-def _check_counts(counts: Sequence[int]) -> None:
-    """Raise :class:`DimensionError` unless ``counts`` are block sizes of a refinement."""
-    if len(counts) == 0:  # ``not counts`` is ambiguous for an array
+def _check_counts(counts: Iterable[int]) -> list:
+    """The ``counts`` read once, if they are the block sizes of a refinement."""
+    counts = list(counts)
+    if not counts:
         raise DimensionError("refinement needs at least one block")
     if any(_integer(c, "refinement count") < 1 for c in counts):
         raise DimensionError(f"refinement counts must be >= 1, got {tuple(counts)}")
+    return counts
 
 
-def refinement_joint(counts: Sequence[int]) -> JointDistribution:
+def refinement_joint(counts: Iterable[int]) -> JointDistribution:
     """The even refinement joint: row i holds m_i cells of exactly 1/m.
 
     Here m = sum(counts).  The marginal is (m_1/m, ..., m_n/m) and every
     conditional row is uniform, which is the construction that pins the
     entropy of rational distributions to the uniform trace.
     """
-    _check_counts(counts)
+    counts = _check_counts(counts)
     bounds = [0, *itertools.accumulate(int(c) for c in counts)]
     return JointDistribution._wrap(np.full(bounds[-1], 1.0 / bounds[-1]), bounds)
 
@@ -373,41 +375,44 @@ def _number_list(obj, where: str) -> list:
     return obj
 
 
-def read_distributions(path: str | Path) -> list[Distribution]:
-    """Read one or more distributions from a JSON or CSV file."""
-    text = Path(path).read_text()
+def _read(path: str | Path, key: str, what: str) -> tuple[object, list[str]]:
+    """The ``key`` entry of a JSON file's object and no lines, or None and the
+    non-blank lines of a CSV file.  A file that is not UTF-8 text, invalid
+    JSON or no ``what`` at all is a :class:`FormatError`."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-        if not isinstance(obj, dict) or "p" not in obj:
-            raise FormatError(f'{path}: expected an object with a "p" key')
-        return [make_distribution(_number_list(obj["p"], str(path)))]
+        if not isinstance(obj, dict) or key not in obj:
+            raise FormatError(f'{path}: expected an object with a "{key}" key')
+        return obj[key], []
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise FormatError(f"{path}: no distributions found")
+        raise FormatError(f"{path}: no {what} found")
+    return None, lines
+
+
+def read_distributions(path: str | Path) -> list[Distribution]:
+    """Read one or more distributions from a JSON or CSV file."""
+    p, lines = _read(path, "p", "distributions")
+    if not lines:
+        return [make_distribution(_number_list(p, str(path)))]
     return [make_distribution(_parse_floats(ln, str(path))) for ln in lines]
 
 
 def read_joint(path: str | Path) -> JointDistribution:
     """Read a joint distribution from a JSON or CSV file."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-        if not isinstance(obj, dict) or "rows" not in obj:
-            raise FormatError(f'{path}: expected an object with a "rows" key')
-        rows = obj["rows"]
-        if not isinstance(rows, list):
-            raise FormatError(f'{path}: "rows" must be a list of rows')
-        return make_joint([_number_list(row, str(path)) for row in rows])
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: no joint rows found")
-    return make_joint([_parse_floats(ln, str(path)) for ln in lines])
+    rows, lines = _read(path, "rows", "joint rows")
+    if lines:
+        return make_joint([_parse_floats(ln, str(path)) for ln in lines])
+    if not isinstance(rows, list):
+        raise FormatError(f'{path}: "rows" must be a list of rows')
+    return make_joint([_number_list(row, str(path)) for row in rows])
 
 
 def write_distribution(path: str | Path, dist: Distribution, fmt: str = "json") -> None:

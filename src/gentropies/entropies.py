@@ -318,6 +318,12 @@ def make_family(
     ``tsallis``, ``havrda-charvat``, ``hct``.  Flags a family does not take
     are rejected; ``shannon`` defaults to tau = -1 when the flag is omitted.
     """
+    build, params = _family_builder(name, alpha, lam, tau)
+    return build(*params)
+
+
+def _family_builder(name: str, alpha, lam, tau) -> tuple[Callable[..., EntropyFamily], list]:
+    """`make_family`'s checks of the name and flag set; its builder and arguments."""
     key = name.lower()
     if key not in _FAMILY_TABLE:
         raise ParameterError(f"unknown family {name!r}")
@@ -330,7 +336,7 @@ def make_family(
     if missing:
         raise ParameterError(f"family {name!r} needs --{' --'.join(missing)}")
     # only shannon's optional tau can still be None; its default then applies
-    return build(*(given[f] for f in allowed if given[f] is not None))
+    return build, [given[f] for f in allowed if given[f] is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +361,7 @@ def entropy(family: EntropyFamily, dist: Distribution) -> float:
 
     Raises :class:`Overflow` when the value is past the float range.
     """
-    return span_entropies(family, dist._array, [(0, len(dist))])[0]
+    return span_entropies(family, dist._array, [(0, len(dist))])[0] + 0.0  # -0.0 to 0.0
 
 
 def conditional_entropies(
@@ -389,7 +395,7 @@ def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> floa
     Rows with zero marginal carry escort weight exactly 0 and are skipped.
     """
     groups = [0, len(joint)]
-    return conditional_entropies(family, joint, groups, group_marginals(joint, groups))[0]
+    return conditional_entropies(family, joint, groups, group_marginals(joint, groups))[0] + 0.0
 
 
 def joint_entropy(family: EntropyFamily, joint: JointDistribution) -> float:
@@ -412,4 +418,4 @@ def uniform_trace(family: EntropyFamily, n: int) -> float:
     except AttributeError:
         raise TypeError(f"unknown entropy family {family!r}") from None
     # log2 of the integer itself: float(n) overflows from n = 2**1024 on
-    return trace(n, math.log2(n))
+    return trace(n, math.log2(n)) + 0.0

@@ -11,13 +11,14 @@ literally.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from ._stable import _libm, exact_sum, segment_sums
+from ._stable import _libm, segment_sums
 from .errors import DimensionError, DomainError, Overflow, ParameterError
 from .distributions import Distribution
 
@@ -44,8 +45,8 @@ class LinearGenerator:
     def invert(self, y: float) -> float:
         return -y / self.c - self.shift
 
-    def invert_mean(self, acc: float, terms: Sequence[tuple[float, float]]) -> float:
-        """g^{-1}(acc), where acc = sum w g(v) over the (w, v) ``terms``."""
+    def invert_mean(self, acc: float, weights: np.ndarray, values: np.ndarray) -> float:
+        """g^{-1}(acc), where acc = sum w g(v) over the ``weights`` and ``values``."""
         return self.invert(acc)
 
 
@@ -96,8 +97,8 @@ class ExponentialGenerator:
             )
         return math.log1p(t) / (_LN2 * self.kappa) - self.shift
 
-    def invert_mean(self, acc: float, terms: Sequence[tuple[float, float]]) -> float:
-        """g^{-1}(acc), where acc = sum w g(v) over the (w, v) ``terms``.
+    def invert_mean(self, acc: float, weights: np.ndarray, values: np.ndarray) -> float:
+        """g^{-1}(acc), where acc = sum w g(v) over the ``weights`` and ``values``.
 
         Where every 2**(kappa*(v + shift)) vanishes beside 1, expm1 saturates
         and gamma*acc + 1 <= 0 leaves the domain of ``invert``; only then the
@@ -106,9 +107,9 @@ class ExponentialGenerator:
         """
         if not 1.0 + self.gamma * acc <= 0.0:  # nan stays with invert
             return self.invert(acc)
-        exponents = [self.kappa * (v + self.shift) for _, v in terms]
+        exponents = [self.kappa * (v + self.shift) for v in values.tolist()]
         top = max(exponents)
-        total = exact_sum(w * 2.0 ** (e - top) for (w, _), e in zip(terms, exponents))
+        total = math.fsum([w * 2.0 ** (e - top) for w, e in zip(weights.tolist(), exponents)])
         return (top + math.log2(total)) / self.kappa - self.shift
 
 
@@ -125,26 +126,21 @@ def quasi_mean(
     carrying positive weight (up to rounding).
     """
     if len(weights) != len(values):
-        raise DimensionError(
-            f"{len(weights)} weights for {len(values)} values"
-        )
-    return weighted_mean(generator, [(w, v) for w, v in zip(weights.probs, values) if w > 0.0])
-
-
-def weighted_mean(generator: Generator, terms: Sequence[tuple[float, float]]) -> float:
-    """g^{-1}(sum w g(v)) over (weight, value) ``terms`` of positive weight."""
-    weights, values = np.array(terms, dtype=np.float64).reshape(-1, 2).T
-    return weighted_means(generator, weights, values, [0, len(terms)])[0]
+        raise DimensionError(f"{len(weights)} weights for {len(values)} values")
+    positive = weights._array > 0.0
+    kept = np.fromiter(itertools.compress(values, positive.tolist()), np.float64)
+    return weighted_means(generator, weights._array[positive], kept, [0, len(kept)])[0]
 
 
 def weighted_means(
     generator: Generator, weights: np.ndarray, values: np.ndarray, starts: Sequence[int]
 ) -> list[float]:
-    """`weighted_mean` of each run of terms ``starts[t]`` to ``starts[t + 1] - 1``.
+    """g^{-1}(sum w g(v)) over each run of terms ``starts[t]`` to ``starts[t + 1] - 1``
+    of the positive ``weights`` and their ``values``.
 
     g is evaluated on all values at once, and every run's accumulator is
     one exact sum (see `segment_sums`).
     """
     acc = segment_sums(weights * generator.evaluate(values), starts)
-    terms = list(zip(weights.tolist(), values.tolist()))
-    return [generator.invert_mean(a, terms[i:j]) for a, i, j in zip(acc, starts, starts[1:])]
+    return [generator.invert_mean(a, weights[i:j], values[i:j])
+            for a, i, j in zip(acc, starts, starts[1:])]

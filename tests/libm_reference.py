@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from gentropies.errors import Overflow
 from gentropies.generators import ExponentialGenerator
 
@@ -65,4 +67,5 @@ def evaluate(generator, x):
 
 def weighted_mean(generator, terms):
     acc = math.fsum([w * evaluate(generator, v) for w, v in terms])
-    return generator.invert_mean(acc, terms)
+    weights, values = np.array(terms, dtype=np.float64).reshape(-1, 2).T
+    return generator.invert_mean(acc, weights, values)

@@ -205,6 +205,12 @@ class TestRefinementConsistency:
         with pytest.raises(DimensionError):
             refinement_consistency(renyi(2.0), np.array([], dtype=int))
 
+    def test_counts_may_be_an_iterator(self):
+        residual = refinement_consistency(renyi(2.0), iter([1, 2]))
+        assert residual.hex() == refinement_consistency(renyi(2.0), [1, 2]).hex()
+        with pytest.raises(DimensionError, match="at least one block"):
+            refinement_consistency(renyi(2.0), iter([]))
+
 
 class TestProductAdditivityResidual:
     @pytest.mark.parametrize("_, family", GRID)

@@ -128,6 +128,42 @@ def test_integer_past_the_float_range_exit_one(capsys, tmp_path, command):
     assert err.startswith("NotNormalized: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["compute", "joint", "conditional"])
+def test_file_that_is_not_utf8_exit_one(capsys, tmp_path, command):
+    path = tmp_path / "utf16.csv"
+    path.write_bytes(b"\xff\xfe0.5,0.5\n")
+    code, out, err = run(capsys, command, "--family", "shannon", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("FormatError: ") and "Traceback" not in err
+
+
+# The flags of every family whose zero entropy used to print as -0.
+ZERO_FLAGS = {
+    "shannon": [],
+    "renyi": ["--alpha", "2"],
+    "tsallis": ["--alpha", "2"],
+    "nath": ["--alpha", "2", "--lambda", "-1", "--tau", "-1"],
+    "general(lambda=0)": ["--alpha", "2", "--lambda", "0", "--tau", "-1"],
+    "general(lambda=0.5)": ["--alpha", "2", "--lambda", "0.5", "--tau", "-1"],
+}
+
+
+@pytest.mark.parametrize("command, rows", [
+    ("compute", "1.0,0.0\n"), ("joint", "1.0,0.0\n"), ("conditional", "0.5,0\n0,0.5\n"),
+])
+@pytest.mark.parametrize("family", ZERO_FLAGS)
+def test_zero_entropy_prints_zero(capsys, tmp_path, command, rows, family):
+    path = tmp_path / "zero.csv"
+    path.write_text(rows)
+    flags = ["--family", family.split("(")[0], *ZERO_FLAGS[family]]
+    assert run(capsys, command, *flags, str(path)) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize("family", ["renyi", "tsallis"])
+def test_trace_of_one_point_prints_zero(capsys, family):
+    assert run(capsys, "trace", "--family", family, "--alpha", "2", "--n", "1") == (0, "0\n", "")
+
+
 class TestReplayWorstInput:
     """A report's worst input, written as a file, replays through the CLI."""
 
@@ -305,6 +341,19 @@ class TestSweep:
         )
         assert code == 1
         assert "ParameterError" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--family", "entropy", "--alpha", "0.5:1:0.5"], "unknown family 'entropy'"),
+        (["--family", "shannon", "--alpha", "0.5:1:0.5"], "does not take --alpha"),
+        (["--family", "nath", "--alpha", "0.5:1.5:0.5"], "needs --lambda --tau"),
+    ], ids=["unknown", "extra flag", "missing flags"])
+    def test_family_flags_refused_before_the_header(self, capsys, coin_file, flags, message):
+        """A flag set that fails at every point is refused once, as
+        ``compute`` refuses it, not warned about point by point."""
+        code, out, err = run(capsys, "sweep", *flags, coin_file)
+        assert (code, out) == (1, "")
+        assert err.startswith("ParameterError: ") and message in err
+        assert len(err.splitlines()) == 1
 
     def test_multi_distribution_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "many.csv"

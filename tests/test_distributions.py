@@ -206,6 +206,15 @@ class TestRefinementJoint:
             refinement_joint([1.5, 2])
         assert refinement_joint([np.int64(2), np.int64(3)]) == refinement_joint((2, 3))
 
+    def test_counts_may_be_an_iterator(self):
+        """The counts are read once, so an iterator builds the list's joint."""
+        j, expected = refinement_joint(iter([1, 2])), refinement_joint([1, 2])
+        assert (j._flat.tobytes(), list(j._bounds)) == (expected._flat.tobytes(), list(expected._bounds))
+        with pytest.raises(DimensionError, match="at least one block"):
+            refinement_joint(iter([]))
+        with pytest.raises(DimensionError, match=r"got \(2, 0\)"):
+            refinement_joint(iter([2, 0]))
+
     def test_counts_may_be_an_array(self):
         """An array's truth value is ambiguous: its length decides emptiness."""
         j, expected = refinement_joint(np.array([1, 2])), refinement_joint([1, 2])
@@ -326,6 +335,13 @@ class TestFileFormats:
         path.write_text(f'{{"rows": [[0.5], [{huge}]]}}')
         with pytest.raises(NotNormalized, match="joint entry 1000+ is not finite"):
             read_joint(path)
+
+    @pytest.mark.parametrize("reader", [read_distributions, read_joint])
+    def test_readers_reject_a_file_that_is_not_utf8(self, tmp_path, reader):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe0.5,0.5\n")
+        with pytest.raises(FormatError, match="utf16.csv is not UTF-8 text"):
+            reader(path)
 
     def test_joint_reader_rejects_non_numeric_json(self, tmp_path):
         path = tmp_path / "bad.json"

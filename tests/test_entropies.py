@@ -303,6 +303,28 @@ class TestUniformTrace:
             uniform_trace(tsallis(alpha), 10 ** 700)
 
 
+# Both signs of each parameter, and both branches of the general family.
+ZERO_FAMILIES = [
+    shannon(-1.0), renyi(2.0), renyi(0.5), tsallis(2.0), tsallis(0.5),
+    nath(0.5, 1.0, 0.5), havrda_charvat(2.0), havrda_charvat(0.5),
+    general_escort(2.0, -1.0, 0.0), general_escort(2.0, -1.0, 0.5),
+    general_escort(0.5, -1.0, 0.0), general_escort(0.5, -1.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("family", ZERO_FAMILIES, ids=repr)
+def test_zero_entropy_is_positive_zero(family):
+    """A point mass, a joint whose rows are point masses and the trace at
+    n = 1 have entropy +0.0, never -0.0."""
+    values = [
+        entropy(family, make_distribution((1.0, 0.0))),
+        joint_entropy(family, make_joint(((1.0, 0.0),))),
+        conditional_entropy(family, make_joint(((0.5, 0.0), (0.0, 0.5)))),
+        uniform_trace(family, 1),
+    ]
+    assert [math.copysign(1.0, v) for v in values] == [1.0] * 4
+
+
 class TestInvariants:
     @pytest.mark.parametrize("family", GRID_FAMILIES, ids=GRID_IDS)
     def test_permutation_invariance_exact(self, family):
