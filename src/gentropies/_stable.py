@@ -15,16 +15,20 @@ span (`escort_weights` returns one array, normalized within each span).  A
 single distribution is the one-span case; a joint's rows, or every trial of
 the axiom suite, are many spans of one array.  Each span takes its branch by
 its own length, and gets the bits it would get alone.  A branch takes all of
-its spans at once: one pass over their positive entries, per-span maxima
-from ``np.maximum.reduceat`` (exact), and the basic operations
-(``alpha * t``, ``t - m``, ``w / total``) in numpy, which rounds them as
-Python does.  The branches differ only in their transcendentals and sums:
+its spans at once, with per-span maxima from ``np.maximum.reduceat`` (exact)
+and the basic operations (``alpha * t``, ``t - m``, ``w / total``) in numpy,
+which rounds them as Python does.  The branches differ in their
+transcendentals and sums:
 
 - below ``_VECTOR_MIN`` entries, libm: one C-level ``map`` of ``math.log2``
   or ``math.pow`` over the cells of all such spans, and a ``math.fsum`` per
   span, fed by ``islice`` from that map or one list, which beat numpy's
   per-call overhead;
-- at and above it, numpy's log2/exp2/power and one blocked exact sum.
+- at and above it, numpy's log2/exp2/power and one blocked exact sum, into
+  which the power, p log p and weighted log sums stream a block of at most
+  ``_BLOCK`` entries at a time (`_streamed`), so no temporary is input-sized;
+  the max-factored sums and the escort need each span's maximum before any
+  term, and hold the positive entries and their logs whole.
 
 ``math.pow(x, a)`` makes the C ``pow`` call that ``x ** a`` makes, at about
 half the cost: for the positive x and finite a of the kernels both give the
@@ -55,8 +59,8 @@ Spans = Union[Sequence[tuple[int, int]], np.ndarray]
 
 _VECTOR_MIN = 256  # below this length libm over Python floats beats numpy's overhead
 _BLOCKED_MIN = 640  # below this length math.fsum over tolist() beats the blocked sum
-# Blocks of the exact sum: at most this many entries, so that its buffers
-# stay in cache and no temporary is larger.
+# Blocks of the exact sum and of the streamed kernels: at most this many
+# entries, so that their buffers stay in cache and no temporary is larger.
 _BLOCK = 2 ** 15
 _LEVELS = 3  # extraction levels per block; what they leave is only bounded
 
@@ -79,34 +83,49 @@ def exact_sum(values: np.ndarray) -> float:
 
 
 def _segment_fsum(values: np.ndarray, counts: Sequence[int]) -> list[float]:
-    """``math.fsum`` of each run of ``counts[k]`` consecutive ``values``, bit for bit.
+    """``math.fsum`` of each run of ``counts[k]`` consecutive ``values``, bit for bit:
+    `exact_sum` of all runs at once, fed to `_blocked_fsum` a slice at a time."""
+    bounds = [0, *itertools.accumulate(counts)]
 
-    `exact_sum` of all runs at once.  If an entry is inf, nan or |x| >=
-    2**961, ``math.fsum`` takes each run in order, so an error is the first
-    failing run's.
-    """
-    n, k = len(values), len(counts)
+    def blocks(i, j):
+        for b0 in range(bounds[i], bounds[j], _BLOCK):
+            yield values[b0:min(b0 + _BLOCK, bounds[j])], None
+
+    return _blocked_fsum(blocks, bounds)
+
+
+def _blocked_fsum(blocks: Callable, bounds: list[int]) -> list[float]:
+    """``math.fsum`` of the values that each run keeps, bit for bit; run k is at positions
+    ``bounds[k]`` to ``bounds[k + 1]``.  ``blocks(i, j)`` yields, for each ``_BLOCK``
+    positions of runs i to j - 1 from ``bounds[i]``, the values that they keep and the mask
+    of those (``None``: all).  If a value is inf, nan or |x| >= 2**961, ``math.fsum`` takes
+    each run in order, so an error is the first failing run's."""
+    n, k = bounds[-1], len(bounds) - 1
     if k == 1 and n < _BLOCKED_MIN:
-        return [math.fsum(values.tolist())]
-    ends = list(itertools.accumulate(counts))
+        return [_fsum(blocks, 0, 1)]
     size = min(n, _BLOCK) or 1
     m = max(size - 1, 1).bit_length()  # size <= 2**m
     q, r = np.empty(size), None  # the rest after each level; a later level's q
     pending = [(np.zeros(0, np.intp), np.zeros(0))]  # (runs, exact pieces) of every level
     rest = np.zeros(k)  # per run, the sum of |what the levels leave|, rounded
-    for b0 in range(0, n, size):
-        p = values[b0:b0 + size]
+    for b0, (p, keep) in zip(range(0, n, _BLOCK), blocks(0, k)):
+        end = min(b0 + _BLOCK, n)
+        first, last = bisect.bisect_right(bounds, b0) - 1, bisect.bisect_right(bounds, end - 1) - 1
+        offsets, segs = [0], [first]  # the runs with values in the block, and their starts
+        if first < last:
+            starts = np.array([b0, *bounds[first + 1:last + 1], end]) - b0
+            segs = np.flatnonzero(starts[1:] != starts[:-1])
+            offsets, segs = starts[segs], segs + first
+            if keep is not None:  # to the kept values: a run that keeps none gets no start
+                per = np.add.reduceat(keep.view(np.int8), offsets, dtype=np.intp)
+                offsets, segs = (per.cumsum() - per)[per > 0], segs[per > 0]
         w = len(p)
-        first, last = bisect.bisect_right(ends, b0), bisect.bisect_right(ends, b0 + w - 1)
+        if not w:
+            continue
         lo, hi = p.min(), p.max()
         top = max(hi, -lo)
         if not top < 2.0 ** 961:
-            return [_fsum(values, i, j) for i, j in zip([0, *ends], ends)]
-        offsets, segs = [0], [first]  # the runs with entries in the block, and their starts
-        if first < last:
-            starts = np.array([b0, *ends[first:last], b0 + w]) - b0
-            segs = np.flatnonzero(starts[1:] != starts[:-1])
-            offsets, segs = starts[segs], segs + first
+            return [_fsum(blocks, i, i + 1) for i in range(k)]
         src, e = p, math.frexp(top)[1]  # max|src| <= 2**e
         least = lo if lo > 0.0 else -hi if hi < 0.0 else 0.0  # the least nonzero |p|
         if not least and top:  # zeros or both signs: zeros wrap to the top of the minimum
@@ -129,10 +148,10 @@ def _segment_fsum(values: np.ndarray, counts: Sequence[int]) -> list[float]:
                 break
         if top:
             rest[segs] += np.add.reduceat(np.abs(src, out=src), offsets)
-    return _round(pending, rest, values, ends)
+    return _round(pending, rest, blocks)
 
 
-def _round(pending: list, rest: np.ndarray, values, ends) -> list[float]:
+def _round(pending: list, rest: np.ndarray, blocks: Callable) -> list[float]:
     """Every run's sum, in one call after the last block: the ``math.fsum`` h
     of its ``pending`` pieces if ``rest[run]``, a bound on what they miss, is 0
     or, plus the residual d past h, below half an ulp of h (a quarter at a power
@@ -151,14 +170,13 @@ def _round(pending: list, rest: np.ndarray, values, ends) -> list[float]:
         margin = math.ulp(h) / (4.0 if abs(math.frexp(h)[0]) == 0.5 else 2.0)
         # the 2**-20 covers the roundings of d and of the bound
         if not (abs(math.fsum(ready[i:j] + [-h])) + rest[run]) * (1.0 + 2.0 ** -20) < margin:
-            out[run] = _fsum(values, ends[run - 1] if run else 0, ends[run])
+            out[run] = _fsum(blocks, run, run + 1)
     return out
 
 
-def _fsum(values: np.ndarray, i: int, j: int) -> float:
-    """``math.fsum`` of ``values[i:j]``, fed one block-sized list at a time."""
-    return math.fsum(itertools.chain.from_iterable(
-        values[b:min(b + _BLOCK, j)].tolist() for b in range(i, j, _BLOCK)))
+def _fsum(blocks: Callable, i: int, j: int) -> float:
+    """``math.fsum`` of the values of runs i to j - 1, one block-sized list at a time."""
+    return math.fsum(itertools.chain.from_iterable(p.tolist() for p, _ in blocks(i, j)))
 
 
 def spans_of(bounds: Sequence[int]) -> np.ndarray:
@@ -211,6 +229,25 @@ def _cells(flat: np.ndarray, spans: np.ndarray):
     return where, x[pos], pos, positives
 
 
+def _streamed(fn: Callable, flat: np.ndarray, spans: np.ndarray, *weights) -> list[float]:
+    """Per span, the exact sum of ``fn(x, *w, out=buffer)`` over its positive entries x
+    (and their ``weights`` w), with no input-sized temporary: the positive entries of a
+    block of at most ``_BLOCK`` become terms in one reused buffer, fed to `_blocked_fsum`."""
+    bounds = [0, *(spans[:, 1] - spans[:, 0]).cumsum().tolist()]
+    where, buf = _where(spans), np.empty(min(bounds[-1], _BLOCK))
+    cells = [a[where] for a in (flat, *weights)]  # views when the spans are contiguous
+
+    def blocks(i, j):
+        for b0 in range(bounds[i], bounds[j], _BLOCK):
+            xs = [a[b0:min(b0 + _BLOCK, bounds[j])] for a in cells]
+            keep = xs[0] > 0.0
+            if not keep.all():  # a boolean index compresses 5x faster than np.compress
+                xs = [a[keep] for a in xs]
+            yield fn(*xs, out=buf[:len(xs[0])]), keep
+
+    return _blocked_fsum(blocks, bounds)
+
+
 def _libm(fn: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:
     """``fn`` of every entry of ``x`` (and of ``args``) over Python floats:
     libm in one C-level map, which beats numpy's per-call overhead on tiny
@@ -225,10 +262,6 @@ def _log2(x: np.ndarray, short: bool) -> np.ndarray:
 
 def _exp2(t: np.ndarray, short: bool):  # a lazy math.pow map if short, else in place
     return map(math.pow, itertools.repeat(2.0), t.tolist()) if short else np.exp2(t, out=t)
-
-
-def _power(x: np.ndarray, alpha: float, short: bool):  # pow raises where numpy gives inf
-    return map(math.pow, x.tolist(), itertools.repeat(alpha)) if short else np.power(x, alpha)
 
 
 def _sums(terms, counts: np.ndarray, short: bool) -> list[float]:
@@ -329,8 +362,10 @@ def power_sum(flat: np.ndarray, spans: Spans, alpha: float) -> list[float]:
     """Per span, sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0)."""
 
     def group(spans, short):
+        if not short:
+            return _streamed(lambda x, out: np.power(x, alpha, out=out), flat, spans)
         _, x, _, counts = _cells(flat, spans)
-        return _sums(_power(x, alpha, short), counts, short)
+        return _sums(map(math.pow, x.tolist(), itertools.repeat(alpha)), counts, short)
 
     try:
         return _span_map(spans, group)
@@ -353,6 +388,10 @@ def weighted_log2_sum(
     """
 
     def group(spans, short):
+        if not short and (weights is not None or alpha == 1.0):
+            return _streamed(  # w log2 x, or x log2 x
+                lambda x, *w, out: np.multiply(np.log2(x, out=out), w[0] if w else x, out=out),
+                flat, spans, *(() if weights is None else (weights,)))
         where, x, pos, counts = _cells(flat, spans)
         logs = _log2(x, short)
         if weights is not None:

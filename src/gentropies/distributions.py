@@ -377,10 +377,10 @@ def _number_list(obj, where: str) -> list:
 
 def _read(path: str | Path, key: str, what: str) -> tuple[object, list[str]]:
     """The ``key`` entry of a JSON file's object and no lines, or None and the
-    non-blank lines of a CSV file.  A file that is not UTF-8 text, invalid
-    JSON or no ``what`` at all is a :class:`FormatError`."""
+    non-blank lines of a CSV file (a UTF-8 byte-order mark is skipped).  A file
+    that is not UTF-8 text, invalid JSON or no ``what`` at all is a :class:`FormatError`."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):

@@ -137,6 +137,22 @@ def test_file_that_is_not_utf8_exit_one(capsys, tmp_path, command):
     assert err.startswith("FormatError: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, body", [
+    ("compute", "0.5,0.5\n"),
+    ("compute", '{"p": [0.5, 0.5]}\n'),
+    ("joint", "0.25,0.25\n0.5,0\n"),
+    ("conditional", '{"rows": [[0.25, 0.25], [0.5, 0]]}\n'),
+], ids=["compute-csv", "compute-json", "joint-csv", "conditional-json"])
+def test_utf8_file_with_a_byte_order_mark(capsys, tmp_path, command, body):
+    """A UTF-8 byte-order mark before a CSV or JSON file is not part of its text."""
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode())
+    code, out, err = run(capsys, command, "--family", "shannon", str(marked))
+    assert (code, err) == (0, "") and out
+    assert run(capsys, command, "--family", "shannon", str(plain)) == (code, out, err)
+
+
 # The flags of every family whose zero entropy used to print as -0.
 ZERO_FLAGS = {
     "shannon": [],

@@ -142,3 +142,64 @@ def test_tiled_draw_composes_with_the_uniform_trace(name, tile_base, tiled):
     expected = family.composition.add(
         ref_entropy(family, tile_base.probs), uniform_trace(family, m))
     assert entropy(family, dist) == pytest.approx(expected, rel=1e-12, abs=1e-13)
+
+
+# Off the uniform inputs through the numpy branch: exponential draws with 10 %
+# zeros and a near point mass, at n = 300 (one math.fsum of the terms) and
+# n = 2,000 (the blocked exact sum), for the order-alpha members of every
+# family; and a 40 x 40 joint with zero cells.  The conditional entropy stops
+# at alpha = 3: beyond it the exponential mean of its rows loses digits.
+def _order_families(alphas):
+    cases = [("shannon", shannon())]
+    for a in alphas:
+        cases += [
+            (f"renyi({a})", renyi(a)),
+            (f"tsallis({a})", tsallis(a)),
+            (f"havrda_charvat({a})", havrda_charvat(a)),
+            (f"general_escort({a},lam=0)", general_escort(a, -1.0, 0.0)),
+            (f"general_escort({a},lam=-0.25)", general_escort(a, -1.0, -0.25)),
+        ]
+    return dict(cases)
+
+
+ORDER_FAMILIES = _order_families((0.5, 2.0, 3.0, 100.0))
+JOINT_ORDER_FAMILIES = _order_families((0.5, 2.0, 3.0))
+NON_UNIFORM = [(n, kind) for n in (300, 2000) for kind in ("exponential", "near-point-mass")]
+
+
+@pytest.fixture(scope="module", params=NON_UNIFORM, ids=[f"{k}-n={n}" for n, k in NON_UNIFORM])
+def non_uniform(request):
+    n, kind = request.param
+    rng = np.random.default_rng(n)
+    x = _draw(rng, n)
+    if kind == "near-point-mass":  # one entry holds all but about 1e-8 * n of the mass
+        x *= 1e-8
+        x[rng.integers(0, n)] = 1.0
+    return make_distribution((x / x.sum()).tolist())
+
+
+@pytest.mark.parametrize("name", list(ORDER_FAMILIES))
+def test_entropy_of_non_uniform_inputs(name, non_uniform):
+    family = ORDER_FAMILIES[name]
+    assert entropy(family, non_uniform) == pytest.approx(
+        ref_entropy(family, non_uniform.probs), rel=1e-12, abs=1e-13
+    )
+
+
+@pytest.fixture(scope="module")
+def joint_with_zeros():
+    rng = np.random.default_rng(40)
+    cells = rng.exponential(1.0, (40, 40))
+    cells[rng.random((40, 40)) < 0.2] = 0.0
+    cells[7] = 0.0  # a row with no mass at all
+    joint = make_joint((cells / cells.sum()).tolist())
+    return joint, [list(r) for r in joint.rows]
+
+
+@pytest.mark.parametrize("name", list(JOINT_ORDER_FAMILIES))
+def test_conditional_entropy_of_a_joint_with_zeros(name, joint_with_zeros):
+    family = JOINT_ORDER_FAMILIES[name]
+    joint, rows = joint_with_zeros
+    assert conditional_entropy(family, joint) == pytest.approx(
+        ref_conditional_entropy(family, rows), rel=1e-11, abs=1e-12
+    )

@@ -538,6 +538,174 @@ def test_non_finite_runs_sum_a_block_at_a_time():
     assert _traced_peak(lambda: segment_sums(x, halves)) < 2 * 2 ** 20
 
 
+@pytest.mark.parametrize("block, buffers", [(_stable._BLOCK, 6), (2 ** 13, 8)])
+def test_streamed_kernels_hold_no_input_sized_temporary(block, buffers):
+    """The power, p log p and weighted log sums walk their input a block of at
+    most ``_BLOCK`` entries at a time: on a held 2**18-entry array with 10 %
+    zeros (2 MiB), as one span or as about 400 rows, each peaks under a few
+    block-sized buffers (1.5 MiB at the real ``_BLOCK``, 512 KiB at 2**13)."""
+    rng = np.random.default_rng(17)
+    x = rng.exponential(1.0, 2 ** 18)
+    x[rng.random(x.size) < 0.1] = 0.0
+    x /= x.sum()
+    weights = np.sqrt(x)
+    bounds = np.cumsum([0, *rng.integers(256, 1025, 1024)])
+    rows = _stable.spans_of(bounds[bounds <= x.size])
+    with mock.patch.object(_stable, "_BLOCK", block):
+        for spans in ([(0, x.size)], rows):
+            for fn in (lambda: plogp_sum(x, spans), lambda: power_sum(x, spans, 2.0),
+                       lambda: power_sum(x, spans, 50.0),
+                       lambda: weighted_log2_sum(weights, x, spans)):
+                assert _traced_peak(fn) < buffers * 8 * block
+
+
+# The streamed kernels against math.fsum of numpy's terms over the positive
+# entries of each span, with ``_BLOCK`` small and every nonempty span long.
+
+def _power_cases(*alphas):
+    return {f"power_sum({a:g})": (lambda p, w, spans, a=a: power_sum(p, spans, a),
+                                  lambda x, w, a=a: np.power(x, a)) for a in alphas}
+
+
+STREAMED = {
+    "plogp_sum": (lambda p, w, spans: plogp_sum(p, spans), lambda x, w: np.log2(x) * x),
+    **_power_cases(3.0, 0.5, -2.0),
+    "weighted_log2_sum": (lambda p, w, spans: weighted_log2_sum(w, p, spans),
+                          lambda x, w: np.log2(x) * w),
+}
+
+
+def _streamed_outcomes(name, flat, weights, spans, block, levels=_stable._LEVELS):
+    """The kernel's results in hex, or the type of its error (`Overflow` as
+    ``OverflowError``), with ``_BLOCK`` at ``block`` and spans of one entry
+    or more taking the long branch; and the same from ``math.fsum`` of
+    numpy's terms, span by span, the first failing span deciding."""
+    kernel, terms = STREAMED[name]
+    with mock.patch.object(_stable, "_BLOCK", block), \
+            mock.patch.object(_stable, "_LEVELS", levels), \
+            mock.patch.object(_stable, "_VECTOR_MIN", 1), \
+            mock.patch.object(_stable, "_BLOCKED_MIN", 0), np.errstate(over="ignore"):
+        try:
+            got = [v.hex() for v in kernel(flat, weights, spans)]
+        except Overflow:
+            got = OverflowError
+        except (OverflowError, ValueError) as exc:
+            got = type(exc)
+    want = []
+    for i, j in spans:
+        keep = flat[i:j] > 0.0
+        with np.errstate(over="ignore"):
+            values = terms(flat[i:j][keep], weights[i:j][keep]).tolist()
+        try:
+            want.append(math.fsum(values).hex())
+        except (OverflowError, ValueError) as exc:
+            want = type(exc)
+            break
+    return got, want
+
+
+@pytest.mark.parametrize("name", list(STREAMED))
+@given(
+    parts=st.lists(st.tuples(st.sampled_from(["dense", "sparse", "zero"]), st.integers(0, 40)),
+                   min_size=1, max_size=10),
+    block=st.integers(1, 24),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_streamed_kernels_at_block_edges(name, parts, block, data):
+    """Spans of dense entries, of a few positive ones among zeros and of
+    zeros only, end to end and some skipped (so that the rest are not
+    contiguous), in blocks of a few entries: runs with no positive entry in
+    a block, all-zero blocks, and spans that start and end anywhere in one."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    cells = []
+    for kind, m in parts:
+        x = rng.exponential(1.0, m) ** rng.uniform(1.0, 8.0)
+        x[rng.random(m) < {"dense": 0.1, "sparse": 0.9, "zero": 1.0}[kind]] = 0.0
+        cells.append(x)
+    flat = np.concatenate([np.zeros(0), *cells])
+    bounds = np.cumsum([0, *(m for _, m in parts)]).tolist()
+    keep = data.draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+    spans = [(i, j) for i, j, k in zip(bounds, bounds[1:], keep) if k]
+    weights = rng.standard_normal(flat.size)
+    got, want = _streamed_outcomes(name, flat, weights, spans, block)
+    assert got == want
+
+
+# Blocks of 8 entries: (span lengths, a range of entries set to zero).
+EDGE_CASES = {
+    "n = block - 1": ([7], (0, 0)),
+    "n = block": ([8], (0, 0)),
+    "n = block + 1": ([9], (0, 0)),
+    "spans ending on block edges": ([3, 5, 8, 16], (0, 0)),
+    "a run with no positive entry in a block": ([3, 3, 2, 8], (3, 6)),
+    "an all-zero block inside a span": ([2, 24, 6], (8, 16)),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAMED))
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_streamed_kernels_on_block_edges(name, case):
+    lengths, (z0, z1) = EDGE_CASES[case]
+    rng = np.random.default_rng(len(lengths))
+    flat = rng.exponential(1.0, sum(lengths))
+    flat[rng.random(flat.size) < 0.1] = 0.0
+    flat[z0:z1] = 0.0
+    spans = list(itertools.pairwise(np.cumsum([0, *lengths]).tolist()))
+    weights = rng.standard_normal(flat.size)
+    got, want = _streamed_outcomes(name, flat, weights, spans, 8)
+    assert got == want
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("name", ["power_sum(1)", "weighted_log2_sum"])
+def test_streamed_uncertified_runs_recompute_their_terms(name, levels):
+    """Terms that tie (see `test_rest_that_the_pieces_cannot_certify_goes_to_fsum`),
+    with zeros among their cells: the pieces cannot certify a run's rounding,
+    so ``math.fsum`` takes the run's terms again, recomputed from its cells.
+    x**1 is x, and w * log2(0.5) is -w: the terms are the tie itself."""
+    run = [1.0, 2.0 ** -53, 2.0 ** -300]
+    expected = math.fsum(run)
+    assert expected != math.fsum(run[:2])
+    if name == "power_sum(1)":
+        flat, weights = np.array([1.0, 0.0, 2.0 ** -53, 2.0 ** -300] * 3), np.zeros(12)
+    else:
+        flat = np.array([0.5, 0.0, 0.5, 0.5] * 3)
+        weights = -np.array([1.0, 7.0, 2.0 ** -53, 2.0 ** -300] * 3)
+    kernel = {**STREAMED, **_power_cases(1.0)}[name][0]
+    spans = [(0, 4), (4, 8), (8, 12)]
+    with mock.patch.object(_stable, "_BLOCK", 4), mock.patch.object(_stable, "_LEVELS", levels), \
+            mock.patch.object(_stable, "_VECTOR_MIN", 1), \
+            mock.patch.object(_stable, "_BLOCKED_MIN", 0), \
+            mock.patch.object(_stable, "_fsum", wraps=_stable._fsum) as fallback:
+        assert kernel(flat, weights, spans) == [expected] * 3
+        assert fallback.call_count == 3
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(["fine", "overflow", "inf - inf"])))
+def test_streamed_kernels_raise_what_the_first_failing_span_raises(order):
+    """Huge finite terms overflow ``math.fsum`` (`power_sum` raises `Overflow`,
+    the others ``OverflowError``), and inf next to -inf is ``ValueError``:
+    the first failing span in order decides, as alone."""
+    spans_of_kind = {
+        "fine": ([0.25, 0.0, 0.5, 0.25], [1.0, 1.0, 1.0, 1.0]),
+        # x**-2 = 2**1022 and w * log2(x) = 511 * 2**1014: four of either overflow
+        "overflow": ([2.0 ** -511] * 4, [-2.0 ** 1014] * 4),
+        # w * log2(x) = -+inf for w = +-1e308 and log2(x) = -1074; x**-2 = inf
+        "inf - inf": ([5e-324, 0.0, 5e-324, 0.5], [1e308, 1.0, -1e308, 1.0]),
+    }
+    flat = np.array([v for kind in order for v in spans_of_kind[kind][0]])
+    weights = np.array([v for kind in order for v in spans_of_kind[kind][1]])
+    spans = [(4 * k, 4 * k + 4) for k in range(3)]
+    for name in STREAMED:
+        got, want = _streamed_outcomes(name, flat, weights, spans, 2)
+        assert got == want, name
+    assert _streamed_outcomes("power_sum(-2)", flat, weights, spans, 2)[0] == OverflowError
+    first = min(order.index("overflow"), order.index("inf - inf"))
+    assert _streamed_outcomes("weighted_log2_sum", flat, weights, spans, 2)[0] == (
+        OverflowError if order[first] == "overflow" else ValueError)
+
+
 # The short branch against its per-span definition (tests/libm_reference.py).
 
 ALPHAS = (-3.0, 0.5, 2.0, 3.0, 100.0)
