@@ -17,10 +17,11 @@ and cached; equality and hashing are defined on them.
 The two value types are immutable: every operation returns a new object and
 is safe to call concurrently.  Validating constructors (`make_distribution`,
 `make_joint`) accept anything within the input tolerances and renormalize
-exactly by the sum.  They read and check every input in numpy, whatever
-its size, and report the same first offending entry as a scalar loop.  The
-structural constructors (`uniform`, `direct_product`, `refinement_joint`)
-build their entries directly so that identities such as
+exactly by the sum.  They read every input into one float64 array with
+`struct`, a chunk of at most ``_BLOCK`` entries at a time, check it in numpy
+whatever its size, and report the same first offending entry as a scalar
+loop.  The structural constructors (`uniform`, `direct_product`,
+`refinement_joint`) build their entries directly so that identities such as
 ``flatten(refinement_joint(counts)) == uniform(sum(counts))`` hold exactly,
 bit for bit.  The raw constructors ``Distribution(probs)`` and
 ``JointDistribution(rows)`` copy their sequences and trust the values.
@@ -35,16 +36,18 @@ validation as `make_distribution` / `make_joint`.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
 import operator
+import struct
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._stable import Spans, escort_weights, exact_sum, segment_sums
+from ._stable import _BLOCK, Spans, escort_weights, exact_sum, segment_sums
 from .errors import (
     DimensionError,
     EscortUndefined,
@@ -183,25 +186,82 @@ def _clip(values: Iterable[float], what: str) -> list[float]:
     return out
 
 
+def _numeric(part) -> bool:
+    """Whether ``part`` is a 1-D ndarray of bool, integer or float dtype."""
+    return isinstance(part, np.ndarray) and part.ndim == 1 and part.dtype.kind in "biuf"
+
+
+def _chunks(parts: list[Sequence[float]]):
+    """The entries of ``parts`` in order, as ``(count, entries)`` chunks.
+
+    A part longer than ``_BLOCK`` comes in slices of ``_BLOCK`` entries and a
+    ragged tail.  Consecutive shorter parts come chained, as many as fit in
+    ``_BLOCK`` entries, so that packing them costs one call per chunk, not one
+    per short row.  A `_numeric` part that starts a chunk comes whole, as
+    itself, for numpy to cast; one inside a run of short parts is packed with it.
+    """
+    ends = list(itertools.accumulate(map(len, parts), initial=0))
+    i = 0
+    while i < len(parts):
+        part, n = parts[i], ends[i + 1] - ends[i]
+        if _numeric(part):
+            yield n, part
+            i += 1
+        elif n > _BLOCK:
+            for k in range(0, n, _BLOCK):
+                yield min(n - k, _BLOCK), part[k:k + _BLOCK]
+            i += 1
+        else:  # the parts i to j - 1 fill at most _BLOCK entries
+            j = bisect.bisect_right(ends, ends[i] + _BLOCK, i + 1) - 1
+            group = part if j == i + 1 else itertools.chain.from_iterable(parts[i:j])
+            yield ends[j] - ends[i], group
+            i = j
+
+
 def _clipped(parts: list[Sequence[float]], size: int, what: str) -> np.ndarray:
     """`_clip` of the ``size`` concatenated entries of ``parts``, as a float64 array.
 
-    numpy reads and checks the entries at every size (a single part directly,
-    not through a chain).  Entries numpy cannot read as floats, and the first
-    entry its checks reject, go through `_clip`, so every error names the same
-    first offender as that loop.
+    `struct` packs each chunk of `_chunks` as C doubles into one array, with
+    the ``float()`` bits of every entry (``PyFloat_AsDouble``); a numeric
+    ndarray part is cast by numpy.  numpy then checks the array.  Input that
+    `struct` refuses (None, strings, nested lists, ints beyond the float
+    range), and the first entry the checks reject, go through `_clip`, so every
+    error names the same first offender as that loop.
     """
-    entries = parts[0] if len(parts) == 1 else itertools.chain.from_iterable(parts)
+    arr = np.empty(size)
+    view = memoryview(arr)  # one buffer export for every pack
+    at = 0
     try:
-        arr = np.fromiter(entries, np.float64, size)
-    except (TypeError, ValueError, OverflowError):
+        for count, entries in _chunks(parts):
+            if _numeric(entries):
+                arr[at:at + count] = entries
+            else:
+                struct.pack_into(f"{count}d", view, 8 * at, *entries)
+            at += count
+    except (struct.error, TypeError, ValueError, OverflowError):
         return np.array(_clip(itertools.chain.from_iterable(parts), what))
     lo = arr.min(initial=0.0)  # the initial 0.0 lets empty input through
     if not (lo >= -NEGATIVE_TOLERANCE and arr.max(initial=0.0) < math.inf):
-        # numpy reads None as nan: rerun `_clip` up to the first offender
+        # a nan, an infinity or a negative entry: rerun `_clip` up to the first
         first = int((~np.isfinite(arr) | (arr < -NEGATIVE_TOLERANCE)).argmax())
         _clip(itertools.islice(itertools.chain.from_iterable(parts), first + 1), what)
     return np.where(arr < 0.0, 0.0, arr) if lo < 0.0 else arr
+
+
+def _sized(values, what: str):
+    """``values`` if it has a length, else its entries read once into a list.
+
+    A scalar, which has neither, is a :class:`FormatError` that names it.
+    """
+    try:
+        len(values)
+    except TypeError:
+        try:
+            entries = iter(values)
+        except TypeError:
+            raise FormatError(f"{what} {values!r} is not a sequence of numbers") from None
+        return list(entries)
+    return values
 
 
 def make_distribution(values: Sequence[float]) -> Distribution:
@@ -215,13 +275,14 @@ def make_distribution(values: Sequence[float]) -> Distribution:
     ------
     DimensionError
         If ``values`` is empty.
+    FormatError
+        If ``values`` is a scalar, or an entry is not a number.
     NegativeMass
         If an entry is below -1e-12.
     NotNormalized
         If the sum is outside [1 - 1e-9, 1 + 1e-9].
     """
-    if not hasattr(values, "__len__"):
-        values = list(values)
+    values = _sized(values, "probability vector")
     vals = _clipped([values], len(values), "probability")
     if not len(vals):
         raise DimensionError("a distribution needs at least one entry")
@@ -236,9 +297,9 @@ def make_joint(rows: Sequence[Sequence[float]]) -> JointDistribution:
 
     Same tolerances as `make_distribution`, applied to the grand total.
     """
+    rows = [_sized(row, "joint row") for row in _sized(rows, "joint")]
     if not rows:
         raise DimensionError("a joint distribution needs at least one row")
-    rows = [row if hasattr(row, "__len__") else list(row) for row in rows]
     lengths = [len(row) for row in rows]
     bounds = [0, *itertools.accumulate(lengths)]
     if 0 in lengths:

@@ -1,5 +1,10 @@
+import itertools
 import json
 import math
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -545,3 +550,201 @@ def test_stored_entries_are_clipped_over_fsum_bit_for_bit(values, cut_seed):
     joint = make_joint(rows)
     assert [v.hex() for row in joint.rows for v in row] == expected
     assert joint.row_lengths == tuple(len(row) for row in rows)
+
+
+
+# ---------------------------------------------------------------------------
+# The struct reader: chunks of at most `_BLOCK` entries packed as C doubles
+
+BLOCK = distributions_module._BLOCK
+
+
+class _OnlyFloat:
+    def __init__(self, value):
+        self.value = value
+
+    def __float__(self):
+        return self.value
+
+
+class _OnlyIndex:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# Entry types that `float()` reads, each made from a uniform draw u in [0, 1).
+ENTRY_TYPES = [
+    lambda u: u,
+    lambda u: -0.0,
+    lambda u: 5e-324,
+    lambda u: 2.225073858507201e-308 * u,  # subnormal
+    lambda u: int(u * (2 ** 63 + 12345)),
+    lambda u: u < 0.5,
+    lambda u: np.float32(u),
+    lambda u: np.int64(u * 2 ** 62),
+    lambda u: np.longdouble(u) / 3,
+    lambda u: Fraction(int(u * 10 ** 9), 7),
+    lambda u: Decimal(f"{u:.30f}"),
+    lambda u: _OnlyFloat(u),
+    lambda u: _OnlyIndex(int(u * 2 ** 40)),
+]
+DTYPES = [np.float64, np.float32, np.float16, np.longdouble, np.int64, np.uint64, np.int8, np.bool_]
+
+
+def _part_lengths(shape, rng):
+    if shape == "long":  # one part longer than a chunk, with a ragged tail
+        return [2 * BLOCK + int(rng.integers(1, BLOCK))]
+    if shape == "rows of 8":
+        return [8] * 4096
+    # long and short rows mixed, two of them filling a chunk exactly
+    lengths = rng.integers(1, 600, 200).tolist()
+    lengths[50:50] = [BLOCK + 17]
+    lengths[120:120] = [BLOCK, BLOCK - 1]
+    return lengths
+
+
+@st.composite
+def typed_parts(draw):
+    """Parts of nonnegative entries of every type in ``ENTRY_TYPES``, as
+    lists, tuples or, mixed with lists, 1-D ndarrays of the ``DTYPES``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lengths = _part_lengths(draw(st.sampled_from(["long", "rows of 8", "mixed"])), rng)
+    entries = rng.random(sum(lengths)).tolist()
+    for at in rng.choice(len(entries), 400, replace=False).tolist():
+        entries[at] = ENTRY_TYPES[at % len(ENTRY_TYPES)](entries[at])
+    kind = draw(st.sampled_from(["list", "tuple", "ndarray"]))
+    parts = []
+    for i, j in itertools.pairwise(itertools.accumulate(lengths, initial=0)):
+        if kind == "tuple":
+            parts.append(tuple(entries[i:j]))
+        elif kind == "ndarray" and rng.random() < 0.5:
+            dtype = DTYPES[int(rng.integers(len(DTYPES)))]
+            parts.append((rng.random(j - i) * 100).astype(dtype))
+        else:
+            parts.append(entries[i:j])
+    return parts, len(entries)
+
+
+@given(typed_parts())
+@settings(max_examples=30, deadline=None)
+def test_reader_stores_the_bits_numpy_reads(case):
+    """`struct` reads every chunk itself (the `_clip` loop never runs) and
+    stores what `np.fromiter` stores, bit for bit."""
+    parts, size = case
+    expected = np.fromiter(itertools.chain.from_iterable(parts), np.float64, size)
+    with mock.patch.object(distributions_module, "_clip", side_effect=AssertionError("fell back")):
+        got = distributions_module._clipped(parts, size, "joint")
+    assert got.tobytes() == expected.tobytes()
+
+
+def _raises_like_the_scalar_loop(values, rows):
+    assert _error(make_distribution, values) == _reference_error(
+        list(values), "probability", "probabilities"
+    )
+    assert _error(make_joint, rows) == _reference_error(list(values), "joint", "joint entries")
+
+
+@pytest.mark.parametrize(
+    "offender", [None, "abc", [0.1], 10 ** 400, math.nan, math.inf, -1e-11, -1],
+    ids=["none", "string", "nested", "int-beyond-float", "nan", "inf", "negative", "minus-one"],
+)
+def test_offenders_in_a_later_chunk_raise_like_the_scalar_loop(offender):
+    """An offender past the first chunk of one long part, or in the second
+    chunk of rows of 8, raises what `_clip` raises; so does the earlier of it
+    and a later offender that `struct` refuses or that only the checks reject."""
+    n = 5000 * 8
+    values = [1.0 / n] * n
+    values[BLOCK + 5] = offender
+    for later in (1.0 / n, None, math.nan):
+        values[BLOCK + 9] = later
+        _raises_like_the_scalar_loop(values, [values[i:i + 8] for i in range(0, n, 8)])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.longdouble])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-6, -1e-13])
+def test_ndarray_offenders_raise_like_the_scalar_loop(dtype, bad):
+    arr = np.full(N_LARGE, GOOD, dtype)
+    arr[7] = bad
+    _raises_like_the_scalar_loop(arr, [arr[:100], arr[100:]])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_ndarray_part_is_cast_whole_with_the_bits_of_float(dtype):
+    arr = (np.random.default_rng(5).random(1000) * 3).astype(dtype)
+    expected = np.array([float(v) for v in arr])
+    with mock.patch.object(distributions_module.struct, "pack_into", side_effect=AssertionError("packed")):
+        got = distributions_module._clipped([arr], 1000, "probability")
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_object_and_string_arrays_are_read_entry_by_entry():
+    assert make_distribution(np.array([0.5, "0.5"])) == make_distribution([0.5, 0.5])
+    assert make_distribution(np.array([Decimal("0.5"), 0.5], object)) == make_distribution([0.5, 0.5])
+    with pytest.raises(FormatError, match="probability entry None is not a number"):
+        make_distribution(np.array([0.5, None], object))
+
+
+def test_joint_of_a_2d_ndarray_equals_the_joint_of_its_lists():
+    arr = np.array([[0.25, 0.25], [0.25, 0.25]])
+    assert make_joint(arr)._flat.tobytes() == make_joint(arr.tolist())._flat.tobytes()
+    arr = np.random.default_rng(3).exponential(1.0, (40, 300))
+    arr /= arr.sum()
+    joint = make_joint(arr)
+    assert joint._flat.tobytes() == make_joint(arr.tolist())._flat.tobytes()
+    assert joint.row_lengths == (300,) * 40
+
+
+def test_joint_of_an_empty_iterator_needs_a_row():
+    with pytest.raises(DimensionError, match="at least one row"):
+        make_joint(row for row in [])
+
+
+def test_iterators_are_read_once():
+    assert make_distribution(v for v in [0.5, 0.5]) == make_distribution([0.5, 0.5])
+    assert make_joint(iter(row) for row in PROBE_ROWS) == make_joint(PROBE_ROWS)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: make_distribution(1.0), "probability vector 1.0 is not"),
+        (lambda: make_distribution(np.float64(0.5)), r"probability vector np.float64\(0.5\) is not"),
+        (lambda: make_distribution(np.array(1.0)), r"probability vector array\(1.\) is not"),
+        (lambda: make_joint(1.0), "joint 1.0 is not"),
+        (lambda: make_joint([0.5, 0.5]), "joint row 0.5 is not"),
+        (lambda: make_joint([[0.5], 0.5]), "joint row 0.5 is not"),
+    ],
+    ids=["float", "numpy-scalar", "0-d-array", "joint", "first-row", "later-row"],
+)
+def test_a_scalar_for_values_or_a_row_is_a_format_error(call, message):
+    with pytest.raises(FormatError, match=message):
+        call()
+
+
+def _traced_peak(fn):
+    """The most bytes that ``fn()`` holds at once, as tracemalloc (which
+    sees numpy's buffers) counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_constructors_hold_no_input_sized_temporary():
+    """Lists are read a chunk at a time: beyond the read array and the
+    normalized one, the peak holds less than a quarter of an input-sized array."""
+    rng = np.random.default_rng(11)
+    x = rng.exponential(1.0, 2 ** 20)
+    x[rng.random(x.size) < 0.1] = 0.0
+    values = (x / x.sum()).tolist()
+    assert _traced_peak(lambda: make_distribution(values)) < 2.25 * x.nbytes
+    bounds = np.cumsum([0, *rng.integers(256, 1025, 1024)]).tolist()
+    cells = x[:bounds[-1]] / x[:bounds[-1]].sum()
+    rows = [cells[i:j].tolist() for i, j in itertools.pairwise(bounds)]
+    assert _traced_peak(lambda: make_joint(rows)) < 2.25 * cells.nbytes
