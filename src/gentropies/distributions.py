@@ -186,58 +186,33 @@ def _clip(values: Iterable[float], what: str) -> list[float]:
     return out
 
 
-def _numeric(part) -> bool:
-    """Whether ``part`` is a 1-D ndarray of bool, integer or float dtype."""
-    return isinstance(part, np.ndarray) and part.ndim == 1 and part.dtype.kind in "biuf"
+def _clipped(parts: list[Sequence[float]], bounds: list[int], what: str) -> np.ndarray:
+    """`_clip` of the concatenated entries of ``parts``, as a float64 array.
 
-
-def _chunks(parts: list[Sequence[float]]):
-    """The entries of ``parts`` in order, as ``(count, entries)`` chunks.
-
-    A part longer than ``_BLOCK`` comes in slices of ``_BLOCK`` entries and a
-    ragged tail.  Consecutive shorter parts come chained, as many as fit in
-    ``_BLOCK`` entries, so that packing them costs one call per chunk, not one
-    per short row.  A `_numeric` part that starts a chunk comes whole, as
-    itself, for numpy to cast; one inside a run of short parts is packed with it.
+    ``bounds`` are the cumulative part lengths from 0.  `struct` packs the
+    entries as C doubles into one array, with the ``float()`` bits of every
+    entry (``PyFloat_AsDouble``), one call per chunk of at most ``_BLOCK``
+    entries: a longer part in slices, consecutive shorter parts chained, so
+    that short rows cost no call each.  numpy then checks the array.  Input
+    that `struct` refuses (None, strings, nested lists, ints beyond the float
+    range), and the first entry the checks reject, go through `_clip`, so
+    every error names the same first offender as that loop.
     """
-    ends = list(itertools.accumulate(map(len, parts), initial=0))
+    arr = np.empty(bounds[-1])
     i = 0
-    while i < len(parts):
-        part, n = parts[i], ends[i + 1] - ends[i]
-        if _numeric(part):
-            yield n, part
-            i += 1
-        elif n > _BLOCK:
-            for k in range(0, n, _BLOCK):
-                yield min(n - k, _BLOCK), part[k:k + _BLOCK]
-            i += 1
-        else:  # the parts i to j - 1 fill at most _BLOCK entries
-            j = bisect.bisect_right(ends, ends[i] + _BLOCK, i + 1) - 1
-            group = part if j == i + 1 else itertools.chain.from_iterable(parts[i:j])
-            yield ends[j] - ends[i], group
-            i = j
-
-
-def _clipped(parts: list[Sequence[float]], size: int, what: str) -> np.ndarray:
-    """`_clip` of the ``size`` concatenated entries of ``parts``, as a float64 array.
-
-    `struct` packs each chunk of `_chunks` as C doubles into one array, with
-    the ``float()`` bits of every entry (``PyFloat_AsDouble``); a numeric
-    ndarray part is cast by numpy.  numpy then checks the array.  Input that
-    `struct` refuses (None, strings, nested lists, ints beyond the float
-    range), and the first entry the checks reject, go through `_clip`, so every
-    error names the same first offender as that loop.
-    """
-    arr = np.empty(size)
-    view = memoryview(arr)  # one buffer export for every pack
-    at = 0
     try:
-        for count, entries in _chunks(parts):
-            if _numeric(entries):
-                arr[at:at + count] = entries
-            else:
-                struct.pack_into(f"{count}d", view, 8 * at, *entries)
-            at += count
+        while i < len(parts):
+            at = bounds[i]
+            j = bisect.bisect_right(bounds, at + _BLOCK, i + 1) - 1
+            if j > i:  # the parts i to j - 1 fill at most _BLOCK entries
+                entries = parts[i] if j == i + 1 else itertools.chain.from_iterable(parts[i:j])
+                struct.pack_into(f"{bounds[j] - at}d", arr, 8 * at, *entries)
+            else:  # part i alone is longer than _BLOCK
+                part, j = parts[i], i + 1
+                for k in range(0, len(part), _BLOCK):
+                    chunk = part[k:k + _BLOCK]
+                    struct.pack_into(f"{len(chunk)}d", arr, 8 * (at + k), *chunk)
+            i = j
     except (struct.error, TypeError, ValueError, OverflowError):
         return np.array(_clip(itertools.chain.from_iterable(parts), what))
     lo = arr.min(initial=0.0)  # the initial 0.0 lets empty input through
@@ -283,7 +258,7 @@ def make_distribution(values: Sequence[float]) -> Distribution:
         If the sum is outside [1 - 1e-9, 1 + 1e-9].
     """
     values = _sized(values, "probability vector")
-    vals = _clipped([values], len(values), "probability")
+    vals = _clipped([values], [0, len(values)], "probability")
     if not len(vals):
         raise DimensionError("a distribution needs at least one entry")
     total = exact_sum(vals)
@@ -304,9 +279,9 @@ def make_joint(rows: Sequence[Sequence[float]]) -> JointDistribution:
     bounds = [0, *itertools.accumulate(lengths)]
     if 0 in lengths:
         k = lengths.index(0)
-        _clipped(rows[:k], bounds[k], "joint")  # raises for an offender before row k
+        _clipped(rows[:k], bounds[:k + 1], "joint")  # raises for an offender before row k
         raise DimensionError("joint rows must be non-empty")
-    flat = _clipped(rows, bounds[-1], "joint")
+    flat = _clipped(rows, bounds, "joint")
     total = exact_sum(flat)
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise NotNormalized(f"joint entries sum to {total!r}, not 1")

@@ -507,8 +507,9 @@ def test_single_list_read_equals_the_chained_read():
     values = (x / x.sum()).tolist()
     for i in odd.tolist():
         values[i] = -1e-13 if i % 2 else 0
-    chained = distributions_module._clipped([values[:n // 3], values[n // 3:]], n, "probability")
-    direct = distributions_module._clipped([values], n, "probability")
+    parts = [values[:n // 3], values[n // 3:]]
+    chained = distributions_module._clipped(parts, [0, n // 3, n], "probability")
+    direct = distributions_module._clipped([values], [0, n], "probability")
     assert direct.tobytes() == chained.tobytes()
     expected = chained / distributions_module.exact_sum(chained)
     assert make_distribution(values)._array.tobytes() == expected.tobytes()
@@ -625,7 +626,7 @@ def typed_parts(draw):
             parts.append((rng.random(j - i) * 100).astype(dtype))
         else:
             parts.append(entries[i:j])
-    return parts, len(entries)
+    return parts, [0, *itertools.accumulate(lengths)]
 
 
 @given(typed_parts())
@@ -633,10 +634,10 @@ def typed_parts(draw):
 def test_reader_stores_the_bits_numpy_reads(case):
     """`struct` reads every chunk itself (the `_clip` loop never runs) and
     stores what `np.fromiter` stores, bit for bit."""
-    parts, size = case
-    expected = np.fromiter(itertools.chain.from_iterable(parts), np.float64, size)
+    parts, bounds = case
+    expected = np.fromiter(itertools.chain.from_iterable(parts), np.float64, bounds[-1])
     with mock.patch.object(distributions_module, "_clip", side_effect=AssertionError("fell back")):
-        got = distributions_module._clipped(parts, size, "joint")
+        got = distributions_module._clipped(parts, bounds, "joint")
     assert got.tobytes() == expected.tobytes()
 
 
@@ -672,12 +673,27 @@ def test_ndarray_offenders_raise_like_the_scalar_loop(dtype, bad):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_ndarray_part_is_cast_whole_with_the_bits_of_float(dtype):
-    arr = (np.random.default_rng(5).random(1000) * 3).astype(dtype)
+@pytest.mark.parametrize("n", [1000, 2 * BLOCK + 5])
+def test_ndarray_part_is_read_with_the_bits_of_float(dtype, n):
+    arr = (np.random.default_rng(5).random(n) * 3).astype(dtype)
     expected = np.array([float(v) for v in arr])
-    with mock.patch.object(distributions_module.struct, "pack_into", side_effect=AssertionError("packed")):
-        got = distributions_module._clipped([arr], 1000, "probability")
+    with mock.patch.object(distributions_module, "_clip", side_effect=AssertionError("fell back")):
+        got = distributions_module._clipped([arr], [0, n], "probability")
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("at", [1, BLOCK + 5])
+def test_masked_entries_are_not_mass(at):
+    """A masked entry reads as nan, as ``float(np.ma.masked)`` does, not as
+    the data under the mask: the array is rejected though its data sum to 1."""
+    n = 2 * BLOCK
+    arr = np.ma.array(np.full(n, 1.0 / n), mask=np.arange(n) == at)
+    with pytest.warns(UserWarning, match="masked element"):
+        with pytest.raises(NotNormalized, match="probability entry nan is not finite"):
+            make_distribution(arr)
+    with pytest.warns(UserWarning, match="masked element"):
+        with pytest.raises(NotNormalized, match="joint entry nan is not finite"):
+            make_joint([arr[:BLOCK], arr[BLOCK:]])
 
 
 def test_object_and_string_arrays_are_read_entry_by_entry():
