@@ -3,21 +3,56 @@
 For lambda != 0 this is a commutative group on the reals minus the pole
 -1/lambda (the pole has no inverse, so operations touching it raise
 :class:`SingularElement`).  The map ``h`` carries ordinary addition onto the
-deformed one; all logarithms and exponentials are base 2.
+deformed one; all logarithms and exponentials are base 2.  Its coordinate,
+shared with the exponential generators, raises :class:`Overflow` on a result
+past the floating-point range.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
+from ._stable import _libm
 from .errors import DomainError, Overflow, ParameterError, SingularElement
 
 #: denominators smaller than this count as the pole -1/lambda.
 SINGULAR_THRESHOLD = 1e-300
 
 _LN2 = math.log(2.0)
+
+
+def _exp_coordinate(x, rate: float, scale: float, what: str):
+    """(2**(rate*x) - 1)/scale as expm1(ln2*rate*x)/scale, so that a small
+    exponent does not cancel, of a float or of each entry of a float64 array
+    (libm's expm1 in one C-level map, numpy's correctly rounded products and
+    quotients: each entry gets its bits alone).  A finite x whose result leaves
+    the float range raises `Overflow`, on an array the first such entry's; an
+    infinite x gives its limit."""
+    c = _LN2 * rate
+    if isinstance(x, np.ndarray) and x.ndim:
+        with np.errstate(over="ignore"), contextlib.suppress(OverflowError):
+            grown = _libm(math.expm1, x * c) / scale
+            if not np.isinf(grown).any():
+                return grown
+        return np.array([_exp_coordinate(one, rate, scale, what) for one in x.tolist()])
+    with contextlib.suppress(OverflowError):  # expm1 of a finite exponent past the range
+        grown = math.expm1(c * x) / scale
+        if not math.isinf(grown) or math.isinf(x):
+            return grown
+    raise Overflow(f"{what} exponent {rate * x!r} overflowed")
+
+
+def _log_coordinate(y: float, rate: float, scale: float, what: str) -> float:
+    """The inverse of `_exp_coordinate`: log1p(t)/(ln2*rate) at t = scale*y."""
+    t = scale * y
+    if 1.0 + t <= 0.0:
+        raise DomainError(f"{scale!r}*y + 1 = {1.0 + t!r} <= 0 is outside the {what} range")
+    return math.log1p(t) / (_LN2 * rate)
 
 
 @dataclass(frozen=True)
@@ -44,10 +79,7 @@ class Deformation:
 
     def negate(self, x: float) -> float:
         """Inverse element: -x / (1 + lam*x)."""
-        den = 1.0 + self.lam * x
-        if abs(den) < SINGULAR_THRESHOLD:
-            raise SingularElement(f"{x!r} is at the pole of lambda={self.lam!r}")
-        return -x / den
+        return self.subtract(-0.0, x)
 
     def subtract(self, x: float, y: float) -> float:
         """Deformed difference: (x - y) / (1 + lam*y)."""
@@ -57,28 +89,13 @@ class Deformation:
         return (x - y) / den
 
     def h(self, x: float) -> float:
-        """Group isomorphism (2**(lam*x) - 1)/lam; identity for lam == 0.
-
-        Evaluated through expm1 so tiny lam*x does not cancel.  Raises
-        :class:`Overflow` rather than saturating when 2**(lam*x) leaves the
-        floating-point range.
-        """
-        if self.lam == 0.0:
-            return x
-        try:
-            grown = math.expm1(_LN2 * self.lam * x)
-        except OverflowError as exc:
-            raise Overflow(f"2**({self.lam * x!r}) exceeds the floating-point range") from exc
-        return grown / self.lam
+        """Group isomorphism (2**(lam*x) - 1)/lam; identity for lam == 0.  Raises
+        :class:`Overflow`, never saturates, on a result past the float range."""
+        return x if self.lam == 0.0 else _exp_coordinate(x, self.lam, self.lam, "deformation")
 
     def h_inv(self, y: float) -> float:
         """Inverse isomorphism log2(lam*y + 1)/lam; needs lam*y + 1 > 0."""
-        if self.lam == 0.0:
-            return y
-        t = self.lam * y
-        if 1.0 + t <= 0.0:
-            raise DomainError(f"lam*y + 1 = {1.0 + t!r} <= 0 for y={y!r}")
-        return math.log1p(t) / (_LN2 * self.lam)
+        return y if self.lam == 0.0 else _log_coordinate(y, self.lam, self.lam, "deformation")
 
     def sum(self, xs: Iterable[float]) -> float:
         """Left fold of the deformed addition; the empty sum is 0."""

@@ -169,15 +169,20 @@ class JointDistribution:
         return f"JointDistribution(rows={self.rows!r})"
 
 
+def _number(entry, what: str) -> float:
+    """``float(entry)``, with a typed error for an entry that has no float value."""
+    try:
+        return float(entry)
+    except (TypeError, ValueError):
+        raise FormatError(f"{what} entry {entry!r} is not a number") from None
+    except OverflowError:  # an int beyond the float range
+        raise NotNormalized(f"{what} entry {entry!r} is not finite") from None
+
+
 def _clip(values: Iterable[float], what: str) -> list[float]:
     out = []
     for entry in values:
-        try:
-            v = float(entry)
-        except (TypeError, ValueError):
-            raise FormatError(f"{what} entry {entry!r} is not a number") from None
-        except OverflowError:  # an int beyond the float range
-            raise NotNormalized(f"{what} entry {entry!r} is not finite") from None
+        v = _number(entry, what)
         if not math.isfinite(v):
             raise NotNormalized(f"{what} entry {v!r} is not finite")
         if v < -NEGATIVE_TOLERANCE:

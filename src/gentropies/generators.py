@@ -6,7 +6,7 @@ These exhaust the generators compatible with product additivity, and keeping
 to them makes every inverse exact.  The ``shift`` and the scale parameters
 never change the mean (that is the affine-equivalence reduction); they exist
 so that shifted generators appearing in derivations can be written down
-literally.
+literally.  An exponential result past the float range raises :class:`Overflow`.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._stable import _libm, segment_sums
-from .errors import DimensionError, DomainError, Overflow, ParameterError
-from .distributions import Distribution
-
-_LN2 = math.log(2.0)
+from ._stable import segment_sums
+from .deformed import _exp_coordinate, _log_coordinate
+from .errors import DimensionError, ParameterError
+from .distributions import Distribution, _number, _sized
 
 
 @dataclass(frozen=True)
@@ -67,35 +66,12 @@ class ExponentialGenerator:
             raise ParameterError("exponential generator needs gamma != 0")
 
     def evaluate(self, x):
-        """g(x) of a float, or of every entry of a float64 array.
-
-        expm1 keeps small exponents from cancelling in 2**t - 1.  An array
-        takes libm's expm1 in one C-level map and the basic operations in
-        numpy, which rounds them as Python does, so every entry gets the bits
-        it gets alone.
-        """
-        exponent = (x + self.shift) * (_LN2 * self.kappa)
-        try:
-            if isinstance(exponent, np.ndarray):
-                grown = _libm(math.expm1, exponent)
-            else:
-                grown = math.expm1(exponent)
-        except OverflowError as exc:
-            if isinstance(x, np.ndarray):  # the first entry that overflows alone
-                for one in x.tolist():
-                    self.evaluate(one)
-            raise Overflow(
-                f"generator exponent {self.kappa * (x + self.shift)!r} overflowed"
-            ) from exc
-        return grown / self.gamma
+        """g(x) of a float, or of every entry of a float64 array; a result past
+        the floating-point range raises :class:`Overflow` (see `_exp_coordinate`)."""
+        return _exp_coordinate(x + self.shift, self.kappa, self.gamma, "generator")
 
     def invert(self, y: float) -> float:
-        t = self.gamma * y
-        if 1.0 + t <= 0.0:
-            raise DomainError(
-                f"gamma*y + 1 = {1.0 + t!r} <= 0 is outside the generator range"
-            )
-        return math.log1p(t) / (_LN2 * self.kappa) - self.shift
+        return _log_coordinate(y, self.kappa, self.gamma, "generator") - self.shift
 
     def invert_mean(self, acc: float, weights: np.ndarray, values: np.ndarray) -> float:
         """g^{-1}(acc), where acc = sum w g(v) over the ``weights`` and ``values``.
@@ -116,19 +92,20 @@ class ExponentialGenerator:
 Generator = Union[LinearGenerator, ExponentialGenerator]
 
 
-def quasi_mean(
-    generator: Generator, weights: Distribution, values: Sequence[float]
-) -> float:
+def quasi_mean(generator: Generator, weights: Distribution, values: Sequence[float]) -> float:
     """Quasi-linear mean g^{-1}(sum_k w_k g(v_k)).
 
     Terms with weight exactly 0 are skipped, so their values may be
     placeholders.  The result lies between the smallest and largest value
-    carrying positive weight (up to rounding).
+    carrying positive weight (up to rounding).  Values of positive weight are
+    read as `make_distribution` reads entries: a non-number, or a scalar in
+    place of the sequence, is a :class:`FormatError`; an iterator is read once.
     """
+    values = _sized(values, "values")
     if len(weights) != len(values):
         raise DimensionError(f"{len(weights)} weights for {len(values)} values")
     positive = weights._array > 0.0
-    kept = np.fromiter(itertools.compress(values, positive.tolist()), np.float64)
+    kept = np.array([_number(v, "value") for v in itertools.compress(values, positive.tolist())])
     return weighted_means(generator, weights._array[positive], kept, [0, len(kept)])[0]
 
 

@@ -126,3 +126,45 @@ class TestIsomorphism:
         d = Deformation(0.5)
         assert d.h(-60.0) > -2.0
         assert d.h(-60.0) == pytest.approx(-2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "lam, x",
+    [(3.0, 1e308), (-3.0, -1e308), (1e-10, 1e13), (1.0, 2000.0)],
+    ids=["product", "negative-product", "quotient", "expm1"],
+)
+def test_h_raises_where_the_result_leaves_the_range(lam, x):
+    with pytest.raises(Overflow, match="deformation exponent"):
+        Deformation(lam).h(x)
+
+
+def test_h_of_nonfinite_arguments():
+    d = Deformation(2.0)
+    assert d.h(math.inf) == math.inf
+    assert d.h(-math.inf) == -0.5
+    assert math.isnan(d.h(math.nan))
+
+
+def _negate_by_formula(lam, x):
+    den = 1.0 + lam * x
+    if abs(den) < 1e-300:
+        raise SingularElement(f"{x!r} is at the pole of lambda={lam!r}")
+    return -x / den
+
+
+def _hex_or_error(fn, *args):
+    try:
+        value = fn(*args)
+    except SingularElement as exc:
+        return str(exc)
+    return "nan" if math.isnan(value) else value.hex()
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, -1.5])
+def test_negate_is_the_difference_from_zero(lam):
+    # the pole check of subtract serves negate: same bits, same message
+    xs = [0.0, -0.0, math.inf, -math.inf, 0.5, -0.5, 2.0 / 3.0, 1e308, -1e-300]
+    if lam:
+        xs.append(-1.0 / lam)
+    for x in xs:
+        assert _hex_or_error(Deformation(lam).negate, x) == _hex_or_error(_negate_by_formula, lam, x)

@@ -1,4 +1,7 @@
+import functools
+import hashlib
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -7,10 +10,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import distributions
 from gentropies import (
+    Deformation,
     DimensionError,
     DomainError,
     ExponentialGenerator,
+    FormatError,
+    GentropiesError,
     LinearGenerator,
+    NotNormalized,
     Overflow,
     ParameterError,
     make_distribution,
@@ -210,3 +217,147 @@ def test_weighted_mean_equals_the_per_term_reference(generator, terms):
     term, through the saturated branch and up to the same `Overflow` text."""
     assert _mean_outcome(_one_run, generator, terms) == _mean_outcome(
         libm.weighted_mean, generator, terms)
+
+
+# A seeded grid over the lambda-exponential coordinate (2**(r*x) - 1)/s and
+# its inverse, as every caller reaches it.  Each outcome is the float hex of
+# the result or the name of the error, and each caller's outcomes are pinned
+# by one SHA-256, so a change that moves any bit shows up here.  Every
+# exponent stays inside the float range, and the partially saturated
+# exponential mean is left out.
+_RATES = [s * r for r in (1e-12, 0.3, 1.0, 7.0, 99.0) for s in (1.0, -1.0)]
+_FIXED = [0.0, -0.0, 5e-324, -1e-300, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan]
+_DYADIC = make_distribution((0.5, 0.25, 0.125, 0.125))
+
+
+def _grid_xs(rate, rng):
+    return _FIXED + [rng.uniform(-60.0, 60.0) / abs(rate) for _ in range(16)]
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except GentropiesError as exc:
+        return type(exc).__name__
+    if isinstance(value, np.ndarray):
+        return ",".join(v.hex() for v in value.tolist())
+    return value.hex()
+
+
+@functools.lru_cache(maxsize=1)
+def _coordinate_outcomes():
+    rng = random.Random(2013)
+    out = {"h": [], "h_inv": [], "negate": [], "subtract": [], "evaluate": [],
+           "evaluate_array": [], "invert": [], "mean_log1p": [], "mean_saturated": []}
+    for lam in [0.0, *_RATES]:
+        d = Deformation(lam)
+        xs = _grid_xs(lam or 1.0, rng)
+        ys = [d.h(x) for x in xs] + ([-1.0 / lam, -2.0 / lam] if lam else [])
+        out["h"] += [_outcome(d.h, x) for x in xs]
+        out["h_inv"] += [_outcome(d.h_inv, y) for y in ys]
+        out["negate"] += [_outcome(d.negate, y) for y in ys if not math.isnan(y)]
+        out["subtract"] += [_outcome(d.subtract, x, y) for x in xs[::3] for y in ys]
+    for kappa in _RATES:
+        for gamma, shift in ((1.0, 0.0), (-2.5, 0.75), (kappa, -3.0)):
+            g = ExponentialGenerator(kappa, gamma, shift)
+            xs = [x - shift for x in _grid_xs(kappa, rng)]
+            ys = [g.evaluate(x) for x in xs] + [-1.0 / gamma, -2.0 / gamma]
+            out["evaluate"] += [_outcome(g.evaluate, x) for x in xs]
+            out["evaluate_array"].append(_outcome(g.evaluate, np.array(xs)))
+            out["invert"] += [_outcome(g.invert, y) for y in ys]
+            for _ in range(4):
+                raw = [rng.random() for _ in range(5)]
+                weights = make_distribution([r / math.fsum(raw) for r in raw])
+                values = [rng.uniform(-40.0, 40.0) / abs(kappa) - shift for _ in range(5)]
+                out["mean_log1p"].append(_outcome(quasi_mean, g, weights, values))
+        for gamma in (1.0, -1.0, 2.0, -0.5):  # gamma * acc = -1 exactly: every term at -1
+            g = ExponentialGenerator(kappa, gamma, 0.25)
+            for _ in range(4):
+                values = [rng.uniform(-200.0, -61.0) / kappa - 0.25 for _ in range(4)]
+                out["mean_saturated"].append(_outcome(quasi_mean, g, _DYADIC, values))
+    return out
+
+
+_COORDINATE_DIGESTS = {
+    "h": "d728ca7cf59c6d83e7df4631768b36d8fec96f1ae41f0a9301a768ac2b4ae549",
+    "h_inv": "3ab0f5c2a69caf74dc3da6c462196fa91a31458711e395c380f7a80c07e268bd",
+    "negate": "15bcecb4180874ff0d25dd321005809a37cdcf94f8d8ebee844c7f096074e126",
+    "subtract": "7c66b91e0bf5503e8863bdcca7c9470b7d6cb5cc5d0163d33361b0fd12d5d066",
+    "evaluate": "ec1aa18adcac3ba1ca3ddf54efac5bdcdcf401c93ae3e5911f57ad47d78649a7",
+    "evaluate_array": "8141483026673805cf49420d30dbeb8889a87eaff7635649c8a27febef73cf7d",
+    "invert": "08350b785c752bd387a0f2460b2503428d5ef21951ef0c46e17e10eab535346a",
+    "mean_log1p": "4dabe998eef257496367c0e5dc77630d1241668f55880ffd719e5843b70e9385",
+    "mean_saturated": "67df12691fd11f8794fad7b4e7779c6eabf3dad54810b4df4101333bb54ddc53",
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_COORDINATE_DIGESTS))
+def test_coordinate_bits_are_pinned(caller):
+    outcomes = _coordinate_outcomes()[caller]
+    assert hashlib.sha256(";".join(outcomes).encode()).hexdigest() == _COORDINATE_DIGESTS[caller]
+
+
+@pytest.mark.parametrize(
+    "generator, values, first",
+    [
+        (ExponentialGenerator(3.0), [0.0, 1e308, 1000.0], 1e308),
+        (ExponentialGenerator(-3.0, shift=1.0), [0.0, -1e308], -1e308),
+        (ExponentialGenerator(1.0, gamma=1e-300), [0.0, 1000.0, 2000.0], 1000.0),
+        (ExponentialGenerator(1.0, gamma=1e-300), [1.0, 2000.0, 1000.0], 2000.0),
+    ],
+    ids=["product", "negative-product", "quotient-first", "expm1-first"],
+)
+def test_results_past_the_range_raise(generator, values, first):
+    """A finite argument whose result leaves the float range raises, never
+    saturates; on an array, with the message of its first such entry."""
+    with pytest.raises(Overflow, match="generator exponent") as alone:
+        generator.evaluate(first)
+    with pytest.raises(Overflow) as batched:
+        generator.evaluate(np.array(values))
+    assert str(batched.value) == str(alone.value)
+    with pytest.raises(Overflow):
+        quasi_mean(generator, uniform(2), [first, 0.0])
+
+
+def test_nonfinite_arguments_keep_their_limits():
+    g = ExponentialGenerator(2.0, gamma=-4.0)
+    xs = [math.nan, math.inf, -math.inf, 0.0, -0.0, 3.0]
+    batched = g.evaluate(np.array(xs)).tolist()
+    assert [float.hex(v) for v in batched] == [float.hex(g.evaluate(x)) for x in xs]
+    assert math.isnan(batched[0]) and batched[1] == -math.inf and batched[2] == 0.25
+
+
+@pytest.mark.parametrize(
+    "values, error, message",
+    [
+        ([None, 1.0], FormatError, "value entry None is not a number"),
+        (["abc", 1.0], FormatError, "value entry 'abc' is not a number"),
+        ([[1.0], 1.0], FormatError, r"value entry \[1.0\] is not a number"),
+        ([1.0, 10 ** 400], NotNormalized, "value entry 1000+ is not finite"),
+        (3.0, FormatError, "values 3.0 is not a sequence"),
+    ],
+    ids=["none", "string", "nested", "int-beyond-float", "scalar"],
+)
+def test_quasi_mean_refuses_values_that_are_not_floats(values, error, message):
+    with pytest.raises(error, match=message):
+        quasi_mean(ExponentialGenerator(1.0), uniform(2), values)
+
+
+def test_quasi_mean_reads_values_like_make_distribution():
+    g = ExponentialGenerator(-1.5, gamma=2.0)
+    expected = quasi_mean(g, uniform(2), [1.5, 0.25])
+    assert quasi_mean(g, uniform(2), iter([1.5, 0.25])) == expected
+    assert quasi_mean(g, uniform(2), (v for v in [1.5, 0.25])) == expected
+    assert quasi_mean(g, uniform(2), ["1.5", 0.25]) == expected
+    assert quasi_mean(g, uniform(2), np.array([1.5, 0.25])) == expected
+    # a value of weight 0 stays a placeholder, whatever it is
+    w = make_distribution([0.5, 0.0, 0.5])
+    assert quasi_mean(g, w, [1.5, None, 0.25]) == expected
+    with pytest.raises(DimensionError):
+        quasi_mean(g, uniform(2), iter([1.0]))
+
+
+def test_quasi_mean_keeps_nonfinite_values():
+    assert quasi_mean(LinearGenerator(), uniform(2), [math.inf, 1.0]) == math.inf
+    assert math.isnan(quasi_mean(LinearGenerator(), uniform(2), [math.nan, 1.0]))
+    assert math.isnan(quasi_mean(ExponentialGenerator(1.0), uniform(2), [math.nan, 1.0]))
