@@ -18,6 +18,7 @@ from pathlib import Path
 from .checker import CheckConfig, run_suite
 from .distributions import read_distributions, read_joint
 from .entropies import (
+    _FAMILY_TABLE,
     EntropyFamily,
     _family_builder,
     conditional_entropy,
@@ -28,7 +29,7 @@ from .entropies import (
 )
 from .errors import FormatError, GentropiesError, ParameterError
 
-FAMILY_NAMES = "shannon, general, nath, renyi, tsallis, havrda-charvat, hct"
+FAMILY_NAMES = ", ".join(name for name in _FAMILY_TABLE if name != "havrda_charvat")
 
 #: Most points a sweep range may hold; longer ranges are refused up front.
 MAX_SWEEP_POINTS = 10 ** 6
@@ -51,36 +52,33 @@ def _add_family_flags(sp: argparse.ArgumentParser, as_string: bool = False) -> N
     sp.add_argument("--tau", type=kind, default=None, help="scale parameter (< 0)")
 
 
+def _flags(args: argparse.Namespace) -> dict[str, object]:
+    """The family flags by name, in `make_family`'s order."""
+    return {"alpha": args.alpha, "lambda": args.lam, "tau": args.tau}
+
+
 def _family_from_args(args: argparse.Namespace) -> EntropyFamily:
-    return make_family(args.family, alpha=args.alpha, lam=args.lam, tau=args.tau)
+    return make_family(args.family, *_flags(args).values())
 
 
-def _print_value(value: float) -> None:
-    print(f"{value:.15g}")
+#: value subcommand -> (its help, the help of its input, the values it prints)
+_VALUE_COMMANDS = {
+    "compute": ("entropy of each distribution in a file", "distribution file (JSON or CSV)",
+                lambda family, args: (entropy(family, d) for d in read_distributions(args.input))),
+    "conditional": ("conditional entropy of a joint file", "joint file (JSON or CSV)",
+                    lambda family, args: [conditional_entropy(family, read_joint(args.input))]),
+    "joint": ("entropy of the flattened joint", "joint file (JSON or CSV)",
+              lambda family, args: [joint_entropy(family, read_joint(args.input))]),
+    "trace": ("closed-form entropy of the uniform distribution", "dimension",
+              lambda family, args: [uniform_trace(family, args.n)]),
+}
 
 
-def _cmd_compute(args: argparse.Namespace) -> int:
+def _cmd_value(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
-    for dist in read_distributions(args.input):
-        _print_value(entropy(family, dist))
-    return 0
-
-
-def _cmd_conditional(args: argparse.Namespace) -> int:
-    family = _family_from_args(args)
-    _print_value(conditional_entropy(family, read_joint(args.input)))
-    return 0
-
-
-def _cmd_joint(args: argparse.Namespace) -> int:
-    family = _family_from_args(args)
-    _print_value(joint_entropy(family, read_joint(args.input)))
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    family = _family_from_args(args)
-    _print_value(uniform_trace(family, args.n))
+    # printed as computed: a later value's error leaves the earlier ones on stdout
+    for value in _VALUE_COMMANDS[args.command][2](family, args):
+        print(f"{value:.15g}")
     return 0
 
 
@@ -135,8 +133,8 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _family_builder(args.family, args.alpha, args.lam, args.tau)  # the name and the flag set
-    raw = {"alpha": args.alpha, "lambda": args.lam, "tau": args.tau}
+    raw = _flags(args)
+    _family_builder(args.family, *raw.values())  # the name and the flag set
     ranged = [k for k, v in raw.items() if v is not None and ":" in v]
     if len(ranged) != 1:
         raise ParameterError(
@@ -144,12 +142,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     key = ranged[0]
     values = _parse_range(raw[key])
-    fixed: dict[str, float] = {}
     for k, v in raw.items():
         if v is None or k == key:
             continue
         try:
-            fixed[k] = float(v)
+            raw[k] = float(v)
         except ValueError as exc:
             raise ParameterError(f"invalid number for --{k}: {v!r}") from exc
 
@@ -162,16 +159,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     print("param,entropy")
     for v in values:
-        params = dict(fixed)
-        params[key] = v
+        raw[key] = v
         try:
-            family = make_family(
-                args.family,
-                alpha=params.get("alpha"),
-                lam=params.get("lambda"),
-                tau=params.get("tau"),
-            )
-            value = entropy(family, dist)
+            value = entropy(make_family(args.family, *raw.values()), dist)
         except GentropiesError as exc:
             print(
                 f"warning: skipping {key}={v:.15g}: {type(exc).__name__}: {exc}",
@@ -193,25 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    compute = sub.add_parser("compute", help="entropy of each distribution in a file")
-    _add_family_flags(compute)
-    compute.add_argument("input", help="distribution file (JSON or CSV)")
-    compute.set_defaults(func=_cmd_compute)
-
-    cond = sub.add_parser("conditional", help="conditional entropy of a joint file")
-    _add_family_flags(cond)
-    cond.add_argument("input", help="joint file (JSON or CSV)")
-    cond.set_defaults(func=_cmd_conditional)
-
-    joint = sub.add_parser("joint", help="entropy of the flattened joint")
-    _add_family_flags(joint)
-    joint.add_argument("input", help="joint file (JSON or CSV)")
-    joint.set_defaults(func=_cmd_joint)
-
-    trace = sub.add_parser("trace", help="closed-form entropy of the uniform distribution")
-    _add_family_flags(trace)
-    trace.add_argument("--n", type=int, required=True, help="dimension")
-    trace.set_defaults(func=_cmd_trace)
+    for name, (text, input_text, _) in _VALUE_COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        _add_family_flags(sp)
+        if name == "trace":
+            sp.add_argument("--n", type=int, required=True, help=input_text)
+        else:
+            sp.add_argument("input", help=input_text)
+        sp.set_defaults(func=_cmd_value)
 
     check = sub.add_parser("check", help="run the seeded axiom suite")
     _add_family_flags(check)
@@ -246,10 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GentropiesError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GentropiesError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -26,30 +26,38 @@ SINGULAR_THRESHOLD = 1e-300
 _LN2 = math.log(2.0)
 
 
-def _exp_coordinate(x, rate: float, scale: float, what: str):
-    """(2**(rate*x) - 1)/scale as expm1(ln2*rate*x)/scale, so that a small
-    exponent does not cancel, of a float or of each entry of a float64 array
-    (libm's expm1 in one C-level map, numpy's correctly rounded products and
-    quotients: each entry gets its bits alone).  A finite x whose result leaves
-    the float range raises `Overflow`, on an array the first such entry's; an
-    infinite x gives its limit."""
+def _float(x, what: str) -> float:
+    """A scalar argument as a Python float (a numpy scalar keeps its bits)."""
+    with contextlib.suppress(OverflowError):
+        return float(x)
+    raise Overflow(f"{what} argument is an integer past the float range")
+
+
+def _exp_coordinate(x, rate: float, scale: float, what: str, shift: float = -0.0):
+    """(2**(rate*(x + shift)) - 1)/scale as expm1(ln2*rate*(x + shift))/scale, so
+    that a small exponent does not cancel, of a float or of each entry of a
+    float64 array (libm's expm1 in one C-level map, numpy's correctly rounded
+    arithmetic: each entry gets its bits alone; adding -0.0 changes no float).
+    A finite x whose result leaves the float range raises `Overflow`, on an
+    array the first such entry's; an infinite x gives its limit."""
     c = _LN2 * rate
     if isinstance(x, np.ndarray) and x.ndim:
         with np.errstate(over="ignore"), contextlib.suppress(OverflowError):
-            grown = _libm(math.expm1, x * c) / scale
+            grown = _libm(math.expm1, (x + shift) * c) / scale
             if not np.isinf(grown).any():
                 return grown
-        return np.array([_exp_coordinate(one, rate, scale, what) for one in x.tolist()])
+        return np.array([_exp_coordinate(one, rate, scale, what, shift) for one in x.tolist()])
+    x = _float(x, what)
     with contextlib.suppress(OverflowError):  # expm1 of a finite exponent past the range
-        grown = math.expm1(c * x) / scale
+        grown = math.expm1(c * (x + shift)) / scale
         if not math.isinf(grown) or math.isinf(x):
             return grown
-    raise Overflow(f"{what} exponent {rate * x!r} overflowed")
+    raise Overflow(f"{what} exponent {rate * (x + shift)!r} overflowed")
 
 
 def _log_coordinate(y: float, rate: float, scale: float, what: str) -> float:
     """The inverse of `_exp_coordinate`: log1p(t)/(ln2*rate) at t = scale*y."""
-    t = scale * y
+    t = scale * _float(y, what)
     if 1.0 + t <= 0.0:
         raise DomainError(f"{scale!r}*y + 1 = {1.0 + t!r} <= 0 is outside the {what} range")
     return math.log1p(t) / (_LN2 * rate)

@@ -343,13 +343,15 @@ def _family_builder(name: str, alpha, lam, tau) -> tuple[Callable[..., EntropyFa
 # Entropy operations
 
 
+def _require_family(family: EntropyFamily) -> None:
+    if not isinstance(family, _Family):
+        raise TypeError(f"unknown entropy family {family!r}")
+
+
 def span_entropies(family: EntropyFamily, flat: np.ndarray, spans: Spans) -> list[float]:
     """`entropy` of the distribution in each span of ``flat``."""
-    try:
-        formula = family._formula
-    except AttributeError:
-        raise TypeError(f"unknown entropy family {family!r}") from None
-    values = formula(flat, spans)
+    _require_family(family)
+    values = family._formula(flat, spans)
     if not all(map(math.isfinite, values)):
         value = next(v for v in values if not math.isfinite(v))
         raise Overflow(f"{family.name} entropy is not finite: {value!r}")
@@ -374,6 +376,7 @@ def conditional_entropies(
     Every row is divided by its exact sum at once; one formula call then
     covers the rows of positive escort weight.
     """
+    _require_family(family)
     weights = _escort(margs, spans_of(groups), family.alpha)
     positive = np.flatnonzero(weights > 0.0)
     rows = spans_of(joint._bounds)
@@ -413,9 +416,6 @@ def uniform_trace(family: EntropyFamily, n: int) -> float:
     n = _integer(n, "uniform trace dimension")
     if n < 1:
         raise DimensionError(f"uniform trace needs n >= 1, got {n}")
-    try:
-        trace = family._trace
-    except AttributeError:
-        raise TypeError(f"unknown entropy family {family!r}") from None
+    _require_family(family)
     # log2 of the integer itself: float(n) overflows from n = 2**1024 on
-    return trace(n, math.log2(n)) + 0.0
+    return family._trace(n, math.log2(n)) + 0.0

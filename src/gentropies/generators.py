@@ -68,7 +68,7 @@ class ExponentialGenerator:
     def evaluate(self, x):
         """g(x) of a float, or of every entry of a float64 array; a result past
         the floating-point range raises :class:`Overflow` (see `_exp_coordinate`)."""
-        return _exp_coordinate(x + self.shift, self.kappa, self.gamma, "generator")
+        return _exp_coordinate(x, self.kappa, self.gamma, "generator", self.shift)
 
     def invert(self, y: float) -> float:
         return _log_coordinate(y, self.kappa, self.gamma, "generator") - self.shift

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -12,7 +13,7 @@ from gentropies import (
     run_suite,
     tsallis,
 )
-from gentropies.cli import MAX_SWEEP_POINTS, main
+from gentropies.cli import MAX_SWEEP_POINTS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -91,6 +92,15 @@ class TestCompute:
         path.write_text("0.25,0.25,0.25,0.25\n")
         code, out, err = run(capsys, "compute", "--family", "shannon", "--tau=-1.7e308", str(path))
         assert (code, out) == (1, "")
+        assert err.startswith("Overflow: ")
+
+    def test_values_before_an_overflow_are_printed(self, capsys, tmp_path):
+        """Each value is printed as it is computed: the first distribution's
+        entropy reaches stdout before the second one overflows."""
+        path = tmp_path / "two.csv"
+        path.write_text("1\n0.25,0.25,0.25,0.25\n")
+        code, out, err = run(capsys, "compute", "--family", "shannon", "--tau=-1.7e308", str(path))
+        assert (code, out) == (1, "0\n")
         assert err.startswith("Overflow: ")
 
 
@@ -371,6 +381,32 @@ class TestSweep:
         assert err.startswith("ParameterError: ") and message in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("family, flags", [
+        ("nath", ["--alpha", "2", "--tau=-1"]),
+        ("hct", ["--alpha", "2", "--tau=-1"]),
+    ])
+    def test_ranged_lambda_matches_compute(self, capsys, tmp_path, family, flags):
+        path = tmp_path / "d.csv"
+        path.write_text("0.2,0.3,0.5\n")
+        code, out, _ = run(
+            capsys, "sweep", "--family", family, *flags, "--lambda=-1.5:-0.5:0.25", str(path)
+        )
+        assert code == 0
+        lines = out.splitlines()[1:]
+        assert lines
+        for line in lines:
+            lam, value = line.split(",")
+            _, single, _ = run(capsys, "compute", "--family", family, *flags, f"--lambda={lam}", str(path))
+            assert single == f"{value}\n"
+
+    def test_bad_fixed_flag_exit_one(self, capsys, coin_file):
+        code, out, err = run(
+            capsys, "sweep", "--family", "nath",
+            "--alpha", "2", "--lambda=-1:-0.5:0.5", "--tau=abc", coin_file,
+        )
+        assert (code, out) == (1, "")
+        assert "invalid number for --tau" in err
+
     def test_multi_distribution_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "many.csv"
         path.write_text("0.5,0.5\n0.25,0.75\n")
@@ -390,3 +426,61 @@ class TestParsing:
     def test_bad_flag_value_exit_one(self, capsys, coin_file):
         code = main(["compute", "--family", "renyi", "--alpha", "two", coin_file])
         assert code == 1
+
+
+_FAMILY_FLAGS = [
+    (("-h", "--help"), "help", None, argparse.SUPPRESS, False, "show this help message and exit"),
+    (("--family",), "family", None, None, True,
+     "one of: shannon, general, nath, renyi, tsallis, havrda-charvat, hct"),
+    (("--alpha",), "alpha", "float", None, False, "order parameter"),
+    (("--lambda",), "lam", "float", None, False, "deformation parameter"),
+    (("--tau",), "tau", "float", None, False, "scale parameter (< 0)"),
+]
+
+_PARSER_SHAPE = [
+    ("compute", "entropy of each distribution in a file", _FAMILY_FLAGS + [
+        ((), "input", None, None, True, "distribution file (JSON or CSV)"),
+    ]),
+    ("conditional", "conditional entropy of a joint file", _FAMILY_FLAGS + [
+        ((), "input", None, None, True, "joint file (JSON or CSV)"),
+    ]),
+    ("joint", "entropy of the flattened joint", _FAMILY_FLAGS + [
+        ((), "input", None, None, True, "joint file (JSON or CSV)"),
+    ]),
+    ("trace", "closed-form entropy of the uniform distribution", _FAMILY_FLAGS + [
+        (("--n",), "n", "int", None, True, "dimension"),
+    ]),
+    ("check", "run the seeded axiom suite", _FAMILY_FLAGS + [
+        (("--trials",), "trials", "int", 100, False, None),
+        (("--seed",), "seed", "int", 0, False, None),
+        (("--tolerance",), "tolerance", "float", 1e-9, False, None),
+        (("--max-rows",), "max_rows", "int", 8, False, None),
+        (("--max-cols",), "max_cols", "int", 8, False, None),
+        (("--output",), "output", None, None, False, "report path (default: stdout)"),
+        (("--expect-violation",), "expect_violation", None, False, False,
+         "succeed when the suite detects a strong-additivity violation"),
+    ]),
+    ("sweep", "CSV sweep over one ranged parameter", [
+        (flags, dest, "str" if kind == "float" else kind, default, required, text)
+        for flags, dest, kind, default, required, text in _FAMILY_FLAGS
+    ] + [
+        ((), "input", None, None, True, "distribution file (JSON or CSV)"),
+    ]),
+]
+
+
+def test_parser_shape():
+    """The subcommands, their help and every action's option strings, dest,
+    type, default, required flag and help, in order (the structure, not
+    argparse's rendering, which varies across Python versions)."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {c.dest: c.help for c in sub._choices_actions}
+    shape = [
+        (name, helps[name], [
+            (tuple(a.option_strings), a.dest, getattr(a.type, "__name__", a.type),
+             a.default, a.required, a.help)
+            for a in parser._actions
+        ])
+        for name, parser in sub.choices.items()
+    ]
+    assert shape == _PARSER_SHAPE

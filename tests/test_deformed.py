@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -143,6 +144,27 @@ def test_h_of_nonfinite_arguments():
     assert d.h(math.inf) == math.inf
     assert d.h(-math.inf) == -0.5
     assert math.isnan(d.h(math.nan))
+    assert math.copysign(1.0, d.h(-0.0)) == -1.0
+
+
+def test_numpy_scalars_are_read_as_floats():
+    d = Deformation(3.0)
+    assert d.h(np.float64(0.5)).hex() == d.h(0.5).hex()
+    assert type(d.h(np.float64(0.5))) is float
+    assert d.h_inv(np.float64(0.5)).hex() == d.h_inv(0.5).hex()
+    with pytest.raises(Overflow) as scalar:
+        d.h(np.float64(1e308))
+    with pytest.raises(Overflow) as plain:
+        d.h(1e308)
+    assert str(scalar.value) == str(plain.value)
+
+
+def test_integers_past_the_float_range_overflow():
+    d = Deformation(3.0)
+    with pytest.raises(Overflow, match="past the float range"):
+        d.h(10 ** 400)
+    with pytest.raises(Overflow, match="past the float range"):
+        d.h_inv(10 ** 400)
 
 
 def _negate_by_formula(lam, x):

@@ -151,6 +151,8 @@ class TestConstructors:
             entropy(not_a_family, uniform(2))
         with pytest.raises(TypeError):
             uniform_trace(not_a_family, 4)
+        with pytest.raises(TypeError):
+            conditional_entropy(not_a_family, make_joint([[0.5], [0.5]]))
 
 
 class TestEntropyValues:

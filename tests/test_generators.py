@@ -319,6 +319,25 @@ def test_results_past_the_range_raise(generator, values, first):
         quasi_mean(generator, uniform(2), [first, 0.0])
 
 
+def test_a_shift_past_the_range_raises():
+    """The limit of an infinite argument applies to x, not to x + shift: a
+    finite x whose shifted exponent overflows raises, alone or in an array."""
+    g = ExponentialGenerator(1.0, shift=1e308)
+    with pytest.raises(Overflow, match="generator exponent") as alone:
+        g.evaluate(1e308)
+    with pytest.raises(Overflow) as batched:
+        g.evaluate(np.array([1e308, 0.0]))
+    assert str(batched.value) == str(alone.value)
+    falling = ExponentialGenerator(-1.0, shift=1e308)
+    assert falling.evaluate(1e308) == -1.0
+    assert falling.evaluate(np.array([1e308, 0.0])).tolist() == [-1.0, -1.0]
+
+
+def test_integer_past_the_float_range_overflows():
+    with pytest.raises(Overflow, match="generator argument is an integer past the float range"):
+        ExponentialGenerator(1.0).evaluate(10 ** 400)
+
+
 def test_nonfinite_arguments_keep_their_limits():
     g = ExponentialGenerator(2.0, gamma=-4.0)
     xs = [math.nan, math.inf, -math.inf, 0.0, -0.0, 3.0]
