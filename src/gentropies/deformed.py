@@ -48,8 +48,11 @@ def _exp_coordinate(x, rate: float, scale: float, what: str, shift: float = -0.0
                 return grown
         return np.array([_exp_coordinate(one, rate, scale, what, shift) for one in x.tolist()])
     x = _float(x, what)
-    with contextlib.suppress(OverflowError):  # expm1 of a finite exponent past the range
-        grown = math.expm1(c * (x + shift)) / scale
+    with contextlib.suppress(OverflowError):
+        try:
+            grown = math.expm1(c * (x + shift)) / scale
+        except OverflowError:  # expm1 past the range: 2**exponent/scale, divided in log space
+            grown = math.copysign(math.exp(c * (x + shift) - math.log(abs(scale))), scale)
         if not math.isinf(grown) or math.isinf(x):
             return grown
     raise Overflow(f"{what} exponent {rate * (x + shift)!r} overflowed")
@@ -57,9 +60,12 @@ def _exp_coordinate(x, rate: float, scale: float, what: str, shift: float = -0.0
 
 def _log_coordinate(y: float, rate: float, scale: float, what: str) -> float:
     """The inverse of `_exp_coordinate`: log1p(t)/(ln2*rate) at t = scale*y."""
-    t = scale * _float(y, what)
+    y = _float(y, what)
+    t = scale * y
     if 1.0 + t <= 0.0:
         raise DomainError(f"{scale!r}*y + 1 = {1.0 + t!r} <= 0 is outside the {what} range")
+    if math.isinf(t) and math.isfinite(y):  # t alone passes the range: log1p(t) = log|scale*y|
+        return (math.log(abs(scale)) + math.log(abs(y))) / (_LN2 * rate)
     return math.log1p(t) / (_LN2 * rate)
 
 

@@ -401,79 +401,69 @@ def flatten(joint: JointDistribution) -> Distribution:
 # File input/output
 
 
-def _parse_floats(text: str, where: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise FormatError(f"unparseable number in {where}: {exc}") from exc
-
-
-def _number_list(obj, where: str) -> list:
-    """``obj`` if it is a list; its entries are read and checked by the
-    validating constructors."""
-    if not isinstance(obj, list):
-        raise FormatError(f"{where}: expected a list of numbers, got {type(obj).__name__}")
-    return obj
-
-
-def _read(path: str | Path, key: str, what: str) -> tuple[object, list[str]]:
-    """The ``key`` entry of a JSON file's object and no lines, or None and the
-    non-blank lines of a CSV file (a UTF-8 byte-order mark is skipped).  A file
-    that is not UTF-8 text, invalid JSON or no ``what`` at all is a :class:`FormatError`."""
+def _rows(path: str | Path, key: str, what: str) -> Iterable[list]:
+    """The rows of numbers in a file, read once: a JSON object's ``key`` entry
+    (``"p"`` is one row, ``"rows"`` a list of rows), each row checked to be a
+    list, or the non-blank lines of a CSV file, each parsed as it is taken (a
+    UTF-8 byte-order mark is skipped).  A file that is not UTF-8 text, invalid
+    JSON, another shape or no ``what`` at all is a :class:`FormatError`."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-        if not isinstance(obj, dict) or key not in obj:
-            raise FormatError(f'{path}: expected an object with a "{key}" key')
-        return obj[key], []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: no {what} found")
-    return None, lines
+    if not text.lstrip().startswith("{"):
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise FormatError(f"{path}: no {what} found")
+
+        def parse(line: str) -> list[float]:
+            try:
+                return [float(tok) for tok in line.split(",") if tok.strip()]
+            except ValueError as exc:
+                raise FormatError(f"unparseable number in {path}: {exc}") from exc
+        return map(parse, lines)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(obj, dict) or key not in obj:
+        raise FormatError(f'{path}: expected an object with a "{key}" key')
+    rows = [obj[key]] if key == "p" else obj[key]
+    if not isinstance(rows, list):
+        raise FormatError(f'{path}: "{key}" must be a list of rows')
+    for row in rows:  # entries are read and checked by the validating constructors
+        if not isinstance(row, list):
+            raise FormatError(f"{path}: expected a list of numbers, got {type(row).__name__}")
+    return rows
 
 
 def read_distributions(path: str | Path) -> list[Distribution]:
     """Read one or more distributions from a JSON or CSV file."""
-    p, lines = _read(path, "p", "distributions")
-    if not lines:
-        return [make_distribution(_number_list(p, str(path)))]
-    return [make_distribution(_parse_floats(ln, str(path))) for ln in lines]
+    return [make_distribution(row) for row in _rows(path, "p", "distributions")]
 
 
 def read_joint(path: str | Path) -> JointDistribution:
     """Read a joint distribution from a JSON or CSV file."""
-    rows, lines = _read(path, "rows", "joint rows")
-    if lines:
-        return make_joint([_parse_floats(ln, str(path)) for ln in lines])
-    if not isinstance(rows, list):
-        raise FormatError(f'{path}: "rows" must be a list of rows')
-    return make_joint([_number_list(row, str(path)) for row in rows])
+    return make_joint(_rows(path, "rows", "joint rows"))
+
+
+def _write(path: str | Path, fmt: str, key: str, rows: Sequence[Sequence[float]]) -> None:
+    """Write ``rows`` as a JSON object's ``key`` entry (``"p"``: one flat row)
+    or as CSV lines."""
+    if fmt == "json":
+        text = json.dumps({key: list(rows[0]) if key == "p" else [list(r) for r in rows]})
+    elif fmt == "csv":
+        text = "\n".join(",".join(repr(v) for v in row) for row in rows)
+    else:
+        raise FormatError(f"unknown format {fmt!r} (expected 'json' or 'csv')")
+    Path(path).write_text(text + "\n")
 
 
 def write_distribution(path: str | Path, dist: Distribution, fmt: str = "json") -> None:
     """Write a distribution in the documented JSON or CSV format."""
-    if fmt == "json":
-        Path(path).write_text(json.dumps({"p": list(dist.probs)}) + "\n")
-    elif fmt == "csv":
-        Path(path).write_text(",".join(repr(v) for v in dist.probs) + "\n")
-    else:
-        raise FormatError(f"unknown format {fmt!r} (expected 'json' or 'csv')")
+    _write(path, fmt, "p", [dist.probs])
 
 
 def write_joint(path: str | Path, joint: JointDistribution, fmt: str = "json") -> None:
     """Write a joint distribution in the documented JSON or CSV format."""
-    if fmt == "json":
-        Path(path).write_text(
-            json.dumps({"rows": [list(r) for r in joint.rows]}) + "\n"
-        )
-    elif fmt == "csv":
-        lines = [",".join(repr(v) for v in row) for row in joint.rows]
-        Path(path).write_text("\n".join(lines) + "\n")
-    else:
-        raise FormatError(f"unknown format {fmt!r} (expected 'json' or 'csv')")
+    _write(path, fmt, "rows", joint.rows)

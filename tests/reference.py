@@ -99,3 +99,13 @@ def ref_quasi_mean_linear(c, shift, weights, values) -> float:
     c, shift = mpf(c), mpf(shift)
     acc = fsum(mpf(w) * (-c * (mpf(v) + shift)) for w, v in zip(weights, values) if w > 0)
     return float(-acc / c - shift)
+
+
+def ref_exp_coordinate(x, rate, scale) -> float:
+    """(2**(rate*x) - 1)/scale: `Deformation.h` and `ExponentialGenerator.evaluate`."""
+    return float((power(2, mpf(rate) * mpf(x)) - 1) / mpf(scale))
+
+
+def ref_log_coordinate(y, rate, scale) -> float:
+    """log2(scale*y + 1)/rate: `Deformation.h_inv` and `ExponentialGenerator.invert`."""
+    return float(_log2(mpf(scale) * mpf(y) + 1) / mpf(rate))

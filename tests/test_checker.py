@@ -562,6 +562,19 @@ def test_failed_batch_raises_what_a_trial_by_trial_run_meets_first(monkeypatch, 
     assert checker._measure("demo", check, shannon(), [0, 3, 0]) == ([0.0] * 3, [0.0] * 3)
 
 
+def test_batch_error_is_raised_when_no_trial_fails_alone(monkeypatch):
+    monkeypatch.setattr(checker, "_BATCH_TRIALS", 4)
+
+    def check(family, inputs):
+        if len(inputs) >= 2:
+            raise DomainError(f"batch of {len(inputs)}")
+        return [0.0], [0.0]
+
+    with pytest.raises(DomainError, match="^batch of 3$"):
+        checker._measure("demo", check, shannon(), [0, 1, 2])
+    assert checker._measure("demo", check, shannon(), [0]) == ([0.0], [0.0])
+
+
 def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
     cfg = CheckConfig(family=general_escort(2.0, -1.0, 1.0), trials=23, seed=5)
     whole = run_suite(cfg).to_json()

@@ -94,6 +94,15 @@ class TestCompute:
         assert (code, out) == (1, "")
         assert err.startswith("Overflow: ")
 
+    def test_csv_line_is_validated_before_the_next_is_parsed(self, capsys, tmp_path):
+        """Line 2 fails validation and line 3 has an unparseable token: the
+        error is line 2's, and the file is read before anything is printed."""
+        path = tmp_path / "bad.csv"
+        path.write_text("0.5,0.5\n0.25,0.25\n0.5,x\n")
+        code, out, err = run(capsys, "compute", "--family", "shannon", str(path))
+        assert (code, out) == (1, "")
+        assert err == "NotNormalized: probabilities sum to 0.5, not 1\n"
+
     def test_values_before_an_overflow_are_printed(self, capsys, tmp_path):
         """Each value is printed as it is computed: the first distribution's
         entropy reaches stdout before the second one overflows."""
@@ -145,6 +154,23 @@ def test_file_that_is_not_utf8_exit_one(capsys, tmp_path, command):
     code, out, err = run(capsys, command, "--family", "shannon", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("FormatError: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("compute", "\n \n", "no distributions found"),
+    ("joint", "\n \n", "no joint rows found"),
+    ("conditional", "\n", "no joint rows found"),
+    ("sweep", "", "no distributions found"),
+    ("compute", '{"p": [0.5, 0.5]', "invalid JSON in "),
+    ("conditional", '{"rows": [[1.0]]]}', "invalid JSON in "),
+])
+def test_blank_or_invalid_file_exit_one(capsys, tmp_path, command, body, message):
+    path = tmp_path / "in.txt"
+    path.write_text(body)
+    flags = ["--family", "renyi", "--alpha=1:2:1"] if command == "sweep" else ["--family", "shannon"]
+    code, out, err = run(capsys, command, *flags, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("FormatError: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, body", [
@@ -339,6 +365,16 @@ class TestSweep:
         )
         assert code == 1
         assert "ParameterError" in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("1:2", "range must be start:stop:step, got '1:2'"),
+        ("1:2:0.5:1", "range must be start:stop:step, got '1:2:0.5:1'"),
+        ("1:x:0.5", "unparseable range '1:x:0.5': could not convert string to float: 'x'"),
+        ("3:1:0.5", "empty range '3:1:0.5'"),
+    ])
+    def test_malformed_range_exit_one(self, capsys, coin_file, spec, message):
+        code, out, err = run(capsys, "sweep", "--family", "renyi", f"--alpha={spec}", coin_file)
+        assert (code, out, err) == (1, "", f"ParameterError: {message}\n")
 
     @pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "0:1:inf", "nan:1:0.5", "0:nan:1"])
     def test_non_finite_range_exit_one(self, capsys, coin_file, spec):

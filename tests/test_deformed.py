@@ -1,10 +1,19 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from gentropies import Deformation, DomainError, Overflow, ParameterError, SingularElement
+from gentropies import (
+    Deformation,
+    DomainError,
+    ExponentialGenerator,
+    Overflow,
+    ParameterError,
+    SingularElement,
+)
+from reference import ref_exp_coordinate, ref_log_coordinate
 
 reals = st.floats(-10.0, 10.0, allow_nan=False)
 # subnormal lambda quantizes lam*x at the 5e-324 grid, below the module's
@@ -137,6 +146,36 @@ class TestIsomorphism:
 def test_h_raises_where_the_result_leaves_the_range(lam, x):
     with pytest.raises(Overflow, match="deformation exponent"):
         Deformation(lam).h(x)
+
+
+_DBL_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("lam", [3.0, -3.0])
+def test_coordinate_at_the_edge_of_the_float_range(lam):
+    """Where lam*y, or expm1 before the division by lam, passes the float range
+    but the result is finite, h_inv and h agree with mpmath; past it h raises."""
+    d, s = Deformation(lam), math.copysign(1.0, lam)
+    for y in (1e300, 1e307, 1e308, _DBL_MAX):
+        assert d.h_inv(s * y) == pytest.approx(ref_log_coordinate(s * y, lam, lam), rel=1e-12)
+    xs = [s * x for x in (341.0, 341.5, 341.8)]
+    for x in xs:
+        assert d.h(x) == pytest.approx(ref_exp_coordinate(x, lam, lam), rel=1e-12)
+    assert d.h(np.array(xs)).tolist() == [d.h(x) for x in xs]
+    with pytest.raises(Overflow, match="deformation exponent"):
+        d.h(s * 341.9)
+
+
+def test_generator_coordinate_at_the_edge_of_the_float_range():
+    g = ExponentialGenerator(1.0, gamma=4.0)
+    for y in (1e308, _DBL_MAX):
+        assert g.invert(y) == pytest.approx(ref_log_coordinate(y, 1.0, 4.0), rel=1e-12)
+    xs = [1024.5, 1025.0, 1025.9]
+    for x in xs:
+        assert g.evaluate(x) == pytest.approx(ref_exp_coordinate(x, 1.0, 4.0), rel=1e-12)
+    assert g.evaluate(np.array([1.0, *xs])).tolist() == [g.evaluate(x) for x in [1.0, *xs]]
+    with pytest.raises(Overflow, match="generator exponent"):
+        g.evaluate(1026.1)
 
 
 def test_h_of_nonfinite_arguments():

@@ -314,9 +314,9 @@ class TestFileFormats:
     def test_reader_rejects_wrong_json_shape(self, tmp_path):
         path = tmp_path / "weird.json"
         path.write_text('{"q": [1.0]}')
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match='weird.json: expected an object with a "p" key$'):
             read_distributions(path)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match='weird.json: expected an object with a "rows" key$'):
             read_joint(path)
 
     @pytest.mark.parametrize(
@@ -354,13 +354,70 @@ class TestFileFormats:
         with pytest.raises(FormatError):
             read_joint(path)
         path.write_text('{"rows": 3}')
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match='bad.json: "rows" must be a list of rows$'):
             read_joint(path)
 
     def test_json_payload_is_plain(self, tmp_path):
         path = tmp_path / "d.json"
         write_distribution(path, uniform(2))
         assert json.loads(path.read_text()) == {"p": [0.5, 0.5]}
+
+    @pytest.mark.parametrize("reader, key", [(read_distributions, "p"), (read_joint, "rows")])
+    def test_readers_reject_invalid_json(self, tmp_path, reader, key):
+        path = tmp_path / "cut.json"
+        path.write_text(f'{{"{key}": [0.5,')
+        with pytest.raises(FormatError, match=r"^invalid JSON in .*cut\.json: "):
+            reader(path)
+
+    @pytest.mark.parametrize("reader, what", [
+        (read_distributions, "distributions"), (read_joint, "joint rows"),
+    ])
+    def test_readers_reject_a_blank_csv(self, tmp_path, reader, what):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n  \n\t\n")
+        with pytest.raises(FormatError, match=rf"blank\.csv: no {what} found$"):
+            reader(path)
+
+    def test_json_rows_are_checked_before_any_entry(self, tmp_path):
+        """Every JSON row is checked to be a list before an entry is read."""
+        path = tmp_path / "j.json"
+        path.write_text('{"rows": [["x"], 0.5]}')
+        with pytest.raises(FormatError, match="j.json: expected a list of numbers, got float$"):
+            read_joint(path)
+
+    def test_csv_joint_reads_every_line_before_validating(self, tmp_path):
+        path = tmp_path / "j.csv"
+        path.write_text("0.5,-1\n0.5,x\n")
+        with pytest.raises(FormatError, match="unparseable number in .*j.csv: "):
+            read_joint(path)
+
+    @pytest.mark.parametrize("writer, value", [
+        (write_distribution, make_distribution([0.5, 0.5])),
+        (write_joint, make_joint(PROBE_ROWS)),
+    ])
+    def test_writers_reject_an_unknown_format(self, tmp_path, writer, value):
+        path = tmp_path / "out.xml"
+        with pytest.raises(FormatError, match=r"^unknown format 'xml' \(expected 'json' or 'csv'\)$"):
+            writer(path, value, fmt="xml")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("json", b'{"p": [0.1, 0.2, 0.7000000000000001]}\n'),
+        ("csv", b"0.1,0.2,0.7000000000000001\n"),
+    ])
+    def test_distribution_writer_bytes(self, tmp_path, fmt, expected):
+        path = tmp_path / "d.out"
+        write_distribution(path, make_distribution([0.1, 0.2, 0.7000000000000001]), fmt=fmt)
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("json", b'{"rows": [[0.5, 0.0], [0.25, 0.125, 0.125]]}\n'),
+        ("csv", b"0.5,0.0\n0.25,0.125,0.125\n"),
+    ])
+    def test_joint_writer_bytes(self, tmp_path, fmt, expected):
+        path = tmp_path / "j.out"
+        write_joint(path, make_joint([(0.5, 0.0), (0.25, 0.125, 0.125)]), fmt=fmt)
+        assert path.read_bytes() == expected
 
 
 @given(distributions())
@@ -388,6 +445,11 @@ class TestArrayLayout:
         assert Distribution([0.5, 0.5]) == Distribution((0.5, 0.5))
         assert repr(Distribution((0.5, 0.5))) == "Distribution(probs=(0.5, 0.5))"
         assert Distribution((0.5, 0.5)) != (0.5, 0.5)
+        assert list(Distribution((0.25, 0.75))) == [0.25, 0.75]
+        assert JointDistribution(PROBE_ROWS) != PROBE_ROWS
+        assert repr(JointDistribution(PROBE_ROWS)) == (
+            "JointDistribution(rows=((0.5, 0.0), (0.25, 0.25)))"
+        )
 
     def test_stored_arrays_are_not_writable(self):
         j = make_joint(PROBE_ROWS)

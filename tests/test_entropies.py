@@ -31,6 +31,7 @@ from gentropies import entropies
 from gentropies.entropies import (
     general_escort,
     havrda_charvat,
+    hct,
     nath,
     renyi,
     shannon,
@@ -78,6 +79,18 @@ class TestValidation:
             HCT(alpha=2.0, lam=1.0, tau=-1.0)  # (1-alpha)/lambda < 0
         with pytest.raises(ParameterError):
             HCT(alpha=2.0, lam=-1.0, tau=-2.0)  # alpha - tau*lam = 0 != 1
+        with pytest.raises(ParameterError, match="^hct: alpha must be positive, got -1.0$"):
+            hct(-1.0, 2.0, -1.0)
+
+    def test_named_members_refuse_their_degenerate_points(self):
+        with pytest.raises(ParameterError, match="^nath: lambda must be nonzero when alpha != 1$"):
+            strongly_additive_nath(2.0, 0.0)
+        with pytest.raises(ParameterError, match="^havrda-charvat: alpha must differ from 1$"):
+            havrda_charvat(1.0)
+
+    def test_uniform_trace_needs_a_positive_dimension(self):
+        with pytest.raises(DimensionError, match="^uniform trace needs n >= 1, got 0$"):
+            uniform_trace(shannon(), 0)
 
     def test_error_names_the_constraint(self):
         with pytest.raises(ParameterError, match=r"\(1 - alpha\)/lambda"):

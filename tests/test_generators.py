@@ -74,6 +74,17 @@ class TestEvaluation:
         with pytest.raises(ParameterError):
             ExponentialGenerator(kappa=1.0, gamma=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters(self, bad):
+        for params in ((bad, 0.0), (1.0, bad)):
+            with pytest.raises(ParameterError, match="^linear generator parameters must be finite$"):
+                LinearGenerator(*params)
+        for params in ((bad, 1.0, 0.0), (1.0, bad, 0.0), (1.0, 1.0, bad)):
+            with pytest.raises(
+                ParameterError, match="^exponential generator parameters must be finite$"
+            ):
+                ExponentialGenerator(*params)
+
     @given(generators, st.floats(-6.0, 6.0))
     def test_round_trip(self, gen, x):
         assert gen.invert(gen.evaluate(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
