@@ -6,22 +6,15 @@ generator families, the Shannon / Nath-Renyi / general-escort /
 Havrda-Charvat-Tsallis entropy families with their composition laws, and a
 seeded numerical harness that verifies the strong-additivity axioms and
 reproduces the counterexamples that force the escort exponent to 1.
+
+``import gentropies`` loads ``errors``, ``_stable``, ``deformed``,
+``distributions`` and ``entropies``.  The harness (``checker``) and the mean
+generators (``generators``) load on the first access of one of their names,
+which binds all of that module's names here: a CLI process, which pays for
+every module it imports, loads them only for ``check`` or an exponential
+conditional mean.  ``json`` likewise loads only where JSON is read or written.
 """
 
-from .checker import (
-    PROBE_JOINT,
-    VIOLATION_THRESHOLD,
-    CheckConfig,
-    CheckRecord,
-    CheckReport,
-    chain_residual,
-    counterexample_probe,
-    product_additivity_residual,
-    refinement_consistency,
-    run_suite,
-    strong_additivity_residual,
-    uniform_trace_residual,
-)
 from .deformed import Deformation
 from .distributions import (
     Distribution,
@@ -76,7 +69,6 @@ from .errors import (
     SingularElement,
     ZeroMarginal,
 )
-from .generators import ExponentialGenerator, Generator, LinearGenerator, quasi_mean
 
 __version__ = "0.1.0"
 
@@ -146,3 +138,31 @@ __all__ = [
     "write_distribution",
     "write_joint",
 ]
+
+#: name -> the submodule that defines it, imported on the first access of any
+#: of its names (PEP 562); most CLI commands never run either module
+_LAZY = {
+    **dict.fromkeys(("PROBE_JOINT", "VIOLATION_THRESHOLD", "CheckConfig", "CheckRecord",
+                     "CheckReport", "chain_residual", "counterexample_probe",
+                     "product_additivity_residual", "refinement_consistency", "run_suite",
+                     "strong_additivity_residual", "uniform_trace_residual", "checker"),
+                    "checker"),
+    **dict.fromkeys(("ExponentialGenerator", "Generator", "LinearGenerator", "quasi_mean",
+                     "generators"), "generators"),
+}
+
+
+def __getattr__(name: str):
+    where = _LAZY.get(name)
+    if where is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    module = importlib.import_module(f"{__name__}.{where}")  # binds the submodule itself
+    # every name of the module at once: none of them comes back here
+    globals().update((n, getattr(module, n)) for n, m in _LAZY.items()
+                     if m == where and n != where)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -20,7 +20,6 @@ expected outcome for escort families with exponent beta != 1.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -302,6 +301,7 @@ class CheckReport:
         return {**asdict(self), "checks": [asdict(c) for c in self.checks]}
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 

@@ -15,7 +15,6 @@ import math
 import sys
 from pathlib import Path
 
-from .checker import CheckConfig, run_suite
 from .distributions import read_distributions, read_joint
 from .entropies import (
     _FAMILY_TABLE,
@@ -83,6 +82,7 @@ def _cmd_value(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .checker import CheckConfig, run_suite  # only this command runs the suite
     family = _family_from_args(args)
     cfg = CheckConfig(
         family=family,

@@ -51,8 +51,9 @@ def _exp_coordinate(x, rate: float, scale: float, what: str, shift: float = -0.0
     with contextlib.suppress(OverflowError):
         try:
             grown = math.expm1(c * (x + shift)) / scale
-        except OverflowError:  # expm1 past the range: 2**exponent/scale, divided in log space
-            grown = math.copysign(math.exp(c * (x + shift) - math.log(abs(scale))), scale)
+        except OverflowError:  # expm1 past the range: 2**exponent/scale, the power of two apart
+            e = rate * (x + shift)
+            grown = math.ldexp(2.0 ** (e % 1.0) / scale, math.floor(e))
         if not math.isinf(grown) or math.isinf(x):
             return grown
     raise Overflow(f"{what} exponent {rate * (x + shift)!r} overflowed")

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 import operator
 import struct
@@ -422,6 +421,7 @@ def _rows(path: str | Path, key: str, what: str) -> Iterable[list]:
             except ValueError as exc:
                 raise FormatError(f"unparseable number in {path}: {exc}") from exc
         return map(parse, lines)
+    import json
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -451,6 +451,7 @@ def _write(path: str | Path, fmt: str, key: str, rows: Sequence[Sequence[float]]
     """Write ``rows`` as a JSON object's ``key`` entry (``"p"``: one flat row)
     or as CSV lines."""
     if fmt == "json":
+        import json
         text = json.dumps({key: list(rows[0]) if key == "p" else [list(r) for r in rows]})
     elif fmt == "csv":
         text = "\n".join(",".join(repr(v) for v in row) for row in rows)

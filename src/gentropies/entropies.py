@@ -57,7 +57,6 @@ from .distributions import (
     group_marginals,
 )
 from .errors import DimensionError, DomainError, Overflow, ParameterError
-from .generators import ExponentialGenerator, weighted_means
 
 #: |alpha - tau*lam - 1| allowed when validating HCT parameters.
 HCT_CONSTRAINT_TOLERANCE = 1e-9
@@ -389,6 +388,7 @@ def conditional_entropies(
     kappa = family.mean_kappa
     if kappa == 0.0:
         return segment_sums(weights[positive] * values, starts)
+    from .generators import ExponentialGenerator, weighted_means  # only kappa != 0 loads them
     return weighted_means(ExponentialGenerator(kappa=kappa), weights[positive], values, starts)
 
 

@@ -15,7 +15,9 @@ from gentropies import (
     Overflow,
     ParameterError,
     Shannon,
+    VIOLATION_THRESHOLD,
     conditional_entropy,
+    counterexample_probe,
     direct_product,
     entropy,
     family_name,
@@ -316,6 +318,66 @@ class TestUniformTrace:
         # n**(1 - alpha) itself exceeds the float range
         with pytest.raises(Overflow):
             uniform_trace(tsallis(alpha), 10 ** 700)
+
+
+# The paper (arXiv:1311.0324): strong additivity makes the uniform trace
+# phi(n) = H(U_n) solve phi(mn) = phi(m) (+)_lam phi(n), and with phi analytic
+# in n the solutions are c*log2(n) (lam = 0) and (n**c - 1)/lam.
+TRACE_DIMS = (2, 3, 5, 6, 10, 15, 30)
+TRACE_PAIRS = [(m, n) for m in TRACE_DIMS for n in TRACE_DIMS if m < n and m * n in TRACE_DIMS]
+
+
+def _identify(phi) -> tuple[list[float], list[float]]:
+    """The composition lam recovered from each pair (m, n) of TRACE_PAIRS,
+    then the exponent c from each n of TRACE_DIMS under the recovered lam."""
+    lams = [(phi[m * n] - phi[m] - phi[n]) / (phi[m] * phi[n]) for m, n in TRACE_PAIRS]
+    lam = math.fsum(lams) / len(lams)
+    if abs(lam) <= 1e-12:
+        cs = [phi[n] / math.log2(n) for n in TRACE_DIMS]
+    else:
+        cs = [math.log2(1.0 + lam * phi[n]) / math.log2(n) for n in TRACE_DIMS]
+    return lams, cs
+
+
+def _declared(family) -> tuple[float, float]:
+    """(lam, c): addition and c = -tau, or HCT's lam and c = -tau*lam = 1 - alpha."""
+    lam = family.composition.lam
+    return lam, -family.tau * (lam or 1.0)
+
+
+@pytest.mark.parametrize(
+    "family", [*GRID_FAMILIES, hct(2.0, -1.0, -1.0)], ids=[*GRID_IDS, "hct(2,-1,-1)"]
+)
+def test_uniform_traces_identify_the_family(family):
+    lam, c = _declared(family)
+    lams, cs = _identify({n: entropy(family, uniform(n)) for n in TRACE_DIMS})
+    assert max(abs(x - lam) for x in lams) <= 1e-12
+    assert max(abs(x - c) for x in cs) <= 1e-12
+
+
+@pytest.mark.parametrize("family", [
+    general_escort(1.0, -1.0, -0.5), general_escort(0.5, -1.0, 0.0),
+    general_escort(1.0, -1.0, 1.0), general_escort(2.0, -1.0, 0.0),
+    general_escort(2.0, -1.0, 1.0), general_escort(3.0, -1.0, 0.0),
+], ids=repr)
+def test_escort_traces_identify_a_family_that_is_not_strongly_additive(family):
+    """beta != 1: escort(U_n) = U_n, so the traces are Shannon's, yet the
+    probe joint shows the violation: the traces alone do not force beta = 1."""
+    lam, c = _declared(family)
+    lams, cs = _identify({n: entropy(family, uniform(n)) for n in TRACE_DIMS})
+    assert max(abs(x - lam) for x in lams) <= 1e-12
+    assert max(abs(x - c) for x in cs) <= 1e-12
+    assert counterexample_probe(family) >= VIOLATION_THRESHOLD
+
+
+def test_an_additive_trace_that_is_not_analytic_gives_no_exponent():
+    """Omega(n), the number of prime factors with multiplicity, is completely
+    additive: Omega(mn) = Omega(m) + Omega(n).  Only a regularity hypothesis
+    (analyticity in the paper) rules it out: no single c fits it."""
+    omega = {2: 1, 3: 1, 5: 1, 6: 2, 10: 2, 15: 2, 30: 3}
+    lams, cs = _identify(omega)
+    assert lams == [0.0] * len(TRACE_PAIRS)
+    assert max(cs) - min(cs) > 0.3
 
 
 # Both signs of each parameter, and both branches of the general family.

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -26,7 +27,7 @@ from gentropies import (
 )
 from gentropies.generators import weighted_means
 import libm_reference as libm
-from reference import ref_quasi_mean_exponential, ref_quasi_mean_linear
+from reference import ref_exp_coordinate, ref_quasi_mean_exponential, ref_quasi_mean_linear
 
 exponential_gens = st.builds(
     ExponentialGenerator,
@@ -315,8 +316,11 @@ def test_coordinate_bits_are_pinned(caller):
         (ExponentialGenerator(-3.0, shift=1.0), [0.0, -1e308], -1e308),
         (ExponentialGenerator(1.0, gamma=1e-300), [0.0, 1000.0, 2000.0], 1000.0),
         (ExponentialGenerator(1.0, gamma=1e-300), [1.0, 2000.0, 1000.0], 2000.0),
+        # expm1 overflows and |gamma| > 1 brings the quotient back near the
+        # edge: (2**1026 - 1)/4 = 2**1024 - 1/4 rounds past DBL_MAX
+        (ExponentialGenerator(1.0, gamma=4.0), [0.0, 1026.0], 1026.0),
     ],
-    ids=["product", "negative-product", "quotient-first", "expm1-first"],
+    ids=["product", "negative-product", "quotient-first", "expm1-first", "quotient-edge"],
 )
 def test_results_past_the_range_raise(generator, values, first):
     """A finite argument whose result leaves the float range raises, never
@@ -328,6 +332,26 @@ def test_results_past_the_range_raise(generator, values, first):
     assert str(batched.value) == str(alone.value)
     with pytest.raises(Overflow):
         quasi_mean(generator, uniform(2), [first, 0.0])
+
+
+@pytest.mark.parametrize("kappa, gamma", [(1.0, 4.0), (1.0, -4.0), (-2.0, 3.0), (0.5, 1.5)])
+def test_evaluate_near_the_edge_of_the_float_range(kappa, gamma):
+    """Within 1e-3 of the x where (2**(kappa*x) - 1)/gamma leaves the float
+    range, where expm1 has overflowed and the power of two is taken apart,
+    evaluate is finite and within 1e-12 of mpmath exactly where the rounded
+    true value is finite, and raises `Overflow` elsewhere.  kappa is a power
+    of two, so that kappa*x is exact."""
+    g = ExponentialGenerator(kappa, gamma)
+    edge = (math.log2(abs(gamma)) + math.log2(sys.float_info.max)) / kappa
+    rng = random.Random(1311)
+    for _ in range(1000):  # offsets log-uniform in [1e-15, 1e-3], where rounding decides
+        x = edge + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15.0, -3.0)
+        expected = ref_exp_coordinate(x, kappa, gamma)
+        if math.isinf(expected):
+            with pytest.raises(Overflow, match="generator exponent"):
+                g.evaluate(x)
+        else:
+            assert g.evaluate(x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_a_shift_past_the_range_raises():

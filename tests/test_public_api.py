@@ -5,6 +5,10 @@ any change to them a deliberate edit here.
 """
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +62,61 @@ def test_public_names():
 @pytest.mark.parametrize("obj", list(SIGNATURES), ids=lambda obj: obj.__qualname__)
 def test_signature(obj):
     assert str(inspect.signature(obj)) == SIGNATURES[obj]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: each case runs in a fresh interpreter, where no submodule is loaded yet
+FRESH = {
+    "names-are-their-modules-objects": """
+import inspect, sys
+import gentropies
+HOMES = ("checker", "deformed", "distributions", "entropies", "errors", "generators")
+resolved = {name: getattr(gentropies, name) for name in gentropies.__all__}
+for name, obj in resolved.items():
+    assert vars(gentropies)[name] is obj, name  # bound: the next lookup is a plain one
+    owners = [m for m in HOMES if vars(sys.modules[f"gentropies.{m}"]).get(name) is obj]
+    assert owners, name
+    if inspect.isclass(obj) or inspect.isfunction(obj):  # they name their defining module
+        assert vars(sys.modules[obj.__module__])[name] is obj, name
+""",
+    "dir-lists-all": """
+import gentropies
+assert set(gentropies.__all__) <= set(dir(gentropies))
+assert "checker" not in vars(gentropies)
+""",
+    "star-import-binds-all": """
+import gentropies
+from gentropies import *
+missing = [name for name in gentropies.__all__ if name not in globals()]
+assert not missing, missing
+""",
+    "submodules-resolve": """
+import sys
+import gentropies
+assert "gentropies.checker" not in sys.modules and "gentropies.generators" not in sys.modules
+assert gentropies.checker is sys.modules["gentropies.checker"]
+assert gentropies.generators is sys.modules["gentropies.generators"]
+assert gentropies.run_suite is gentropies.checker.run_suite
+""",
+    "unknown-name-raises": """
+import gentropies
+try:
+    gentropies.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("no AttributeError")
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRESH))
+def test_lazy_names_in_a_fresh_interpreter(case):
+    """`checker` and `generators` load on the first access of one of their
+    names; every public name still resolves as before."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", FRESH[case]], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

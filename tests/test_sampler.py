@@ -142,13 +142,36 @@ def test_reports_do_not_depend_on_the_sampler(monkeypatch, family):
     assert [run_suite(cfg).to_json() for cfg in configs] == reports
 
 
-def test_importing_the_cli_loads_no_sampler():
-    """``numpy.random`` costs about 9 ms to import: a process that draws
-    nothing, like most CLI commands, must not load it or the sampler."""
-    code = ("import sys, gentropies.cli; "
-            "print([m for m in ('numpy.random', 'gentropies._sampler') if m in sys.modules])")
+def test_importing_the_cli_loads_no_sampler(tmp_path):
+    """A CLI process loads only the modules its command runs: ``numpy.random``
+    alone costs about 9 ms to import, and the checker about 4 ms.  compute and
+    trace load neither the suite, nor the means, nor the sampler, nor json;
+    a conditional entropy with an exponential mean loads the generators, and
+    check the checker."""
+    dist = tmp_path / "d.csv"
+    dist.write_text("0.25,0.75\n0.5,0.5\n")
+    joint = tmp_path / "j.csv"
+    joint.write_text("0.125,0.375\n0.25,0.25\n")
+    code = f"""
+import contextlib, io, sys
+import gentropies.cli
+WATCHED = ("gentropies.checker", "gentropies.generators", "gentropies._sampler",
+           "numpy.random", "json")
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gentropies.cli.main(list(argv)) == 0
+    print([m for m in WATCHED if m in sys.modules])
+run("compute", "--family", "renyi", "--alpha", "2", {str(dist)!r})
+run("trace", "--family", "tsallis", "--alpha", "2", "--n", "8")
+run("conditional", "--family", "general", "--alpha", "2", "--tau", "-1", "--lambda", "-1",
+    {str(joint)!r})
+run("check", "--family", "shannon", "--trials", "2")
+"""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    compute, trace, conditional, check = proc.stdout.splitlines()
+    assert compute == trace == "[]"
+    assert conditional == "['gentropies.generators']"
+    assert "'gentropies.checker'" in check
