@@ -10,24 +10,25 @@ max-factored in log2 space, which keeps them finite for exponents far beyond
 the naive overflow point.
 
 The power, log and escort kernels and `segment_sums` are span kernels: they
-take one flat array plus ``(start, stop)`` spans and return one result per
-span (`escort_weights` returns one array, normalized within each span).  A
-single distribution is the one-span case; a joint's rows, or every trial of
-the axiom suite, are many spans of one array.  Each span takes its branch by
-its own length, and gets the bits it would get alone.  A branch takes all of
-its spans at once, with per-span maxima from ``np.maximum.reduceat`` (exact)
-and the basic operations (``alpha * t``, ``t - m``, ``w / total``) in numpy,
-which rounds them as Python does.  The branches differ in their
-transcendentals and sums:
+take one flat array plus ``bounds`` and return one result per run, run k
+being ``flat[bounds[k]:bounds[k + 1]]`` (`escort_weights` returns one array,
+normalized within each run).  A single distribution is the run ``[0, n]``; a
+joint's rows, or every trial of the axiom suite, are runs of one array, cut
+by the bounds that the joint or the suite's store already holds.  Each run
+takes its branch by its own length, and gets the bits it would get alone.  A
+branch takes all of its runs at once, with per-run maxima from
+``np.maximum.reduceat`` (exact) and the basic operations (``alpha * t``,
+``t - m``, ``w / total``) in numpy, which rounds them as Python does.  The
+branches differ in their transcendentals and sums:
 
 - below ``_VECTOR_MIN`` entries, libm: one C-level ``map`` of ``math.log2``
-  or ``math.pow`` over the cells of all such spans, and a ``math.fsum`` per
-  span, fed by ``islice`` from that map or one list, which beat numpy's
+  or ``math.pow`` over the cells of all such runs, and a ``math.fsum`` per
+  run, fed by ``islice`` from that map or one list, which beat numpy's
   per-call overhead;
 - at and above it, numpy's log2/exp2/power and one blocked exact sum, into
   which the power, p log p and weighted log sums stream a block of at most
   ``_BLOCK`` entries at a time (`_streamed`), so no temporary is input-sized;
-  the max-factored sums and the escort need each span's maximum before any
+  the max-factored sums and the escort need each run's maximum before any
   term, and hold the positive entries and their logs whole.
 
 ``math.pow(x, a)`` makes the C ``pow`` call that ``x ** a`` makes, at about
@@ -37,9 +38,10 @@ infinite (``tests/test_stable.py`` pins it).
 
 numpy's log2/exp2/power may differ from the libm functions by an ulp per
 term, so the two branches agree to a few ulps, not bit for bit.
-``_VECTOR_MIN`` is the library's only size switch between two arithmetics:
-validation and every layer above take one path at every size (``_BLOCKED_MIN``
-only picks how `exact_sum` reaches the same bits).
+``_VECTOR_MIN`` is the library's only size switch: between the two
+arithmetics, and in `exact_sum` between one ``math.fsum`` and the blocked
+sum, which give the same bits.  Validation and every layer above take one
+path at every size.
 """
 
 from __future__ import annotations
@@ -47,18 +49,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import Overflow
 
-#: (start, stop) index pairs into a flat array, one per segment: a sequence
-#: of pairs or an ``(n, 2)`` integer array.
-Spans = Union[Sequence[tuple[int, int]], np.ndarray]
-
-_VECTOR_MIN = 256  # below this length libm over Python floats beats numpy's overhead
-_BLOCKED_MIN = 640  # below this length math.fsum over tolist() beats the blocked sum
+_VECTOR_MIN = 256  # below this length libm and one math.fsum beat numpy's overhead
 # Blocks of the exact sum and of the streamed kernels: at most this many
 # entries, so that their buffers stay in cache and no temporary is larger.
 _BLOCK = 2 ** 15
@@ -68,7 +65,7 @@ _LEVELS = 3  # extraction levels per block; what they leave is only bounded
 def exact_sum(values: np.ndarray) -> float:
     """Correctly rounded sum of floats, equal to ``math.fsum`` bit for bit.
 
-    A float64 ndarray of ``_BLOCKED_MIN`` entries or more goes in blocks of
+    A float64 ndarray of ``_VECTOR_MIN`` entries or more goes in blocks of
     w <= 2**m entries (at most ``_BLOCK``) through up to ``_LEVELS`` levels
     of Rump, Ogita and Oishi's extraction: with sigma a power of two >=
     2**m * max|p|, each p splits exactly into q = (sigma + p) - sigma, a
@@ -101,7 +98,7 @@ def _blocked_fsum(blocks: Callable, bounds: list[int]) -> list[float]:
     of those (``None``: all).  If a value is inf, nan or |x| >= 2**961, ``math.fsum`` takes
     each run in order, so an error is the first failing run's."""
     n, k = bounds[-1], len(bounds) - 1
-    if k == 1 and n < _BLOCKED_MIN:
+    if k == 1 and n < _VECTOR_MIN:
         return [_fsum(blocks, 0, 1)]
     size = min(n, _BLOCK) or 1
     m = max(size - 1, 1).bit_length()  # size <= 2**m
@@ -185,17 +182,11 @@ def spans_of(bounds: Sequence[int]) -> np.ndarray:
     return np.array((bounds[:-1], bounds[1:])).T
 
 
-def _span_array(spans: Spans) -> np.ndarray:
-    """``spans`` as an ``(n, 2)`` intp array of starts and stops."""
-    if isinstance(spans, np.ndarray):
-        return spans
-    pairs = itertools.chain.from_iterable(spans)
-    return np.fromiter(pairs, np.intp, 2 * len(spans)).reshape(-1, 2)
-
-
-def _where(spans: np.ndarray) -> slice | np.ndarray:
+def _where(spans: np.ndarray | slice) -> slice | np.ndarray:
     """The positions of the entries of ``spans``, end to end: a slice when
-    the spans are contiguous (or fewer than two), else an index array."""
+    the spans are contiguous (or fewer than two, or a slice), else an index array."""
+    if isinstance(spans, slice):
+        return spans
     if len(spans) < 2 or not np.count_nonzero(spans[1:, 0] - spans[:-1, 1]):
         return slice(int(spans[0, 0]), int(spans[-1, 1])) if len(spans) else slice(0, 0)
     starts, stops = spans.T
@@ -204,38 +195,30 @@ def _where(spans: np.ndarray) -> slice | np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - lengths.cumsum() + lengths, lengths)
 
 
-def span_cells(values: np.ndarray, spans: Spans) -> np.ndarray:
-    """The entries of ``spans`` end to end: a view when the spans are contiguous."""
-    return values[_where(_span_array(spans))]
+def span_cells(values: np.ndarray, spans: np.ndarray | slice) -> np.ndarray:
+    """The entries of ``spans`` ((start, stop) rows, or a slice) end to end: a view if contiguous."""
+    return values[_where(spans)]
 
 
-def _cells(flat: np.ndarray, spans: np.ndarray):
-    """The positive entries of ``spans`` end to end.
-
-    Returns the positions of the spans' entries (see `_where`), the positive
-    entries, the mask of the positive ones among all (``None`` when every
-    entry is positive, which spares the compress) and the count per span.
-    """
-    where = _where(spans)
-    x = flat[where]
-    counts = spans[:, 1] - spans[:, 0]
+def _cells(x: np.ndarray, counts: np.ndarray):
+    """The positive entries of runs of ``counts[k]`` consecutive ``x``, the mask of them
+    among all (``None`` when all are, which spares the compress) and their count per run."""
     pos = x > 0.0
     if np.count_nonzero(pos) == len(pos):
-        return where, x, None, counts
-    # reduceat over the spans that have entries (it misreads empty ones)
+        return x, None, counts
+    # reduceat over the runs that have entries (it misreads empty ones)
     nonempty = np.flatnonzero(counts)
     positives = np.zeros_like(counts)
     positives[nonempty] = np.add.reduceat(pos, (counts.cumsum() - counts)[nonempty], dtype=np.intp)
-    return where, x[pos], pos, positives
+    return x[pos], pos, positives
 
 
-def _streamed(fn: Callable, flat: np.ndarray, spans: np.ndarray, *weights) -> list[float]:
-    """Per span, the exact sum of ``fn(x, *w, out=buffer)`` over its positive entries x
-    (and their ``weights`` w), with no input-sized temporary: the positive entries of a
-    block of at most ``_BLOCK`` become terms in one reused buffer, fed to `_blocked_fsum`."""
-    bounds = [0, *(spans[:, 1] - spans[:, 0]).cumsum().tolist()]
-    where, buf = _where(spans), np.empty(min(bounds[-1], _BLOCK))
-    cells = [a[where] for a in (flat, *weights)]  # views when the spans are contiguous
+def _streamed(fn: Callable, counts: np.ndarray, *cells: np.ndarray) -> list[float]:
+    """Per run of ``counts[k]`` consecutive ``cells``, the exact sum of ``fn(x, *w, out=buf)``
+    over the positive x of ``cells[0]`` (and their w in the other ``cells``), with no input-sized
+    temporary: a block of at most ``_BLOCK`` entries at a time, fed to `_blocked_fsum`."""
+    bounds = [0, *counts.cumsum().tolist()]
+    buf = np.empty(min(bounds[-1], _BLOCK))
 
     def blocks(i, j):
         for b0 in range(bounds[i], bounds[j], _BLOCK):
@@ -274,17 +257,17 @@ def _sums(terms, counts: np.ndarray, short: bool) -> list[float]:
     return list(map(math.fsum, map(itertools.islice, itertools.repeat(terms), counts.tolist())))
 
 
-def _spread(per_span: np.ndarray, counts: np.ndarray):
-    """``per_span[k]`` repeated ``counts[k]`` times (a scalar for one span)."""
-    return per_span[0] if len(counts) == 1 else np.repeat(per_span, counts)
+def _spread(per_run: np.ndarray, counts: np.ndarray):
+    """``per_run[k]`` repeated ``counts[k]`` times (a scalar for one run)."""
+    return per_run[0] if len(counts) == 1 else np.repeat(per_run, counts)
 
 
 def _scaled_powers(logs: np.ndarray, counts: np.ndarray, alpha: float, short: bool, keep=False):
-    """Per span the largest t = alpha * log2(x), m, and every 2**(t - m),
+    """Per run the largest t = alpha * log2(x), m, and every 2**(t - m),
     from the ``logs`` of the positive x (overwritten unless ``keep``).
-    Every span needs a positive entry."""
+    Every run needs a positive entry."""
     if np.count_nonzero(counts) < len(counts):
-        raise ValueError("every span needs a positive entry")
+        raise ValueError("every run needs a positive entry")
     t = np.multiply(logs, alpha, out=None if keep else logs)
     m = np.maximum.reduceat(t, counts.cumsum() - counts)
     t -= _spread(m, counts)
@@ -292,8 +275,8 @@ def _scaled_powers(logs: np.ndarray, counts: np.ndarray, alpha: float, short: bo
 
 
 def _escort(logs: np.ndarray, counts: np.ndarray, alpha: float, short: bool, keep=False):
-    """The alpha-escort weights of each span's positive x from their ``logs``
-    (see `_scaled_powers`), and the sum that normalized each span."""
+    """The alpha-escort weights of each run's positive x from their ``logs``
+    (see `_scaled_powers`), and the sum that normalized each run."""
     w = _scaled_powers(logs, counts, alpha, short, keep)[1]
     w = np.fromiter(w, np.float64, len(logs)) if short else w
     totals = _sums(w, counts, short)
@@ -301,52 +284,52 @@ def _escort(logs: np.ndarray, counts: np.ndarray, alpha: float, short: bool, kee
     return w, totals
 
 
-def _span_map(spans: Spans, group: Callable[[np.ndarray, bool], Sequence[float]]) -> list:
-    """One result per span, in span order: ``group(spans, short)`` maps a
-    group of spans, all below ``_VECTOR_MIN`` entries (``short``) or all at
-    or above it, to their results.
+def _span_map(bounds: Sequence[int], group: Callable) -> list:
+    """One result per run between consecutive ``bounds``, in order: ``group(side, counts,
+    short)`` maps the runs of ``counts[k]`` entries in ``side`` (see `span_cells`), all below
+    ``_VECTOR_MIN`` entries (``short``) or all at or above it, to their results.  ``side``
+    is the slice of all runs if they lie on one side, else the spans of that side's runs.
 
-    An error is the one that the first failing span raises alone.
+    An error is the one that the first failing run raises alone.
     """
-    spans = _span_array(spans)
-    if not len(spans):
+    counts = np.diff(bounds)
+    if not len(counts):
         return []
-    short = spans[:, 1] - spans[:, 0] < _VECTOR_MIN
+    short = counts < _VECTOR_MIN
     try:
-        if np.count_nonzero(short) in (0, len(spans)):
-            return group(spans, bool(short[0]))
-        out = np.empty(len(spans))
-        out[short] = group(spans[short], True)
-        out[~short] = group(spans[~short], False)
+        if np.count_nonzero(short) in (0, len(counts)):
+            return group(slice(int(bounds[0]), int(bounds[-1])), counts, bool(short[0]))
+        # spans, not positions: an index array held through a long group costs page faults
+        spans, out = spans_of(bounds), np.empty(len(counts))
+        out[short] = group(spans[short], counts[short], True)
+        out[~short] = group(spans[~short], counts[~short], False)
         return out.tolist()
     except (OverflowError, ValueError):
-        if len(spans) > 1:
-            for span, alone in zip(spans, short.tolist()):
-                group(span[None], alone)
+        if len(counts) > 1:
+            for k, alone in enumerate(short.tolist()):
+                group(slice(int(bounds[k]), int(bounds[k + 1])), counts[k:k + 1], alone)
         raise
 
 
 def segment_sums(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
     """Exact sums of ``values[bounds[k]:bounds[k + 1]]`` for every k."""
     return _span_map(
-        spans_of(bounds),
-        lambda spans, short: _sums(values[_where(spans)], spans[:, 1] - spans[:, 0], short),
-    )
+        bounds, lambda side, counts, short: _sums(span_cells(values, side), counts, short))
 
 
 def log2_power_sum(
-    flat: np.ndarray, spans: Spans, alpha: float, minus: float | None = None
+    flat: np.ndarray, bounds: Sequence[int], alpha: float, minus: float | None = None
 ) -> list[float]:
-    """Per span, log2 of sum_k p_k**alpha over its positive entries, less
+    """Per run, log2 of sum_k p_k**alpha over its positive entries, less
     the same for exponent ``minus`` if given (from one log2 per entry).
 
     Factoring out the largest term keeps every intermediate in [0, 1], so
-    the result is finite for |alpha| up to several hundred.  Every span
+    the result is finite for |alpha| up to several hundred.  Every run
     needs a positive entry.
     """
 
-    def group(spans, short):
-        _, x, _, counts = _cells(flat, spans)
+    def group(side, counts, short):
+        x, _, counts = _cells(span_cells(flat, side), counts)
         logs = _log2(x, short)
         exponents, values = [alpha] if minus is None else [alpha, minus], []
         for k, a in enumerate(exponents):  # the last one may overwrite the logs
@@ -355,68 +338,71 @@ def log2_power_sum(
             values.append([b + math.log2(s) for b, s in zip(m.tolist(), sums)])
         return values[0] if minus is None else [a - b for a, b in zip(*values)]
 
-    return _span_map(spans, group)
+    return _span_map(bounds, group)
 
 
-def power_sum(flat: np.ndarray, spans: Spans, alpha: float) -> list[float]:
-    """Per span, sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0)."""
+def power_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> list[float]:
+    """Per run, sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0)."""
 
-    def group(spans, short):
+    def group(side, counts, short):
+        x = span_cells(flat, side)
         if not short:
-            return _streamed(lambda x, out: np.power(x, alpha, out=out), flat, spans)
-        _, x, _, counts = _cells(flat, spans)
+            return _streamed(lambda x, out: np.power(x, alpha, out=out), counts, x)
+        x, _, counts = _cells(x, counts)
         return _sums(map(math.pow, x.tolist(), itertools.repeat(alpha)), counts, short)
 
     try:
-        return _span_map(spans, group)
+        return _span_map(bounds, group)
     except OverflowError as exc:
         raise Overflow(f"power sum with exponent {alpha!r} overflowed") from exc
 
 
-def plogp_sum(flat: np.ndarray, spans: Spans) -> list[float]:
-    """Per span, sum_k p_k * log2(p_k) over positive entries (0*log 0 := 0)."""
-    return weighted_log2_sum(None, flat, spans)
+def plogp_sum(flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
+    """Per run, sum_k p_k * log2(p_k) over positive entries (0*log 0 := 0)."""
+    return weighted_log2_sum(None, flat, bounds)
 
 
 def weighted_log2_sum(
-    weights: np.ndarray | None, flat: np.ndarray, spans: Spans, alpha: float = 1.0
+    weights: np.ndarray | None, flat: np.ndarray, bounds: Sequence[int], alpha: float = 1.0
 ) -> list[float]:
-    """Per span, sum_k w_k * log2(p_k) over the positive entries p_k of ``flat``.
+    """Per run, sum_k w_k * log2(p_k) over the positive entries p_k of ``flat``.
 
-    Without ``weights``, w is each span's `escort_weights` of ``alpha`` (p
+    Without ``weights``, w is each run's `escort_weights` of ``alpha`` (p
     itself at alpha 1), bit for bit, from the same log2 per entry.
     """
 
-    def group(spans, short):
+    def group(side, counts, short):
+        cells = [span_cells(a, side) for a in ((flat,) if weights is None else (flat, weights))]
         if not short and (weights is not None or alpha == 1.0):
             return _streamed(  # w log2 x, or x log2 x
                 lambda x, *w, out: np.multiply(np.log2(x, out=out), w[0] if w else x, out=out),
-                flat, spans, *(() if weights is None else (weights,)))
-        where, x, pos, counts = _cells(flat, spans)
+                counts, *cells)
+        x, pos, counts = _cells(cells[0], counts)
         logs = _log2(x, short)
         if weights is not None:
-            logs *= weights[where] if pos is None else weights[where][pos]
+            logs *= cells[1] if pos is None else cells[1][pos]
         else:
             logs *= x if alpha == 1.0 else _escort(logs, counts, alpha, short, keep=True)[0]
         return _sums(logs, counts, short)
 
-    return _span_map(spans, group)
+    return _span_map(bounds, group)
 
 
-def escort_weights(flat: np.ndarray, spans: Spans, alpha: float) -> np.ndarray:
-    """Weights p_k**alpha / sum_i p_i**alpha, normalized within each span, max-factored.
+def escort_weights(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarray:
+    """Weights p_k**alpha / sum_i p_i**alpha, normalized within each run, max-factored.
 
     Zero entries keep weight exactly 0 (valid only for alpha > 0; callers
     enforce positivity of the input when alpha <= 0), and so do entries
-    outside every span.  ``alpha == 1`` returns the input unchanged, so the
-    identity holds exactly.
+    outside ``[bounds[0], bounds[-1])``.  ``alpha == 1`` returns the input
+    unchanged, so the identity holds exactly.
     """
     if alpha == 1.0:
         return flat
     out = np.zeros(len(flat))
 
-    def group(spans, short):  # writes the weights, returns the totals
-        where, x, pos, counts = _cells(flat, spans)
+    def group(side, counts, short):  # writes the weights, returns the totals
+        where = _where(side)
+        x, pos, counts = _cells(flat[where], counts)
         w, totals = _escort(_log2(x, short), counts, alpha, short)
         if pos is not None:  # zero weights back in place
             full = np.zeros(pos.size)
@@ -425,5 +411,5 @@ def escort_weights(flat: np.ndarray, spans: Spans, alpha: float) -> np.ndarray:
         out[where] = w
         return totals
 
-    _span_map(spans, group)
+    _span_map(bounds, group)
     return out

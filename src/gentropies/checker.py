@@ -132,9 +132,9 @@ def _strong_additivity(family, joints) -> tuple[list[float], list[float]]:
         groups, ends = t.offsets, t.bounds[t.offsets]
     else:  # one joint, whose cached exact row sums serve again
         batch, groups, ends = joints[0], [0, len(joints[0])], [0, len(joints[0]._flat)]
-    whole = span_entropies(family, batch._flat, spans_of(ends))
+    whole = span_entropies(family, batch._flat, ends)
     margs = group_marginals(batch, groups)
-    parts = zip(span_entropies(family, margs, spans_of(groups)),
+    parts = zip(span_entropies(family, margs, groups),
                 conditional_entropies(family, batch, groups, margs))
     add = family.composition.add
     return [abs(w - add(m, c)) for w, (m, c) in zip(whole, parts)], [abs(w) for w in whole]
@@ -157,7 +157,7 @@ def counterexample_probe(family: EntropyFamily) -> float:
 def _chain(family, lengths) -> tuple[list[float], list[float]]:
     # every product of powers of two is exact, so U_2^{(x)n} is U_{2**n} bit for bit
     t = _trials(lengths, lambda n: (uniform(2 ** n)._array, [2 ** n]))
-    values = span_entropies(family, t.flat, spans_of(t.bounds))
+    values = span_entropies(family, t.flat, t.bounds)
     d = family.composition
     coin = d.h_inv(entropy(family, uniform(2)))
     return [abs(v - d.h(n * coin)) for v, n in zip(values, lengths)], [abs(v) for v in values]
@@ -181,7 +181,7 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
 
 def _trace(family, dims) -> tuple[list[float], list[float]]:
     t = _trials(dims, lambda n: (uniform(n)._array, [n]))
-    values = span_entropies(family, t.flat, spans_of(t.bounds))
+    values = span_entropies(family, t.flat, t.bounds)
     residuals = [abs(v - uniform_trace(family, n)) for v, n in zip(values, dims)]
     return residuals, [abs(v) for v in values]
 
@@ -197,12 +197,12 @@ def _refinement(family, counts_list) -> tuple[list[float], list[float]]:
     # 1/m per count m_i of trial t (its one row of the store), m their sum
     bounds = _starts(t.flat)
     groups = t.bounds[t.offsets]
-    cells = spans_of(bounds[groups])
-    sizes = cells[:, 1] - cells[:, 0]
+    ends = bounds[groups]
+    sizes = np.diff(ends)
     batch = JointDistribution._wrap(np.repeat(1.0 / sizes, sizes), bounds)
     margs = group_marginals(batch, groups)
-    direct = span_entropies(family, margs, spans_of(groups))
-    whole = span_entropies(family, batch._flat, cells)
+    direct = span_entropies(family, margs, groups)
+    whole = span_entropies(family, batch._flat, ends)
     subtract = family.composition.subtract
     conditionals = conditional_entropies(family, batch, groups, margs)
     rebuilt = [subtract(w, c) for w, c in zip(whole, conditionals)]
@@ -228,8 +228,8 @@ def _product(family, pairs) -> tuple[list[float], list[float]]:
     q_rows = np.repeat(q, lengths, axis=0)
     cells = np.repeat(span_cells(t.flat, p), q_rows[:, 1] - q_rows[:, 0])
     cells *= span_cells(t.flat, q_rows)
-    whole = span_entropies(family, cells, spans_of(_starts(lengths * (q[:, 1] - q[:, 0]))))
-    parts = span_entropies(family, t.flat, rows)
+    whole = span_entropies(family, cells, _starts(lengths * (q[:, 1] - q[:, 0])))
+    parts = span_entropies(family, t.flat, t.bounds)
     add = family.composition.add
     residuals = [abs(w - add(a, b)) for w, a, b in zip(whole, parts[0::2], parts[1::2])]
     return residuals, [abs(w) for w in whole]

@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._stable import _BLOCK, Spans, escort_weights, exact_sum, segment_sums
+from ._stable import _BLOCK, escort_weights, exact_sum, segment_sums
 from .errors import (
     DimensionError,
     EscortUndefined,
@@ -354,19 +354,19 @@ def escort(p: Distribution, alpha: float) -> Distribution:
     transform stays accurate for extreme exponents.  0**alpha := 0 for
     alpha > 0; for alpha <= 0 every entry must be strictly positive.
     """
-    weights = _escort(p._array, [(0, len(p))], alpha)
+    weights = _escort(p._array, [0, len(p)], alpha)
     return p if weights is p._array else Distribution._wrap(weights)
 
 
-def _escort(flat: np.ndarray, spans: Spans, alpha: float) -> np.ndarray:
-    """`escort` of each span of ``flat``, where the spans cover all of it."""
+def _escort(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarray:
+    """`escort` of each run between consecutive ``bounds``, which cover all of ``flat``."""
     if not math.isfinite(alpha):
         raise EscortUndefined(f"escort exponent must be finite, got {alpha!r}")
     if alpha <= 0.0 and not flat.all():  # some entry is exactly zero
         raise EscortUndefined(
             f"escort exponent {alpha!r} needs strictly positive entries"
         )
-    return escort_weights(flat, spans, alpha)
+    return escort_weights(flat, bounds, alpha)
 
 
 def _check_counts(counts: Iterable[int]) -> list:

@@ -38,7 +38,6 @@ from typing import Callable, ClassVar, Sequence, Union
 import numpy as np
 
 from ._stable import (
-    Spans,
     log2_power_sum,
     plogp_sum,
     power_sum,
@@ -71,19 +70,19 @@ def _require_finite(family_name: str, **params: float) -> None:
 class _Family:
     """A family's laws, Shannon's unless a family overrides them.
 
-    Report ``name``, entropy ``_formula`` of each span of a flat array of
-    distributions (one value per span), uniform ``_trace`` from log2 n,
-    escort exponent ``alpha`` and exponential-mean ``mean_kappa`` (0: linear
-    mean) of the conditional entropy, and the ``composition`` of a
-    marginal's entropy with the conditional one.
+    Report ``name``, entropy ``_formula`` of each run between consecutive
+    bounds of a flat array of distributions (one value per run), uniform
+    ``_trace`` from log2 n, escort exponent ``alpha`` and exponential-mean
+    ``mean_kappa`` (0: linear mean) of the conditional entropy, and the
+    ``composition`` of a marginal's entropy with the conditional one.
     """
 
     name: ClassVar[str]
     mean_kappa: ClassVar[float] = 0.0
     composition: ClassVar[Deformation] = Deformation()  # ordinary addition
 
-    def _formula(self, flat: np.ndarray, spans: Spans) -> list[float]:
-        return [self.tau * s for s in plogp_sum(flat, spans)]
+    def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
+        return [self.tau * s for s in plogp_sum(flat, bounds)]
 
     def _trace(self, n: int, log_n: float) -> float:
         return -self.tau * log_n
@@ -136,15 +135,15 @@ class GeneralEscort(_Family):
     def mean_kappa(self) -> float:
         return self.lam
 
-    def _formula(self, flat: np.ndarray, spans: Spans) -> list[float]:
-        # some span holds an exact zero
-        if self.alpha <= 0.0 and not span_cells(flat, spans).all():
+    def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
+        # some run holds an exact zero
+        if self.alpha <= 0.0 and not flat[bounds[0]:bounds[-1]].all():
             raise DomainError(
                 f"zero probability with non-positive exponent alpha={self.alpha!r}"
             )
         if self.lam == 0.0:
-            return [self.tau * s for s in weighted_log2_sum(None, flat, spans, self.alpha)]
-        return [-d / self.lam for d in log2_power_sum(flat, spans, self.beta, self.alpha)]
+            return [self.tau * s for s in weighted_log2_sum(None, flat, bounds, self.alpha)]
+        return [-d / self.lam for d in log2_power_sum(flat, bounds, self.beta, self.alpha)]
 
 
 @dataclass(frozen=True)
@@ -177,10 +176,10 @@ class Nath(_Family):
     def mean_kappa(self) -> float:
         return 0.0 if self.alpha == 1.0 else self.lam
 
-    def _formula(self, flat: np.ndarray, spans: Spans) -> list[float]:
+    def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
         if self.alpha == 1.0:
-            return super()._formula(flat, spans)
-        return [s / self.lam for s in log2_power_sum(flat, spans, self.alpha)]
+            return super()._formula(flat, bounds)
+        return [s / self.lam for s in log2_power_sum(flat, bounds, self.alpha)]
 
     def _trace(self, n: int, log_n: float) -> float:
         if self.alpha == 1.0:
@@ -221,8 +220,8 @@ class HCT(_Family):
     def composition(self) -> Deformation:
         return Deformation(self.lam)
 
-    def _formula(self, flat: np.ndarray, spans: Spans) -> list[float]:
-        return [(s - 1.0) / self.lam for s in power_sum(flat, spans, self.alpha)]
+    def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
+        return [(s - 1.0) / self.lam for s in power_sum(flat, bounds, self.alpha)]
 
     def _trace(self, n: int, log_n: float) -> float:
         try:
@@ -347,10 +346,15 @@ def _require_family(family: EntropyFamily) -> None:
         raise TypeError(f"unknown entropy family {family!r}")
 
 
-def span_entropies(family: EntropyFamily, flat: np.ndarray, spans: Spans) -> list[float]:
-    """`entropy` of the distribution in each span of ``flat``."""
+def _require(value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {value!r}")
+
+
+def span_entropies(family: EntropyFamily, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
+    """`entropy` of the distribution in each run ``flat[bounds[k]:bounds[k + 1]]``."""
     _require_family(family)
-    values = family._formula(flat, spans)
+    values = family._formula(flat, bounds)
     if not all(map(math.isfinite, values)):
         value = next(v for v in values if not math.isfinite(v))
         raise Overflow(f"{family.name} entropy is not finite: {value!r}")
@@ -362,7 +366,8 @@ def entropy(family: EntropyFamily, dist: Distribution) -> float:
 
     Raises :class:`Overflow` when the value is past the float range.
     """
-    return span_entropies(family, dist._array, [(0, len(dist))])[0] + 0.0  # -0.0 to 0.0
+    _require(dist, Distribution)
+    return span_entropies(family, dist._array, [0, len(dist)])[0] + 0.0  # -0.0 to 0.0
 
 
 def conditional_entropies(
@@ -372,17 +377,18 @@ def conditional_entropies(
 
     Rows ``groups[t]`` to ``groups[t + 1] - 1`` form joint t, and ``margs``
     holds the groups' marginals end to end (see `distributions.group_marginals`).
-    Every row is divided by its exact sum at once; one formula call then
-    covers the rows of positive escort weight.
+    The rows of positive escort weight are gathered once (a view when every
+    row has weight) and divided by their exact sums at once; one formula
+    call then covers them.
     """
     _require_family(family)
-    weights = _escort(margs, spans_of(groups), family.alpha)
+    weights = _escort(margs, groups, family.alpha)
     positive = np.flatnonzero(weights > 0.0)
-    rows = spans_of(joint._bounds)
-    sums = joint._row_sums()
-    # rows of zero weight are never read; dividing them by 1 spares a 0/0
-    divisors = np.repeat(np.where(sums > 0.0, sums, 1.0), rows[:, 1] - rows[:, 0])
-    values = np.array(span_entropies(family, joint._flat / divisors, rows[positive]))
+    rows = spans_of(joint._bounds)[positive]
+    lengths = rows[:, 1] - rows[:, 0]
+    cells = span_cells(joint._flat, rows) / np.repeat(joint._row_sums()[positive], lengths)
+    bounds = np.concatenate(([0], lengths.cumsum()))
+    values = np.array(span_entropies(family, cells, bounds))
     # where each group's rows start among the positive ones
     starts = np.searchsorted(positive, groups).tolist()
     kappa = family.mean_kappa
@@ -397,12 +403,14 @@ def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> floa
 
     Rows with zero marginal carry escort weight exactly 0 and are skipped.
     """
+    _require(joint, JointDistribution)
     groups = [0, len(joint)]
     return conditional_entropies(family, joint, groups, group_marginals(joint, groups))[0] + 0.0
 
 
 def joint_entropy(family: EntropyFamily, joint: JointDistribution) -> float:
     """Entropy of the flattened joint distribution."""
+    _require(joint, JointDistribution)
     return entropy(family, flatten(joint))
 
 

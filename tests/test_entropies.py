@@ -169,6 +169,24 @@ class TestConstructors:
         with pytest.raises(TypeError):
             conditional_entropy(not_a_family, make_joint([[0.5], [0.5]]))
 
+    # A value of the wrong type names the expected class, not a private attribute.
+
+    @pytest.mark.parametrize("value", [[0.5, 0.5], (0.5, 0.5), np.array([0.5, 0.5]),
+                                       make_joint([[0.5], [0.5]])], ids=repr)
+    def test_entropy_of_a_non_distribution_is_type_error(self, value):
+        with pytest.raises(TypeError, match=r"expected a Distribution, got "):
+            entropy(renyi(2.0), value)
+
+    @pytest.mark.parametrize("value", [uniform(2), [[0.5], [0.5]]], ids=repr)
+    def test_conditional_entropy_of_a_non_joint_is_type_error(self, value):
+        with pytest.raises(TypeError, match=r"expected a JointDistribution, got "):
+            conditional_entropy(renyi(2.0), value)
+
+    @pytest.mark.parametrize("value", [[[0.5], [0.5]], uniform(2)], ids=repr)
+    def test_joint_entropy_of_a_non_joint_is_type_error(self, value):
+        with pytest.raises(TypeError, match=r"expected a JointDistribution, got "):
+            joint_entropy(renyi(2.0), value)
+
 
 class TestEntropyValues:
     def test_shannon_fair_coin_is_one(self):
@@ -202,11 +220,11 @@ class TestEntropyValues:
         positive = make_distribution((0.5, 0.5))
         assert math.isfinite(entropy(f, positive))
 
-    @pytest.mark.parametrize("spans", [
-        [(0, 2), (2, 4)],  # contiguous, the zero in the second span
-        [(0, 2), (4, 6), (6, 9)],  # a gap, the zero in the last span
+    @pytest.mark.parametrize("bounds", [
+        [0, 2, 4],  # from 0, the zero in the second span
+        [3, 4, 6, 9],  # past the first zero, the zero in the last span
     ])
-    def test_zero_in_any_span_raises_before_any_kernel(self, monkeypatch, spans):
+    def test_zero_in_any_span_raises_before_any_kernel(self, monkeypatch, bounds):
         def refuse(*args):
             raise AssertionError("a kernel ran before the zero check")
 
@@ -214,10 +232,10 @@ class TestEntropyValues:
         flat = np.array([0.5, 0.5, 0.0, 1.0, 0.25, 0.75, 0.3, 0.0, 0.7])
         monkeypatch.setattr(entropies, "log2_power_sum", refuse)
         with pytest.raises(DomainError):
-            span_entropies(f, flat, spans)
+            span_entropies(f, flat, bounds)
         monkeypatch.undo()
-        # spans that skip every zero are fine
-        assert all(map(math.isfinite, span_entropies(f, flat, [(0, 2), (3, 6)])))
+        # bounds that start after one zero and end before the other are fine
+        assert all(map(math.isfinite, span_entropies(f, flat, [3, 4, 6])))
 
     def test_huge_alpha_stays_finite(self):
         value = entropy(renyi(100.0), make_distribution((0.3, 0.7)))
@@ -545,14 +563,14 @@ def test_conditional_overflow_text_is_weighted_means():
 # of the separate kernels bit for bit.
 
 
-def _escort_formula_from_separate_kernels(family, flat, spans):
+def _escort_formula_from_separate_kernels(family, flat, bounds):
     from gentropies._stable import escort_weights, log2_power_sum, weighted_log2_sum
 
     if family.lam == 0.0:
-        weights = escort_weights(flat, spans, family.alpha)
-        return [family.tau * s for s in weighted_log2_sum(weights, flat, spans)]
-    beta = log2_power_sum(flat, spans, family.beta)
-    alpha = log2_power_sum(flat, spans, family.alpha)
+        weights = escort_weights(flat, bounds, family.alpha)
+        return [family.tau * s for s in weighted_log2_sum(weights, flat, bounds)]
+    beta = log2_power_sum(flat, bounds, family.beta)
+    alpha = log2_power_sum(flat, bounds, family.alpha)
     return [-(b - a) / family.lam for b, a in zip(beta, alpha)]
 
 
@@ -579,8 +597,7 @@ def test_shared_log2_equals_the_separate_kernels(family, lengths):
         x[rng.integers(0, m)] = 1.0
         parts.append(x / x.sum())
     flat = np.concatenate(parts)
-    bounds = np.cumsum([0, *lengths])
-    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))[::-1]  # out of order too
-    got = span_entropies(family, flat, spans)
-    expected = _escort_formula_from_separate_kernels(family, flat, spans)
+    bounds = np.cumsum([0, *lengths])[1:]  # past the first span too
+    got = span_entropies(family, flat, bounds)
+    expected = _escort_formula_from_separate_kernels(family, flat, bounds)
     assert [v.hex() for v in got] == [v.hex() for v in expected]

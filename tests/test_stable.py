@@ -23,7 +23,7 @@ from gentropies._stable import (
 )
 from gentropies.errors import Overflow
 
-# Lengths on both sides of every size switch in `_stable`.
+# Lengths on both sides of the size switch of `_stable`, and longer ones.
 SUM_SIZES = (1, 2, 255, 256, 639, 640, 641, 1000, 2048, 6000)
 
 
@@ -44,8 +44,9 @@ def finite_floats(draw):
 
 
 def test_sizes_straddle_the_switches():
-    for switch in (_stable._VECTOR_MIN, _stable._BLOCKED_MIN):
-        assert switch - 1 in SUM_SIZES and switch in SUM_SIZES
+    switch = _stable._VECTOR_MIN
+    assert switch - 1 in SUM_SIZES and switch in SUM_SIZES
+    assert [name for name in vars(_stable) if name.endswith("_MIN")] == ["_VECTOR_MIN"]
 
 
 def _tile(pool, n, seed):
@@ -96,13 +97,13 @@ def test_exact_sum_of_probabilities_is_fsum():
 
 
 KERNELS = {
-    "plogp_sum": lambda p: plogp_sum(p, [(0, len(p))]),
-    "log2_power_sum(0.5)": lambda p: log2_power_sum(p, [(0, len(p))], 0.5),
-    "log2_power_sum(100)": lambda p: log2_power_sum(p, [(0, len(p))], 100.0),
-    "power_sum(3)": lambda p: power_sum(p, [(0, len(p))], 3.0),
-    "escort_weights(2)": lambda p: escort_weights(p, [(0, len(p))], 2.0),
-    "escort_weights(0.5)": lambda p: escort_weights(p, [(0, len(p))], 0.5),
-    "weighted_log2_sum": lambda p: weighted_log2_sum(p[::-1].copy(), p, [(0, len(p))]),
+    "plogp_sum": lambda p: plogp_sum(p, [0, len(p)]),
+    "log2_power_sum(0.5)": lambda p: log2_power_sum(p, [0, len(p)], 0.5),
+    "log2_power_sum(100)": lambda p: log2_power_sum(p, [0, len(p)], 100.0),
+    "power_sum(3)": lambda p: power_sum(p, [0, len(p)], 3.0),
+    "escort_weights(2)": lambda p: escort_weights(p, [0, len(p)], 2.0),
+    "escort_weights(0.5)": lambda p: escort_weights(p, [0, len(p)], 0.5),
+    "weighted_log2_sum": lambda p: weighted_log2_sum(p[::-1].copy(), p, [0, len(p)]),
 }
 # Kernels whose two branches do the same arithmetic agree bit for bit.
 EXACT_KERNELS = {
@@ -135,18 +136,23 @@ def test_scalar_and_vector_kernels_agree_exactly(monkeypatch, kernel, n):
     x[rng.choice(n, n // 10, replace=False)] = 0.0
     p = x / x.sum()
     monkeypatch.setattr(_stable, "_VECTOR_MIN", n + 1)
-    monkeypatch.setattr(_stable, "_BLOCKED_MIN", n + 1)
     scalar = kernel(p)
     monkeypatch.setattr(_stable, "_VECTOR_MIN", n)
-    monkeypatch.setattr(_stable, "_BLOCKED_MIN", n)
     assert kernel(p) == scalar
+
+
+def _some_bounds(draw, bounds):
+    """Consecutive ``bounds`` of a few runs in a row: they may start past the
+    first run and end before the last (no runs at all when they are one)."""
+    lo = draw(st.integers(0, len(bounds) - 1))
+    return bounds[lo:draw(st.integers(lo, len(bounds) - 1)) + 1]
 
 
 @st.composite
 def csr_arrays(draw):
     """A flat array of spans of 1-600 entries (straddling 256), each span a
-    distribution with about 10 % exact zeros, and a selection of its spans
-    (some skipped)."""
+    distribution with about 10 % exact zeros, and the bounds of some of its
+    spans in a row."""
     lengths = draw(st.lists(
         st.one_of(st.integers(1, 12), st.integers(200, 320), st.integers(1, 600)),
         min_size=1, max_size=8,
@@ -159,24 +165,26 @@ def csr_arrays(draw):
         x[rng.integers(0, m)] = 1.0 + rng.random()  # one positive entry at least
         parts.append(x / x.sum())
     bounds = np.cumsum([0, *lengths]).tolist()
-    keep = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
-    spans = [(i, j) for (i, j), k in zip(zip(bounds, bounds[1:]), keep) if k]
-    return np.concatenate(parts), spans
+    return np.concatenate(parts), _some_bounds(draw, bounds)
 
 
-def _span_slices(out, spans):
-    return [out[i:j] for i, j in spans]
+def _span_slices(out, bounds):
+    return [out[i:j] for i, j in itertools.pairwise(bounds)]
+
+
+def _each_alone(kernel, flat, bounds):
+    return [kernel(flat[i:j].copy(), [0, j - i])[0] for i, j in itertools.pairwise(bounds)]
 
 
 SPAN_KERNELS = {
     "plogp_sum": plogp_sum,
-    "log2_power_sum(0.5)": lambda p, spans: log2_power_sum(p, spans, 0.5),
-    "log2_power_sum(100)": lambda p, spans: log2_power_sum(p, spans, 100.0),
-    "power_sum(3)": lambda p, spans: power_sum(p, spans, 3.0),
-    "escort_weights(2)": lambda p, spans: _span_slices(escort_weights(p, spans, 2.0), spans),
-    "escort_weights(0.5)": lambda p, spans: _span_slices(escort_weights(p, spans, 0.5), spans),
+    "log2_power_sum(0.5)": lambda p, bounds: log2_power_sum(p, bounds, 0.5),
+    "log2_power_sum(100)": lambda p, bounds: log2_power_sum(p, bounds, 100.0),
+    "power_sum(3)": lambda p, bounds: power_sum(p, bounds, 3.0),
+    "escort_weights(2)": lambda p, bounds: _span_slices(escort_weights(p, bounds, 2.0), bounds),
+    "escort_weights(0.5)": lambda p, bounds: _span_slices(escort_weights(p, bounds, 0.5), bounds),
     # weights computed entry by entry, so a span's weights are the same alone
-    "weighted_log2_sum": lambda p, spans: weighted_log2_sum(np.sqrt(p), p, spans),
+    "weighted_log2_sum": lambda p, bounds: weighted_log2_sum(np.sqrt(p), p, bounds),
 }
 
 
@@ -186,9 +194,9 @@ SPAN_KERNELS = {
 def test_span_kernels_equal_each_slice_alone(kernel, data):
     """Each span's result is the kernel's result on a standalone copy of the
     span, bit for bit, whichever branch its length takes."""
-    flat, spans = data
-    batched = kernel(flat, spans)
-    alone = [kernel(flat[i:j].copy(), [(0, j - i)])[0] for i, j in spans]
+    flat, bounds = data
+    batched = kernel(flat, bounds)
+    alone = _each_alone(kernel, flat, bounds)
     assert len(batched) == len(alone)
     for got, want in zip(batched, alone):
         np.testing.assert_array_equal(got, want)
@@ -214,9 +222,7 @@ def long_csr_arrays(draw, zero_spans=False):
             x[:] = 0.0
         parts.append(x)
     bounds = np.cumsum([0, *lengths]).tolist()
-    keep = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
-    spans = [(i, j) for (i, j), k in zip(zip(bounds, bounds[1:]), keep) if k]
-    return np.concatenate(parts), spans
+    return np.concatenate(parts), _some_bounds(draw, bounds)
 
 
 # An all-zero span is a valid input of these kernels only.
@@ -230,12 +236,97 @@ def test_span_kernels_equal_each_slice_alone_with_long_spans(name, data):
     """`test_span_kernels_equal_each_slice_alone` on batches of long spans,
     which the long branch takes together."""
     kernel = SPAN_KERNELS[name]
-    flat, spans = data.draw(long_csr_arrays(zero_spans=name in ZERO_SPAN_KERNELS))
-    batched = kernel(flat, spans)
-    alone = [kernel(flat[i:j].copy(), [(0, j - i)])[0] for i, j in spans]
+    flat, bounds = data.draw(long_csr_arrays(zero_spans=name in ZERO_SPAN_KERNELS))
+    batched = kernel(flat, bounds)
+    alone = _each_alone(kernel, flat, bounds)
     assert len(batched) == len(alone)
     for got, want in zip(batched, alone):
         np.testing.assert_array_equal(got, want)
+
+
+# The bounds contract: run k is flat[bounds[k]:bounds[k + 1]], and nothing
+# before bounds[0] or from bounds[-1] on is read or written.
+
+BOUNDS_KERNELS = {
+    **SPAN_KERNELS,
+    "weighted_log2_sum(escort 2)": lambda p, bounds: weighted_log2_sum(None, p, bounds, 2.0),
+    "segment_sums": segment_sums,
+}
+
+
+def _runs(lengths, seed, before=0, after=0):
+    """Distributions of ``lengths`` entries (about 10 % zeros) end to end,
+    between ``before`` and ``after`` other entries; and the runs' bounds."""
+    rng = np.random.default_rng(seed)
+    parts = [rng.exponential(1.0, before)]
+    for m in filter(None, lengths):
+        x = rng.exponential(1.0, m)
+        x[rng.random(m) < 0.1] = 0.0
+        x[rng.integers(0, m)] = 1.0 + rng.random()
+        parts.append(x / x.sum())
+    parts.append(rng.exponential(1.0, after))
+    return np.concatenate(parts), np.cumsum([before, *lengths]).tolist()
+
+
+@pytest.mark.parametrize("lengths", [[3, 5, 2], [300, 700], [3, 300, 1, 700]],
+                         ids=["short", "long", "mixed"])
+@pytest.mark.parametrize("name", list(BOUNDS_KERNELS))
+def test_runs_past_0_and_before_the_end_equal_each_run_alone(name, lengths):
+    kernel = BOUNDS_KERNELS[name]
+    flat, bounds = _runs(lengths, len(lengths), before=7, after=300)
+    got = kernel(flat, bounds)
+    assert len(got) == len(lengths)
+    for batched, alone in zip(got, _each_alone(kernel, flat, bounds)):
+        np.testing.assert_array_equal(batched, alone)
+
+
+# The kernels whose every run needs a positive entry: at the parent's (start,
+# stop) spans an empty span raised ValueError, and the sums gave it 0.0.
+MAX_FACTORED = {"log2_power_sum(0.5)", "log2_power_sum(100)", "escort_weights(2)",
+                "escort_weights(0.5)", "weighted_log2_sum(escort 2)"}
+
+
+@pytest.mark.parametrize("lengths", [[3, 0, 2], [300, 0, 700], [3, 0, 300], [0, 5], [700, 0]],
+                         ids=["short", "long", "mixed", "first", "last"])
+@pytest.mark.parametrize("name", list(BOUNDS_KERNELS))
+def test_a_zero_length_run_behaves_as_an_empty_span(name, lengths):
+    kernel = BOUNDS_KERNELS[name]
+    flat, bounds = _runs(lengths, 5, before=2, after=2)
+    if name in MAX_FACTORED:
+        with pytest.raises(ValueError, match="positive entry"):
+            kernel(flat, bounds)
+        return
+    got, empty = kernel(flat, bounds), lengths.index(0)
+    assert got[empty] == 0.0
+    for k, (batched, alone) in enumerate(zip(got, _each_alone(kernel, flat, bounds))):
+        if k != empty:
+            np.testing.assert_array_equal(batched, alone)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 0.5])
+@pytest.mark.parametrize("lengths", [[3, 5], [300, 700], [3, 300, 1]],
+                         ids=["short", "long", "mixed"])
+def test_escort_weights_outside_the_bounds_are_exactly_zero(lengths, alpha):
+    flat, bounds = _runs(lengths, 9, before=5, after=400)
+    out = escort_weights(flat, bounds, alpha)
+    outside = np.concatenate([out[:bounds[0]], out[bounds[-1]:]])
+    assert len(outside) == 405
+    assert not outside.view(np.int64).any()  # +0.0, bit for bit
+    assert out[bounds[0]:bounds[-1]].any()
+
+
+@pytest.mark.parametrize("name", list(BOUNDS_KERNELS))
+def test_alternating_short_and_long_runs_equal_each_run_alone(name):
+    """3-entry runs and runs of 300-1000 entries in turn: each side of the
+    size switch is gathered into one group, whose runs are not contiguous."""
+    kernel = BOUNDS_KERNELS[name]
+    rng = np.random.default_rng(22)
+    lengths = [int(rng.integers(300, 1001)) if k % 2 else 3 for k in range(40)]
+    flat, bounds = _runs(lengths, 23)
+    got = kernel(flat, bounds)
+    assert len(got) == len(lengths)
+    for batched, alone in zip(got, _each_alone(kernel, flat, bounds)):
+        np.testing.assert_array_equal(batched, alone)
 
 
 ELEMENTWISE = {
@@ -398,7 +489,7 @@ def test_blocked_sums_at_block_edges(parts, block, levels, seed):
     bounds = np.cumsum([0, *(m for _, m in parts)]).tolist()
     with mock.patch.object(_stable, "_BLOCK", block), \
             mock.patch.object(_stable, "_LEVELS", levels), \
-            mock.patch.object(_stable, "_BLOCKED_MIN", 0):
+            mock.patch.object(_stable, "_VECTOR_MIN", 0):
         assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
         assert _outcomes(_blocked_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
 
@@ -456,7 +547,7 @@ def test_rest_that_the_pieces_cannot_certify_goes_to_fsum(run, sign, levels):
     with mock.patch.object(_stable, "_BLOCK", 3), mock.patch.object(_stable, "_LEVELS", levels):
         assert _stable._segment_fsum(x, [3, 3, 3]) == [expected] * 3
         assert _stable._segment_fsum(x, [9]) == [math.fsum(x.tolist())]
-        with mock.patch.object(_stable, "_BLOCKED_MIN", 0):
+        with mock.patch.object(_stable, "_VECTOR_MIN", 0):
             assert _stable._segment_fsum(x[:3], [3]) == [expected]
 
 
@@ -550,12 +641,12 @@ def test_streamed_kernels_hold_no_input_sized_temporary(block, buffers):
     x /= x.sum()
     weights = np.sqrt(x)
     bounds = np.cumsum([0, *rng.integers(256, 1025, 1024)])
-    rows = _stable.spans_of(bounds[bounds <= x.size])
+    rows = bounds[bounds <= x.size]
     with mock.patch.object(_stable, "_BLOCK", block):
-        for spans in ([(0, x.size)], rows):
-            for fn in (lambda: plogp_sum(x, spans), lambda: power_sum(x, spans, 2.0),
-                       lambda: power_sum(x, spans, 50.0),
-                       lambda: weighted_log2_sum(weights, x, spans)):
+        for runs in ([0, x.size], rows):
+            for fn in (lambda: plogp_sum(x, runs), lambda: power_sum(x, runs, 2.0),
+                       lambda: power_sum(x, runs, 50.0),
+                       lambda: weighted_log2_sum(weights, x, runs)):
                 assert _traced_peak(fn) < buffers * 8 * block
 
 
@@ -563,19 +654,19 @@ def test_streamed_kernels_hold_no_input_sized_temporary(block, buffers):
 # entries of each span, with ``_BLOCK`` small and every nonempty span long.
 
 def _power_cases(*alphas):
-    return {f"power_sum({a:g})": (lambda p, w, spans, a=a: power_sum(p, spans, a),
+    return {f"power_sum({a:g})": (lambda p, w, bounds, a=a: power_sum(p, bounds, a),
                                   lambda x, w, a=a: np.power(x, a)) for a in alphas}
 
 
 STREAMED = {
-    "plogp_sum": (lambda p, w, spans: plogp_sum(p, spans), lambda x, w: np.log2(x) * x),
+    "plogp_sum": (lambda p, w, bounds: plogp_sum(p, bounds), lambda x, w: np.log2(x) * x),
     **_power_cases(3.0, 0.5, -2.0),
-    "weighted_log2_sum": (lambda p, w, spans: weighted_log2_sum(w, p, spans),
+    "weighted_log2_sum": (lambda p, w, bounds: weighted_log2_sum(w, p, bounds),
                           lambda x, w: np.log2(x) * w),
 }
 
 
-def _streamed_outcomes(name, flat, weights, spans, block, levels=_stable._LEVELS):
+def _streamed_outcomes(name, flat, weights, bounds, block, levels=_stable._LEVELS):
     """The kernel's results in hex, or the type of its error (`Overflow` as
     ``OverflowError``), with ``_BLOCK`` at ``block`` and spans of one entry
     or more taking the long branch; and the same from ``math.fsum`` of
@@ -583,16 +674,15 @@ def _streamed_outcomes(name, flat, weights, spans, block, levels=_stable._LEVELS
     kernel, terms = STREAMED[name]
     with mock.patch.object(_stable, "_BLOCK", block), \
             mock.patch.object(_stable, "_LEVELS", levels), \
-            mock.patch.object(_stable, "_VECTOR_MIN", 1), \
-            mock.patch.object(_stable, "_BLOCKED_MIN", 0), np.errstate(over="ignore"):
+            mock.patch.object(_stable, "_VECTOR_MIN", 1), np.errstate(over="ignore"):
         try:
-            got = [v.hex() for v in kernel(flat, weights, spans)]
+            got = [v.hex() for v in kernel(flat, weights, bounds)]
         except Overflow:
             got = OverflowError
         except (OverflowError, ValueError) as exc:
             got = type(exc)
     want = []
-    for i, j in spans:
+    for i, j in itertools.pairwise(bounds):
         keep = flat[i:j] > 0.0
         with np.errstate(over="ignore"):
             values = terms(flat[i:j][keep], weights[i:j][keep]).tolist()
@@ -614,8 +704,8 @@ def _streamed_outcomes(name, flat, weights, spans, block, levels=_stable._LEVELS
 @settings(max_examples=60, deadline=None)
 def test_streamed_kernels_at_block_edges(name, parts, block, data):
     """Spans of dense entries, of a few positive ones among zeros and of
-    zeros only, end to end and some skipped (so that the rest are not
-    contiguous), in blocks of a few entries: runs with no positive entry in
+    zeros only, end to end, from some span in a row (so that the bounds may
+    start past 0), in blocks of a few entries: runs with no positive entry in
     a block, all-zero blocks, and spans that start and end anywhere in one."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     cells = []
@@ -624,11 +714,9 @@ def test_streamed_kernels_at_block_edges(name, parts, block, data):
         x[rng.random(m) < {"dense": 0.1, "sparse": 0.9, "zero": 1.0}[kind]] = 0.0
         cells.append(x)
     flat = np.concatenate([np.zeros(0), *cells])
-    bounds = np.cumsum([0, *(m for _, m in parts)]).tolist()
-    keep = data.draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
-    spans = [(i, j) for i, j, k in zip(bounds, bounds[1:], keep) if k]
+    bounds = _some_bounds(data.draw, np.cumsum([0, *(m for _, m in parts)]).tolist())
     weights = rng.standard_normal(flat.size)
-    got, want = _streamed_outcomes(name, flat, weights, spans, block)
+    got, want = _streamed_outcomes(name, flat, weights, bounds, block)
     assert got == want
 
 
@@ -651,9 +739,9 @@ def test_streamed_kernels_on_block_edges(name, case):
     flat = rng.exponential(1.0, sum(lengths))
     flat[rng.random(flat.size) < 0.1] = 0.0
     flat[z0:z1] = 0.0
-    spans = list(itertools.pairwise(np.cumsum([0, *lengths]).tolist()))
+    bounds = np.cumsum([0, *lengths]).tolist()
     weights = rng.standard_normal(flat.size)
-    got, want = _streamed_outcomes(name, flat, weights, spans, 8)
+    got, want = _streamed_outcomes(name, flat, weights, bounds, 8)
     assert got == want
 
 
@@ -673,12 +761,10 @@ def test_streamed_uncertified_runs_recompute_their_terms(name, levels):
         flat = np.array([0.5, 0.0, 0.5, 0.5] * 3)
         weights = -np.array([1.0, 7.0, 2.0 ** -53, 2.0 ** -300] * 3)
     kernel = {**STREAMED, **_power_cases(1.0)}[name][0]
-    spans = [(0, 4), (4, 8), (8, 12)]
     with mock.patch.object(_stable, "_BLOCK", 4), mock.patch.object(_stable, "_LEVELS", levels), \
             mock.patch.object(_stable, "_VECTOR_MIN", 1), \
-            mock.patch.object(_stable, "_BLOCKED_MIN", 0), \
             mock.patch.object(_stable, "_fsum", wraps=_stable._fsum) as fallback:
-        assert kernel(flat, weights, spans) == [expected] * 3
+        assert kernel(flat, weights, [0, 4, 8, 12]) == [expected] * 3
         assert fallback.call_count == 3
 
 
@@ -696,13 +782,13 @@ def test_streamed_kernels_raise_what_the_first_failing_span_raises(order):
     }
     flat = np.array([v for kind in order for v in spans_of_kind[kind][0]])
     weights = np.array([v for kind in order for v in spans_of_kind[kind][1]])
-    spans = [(4 * k, 4 * k + 4) for k in range(3)]
+    bounds = [0, 4, 8, 12]
     for name in STREAMED:
-        got, want = _streamed_outcomes(name, flat, weights, spans, 2)
+        got, want = _streamed_outcomes(name, flat, weights, bounds, 2)
         assert got == want, name
-    assert _streamed_outcomes("power_sum(-2)", flat, weights, spans, 2)[0] == OverflowError
+    assert _streamed_outcomes("power_sum(-2)", flat, weights, bounds, 2)[0] == OverflowError
     first = min(order.index("overflow"), order.index("inf - inf"))
-    assert _streamed_outcomes("weighted_log2_sum", flat, weights, spans, 2)[0] == (
+    assert _streamed_outcomes("weighted_log2_sum", flat, weights, bounds, 2)[0] == (
         OverflowError if order[first] == "overflow" else ValueError)
 
 
@@ -713,10 +799,10 @@ ALPHAS = (-3.0, 0.5, 2.0, 3.0, 100.0)
 
 @st.composite
 def short_batches(draw):
-    """0-300 spans below ``_VECTOR_MIN`` entries end to end, some of them
-    skipped: zero-laden spans, spans with a single positive entry, entries
-    spread over up to a few hundred binades, subnormals and, in some
-    batches, spans with no positive entry."""
+    """0-300 spans below ``_VECTOR_MIN`` entries end to end, and the bounds of
+    some of them in a row (which may start past 0): zero-laden spans, spans
+    with a single positive entry, entries spread over up to a few hundred
+    binades, subnormals and, in some batches, spans with no positive entry."""
     n = draw(st.integers(0, 300))
     spread = draw(st.sampled_from([1.0, 5.0, 30.0]))
     subnormals, empties = draw(st.booleans()), draw(st.booleans())
@@ -738,10 +824,10 @@ def short_batches(draw):
             x[:] = 0.0
         parts.append(x)
     bounds = np.cumsum([0, *map(len, parts)]).tolist()
-    keep = rng.random(n) < 0.8
-    spans = [(i, j) for i, j, k in zip(bounds, bounds[1:], keep) if k]
+    lo = 0 if rng.random() < 0.5 else int(rng.integers(0, n + 1))
+    hi = n if rng.random() < 0.5 else int(rng.integers(lo, n + 1))
     flat = np.concatenate(parts) if parts else np.zeros(0)
-    return flat, spans, bounds
+    return flat, bounds[lo:hi + 1], bounds
 
 
 def _per_span(reference, spans):
@@ -766,7 +852,7 @@ def _batched(kernel, spans):
             for value in values]
 
 
-def _short_cases(flat, spans, alpha):
+def _short_cases(flat, bounds, alpha):
     """kernel name -> (batched call, reference on span (i, j))."""
 
     def part(i, j):
@@ -775,17 +861,17 @@ def _short_cases(flat, spans, alpha):
     weights = np.sqrt(flat) * 0.75
 
     def escorts():
-        return [w.tolist() for w in _span_slices(escort_weights(flat, spans, alpha), spans)]
+        return [w.tolist() for w in _span_slices(escort_weights(flat, bounds, alpha), bounds)]
 
     return {
-        "log2_power_sum": (lambda: log2_power_sum(flat, spans, alpha),
+        "log2_power_sum": (lambda: log2_power_sum(flat, bounds, alpha),
                            lambda i, j: libm.log2_power_sum(part(i, j), alpha)),
-        "power_sum": (lambda: power_sum(flat, spans, alpha),
+        "power_sum": (lambda: power_sum(flat, bounds, alpha),
                       lambda i, j: libm.power_sum(part(i, j), alpha)),
-        "plogp_sum": (lambda: plogp_sum(flat, spans),
+        "plogp_sum": (lambda: plogp_sum(flat, bounds),
                       lambda i, j: libm.plogp_sum(part(i, j))),
         "weighted_log2_sum": (
-            lambda: weighted_log2_sum(weights, flat, spans),
+            lambda: weighted_log2_sum(weights, flat, bounds),
             lambda i, j: libm.weighted_log2_sum(weights[i:j].tolist(), part(i, j)),
         ),
         "escort_weights": (escorts, lambda i, j: libm.escort_weights(part(i, j), alpha)),
@@ -798,8 +884,9 @@ def _short_cases(flat, spans, alpha):
 def test_short_batches_equal_the_per_span_reference(alpha, data):
     """Every short span of a batch gets the bits of the per-span libm loop,
     or the batch raises the error type of the first failing span."""
-    flat, spans, bounds = data
-    for name, (kernel, reference) in _short_cases(flat, spans, alpha).items():
+    flat, some, bounds = data
+    spans = list(itertools.pairwise(some))
+    for name, (kernel, reference) in _short_cases(flat, some, alpha).items():
         assert _batched(kernel, spans) == _per_span(reference, spans), name
     if alpha == ALPHAS[0]:  # segment_sums does not take alpha
         sums = list(itertools.pairwise(bounds))
@@ -823,13 +910,14 @@ def test_power_sum_overflow_inside_a_short_batch():
     """float ** raises where numpy returns inf: a span that overflows makes
     the whole batch raise `Overflow`, as that span does alone."""
     flat = np.array([0.5, 0.5, 1e-120, 1.0, 0.25, 0.75])
-    spans = [(0, 2), (2, 4), (4, 6)]
     with pytest.raises(Overflow, match=r"power sum with exponent -3\.0 overflowed"):
-        power_sum(flat, spans, -3.0)
+        power_sum(flat, [0, 2, 4, 6], -3.0)
     with pytest.raises(Overflow, match=r"power sum with exponent -3\.0 overflowed"):
         libm.power_sum(flat[2:4].tolist(), -3.0)
-    assert power_sum(flat, [(0, 2), (4, 6)], -3.0) == [
-        libm.power_sum([0.5, 0.5], -3.0), libm.power_sum([0.25, 0.75], -3.0)]
+    # bounds that end before the overflowing span, or start after it
+    assert power_sum(flat, [0, 1, 2], -3.0) == [libm.power_sum([0.5], -3.0)] * 2
+    assert power_sum(flat, [4, 5, 6], -3.0) == [
+        libm.power_sum([0.25], -3.0), libm.power_sum([0.75], -3.0)]
 
 
 # The libm entry points of the short branch: ``math.pow`` is float ``**``
