@@ -1,8 +1,8 @@
 """Stable numeric kernels shared by the distribution and entropy layers.
 
 The kernels take float64 ndarrays.  Every sum equals ``math.fsum`` bit for
-bit, so results do not depend on the order of the terms.  A long sum runs
-in blocks through levels of error-free extraction (Rump, Ogita and Oishi,
+bit, so results do not depend on the order of the terms.  A sum runs in
+blocks through levels of error-free extraction (Rump, Ogita and Oishi,
 "Accurate floating-point summation part I", 2008); ``math.fsum`` rounds
 their exact pieces where a bound on what the levels leave certifies that
 rounding, and sums the entries elsewhere (see `exact_sum`).  Power sums are
@@ -14,34 +14,22 @@ take one flat array plus ``bounds`` and return one result per run, run k
 being ``flat[bounds[k]:bounds[k + 1]]`` (`escort_weights` returns one array,
 normalized within each run).  A single distribution is the run ``[0, n]``; a
 joint's rows, or every trial of the axiom suite, are runs of one array, cut
-by the bounds that the joint or the suite's store already holds.  Each run
-takes its branch by its own length, and gets the bits it would get alone.  A
-branch takes all of its runs at once, with per-run maxima from
-``np.maximum.reduceat`` (exact) and the basic operations (``alpha * t``,
-``t - m``, ``w / total``) in numpy, which rounds them as Python does.  The
-branches differ in their transcendentals and sums:
+by the bounds that the joint or the suite's store already holds.  A kernel
+takes all of its runs at once, whatever their lengths, in one arithmetic:
+per-run maxima from ``np.maximum.reduceat`` (exact); numpy's log2, exp2 and
+power and its basic operations (``alpha * t``, ``t - m``, ``w / total``),
+which act on each entry alone, so every run gets the bits it would get
+alone; and one blocked exact sum.  The power, p log p and weighted log sums
+stream their terms into that sum a block of at most ``_BLOCK`` entries at a
+time (`_streamed`), so no temporary is input-sized; the max-factored sums
+and the escort need each run's maximum before any term, and hold the
+positive entries and their logs whole.  The kernels keep their own numpy
+error state, so the caller's does not change a result (see `_span_map`).
 
-- below ``_VECTOR_MIN`` entries, libm: one C-level ``map`` of ``math.log2``
-  or ``math.pow`` over the cells of all such runs, and a ``math.fsum`` per
-  run, fed by ``islice`` from that map or one list, which beat numpy's
-  per-call overhead;
-- at and above it, numpy's log2/exp2/power and one blocked exact sum, into
-  which the power, p log p and weighted log sums stream a block of at most
-  ``_BLOCK`` entries at a time (`_streamed`), so no temporary is input-sized;
-  the max-factored sums and the escort need each run's maximum before any
-  term, and hold the positive entries and their logs whole.
-
-``math.pow(x, a)`` makes the C ``pow`` call that ``x ** a`` makes, at about
-half the cost: for the positive x and finite a of the kernels both give the
-same bits, and both raise ``OverflowError`` where the result would be
-infinite (``tests/test_stable.py`` pins it).
-
-numpy's log2/exp2/power may differ from the libm functions by an ulp per
-term, so the two branches agree to a few ulps, not bit for bit.
-``_VECTOR_MIN`` is the library's only size switch: between the two
-arithmetics, and in `exact_sum` between one ``math.fsum`` and the blocked
-sum, which give the same bits.  Validation and every layer above take one
-path at every size.
+``_FSUM_MAX`` is the library's only size switch: a lone run of at most that
+many entries is summed by one ``math.fsum``, which gives the blocked sum's
+bits at less overhead.  Validation and every layer above take one path at
+every size.
 """
 
 from __future__ import annotations
@@ -55,7 +43,7 @@ import numpy as np
 
 from .errors import Overflow
 
-_VECTOR_MIN = 256  # below this length libm and one math.fsum beat numpy's overhead
+_FSUM_MAX = 255  # a lone run of at most this length: one math.fsum beats the blocked sum
 # Blocks of the exact sum and of the streamed kernels: at most this many
 # entries, so that their buffers stay in cache and no temporary is larger.
 _BLOCK = 2 ** 15
@@ -65,7 +53,7 @@ _LEVELS = 3  # extraction levels per block; what they leave is only bounded
 def exact_sum(values: np.ndarray) -> float:
     """Correctly rounded sum of floats, equal to ``math.fsum`` bit for bit.
 
-    A float64 ndarray of ``_VECTOR_MIN`` entries or more goes in blocks of
+    A float64 ndarray of more than ``_FSUM_MAX`` entries goes in blocks of
     w <= 2**m entries (at most ``_BLOCK``) through up to ``_LEVELS`` levels
     of Rump, Ogita and Oishi's extraction: with sigma a power of two >=
     2**m * max|p|, each p splits exactly into q = (sigma + p) - sigma, a
@@ -98,7 +86,7 @@ def _blocked_fsum(blocks: Callable, bounds: list[int]) -> list[float]:
     of those (``None``: all).  If a value is inf, nan or |x| >= 2**961, ``math.fsum`` takes
     each run in order, so an error is the first failing run's."""
     n, k = bounds[-1], len(bounds) - 1
-    if k == 1 and n < _VECTOR_MIN:
+    if k == 1 and n <= _FSUM_MAX:
         return [_fsum(blocks, 0, 1)]
     size = min(n, _BLOCK) or 1
     m = max(size - 1, 1).bit_length()  # size <= 2**m
@@ -182,22 +170,16 @@ def spans_of(bounds: Sequence[int]) -> np.ndarray:
     return np.array((bounds[:-1], bounds[1:])).T
 
 
-def _where(spans: np.ndarray | slice) -> slice | np.ndarray:
-    """The positions of the entries of ``spans``, end to end: a slice when
-    the spans are contiguous (or fewer than two, or a slice), else an index array."""
-    if isinstance(spans, slice):
-        return spans
+def span_cells(values: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The entries of ``spans`` ((start, stop) rows) end to end: a view when the
+    spans are contiguous (or fewer than two), else gathered by an index array."""
     if len(spans) < 2 or not np.count_nonzero(spans[1:, 0] - spans[:-1, 1]):
-        return slice(int(spans[0, 0]), int(spans[-1, 1])) if len(spans) else slice(0, 0)
+        return values[int(spans[0, 0]):int(spans[-1, 1])] if len(spans) else values[:0]
     starts, stops = spans.T
     lengths = stops - starts
     # entry e of span k sits at starts[k] + e - (where span k starts end to end)
-    return np.arange(lengths.sum()) + np.repeat(starts - lengths.cumsum() + lengths, lengths)
-
-
-def span_cells(values: np.ndarray, spans: np.ndarray | slice) -> np.ndarray:
-    """The entries of ``spans`` ((start, stop) rows, or a slice) end to end: a view if contiguous."""
-    return values[_where(spans)]
+    where = np.arange(lengths.sum()) + np.repeat(starts - lengths.cumsum() + lengths, lengths)
+    return values[where]
 
 
 def _cells(x: np.ndarray, counts: np.ndarray):
@@ -231,38 +213,12 @@ def _streamed(fn: Callable, counts: np.ndarray, *cells: np.ndarray) -> list[floa
     return _blocked_fsum(blocks, bounds)
 
 
-def _libm(fn: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:
-    """``fn`` of every entry of ``x`` (and of ``args``) over Python floats:
-    libm in one C-level map, which beats numpy's per-call overhead on tiny
-    inputs, as an array for the numpy steps that follow (see `_exp2` for the
-    maps that only `_sums` reads)."""
-    return np.fromiter(map(fn, x.tolist(), *args), np.float64, len(x))
-
-
-def _log2(x: np.ndarray, short: bool) -> np.ndarray:
-    return _libm(math.log2, x) if short else np.log2(x)
-
-
-def _exp2(t: np.ndarray, short: bool):  # a lazy math.pow map if short, else in place
-    return map(math.pow, itertools.repeat(2.0), t.tolist()) if short else np.exp2(t, out=t)
-
-
-def _sums(terms, counts: np.ndarray, short: bool) -> list[float]:
-    """The exact sum of each run of ``counts[k]`` consecutive ``terms``:
-    for a short group a ``math.fsum`` per run over an ``islice`` of the terms
-    (an array or an iterator), for a long group one segmented exact sum."""
-    if not short:
-        return _segment_fsum(terms, counts.tolist())
-    terms = iter(terms.tolist() if isinstance(terms, np.ndarray) else terms)
-    return list(map(math.fsum, map(itertools.islice, itertools.repeat(terms), counts.tolist())))
-
-
 def _spread(per_run: np.ndarray, counts: np.ndarray):
     """``per_run[k]`` repeated ``counts[k]`` times (a scalar for one run)."""
     return per_run[0] if len(counts) == 1 else np.repeat(per_run, counts)
 
 
-def _scaled_powers(logs: np.ndarray, counts: np.ndarray, alpha: float, short: bool, keep=False):
+def _scaled_powers(logs: np.ndarray, counts: np.ndarray, alpha: float, keep=False):
     """Per run the largest t = alpha * log2(x), m, and every 2**(t - m),
     from the ``logs`` of the positive x (overwritten unless ``keep``).
     Every run needs a positive entry."""
@@ -271,50 +227,43 @@ def _scaled_powers(logs: np.ndarray, counts: np.ndarray, alpha: float, short: bo
     t = np.multiply(logs, alpha, out=None if keep else logs)
     m = np.maximum.reduceat(t, counts.cumsum() - counts)
     t -= _spread(m, counts)
-    return m, _exp2(t, short)
+    return m, np.exp2(t, out=t)
 
 
-def _escort(logs: np.ndarray, counts: np.ndarray, alpha: float, short: bool, keep=False):
+def _escort(logs: np.ndarray, counts: np.ndarray, alpha: float, keep=False):
     """The alpha-escort weights of each run's positive x from their ``logs``
     (see `_scaled_powers`), and the sum that normalized each run."""
-    w = _scaled_powers(logs, counts, alpha, short, keep)[1]
-    w = np.fromiter(w, np.float64, len(logs)) if short else w
-    totals = _sums(w, counts, short)
+    w = _scaled_powers(logs, counts, alpha, keep)[1]
+    totals = _segment_fsum(w, counts.tolist())
     w /= _spread(np.array(totals), counts)
     return w, totals
 
 
 def _span_map(bounds: Sequence[int], group: Callable) -> list:
-    """One result per run between consecutive ``bounds``, in order: ``group(side, counts,
-    short)`` maps the runs of ``counts[k]`` entries in ``side`` (see `span_cells`), all below
-    ``_VECTOR_MIN`` entries (``short``) or all at or above it, to their results.  ``side``
-    is the slice of all runs if they lie on one side, else the spans of that side's runs.
+    """One result per run between consecutive ``bounds``, in order: ``group(window,
+    counts)`` maps the runs of ``counts[k]`` entries end to end in the slice ``window``
+    of the input to their results.  numpy's error state is the kernels' own, whatever
+    the caller's: a term that underflows is exact after max-factoring, and one that
+    overflows is an inf term.
 
     An error is the one that the first failing run raises alone.
     """
     counts = np.diff(bounds)
     if not len(counts):
         return []
-    short = counts < _VECTOR_MIN
-    try:
-        if np.count_nonzero(short) in (0, len(counts)):
-            return group(slice(int(bounds[0]), int(bounds[-1])), counts, bool(short[0]))
-        # spans, not positions: an index array held through a long group costs page faults
-        spans, out = spans_of(bounds), np.empty(len(counts))
-        out[short] = group(spans[short], counts[short], True)
-        out[~short] = group(spans[~short], counts[~short], False)
-        return out.tolist()
-    except (OverflowError, ValueError):
-        if len(counts) > 1:
-            for k, alone in enumerate(short.tolist()):
-                group(slice(int(bounds[k]), int(bounds[k + 1])), counts[k:k + 1], alone)
-        raise
+    with np.errstate(all="ignore"):
+        try:
+            return group(slice(int(bounds[0]), int(bounds[-1])), counts)
+        except (OverflowError, ValueError):
+            if len(counts) > 1:
+                for k in range(len(counts)):
+                    group(slice(int(bounds[k]), int(bounds[k + 1])), counts[k:k + 1])
+            raise
 
 
 def segment_sums(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
     """Exact sums of ``values[bounds[k]:bounds[k + 1]]`` for every k."""
-    return _span_map(
-        bounds, lambda side, counts, short: _sums(span_cells(values, side), counts, short))
+    return _span_map(bounds, lambda window, counts: _segment_fsum(values[window], counts.tolist()))
 
 
 def log2_power_sum(
@@ -328,13 +277,13 @@ def log2_power_sum(
     needs a positive entry.
     """
 
-    def group(side, counts, short):
-        x, _, counts = _cells(span_cells(flat, side), counts)
-        logs = _log2(x, short)
+    def group(window, counts):
+        x, _, counts = _cells(flat[window], counts)
+        logs = np.log2(x)
         exponents, values = [alpha] if minus is None else [alpha, minus], []
         for k, a in enumerate(exponents):  # the last one may overwrite the logs
-            m, terms = _scaled_powers(logs, counts, a, short, keep=k < len(exponents) - 1)
-            sums = _sums(terms, counts, short)
+            m, terms = _scaled_powers(logs, counts, a, keep=k < len(exponents) - 1)
+            sums = _segment_fsum(terms, counts.tolist())
             values.append([b + math.log2(s) for b, s in zip(m.tolist(), sums)])
         return values[0] if minus is None else [a - b for a, b in zip(*values)]
 
@@ -342,19 +291,16 @@ def log2_power_sum(
 
 
 def power_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> list[float]:
-    """Per run, sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0)."""
-
-    def group(side, counts, short):
-        x = span_cells(flat, side)
-        if not short:
-            return _streamed(lambda x, out: np.power(x, alpha, out=out), counts, x)
-        x, _, counts = _cells(x, counts)
-        return _sums(map(math.pow, x.tolist(), itertools.repeat(alpha)), counts, short)
-
+    """Per run, sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0);
+    a term or a sum past the float range raises `Overflow`."""
     try:
-        return _span_map(bounds, group)
+        sums = _span_map(bounds, lambda window, counts: _streamed(
+            lambda x, out: np.power(x, alpha, out=out), counts, flat[window]))
     except OverflowError as exc:
         raise Overflow(f"power sum with exponent {alpha!r} overflowed") from exc
+    if math.inf in sums:
+        raise Overflow(f"power sum with exponent {alpha!r} overflowed")
+    return sums
 
 
 def plogp_sum(flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
@@ -371,19 +317,15 @@ def weighted_log2_sum(
     itself at alpha 1), bit for bit, from the same log2 per entry.
     """
 
-    def group(side, counts, short):
-        cells = [span_cells(a, side) for a in ((flat,) if weights is None else (flat, weights))]
-        if not short and (weights is not None or alpha == 1.0):
+    def group(window, counts):
+        if weights is not None or alpha == 1.0:
             return _streamed(  # w log2 x, or x log2 x
                 lambda x, *w, out: np.multiply(np.log2(x, out=out), w[0] if w else x, out=out),
-                counts, *cells)
-        x, pos, counts = _cells(cells[0], counts)
-        logs = _log2(x, short)
-        if weights is not None:
-            logs *= cells[1] if pos is None else cells[1][pos]
-        else:
-            logs *= x if alpha == 1.0 else _escort(logs, counts, alpha, short, keep=True)[0]
-        return _sums(logs, counts, short)
+                counts, *(a[window] for a in ((flat,) if weights is None else (flat, weights))))
+        x, _, counts = _cells(flat[window], counts)
+        logs = np.log2(x)
+        logs *= _escort(logs, counts, alpha, keep=True)[0]
+        return _segment_fsum(logs, counts.tolist())
 
     return _span_map(bounds, group)
 
@@ -400,15 +342,13 @@ def escort_weights(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.
         return flat
     out = np.zeros(len(flat))
 
-    def group(side, counts, short):  # writes the weights, returns the totals
-        where = _where(side)
-        x, pos, counts = _cells(flat[where], counts)
-        w, totals = _escort(_log2(x, short), counts, alpha, short)
-        if pos is not None:  # zero weights back in place
-            full = np.zeros(pos.size)
-            full[pos] = w
-            w = full
-        out[where] = w
+    def group(window, counts):  # writes the weights, returns the totals
+        x, pos, counts = _cells(flat[window], counts)
+        w, totals = _escort(np.log2(x), counts, alpha)
+        if pos is None:
+            out[window] = w
+        else:  # the zero weights stay in place
+            out[window][pos] = w
         return totals
 
     _span_map(bounds, group)

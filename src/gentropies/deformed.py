@@ -17,7 +17,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ._stable import _libm
 from .errors import DomainError, Overflow, ParameterError, SingularElement
 
 #: denominators smaller than this count as the pole -1/lambda.
@@ -43,7 +42,8 @@ def _exp_coordinate(x, rate: float, scale: float, what: str, shift: float = -0.0
     c = _LN2 * rate
     if isinstance(x, np.ndarray) and x.ndim:
         with np.errstate(over="ignore"), contextlib.suppress(OverflowError):
-            grown = _libm(math.expm1, (x + shift) * c) / scale
+            grown = np.fromiter(map(math.expm1, ((x + shift) * c).tolist()), np.float64, len(x))
+            grown /= scale
             if not np.isinf(grown).any():
                 return grown
         return np.array([_exp_coordinate(one, rate, scale, what, shift) for one in x.tolist()])

@@ -1,13 +1,12 @@
-"""The short branch of the span kernels, one span at a time, in plain Python.
+"""Per-span references for the span kernels, in plain Python over libm.
 
 Each function is the per-span loop over libm (``math.log2``, float ``**``,
-``math.expm1``) and ``math.fsum`` that defines what a span below
-``_stable._VECTOR_MIN`` entries must give, bit for bit; the package takes
-all short spans of a call in one pass instead.  ``weighted_mean`` is the
-quasi-linear mean with one ``expm1`` per term.
-
-The powers here stay float ``**`` on purpose: the package takes them through
-``math.pow``, and ``**`` is the independent definition it is checked against.
+``math.expm1``) and ``math.fsum``: an arithmetic independent of the
+package's, which takes numpy's log2, exp2 and power.  Those may differ from
+libm's in the last bit of a term, so the kernels agree with these loops to a
+few ulps, not bit for bit.  ``weighted_mean`` is the quasi-linear mean with
+one ``expm1`` per term, which the package's exponential coordinate also
+takes from libm, so there the bits agree.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from gentropies import (
     counterexample_probe,
     direct_product,
     entropy,
+    escort,
     family_name,
     family_params,
     joint_entropy,
@@ -601,3 +602,27 @@ def test_shared_log2_equals_the_separate_kernels(family, lengths):
     got = span_entropies(family, flat, bounds)
     expected = _escort_formula_from_separate_kernels(family, flat, bounds)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+# The kernels keep their own numpy error state: entries of 1e-300 underflow
+# the max-factored terms of renyi(100) and of the escorts, and the powers of
+# tsallis(3), which under the caller's errstate(all="raise") must not matter.
+
+ERROR_STATE_FAMILIES = [renyi(100.0), tsallis(3.0), general_escort(2.0, -1.0, -1.0), shannon()]
+
+
+@pytest.mark.parametrize("n", [8, 300])
+@pytest.mark.parametrize("family", ERROR_STATE_FAMILIES, ids=repr)
+def test_results_do_not_depend_on_the_callers_numpy_error_state(family, n):
+    rng = np.random.default_rng(n)
+    rows = rng.exponential(1.0, (2, n))
+    rows[:, ::3] = 1e-300
+    p, joint = make_distribution(rows[0] / rows[0].sum()), make_joint(rows / rows.sum())
+
+    def results():
+        return [entropy(family, p).hex(), conditional_entropy(family, joint).hex(),
+                [w.hex() for w in escort(p, family.alpha).probs]]
+
+    expected = results()
+    with np.errstate(all="raise"):
+        assert results() == expected

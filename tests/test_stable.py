@@ -1,8 +1,7 @@
-"""The numeric kernels: exact sums and the scalar/vector size switch."""
+"""The numeric kernels: exact sums, the span kernels and the one size switch."""
 
 import itertools
 import math
-import operator
 import tracemalloc
 from unittest import mock
 
@@ -23,7 +22,8 @@ from gentropies._stable import (
 )
 from gentropies.errors import Overflow
 
-# Lengths on both sides of the size switch of `_stable`, and longer ones.
+# Lengths on both sides of the size switch of `_stable` (the one-run fsum
+# shortcut of the exact sum), and longer ones.
 SUM_SIZES = (1, 2, 255, 256, 639, 640, 641, 1000, 2048, 6000)
 
 
@@ -44,9 +44,9 @@ def finite_floats(draw):
 
 
 def test_sizes_straddle_the_switches():
-    switch = _stable._VECTOR_MIN
-    assert switch - 1 in SUM_SIZES and switch in SUM_SIZES
-    assert [name for name in vars(_stable) if name.endswith("_MIN")] == ["_VECTOR_MIN"]
+    switch = _stable._FSUM_MAX
+    assert switch in SUM_SIZES and switch + 1 in SUM_SIZES
+    assert [name for name in vars(_stable) if name.endswith(("_MIN", "_MAX"))] == ["_FSUM_MAX"]
 
 
 def _tile(pool, n, seed):
@@ -96,36 +96,43 @@ def test_exact_sum_of_probabilities_is_fsum():
     assert exact_sum(x[::-1]) == exact_sum(x)
 
 
+# Each kernel on one run, and the per-run libm loop of tests/libm_reference.py.
 KERNELS = {
-    "plogp_sum": lambda p: plogp_sum(p, [0, len(p)]),
-    "log2_power_sum(0.5)": lambda p: log2_power_sum(p, [0, len(p)], 0.5),
-    "log2_power_sum(100)": lambda p: log2_power_sum(p, [0, len(p)], 100.0),
-    "power_sum(3)": lambda p: power_sum(p, [0, len(p)], 3.0),
-    "escort_weights(2)": lambda p: escort_weights(p, [0, len(p)], 2.0),
-    "escort_weights(0.5)": lambda p: escort_weights(p, [0, len(p)], 0.5),
-    "weighted_log2_sum": lambda p: weighted_log2_sum(p[::-1].copy(), p, [0, len(p)]),
+    "plogp_sum": (lambda p: plogp_sum(p, [0, len(p)]), libm.plogp_sum),
+    "log2_power_sum(0.5)": (lambda p: log2_power_sum(p, [0, len(p)], 0.5),
+                            lambda part: libm.log2_power_sum(part, 0.5)),
+    "log2_power_sum(100)": (lambda p: log2_power_sum(p, [0, len(p)], 100.0),
+                            lambda part: libm.log2_power_sum(part, 100.0)),
+    "power_sum(3)": (lambda p: power_sum(p, [0, len(p)], 3.0),
+                     lambda part: libm.power_sum(part, 3.0)),
+    "escort_weights(2)": (lambda p: escort_weights(p, [0, len(p)], 2.0),
+                          lambda part: libm.escort_weights(part, 2.0)),
+    "escort_weights(0.5)": (lambda p: escort_weights(p, [0, len(p)], 0.5),
+                            lambda part: libm.escort_weights(part, 0.5)),
+    "weighted_log2_sum": (lambda p: weighted_log2_sum(p[::-1].copy(), p, [0, len(p)]),
+                          lambda part: libm.weighted_log2_sum(part[::-1], part)),
 }
-# Kernels whose two branches do the same arithmetic agree bit for bit.
+# The one-run shortcut of the exact sum (``math.fsum``) and the blocked sum
+# agree bit for bit.
 EXACT_KERNELS = {
     "exact_sum": exact_sum,
-    "segment_sums": lambda p: segment_sums(p, [0, 1, 100, 100, len(p)]),
+    "segment_sums": lambda p: segment_sums(p, [0, len(p)]),
 }
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
-@pytest.mark.parametrize("kernel", list(KERNELS.values()), ids=list(KERNELS))
-def test_scalar_and_vector_kernels_agree(monkeypatch, kernel, n):
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_scalar_and_vector_kernels_agree(name, n):
     # numpy's log2/exp2/power may differ from the libm functions by an ulp
-    # per term, so the two branches agree to a few ulps, not bit for bit.
+    # per term, so the kernels and the libm loops agree to a few ulps, not
+    # bit for bit.
+    kernel, reference = KERNELS[name]
     rng = np.random.default_rng(n)
     x = rng.exponential(1.0, n)
     x[rng.choice(n, n // 10, replace=False)] = 0.0
     p = x / x.sum()
-    monkeypatch.setattr(_stable, "_VECTOR_MIN", n + 1)
-    scalar = kernel(p)
-    monkeypatch.setattr(_stable, "_VECTOR_MIN", n)
-    vector = kernel(p)
-    np.testing.assert_allclose(vector, scalar, rtol=64 * np.finfo(float).eps, atol=0.0)
+    np.testing.assert_allclose(kernel(p), reference(p.tolist()),
+                               rtol=64 * np.finfo(float).eps, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
@@ -135,10 +142,10 @@ def test_scalar_and_vector_kernels_agree_exactly(monkeypatch, kernel, n):
     x = rng.exponential(1.0, n)
     x[rng.choice(n, n // 10, replace=False)] = 0.0
     p = x / x.sum()
-    monkeypatch.setattr(_stable, "_VECTOR_MIN", n + 1)
-    scalar = kernel(p)
-    monkeypatch.setattr(_stable, "_VECTOR_MIN", n)
-    assert kernel(p) == scalar
+    monkeypatch.setattr(_stable, "_FSUM_MAX", n)
+    fsum = kernel(p)
+    monkeypatch.setattr(_stable, "_FSUM_MAX", n - 1)
+    assert kernel(p) == fsum
 
 
 def _some_bounds(draw, bounds):
@@ -193,7 +200,7 @@ SPAN_KERNELS = {
 @settings(max_examples=60, deadline=None)
 def test_span_kernels_equal_each_slice_alone(kernel, data):
     """Each span's result is the kernel's result on a standalone copy of the
-    span, bit for bit, whichever branch its length takes."""
+    span, bit for bit, whatever its length."""
     flat, bounds = data
     batched = kernel(flat, bounds)
     alone = _each_alone(kernel, flat, bounds)
@@ -233,8 +240,7 @@ ZERO_SPAN_KERNELS = {"plogp_sum", "power_sum(3)"}
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_span_kernels_equal_each_slice_alone_with_long_spans(name, data):
-    """`test_span_kernels_equal_each_slice_alone` on batches of long spans,
-    which the long branch takes together."""
+    """`test_span_kernels_equal_each_slice_alone` on batches of long spans."""
     kernel = SPAN_KERNELS[name]
     flat, bounds = data.draw(long_csr_arrays(zero_spans=name in ZERO_SPAN_KERNELS))
     batched = kernel(flat, bounds)
@@ -317,8 +323,7 @@ def test_escort_weights_outside_the_bounds_are_exactly_zero(lengths, alpha):
 
 @pytest.mark.parametrize("name", list(BOUNDS_KERNELS))
 def test_alternating_short_and_long_runs_equal_each_run_alone(name):
-    """3-entry runs and runs of 300-1000 entries in turn: each side of the
-    size switch is gathered into one group, whose runs are not contiguous."""
+    """3-entry runs and runs of 300-1000 entries in turn, in one call."""
     kernel = BOUNDS_KERNELS[name]
     rng = np.random.default_rng(22)
     lengths = [int(rng.integers(300, 1001)) if k % 2 else 3 for k in range(40)]
@@ -341,7 +346,7 @@ ELEMENTWISE = {
 
 @pytest.mark.parametrize("op", list(ELEMENTWISE.values()), ids=list(ELEMENTWISE))
 def test_elementwise_bits_do_not_depend_on_the_slice(op):
-    """The long branch applies numpy to the cells of many spans at once, and
+    """The kernels apply numpy to the cells of many spans at once, and
     in place where it can; each span's terms must keep the bits that the span
     alone would get."""
     rng = np.random.default_rng(11)
@@ -420,7 +425,7 @@ FAILING_SEGMENTS = {
 
 @pytest.mark.parametrize("order", [
     *itertools.permutations(FAILING_SEGMENTS),
-    *itertools.permutations(["long overflow", "long inf - inf"]),  # no short branch
+    *itertools.permutations(["long overflow", "long inf - inf"]),  # long runs only
 ], ids=str)
 def test_segment_sums_raise_what_the_first_failing_segment_raises(order):
     parts = [[0.5] * 300, *(FAILING_SEGMENTS[name] for name in order)]
@@ -489,7 +494,7 @@ def test_blocked_sums_at_block_edges(parts, block, levels, seed):
     bounds = np.cumsum([0, *(m for _, m in parts)]).tolist()
     with mock.patch.object(_stable, "_BLOCK", block), \
             mock.patch.object(_stable, "_LEVELS", levels), \
-            mock.patch.object(_stable, "_VECTOR_MIN", 0):
+            mock.patch.object(_stable, "_FSUM_MAX", 0):
         assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
         assert _outcomes(_blocked_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
 
@@ -547,7 +552,7 @@ def test_rest_that_the_pieces_cannot_certify_goes_to_fsum(run, sign, levels):
     with mock.patch.object(_stable, "_BLOCK", 3), mock.patch.object(_stable, "_LEVELS", levels):
         assert _stable._segment_fsum(x, [3, 3, 3]) == [expected] * 3
         assert _stable._segment_fsum(x, [9]) == [math.fsum(x.tolist())]
-        with mock.patch.object(_stable, "_VECTOR_MIN", 0):
+        with mock.patch.object(_stable, "_FSUM_MAX", 0):
             assert _stable._segment_fsum(x[:3], [3]) == [expected]
 
 
@@ -668,13 +673,13 @@ STREAMED = {
 
 def _streamed_outcomes(name, flat, weights, bounds, block, levels=_stable._LEVELS):
     """The kernel's results in hex, or the type of its error (`Overflow` as
-    ``OverflowError``), with ``_BLOCK`` at ``block`` and spans of one entry
-    or more taking the long branch; and the same from ``math.fsum`` of
+    ``OverflowError``), with ``_BLOCK`` at ``block`` and every sum taking
+    the blocked sum; and the same from ``math.fsum`` of
     numpy's terms, span by span, the first failing span deciding."""
     kernel, terms = STREAMED[name]
     with mock.patch.object(_stable, "_BLOCK", block), \
             mock.patch.object(_stable, "_LEVELS", levels), \
-            mock.patch.object(_stable, "_VECTOR_MIN", 1), np.errstate(over="ignore"):
+            mock.patch.object(_stable, "_FSUM_MAX", 0), np.errstate(over="ignore"):
         try:
             got = [v.hex() for v in kernel(flat, weights, bounds)]
         except Overflow:
@@ -762,7 +767,7 @@ def test_streamed_uncertified_runs_recompute_their_terms(name, levels):
         weights = -np.array([1.0, 7.0, 2.0 ** -53, 2.0 ** -300] * 3)
     kernel = {**STREAMED, **_power_cases(1.0)}[name][0]
     with mock.patch.object(_stable, "_BLOCK", 4), mock.patch.object(_stable, "_LEVELS", levels), \
-            mock.patch.object(_stable, "_VECTOR_MIN", 1), \
+            mock.patch.object(_stable, "_FSUM_MAX", 0), \
             mock.patch.object(_stable, "_fsum", wraps=_stable._fsum) as fallback:
         assert kernel(flat, weights, [0, 4, 8, 12]) == [expected] * 3
         assert fallback.call_count == 3
@@ -792,14 +797,15 @@ def test_streamed_kernels_raise_what_the_first_failing_span_raises(order):
         OverflowError if order[first] == "overflow" else ValueError)
 
 
-# The short branch against its per-span definition (tests/libm_reference.py).
+# Batches of short spans: every span as alone, and against the per-span libm
+# loops of tests/libm_reference.py.
 
 ALPHAS = (-3.0, 0.5, 2.0, 3.0, 100.0)
 
 
 @st.composite
 def short_batches(draw):
-    """0-300 spans below ``_VECTOR_MIN`` entries end to end, and the bounds of
+    """0-300 spans below 256 entries end to end, and the bounds of
     some of them in a row (which may start past 0): zero-laden spans, spans
     with a single positive entry, entries spread over up to a few hundred
     binades, subnormals and, in some batches, spans with no positive entry."""
@@ -809,7 +815,7 @@ def short_batches(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     parts = []
     for _ in range(n):
-        longest = 12 if rng.random() < 0.9 else _stable._VECTOR_MIN
+        longest = 12 if rng.random() < 0.9 else 256
         m = int(rng.integers(1, longest))
         x = rng.exponential(1.0, m) ** spread
         kind = rng.integers(0, 4)
@@ -830,48 +836,84 @@ def short_batches(draw):
     return flat, bounds[lo:hi + 1], bounds
 
 
-def _per_span(reference, spans):
-    """The reference on each span: the hex of every result, or the type of
-    the first span's error."""
-    out = []
-    for i, j in spans:
-        try:
-            value = reference(i, j)
-        except (ValueError, OverflowError, Overflow) as exc:
-            return type(exc)
-        out.append([v.hex() for v in value] if isinstance(value, list) else value.hex())
-    return out
-
-
-def _batched(kernel, spans):
+def _result(call):
+    """``call()``, or the type of the error that it raises."""
     try:
-        values = kernel()
+        return call()
     except (ValueError, OverflowError, Overflow) as exc:
         return type(exc)
+
+
+def _per_span(fn, spans):
+    """``fn(i, j)`` on each span in order, or the type of the first span's error."""
+    return _result(lambda: [fn(i, j) for i, j in spans])
+
+
+def _bits(values):
+    """Results in hex (an error type as it is)."""
+    if isinstance(values, type):
+        return values
     return [[v.hex() for v in value] if isinstance(value, list) else value.hex()
             for value in values]
 
 
-def _short_cases(flat, bounds, alpha):
-    """kernel name -> (batched call, reference on span (i, j))."""
+def _floats(values):
+    """Results, a float or a list of floats each, end to end."""
+    return np.array([v for value in values for v in np.atleast_1d(value)], dtype=float)
+
+
+def _weights(flat):
+    return np.sqrt(flat) * 0.75
+
+
+def _magnitudes(name, flat, alpha, spans, want):
+    """Per result of ``want``, the size that an error of a few ulps per term is
+    relative to:
+
+    - `power_sum`: the result, a sum of positive terms;
+    - `plogp_sum` and `weighted_log2_sum`: the sum of |terms|, which may cancel;
+    - the max-factored kernels, whose terms are 2**(alpha log2 x - m): an ulp of
+      difference in log2 x moves alpha log2 x by up to |alpha| L, L the largest
+      |log2 x| of the span, an absolute error of `log2_power_sum` (to which its
+      own log2 adds 1) and a relative one of each escort weight.
+    """
+    out = []
+    for (i, j), value in zip(spans, want):
+        pos = flat[i:j] > 0.0
+        x = flat[i:j][pos]
+        big = abs(alpha) * float(np.abs(np.log2(x)).max(initial=0.0))
+        if name == "power_sum":
+            out.append(abs(value))
+        elif name == "log2_power_sum":
+            out.append(abs(value) + big + 1.0)
+        elif name == "escort_weights":
+            out += [abs(w) * (1.0 + big) for w in value]
+        else:
+            w = x if name == "plogp_sum" else _weights(flat[i:j])[pos]
+            out.append(math.fsum(np.abs(w * np.log2(x)).tolist()))
+    return np.array(out)
+
+
+def _short_cases(flat, alpha):
+    """kernel name -> (the kernel on ``bounds``, the libm reference on span (i, j))."""
 
     def part(i, j):
         return flat[i:j].tolist()
 
-    weights = np.sqrt(flat) * 0.75
+    weights = _weights(flat)
 
-    def escorts():
+    def escorts(bounds):
         return [w.tolist() for w in _span_slices(escort_weights(flat, bounds, alpha), bounds)]
 
     return {
-        "log2_power_sum": (lambda: log2_power_sum(flat, bounds, alpha),
+        "log2_power_sum": (lambda bounds: log2_power_sum(flat, bounds, alpha),
                            lambda i, j: libm.log2_power_sum(part(i, j), alpha)),
-        "power_sum": (lambda: power_sum(flat, bounds, alpha),
+        "power_sum": (lambda bounds: power_sum(flat, bounds, alpha),
                       lambda i, j: libm.power_sum(part(i, j), alpha)),
-        "plogp_sum": (lambda: plogp_sum(flat, bounds),
+        "plogp_sum": (lambda bounds: plogp_sum(flat, bounds),
                       lambda i, j: libm.plogp_sum(part(i, j))),
         "weighted_log2_sum": (
-            lambda: weighted_log2_sum(weights, flat, bounds),
+            lambda bounds: weighted_log2_sum(weights, flat, bounds),
             lambda i, j: libm.weighted_log2_sum(weights[i:j].tolist(), part(i, j)),
         ),
         "escort_weights": (escorts, lambda i, j: libm.escort_weights(part(i, j), alpha)),
@@ -882,16 +924,26 @@ def _short_cases(flat, bounds, alpha):
 @given(data=short_batches())
 @settings(max_examples=40, deadline=None)
 def test_short_batches_equal_the_per_span_reference(alpha, data):
-    """Every short span of a batch gets the bits of the per-span libm loop,
-    or the batch raises the error type of the first failing span."""
+    """Every short span of a batch gets the bits that the package gives it
+    alone, or the batch raises the error type of the first failing span; and
+    the per-span libm loop gives the same error, or agrees to a few ulps."""
     flat, some, bounds = data
     spans = list(itertools.pairwise(some))
-    for name, (kernel, reference) in _short_cases(flat, some, alpha).items():
-        assert _batched(kernel, spans) == _per_span(reference, spans), name
+    for name, (kernel, reference) in _short_cases(flat, alpha).items():
+        got = _result(lambda: kernel(some))
+        assert _bits(got) == _bits(_per_span(lambda i, j: kernel([i, j])[0], spans)), name
+        want = _per_span(reference, spans)
+        if isinstance(got, type) or isinstance(want, type):
+            assert got == want, name
+        else:
+            size = _magnitudes(name, flat, alpha, spans, want)
+            got, want = _floats(got), _floats(want)
+            off = np.abs(got - want) > 64 * np.finfo(float).eps * size
+            assert not off.any(), (name, got[off], want[off])
     if alpha == ALPHAS[0]:  # segment_sums does not take alpha
         sums = list(itertools.pairwise(bounds))
-        assert _batched(lambda: segment_sums(flat, bounds), sums) == _per_span(
-            lambda i, j: math.fsum(flat[i:j].tolist()), sums)
+        assert _bits(_result(lambda: segment_sums(flat, bounds))) == _bits(
+            _per_span(lambda i, j: math.fsum(flat[i:j].tolist()), sums))
 
 
 @pytest.mark.parametrize("name", ["log2_power_sum", "power_sum", "plogp_sum",
@@ -900,52 +952,24 @@ def test_no_spans(name):
     """``np.maximum.reduceat`` raises IndexError on empty input: no span
     reaches it."""
     flat = np.array([0.25, 0.75])
-    kernel, _ = _short_cases(flat, [], 2.0)[name]
-    assert kernel() == []
+    kernel, _ = _short_cases(flat, 2.0)[name]
+    assert kernel([]) == []
     assert segment_sums(flat, [0]) == []
     np.testing.assert_array_equal(escort_weights(flat, [], 2.0), np.zeros(2))
 
 
 def test_power_sum_overflow_inside_a_short_batch():
-    """float ** raises where numpy returns inf: a span that overflows makes
-    the whole batch raise `Overflow`, as that span does alone."""
+    """A term past the float range (inf from numpy, an error from float **):
+    a span that overflows makes the whole batch raise `Overflow`, as that
+    span does alone, and so does a long run, with no warning."""
     flat = np.array([0.5, 0.5, 1e-120, 1.0, 0.25, 0.75])
     with pytest.raises(Overflow, match=r"power sum with exponent -3\.0 overflowed"):
         power_sum(flat, [0, 2, 4, 6], -3.0)
+    with pytest.raises(Overflow, match=r"power sum with exponent -3\.0 overflowed"):
+        power_sum(np.resize(flat, 300), [0, 300], -3.0)
     with pytest.raises(Overflow, match=r"power sum with exponent -3\.0 overflowed"):
         libm.power_sum(flat[2:4].tolist(), -3.0)
     # bounds that end before the overflowing span, or start after it
     assert power_sum(flat, [0, 1, 2], -3.0) == [libm.power_sum([0.5], -3.0)] * 2
     assert power_sum(flat, [4, 5, 6], -3.0) == [
         libm.power_sum([0.25], -3.0), libm.power_sum([0.75], -3.0)]
-
-
-# The libm entry points of the short branch: ``math.pow`` is float ``**``
-# (the same C pow call) bit for bit, and raises where it raises.
-
-POSITIVE_DOUBLES = st.one_of(
-    st.floats(5e-324, 2.2250738585072014e-308),  # subnormals
-    st.floats(0.999, 1.001),
-    st.floats(1e300, 1.7976931348623157e308),
-    st.sampled_from([5e-324, 1.0, 1e308, 1.7976931348623157e308]),
-    st.floats(5e-324, 1.7976931348623157e308),
-)
-
-
-def _pow_bits(pow_, x, a):
-    try:
-        return pow_(x, a).hex()
-    except OverflowError:
-        return OverflowError
-
-
-@given(x=POSITIVE_DOUBLES, alpha=st.sampled_from([-300.0, -1.0, 0.5, 2.0, 100.0]))
-@settings(max_examples=500, deadline=None)
-def test_math_pow_is_float_pow(x, alpha):
-    assert _pow_bits(math.pow, x, alpha) == _pow_bits(operator.pow, x, alpha)
-
-
-@given(t=st.one_of(st.floats(-1100.0, 0.0), st.just(-math.inf)))
-@settings(max_examples=500, deadline=None)
-def test_math_pow_of_two_is_float_pow(t):
-    assert math.pow(2.0, t).hex() == (2.0 ** t).hex()
