@@ -3,11 +3,13 @@
 The kernels take float64 ndarrays.  Every sum equals ``math.fsum`` bit for
 bit, so results do not depend on the order of the terms.  A sum runs in
 blocks through levels of error-free extraction (Rump, Ogita and Oishi,
-"Accurate floating-point summation part I", 2008); ``math.fsum`` rounds
-their exact pieces where a bound on what the levels leave certifies that
-rounding, and sums the entries elsewhere (see `exact_sum`).  Power sums are
-max-factored in log2 space, which keeps them finite for exponents far beyond
-the naive overflow point.
+"Accurate floating-point summation part I", 2008), which leave each run a few
+exact pieces per block.  The runs inside one block are rounded from them in
+numpy, with one add where TwoSum (Knuth) shows the others exact;
+``math.fsum`` takes the rest: a run's pieces where it spans blocks, and its
+entries where no bound certifies the pieces (see `exact_sum` and `_round`).
+Power sums are max-factored in log2 space, which keeps them finite for
+exponents far beyond the naive overflow point.
 
 The power, log and escort kernels and `segment_sums` are span kernels: they
 take one flat array plus ``bounds`` and return one result per run, run k
@@ -59,10 +61,11 @@ def exact_sum(values: np.ndarray) -> float:
     2**m * max|p|, each p splits exactly into q = (sigma + p) - sigma, a
     multiple of ulp(sigma)/2 of at most max|p|, and p - q; no partial sum of
     the w q's passes sigma = 2**53 * ulp(sigma)/2, so ``add.reduce`` sums
-    them exactly in any order, and ``math.fsum`` rounds the exact pieces once
-    if a bound on what the levels leave certifies it, else sums the entries
-    (see `_round`).  An inf, nan or |x| >= 2**961 sends the sum to
-    ``math.fsum``.
+    them exactly in any order.  The exact pieces are rounded once, in numpy
+    where the run lies in one block and TwoSum shows every add but the last
+    exact, else by ``math.fsum``, if a bound on what the levels leave
+    certifies it; otherwise ``math.fsum`` sums the entries (see `_round`).
+    An inf, nan or |x| >= 2**961 sends the sum to ``math.fsum``.
     """
     return _segment_fsum(values, [len(values)])[0]
 
@@ -91,12 +94,12 @@ def _blocked_fsum(blocks: Callable, bounds: list[int]) -> list[float]:
     size = min(n, _BLOCK) or 1
     m = max(size - 1, 1).bit_length()  # size <= 2**m
     q, r = np.empty(size), None  # the rest after each level; a later level's q
-    pending = [(np.zeros(0, np.intp), np.zeros(0))]  # (runs, exact pieces) of every level
+    pending = []  # per block: the runs with values in it, and the exact pieces of each level
     rest = np.zeros(k)  # per run, the sum of |what the levels leave|, rounded
     for b0, (p, keep) in zip(range(0, n, _BLOCK), blocks(0, k)):
         end = min(b0 + _BLOCK, n)
         first, last = bisect.bisect_right(bounds, b0) - 1, bisect.bisect_right(bounds, end - 1) - 1
-        offsets, segs = [0], [first]  # the runs with values in the block, and their starts
+        offsets, segs = [0], np.array([first])  # the block's runs with values, their starts
         if first < last:
             starts = np.array([b0, *bounds[first + 1:last + 1], end]) - b0
             segs = np.flatnonzero(starts[1:] != starts[:-1])
@@ -115,48 +118,67 @@ def _blocked_fsum(blocks: Callable, bounds: list[int]) -> list[float]:
         least = lo if lo > 0.0 else -hi if hi < 0.0 else 0.0  # the least nonzero |p|
         if not least and top:  # zeros or both signs: zeros wrap to the top of the minimum
             least = ((np.abs(p).view(np.int64) - 1).view(np.uint64).min() + 1).view(np.float64)
+        pieces = []
         for level in range(_LEVELS if top else 0):
             r = np.empty(size) if r is None and level else r
             sigma, t = math.ldexp(1.0, e + m), (r if level else q)[:w]
             np.add(src, sigma, out=t)
             t -= sigma
-            pending.append((segs, np.add.reduceat(t, offsets)))
+            pieces.append(np.add.reduceat(t, offsets))
             src = np.subtract(src, t, out=q[:w])
             e += m - 53  # |p - q| <= ulp(sigma)/2 <= 2**e
             # the p - q are multiples of ulp(least), so once least >= 2**(e + m - 1)
             # w of them sum exactly below 2**(e + m) <= 2**53 * ulp(least)
             if least >= math.ldexp(1.0, e + m - 1):
-                pending.append((segs, np.add.reduceat(src, offsets)))
+                pieces.append(np.add.reduceat(src, offsets))
                 top = 0
             top = top and src.any()
             if not top:
                 break
+        if pieces:
+            pending.append((segs, pieces))
         if top:
             rest[segs] += np.add.reduceat(np.abs(src, out=src), offsets)
     return _round(pending, rest, blocks)
 
 
 def _round(pending: list, rest: np.ndarray, blocks: Callable) -> list[float]:
-    """Every run's sum, in one call after the last block: the ``math.fsum`` h
-    of its ``pending`` pieces if ``rest[run]``, a bound on what they miss, is 0
-    or, plus the residual d past h, below half an ulp of h (a quarter at a power
-    of two); else ``math.fsum`` of its values."""
-    if len(rest) == 1:  # one run: every piece is its own
-        ready = np.concatenate([v for _, v in pending]).tolist()
-        bounds = [0, len(ready)]
-    else:
-        runs, pieces = map(np.concatenate, zip(*pending))
-        order = runs.argsort(kind="stable")
-        ready = pieces[order].tolist()
-        bounds = runs[order].searchsorted(np.arange(len(rest) + 1)).tolist()
-    out = [math.fsum(ready[i:j]) for i, j in itertools.pairwise(bounds)]
-    for run in rest.nonzero()[0].tolist():
-        i, j, h = bounds[run], bounds[run + 1], out[run]
-        margin = math.ulp(h) / (4.0 if abs(math.frexp(h)[0]) == 0.5 else 2.0)
-        # the 2**-20 covers the roundings of d and of the bound
-        if not (abs(math.fsum(ready[i:j] + [-h])) + rest[run]) * (1.0 + 2.0 ** -20) < margin:
-            out[run] = _fsum(blocks, run, run + 1)
-    return out
+    """Every run's sum, in one call after the last block, from the exact pieces that
+    ``pending`` holds per block (its runs, one array per level).  A run inside one
+    block with no ``rest`` is rounded in numpy: its pieces are added smallest first,
+    and if TwoSum (Knuth) finds every add but the last exact, the last one rounds the
+    exact sum once, as ``math.fsum`` does (whose zero is +0.0; no piece reaches
+    2**976, so no add overflows).  Any other run takes the ``math.fsum`` h of its
+    pieces if ``rest[run]``, a bound on what they miss, is 0 or, plus the residual
+    d past h, below half an ulp of h (a quarter at a power of two); else
+    ``math.fsum`` of its values."""
+    out, redo = np.zeros(len(rest)), rest > 0.0
+    if len(pending) > 1:
+        runs = np.concatenate([segs for segs, _ in pending])
+        redo |= np.bincount(runs, minlength=len(rest)) > 1
+    for segs, pieces in pending:
+        total = pieces[-1]
+        for level in range(len(pieces) - 2, -1, -1):
+            piece, total, low = pieces[level], pieces[level] + total, total
+            if level:  # TwoSum's error of the add: not 0, the add rounded
+                back = total - piece
+                redo[segs] |= (piece - (total - back)) + (low - back) != 0.0
+        out[segs] = total
+    out += 0.0  # a sum of -0.0s is -0.0 in numpy, +0.0 in fsum
+    if redo.any():
+        ready = {run: [] for run in np.flatnonzero(redo).tolist()}
+        for segs, pieces in pending:
+            hit = np.flatnonzero(redo[segs])
+            for run, column in zip(segs[hit].tolist(), np.array(pieces)[:, hit].T.tolist()):
+                ready[run] += column
+        for run, column in ready.items():
+            h = out[run] = math.fsum(column)
+            if rest[run]:
+                margin = math.ulp(h) / (4.0 if abs(math.frexp(h)[0]) == 0.5 else 2.0)
+                # the 2**-20 covers the roundings of d and of the bound
+                if not (abs(math.fsum(column + [-h])) + rest[run]) * (1.0 + 2.0 ** -20) < margin:
+                    out[run] = _fsum(blocks, run, run + 1)
+    return out.tolist()
 
 
 def _fsum(blocks: Callable, i: int, j: int) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._stable import segment_sums
 from .deformed import _exp_coordinate, _log_coordinate
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, Overflow, ParameterError
 from .distributions import Distribution, _number, _sized
 
 
@@ -116,8 +116,12 @@ def weighted_means(
     of the positive ``weights`` and their ``values``.
 
     g is evaluated on all values at once, and every run's accumulator is
-    one exact sum (see `segment_sums`).
+    one exact sum (see `segment_sums`); a sum past the float range raises
+    :class:`Overflow`.
     """
-    acc = segment_sums(weights * generator.evaluate(values), starts)
+    try:
+        acc = segment_sums(weights * generator.evaluate(values), starts)
+    except OverflowError as exc:
+        raise Overflow("weighted sum of generator values overflowed") from exc
     return [generator.invert_mean(a, weights[i:j], values[i:j])
             for a, i, j in zip(acc, starts, starts[1:])]

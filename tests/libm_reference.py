@@ -65,6 +65,9 @@ def evaluate(generator, x):
 
 
 def weighted_mean(generator, terms):
-    acc = math.fsum([w * evaluate(generator, v) for w, v in terms])
+    try:
+        acc = math.fsum([w * evaluate(generator, v) for w, v in terms])
+    except OverflowError as exc:
+        raise Overflow("weighted sum of generator values overflowed") from exc
     weights, values = np.array(terms, dtype=np.float64).reshape(-1, 2).T
     return generator.invert_mean(acc, weights, values)

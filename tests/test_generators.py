@@ -7,7 +7,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import distributions
 from gentropies import (
@@ -223,10 +223,12 @@ def _mean_outcome(mean, generator, terms):
         max_size=30,
     ),
 )
+@example(ExponentialGenerator(kappa=1.0), [(1.0, 979.0), (1.0, 1024.0)])  # finite terms, sum past
 @settings(max_examples=300, deadline=None)
 def test_weighted_mean_equals_the_per_term_reference(generator, terms):
     """g evaluated on all values at once gives the bits of one expm1 per
-    term, through the saturated branch and up to the same `Overflow` text."""
+    term, through the saturated branch and up to the same `Overflow` text,
+    also where the finite terms sum past the float range."""
     assert _mean_outcome(_one_run, generator, terms) == _mean_outcome(
         libm.weighted_mean, generator, terms)
 

@@ -569,6 +569,99 @@ def test_bins_of_one_run_round_every_chunk():
     assert segment_sums(x, [0, 5, len(x)]) == [math.fsum(x[:5].tolist()), math.fsum(x[5:].tolist())]
 
 
+class _CountingMath:
+    """The ``math`` module, counting its ``fsum`` calls."""
+
+    def __init__(self):
+        self.fsums = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, values):
+        self.fsums += 1
+        return math.fsum(values)
+
+
+def _rounded(values, counts, block=_stable._BLOCK):
+    """`_stable._segment_fsum` of the runs of ``counts`` in blocks of ``block``: the sums in
+    hex, the number of pieces per run of each block that `_round` rounds, and the number
+    of ``math.fsum`` calls."""
+    shapes, counting, real = [], _CountingMath(), _stable._round
+
+    def spy(pending, rest, blocks):
+        shapes.extend(len(pieces) for _, pieces in pending)
+        return real(pending, rest, blocks)
+
+    with mock.patch.multiple(_stable, _round=spy, math=counting, _BLOCK=block, _FSUM_MAX=0):
+        sums = _stable._segment_fsum(np.array(values, dtype=float), counts)
+    return [v.hex() for v in sums], shapes, counting.fsums
+
+
+# (values, run lengths, pieces per run of each block, math.fsum calls): the
+# runs of one block are rounded in numpy, an add that TwoSum finds inexact
+# sends its run to one math.fsum, and a rest to two (its pieces, then the
+# residual past their sum).
+ROUNDING_CASES = {
+    "one piece": ([1.0, 2.0 ** -48, 0.5, 0.25, 0.75], [2, 3], [1], 0),
+    "two pieces": ([0.5, 0.25, 0.125, 0.375, 0.1, 0.3], [3, 3], [2], 0),
+    "three pieces": ([1.0, 2.0 ** -60, 1.0, 0.5], [2, 2], [3], 0),
+    # 2**-60 + 2**-80 and the third level's 2**-132 span more than 53 bits
+    "three pieces, an inexact add": (
+        [1.0, 2.0 ** -60, 2.0 ** -80 * (1.0 + 2.0 ** -52), 1.0, 0.5, 0.25], [3, 3], [3], 1),
+    "zero-length runs": ([0.5, 0.25, 0.125, 0.375], [0, 2, 0, 0, 2, 0], [2], 0),
+    "all -0.0 runs": ([-0.0, -0.0, 1.0, 2.0, -0.0], [2, 2, 1], [2], 0),  # fsum gives +0.0
+    "a rest": ([1.0, 2.0 ** -300, 1.5, 2.0 ** -400], [2, 2], [3], 4),
+}
+
+
+@pytest.mark.parametrize("case", list(ROUNDING_CASES))
+def test_runs_of_one_block_are_rounded_as_fsum(case):
+    values, counts, shapes, fsums = ROUNDING_CASES[case]
+    bounds = np.cumsum([0, *counts]).tolist()
+    want = [math.fsum(values[i:j]).hex() for i, j in itertools.pairwise(bounds)]
+    assert _rounded(values, counts) == (want, shapes, fsums)
+
+
+@pytest.mark.parametrize("block, counts, straddling", [
+    (4, [3, 3, 3], 2),  # runs 1 and 2 each cross one block edge
+    (4, [1, 10, 1], 1),  # run 1 fills a block and reaches into two more
+    (_stable._BLOCK, [_stable._BLOCK - 3, 6, 300], 1),
+])
+def test_runs_across_block_edges_take_fsum_of_their_pieces(block, counts, straddling):
+    """A run with pieces in several blocks takes one ``math.fsum``; the others
+    are rounded in numpy."""
+    rng = np.random.default_rng(len(counts) + block)
+    values = rng.uniform(0.5, 1.0, sum(counts)) * rng.choice([-1.0, 1.0], sum(counts))
+    bounds = np.cumsum([0, *counts]).tolist()
+    want = [math.fsum(values[i:j].tolist()).hex() for i, j in itertools.pairwise(bounds)]
+    sums, shapes, fsums = _rounded(values, counts, block)
+    assert (sums, fsums) == (want, straddling)
+    assert len(shapes) == -(-sum(counts) // block)
+
+
+def test_a_suite_batch_rounds_its_runs_without_fsum():
+    """Hundreds of runs of 2 to 64 probabilities in one block, as `run_suite`'s
+    joints reach `segment_sums` and `log2_power_sum`: no run of the two-level
+    sums takes a ``math.fsum`` call of its own, and at most a few of the power
+    sums (an add that TwoSum finds inexact)."""
+    rng = np.random.default_rng(24)
+    counts = rng.integers(2, 65, 300)
+    bounds = np.cumsum([0, *counts]).tolist()
+    x = rng.uniform(0.01, 1.0, bounds[-1])
+    x[rng.random(x.size) < 0.1] = 0.0
+    x[bounds[:-1]] = 0.5  # every run has a positive entry
+    x /= np.repeat(np.add.reduceat(x, bounds[:-1]), counts)
+    want = [math.fsum(x[i:j].tolist()) for i, j in itertools.pairwise(bounds)]
+    powers = log2_power_sum(x, bounds, 2.0)
+    counting = _CountingMath()
+    with mock.patch.object(_stable, "math", counting):
+        assert segment_sums(x, bounds) == want
+        assert counting.fsums == 0
+        assert log2_power_sum(x, bounds, 2.0) == powers
+    assert counting.fsums < len(counts) // 20
+
+
 def _traced_peak(fn) -> int:
     """The most bytes that ``fn()`` holds at once, as tracemalloc (which
     sees numpy's buffers) counts them."""
