@@ -24,7 +24,7 @@ import functools
 
 import numpy as np
 
-from ._stable import span_cells
+from ._stable import bounds_of, gather
 
 
 @functools.cache
@@ -151,8 +151,8 @@ def row_sums(cells: np.ndarray, lengths) -> np.ndarray:
     bit: the rows in order of length, and each run of rows of one length
     reduced along the rows of one matrix, which sums every row as alone."""
     lengths = np.asarray(lengths, dtype=np.intp)
-    order, ends = lengths.argsort(kind="stable"), np.cumsum(lengths)
-    ordered = span_cells(cells, np.array((ends - lengths, ends)).T[order])
+    order = lengths.argsort(kind="stable")
+    ordered = gather(cells, bounds_of(lengths), order)[0]
     rows = np.bincount(lengths)  # the number of rows of each length
     in_order, i, at = np.empty(len(lengths)), 0, 0
     for n in np.flatnonzero(rows).tolist():

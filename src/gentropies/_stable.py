@@ -11,22 +11,26 @@ entries where no bound certifies the pieces (see `exact_sum` and `_round`).
 Power sums are max-factored in log2 space, which keeps them finite for
 exponents far beyond the naive overflow point.
 
-The power, log and escort kernels and `segment_sums` are span kernels: they
-take one flat array plus ``bounds`` and return one result per run, run k
-being ``flat[bounds[k]:bounds[k + 1]]`` (`escort_weights` returns one array,
-normalized within each run).  A single distribution is the run ``[0, n]``; a
-joint's rows, or every trial of the axiom suite, are runs of one array, cut
-by the bounds that the joint or the suite's store already holds.  A kernel
-takes all of its runs at once, whatever their lengths, in one arithmetic:
-per-run maxima from ``np.maximum.reduceat`` (exact); numpy's log2, exp2 and
-power and its basic operations (``alpha * t``, ``t - m``, ``w / total``),
-which act on each entry alone, so every run gets the bits it would get
-alone; and one blocked exact sum.  The power, p log p and weighted log sums
-stream their terms into that sum a block of at most ``_BLOCK`` entries at a
-time (`_streamed`), so no temporary is input-sized; the max-factored sums
-and the escort need each run's maximum before any term, and hold the
-positive entries and their logs whole.  The kernels keep their own numpy
-error state, so the caller's does not change a result (see `_span_map`).
+Runs are described one way throughout: by ``bounds``, run k being
+``flat[bounds[k]:bounds[k + 1]]``, and a selection of runs by their indices.
+`bounds_of` makes bounds from run lengths, and `gather` puts selected runs
+end to end (a view when they are adjacent) with their new bounds.  The power,
+log and escort kernels and `segment_sums` are span kernels: they take one
+flat array plus ``bounds`` and return one result per run (`escort_weights`
+returns one array, normalized within each run).  A single distribution is the
+run ``[0, n]``; a joint's rows, or every trial of the axiom suite, are runs
+of one array, cut by the bounds that the joint or the suite's store already
+holds.  A kernel takes all of its runs at once, whatever their lengths, in
+one arithmetic: per-run maxima from ``np.maximum.reduceat`` (exact); numpy's
+log2, exp2 and power and its basic operations (``alpha * t``, ``t - m``,
+``w / total``), which act on each entry alone, so every run gets the bits it
+would get alone; and one blocked exact sum.  The power, p log p and weighted
+log sums stream their terms into that sum a block of at most ``_BLOCK``
+entries at a time (`_streamed`), so no temporary is input-sized; the
+max-factored sums and the escort need each run's maximum before any term,
+and hold the logs of the positive entries whole (one array).  The kernels
+keep their own numpy error state, so the caller's does not change a result
+(see `_span_map`).
 
 ``_FSUM_MAX`` is the library's only size switch: a lone run of at most that
 many entries is summed by one ``math.fsum``, which gives the blocked sum's
@@ -67,13 +71,13 @@ def exact_sum(values: np.ndarray) -> float:
     certifies it; otherwise ``math.fsum`` sums the entries (see `_round`).
     An inf, nan or |x| >= 2**961 sends the sum to ``math.fsum``.
     """
-    return _segment_fsum(values, [len(values)])[0]
+    return _segment_fsum(values, [0, len(values)])[0]
 
 
-def _segment_fsum(values: np.ndarray, counts: Sequence[int]) -> list[float]:
-    """``math.fsum`` of each run of ``counts[k]`` consecutive ``values``, bit for bit:
+def _segment_fsum(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
+    """``math.fsum`` of each run ``values[bounds[k]:bounds[k + 1]]``, bit for bit:
     `exact_sum` of all runs at once, fed to `_blocked_fsum` a slice at a time."""
-    bounds = [0, *itertools.accumulate(counts)]
+    bounds = np.asarray(bounds).tolist()
 
     def blocks(i, j):
         for b0 in range(bounds[i], bounds[j], _BLOCK):
@@ -186,42 +190,46 @@ def _fsum(blocks: Callable, i: int, j: int) -> float:
     return math.fsum(itertools.chain.from_iterable(p.tolist() for p, _ in blocks(i, j)))
 
 
-def spans_of(bounds: Sequence[int]) -> np.ndarray:
-    """The spans between consecutive ``bounds``, as an ``(n, 2)`` intp array."""
+def bounds_of(lengths) -> np.ndarray:
+    """The bounds of consecutive runs of ``lengths`` entries: where each starts, then the end."""
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
+
+
+def gather(values: np.ndarray, bounds: Sequence[int], runs: Sequence[int]) -> tuple:
+    """The entries of the runs ``runs`` (indices of the runs between ``bounds``) end to
+    end, and their bounds there: a view when each run starts where the one before it
+    stops, else gathered by an index array."""
     bounds = np.asarray(bounds, dtype=np.intp)
-    return np.array((bounds[:-1], bounds[1:])).T
-
-
-def span_cells(values: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """The entries of ``spans`` ((start, stop) rows) end to end: a view when the
-    spans are contiguous (or fewer than two), else gathered by an index array."""
-    if len(spans) < 2 or not np.count_nonzero(spans[1:, 0] - spans[:-1, 1]):
-        return values[int(spans[0, 0]):int(spans[-1, 1])] if len(spans) else values[:0]
-    starts, stops = spans.T
+    runs = np.asarray(runs, dtype=np.intp)
+    starts, stops = bounds[runs], bounds[runs + 1]
     lengths = stops - starts
-    # entry e of span k sits at starts[k] + e - (where span k starts end to end)
-    where = np.arange(lengths.sum()) + np.repeat(starts - lengths.cumsum() + lengths, lengths)
-    return values[where]
+    gathered = bounds_of(lengths)
+    if not np.count_nonzero(starts[1:] - stops[:-1]):
+        return values[int(starts[0]):int(stops[-1])] if len(runs) else values[:0], gathered
+    # entry e of run k sits at starts[k] + e, and at gathered[k] + e end to end
+    return values[np.arange(gathered[-1]) + np.repeat(starts - gathered[:-1], lengths)], gathered
 
 
-def _cells(x: np.ndarray, counts: np.ndarray):
-    """The positive entries of runs of ``counts[k]`` consecutive ``x``, the mask of them
-    among all (``None`` when all are, which spares the compress) and their count per run."""
+def _cells(x: np.ndarray, bounds: np.ndarray):
+    """The log2 of the positive entries of the runs of ``x`` between ``bounds``, the mask
+    of those among all (``None`` when all are, which spares the compress) and their
+    bounds; the logs overwrite the compressed copy, never ``x``."""
     pos = x > 0.0
     if np.count_nonzero(pos) == len(pos):
-        return x, None, counts
+        return np.log2(x), None, bounds
     # reduceat over the runs that have entries (it misreads empty ones)
-    nonempty = np.flatnonzero(counts)
-    positives = np.zeros_like(counts)
-    positives[nonempty] = np.add.reduceat(pos, (counts.cumsum() - counts)[nonempty], dtype=np.intp)
-    return x[pos], pos, positives
+    nonempty = np.flatnonzero(bounds[1:] > bounds[:-1])
+    positives = np.zeros(len(bounds) - 1, dtype=np.intp)
+    positives[nonempty] = np.add.reduceat(pos, bounds[nonempty], dtype=np.intp)
+    x = x[pos]
+    return np.log2(x, out=x), pos, bounds_of(positives)
 
 
-def _streamed(fn: Callable, counts: np.ndarray, *cells: np.ndarray) -> list[float]:
-    """Per run of ``counts[k]`` consecutive ``cells``, the exact sum of ``fn(x, *w, out=buf)``
-    over the positive x of ``cells[0]`` (and their w in the other ``cells``), with no input-sized
+def _streamed(fn: Callable, bounds: np.ndarray, *cells: np.ndarray) -> list[float]:
+    """Per run of ``cells`` between ``bounds``, the exact sum of ``fn(x, *w, out=buf)`` over
+    the positive x of ``cells[0]`` (and their w in the other ``cells``), with no input-sized
     temporary: a block of at most ``_BLOCK`` entries at a time, fed to `_blocked_fsum`."""
-    bounds = [0, *counts.cumsum().tolist()]
+    bounds = bounds.tolist()
     buf = np.empty(min(bounds[-1], _BLOCK))
 
     def blocks(i, j):
@@ -235,57 +243,57 @@ def _streamed(fn: Callable, counts: np.ndarray, *cells: np.ndarray) -> list[floa
     return _blocked_fsum(blocks, bounds)
 
 
-def _spread(per_run: np.ndarray, counts: np.ndarray):
-    """``per_run[k]`` repeated ``counts[k]`` times (a scalar for one run)."""
-    return per_run[0] if len(counts) == 1 else np.repeat(per_run, counts)
+def _spread(per_run: np.ndarray, bounds: np.ndarray):
+    """``per_run[k]`` repeated over run k between ``bounds`` (a scalar for one run)."""
+    return per_run[0] if len(bounds) == 2 else np.repeat(per_run, np.diff(bounds))
 
 
-def _scaled_powers(logs: np.ndarray, counts: np.ndarray, alpha: float, keep=False):
-    """Per run the largest t = alpha * log2(x), m, and every 2**(t - m),
-    from the ``logs`` of the positive x (overwritten unless ``keep``).
+def _scaled_powers(logs: np.ndarray, bounds: np.ndarray, alpha: float, keep=False):
+    """Per run between ``bounds`` the largest t = alpha * log2(x), m, and every
+    2**(t - m), from the ``logs`` of the positive x (overwritten unless ``keep``).
     Every run needs a positive entry."""
-    if np.count_nonzero(counts) < len(counts):
+    if not (bounds[1:] > bounds[:-1]).all():
         raise ValueError("every run needs a positive entry")
     t = np.multiply(logs, alpha, out=None if keep else logs)
-    m = np.maximum.reduceat(t, counts.cumsum() - counts)
-    t -= _spread(m, counts)
+    m = np.maximum.reduceat(t, bounds[:-1])
+    t -= _spread(m, bounds)
     return m, np.exp2(t, out=t)
 
 
-def _escort(logs: np.ndarray, counts: np.ndarray, alpha: float, keep=False):
+def _escort(logs: np.ndarray, bounds: np.ndarray, alpha: float, keep=False):
     """The alpha-escort weights of each run's positive x from their ``logs``
     (see `_scaled_powers`), and the sum that normalized each run."""
-    w = _scaled_powers(logs, counts, alpha, keep)[1]
-    totals = _segment_fsum(w, counts.tolist())
-    w /= _spread(np.array(totals), counts)
+    w = _scaled_powers(logs, bounds, alpha, keep)[1]
+    totals = _segment_fsum(w, bounds)
+    w /= _spread(np.array(totals), bounds)
     return w, totals
 
 
 def _span_map(bounds: Sequence[int], group: Callable) -> list:
     """One result per run between consecutive ``bounds``, in order: ``group(window,
-    counts)`` maps the runs of ``counts[k]`` entries end to end in the slice ``window``
-    of the input to their results.  numpy's error state is the kernels' own, whatever
+    bounds)`` maps the runs in the slice ``window`` of the input, cut at their bounds
+    rebased to 0, to their results.  numpy's error state is the kernels' own, whatever
     the caller's: a term that underflows is exact after max-factoring, and one that
     overflows is an inf term.
 
     An error is the one that the first failing run raises alone.
     """
-    counts = np.diff(bounds)
-    if not len(counts):
+    bounds = np.asarray(bounds, dtype=np.intp)
+    if len(bounds) < 2:
         return []
     with np.errstate(all="ignore"):
         try:
-            return group(slice(int(bounds[0]), int(bounds[-1])), counts)
+            return group(slice(int(bounds[0]), int(bounds[-1])), bounds - bounds[0])
         except (OverflowError, ValueError):
-            if len(counts) > 1:
-                for k in range(len(counts)):
-                    group(slice(int(bounds[k]), int(bounds[k + 1])), counts[k:k + 1])
+            if len(bounds) > 2:
+                for k in range(len(bounds) - 1):
+                    group(slice(int(bounds[k]), int(bounds[k + 1])), bounds[k:k + 2] - bounds[k])
             raise
 
 
 def segment_sums(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
     """Exact sums of ``values[bounds[k]:bounds[k + 1]]`` for every k."""
-    return _span_map(bounds, lambda window, counts: _segment_fsum(values[window], counts.tolist()))
+    return _span_map(bounds, lambda window, bounds: _segment_fsum(values[window], bounds))
 
 
 def log2_power_sum(
@@ -299,13 +307,12 @@ def log2_power_sum(
     needs a positive entry.
     """
 
-    def group(window, counts):
-        x, _, counts = _cells(flat[window], counts)
-        logs = np.log2(x)
+    def group(window, bounds):
+        logs, _, bounds = _cells(flat[window], bounds)
         exponents, values = [alpha] if minus is None else [alpha, minus], []
         for k, a in enumerate(exponents):  # the last one may overwrite the logs
-            m, terms = _scaled_powers(logs, counts, a, keep=k < len(exponents) - 1)
-            sums = _segment_fsum(terms, counts.tolist())
+            m, terms = _scaled_powers(logs, bounds, a, keep=k < len(exponents) - 1)
+            sums = _segment_fsum(terms, bounds)
             values.append([b + math.log2(s) for b, s in zip(m.tolist(), sums)])
         return values[0] if minus is None else [a - b for a, b in zip(*values)]
 
@@ -316,8 +323,8 @@ def power_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> list[flo
     """Per run, sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0);
     a term or a sum past the float range raises `Overflow`."""
     try:
-        sums = _span_map(bounds, lambda window, counts: _streamed(
-            lambda x, out: np.power(x, alpha, out=out), counts, flat[window]))
+        sums = _span_map(bounds, lambda window, bounds: _streamed(
+            lambda x, out: np.power(x, alpha, out=out), bounds, flat[window]))
     except OverflowError as exc:
         raise Overflow(f"power sum with exponent {alpha!r} overflowed") from exc
     if math.inf in sums:
@@ -339,15 +346,14 @@ def weighted_log2_sum(
     itself at alpha 1), bit for bit, from the same log2 per entry.
     """
 
-    def group(window, counts):
+    def group(window, bounds):
         if weights is not None or alpha == 1.0:
             return _streamed(  # w log2 x, or x log2 x
                 lambda x, *w, out: np.multiply(np.log2(x, out=out), w[0] if w else x, out=out),
-                counts, *(a[window] for a in ((flat,) if weights is None else (flat, weights))))
-        x, _, counts = _cells(flat[window], counts)
-        logs = np.log2(x)
-        logs *= _escort(logs, counts, alpha, keep=True)[0]
-        return _segment_fsum(logs, counts.tolist())
+                bounds, *(a[window] for a in ((flat,) if weights is None else (flat, weights))))
+        logs, _, bounds = _cells(flat[window], bounds)
+        logs *= _escort(logs, bounds, alpha, keep=True)[0]
+        return _segment_fsum(logs, bounds)
 
     return _span_map(bounds, group)
 
@@ -364,9 +370,9 @@ def escort_weights(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.
         return flat
     out = np.zeros(len(flat))
 
-    def group(window, counts):  # writes the weights, returns the totals
-        x, pos, counts = _cells(flat[window], counts)
-        w, totals = _escort(np.log2(x), counts, alpha)
+    def group(window, bounds):  # writes the weights, returns the totals
+        logs, pos, bounds = _cells(flat[window], bounds)
+        w, totals = _escort(logs, bounds, alpha)
         if pos is None:
             out[window] = w
         else:  # the zero weights stay in place

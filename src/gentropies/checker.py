@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._stable import segment_sums, span_cells, spans_of
+from ._stable import bounds_of, gather, segment_sums
 from .distributions import (
     Distribution,
     JointDistribution,
@@ -79,11 +79,6 @@ MIN_TRIAL_CELLS = 64
 _BATCH_TRIALS = 1024
 
 
-def _starts(lengths) -> np.ndarray:
-    """Where each of consecutive pieces of ``lengths`` starts, then the end."""
-    return np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
-
-
 class _Trials:
     """Trials in one CSR store: ``flat`` cut into rows of ``row_lengths``
     cells, row k being ``flat[bounds[k]:bounds[k + 1]]``, and the rows into
@@ -95,7 +90,7 @@ class _Trials:
     __slots__ = ("flat", "bounds", "offsets")
 
     def __init__(self, flat: np.ndarray, row_lengths, trial_rows) -> None:
-        self.flat, self.bounds, self.offsets = flat, _starts(row_lengths), _starts(trial_rows)
+        self.flat, self.bounds, self.offsets = flat, bounds_of(row_lengths), bounds_of(trial_rows)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -195,7 +190,7 @@ def _refinement(family, counts_list) -> tuple[list[float], list[float]]:
     t = _trials(counts_list, lambda counts: (np.array(counts, dtype=np.intp), [len(counts)]))
     # the refinement joints end to end: joint t has one row of m_i cells of
     # 1/m per count m_i of trial t (its one row of the store), m their sum
-    bounds = _starts(t.flat)
+    bounds = bounds_of(t.flat)
     groups = t.bounds[t.offsets]
     ends = bounds[groups]
     sizes = np.diff(ends)
@@ -221,14 +216,12 @@ def refinement_consistency(family: EntropyFamily, counts: Iterable[int]) -> floa
 
 def _product(family, pairs) -> tuple[list[float], list[float]]:
     t = _trials(pairs, lambda pq: (np.concatenate([d._array for d in pq]), list(map(len, pq))))
-    rows = spans_of(t.bounds)  # p and q of each trial
-    p, q = rows[0::2], rows[1::2]
+    sizes = np.diff(t.bounds)  # p and q of trial t are its runs 2t and 2t + 1
     # the outer products end to end: one row per entry of p, its pair's q
-    lengths = p[:, 1] - p[:, 0]
-    q_rows = np.repeat(q, lengths, axis=0)
-    cells = np.repeat(span_cells(t.flat, p), q_rows[:, 1] - q_rows[:, 0])
-    cells *= span_cells(t.flat, q_rows)
-    whole = span_entropies(family, cells, _starts(lengths * (q[:, 1] - q[:, 0])))
+    q_rows = np.repeat(np.arange(1, len(sizes), 2), sizes[0::2])
+    cells = np.repeat(gather(t.flat, t.bounds, np.arange(0, len(sizes), 2))[0], sizes[q_rows])
+    cells *= gather(t.flat, t.bounds, q_rows)[0]
+    whole = span_entropies(family, cells, bounds_of(sizes[0::2] * sizes[1::2]))
     parts = span_entropies(family, t.flat, t.bounds)
     add = family.composition.add
     residuals = [abs(w - add(a, b)) for w, a, b in zip(whole, parts[0::2], parts[1::2])]
@@ -308,7 +301,7 @@ class CheckReport:
 def _normalized(cells: np.ndarray, totals, counts) -> np.ndarray:
     """Each trial's ``counts[t]`` cells over ``totals[t]``, then over their exact sum."""
     flat = cells / np.repeat(totals, counts)
-    flat /= np.repeat(segment_sums(flat, _starts(counts)), counts)
+    flat /= np.repeat(segment_sums(flat, bounds_of(counts)), counts)
     return flat
 
 
@@ -339,15 +332,15 @@ def _draw_joints(rng, trials: int, max_rows: int, max_cols: int):
             trial_rows.append(draws.integer(2, max_rows))
             draws.exponential(draws.integers(1, max_cols, trial_rows[-1]))
         sizes, cells = draws.ints.used(), draws.cells.used()
-        rows, starts = _sampler.row_sums(cells, sizes), _starts(trial_rows)[:-1]
+        rows, starts = _sampler.row_sums(cells, sizes), bounds_of(trial_rows)[:-1]
         totals, counts = _sampler.sequential_sums(rows, trial_rows), np.add.reduceat(sizes, starts)
         clear = _rows_clear(np.minimum.reduceat(rows, starts), totals)
         keep = np.zeros(len(trial_rows), bool) | clear  # one verdict per candidate
         if not keep.all():
             doubt, doubt_rows = ~keep, np.repeat(~keep, trial_rows)
             scaled = cells[np.repeat(doubt_rows, sizes)] / np.repeat(totals[doubt], counts[doubt])
-            exact = segment_sums(scaled, _starts(sizes[doubt_rows]))
-            least = np.minimum.reduceat(exact, _starts(np.asarray(trial_rows)[doubt])[:-1])
+            exact = segment_sums(scaled, bounds_of(sizes[doubt_rows]))
+            least = np.minimum.reduceat(exact, bounds_of(np.asarray(trial_rows)[doubt])[:-1])
             keep[doubt] = least >= 1e-12
     if not keep.all():  # drop the refused candidates
         kept_rows = np.repeat(keep, trial_rows)

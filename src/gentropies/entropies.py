@@ -37,15 +37,7 @@ from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
 
-from ._stable import (
-    log2_power_sum,
-    plogp_sum,
-    power_sum,
-    segment_sums,
-    span_cells,
-    spans_of,
-    weighted_log2_sum,
-)
+from ._stable import gather, log2_power_sum, plogp_sum, power_sum, segment_sums, weighted_log2_sum
 from .deformed import Deformation
 from .distributions import (
     Distribution,
@@ -352,9 +344,15 @@ def _require(value, kind: type) -> None:
 
 
 def span_entropies(family: EntropyFamily, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
-    """`entropy` of the distribution in each run ``flat[bounds[k]:bounds[k + 1]]``."""
+    """`entropy` of the distribution in each run ``flat[bounds[k]:bounds[k + 1]]``; a kernel's
+    ``OverflowError`` is raised as `Overflow`, its ``ValueError`` as `DomainError`."""
     _require_family(family)
-    values = family._formula(flat, bounds)
+    try:
+        values = family._formula(flat, bounds)
+    except OverflowError as exc:
+        raise Overflow(f"{family.name} entropy overflowed: {exc}") from exc
+    except ValueError as exc:
+        raise DomainError(f"{family.name} entropy is undefined: {exc}") from exc
     if not all(map(math.isfinite, values)):
         value = next(v for v in values if not math.isfinite(v))
         raise Overflow(f"{family.name} entropy is not finite: {value!r}")
@@ -384,10 +382,8 @@ def conditional_entropies(
     _require_family(family)
     weights = _escort(margs, groups, family.alpha)
     positive = np.flatnonzero(weights > 0.0)
-    rows = spans_of(joint._bounds)[positive]
-    lengths = rows[:, 1] - rows[:, 0]
-    cells = span_cells(joint._flat, rows) / np.repeat(joint._row_sums()[positive], lengths)
-    bounds = np.concatenate(([0], lengths.cumsum()))
+    cells, bounds = gather(joint._flat, joint._bounds, positive)
+    cells = cells / np.repeat(joint._row_sums()[positive], np.diff(bounds))
     values = np.array(span_entropies(family, cells, bounds))
     # where each group's rows start among the positive ones
     starts = np.searchsorted(positive, groups).tolist()

@@ -9,6 +9,7 @@ from gentropies import (
     HCT,
     Deformation,
     DimensionError,
+    Distribution,
     DomainError,
     GeneralEscort,
     Nath,
@@ -248,6 +249,16 @@ class TestEntropyValues:
             entropy(shannon(-1.7e308), uniform(4))
         assert entropy(shannon(-1.7e308), uniform(2)) == 1.7e308
 
+    @pytest.mark.parametrize("family", [shannon(), nath(1.0, 1.0, -1.0)], ids=repr)
+    def test_overflowing_sum_is_typed_overflow(self, family):
+        # raw values whose sum of p log2 p is past the float range
+        with pytest.raises(Overflow, match=family.name):
+            entropy(family, Distribution([1.76e305, 1.76e305]))
+
+    def test_run_without_a_positive_entry_is_typed_domain_error(self):
+        with pytest.raises(DomainError, match="nath"):
+            entropy(renyi(2.0), Distribution([0.0, 0.0]))
+
 
 class TestConditionalAndJoint:
     def test_shannon_probe(self):
@@ -281,6 +292,14 @@ class TestConditionalAndJoint:
         value = conditional_entropy(shannon(-1.0), j)
         trimmed = make_joint(((0.5, 0.25), (0.125, 0.125)))
         assert value == pytest.approx(conditional_entropy(shannon(-1.0), trimmed), rel=1e-13)
+
+    @pytest.mark.parametrize("family", GRID_FAMILIES, ids=GRID_IDS)
+    def test_zero_marginal_rows_between_rows_skipped(self, family):
+        # the rows of positive marginal are apart, so they are gathered
+        zeros = (0.0, 0.0, 0.0)
+        rows = ((0.25, 0.125, 0.0), (0.125, 0.25, 0.125), (0.0625, 0.0625, 0.0))
+        j = make_joint((rows[0], zeros, rows[1], zeros, zeros, rows[2]))
+        assert conditional_entropy(family, j) == conditional_entropy(family, make_joint(rows))
 
 
 class TestUniformTrace:
