@@ -28,14 +28,15 @@ would get alone; and one blocked exact sum.  The power, p log p and weighted
 log sums stream their terms into that sum a block of at most ``_BLOCK``
 entries at a time (`_streamed`), so no temporary is input-sized; the
 max-factored sums and the escort need each run's maximum before any term,
-and hold the logs of the positive entries whole (one array).  The kernels
-keep their own numpy error state, so the caller's does not change a result
-(see `_span_map`).
+and hold the logs of the positive entries whole (one array); they subtract
+the maxima (and divide by the escort's sums) a block at a time (`_per_run`).
+The kernels keep their own numpy error state, so the caller's does not
+change a result (see `_span_map`).
 
-``_FSUM_MAX`` is the library's only size switch: a lone run of at most that
-many entries is summed by one ``math.fsum``, which gives the blocked sum's
-bits at less overhead.  Validation and every layer above take one path at
-every size.
+``_FSUM_MAX`` is the library's only size switch: runs of at most that many
+entries in all, in one block, are summed by one ``math.fsum`` each, which
+gives the blocked sum's bits at less overhead.  Validation and every layer
+above take one path at every size.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .errors import Overflow
 
-_FSUM_MAX = 255  # a lone run of at most this length: one math.fsum beats the blocked sum
+_FSUM_MAX = 255  # runs of at most this many entries in all: math.fsum beats the blocked sum
 # Blocks of the exact sum and of the streamed kernels: at most this many
 # entries, so that their buffers stay in cache and no temporary is larger.
 _BLOCK = 2 ** 15
@@ -93,8 +94,13 @@ def _blocked_fsum(blocks: Callable, bounds: list[int]) -> list[float]:
     of those (``None``: all).  If a value is inf, nan or |x| >= 2**961, ``math.fsum`` takes
     each run in order, so an error is the first failing run's."""
     n, k = bounds[-1], len(bounds) - 1
-    if k == 1 and n <= _FSUM_MAX:
-        return [_fsum(blocks, 0, 1)]
+    if n <= min(_FSUM_MAX, _BLOCK):  # one block: one list, and one math.fsum per run
+        values, ends = [], bounds
+        for p, keep in blocks(0, k):
+            values = p.tolist()
+            if keep is not None:  # where each run's kept values start in the list
+                ends = np.concatenate(([0], keep.cumsum()))[bounds].tolist()
+        return [math.fsum(values[i:j]) for i, j in itertools.pairwise(ends)]
     size = min(n, _BLOCK) or 1
     m = max(size - 1, 1).bit_length()  # size <= 2**m
     q, r = np.empty(size), None  # the rest after each level; a later level's q
@@ -243,9 +249,21 @@ def _streamed(fn: Callable, bounds: np.ndarray, *cells: np.ndarray) -> list[floa
     return _blocked_fsum(blocks, bounds)
 
 
-def _spread(per_run: np.ndarray, bounds: np.ndarray):
-    """``per_run[k]`` repeated over run k between ``bounds`` (a scalar for one run)."""
-    return per_run[0] if len(bounds) == 2 else np.repeat(per_run, np.diff(bounds))
+def _per_run(op: Callable, x: np.ndarray, per_run: np.ndarray, bounds: np.ndarray) -> None:
+    """``op(x, per_run[k], out=x)`` over each run k of ``x`` between ``bounds``: at once
+    for at most ``_BLOCK`` entries, else a block at a time, so that no temporary is
+    input-sized.  A run that holds all of the entries, or of a block, takes a scalar."""
+    if len(x) <= _BLOCK:
+        return op(x, per_run[0] if len(bounds) == 2 else np.repeat(per_run, np.diff(bounds)), out=x)
+    for b0 in range(0, len(x), _BLOCK):
+        block = x[b0:b0 + _BLOCK]
+        first, last = np.searchsorted(bounds, [b0, b0 + len(block) - 1], "right") - 1
+        if first == last:
+            op(block, per_run[first], out=block)
+        else:  # the runs' lengths inside the block
+            edges = bounds[first:last + 2].copy()
+            edges[0], edges[-1] = b0, b0 + len(block)
+            op(block, np.repeat(per_run[first:last + 1], np.diff(edges)), out=block)
 
 
 def _scaled_powers(logs: np.ndarray, bounds: np.ndarray, alpha: float, keep=False):
@@ -256,7 +274,7 @@ def _scaled_powers(logs: np.ndarray, bounds: np.ndarray, alpha: float, keep=Fals
         raise ValueError("every run needs a positive entry")
     t = np.multiply(logs, alpha, out=None if keep else logs)
     m = np.maximum.reduceat(t, bounds[:-1])
-    t -= _spread(m, bounds)
+    _per_run(np.subtract, t, m, bounds)
     return m, np.exp2(t, out=t)
 
 
@@ -265,7 +283,7 @@ def _escort(logs: np.ndarray, bounds: np.ndarray, alpha: float, keep=False):
     (see `_scaled_powers`), and the sum that normalized each run."""
     w = _scaled_powers(logs, bounds, alpha, keep)[1]
     totals = _segment_fsum(w, bounds)
-    w /= _spread(np.array(totals), bounds)
+    _per_run(np.divide, w, np.array(totals), bounds)
     return w, totals
 
 

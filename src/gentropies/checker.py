@@ -7,9 +7,12 @@ uniform trace, and the reconstruction of a rational distribution's entropy
 from its even refinement.  `run_suite` draws seeded random inputs, runs
 every check plus the fixed counterexample probe, and aggregates residuals
 into a reproducible report: the same configuration always serializes to
-identical bytes.  It draws through numpy's exported C samplers on the seed's
-PCG64 stream, or where they are missing or differ (``_sampler.c_samplers()``
-is None) through the Generator methods: the same numbers either way.
+identical bytes.  It evaluates a batch of trials of every check at once:
+one ``span_entropies`` call for all the entropies that they need, one
+``conditional_entropies`` call for all their joints.  It draws through
+numpy's exported C samplers on the seed's PCG64 stream, or where they are
+missing or differ (``_sampler.c_samplers()`` is None) through the Generator
+methods: the same numbers either way.
 
 Verdicts compare the residual relative to 1 + |reference value| against the
 configured tolerance; a check whose absolute residual reaches
@@ -19,6 +22,7 @@ expected outcome for escort families with exponent beta != 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -37,8 +41,8 @@ from .distributions import (
 )
 from .entropies import (
     EntropyFamily,
+    _require,
     conditional_entropies,
-    entropy,
     family_name,
     family_params,
     span_entropies,
@@ -80,17 +84,16 @@ _BATCH_TRIALS = 1024
 
 
 class _Trials:
-    """Trials in one CSR store: ``flat`` cut into rows of ``row_lengths``
-    cells, row k being ``flat[bounds[k]:bounds[k + 1]]``, and the rows into
-    trials of ``trial_rows`` rows, trial t being rows ``offsets[t]`` to
-    ``offsets[t + 1] - 1``.  A check reads a batch of trials as arrays,
-    without an object per trial; slicing gives a run of trials as a store
-    over a view of the same cells."""
+    """Trials in one CSR store: ``flat`` cut into rows at ``bounds``, row k
+    being ``flat[bounds[k]:bounds[k + 1]]``, and the rows into trials at
+    ``offsets``, trial t being rows ``offsets[t]`` to ``offsets[t + 1] - 1``.
+    A check reads a batch of trials as arrays, without an object per trial;
+    slicing gives a run of trials as a store over a view of the same cells."""
 
     __slots__ = ("flat", "bounds", "offsets")
 
-    def __init__(self, flat: np.ndarray, row_lengths, trial_rows) -> None:
-        self.flat, self.bounds, self.offsets = flat, bounds_of(row_lengths), bounds_of(trial_rows)
+    def __init__(self, flat: np.ndarray, bounds: np.ndarray, offsets: np.ndarray) -> None:
+        self.flat, self.bounds, self.offsets = flat, bounds, offsets
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -99,44 +102,100 @@ class _Trials:
         start, stop, _ = trials.indices(len(self))
         rows = self.offsets[start:stop + 1]
         bounds = self.bounds[rows[0]:rows[-1] + 1]
-        return _Trials(self.flat[bounds[0]:bounds[-1]], np.diff(bounds), np.diff(rows))
+        return _Trials(self.flat[bounds[0]:bounds[-1]], bounds - bounds[0], rows - rows[0])
 
     def rows(self) -> list[list]:
         """Every row, as a list."""
         return [self.flat[i:j].tolist() for i, j in itertools.pairwise(self.bounds.tolist())]
 
 
+def _joined(pieces: list) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of every ``(cells, lengths)`` piece end to end, and the bounds of their runs."""
+    cells, lengths = zip(*pieces)
+    flat = cells[0] if len(cells) == 1 else np.concatenate(cells)
+    return flat, bounds_of(np.concatenate(lengths))
+
+
 def _trials(inputs, parts: Callable[[Any], tuple[np.ndarray, Sequence[int]]]) -> _Trials:
     """``inputs`` as a store: a store as it is, else one trial per x of ``parts(x)``."""
     if isinstance(inputs, _Trials):
         return inputs
-    cells, lengths = zip(*map(parts, inputs))
-    flat = cells[0] if len(cells) == 1 else np.concatenate(cells)
-    return _Trials(flat, np.concatenate(lengths), list(map(len, lengths)))
+    pieces = list(map(parts, inputs))
+    return _Trials(*_joined(pieces), bounds_of([len(lengths) for _, lengths in pieces]))
 
 
 # Each check below takes a batch of inputs and returns the residual of every
-# input and the magnitude of its reference value; the public functions are
-# its one-input case.
+# input and the magnitude of its reference value.  Its steps are a generator
+# that yields ``(runs, joint, dims)``: ``(cells, lengths)`` pieces whose runs
+# need an entropy, ``(joint, groups)`` or None, each group of rows one joint,
+# and the dimensions of uniforms.  It is sent the entropies of each piece's runs,
+# the (whole, marginal, conditional) entropies of each joint and the uniforms'.
+# `_evaluate` runs any list of checks at once; a check is its one-check case
+# (`_check`), and the public functions are its one-input case.
 
 
-def _strong_additivity(family, joints) -> tuple[list[float], list[float]]:
+def _evaluate(family, steps: Sequence) -> list[tuple[list[float], list[float]]]:
+    """Every check's result, from one `span_entropies`, one `group_marginals` and one
+    `conditional_entropies` call for all of them: each run gets the bits it would alone."""
+    asks = [next(s) for s in steps]
+    pieces = [piece for runs, _, _ in asks for piece in runs]
+    joints = [joint for _, joint, _ in asks if joint is not None]
+    if len(joints) > 1:  # every joint's rows end to end, one group per joint
+        rows = _joined([(joint._flat, np.diff(joint._bounds)) for joint, _ in joints])
+        lengths = np.concatenate([np.diff(groups) for _, groups in joints])
+        joints = [(JointDistribution._wrap(*rows), bounds_of(lengths))]
+    if joints:  # the wholes, then the marginals
+        batch, groups = joints[0]
+        margs = group_marginals(batch, groups)
+        pieces += [(batch._flat, np.diff(np.asarray(batch._bounds)[groups])),
+                   (margs, np.diff(groups))]
+    dims = list(dict.fromkeys(n for _, _, ns in asks for n in ns))
+    if dims:  # one uniform is `uniform`'s own, which checks its dimension
+        cells = np.repeat(1.0 / np.array(dims), dims) if len(dims) > 1 else uniform(dims[0])._array
+        pieces.append((cells, dims))
+    values = iter(span_entropies(family, *_joined(pieces)))
+    own = [[list(itertools.islice(values, len(lengths))) for _, lengths in runs]
+           for runs, _, _ in asks]
+    triples = iter(())
+    if joints:
+        k = len(groups) - 1
+        wholes, marginals = list(itertools.islice(values, k)), list(itertools.islice(values, k))
+        triples = zip(wholes, marginals, conditional_entropies(family, batch, groups, margs))
+    uniforms = dict(zip(dims, values))
+    results = []
+    for step, mine, (_, joint, ns) in zip(steps, own, asks):
+        n = 0 if joint is None else len(joint[1]) - 1
+        try:
+            step.send((mine, list(itertools.islice(triples, n)), [uniforms[d] for d in ns]))
+        except StopIteration as done:
+            results.append(done.value)
+    return results
+
+
+def _check(steps):
+    """``steps`` as a check: their one-check case of `_evaluate`."""
+    @functools.wraps(steps)
+    def check(family, inputs):
+        return _evaluate(family, [steps(family, inputs)])[0]
+
+    return check
+
+
+@_check
+def _strong_additivity(family, joints):
     if isinstance(joints, _Trials) or len(joints) != 1:
         t = _trials(joints, lambda joint: (joint._flat, np.diff(joint._bounds)))
-        batch = JointDistribution._wrap(t.flat, t.bounds)
-        groups, ends = t.offsets, t.bounds[t.offsets]
+        joint, groups = JointDistribution._wrap(t.flat, t.bounds), t.offsets
     else:  # one joint, whose cached exact row sums serve again
-        batch, groups, ends = joints[0], [0, len(joints[0])], [0, len(joints[0]._flat)]
-    whole = span_entropies(family, batch._flat, ends)
-    margs = group_marginals(batch, groups)
-    parts = zip(span_entropies(family, margs, groups),
-                conditional_entropies(family, batch, groups, margs))
+        joint, groups = joints[0], [0, len(joints[0])]
+    _, parts, _ = yield [], (joint, groups), []
     add = family.composition.add
-    return [abs(w - add(m, c)) for w, (m, c) in zip(whole, parts)], [abs(w) for w in whole]
+    return [abs(w - add(m, c)) for w, m, c in parts], [abs(w) for w, _, _ in parts]
 
 
 def strong_additivity_residual(family: EntropyFamily, joint: JointDistribution) -> float:
     """|H(joint) - H(marginal) (+) H(conditional)| with the family's composition."""
+    _require(joint, JointDistribution)
     return _strong_additivity(family, [joint])[0][0]
 
 
@@ -149,12 +208,12 @@ def counterexample_probe(family: EntropyFamily) -> float:
     return _strong_additivity(family, [PROBE_JOINT])[0][0]
 
 
-def _chain(family, lengths) -> tuple[list[float], list[float]]:
+@_check
+def _chain(family, lengths):
     # every product of powers of two is exact, so U_2^{(x)n} is U_{2**n} bit for bit
-    t = _trials(lengths, lambda n: (uniform(2 ** n)._array, [2 ** n]))
-    values = span_entropies(family, t.flat, t.bounds)
+    _, _, values = yield [], None, [2 ** n for n in lengths] + [2]
     d = family.composition
-    coin = d.h_inv(entropy(family, uniform(2)))
+    coin = d.h_inv(values.pop())
     return [abs(v - d.h(n * coin)) for v, n in zip(values, lengths)], [abs(v) for v in values]
 
 
@@ -174,34 +233,33 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
     return _chain(family, [n])[0][0]
 
 
-def _trace(family, dims) -> tuple[list[float], list[float]]:
-    t = _trials(dims, lambda n: (uniform(n)._array, [n]))
-    values = span_entropies(family, t.flat, t.bounds)
+@_check
+def _trace(family, dims):
+    _, _, values = yield [], None, dims
     residuals = [abs(v - uniform_trace(family, n)) for v, n in zip(values, dims)]
     return residuals, [abs(v) for v in values]
 
 
 def uniform_trace_residual(family: EntropyFamily, n: int) -> float:
-    """|entropy at U_n - closed-form uniform trace|."""
+    """|entropy at U_n - closed-form uniform trace|; n over 2**``MAX_CHAIN_LENGTH``
+    raises :class:`DimensionError` before anything is built."""
+    if _integer(n, "uniform dimension") > 2 ** MAX_CHAIN_LENGTH:
+        raise DimensionError(f"uniform dimension must be at most 2**{MAX_CHAIN_LENGTH}, got {n}")
     return _trace(family, [n])[0][0]
 
 
-def _refinement(family, counts_list) -> tuple[list[float], list[float]]:
+@_check
+def _refinement(family, counts_list):
     t = _trials(counts_list, lambda counts: (np.array(counts, dtype=np.intp), [len(counts)]))
     # the refinement joints end to end: joint t has one row of m_i cells of
     # 1/m per count m_i of trial t (its one row of the store), m their sum
     bounds = bounds_of(t.flat)
     groups = t.bounds[t.offsets]
-    ends = bounds[groups]
-    sizes = np.diff(ends)
-    batch = JointDistribution._wrap(np.repeat(1.0 / sizes, sizes), bounds)
-    margs = group_marginals(batch, groups)
-    direct = span_entropies(family, margs, groups)
-    whole = span_entropies(family, batch._flat, ends)
+    sizes = np.diff(bounds[groups])
+    joint = JointDistribution._wrap(np.repeat(1.0 / sizes, sizes), bounds)
+    _, parts, _ = yield [], (joint, groups), []
     subtract = family.composition.subtract
-    conditionals = conditional_entropies(family, batch, groups, margs)
-    rebuilt = [subtract(w, c) for w, c in zip(whole, conditionals)]
-    return [abs(d - r) for d, r in zip(direct, rebuilt)], [abs(d) for d in direct]
+    return [abs(d - subtract(w, c)) for w, d, c in parts], [abs(d) for _, d, _ in parts]
 
 
 def refinement_consistency(family: EntropyFamily, counts: Iterable[int]) -> float:
@@ -209,20 +267,24 @@ def refinement_consistency(family: EntropyFamily, counts: Iterable[int]) -> floa
 
     The refinement joint has uniform conditional rows, so for a strongly
     additive family the marginal entropy must equal the joint entropy minus
-    (deformed-minus for HCT) the conditional entropy.
+    (deformed-minus for HCT) the conditional entropy.  Its m cells are
+    capped at 2**``MAX_CHAIN_LENGTH``, as `chain_residual` caps its own.
     """
-    return _refinement(family, [_check_counts(counts)])[0][0]
+    counts = _check_counts(counts)
+    if (m := sum(map(int, counts))) > 2 ** MAX_CHAIN_LENGTH:
+        raise DimensionError(f"refinement must have at most 2**{MAX_CHAIN_LENGTH} cells, got {m}")
+    return _refinement(family, [counts])[0][0]
 
 
-def _product(family, pairs) -> tuple[list[float], list[float]]:
+@_check
+def _product(family, pairs):
     t = _trials(pairs, lambda pq: (np.concatenate([d._array for d in pq]), list(map(len, pq))))
     sizes = np.diff(t.bounds)  # p and q of trial t are its runs 2t and 2t + 1
     # the outer products end to end: one row per entry of p, its pair's q
     q_rows = np.repeat(np.arange(1, len(sizes), 2), sizes[0::2])
     cells = np.repeat(gather(t.flat, t.bounds, np.arange(0, len(sizes), 2))[0], sizes[q_rows])
     cells *= gather(t.flat, t.bounds, q_rows)[0]
-    whole = span_entropies(family, cells, bounds_of(sizes[0::2] * sizes[1::2]))
-    parts = span_entropies(family, t.flat, t.bounds)
+    (whole, parts), _, _ = yield [(cells, sizes[0::2] * sizes[1::2]), (t.flat, sizes)], None, []
     add = family.composition.add
     residuals = [abs(w - add(a, b)) for w, a, b in zip(whole, parts[0::2], parts[1::2])]
     return residuals, [abs(w) for w in whole]
@@ -232,6 +294,8 @@ def product_additivity_residual(
     family: EntropyFamily, p: Distribution, q: Distribution
 ) -> float:
     """Additivity defect on the direct product of two distributions."""
+    _require(p, Distribution)
+    _require(q, Distribution)
     return _product(family, [(p, q)])[0][0]
 
 
@@ -371,21 +435,22 @@ def _draw_counts(rng, trials: int, max_rows: int, max_cols: int):
     return draws.ints.used(), lengths, [1] * trials
 
 
-def _drawn(draw: Callable[[int], tuple], trials: int) -> tuple:
-    """``draw(n)`` over chunks of up to ``_BATCH_TRIALS`` trials, end to end,
-    so that only one chunk's own draws wait for their normalization."""
+def _drawn(draw: Callable[[int], tuple], trials: int) -> _Trials:
+    """The store of ``draw(n)`` over chunks of up to ``_BATCH_TRIALS`` trials, end
+    to end, so that only one chunk's own draws wait for their normalization."""
     chunks = [draw(min(_BATCH_TRIALS, trials - s)) for s in range(0, trials, _BATCH_TRIALS)]
-    return tuple(map(np.concatenate, zip(*chunks)))
+    flat, lengths, trial_rows = map(np.concatenate, zip(*chunks))
+    return _Trials(flat, bounds_of(lengths), bounds_of(trial_rows))
 
 
 def _draw_suite(cfg: CheckConfig) -> tuple[_Trials, _Trials, _Trials]:
     """The suite's joints, product pairs and refinement counts, in that order."""
     rng = np.random.default_rng(cfg.seed)
     rows, cols = cfg.max_rows, cfg.max_cols
-    joints = _Trials(*_drawn(lambda n: _draw_joints(rng, n, rows, cols), cfg.trials))
-    cells, sizes, _ = _drawn(lambda n: _draw_distributions(rng, [rows, cols] * n), cfg.trials)
-    counts = _Trials(*_drawn(lambda n: _draw_counts(rng, n, rows, cols), cfg.trials))
-    return joints, _Trials(cells, sizes, [2] * cfg.trials), counts
+    joints = _drawn(lambda n: _draw_joints(rng, n, rows, cols), cfg.trials)
+    dists = _drawn(lambda n: _draw_distributions(rng, [rows, cols] * n), cfg.trials)
+    counts = _drawn(lambda n: _draw_counts(rng, n, rows, cols), cfg.trials)
+    return joints, _Trials(dists.flat, dists.bounds, bounds_of([2] * cfg.trials)), counts
 
 
 def _measure(name: str, check, family, inputs: Sequence) -> tuple[list[float], list[float]]:
@@ -418,6 +483,22 @@ def _measure(name: str, check, family, inputs: Sequence) -> tuple[list[float], l
     return residuals, scales
 
 
+def _measure_all(family, checks: Sequence[tuple]) -> list[tuple[list[float], list[float]]]:
+    """`_measure` of every ``(name, check, inputs, describe)``, each batch of all of them
+    in one `_evaluate` pass; it raises on any failure or non-finite residual."""
+    measured = [([], []) for _ in checks]
+    for start in range(0, max(len(inputs) for _, _, inputs, _ in checks), _BATCH_TRIALS):
+        outs, steps = zip(*[(out, check.__wrapped__(family, inputs[start:start + _BATCH_TRIALS]))
+                            for out, (_, check, inputs, _) in zip(measured, checks)
+                            if start < len(inputs)])
+        for (residuals, scales), (more, their) in zip(outs, _evaluate(family, steps)):
+            if not all(map(math.isfinite, more)):
+                raise Overflow("a residual is not finite")
+            residuals += more
+            scales += their
+    return measured
+
+
 def _aggregate(name: str, residuals: Sequence[float], scales: Sequence[float], inputs,
                describe: Callable[[Any], Any], tolerance: float) -> CheckRecord:
     relatives = [r / (1.0 + s) for r, s in zip(residuals, scales)]
@@ -442,13 +523,16 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
 
     Inputs are drawn from a PCG64 generator in a fixed order (ragged
     joints, then product pairs, then refinement counts), so identical
-    configurations produce byte-identical reports.  Each check then runs
-    over its trials in batches of up to ``_BATCH_TRIALS``, with the same
-    arithmetic per trial as the public residual functions.  Aggregation uses max and arithmetic mean
-    only and is therefore order-independent.  A non-finite residual raises
-    :class:`Overflow` naming its check.  Every trial is held in memory, so
-    a configuration over the ``MAX_SUITE_CELLS`` budget raises
-    :class:`ConfigError` before anything is drawn.
+    configurations produce byte-identical reports.  The trials then go in
+    batches of up to ``_BATCH_TRIALS``, each batch of every check (the fixed
+    probe, chain and trace with the first) in one pass through the kernels
+    (`_evaluate`), with the same arithmetic per trial as the public residual
+    functions.  Aggregation uses max and arithmetic mean only and is
+    therefore order-independent.  If that pass fails, the checks run again
+    one after another (`_measure`), so that an error, or the :class:`Overflow`
+    of a non-finite residual, names the first check that meets it.  Every
+    trial is held in memory, so a configuration over the ``MAX_SUITE_CELLS``
+    budget raises :class:`ConfigError` before anything is drawn.
     """
     per_trial = max(cfg.max_rows * cfg.max_cols, MIN_TRIAL_CELLS)
     cells = cfg.trials * per_trial
@@ -469,9 +553,13 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
         ("chain", _chain, list(range(1, 13)), lambda n: {"n": n[0]}),
         ("uniform_trace", _trace, [2 ** k for k in range(1, 15)], lambda n: {"n": n[0]}),
     ]
+    try:
+        measured = _measure_all(family, checks)
+    except Exception:  # noqa: BLE001 - the check-by-check run raises the first failure
+        measured = [_measure(name, check, family, inputs) for name, check, inputs, _ in checks]
     records = [
-        _aggregate(name, *_measure(name, check, family, inputs), inputs, describe, cfg.tolerance)
-        for name, check, inputs, describe in checks
+        _aggregate(name, residuals, scales, inputs, describe, cfg.tolerance)
+        for (residuals, scales), (name, _, inputs, describe) in zip(measured, checks)
     ]
     records.sort(key=lambda r: r.name)
     verdicts = {r.verdict for r in records}

@@ -22,6 +22,7 @@ from gentropies import (
     DimensionError,
     DomainError,
     Overflow,
+    SingularElement,
     chain_residual,
     counterexample_probe,
     direct_product,
@@ -45,7 +46,7 @@ from gentropies import (
     uniform_trace,
     uniform_trace_residual,
 )
-from gentropies import _sampler, checker
+from gentropies import _sampler, checker, entropies
 from gentropies.entropies import nath
 from gentropies.checker import (
     MAX_CHAIN_LENGTH,
@@ -57,6 +58,19 @@ from gentropies.checker import (
 GRID = constrained_grid()
 #: one member of each kind, for the checks that are too costly on the whole grid
 THREE = [("shannon(-1)", shannon(-1.0)), ("renyi(2)", renyi(2.0)), ("tsallis(2)", tsallis(2.0))]
+#: the members with escort exponent beta != 1, whose probe must fail
+FORCING = [
+    general_escort(1.0, -1.0, -0.5),
+    general_escort(0.5, -1.0, 0.0),
+    general_escort(1.0, -1.0, 1.0),
+    general_escort(2.0, -1.0, 0.0),
+    general_escort(2.0, -1.0, 1.0),
+    general_escort(3.0, -1.0, 0.0),
+]
+
+
+def _refuse(*_):
+    raise AssertionError("refused")
 
 
 class TestStrongAdditivityResidual:
@@ -74,6 +88,11 @@ class TestStrongAdditivityResidual:
         r = strong_additivity_residual(general_escort(2.0, -1.0, 1.0), PROBE_JOINT)
         assert r >= 1e-2
         assert r == pytest.approx(0.32192809488736235, rel=1e-12)
+
+    @pytest.mark.parametrize("value", ["x", uniform(2)], ids=["str", "Distribution"])
+    def test_the_joint_must_be_a_joint_distribution(self, value):
+        with pytest.raises(TypeError, match="expected a JointDistribution"):
+            strong_additivity_residual(renyi(2.0), value)
 
     @pytest.mark.parametrize(
         "residual, joint",
@@ -148,6 +167,14 @@ class TestUniformTraceResidual:
     def test_tsallis_half_sixteen(self):
         assert uniform_trace_residual(tsallis(0.5), 16) < 1e-12
 
+    @pytest.mark.parametrize("n", [2 ** MAX_CHAIN_LENGTH + 1, 2 ** 40])
+    def test_too_large_raises_before_building(self, monkeypatch, n):
+        monkeypatch.setattr(checker, "uniform", _refuse)
+        with pytest.raises(DimensionError, match=f"2\\*\\*{MAX_CHAIN_LENGTH}, got {n}"):
+            uniform_trace_residual(renyi(2.0), n)
+        with pytest.raises(AssertionError, match="refused"):  # the cap itself is built
+            uniform_trace_residual(renyi(2.0), 2 ** MAX_CHAIN_LENGTH)
+
 
 class TestNonDyadicDimensions:
     """The paper's hypothesis is analyticity in the dimension n, so the trace
@@ -211,6 +238,15 @@ class TestRefinementConsistency:
         with pytest.raises(DimensionError, match="at least one block"):
             refinement_consistency(renyi(2.0), iter([]))
 
+    @pytest.mark.parametrize("counts", [[2 ** 40, 1], [2 ** MAX_CHAIN_LENGTH, 1], [2 ** 62] * 4])
+    def test_too_many_cells_raise_before_building(self, monkeypatch, counts):
+        monkeypatch.setattr(checker, "_refinement", _refuse)
+        message = f"2\\*\\*{MAX_CHAIN_LENGTH} cells, got {sum(counts)}"
+        with pytest.raises(DimensionError, match=message):
+            refinement_consistency(renyi(2.0), np.array(counts, dtype=np.int64))
+        with pytest.raises(AssertionError, match="refused"):  # the cap itself is built
+            refinement_consistency(renyi(2.0), [2 ** MAX_CHAIN_LENGTH - 1, 1])
+
 
 class TestProductAdditivityResidual:
     @pytest.mark.parametrize("_, family", GRID)
@@ -229,6 +265,12 @@ class TestProductAdditivityResidual:
         family = tsallis(2.0)
         assert entropy(family, uniform(4)) == 0.75
         assert product_additivity_residual(family, uniform(2), uniform(2)) == 0.0
+
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_a_factor_must_be_a_distribution(self, side):
+        factors = {"p": uniform(2), "q": uniform(3), side: direct_product(uniform(2), uniform(2))}
+        with pytest.raises(TypeError, match="expected a Distribution, got JointDistribution"):
+            product_additivity_residual(renyi(2.0), factors["p"], factors["q"])
 
 
 class TestCheckConfig:
@@ -650,3 +692,68 @@ def test_reports_do_not_depend_on_the_row_sum_bound(monkeypatch):
     bound = run_suite(cfg).to_json()
     monkeypatch.setattr(checker, "_rows_clear", lambda row_sums, total: False)
     assert run_suite(cfg).to_json() == bound
+
+
+# `run_suite` evaluates each batch of every check in one pass (`_measure_all`)
+# and falls back to `_measure`, check by check, when that pass raises.
+
+
+@pytest.mark.parametrize("batch_trials", [checker._BATCH_TRIALS, 4])
+@pytest.mark.parametrize("_, family", GRID + [(repr(f), f) for f in FORCING])
+def test_one_pass_equals_the_check_by_check_run(monkeypatch, _, family, batch_trials):
+    monkeypatch.setattr(checker, "_BATCH_TRIALS", batch_trials)
+    cfg = CheckConfig(family=family, trials=23, seed=3)
+    with monkeypatch.context() as m:
+        m.setattr(checker, "_measure", _refuse)  # the one pass must not fall back
+        fused = run_suite(cfg).to_json()
+    monkeypatch.setattr(checker, "_measure_all", _refuse)
+    assert run_suite(cfg).to_json() == fused
+
+
+def test_one_pass_raises_what_the_check_by_check_run_raises(monkeypatch):
+    cfg = CheckConfig(family=tsallis(20.0), trials=200, seed=1)
+    with pytest.raises(SingularElement) as fused:
+        run_suite(cfg)
+    monkeypatch.setattr(checker, "_measure_all", _refuse)
+    with pytest.raises(SingularElement) as alone:
+        run_suite(cfg)
+    assert str(fused.value) == str(alone.value)
+
+
+def test_an_earlier_check_failing_in_a_later_batch_is_raised(monkeypatch):
+    """The product fails in batch 1 and strong additivity, listed first, in
+    batch 2: the error is strong additivity's, as a check-by-check run meets it."""
+    monkeypatch.setattr(checker, "_BATCH_TRIALS", 4)
+
+    def failing(check, size):
+        @checker._check
+        def steps(family, inputs):
+            if len(inputs) == size:
+                raise DomainError(f"{check.__name__} of {size}")
+            return (yield from check.__wrapped__(family, inputs))
+
+        return steps
+
+    monkeypatch.setattr(checker, "_strong_additivity", failing(checker._strong_additivity, 3))
+    monkeypatch.setattr(checker, "_product", failing(checker._product, 4))
+    with pytest.raises(DomainError, match="^_strong_additivity of 3$"):
+        run_suite(CheckConfig(family=renyi(2.0), trials=7, seed=1))
+
+
+def test_a_suite_batch_makes_one_entropy_and_one_conditional_call(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return call
+
+    span_entropies = counted(entropies.span_entropies)
+    monkeypatch.setattr(entropies, "span_entropies", span_entropies)
+    monkeypatch.setattr(checker, "span_entropies", span_entropies)
+    monkeypatch.setattr(checker, "conditional_entropies", counted(checker.conditional_entropies))
+    run_suite(CheckConfig(family=renyi(2.0), trials=100, seed=1))
+    # conditional_entropies makes the second span_entropies call
+    assert sorted(calls) == ["conditional_entropies", "span_entropies", "span_entropies"]

@@ -12,7 +12,8 @@ from gentropies.distributions import Distribution, JointDistribution
 
 
 def random_joints(rng, trials: int, max_rows: int, max_cols: int) -> list[JointDistribution]:
-    store = checker._Trials(*checker._draw_joints(rng, trials, max_rows, max_cols))
+    flat, sizes, trial_rows = checker._draw_joints(rng, trials, max_rows, max_cols)
+    store = checker._Trials(flat, checker.bounds_of(sizes), checker.bounds_of(trial_rows))
     ones = (store[t:t + 1] for t in range(trials))
     return [JointDistribution._wrap(one.flat, one.bounds.tolist()) for one in ones]
 
