@@ -2,14 +2,17 @@
 and its ``add.reduce`` row sums, bit for bit, with no array per draw and no
 numpy call per row.
 
-`Draws` appends the draws of one generator to two growing buffers through
-the C samplers that ``numpy.random._generator`` exports,
-``random_bounded_uint64_fill`` and ``random_standard_exponential_fill``: the
-functions behind those two methods, called through ctypes on the
-generator's own bit generator, so the stream is the one the methods would
-draw.  Where the samplers are missing, or do not reproduce the methods on a
-fixed seed (`c_samplers` is then None), or for a generator that is not a
-``numpy.random.Generator``, `Draws` calls the methods themselves.  It only
+`Draws.trials` draws one suite store's trials in one loop onto growing
+buffers: per trial r in [2, high], then r lengths in [1, cols] and as many
+exponential cells as they sum to, or r cells, as the store asks.  It calls
+``random_bounded_uint64_fill`` and ``random_standard_exponential_fill``, the
+C functions behind those two methods that ``numpy.random._generator``
+exports, through ctypes on the generator's own bit generator, so the stream
+is the one the methods would draw; without ``argtypes`` (a conversion of
+every argument per call), on ctypes objects built once per loop.  Where the
+samplers are missing, or do not reproduce the methods through this loop on
+a fixed seed (`c_samplers` is then None), or for a generator that is not a
+``numpy.random.Generator``, the loop calls the methods themselves.  It only
 appends: the stream is never rewound, and a caller skips what it refuses.
 
 In `row_sums` numpy sums the rows, grouped by length: one ``add.reduce``
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -40,24 +44,22 @@ def c_samplers():
         bounded, exponential = lib.random_bounded_uint64_fill, lib.random_standard_exponential_fill
     except (ImportError, OSError, AttributeError):
         return None
-    p, count = ctypes.c_void_p, ctypes.c_ssize_t
-    bounded.argtypes = [p, ctypes.c_uint64, ctypes.c_uint64, count, ctypes.c_bool, p]
-    exponential.argtypes = [p, count, p]
     bounded.restype = exponential.restype = None
     return (bounded, exponential) if _reproduces((bounded, exponential)) else None
 
 
 def _reproduces(fills) -> bool:
-    """Whether ``fills`` draw the cells, and leave the stream, as the
-    Generator methods do on a fixed seed."""
+    """Whether ``fills``, driven by `Draws.trials`, draw the trials, and
+    leave the stream, as the Generator methods do on a fixed seed."""
     runs = []
     for use in (fills, None):
         rng = np.random.default_rng(1311_0324)
         draws = Draws(rng, use)
-        draws.exponential(draws.integers(1, 9, draws.integer(2, 8)))
-        draws.integers(1, 1, 3)
-        draws.integers(1, 2 ** 40, 5)
-        drawn = draws.ints.used().tolist(), draws.cells.used().tolist()
+        draws.trials([8, 3], 9)  # a joint's store
+        draws.trials([5, 2, 7])  # a distribution's
+        draws.trials([4], 1, cells=False)  # counts, of one length only
+        draws.trials([3], 2 ** 40, cells=False)
+        drawn = draws.rows, draws.ints.used().tolist(), draws.cells.used().tolist()
         runs.append((*drawn, rng.integers(2 ** 62)))
     return runs[0] == runs[1]
 
@@ -86,49 +88,56 @@ class _Buffer:
 
 
 class Draws:
-    """One generator's draws, appended in order: integers to ``ints`` and
-    exponential cells to ``cells``.  With ``fills`` (`c_samplers()`), the
-    draws go through numpy's C samplers, else through ``rng.integers`` and
-    ``rng.exponential``; the stream and the cells are the same.  The C path
-    takes no lock, while the methods do: ``run_suite``'s generator is private."""
+    """One generator's trials, appended in order: each trial's r to ``rows``,
+    its lengths to ``ints`` and its exponential cells to ``cells``.  With
+    ``fills`` (`c_samplers()`), the draws go through numpy's C samplers, else
+    through ``rng.integers`` and ``rng.exponential``; the stream and the
+    draws are the same.  The C path takes no lock, while the methods do:
+    ``run_suite``'s generator is private."""
 
     def __init__(self, rng, fills=None) -> None:
-        self.ints, self.cells = _Buffer(np.int64), _Buffer(np.float64)
-        self._one = _Buffer(np.int64, 1)
-        # the C samplers write through the bit generator's address: ``rng``
-        # is held, so that its state outlives every call
-        self.rng, self.c = rng, fills is not None
-        if self.c:
-            state = rng.bit_generator.ctypes.bit_generator
-            bounded, exponential = fills
+        self.rows, self.ints, self.cells = [], _Buffer(np.int64), _Buffer(np.float64)
+        self.rng, self.fills, self.c = rng, fills, fills is not None
 
-            def fill_ints(low, high, count, buf, start):
-                bounded(state, low, high - low, count, False, buf.address + 8 * start)
-
-            def fill_cells(count, buf, start):
-                exponential(state, count, buf.address + 8 * start)
-        else:
-            def fill_ints(low, high, count, buf, start):
-                buf.array[start:start + count] = rng.integers(low, high + 1, size=count)
-
-            def fill_cells(count, buf, start):
-                buf.array[start:start + count] = rng.exponential(1.0, size=count)
-        self._fill_ints, self._fill_cells = fill_ints, fill_cells
-
-    def integer(self, low: int, high: int) -> int:
-        """One draw from [low, high], as ``rng.integers(low, high + 1)``; not kept."""
-        self._fill_ints(low, high, 1, self._one, 0)
-        return self._one.view[0]
-
-    def integers(self, low: int, high: int, count: int) -> int:
-        """``count`` draws from [low, high] onto ``ints``: their sum."""
-        start = self.ints.take(count)
-        self._fill_ints(low, high, count, self.ints, start)
-        return sum(self.ints.view[start:start + count])
-
-    def exponential(self, count: int) -> None:
-        """``count`` standard exponential draws onto ``cells``."""
-        self._fill_cells(count, self.cells, self.cells.take(count))
+    def trials(self, highs: Sequence[int], cols: int = 0, cells: bool = True) -> None:
+        """One trial per entry of ``highs``: r from [2, high], as
+        ``rng.integers(2, high + 1)``; with ``cols``, r lengths from [1,
+        cols]; with ``cells``, that many exponential cells (their sum with
+        lengths, else r)."""
+        rows, ints, out, rng = self.rows, self.ints, self.cells, self.rng
+        if not self.c:
+            for high in highs:
+                rows.append(r := int(rng.integers(2, high + 1)))
+                if cols:
+                    start = ints.take(r)
+                    ints.array[start:start + r] = rng.integers(1, cols + 1, size=r)
+                    r = int(ints.array[start:start + r].sum())
+                if cells:
+                    start = out.take(r)
+                    out.array[start:start + r] = rng.exponential(1.0, size=r)
+            return
+        bounded, exponential = self.fills
+        # the samplers write through the bit generator's address: ``rng`` is
+        # held by ``self``, so that its state outlives every call
+        state, u64 = rng.bit_generator.ctypes.bit_generator, ctypes.c_uint64
+        two, one, no, r_slot = u64(2), ctypes.c_ssize_t(1), ctypes.c_bool(False), ctypes.c_int64()
+        r_at = ctypes.c_void_p(ctypes.addressof(r_slot))
+        spans = {high: u64(int(high) - 2) for high in set(highs)}  # ctypes takes no numpy int
+        first, width = u64(1), u64(max(int(cols) - 1, 0))
+        count, dest = ctypes.c_ssize_t(), ctypes.c_void_p()  # updated through ``value``
+        for high in highs:
+            bounded(state, two, spans[high], one, no, r_at)
+            r = count.value = r_slot.value
+            rows.append(r)
+            if cols:
+                start = ints.take(r)
+                dest.value = ints.address + 8 * start
+                bounded(state, first, width, count, no, dest)
+                r = count.value = sum(ints.view[start:start + r])
+            if cells:
+                start = out.take(r)  # before ``address``, which it may move
+                dest.value = out.address + 8 * start
+                exponential(state, count, dest)
 
 
 def draws(rng) -> Draws:

@@ -41,7 +41,6 @@ above take one path at every size.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from typing import Callable, Sequence
@@ -72,30 +71,31 @@ def exact_sum(values: np.ndarray) -> float:
     certifies it; otherwise ``math.fsum`` sums the entries (see `_round`).
     An inf, nan or |x| >= 2**961 sends the sum to ``math.fsum``.
     """
-    return _segment_fsum(values, [0, len(values)])[0]
+    return _segment_fsum(values, np.array([0, len(values)]))[0]
 
 
 def _segment_fsum(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
     """``math.fsum`` of each run ``values[bounds[k]:bounds[k + 1]]``, bit for bit:
     `exact_sum` of all runs at once, fed to `_blocked_fsum` a slice at a time."""
-    bounds = np.asarray(bounds).tolist()
+    bounds = np.asarray(bounds, dtype=np.intp)
 
     def blocks(i, j):
-        for b0 in range(bounds[i], bounds[j], _BLOCK):
-            yield values[b0:min(b0 + _BLOCK, bounds[j])], None
+        stop = int(bounds[j])
+        for b0 in range(int(bounds[i]), stop, _BLOCK):
+            yield values[b0:min(b0 + _BLOCK, stop)], None
 
     return _blocked_fsum(blocks, bounds)
 
 
-def _blocked_fsum(blocks: Callable, bounds: list[int]) -> list[float]:
+def _blocked_fsum(blocks: Callable, bounds: np.ndarray) -> list[float]:
     """``math.fsum`` of the values that each run keeps, bit for bit; run k is at positions
     ``bounds[k]`` to ``bounds[k + 1]``.  ``blocks(i, j)`` yields, for each ``_BLOCK``
     positions of runs i to j - 1 from ``bounds[i]``, the values that they keep and the mask
     of those (``None``: all).  If a value is inf, nan or |x| >= 2**961, ``math.fsum`` takes
     each run in order, so an error is the first failing run's."""
-    n, k = bounds[-1], len(bounds) - 1
+    n, k = int(bounds[-1]), len(bounds) - 1
     if n <= min(_FSUM_MAX, _BLOCK):  # one block: one list, and one math.fsum per run
-        values, ends = [], bounds
+        values, ends = [], bounds.tolist()
         for p, keep in blocks(0, k):
             values = p.tolist()
             if keep is not None:  # where each run's kept values start in the list
@@ -108,10 +108,12 @@ def _blocked_fsum(blocks: Callable, bounds: list[int]) -> list[float]:
     rest = np.zeros(k)  # per run, the sum of |what the levels leave|, rounded
     for b0, (p, keep) in zip(range(0, n, _BLOCK), blocks(0, k)):
         end = min(b0 + _BLOCK, n)
-        first, last = bisect.bisect_right(bounds, b0) - 1, bisect.bisect_right(bounds, end - 1) - 1
+        first = bounds.searchsorted(b0, "right") - 1  # the block's first and last runs
+        last = bounds.searchsorted(end - 1, "right") - 1
         offsets, segs = [0], np.array([first])  # the block's runs with values, their starts
         if first < last:
-            starts = np.array([b0, *bounds[first + 1:last + 1], end]) - b0
+            starts = bounds[first:last + 2] - b0
+            starts[0], starts[-1] = 0, end - b0
             segs = np.flatnonzero(starts[1:] != starts[:-1])
             offsets, segs = starts[segs], segs + first
             if keep is not None:  # to the kept values: a run that keeps none gets no start
@@ -235,12 +237,12 @@ def _streamed(fn: Callable, bounds: np.ndarray, *cells: np.ndarray) -> list[floa
     """Per run of ``cells`` between ``bounds``, the exact sum of ``fn(x, *w, out=buf)`` over
     the positive x of ``cells[0]`` (and their w in the other ``cells``), with no input-sized
     temporary: a block of at most ``_BLOCK`` entries at a time, fed to `_blocked_fsum`."""
-    bounds = bounds.tolist()
-    buf = np.empty(min(bounds[-1], _BLOCK))
+    buf = np.empty(min(int(bounds[-1]), _BLOCK))
 
     def blocks(i, j):
-        for b0 in range(bounds[i], bounds[j], _BLOCK):
-            xs = [a[b0:min(b0 + _BLOCK, bounds[j])] for a in cells]
+        stop = int(bounds[j])
+        for b0 in range(int(bounds[i]), stop, _BLOCK):
+            xs = [a[b0:min(b0 + _BLOCK, stop)] for a in cells]
             keep = xs[0] > 0.0
             if not keep.all():  # a boolean index compresses 5x faster than np.compress
                 xs = [a[keep] for a in xs]

@@ -9,7 +9,8 @@ every check plus the fixed counterexample probe, and aggregates residuals
 into a reproducible report: the same configuration always serializes to
 identical bytes.  It evaluates a batch of trials of every check at once:
 one ``span_entropies`` call for all the entropies that they need, one
-``conditional_entropies`` call for all their joints.  It draws through
+``conditional_entropies`` call for all their joints.  It draws each store
+in one sampler loop (``_sampler.Draws.trials``) per chunk of trials, through
 numpy's exported C samplers on the seed's PCG64 stream, or where they are
 missing or differ (``_sampler.c_samplers()`` is None) through the Generator
 methods: the same numbers either way.
@@ -375,8 +376,9 @@ def _rows_clear(least_row, total):
     return least_row > 2e-12 * total
 
 
-# Each draw below returns the cells of its trials end to end, their row
-# lengths and the rows of each trial: the arguments of `_Trials`.  `_sampler`
+# Each draw below draws its trials in one `_sampler.Draws.trials` loop (and one
+# more per round of redrawn joints) and returns their cells end to end, their
+# row lengths and the rows of each trial: the arguments of `_Trials`.  `_sampler`
 # is imported on the first draw: a process that draws nothing never loads it.
 
 
@@ -390,11 +392,10 @@ def _draw_joints(rng, trials: int, max_rows: int, max_cols: int):
     those that their numpy row sums do not clear (`_rows_clear`) take the
     exact test, and as many more are drawn as failed it."""
     from . import _sampler
-    draws, trial_rows, keep = _sampler.draws(rng), [], np.zeros(0, bool)
+    draws, keep = _sampler.draws(rng), np.zeros(0, bool)
     while need := trials - np.count_nonzero(keep):
-        for _ in range(need):
-            trial_rows.append(draws.integer(2, max_rows))
-            draws.exponential(draws.integers(1, max_cols, trial_rows[-1]))
+        draws.trials([max_rows] * need, max_cols)
+        trial_rows = draws.rows
         sizes, cells = draws.ints.used(), draws.cells.used()
         rows, starts = _sampler.row_sums(cells, sizes), bounds_of(trial_rows)[:-1]
         totals, counts = _sampler.sequential_sums(rows, trial_rows), np.add.reduceat(sizes, starts)
@@ -417,29 +418,25 @@ def _draw_distributions(rng, max_dims: Sequence[int]):
     """One distribution per entry of ``max_dims``, drawn one after another,
     normalized all at once: one trial of one row each."""
     from . import _sampler
-    draws, dims = _sampler.draws(rng), []
-    for max_dim in max_dims:
-        dims.append(draws.integer(2, max(max_dim, 2)))
-        draws.exponential(dims[-1])
-    cells = draws.cells.used()
+    draws = _sampler.draws(rng)
+    draws.trials([max(max_dim, 2) for max_dim in max_dims])
+    cells, dims = draws.cells.used(), draws.rows
     return _normalized(cells, _sampler.row_sums(cells, dims), dims), dims, [1] * len(dims)
 
 
 def _draw_counts(rng, trials: int, max_rows: int, max_cols: int):
     """``trials`` refinement block sizes, one trial of one row each."""
     from . import _sampler
-    draws, lengths = _sampler.draws(rng), []
-    for _ in range(trials):
-        lengths.append(draws.integer(2, max_rows))
-        draws.integers(1, max_cols, lengths[-1])
-    return draws.ints.used(), lengths, [1] * trials
+    draws = _sampler.draws(rng)
+    draws.trials([max_rows] * trials, max_cols, cells=False)
+    return draws.ints.used(), draws.rows, [1] * trials
 
 
 def _drawn(draw: Callable[[int], tuple], trials: int) -> _Trials:
     """The store of ``draw(n)`` over chunks of up to ``_BATCH_TRIALS`` trials, end
     to end, so that only one chunk's own draws wait for their normalization."""
     chunks = [draw(min(_BATCH_TRIALS, trials - s)) for s in range(0, trials, _BATCH_TRIALS)]
-    flat, lengths, trial_rows = map(np.concatenate, zip(*chunks))
+    flat, lengths, trial_rows = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
     return _Trials(flat, bounds_of(lengths), bounds_of(trial_rows))
 
 

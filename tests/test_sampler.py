@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trial_views import reference_joints
+from trial_views import reference_counts, reference_distributions, reference_joints
 from gentropies import CheckConfig, _sampler, checker, run_suite
 from gentropies.entropies import general_escort, renyi, tsallis
 
@@ -79,12 +80,16 @@ def test_sequential_sums_are_left_to_right(counts):
     assert _sampler.sequential_sums(values, counts).tolist() == expected
 
 
-def _joint_draws(draw, seed: int, trials: int, max_rows: int, max_cols: int):
-    """``trials`` joints drawn by ``draw`` on ``seed``, and the stream's next
-    draw after them."""
+def _drawn(draw, seed: int, *args):
+    """The store that ``draw(rng, *args)`` draws on ``seed``, as bytes and lists,
+    and the stream's next draw after it."""
     rng = np.random.default_rng(seed)
-    flat, sizes, trial_rows = draw(rng, trials, max_rows, max_cols)
-    return flat.tobytes(), list(sizes), list(trial_rows), rng.integers(2 ** 62)
+    flat, sizes, trial_rows = draw(rng, *args)
+    return flat.dtype.str, flat.tobytes(), list(sizes), list(trial_rows), rng.integers(2 ** 62)
+
+
+# Store shapes (max_rows, max_cols): the least, the default, and long and tall rows.
+SHAPES = [(2, 1), (8, 8), (3, 40), (40, 3)]
 
 
 @pytest.mark.parametrize(
@@ -98,8 +103,40 @@ def test_c_samplers_draw_what_the_generator_methods_draw(shape, max_trials, seed
     """The joints of `checker._draw_joints`, drawn through the C samplers,
     are those of the Generator methods, and so is the stream after them."""
     trials = data.draw(st.integers(1, max_trials))
-    c = _joint_draws(checker._draw_joints, seed, trials, *shape)
-    assert c == _joint_draws(reference_joints, seed, trials, *shape)
+    c = _drawn(checker._draw_joints, seed, trials, *shape)
+    assert c == _drawn(reference_joints, seed, trials, *shape)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), trials=st.integers(1, 8))
+def test_c_samplers_draw_the_distributions_and_counts_of_the_generator_methods(shape, seed, trials):
+    """The stores of `checker._draw_distributions` and `checker._draw_counts`,
+    drawn through the C samplers, are those of the Generator methods, and so
+    is the stream after each."""
+    assert _sampler.draws(np.random.default_rng(seed)).c
+    max_dims = list(shape) * trials
+    c = _drawn(checker._draw_distributions, seed, max_dims)
+    assert c == _drawn(reference_distributions, seed, max_dims)
+    c = _drawn(checker._draw_counts, seed, trials, *shape)
+    assert c == _drawn(reference_counts, seed, trials, *shape)
+
+
+@pytest.mark.parametrize("c", [True, False], ids=["c-samplers", "methods"])
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_numpy_integer_counts_and_shapes_draw_what_python_ints_draw(monkeypatch, c, shape):
+    """ctypes takes no numpy integer as an argument: the C path must convert them."""
+    if not c:
+        monkeypatch.setattr(_sampler, "c_samplers", lambda: None)
+    assert _sampler.draws(np.random.default_rng(0)).c == c
+    n, (rows, cols) = np.int64(5), np.array(shape, dtype=np.int64)
+    for draw, args, numpy_args in [
+        (checker._draw_joints, (5, *shape), (n, rows, cols)),
+        (checker._draw_distributions, (list(shape) * 5,), ([rows, cols] * n,)),
+        (checker._draw_distributions, (list(shape) * 5,), (np.tile([rows, cols], n),)),
+        (checker._draw_counts, (5, *shape), (n, rows, cols)),
+    ]:
+        assert _drawn(draw, 3, *numpy_args) == _drawn(draw, 3, *args)
 
 
 def test_the_c_samplers_serve_a_pcg64_generator():
@@ -113,13 +150,26 @@ def test_samplers_that_are_missing_or_draw_otherwise_are_not_used(monkeypatch):
 
     def doubled(state, count, address):
         exponential(state, count, address)
-        ctypes.c_double.from_address(address).value *= 2.0
+        ctypes.c_double.from_address(address.value).value *= 2.0
+
+    # samplers that read an argument otherwise than the loop passes it
+    def inclusive(state, low, high, count, masked, out):  # the high end, not the range
+        bounded(state, low, ctypes.c_uint64(max(high.value - low.value, 0)), count, masked, out)
+
+    def masking(state, low, span, count, masked, out):  # masked rejection where not asked
+        bounded(state, low, span, count, ctypes.c_bool(not masked.value), out)
 
     assert _sampler._reproduces((bounded, exponential))
     assert not _sampler._reproduces((bounded, doubled))
     with monkeypatch.context() as patch:
         patch.setattr(_sampler, "_reproduces", lambda fills: False)
         assert _sampler.c_samplers.__wrapped__() is None
+    for wrong in (inclusive, masking):
+        lib = SimpleNamespace(random_bounded_uint64_fill=wrong,
+                              random_standard_exponential_fill=exponential)
+        with monkeypatch.context() as patch:
+            patch.setattr(_sampler.ctypes, "CDLL", lambda path: lib)
+            assert _sampler.c_samplers.__wrapped__() is None
 
     def missing(path):
         raise OSError(path)

@@ -1,6 +1,8 @@
 """The suite's draws as objects, one per trial: `run_suite` reads the
 stores of `checker._draw_suite`; the tests compare trials one by one.  And
-`reference_joints`, the joints that `checker._draw_joints` must draw."""
+`reference_joints`, `reference_distributions` and `reference_counts`, the
+stores that `checker._draw_joints`, `_draw_distributions` and `_draw_counts`
+must draw."""
 
 import itertools
 import math
@@ -59,3 +61,28 @@ def reference_joints(rng, trials: int, max_rows: int, max_cols: int):
             sizes += lengths
             trial_rows.append(rows)
     return np.concatenate(flat), np.array(sizes), trial_rows
+
+
+def reference_distributions(rng, max_dims):
+    """What `checker._draw_distributions` must draw, one distribution at a time
+    through ``rng.integers`` and ``rng.exponential``: each one's cells over
+    their ``np.add.reduce`` sum, then over the exact sum of those."""
+    flat, dims = [], []
+    for max_dim in max_dims:
+        n = int(rng.integers(2, max(max_dim, 2) + 1))
+        cells = rng.exponential(1.0, size=n)
+        scaled = cells / np.add.reduce(cells)
+        flat.append(scaled / math.fsum(scaled.tolist()))
+        dims.append(n)
+    return np.concatenate(flat), dims, [1] * len(dims)
+
+
+def reference_counts(rng, trials: int, max_rows: int, max_cols: int):
+    """What `checker._draw_counts` must draw, one trial at a time through
+    ``rng.integers``: r in [2, max_rows], then r block sizes in [1, max_cols]."""
+    counts, lengths = [], []
+    for _ in range(trials):
+        r = int(rng.integers(2, max_rows + 1))
+        counts += rng.integers(1, max_cols + 1, size=r).tolist()
+        lengths.append(r)
+    return np.array(counts, dtype=np.int64), lengths, [1] * trials
