@@ -41,6 +41,7 @@ above take one path at every size.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import Callable, Sequence
@@ -108,8 +109,8 @@ def _blocked_fsum(blocks: Callable, bounds: np.ndarray) -> list[float]:
     rest = np.zeros(k)  # per run, the sum of |what the levels leave|, rounded
     for b0, (p, keep) in zip(range(0, n, _BLOCK), blocks(0, k)):
         end = min(b0 + _BLOCK, n)
-        first = bounds.searchsorted(b0, "right") - 1  # the block's first and last runs
-        last = bounds.searchsorted(end - 1, "right") - 1
+        first = bisect.bisect_right(bounds, b0) - 1  # the block's first and last runs
+        last = bisect.bisect_right(bounds, end - 1) - 1
         offsets, segs = [0], np.array([first])  # the block's runs with values, their starts
         if first < last:
             starts = bounds[first:last + 2] - b0

@@ -9,15 +9,14 @@ verdicts changed, which checks name a different worst input, and the largest
 
 Usage, from any directory::
 
-    python tools/report_drift.py [--env NAME=VALUE ...] OLD_CHECKOUT NEW_CHECKOUT
+    python tools/report_drift.py OLD_CHECKOUT NEW_CHECKOUT
 
-Each ``--env NAME=VALUE`` (repeatable) sets that variable in both child
-interpreters, so that both checkouts run under the same settings.  For
-example, the drift between two checkouts as a host without numpy's AVX-512
-dispatch sees it (numpy reads the variable at import)::
+Both child interpreters inherit this one's environment, so a variable set
+in front of the command holds for both checkouts.  For example, the drift
+between two checkouts as a host without numpy's AVX-512 dispatch sees it
+(numpy reads the variable at import)::
 
-    python tools/report_drift.py \
-        --env NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4" OLD NEW
+    NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4" python tools/report_drift.py OLD NEW
 
 The exit status is 1 when a report or check verdict changed, 2 on a wrong
 command line, else 0.
@@ -25,7 +24,6 @@ command line, else 0.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -50,12 +48,10 @@ print(json.dumps({label: run_suite(cfg).to_json() for label, cfg in configs.item
 """
 
 
-def reports(checkout: Path, env: dict[str, str] | None = None) -> dict[str, str]:
-    """Every configuration's report JSON, as the checkout's code writes it, with the
-    variables ``env`` set in the child."""
+def reports(checkout: Path) -> dict[str, str]:
+    """Every configuration's report JSON, as the checkout's code writes it."""
     path = os.pathsep.join(str(checkout / part) for part in ("src", "tests"))
-    done = subprocess.run([sys.executable, "-c", _CHILD],
-                          env={**os.environ, **(env or {}), "PYTHONPATH": path},
+    done = subprocess.run([sys.executable, "-c", _CHILD], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -97,24 +93,12 @@ def compare(old: dict[str, str], new: dict[str, str]) -> tuple[list[str], bool]:
     return lines, bool(verdicts)
 
 
-def _setting(text: str) -> tuple[str, str]:
-    """``NAME=VALUE`` as (NAME, VALUE)."""
-    name, sep, value = text.partition("=")
-    if not sep or not name:
-        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
-    return name, value
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("old", type=Path, metavar="OLD_CHECKOUT")
-    parser.add_argument("new", type=Path, metavar="NEW_CHECKOUT")
-    parser.add_argument("--env", type=_setting, action="append", default=[], metavar="NAME=VALUE",
-                        help="set NAME to VALUE in both child interpreters (repeatable)")
-    args = parser.parse_args(argv)
-    env = dict(args.env)
-    old, new = (reports(a.resolve(), env) for a in (args.old, args.new))
+def main() -> int:
+    args = sys.argv[1:]
+    if len(args) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old, new = (reports(Path(a).resolve()) for a in args)
     lines, changed = compare(old, new)
     print("\n".join(lines))
     return 1 if changed else 0
