@@ -72,7 +72,7 @@ def exact_sum(values: np.ndarray) -> float:
     certifies it; otherwise ``math.fsum`` sums the entries (see `_round`).
     An inf, nan or |x| >= 2**961 sends the sum to ``math.fsum``.
     """
-    return _segment_fsum(values, np.array([0, len(values)]))[0]
+    return _segment_fsum(values, [0, len(values)])[0]
 
 
 def _segment_fsum(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
@@ -109,8 +109,7 @@ def _blocked_fsum(blocks: Callable, bounds: np.ndarray) -> list[float]:
     rest = np.zeros(k)  # per run, the sum of |what the levels leave|, rounded
     for b0, (p, keep) in zip(range(0, n, _BLOCK), blocks(0, k)):
         end = min(b0 + _BLOCK, n)
-        first = bisect.bisect_right(bounds, b0) - 1  # the block's first and last runs
-        last = bisect.bisect_right(bounds, end - 1) - 1
+        first, last = bisect.bisect_right(bounds, b0) - 1, bisect.bisect_right(bounds, end - 1) - 1
         offsets, segs = [0], np.array([first])  # the block's runs with values, their starts
         if first < last:
             starts = bounds[first:last + 2] - b0
