@@ -9,11 +9,12 @@ every check plus the fixed counterexample probe, and aggregates residuals
 into a reproducible report: the same configuration always serializes to
 identical bytes.  It evaluates a batch of trials of every check at once:
 one ``span_entropies`` call for all the entropies that they need, one
-``conditional_entropies`` call for all their joints.  It draws each store
-in one sampler loop (``_sampler.Draws.trials``) per chunk of trials, through
-numpy's exported C samplers on the seed's PCG64 stream, or where they are
-missing or differ (``_sampler.c_samplers()`` is None) through the Generator
-methods: the same numbers either way.
+``conditional_entropies`` call for all their joints; its docstring states
+which error a failing check raises.  It draws each store in one sampler
+loop (``_sampler.Draws.trials``) per chunk of trials, through numpy's
+exported C samplers on the seed's PCG64 stream, or where they are missing
+or differ (``_sampler.c_samplers()`` is None) through the Generator methods:
+the same numbers either way.
 
 Verdicts compare the residual relative to 1 + |reference value| against the
 configured tolerance; a check whose absolute residual reaches
@@ -23,7 +24,6 @@ expected outcome for escort families with exponent beta != 1.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -37,12 +37,12 @@ from .distributions import (
     JointDistribution,
     _check_counts,
     _integer,
+    _require,
     group_marginals,
     uniform,
 )
 from .entropies import (
     EntropyFamily,
-    _require,
     conditional_entropies,
     family_name,
     family_params,
@@ -125,14 +125,15 @@ def _trials(inputs, parts: Callable[[Any], tuple[np.ndarray, Sequence[int]]]) ->
     return _Trials(*_joined(pieces), bounds_of([len(lengths) for _, lengths in pieces]))
 
 
-# Each check below takes a batch of inputs and returns the residual of every
-# input and the magnitude of its reference value.  Its steps are a generator
-# that yields ``(runs, joint, dims)``: ``(cells, lengths)`` pieces whose runs
-# need an entropy, ``(joint, groups)`` or None, each group of rows one joint,
-# and the dimensions of uniforms.  It is sent the entropies of each piece's runs,
-# the (whole, marginal, conditional) entropies of each joint and the uniforms'.
-# `_evaluate` runs any list of checks at once; a check is its one-check case
-# (`_check`), and the public functions are its one-input case.
+# Each check below is a generator over a batch of inputs.  It yields
+# ``(runs, joint, dims)``: ``(cells, lengths)`` pieces whose runs need an
+# entropy, ``(joint, groups)`` or None, each group of rows one joint, and the
+# dimensions of uniforms.  It is sent the entropies of each piece's runs, the
+# (whole, marginal, conditional) entropies of each joint and the uniforms',
+# and returns the residual of every input and the magnitude of its reference
+# value.  `_evaluate` runs any list of checks at once; `run_suite` measures
+# its checks through it (`_measure`), and the public functions are its
+# one-input case (`_residual`).
 
 
 def _evaluate(family, steps: Sequence) -> list[tuple[list[float], list[float]]]:
@@ -148,7 +149,7 @@ def _evaluate(family, steps: Sequence) -> list[tuple[list[float], list[float]]]:
     if joints:  # the wholes, then the marginals
         batch, groups = joints[0]
         margs = group_marginals(batch, groups)
-        pieces += [(batch._flat, np.diff(np.asarray(batch._bounds)[groups])),
+        pieces += [(batch._flat, np.diff(batch._bounds[groups])),
                    (margs, np.diff(groups))]
     dims = list(dict.fromkeys(n for _, _, ns in asks for n in ns))
     if dims:  # one uniform is `uniform`'s own, which checks its dimension
@@ -173,16 +174,11 @@ def _evaluate(family, steps: Sequence) -> list[tuple[list[float], list[float]]]:
     return results
 
 
-def _check(steps):
-    """``steps`` as a check: their one-check case of `_evaluate`."""
-    @functools.wraps(steps)
-    def check(family, inputs):
-        return _evaluate(family, [steps(family, inputs)])[0]
-
-    return check
+def _residual(check, family, x) -> float:
+    """The residual of ``check`` on the one input ``x``."""
+    return _evaluate(family, [check(family, [x])])[0][0][0]
 
 
-@_check
 def _strong_additivity(family, joints):
     if isinstance(joints, _Trials) or len(joints) != 1:
         t = _trials(joints, lambda joint: (joint._flat, np.diff(joint._bounds)))
@@ -197,7 +193,7 @@ def _strong_additivity(family, joints):
 def strong_additivity_residual(family: EntropyFamily, joint: JointDistribution) -> float:
     """|H(joint) - H(marginal) (+) H(conditional)| with the family's composition."""
     _require(joint, JointDistribution)
-    return _strong_additivity(family, [joint])[0][0]
+    return _residual(_strong_additivity, family, joint)
 
 
 def counterexample_probe(family: EntropyFamily) -> float:
@@ -206,10 +202,9 @@ def counterexample_probe(family: EntropyFamily) -> float:
     Vanishes (to rounding) exactly for the strongly additive members; stays
     above ~1e-1 for escort exponents beta != 1.
     """
-    return _strong_additivity(family, [PROBE_JOINT])[0][0]
+    return _residual(_strong_additivity, family, PROBE_JOINT)
 
 
-@_check
 def _chain(family, lengths):
     # every product of powers of two is exact, so U_2^{(x)n} is U_{2**n} bit for bit
     _, _, values = yield [], None, [2 ** n for n in lengths] + [2]
@@ -231,10 +226,9 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
         raise DimensionError(
             f"chain length must be in 1..{MAX_CHAIN_LENGTH}, got {n}"
         )
-    return _chain(family, [n])[0][0]
+    return _residual(_chain, family, n)
 
 
-@_check
 def _trace(family, dims):
     _, _, values = yield [], None, dims
     residuals = [abs(v - uniform_trace(family, n)) for v, n in zip(values, dims)]
@@ -246,10 +240,9 @@ def uniform_trace_residual(family: EntropyFamily, n: int) -> float:
     raises :class:`DimensionError` before anything is built."""
     if _integer(n, "uniform dimension") > 2 ** MAX_CHAIN_LENGTH:
         raise DimensionError(f"uniform dimension must be at most 2**{MAX_CHAIN_LENGTH}, got {n}")
-    return _trace(family, [n])[0][0]
+    return _residual(_trace, family, n)
 
 
-@_check
 def _refinement(family, counts_list):
     t = _trials(counts_list, lambda counts: (np.array(counts, dtype=np.intp), [len(counts)]))
     # the refinement joints end to end: joint t has one row of m_i cells of
@@ -274,10 +267,9 @@ def refinement_consistency(family: EntropyFamily, counts: Iterable[int]) -> floa
     counts = _check_counts(counts)
     if (m := sum(map(int, counts))) > 2 ** MAX_CHAIN_LENGTH:
         raise DimensionError(f"refinement must have at most 2**{MAX_CHAIN_LENGTH} cells, got {m}")
-    return _refinement(family, [counts])[0][0]
+    return _residual(_refinement, family, counts)
 
 
-@_check
 def _product(family, pairs):
     t = _trials(pairs, lambda pq: (np.concatenate([d._array for d in pq]), list(map(len, pq))))
     sizes = np.diff(t.bounds)  # p and q of trial t are its runs 2t and 2t + 1
@@ -297,7 +289,7 @@ def product_additivity_residual(
     """Additivity defect on the direct product of two distributions."""
     _require(p, Distribution)
     _require(q, Distribution)
-    return _product(family, [(p, q)])[0][0]
+    return _residual(_product, family, (p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -450,47 +442,24 @@ def _draw_suite(cfg: CheckConfig) -> tuple[_Trials, _Trials, _Trials]:
     return joints, _Trials(dists.flat, dists.bounds, bounds_of([2] * cfg.trials)), counts
 
 
-def _measure(name: str, check, family, inputs: Sequence) -> tuple[list[float], list[float]]:
-    """``check`` over ``inputs``, in batches of up to ``_BATCH_TRIALS``.
-
-    If a batch fails, its inputs are replayed one at a time, so the error
-    raised, like a non-finite residual (:class:`Overflow`), is the first
-    that a trial-by-trial run would meet.
-    """
-    residuals, scales = [], []
-    for start in range(0, len(inputs), _BATCH_TRIALS):
-        batch = inputs[start:start + _BATCH_TRIALS]
-        try:
-            batch_residuals, batch_scales = check(family, batch)
-        except Exception as exc:  # noqa: BLE001 - replayed below, then re-raised
-            if len(batch) == 1:
-                raise
-            failure = exc
-        else:
-            failure = None
-        if failure is not None:
-            for t in range(len(batch)):  # one-trial slices of a store or a list
-                _measure(name, check, family, batch[t:t + 1])
-            raise failure
-        for residual in batch_residuals:
-            if not math.isfinite(residual):
-                raise Overflow(f"{name} residual is not finite: {residual!r}")
-        residuals += batch_residuals
-        scales += batch_scales
-    return residuals, scales
-
-
-def _measure_all(family, checks: Sequence[tuple]) -> list[tuple[list[float], list[float]]]:
-    """`_measure` of every ``(name, check, inputs, describe)``, each batch of all of them
-    in one `_evaluate` pass; it raises on any failure or non-finite residual."""
+def _measure(family, checks: Sequence[tuple]) -> list[tuple[list[float], list[float]]]:
+    """The residuals and scales of every ``(name, check, inputs, describe)``:
+    the one measuring loop of `run_suite`, whose docstring states what it raises."""
     measured = [([], []) for _ in checks]
     for start in range(0, max(len(inputs) for _, _, inputs, _ in checks), _BATCH_TRIALS):
-        outs, steps = zip(*[(out, check.__wrapped__(family, inputs[start:start + _BATCH_TRIALS]))
-                            for out, (_, check, inputs, _) in zip(measured, checks)
-                            if start < len(inputs)])
-        for (residuals, scales), (more, their) in zip(outs, _evaluate(family, steps)):
-            if not all(map(math.isfinite, more)):
-                raise Overflow("a residual is not finite")
+        batch = [(out, name, check, inputs[start:start + _BATCH_TRIALS])
+                 for out, (name, check, inputs, _) in zip(measured, checks) if start < len(inputs)]
+        try:
+            results = _evaluate(family, [check(family, inputs) for _, _, check, inputs in batch])
+        except Exception:  # noqa: BLE001 - a single check's batch is replayed, then re-raised
+            (_, name, check, inputs), *others = batch
+            if not others and len(inputs) > 1:
+                for t in range(len(inputs)):  # one-input slices of a store or a list
+                    _measure(family, [(name, check, inputs[t:t + 1], None)])
+            raise
+        for ((residuals, scales), name, _, _), (more, their) in zip(batch, results):
+            if (bad := next(itertools.filterfalse(math.isfinite, more), None)) is not None:
+                raise Overflow(f"{name} residual is not finite: {bad!r}")
             residuals += more
             scales += their
     return measured
@@ -520,16 +489,22 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
 
     Inputs are drawn from a PCG64 generator in a fixed order (ragged
     joints, then product pairs, then refinement counts), so identical
-    configurations produce byte-identical reports.  The trials then go in
-    batches of up to ``_BATCH_TRIALS``, each batch of every check (the fixed
-    probe, chain and trace with the first) in one pass through the kernels
-    (`_evaluate`), with the same arithmetic per trial as the public residual
-    functions.  Aggregation uses max and arithmetic mean only and is
-    therefore order-independent.  If that pass fails, the checks run again
-    one after another (`_measure`), so that an error, or the :class:`Overflow`
-    of a non-finite residual, names the first check that meets it.  Every
-    trial is held in memory, so a configuration over the ``MAX_SUITE_CELLS``
-    budget raises :class:`ConfigError` before anything is drawn.
+    configurations produce byte-identical reports.  Aggregation uses max and
+    arithmetic mean only and is therefore order-independent.  Every trial is
+    held in memory, so a configuration over the ``MAX_SUITE_CELLS`` budget
+    raises :class:`ConfigError` before anything is drawn.
+
+    One loop (`_measure`) measures the checks, and this is what it raises:
+
+    1. It takes batches of up to ``_BATCH_TRIALS`` trials, each batch of every
+       check (the probe, chain and trace with the first) in one pass through
+       the kernels (`_evaluate`), with the public functions' arithmetic.
+    2. If that run raises, the loop runs again once per check, in order, so
+       that an error, or the :class:`Overflow` of a non-finite residual,
+       names the first check that meets it.
+    3. A one-check batch that raises is replayed one trial at a time: the
+       error is the first that a trial-by-trial run meets, or the batch's own
+       if no trial fails alone.
     """
     per_trial = max(cfg.max_rows * cfg.max_cols, MIN_TRIAL_CELLS)
     cells = cfg.trials * per_trial
@@ -551,9 +526,9 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
         ("uniform_trace", _trace, [2 ** k for k in range(1, 15)], lambda n: {"n": n[0]}),
     ]
     try:
-        measured = _measure_all(family, checks)
+        measured = _measure(family, checks)
     except Exception:  # noqa: BLE001 - the check-by-check run raises the first failure
-        measured = [_measure(name, check, family, inputs) for name, check, inputs, _ in checks]
+        measured = [_measure(family, [check])[0] for check in checks]
     records = [
         _aggregate(name, residuals, scales, inputs, describe, cfg.tolerance)
         for (residuals, scales), (name, _, inputs, describe) in zip(measured, checks)

@@ -4,8 +4,7 @@ Layout
 ------
 A `Distribution` holds one float64 ndarray.  A `JointDistribution` is
 stored CSR-style: one flat float64 array of all cells, row after row, and
-the row bounds as a Python list (a ``range`` for the equal rows of
-`direct_product`), so row k is ``flat[bounds[k]:bounds[k + 1]]``.
+the row bounds as one intp array, so row k is ``flat[bounds[k]:bounds[k + 1]]``.
 No code writes to a stored array after construction, so arrays are shared
 freely: `flatten` re-wraps the joint's flat array and `conditional` divides
 a view of one row into a new array.  The flat arrays of joints are also
@@ -46,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._stable import _BLOCK, escort_weights, exact_sum, segment_sums
+from ._stable import _BLOCK, bounds_of, escort_weights, exact_sum, segment_sums
 from .errors import (
     DimensionError,
     EscortUndefined,
@@ -121,7 +120,7 @@ class JointDistribution:
         rows = [list(row) for row in rows]
         self._flat = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.float64)
         self._flat.setflags(write=False)
-        self._bounds = [0, *itertools.accumulate(len(row) for row in rows)]
+        self._bounds = bounds_of([len(row) for row in rows])
         self._rows = None
         self._sums = None
 
@@ -131,7 +130,7 @@ class JointDistribution:
         self = cls.__new__(cls)
         flat.setflags(write=False)
         self._flat = flat
-        self._bounds = bounds
+        self._bounds = np.asarray(bounds, dtype=np.intp)
         self._rows = None
         self._sums = None
         return self
@@ -146,7 +145,8 @@ class JointDistribution:
     def rows(self) -> tuple[tuple[float, ...], ...]:
         if self._rows is None:
             flat = self._flat.tolist()
-            self._rows = tuple(tuple(flat[i:j]) for i, j in itertools.pairwise(self._bounds))
+            bounds = self._bounds.tolist()
+            self._rows = tuple(tuple(flat[i:j]) for i, j in itertools.pairwise(bounds))
         return self._rows
 
     def __len__(self) -> int:
@@ -154,7 +154,7 @@ class JointDistribution:
 
     @property
     def row_lengths(self) -> tuple[int, ...]:
-        return tuple(j - i for i, j in itertools.pairwise(self._bounds))
+        return tuple(np.diff(self._bounds).tolist())
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -166,6 +166,11 @@ class JointDistribution:
 
     def __repr__(self) -> str:
         return f"JointDistribution(rows={self.rows!r})"
+
+
+def _require(value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {value!r}")
 
 
 def _number(entry, what: str) -> float:
@@ -280,7 +285,7 @@ def make_joint(rows: Sequence[Sequence[float]]) -> JointDistribution:
     if not rows:
         raise DimensionError("a joint distribution needs at least one row")
     lengths = [len(row) for row in rows]
-    bounds = [0, *itertools.accumulate(lengths)]
+    bounds = bounds_of(lengths)
     if 0 in lengths:
         k = lengths.index(0)
         _clipped(rows[:k], bounds[:k + 1], "joint")  # raises for an offender before row k
@@ -310,9 +315,11 @@ def uniform(n: int) -> Distribution:
 
 def direct_product(p: Distribution, q: Distribution) -> JointDistribution:
     """Joint distribution of independent components: r_kl = p_k * q_l."""
+    _require(p, Distribution)
+    _require(q, Distribution)
     m = len(q)
     return JointDistribution._wrap(
-        np.outer(p._array, q._array).ravel(), range(0, len(p) * m + 1, m)
+        np.outer(p._array, q._array).ravel(), np.arange(0, len(p) * m + 1, m, dtype=np.intp)
     )
 
 
@@ -329,6 +336,7 @@ def group_marginals(joint: JointDistribution, groups: Sequence[int]) -> np.ndarr
 
 def marginal(joint: JointDistribution) -> Distribution:
     """Row-sum marginal p_k = sum_l r_kl, returned exactly normalized."""
+    _require(joint, JointDistribution)
     return Distribution._wrap(group_marginals(joint, [0, len(joint)]))
 
 
@@ -338,6 +346,7 @@ def conditional(joint: JointDistribution, k: int) -> Distribution:
     Negative ``k`` counts from the last row.  Raises :class:`ZeroMarginal`
     if row ``k`` has zero mass.
     """
+    _require(joint, JointDistribution)
     bounds = joint._bounds
     i = range(len(bounds) - 1)[k]
     row = joint._flat[bounds[i]:bounds[i + 1]]
@@ -354,6 +363,7 @@ def escort(p: Distribution, alpha: float) -> Distribution:
     transform stays accurate for extreme exponents.  0**alpha := 0 for
     alpha > 0; for alpha <= 0 every entry must be strictly positive.
     """
+    _require(p, Distribution)
     weights = _escort(p._array, [0, len(p)], alpha)
     return p if weights is p._array else Distribution._wrap(weights)
 
@@ -386,13 +396,13 @@ def refinement_joint(counts: Iterable[int]) -> JointDistribution:
     conditional row is uniform, which is the construction that pins the
     entropy of rational distributions to the uniform trace.
     """
-    counts = _check_counts(counts)
-    bounds = [0, *itertools.accumulate(int(c) for c in counts)]
+    bounds = bounds_of(_check_counts(counts))
     return JointDistribution._wrap(np.full(bounds[-1], 1.0 / bounds[-1]), bounds)
 
 
 def flatten(joint: JointDistribution) -> Distribution:
     """Concatenate all rows into one distribution of dimension sum m_k."""
+    _require(joint, JointDistribution)
     return Distribution._wrap(joint._flat)
 
 
@@ -462,9 +472,11 @@ def _write(path: str | Path, fmt: str, key: str, rows: Sequence[Sequence[float]]
 
 def write_distribution(path: str | Path, dist: Distribution, fmt: str = "json") -> None:
     """Write a distribution in the documented JSON or CSV format."""
+    _require(dist, Distribution)
     _write(path, fmt, "p", [dist.probs])
 
 
 def write_joint(path: str | Path, joint: JointDistribution, fmt: str = "json") -> None:
     """Write a joint distribution in the documented JSON or CSV format."""
+    _require(joint, JointDistribution)
     _write(path, fmt, "rows", joint.rows)

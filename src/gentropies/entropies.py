@@ -44,6 +44,7 @@ from .distributions import (
     JointDistribution,
     _escort,
     _integer,
+    _require,
     flatten,
     group_marginals,
 )
@@ -338,11 +339,6 @@ def _require_family(family: EntropyFamily) -> None:
         raise TypeError(f"unknown entropy family {family!r}")
 
 
-def _require(value, kind: type) -> None:
-    if not isinstance(value, kind):
-        raise TypeError(f"expected a {kind.__name__}, got {value!r}")
-
-
 def span_entropies(family: EntropyFamily, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
     """`entropy` of the distribution in each run ``flat[bounds[k]:bounds[k + 1]]``; a kernel's
     ``OverflowError`` is raised as `Overflow`, its ``ValueError`` as `DomainError`."""
@@ -406,7 +402,6 @@ def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> floa
 
 def joint_entropy(family: EntropyFamily, joint: JointDistribution) -> float:
     """Entropy of the flattened joint distribution."""
-    _require(joint, JointDistribution)
     return entropy(family, flatten(joint))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from ._stable import segment_sums
 from .deformed import _exp_coordinate, _log_coordinate
 from .errors import DimensionError, Overflow, ParameterError
-from .distributions import Distribution, _number, _sized
+from .distributions import Distribution, _number, _require, _sized
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,7 @@ def quasi_mean(generator: Generator, weights: Distribution, values: Sequence[flo
     read as `make_distribution` reads entries: a non-number, or a scalar in
     place of the sequence, is a :class:`FormatError`; an iterator is read once.
     """
+    _require(weights, Distribution)
     values = _sized(values, "values")
     if len(weights) != len(values):
         raise DimensionError(f"{len(weights)} weights for {len(values)} values")

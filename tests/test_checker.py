@@ -582,9 +582,10 @@ def test_batched_checks_equal_the_public_functions(family):
         (checker._trace, [1, 3, 256, 2, 1000], lambda n: uniform_trace_residual(family, n)),
     ]
     for check, inputs, public in cases:
-        residuals, scales = check(family, inputs)
+        residuals, scales = checker._evaluate(family, [check(family, inputs)])[0]
         assert residuals == [public(x) for x in inputs], check.__name__
-        assert scales == [check(family, [x])[1][0] for x in inputs], check.__name__
+        one = [checker._evaluate(family, [check(family, [x])])[0] for x in inputs]
+        assert scales == [their[0] for _, their in one], check.__name__
 
 
 @pytest.mark.parametrize("batch_trials", [2, checker._BATCH_TRIALS])
@@ -595,13 +596,15 @@ def test_failed_batch_raises_what_a_trial_by_trial_run_meets_first(monkeypatch, 
     def check(family, inputs):
         if 2 in inputs:
             raise DomainError("input 2")
+        yield [], None, [2]
         return [math.inf if x == 1 else 0.0 for x in inputs], [0.0] * len(inputs)
 
     with pytest.raises(Overflow, match="demo residual is not finite"):
-        checker._measure("demo", check, shannon(), [0, 1, 2, 3])
+        checker._measure(shannon(), [("demo", check, [0, 1, 2, 3], None)])
     with pytest.raises(DomainError, match="input 2"):
-        checker._measure("demo", check, shannon(), [0, 2, 1, 3])
-    assert checker._measure("demo", check, shannon(), [0, 3, 0]) == ([0.0] * 3, [0.0] * 3)
+        checker._measure(shannon(), [("demo", check, [0, 2, 1, 3], None)])
+    zeros = [0.0] * 3
+    assert checker._measure(shannon(), [("demo", check, [0, 3, 0], None)]) == [(zeros, zeros)]
 
 
 def test_batch_error_is_raised_when_no_trial_fails_alone(monkeypatch):
@@ -610,11 +613,12 @@ def test_batch_error_is_raised_when_no_trial_fails_alone(monkeypatch):
     def check(family, inputs):
         if len(inputs) >= 2:
             raise DomainError(f"batch of {len(inputs)}")
+        yield [], None, [2]
         return [0.0], [0.0]
 
     with pytest.raises(DomainError, match="^batch of 3$"):
-        checker._measure("demo", check, shannon(), [0, 1, 2])
-    assert checker._measure("demo", check, shannon(), [0]) == ([0.0], [0.0])
+        checker._measure(shannon(), [("demo", check, [0, 1, 2], None)])
+    assert checker._measure(shannon(), [("demo", check, [0], None)]) == [([0.0], [0.0])]
 
 
 def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
@@ -694,8 +698,19 @@ def test_reports_do_not_depend_on_the_row_sum_bound(monkeypatch):
     assert run_suite(cfg).to_json() == bound
 
 
-# `run_suite` evaluates each batch of every check in one pass (`_measure_all`)
-# and falls back to `_measure`, check by check, when that pass raises.
+# `run_suite` measures every check at once (one `_measure` call) and, when
+# that raises, again one check per `_measure` call.
+_MEASURE = checker._measure
+
+
+def _one_pass(family, checks):
+    """`checker._measure` of every check at once; a one-check call is refused."""
+    return _MEASURE(family, checks) if len(checks) > 1 else _refuse()
+
+
+def _check_by_check(family, checks):
+    """`checker._measure` of one check; a call with every check is refused."""
+    return _MEASURE(family, checks) if len(checks) == 1 else _refuse()
 
 
 @pytest.mark.parametrize("batch_trials", [checker._BATCH_TRIALS, 4])
@@ -704,9 +719,9 @@ def test_one_pass_equals_the_check_by_check_run(monkeypatch, _, family, batch_tr
     monkeypatch.setattr(checker, "_BATCH_TRIALS", batch_trials)
     cfg = CheckConfig(family=family, trials=23, seed=3)
     with monkeypatch.context() as m:
-        m.setattr(checker, "_measure", _refuse)  # the one pass must not fall back
+        m.setattr(checker, "_measure", _one_pass)  # the one pass must not fall back
         fused = run_suite(cfg).to_json()
-    monkeypatch.setattr(checker, "_measure_all", _refuse)
+    monkeypatch.setattr(checker, "_measure", _check_by_check)
     assert run_suite(cfg).to_json() == fused
 
 
@@ -714,7 +729,7 @@ def test_one_pass_raises_what_the_check_by_check_run_raises(monkeypatch):
     cfg = CheckConfig(family=tsallis(20.0), trials=200, seed=1)
     with pytest.raises(SingularElement) as fused:
         run_suite(cfg)
-    monkeypatch.setattr(checker, "_measure_all", _refuse)
+    monkeypatch.setattr(checker, "_measure", _check_by_check)
     with pytest.raises(SingularElement) as alone:
         run_suite(cfg)
     assert str(fused.value) == str(alone.value)
@@ -726,11 +741,10 @@ def test_an_earlier_check_failing_in_a_later_batch_is_raised(monkeypatch):
     monkeypatch.setattr(checker, "_BATCH_TRIALS", 4)
 
     def failing(check, size):
-        @checker._check
         def steps(family, inputs):
             if len(inputs) == size:
                 raise DomainError(f"{check.__name__} of {size}")
-            return (yield from check.__wrapped__(family, inputs))
+            return (yield from check(family, inputs))
 
         return steps
 

@@ -17,6 +17,7 @@ from gentropies import (
     JointDistribution,
     EscortUndefined,
     FormatError,
+    LinearGenerator,
     NegativeMass,
     NotNormalized,
     ZeroMarginal,
@@ -27,6 +28,7 @@ from gentropies import (
     make_distribution,
     make_joint,
     marginal,
+    quasi_mean,
     read_distributions,
     read_joint,
     refinement_joint,
@@ -439,6 +441,27 @@ class TestArrayLayout:
         assert j.rows == PROBE_ROWS and j.rows is j.rows
         assert j.row_lengths == (2, 2) and len(j) == 2
 
+    def test_row_views_are_tuples_of_python_numbers(self, tmp_path):
+        """Every constructor stores intp row bounds and gives its rows and row
+        lengths as tuples of Python floats and ints."""
+        path = tmp_path / "j.json"
+        write_joint(path, make_joint(PROBE_ROWS))
+        wrapped = JointDistribution._wrap(np.array([0.5, 0.25, 0.25]), [0, 1, 3])
+        cases = [
+            (JointDistribution(PROBE_ROWS), PROBE_ROWS),
+            (make_joint(PROBE_ROWS), PROBE_ROWS),
+            (read_joint(path), PROBE_ROWS),
+            (direct_product(uniform(2), uniform(4)), ((0.125,) * 4,) * 2),
+            (refinement_joint([1, 3]), ((0.25,), (0.25,) * 3)),
+            (wrapped, ((0.5,), (0.25, 0.25))),
+        ]
+        for joint, rows in cases:
+            assert joint._bounds.dtype == np.intp
+            assert joint.rows == rows and joint.row_lengths == tuple(map(len, rows))
+            assert type(joint.rows) is tuple and {type(r) for r in joint.rows} == {tuple}
+            assert {type(v) for row in joint.rows for v in row} == {float}
+            assert type(joint.row_lengths) is tuple and {type(n) for n in joint.row_lengths} == {int}
+
     def test_raw_constructors_accept_sequences(self):
         assert JointDistribution([[0.5, 0.0], [0.25, 0.25]]) == make_joint(PROBE_ROWS)
         assert hash(JointDistribution(PROBE_ROWS)) == hash(make_joint(PROBE_ROWS))
@@ -826,3 +849,29 @@ def test_constructors_hold_no_input_sized_temporary():
     cells = x[:bounds[-1]] / x[:bounds[-1]].sum()
     rows = [cells[i:j].tolist() for i, j in itertools.pairwise(bounds)]
     assert _traced_peak(lambda: make_joint(rows)) < 2.25 * cells.nbytes
+
+
+# A value of the wrong type names the expected class, not a private attribute.
+WRONG_TYPE_CALLS = {
+    "escort": (lambda v, path: escort(v, 2.0), "Distribution"),
+    "marginal": (lambda v, path: marginal(v), "JointDistribution"),
+    "conditional": (lambda v, path: conditional(v, 0), "JointDistribution"),
+    "flatten": (lambda v, path: flatten(v), "JointDistribution"),
+    "direct_product-p": (lambda v, path: direct_product(v, uniform(2)), "Distribution"),
+    "direct_product-q": (lambda v, path: direct_product(uniform(2), v), "Distribution"),
+    "write_distribution": (lambda v, path: write_distribution(path, v), "Distribution"),
+    "write_joint": (lambda v, path: write_joint(path, v), "JointDistribution"),
+    "quasi_mean": (lambda v, path: quasi_mean(LinearGenerator(), v, [1.0, 2.0]), "Distribution"),
+}
+
+
+@pytest.mark.parametrize("kind", ["list", "other-type"])
+@pytest.mark.parametrize("call", list(WRONG_TYPE_CALLS))
+def test_a_value_of_the_wrong_type_is_a_type_error(tmp_path, call, kind):
+    fn, expected = WRONG_TYPE_CALLS[call]
+    other = make_joint([[0.5], [0.5]]) if expected == "Distribution" else uniform(2)
+    value = [0.5, 0.5] if kind == "list" else other
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError, match=f"^expected a {expected}, got "):
+        fn(value, path)
+    assert not path.exists()
