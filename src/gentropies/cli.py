@@ -6,14 +6,22 @@ uniform entropy), ``check`` (seeded axiom suite, JSON report), and ``sweep``
 (CSV over one ranged parameter).  Data goes to standard output, warnings
 and errors to standard error.  Exit codes: 0 success, 1 bad input or
 parameters, 2 check verdict mismatch.
+
+`console_main` is the process entry (``python -m gentropies.cli`` and the
+``gentropies`` script): it runs `main`, flushes standard output and error and
+ends with ``os._exit``, skipping interpreter teardown.  So no ``atexit`` hook
+runs after `main` returns, and whatever must reach a file is closed inside
+`main`.  `main(argv)` itself returns the exit code, for in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .distributions import read_distributions, read_joint
 from .entropies import (
@@ -230,5 +238,21 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def console_main() -> NoReturn:
+    """Run `main` and end the process with its code, without teardown.
+
+    A flush that fails (a closed pipe) ends through ``sys.exit`` instead, so
+    the interpreter reports it as it would anyway: exit status 120 and an
+    "Exception ignored" line on standard error.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe, or a closed stream
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -305,12 +305,27 @@ def _integer(value, what: str, error: type[Exception] = DimensionError) -> int:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+#: Most entries of one float64 array: numpy refuses more bytes than an intp holds.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
+
+def _even(n: int, what: str) -> np.ndarray:
+    """n entries of exactly 1/n.  A size that no array, or no free memory, can
+    hold is a :class:`DimensionError` naming it, raised before any entry is set."""
+    if n > _MAX_ENTRIES:
+        raise DimensionError(f"{what} {n} is over the {_MAX_ENTRIES} entries an array holds")
+    try:
+        return np.full(n, 1.0 / n)
+    except MemoryError:
+        raise DimensionError(f"{what} {n} does not fit in memory") from None
+
+
 def uniform(n: int) -> Distribution:
     """The n-dimensional uniform distribution (every entry exactly 1/n)."""
     n = _integer(n, "uniform dimension")
     if n < 1:
         raise DimensionError(f"uniform dimension must be >= 1, got {n}")
-    return Distribution._wrap(np.full(n, 1.0 / n))
+    return Distribution._wrap(_even(n, "uniform dimension"))
 
 
 def direct_product(p: Distribution, q: Distribution) -> JointDistribution:
@@ -396,8 +411,9 @@ def refinement_joint(counts: Iterable[int]) -> JointDistribution:
     conditional row is uniform, which is the construction that pins the
     entropy of rational distributions to the uniform trace.
     """
-    bounds = bounds_of(_check_counts(counts))
-    return JointDistribution._wrap(np.full(bounds[-1], 1.0 / bounds[-1]), bounds)
+    counts = _check_counts(counts)
+    flat = _even(sum(map(int, counts)), "refinement size")
+    return JointDistribution._wrap(flat, bounds_of(counts))
 
 
 def flatten(joint: JointDistribution) -> Distribution:

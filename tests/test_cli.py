@@ -1,6 +1,11 @@
 import argparse
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,7 @@ from gentropies import (
     run_suite,
     tsallis,
 )
+from gentropies import cli
 from gentropies.cli import MAX_SWEEP_POINTS, build_parser, main
 
 
@@ -520,3 +526,104 @@ def test_parser_shape():
         for name, parser in sub.choices.items()
     ]
     assert shape == _PARSER_SHAPE
+
+
+# ---------------------------------------------------------------------------
+# The process contract: ``python -m gentropies.cli`` against main(argv)
+
+ROOT = Path(__file__).resolve().parent.parent
+# PYTHONUNBUFFERED unset: a child's stdout into a pipe is block-buffered, so
+# output lost at exit would show; COLUMNS fixes argparse's usage width on both sides
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+    "COLUMNS": "80",
+}
+# the exit before console_main: the interpreter's own teardown flushes stdout
+SYS_EXIT_MAIN = "import sys; from gentropies.cli import main; sys.exit(main())"
+
+
+def child(argv, stdout=subprocess.PIPE, entry=("-m", "gentropies.cli")):
+    """(exit code, stdout bytes, stderr text) of a child started on ``entry``."""
+    proc = subprocess.run([sys.executable, *entry, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          stdin=subprocess.DEVNULL, env=CHILD_ENV, cwd=ROOT, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+# 10^4 points, 237,777 bytes: far past a pipe's and stdout's buffers
+BIG_SWEEP = ["sweep", "--family", "renyi", "--alpha", "0.001:10:0.001"]
+
+
+class TestProcess:
+    @pytest.mark.parametrize("expected, argv", [
+        (0, ["compute", "--family", "renyi", "--alpha", "2", "{dist}"]),
+        (0, ["compute", "--family", "shannon", "{coin}"]),
+        (0, ["conditional", "--family", "renyi", "--alpha", "0.5", "{probe}"]),
+        (0, ["joint", "--family", "tsallis", "--alpha", "2", "{probe}"]),
+        (0, ["trace", "--family", "shannon", "--n", "1024"]),
+        (0, ["check", "--family", "renyi", "--alpha", "2", "--trials", "20", "--seed", "3"]),
+        (0, ["sweep", "--family", "renyi", "--alpha", "0.5:3:0.25", "{coin}"]),
+        (0, ["sweep", "--family", "renyi", "--alpha=0:2:1", "{dist}"]),  # warns on stderr
+        (0, ["--help"]),
+        (1, ["compute", "--family", "nath", "--alpha", "2", "--lambda", "1", "--tau", "-1",
+             "{dist}"]),
+        (1, ["compute", "--family", "renyi", "--alpha", "two", "{coin}"]),  # usage error
+        (1, []),
+        (2, ["check", "--family", "general", "--alpha", "2", "--tau", "-1", "--lambda", "1",
+             "--trials", "50"]),
+    ], ids=lambda v: " ".join(v[:1]) or "no-command" if isinstance(v, list) else str(v))
+    def test_child_equals_main(self, capsys, monkeypatch, dist_file, coin_file, probe_file,
+                               expected, argv):
+        """Exit code, stdout bytes and stderr text of the process are main(argv)'s."""
+        argv = [a.format(dist=dist_file, coin=coin_file, probe=probe_file) for a in argv]
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *argv)
+        assert code == expected
+        assert child(argv) == (code, out.encode(), err)
+
+    def test_check_output_file(self, capsys, tmp_path):
+        argv = ["check", "--family", "tsallis", "--alpha", "2", "--trials", "30", "--seed", "7",
+                "--output"]
+        code, out, err = run(capsys, *argv, str(tmp_path / "in_process.json"))
+        assert child([*argv, str(tmp_path / "child.json")]) == (code, out.encode(), err)
+        assert (tmp_path / "child.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()
+
+    def test_output_past_the_buffers(self, capsys, dist_file):
+        code, out, err = run(capsys, *BIG_SWEEP, dist_file)
+        assert len(out) > 64 * 1024
+        assert child([*BIG_SWEEP, dist_file]) == (code, out.encode(), err)
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--family", "shannon", "--n", "4"],  # buffered until the exit's flush
+        [*BIG_SWEEP, "{dist}"],  # fails inside main: BrokenPipeError, exit 1
+    ], ids=["trace", "sweep"])
+    def test_closed_pipe_as_before(self, dist_file, argv):
+        """Into a pipe whose read end is closed, the exit status and stderr are
+        those of ``sys.exit(main())``: 120 and "Exception ignored ... BrokenPipeError"
+        when the last flush fails, with no traceback."""
+        argv = [a.format(dist=dist_file) for a in argv]
+        results = []
+        for entry in (("-m", "gentropies.cli"), ("-c", SYS_EXIT_MAIN)):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                results.append(child(argv, stdout=write, entry=entry))
+            finally:
+                os.close(write)
+        assert results[0] == results[1]
+        assert "Traceback" not in results[0][2]
+        if argv[0] == "trace":
+            assert results[0][0] == 120
+            assert "BrokenPipeError" in results[0][2]
+
+    def test_console_script_is_the_main_block(self):
+        """``gentropies`` (the installed script) and ``python -m gentropies.cli``
+        end through the same function."""
+        tomllib = pytest.importorskip("tomllib")
+        target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+        module, _, name = target["gentropies"].partition(":")
+        assert module == "gentropies.cli"
+        tree = ast.parse(Path(cli.__file__).read_text())
+        [block] = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
+        assert callable(getattr(cli, name))

@@ -83,6 +83,20 @@ class TestUniform:
             uniform(2.5)
         assert uniform(np.int64(3)) == uniform(3)
 
+    @pytest.mark.parametrize("n", [2 ** 63, 2 ** 70])
+    def test_dimension_no_array_holds(self, n):
+        """Refused by its size before numpy is asked for the array."""
+        with mock.patch.object(np, "full", side_effect=AssertionError("allocated")):
+            with pytest.raises(DimensionError, match=f"uniform dimension {n} is over"):
+                uniform(n)
+
+    def test_dimension_memory_cannot_hold(self):
+        """A failed allocation is a typed error naming the size (the allocator
+        is patched: the test allocates nothing)."""
+        with mock.patch.object(np, "full", side_effect=MemoryError):
+            with pytest.raises(DimensionError, match=f"uniform dimension {2 ** 40} does not fit"):
+                uniform(2 ** 40)
+
 
 class TestDirectProduct:
     def test_point_mass_column(self):
@@ -228,6 +242,23 @@ class TestRefinementJoint:
         assert (j._flat.tobytes(), list(j._bounds)) == (expected._flat.tobytes(), list(expected._bounds))
         with pytest.raises(DimensionError):
             refinement_joint(np.array([], dtype=int))
+
+    @pytest.mark.parametrize("counts, m", [
+        ([2 ** 63], 2 ** 63),
+        ([2 ** 70], 2 ** 70),
+        ([2 ** 62] * 4, 2 ** 64),  # wraps to 0 in an int64 cumsum
+        ([np.int64(2 ** 62), np.int64(2 ** 62)], 2 ** 63),
+    ])
+    def test_size_no_array_holds(self, counts, m):
+        """The cell count is summed in Python ints and refused before any array is made."""
+        with mock.patch.object(np, "full", side_effect=AssertionError("allocated")):
+            with pytest.raises(DimensionError, match=f"refinement size {m} is over"):
+                refinement_joint(counts)
+
+    def test_size_memory_cannot_hold(self):
+        with mock.patch.object(np, "full", side_effect=MemoryError):
+            with pytest.raises(DimensionError, match=f"refinement size {2 ** 33 + 1} does not fit"):
+                refinement_joint([2 ** 33, 1])
 
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=6))
     def test_flatten_is_uniform_exactly(self, counts):

@@ -3,7 +3,9 @@
 Runs pytest in this process with a ``sys.settrace`` line counter on the
 package's files, then lists every statement inside a function that never
 ran, and every function whose body never ran.  Code that only runs in a
-child interpreter (the CLI tests that start one) is not seen.
+child interpreter (the CLI tests that start one) is not seen: the package's
+``__dir__``, and ``cli.console_main``, which ends its process and so is never
+called in this one, are listed as never run.
 
 Usage, from the repository root::
 
