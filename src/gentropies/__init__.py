@@ -7,54 +7,18 @@ Havrda-Charvat-Tsallis entropy families with their composition laws, and a
 seeded numerical harness that verifies the strong-additivity axioms and
 reproduces the counterexamples that force the escort exponent to 1.
 
-``import gentropies`` loads ``errors``, ``_stable``, ``deformed``,
-``distributions`` and ``entropies``.  The harness (``checker``) and the mean
-generators (``generators``) load on the first access of one of their names,
-which binds all of that module's names here: a CLI process, which pays for
-every module it imports, loads them only for ``check`` or an exponential
-conditional mean.  ``json`` likewise loads only where JSON is read or written.
+``import gentropies`` loads ``errors`` alone.  Every other submodule loads
+on the first access of one of its names (PEP 562), which binds all of that
+module's names here.  `entropies` (families, constructors, `make_family`,
+`uniform_trace`) and `deformed` are plain Python; `_stable`, `distributions`
+and numpy load on the first call that computes on arrays, such as
+`entropy` or `make_distribution`.  So a CLI process, which pays for every
+module it imports, runs ``trace`` without numpy, and loads the harness
+(``checker``) only for ``check`` and the mean generators (``generators``)
+only for an exponential conditional mean.  ``json`` likewise loads only where
+JSON is read or written.
 """
 
-from .deformed import Deformation
-from .distributions import (
-    Distribution,
-    JointDistribution,
-    conditional,
-    direct_product,
-    escort,
-    flatten,
-    make_distribution,
-    make_joint,
-    marginal,
-    read_distributions,
-    read_joint,
-    refinement_joint,
-    uniform,
-    write_distribution,
-    write_joint,
-)
-from .entropies import (
-    HCT,
-    EntropyFamily,
-    GeneralEscort,
-    Nath,
-    Shannon,
-    conditional_entropy,
-    entropy,
-    family_name,
-    family_params,
-    general_escort,
-    havrda_charvat,
-    hct,
-    joint_entropy,
-    make_family,
-    nath,
-    renyi,
-    shannon,
-    strongly_additive_nath,
-    tsallis,
-    uniform_trace,
-)
 from .errors import (
     ConfigError,
     DimensionError,
@@ -140,8 +104,18 @@ __all__ = [
 ]
 
 #: name -> the submodule that defines it, imported on the first access of any
-#: of its names (PEP 562); most CLI commands never run either module
+#: of its names (PEP 562); a submodule's own name maps to it as well
 _LAZY = {
+    **dict.fromkeys(("Deformation", "deformed"), "deformed"),
+    **dict.fromkeys(("Distribution", "JointDistribution", "conditional", "direct_product",
+                     "escort", "flatten", "make_distribution", "make_joint", "marginal",
+                     "read_distributions", "read_joint", "refinement_joint", "uniform",
+                     "write_distribution", "write_joint", "distributions"), "distributions"),
+    **dict.fromkeys(("HCT", "EntropyFamily", "GeneralEscort", "Nath", "Shannon",
+                     "conditional_entropy", "entropy", "family_name", "family_params",
+                     "general_escort", "havrda_charvat", "hct", "joint_entropy", "make_family",
+                     "nath", "renyi", "shannon", "strongly_additive_nath", "tsallis",
+                     "uniform_trace", "entropies"), "entropies"),
     **dict.fromkeys(("PROBE_JOINT", "VIOLATION_THRESHOLD", "CheckConfig", "CheckRecord",
                      "CheckReport", "chain_residual", "counterexample_probe",
                      "product_additivity_residual", "refinement_consistency", "run_suite",

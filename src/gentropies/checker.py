@@ -36,7 +36,6 @@ from .distributions import (
     Distribution,
     JointDistribution,
     _check_counts,
-    _integer,
     _require,
     group_marginals,
     uniform,
@@ -49,7 +48,7 @@ from .entropies import (
     span_entropies,
     uniform_trace,
 )
-from .errors import ConfigError, DimensionError, Overflow
+from .errors import ConfigError, DimensionError, Overflow, _integer
 
 #: absolute residual at which a must-fail check counts as a detected violation.
 VIOLATION_THRESHOLD = 1e-3

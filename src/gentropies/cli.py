@@ -5,7 +5,16 @@ Subcommands: ``compute`` (entropy of distributions from a file),
 uniform entropy), ``check`` (seeded axiom suite, JSON report), and ``sweep``
 (CSV over one ranged parameter).  Data goes to standard output, warnings
 and errors to standard error.  Exit codes: 0 success, 1 bad input or
-parameters, 2 check verdict mismatch.
+parameters, 2 check verdict mismatch, 141 standard output closed early (a
+reader such as ``head`` went away): the command then ends quietly, with
+nothing on standard error, as a filter that SIGPIPE ends would.
+
+A process loads only what its command runs.  ``trace`` and ``--help`` load
+`entropies` and `deformed`, which are plain Python, and no numpy.
+``compute``, ``conditional``, ``joint`` and ``sweep`` add the file readers
+and the kernels, `distributions`, `_stable` and numpy (and ``json`` for a
+JSON file); ``conditional`` with an exponential mean adds `generators`, and
+``check`` loads `checker` with all of these.
 
 `console_main` is the process entry (``python -m gentropies.cli`` and the
 ``gentropies`` script): it runs `main`, flushes standard output and error and
@@ -23,7 +32,6 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .distributions import read_distributions, read_joint
 from .entropies import (
     _FAMILY_TABLE,
     EntropyFamily,
@@ -40,6 +48,10 @@ FAMILY_NAMES = ", ".join(name for name in _FAMILY_TABLE if name != "havrda_charv
 
 #: Most points a sweep range may hold; longer ranges are refused up front.
 MAX_SWEEP_POINTS = 10 ** 6
+
+#: Exit status when standard output is a closed pipe: 128 + SIGPIPE, as a shell reports
+#: a filter that the signal ended.
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,14 +80,23 @@ def _family_from_args(args: argparse.Namespace) -> EntropyFamily:
     return make_family(args.family, *_flags(args).values())
 
 
+def _readers():
+    """The module of the file readers: only the commands that read a file load
+    it, and numpy with it."""
+    from . import distributions
+    return distributions
+
+
 #: value subcommand -> (its help, the help of its input, the values it prints)
 _VALUE_COMMANDS = {
     "compute": ("entropy of each distribution in a file", "distribution file (JSON or CSV)",
-                lambda family, args: (entropy(family, d) for d in read_distributions(args.input))),
+                lambda family, args: (entropy(family, d)
+                                      for d in _readers().read_distributions(args.input))),
     "conditional": ("conditional entropy of a joint file", "joint file (JSON or CSV)",
-                    lambda family, args: [conditional_entropy(family, read_joint(args.input))]),
+                    lambda family, args: [conditional_entropy(family,
+                                                              _readers().read_joint(args.input))]),
     "joint": ("entropy of the flattened joint", "joint file (JSON or CSV)",
-              lambda family, args: [joint_entropy(family, read_joint(args.input))]),
+              lambda family, args: [joint_entropy(family, _readers().read_joint(args.input))]),
     "trace": ("closed-form entropy of the uniform distribution", "dimension",
               lambda family, args: [uniform_trace(family, args.n)]),
 }
@@ -158,7 +179,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ParameterError(f"invalid number for --{k}: {v!r}") from exc
 
-    dists = read_distributions(args.input)
+    dists = _readers().read_distributions(args.input)
     if len(dists) != 1:
         raise FormatError(
             f"sweep expects exactly one distribution, found {len(dists)} in {args.input}"
@@ -186,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Generalized entropies from distribution files, plus a seeded "
             "axiom-verification suite. Data goes to stdout, diagnostics to "
-            "stderr; exit codes: 0 ok, 1 bad input, 2 check verdict mismatch."
+            "stderr; exit codes: 0 ok, 1 bad input, 2 check verdict mismatch, "
+            "141 stdout closed early (broken pipe)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -233,23 +255,37 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        return _broken_pipe()
     except (GentropiesError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 
+def _broken_pipe() -> int:
+    """Point standard output at the null device, so that no later flush meets
+    the closed pipe again, and give `EXIT_BROKEN_PIPE`; nothing goes to stderr."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return EXIT_BROKEN_PIPE
+
+
 def console_main() -> NoReturn:
     """Run `main` and end the process with its code, without teardown.
 
-    A flush that fails (a closed pipe) ends through ``sys.exit`` instead, so
-    the interpreter reports it as it would anyway: exit status 120 and an
-    "Exception ignored" line on standard error.
+    A final flush into a closed pipe ends quietly with `EXIT_BROKEN_PIPE`.
+    Any other failing flush ends through ``sys.exit``, so the interpreter
+    reports it as it would anyway: exit status 120 and an "Exception ignored"
+    line on standard error.
     """
     code = main()
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-    except (OSError, ValueError):  # a closed pipe, or a closed stream
+    except BrokenPipeError:
+        code = _broken_pipe()
+    except (OSError, ValueError):  # another failing stream, or a closed one
         sys.exit(code)
     os._exit(code)
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .errors import DomainError, Overflow, ParameterError, SingularElement
 
@@ -40,7 +39,10 @@ def _exp_coordinate(x, rate: float, scale: float, what: str, shift: float = -0.0
     A finite x whose result leaves the float range raises `Overflow`, on an
     array the first such entry's; an infinite x gives its limit."""
     c = _LN2 * rate
-    if isinstance(x, np.ndarray) and x.ndim:
+    # no array exists before numpy is imported, and this module does not import it
+    if isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ())) and x.ndim:
+        import numpy as np
+
         with np.errstate(over="ignore"), contextlib.suppress(OverflowError):
             grown = np.fromiter(map(math.expm1, ((x + shift) * c).tolist()), np.float64, len(x))
             grown /= scale

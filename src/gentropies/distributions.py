@@ -38,7 +38,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 import struct
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -53,6 +52,7 @@ from .errors import (
     NegativeMass,
     NotNormalized,
     ZeroMarginal,
+    _integer,
 )
 
 #: |sum - 1| must be below this before renormalization.
@@ -295,14 +295,6 @@ def make_joint(rows: Sequence[Sequence[float]]) -> JointDistribution:
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise NotNormalized(f"joint entries sum to {total!r}, not 1")
     return JointDistribution._wrap(flat / total, bounds)
-
-
-def _integer(value, what: str, error: type[Exception] = DimensionError) -> int:
-    """``value`` as a Python int if it is an integer (numpy's too), else ``error``."""
-    try:
-        return int(operator.index(value))
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 #: Most entries of one float64 array: numpy refuses more bytes than an intp holds.

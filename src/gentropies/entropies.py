@@ -27,28 +27,25 @@ the marginal: Shannon and the alpha == 1 / lam == 0 branches use the plain
 weighted average, Nath/GeneralEscort with lam != 0 use the quasi-linear mean
 with exponential generator 2**(lam*x), and HCT always averages linearly
 (its deformation lives in the composition law instead).
+
+Loading this module loads no numpy: the family classes, the constructors,
+`make_family` and `uniform_trace` are plain Python, and the functions that
+compute on arrays import `_stable`, `distributions` and numpy when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Sequence, Union
+from typing import TYPE_CHECKING, Callable, ClassVar, Sequence, Union
 
-import numpy as np
-
-from ._stable import gather, log2_power_sum, plogp_sum, power_sum, segment_sums, weighted_log2_sum
 from .deformed import Deformation
-from .distributions import (
-    Distribution,
-    JointDistribution,
-    _escort,
-    _integer,
-    _require,
-    flatten,
-    group_marginals,
-)
-from .errors import DimensionError, DomainError, Overflow, ParameterError
+from .errors import DimensionError, DomainError, Overflow, ParameterError, _integer
+
+if TYPE_CHECKING:  # for the annotations alone
+    import numpy as np
+
+    from .distributions import Distribution, JointDistribution
 
 #: |alpha - tau*lam - 1| allowed when validating HCT parameters.
 HCT_CONSTRAINT_TOLERANCE = 1e-9
@@ -75,6 +72,7 @@ class _Family:
     composition: ClassVar[Deformation] = Deformation()  # ordinary addition
 
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
+        from ._stable import plogp_sum
         return [self.tau * s for s in plogp_sum(flat, bounds)]
 
     def _trace(self, n: int, log_n: float) -> float:
@@ -129,6 +127,7 @@ class GeneralEscort(_Family):
         return self.lam
 
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
+        from ._stable import log2_power_sum, weighted_log2_sum
         # some run holds an exact zero
         if self.alpha <= 0.0 and not flat[bounds[0]:bounds[-1]].all():
             raise DomainError(
@@ -172,6 +171,7 @@ class Nath(_Family):
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
         if self.alpha == 1.0:
             return super()._formula(flat, bounds)
+        from ._stable import log2_power_sum
         return [s / self.lam for s in log2_power_sum(flat, bounds, self.alpha)]
 
     def _trace(self, n: int, log_n: float) -> float:
@@ -214,6 +214,7 @@ class HCT(_Family):
         return Deformation(self.lam)
 
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
+        from ._stable import power_sum
         return [(s - 1.0) / self.lam for s in power_sum(flat, bounds, self.alpha)]
 
     def _trace(self, n: int, log_n: float) -> float:
@@ -360,6 +361,7 @@ def entropy(family: EntropyFamily, dist: Distribution) -> float:
 
     Raises :class:`Overflow` when the value is past the float range.
     """
+    from .distributions import Distribution, _require
     _require(dist, Distribution)
     return span_entropies(family, dist._array, [0, len(dist)])[0] + 0.0  # -0.0 to 0.0
 
@@ -375,6 +377,10 @@ def conditional_entropies(
     row has weight) and divided by their exact sums at once; one formula
     call then covers them.
     """
+    import numpy as np
+
+    from ._stable import gather, segment_sums
+    from .distributions import _escort
     _require_family(family)
     weights = _escort(margs, groups, family.alpha)
     positive = np.flatnonzero(weights > 0.0)
@@ -395,6 +401,7 @@ def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> floa
 
     Rows with zero marginal carry escort weight exactly 0 and are skipped.
     """
+    from .distributions import JointDistribution, _require, group_marginals
     _require(joint, JointDistribution)
     groups = [0, len(joint)]
     return conditional_entropies(family, joint, groups, group_marginals(joint, groups))[0] + 0.0
@@ -402,6 +409,7 @@ def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> floa
 
 def joint_entropy(family: EntropyFamily, joint: JointDistribution) -> float:
     """Entropy of the flattened joint distribution."""
+    from .distributions import flatten
     return entropy(family, flatten(joint))
 
 

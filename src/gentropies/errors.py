@@ -2,8 +2,12 @@
 
 Every error raised on purpose by this package derives from
 :class:`GentropiesError`, so callers (notably the CLI) can catch one type
-and report the concrete class name.
+and report the concrete class name.  `_integer`, the integer check behind
+dimensions, counts and sizes, lives here too: it needs no numpy, and every
+module imports this one.
 """
+
+import operator
 
 
 class GentropiesError(Exception):
@@ -52,3 +56,11 @@ class ConfigError(GentropiesError):
 
 class FormatError(GentropiesError):
     """Unparseable distribution or joint file."""
+
+
+def _integer(value, what: str, error: type[Exception] = DimensionError) -> int:
+    """``value`` as a Python int if it is an integer (numpy's too), else ``error``."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._stable import segment_sums
-from .deformed import _exp_coordinate, _log_coordinate
+from .deformed import _LN2, _exp_coordinate, _log_coordinate
 from .errors import DimensionError, Overflow, ParameterError
 from .distributions import Distribution, _number, _require, _sized
 
@@ -47,6 +47,11 @@ class LinearGenerator:
     def invert_mean(self, acc: float, weights: np.ndarray, values: np.ndarray) -> float:
         """g^{-1}(acc), where acc = sum w g(v) over the ``weights`` and ``values``."""
         return self.invert(acc)
+
+    def _invert_means(self, acc: list[float], weights: np.ndarray, values: np.ndarray,
+                      starts: Sequence[int]) -> list[float]:
+        """`invert_mean` of every run's accumulator at once, with the bits of `invert`."""
+        return (-np.array(acc) / self.c - self.shift).tolist()
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,25 @@ class ExponentialGenerator:
         total = math.fsum([w * 2.0 ** (e - top) for w, e in zip(weights.tolist(), exponents)])
         return (top + math.log2(total)) / self.kappa - self.shift
 
+    def _invert_means(self, acc: list[float], weights: np.ndarray, values: np.ndarray,
+                      starts: Sequence[int]) -> list[float]:
+        """`invert_mean` of every run's accumulator at once, with its bits.
+
+        t = gamma*acc and the arithmetic around log1p are numpy's correctly
+        rounded operations, and log1p is libm's in one C-level map, as in
+        `invert`.  Only a run whose t is not finite or has 1 + t <= 0 goes
+        through `invert_mean` itself.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = self.gamma * np.array(acc)
+            usable = np.isfinite(t) & (1.0 + t > 0.0)
+        logs = np.fromiter(map(math.log1p, np.where(usable, t, 0.0).tolist()), np.float64, len(t))
+        means = (logs / (_LN2 * self.kappa) - self.shift).tolist()
+        for k in np.flatnonzero(~usable).tolist():
+            i, j = starts[k], starts[k + 1]
+            means[k] = self.invert_mean(acc[k], weights[i:j], values[i:j])
+        return means
+
 
 Generator = Union[LinearGenerator, ExponentialGenerator]
 
@@ -116,13 +140,12 @@ def weighted_means(
     """g^{-1}(sum w g(v)) over each run of terms ``starts[t]`` to ``starts[t + 1] - 1``
     of the positive ``weights`` and their ``values``.
 
-    g is evaluated on all values at once, and every run's accumulator is
-    one exact sum (see `segment_sums`); a sum past the float range raises
-    :class:`Overflow`.
+    g is evaluated on all values at once, every run's accumulator is one
+    exact sum (see `segment_sums`), and g^{-1} is taken of all accumulators
+    at once; a sum past the float range raises :class:`Overflow`.
     """
     try:
         acc = segment_sums(weights * generator.evaluate(values), starts)
     except OverflowError as exc:
         raise Overflow("weighted sum of generator values overflowed") from exc
-    return [generator.invert_mean(a, weights[i:j], values[i:j])
-            for a, i, j in zip(acc, starts, starts[1:])]
+    return generator._invert_means(acc, weights, values, starts)

@@ -538,14 +538,13 @@ CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {
     "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
     "COLUMNS": "80",
 }
-# the exit before console_main: the interpreter's own teardown flushes stdout
-SYS_EXIT_MAIN = "import sys; from gentropies.cli import main; sys.exit(main())"
 
 
-def child(argv, stdout=subprocess.PIPE, entry=("-m", "gentropies.cli")):
-    """(exit code, stdout bytes, stderr text) of a child started on ``entry``."""
-    proc = subprocess.run([sys.executable, *entry, *argv], stdout=stdout, stderr=subprocess.PIPE,
-                          stdin=subprocess.DEVNULL, env=CHILD_ENV, cwd=ROOT, timeout=120)
+def child(argv, stdout=subprocess.PIPE):
+    """(exit code, stdout bytes, stderr text) of a ``python -m gentropies.cli`` child."""
+    proc = subprocess.run([sys.executable, "-m", "gentropies.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, stdin=subprocess.DEVNULL, env=CHILD_ENV,
+                          cwd=ROOT, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr.decode()
 
 
@@ -592,28 +591,40 @@ class TestProcess:
         assert len(out) > 64 * 1024
         assert child([*BIG_SWEEP, dist_file]) == (code, out.encode(), err)
 
-    @pytest.mark.parametrize("argv", [
-        ["trace", "--family", "shannon", "--n", "4"],  # buffered until the exit's flush
-        [*BIG_SWEEP, "{dist}"],  # fails inside main: BrokenPipeError, exit 1
-    ], ids=["trace", "sweep"])
-    def test_closed_pipe_as_before(self, dist_file, argv):
-        """Into a pipe whose read end is closed, the exit status and stderr are
-        those of ``sys.exit(main())``: 120 and "Exception ignored ... BrokenPipeError"
-        when the last flush fails, with no traceback."""
-        argv = [a.format(dist=dist_file) for a in argv]
-        results = []
-        for entry in (("-m", "gentropies.cli"), ("-c", SYS_EXIT_MAIN)):
-            read, write = os.pipe()
-            os.close(read)
-            try:
-                results.append(child(argv, stdout=write, entry=entry))
-            finally:
-                os.close(write)
-        assert results[0] == results[1]
-        assert "Traceback" not in results[0][2]
-        if argv[0] == "trace":
-            assert results[0][0] == 120
-            assert "BrokenPipeError" in results[0][2]
+    def test_closed_pipe_at_the_last_flush(self):
+        """Output buffered until the exit's flush, into a pipe whose read end is
+        closed: status 141 (128 + SIGPIPE) and nothing on stderr."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            assert child(["trace", "--family", "shannon", "--n", "4"], stdout=write) == (
+                141, None, "")
+        finally:
+            os.close(write)
+
+    def test_pipe_closed_after_one_line(self, dist_file):
+        """``gentropies sweep ... | head -1``: the reader goes away after a line,
+        a write inside main fails, and the process ends as above."""
+        proc = subprocess.Popen([sys.executable, "-m", "gentropies.cli", *BIG_SWEEP, dist_file],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                stdin=subprocess.DEVNULL, env=CHILD_ENV, cwd=ROOT)
+        assert proc.stdout.readline() == b"param,entropy\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (141, b"")
+
+    def test_closed_pipe_in_process(self, capsys, monkeypatch, dist_file):
+        """main returns 141 and points the closed stdout at the null device, so
+        that the caller's later flush succeeds."""
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main([*BIG_SWEEP, dist_file]) == cli.EXIT_BROKEN_PIPE == 141
+            stream.write("more\n")
+            stream.flush()  # into the null device now
+        assert capsys.readouterr().err == ""
 
     def test_console_script_is_the_main_block(self):
         """``gentropies`` (the installed script) and ``python -m gentropies.cli``

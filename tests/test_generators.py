@@ -233,6 +233,26 @@ def test_weighted_mean_equals_the_per_term_reference(generator, terms):
         libm.weighted_mean, generator, terms)
 
 
+@pytest.mark.parametrize("generator", [
+    ExponentialGenerator(kappa=-1.0),
+    ExponentialGenerator(kappa=2.5, gamma=-4.0, shift=0.5),
+    LinearGenerator(c=-3.0, shift=1.5),
+], ids=repr)
+def test_all_runs_invert_as_each_alone(generator):
+    """`_invert_means`, which inverts all of `weighted_means`' runs at once,
+    gives each run the bits of its own `invert_mean`, also where
+    gamma*acc + 1 <= 0, where gamma*acc leaves the float range and where acc
+    is not finite."""
+    acc = [0.25, -0.5, -1.0, -2.0, 1e-300, 1e308, -1e308, math.inf, -math.inf, math.nan, -0.0]
+    weights = np.full(2 * len(acc), 0.5)
+    values = np.linspace(-3.0, 3.0, 2 * len(acc))
+    starts = list(range(0, len(values) + 1, 2))
+    alone = [generator.invert_mean(a, weights[i:j], values[i:j])
+             for a, i, j in zip(acc, starts, starts[1:])]
+    together = generator._invert_means(acc, weights, values, starts)
+    assert [m.hex() for m in together] == [m.hex() for m in alone]
+
+
 # A seeded grid over the lambda-exponential coordinate (2**(r*x) - 1)/s and
 # its inverse, as every caller reaches it.  Each outcome is the float hex of
 # the result or the name of the error, and each caller's outcomes are pinned

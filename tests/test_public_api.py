@@ -99,6 +99,36 @@ assert gentropies.checker is sys.modules["gentropies.checker"]
 assert gentropies.generators is sys.modules["gentropies.generators"]
 assert gentropies.run_suite is gentropies.checker.run_suite
 """,
+    "trace-and-help-load-no-numpy": """
+import contextlib, io, sys
+import gentropies
+NUMERIC = ("numpy", "gentropies._stable")
+assert [m for m in sys.modules if m.startswith("gentropies.")] == ["gentropies.errors"]
+assert not [m for m in NUMERIC if m in sys.modules]
+import gentropies.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert gentropies.cli.main(["trace", "--family", "renyi", "--alpha", "2", "--n", "8"]) == 0
+    assert gentropies.cli.main(["--help"]) == 0
+assert out.getvalue().startswith("3\\n"), out.getvalue()
+assert gentropies.uniform_trace(gentropies.make_family("tsallis", 2.0), 4) == 0.75
+assert gentropies.Deformation(1.0).h(1.0) == 1.0
+loaded = [m for m in NUMERIC if m in sys.modules]
+assert not loaded, loaded
+""",
+    "entropy-loads-numpy": """
+import sys
+import gentropies
+family = gentropies.shannon()
+assert "numpy" not in sys.modules and "gentropies._stable" not in sys.modules
+try:
+    gentropies.entropy(family, None)
+except TypeError:  # not a Distribution: refused after the load
+    pass
+else:
+    raise AssertionError("no TypeError")
+assert "numpy" in sys.modules and "gentropies._stable" in sys.modules
+assert gentropies.entropy(family, gentropies.uniform(4)) == 2.0
+""",
     "unknown-name-raises": """
 import gentropies
 try:
@@ -113,8 +143,9 @@ else:
 
 @pytest.mark.parametrize("case", sorted(FRESH))
 def test_lazy_names_in_a_fresh_interpreter(case):
-    """`checker` and `generators` load on the first access of one of their
-    names; every public name still resolves as before."""
+    """Every submodule but `errors` loads on the first access of one of its
+    names, and numpy on the first call that computes on arrays; every public
+    name still resolves as before."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", FRESH[case]], env=env, capture_output=True,
