@@ -16,22 +16,18 @@ Runs are described one way throughout: by ``bounds``, run k being
 `bounds_of` makes bounds from run lengths, and `gather` puts selected runs
 end to end (a view when they are adjacent) with their new bounds.  The power,
 log and escort kernels and `segment_sums` are span kernels: they take one
-flat array plus ``bounds`` and return one result per run (`escort_weights`
-returns one array, normalized within each run).  A single distribution is the
-run ``[0, n]``; a joint's rows, or every trial of the axiom suite, are runs
-of one array, cut by the bounds that the joint or the suite's store already
-holds.  A kernel takes all of its runs at once, whatever their lengths, in
-one arithmetic: per-run maxima from ``np.maximum.reduceat`` (exact); numpy's
-log2, exp2 and power and its basic operations (``alpha * t``, ``t - m``,
-``w / total``), which act on each entry alone, so every run gets the bits it
-would get alone; and one blocked exact sum.  The power, p log p and weighted
-log sums stream their terms into that sum a block of at most ``_BLOCK``
-entries at a time (`_streamed`), so no temporary is input-sized; the
-max-factored sums and the escort need each run's maximum before any term,
-and hold the logs of the positive entries whole (one array); they subtract
-the maxima (and divide by the escort's sums) a block at a time (`_per_run`).
-The kernels keep their own numpy error state, so the caller's does not
-change a result (see `_span_map`).
+flat array plus ``bounds`` and return one float64 array, one entry per run
+(`escort_weights` returns the weights, normalized within each run).  The
+layers above keep per-run results in that format; a value becomes a Python
+float only at a public scalar return or in the axiom suite's per-trial
+arithmetic.  A kernel takes all of its runs at once, whatever their lengths:
+per-run maxima from ``np.maximum.reduceat`` (exact), numpy's log2, exp2 and
+power and its basic operations, which act on each entry alone, libm's log2
+per run in one C-level map, and one blocked exact sum, so every run gets the
+bits it would get alone.  No temporary is input-sized but the logs that the
+max-factored kernels hold (see `_streamed` and `_per_run`).  The kernels
+keep their own numpy error state, so the caller's does not change a result
+(see `_span_map`).
 
 ``_FSUM_MAX`` is the library's only size switch: runs of at most that many
 entries in all, in one block, are summed by one ``math.fsum`` each, which
@@ -72,10 +68,10 @@ def exact_sum(values: np.ndarray) -> float:
     certifies it; otherwise ``math.fsum`` sums the entries (see `_round`).
     An inf, nan or |x| >= 2**961 sends the sum to ``math.fsum``.
     """
-    return _segment_fsum(values, [0, len(values)])[0]
+    return float(_segment_fsum(values, [0, len(values)])[0])
 
 
-def _segment_fsum(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
+def _segment_fsum(values: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     """``math.fsum`` of each run ``values[bounds[k]:bounds[k + 1]]``, bit for bit:
     `exact_sum` of all runs at once, fed to `_blocked_fsum` a slice at a time."""
     bounds = np.asarray(bounds, dtype=np.intp)
@@ -88,7 +84,7 @@ def _segment_fsum(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
     return _blocked_fsum(blocks, bounds)
 
 
-def _blocked_fsum(blocks: Callable, bounds: np.ndarray) -> list[float]:
+def _blocked_fsum(blocks: Callable, bounds: np.ndarray) -> np.ndarray:
     """``math.fsum`` of the values that each run keeps, bit for bit; run k is at positions
     ``bounds[k]`` to ``bounds[k + 1]``.  ``blocks(i, j)`` yields, for each ``_BLOCK``
     positions of runs i to j - 1 from ``bounds[i]``, the values that they keep and the mask
@@ -101,7 +97,7 @@ def _blocked_fsum(blocks: Callable, bounds: np.ndarray) -> list[float]:
             values = p.tolist()
             if keep is not None:  # where each run's kept values start in the list
                 ends = np.concatenate(([0], keep.cumsum()))[bounds].tolist()
-        return [math.fsum(values[i:j]) for i, j in itertools.pairwise(ends)]
+        return np.array([math.fsum(values[i:j]) for i, j in itertools.pairwise(ends)])
     size = min(n, _BLOCK) or 1
     m = max(size - 1, 1).bit_length()  # size <= 2**m
     q, r = np.empty(size), None  # the rest after each level; a later level's q
@@ -125,7 +121,7 @@ def _blocked_fsum(blocks: Callable, bounds: np.ndarray) -> list[float]:
         lo, hi = p.min(), p.max()
         top = max(hi, -lo)
         if not top < 2.0 ** 961:
-            return [_fsum(blocks, i, i + 1) for i in range(k)]
+            return np.array([_fsum(blocks, i, i + 1) for i in range(k)])
         src, e = p, math.frexp(top)[1]  # max|src| <= 2**e
         least = lo if lo > 0.0 else -hi if hi < 0.0 else 0.0  # the least nonzero |p|
         if not least and top:  # zeros or both signs: zeros wrap to the top of the minimum
@@ -154,7 +150,7 @@ def _blocked_fsum(blocks: Callable, bounds: np.ndarray) -> list[float]:
     return _round(pending, rest, blocks)
 
 
-def _round(pending: list, rest: np.ndarray, blocks: Callable) -> list[float]:
+def _round(pending: list, rest: np.ndarray, blocks: Callable) -> np.ndarray:
     """Every run's sum, in one call after the last block, from the exact pieces that
     ``pending`` holds per block (its runs, one array per level).  A run inside one
     block with no ``rest`` is rounded in numpy: its pieces are added smallest first,
@@ -190,7 +186,7 @@ def _round(pending: list, rest: np.ndarray, blocks: Callable) -> list[float]:
                 # the 2**-20 covers the roundings of d and of the bound
                 if not (abs(math.fsum(column + [-h])) + rest[run]) * (1.0 + 2.0 ** -20) < margin:
                     out[run] = _fsum(blocks, run, run + 1)
-    return out.tolist()
+    return out
 
 
 def _fsum(blocks: Callable, i: int, j: int) -> float:
@@ -233,7 +229,7 @@ def _cells(x: np.ndarray, bounds: np.ndarray):
     return np.log2(x, out=x), pos, bounds_of(positives)
 
 
-def _streamed(fn: Callable, bounds: np.ndarray, *cells: np.ndarray) -> list[float]:
+def _streamed(fn: Callable, bounds: np.ndarray, *cells: np.ndarray) -> np.ndarray:
     """Per run of ``cells`` between ``bounds``, the exact sum of ``fn(x, *w, out=buf)`` over
     the positive x of ``cells[0]`` (and their w in the other ``cells``), with no input-sized
     temporary: a block of at most ``_BLOCK`` entries at a time, fed to `_blocked_fsum`."""
@@ -243,8 +239,9 @@ def _streamed(fn: Callable, bounds: np.ndarray, *cells: np.ndarray) -> list[floa
         stop = int(bounds[j])
         for b0 in range(int(bounds[i]), stop, _BLOCK):
             xs = [a[b0:min(b0 + _BLOCK, stop)] for a in cells]
-            keep = xs[0] > 0.0
-            if not keep.all():  # a boolean index compresses 5x faster than np.compress
+            if np.count_nonzero(keep := xs[0] > 0.0) == len(keep):
+                keep = None  # all kept: no mask
+            else:  # a boolean index compresses 5x faster than np.compress
                 xs = [a[keep] for a in xs]
             yield fn(*xs, out=buf[:len(xs[0])]), keep
 
@@ -272,7 +269,7 @@ def _scaled_powers(logs: np.ndarray, bounds: np.ndarray, alpha: float, keep=Fals
     """Per run between ``bounds`` the largest t = alpha * log2(x), m, and every
     2**(t - m), from the ``logs`` of the positive x (overwritten unless ``keep``).
     Every run needs a positive entry."""
-    if not (bounds[1:] > bounds[:-1]).all():
+    if np.count_nonzero(bounds[1:] <= bounds[:-1]):
         raise ValueError("every run needs a positive entry")
     t = np.multiply(logs, alpha, out=None if keep else logs)
     m = np.maximum.reduceat(t, bounds[:-1])
@@ -285,11 +282,12 @@ def _escort(logs: np.ndarray, bounds: np.ndarray, alpha: float, keep=False):
     (see `_scaled_powers`), and the sum that normalized each run."""
     w = _scaled_powers(logs, bounds, alpha, keep)[1]
     totals = _segment_fsum(w, bounds)
-    _per_run(np.divide, w, np.array(totals), bounds)
+    _per_run(np.divide, w, totals, bounds)
     return w, totals
 
 
-def _span_map(bounds: Sequence[int], group: Callable) -> list:
+@np.errstate(all="ignore")  # as a decorator it costs half of a with statement
+def _span_map(bounds: Sequence[int], group: Callable) -> np.ndarray:
     """One result per run between consecutive ``bounds``, in order: ``group(window,
     bounds)`` maps the runs in the slice ``window`` of the input, cut at their bounds
     rebased to 0, to their results.  numpy's error state is the kernels' own, whatever
@@ -300,25 +298,25 @@ def _span_map(bounds: Sequence[int], group: Callable) -> list:
     """
     bounds = np.asarray(bounds, dtype=np.intp)
     if len(bounds) < 2:
-        return []
-    with np.errstate(all="ignore"):
-        try:
-            return group(slice(int(bounds[0]), int(bounds[-1])), bounds - bounds[0])
-        except (OverflowError, ValueError):
-            if len(bounds) > 2:
-                for k in range(len(bounds) - 1):
-                    group(slice(int(bounds[k]), int(bounds[k + 1])), bounds[k:k + 2] - bounds[k])
-            raise
+        return np.zeros(0)
+    try:
+        lo = int(bounds[0])
+        return group(slice(lo, int(bounds[-1])), bounds - lo if lo else bounds)
+    except (OverflowError, ValueError):
+        if len(bounds) > 2:
+            for k in range(len(bounds) - 1):
+                group(slice(int(bounds[k]), int(bounds[k + 1])), bounds[k:k + 2] - bounds[k])
+        raise
 
 
-def segment_sums(values: np.ndarray, bounds: Sequence[int]) -> list[float]:
+def segment_sums(values: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     """Exact sums of ``values[bounds[k]:bounds[k + 1]]`` for every k."""
     return _span_map(bounds, lambda window, bounds: _segment_fsum(values[window], bounds))
 
 
 def log2_power_sum(
     flat: np.ndarray, bounds: Sequence[int], alpha: float, minus: float | None = None
-) -> list[float]:
+) -> np.ndarray:
     """Per run, log2 of sum_k p_k**alpha over its positive entries, less
     the same for exponent ``minus`` if given (from one log2 per entry).
 
@@ -333,13 +331,13 @@ def log2_power_sum(
         for k, a in enumerate(exponents):  # the last one may overwrite the logs
             m, terms = _scaled_powers(logs, bounds, a, keep=k < len(exponents) - 1)
             sums = _segment_fsum(terms, bounds)
-            values.append([b + math.log2(s) for b, s in zip(m.tolist(), sums)])
-        return values[0] if minus is None else [a - b for a, b in zip(*values)]
+            values.append(m + np.fromiter(map(math.log2, sums.tolist()), np.float64, len(sums)))
+        return values[0] if minus is None else values[0] - values[1]
 
     return _span_map(bounds, group)
 
 
-def power_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> list[float]:
+def power_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarray:
     """Per run, sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0);
     a term or a sum past the float range raises `Overflow`."""
     try:
@@ -347,19 +345,19 @@ def power_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> list[flo
             lambda x, out: np.power(x, alpha, out=out), bounds, flat[window]))
     except OverflowError as exc:
         raise Overflow(f"power sum with exponent {alpha!r} overflowed") from exc
-    if math.inf in sums:
+    if np.count_nonzero(np.isinf(sums)):
         raise Overflow(f"power sum with exponent {alpha!r} overflowed")
     return sums
 
 
-def plogp_sum(flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
+def plogp_sum(flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     """Per run, sum_k p_k * log2(p_k) over positive entries (0*log 0 := 0)."""
     return weighted_log2_sum(None, flat, bounds)
 
 
 def weighted_log2_sum(
     weights: np.ndarray | None, flat: np.ndarray, bounds: Sequence[int], alpha: float = 1.0
-) -> list[float]:
+) -> np.ndarray:
     """Per run, sum_k w_k * log2(p_k) over the positive entries p_k of ``flat``.
 
     Without ``weights``, w is each run's `escort_weights` of ``alpha`` (p

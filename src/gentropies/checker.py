@@ -154,14 +154,14 @@ def _evaluate(family, steps: Sequence) -> list[tuple[list[float], list[float]]]:
     if dims:  # one uniform is `uniform`'s own, which checks its dimension
         cells = np.repeat(1.0 / np.array(dims), dims) if len(dims) > 1 else uniform(dims[0])._array
         pieces.append((cells, dims))
-    values = iter(span_entropies(family, *_joined(pieces)))
+    values = iter(span_entropies(family, *_joined(pieces)).tolist())
     own = [[list(itertools.islice(values, len(lengths))) for _, lengths in runs]
            for runs, _, _ in asks]
     triples = iter(())
     if joints:
         k = len(groups) - 1
-        wholes, marginals = list(itertools.islice(values, k)), list(itertools.islice(values, k))
-        triples = zip(wholes, marginals, conditional_entropies(family, batch, groups, margs))
+        triples = zip(list(itertools.islice(values, k)), list(itertools.islice(values, k)),
+                      conditional_entropies(family, batch, groups, margs).tolist())
     uniforms = dict(zip(dims, values))
     results = []
     for step, mine, (_, joint, ns) in zip(steps, own, asks):

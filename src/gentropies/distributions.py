@@ -138,7 +138,7 @@ class JointDistribution:
     def _row_sums(self) -> np.ndarray:
         """The exact sum of every row, computed on first use and cached."""
         if self._sums is None:
-            self._sums = np.array(segment_sums(self._flat, self._bounds))
+            self._sums = segment_sums(self._flat, self._bounds)
         return self._sums
 
     @property

@@ -61,19 +61,20 @@ class _Family:
     """A family's laws, Shannon's unless a family overrides them.
 
     Report ``name``, entropy ``_formula`` of each run between consecutive
-    bounds of a flat array of distributions (one value per run), uniform
-    ``_trace`` from log2 n, escort exponent ``alpha`` and exponential-mean
-    ``mean_kappa`` (0: linear mean) of the conditional entropy, and the
-    ``composition`` of a marginal's entropy with the conditional one.
+    bounds of a flat array of distributions (one float64 array, an entry per
+    run, from one array expression over a kernel's), uniform ``_trace`` from
+    log2 n, escort exponent ``alpha`` and exponential-mean ``mean_kappa`` (0:
+    linear mean) of the conditional entropy, and the ``composition`` of a
+    marginal's entropy with the conditional one.
     """
 
     name: ClassVar[str]
     mean_kappa: ClassVar[float] = 0.0
     composition: ClassVar[Deformation] = Deformation()  # ordinary addition
 
-    def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
-        from ._stable import plogp_sum
-        return [self.tau * s for s in plogp_sum(flat, bounds)]
+    def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+        from . import _stable
+        return self.tau * _stable.plogp_sum(flat, bounds)
 
     def _trace(self, n: int, log_n: float) -> float:
         return -self.tau * log_n
@@ -126,16 +127,16 @@ class GeneralEscort(_Family):
     def mean_kappa(self) -> float:
         return self.lam
 
-    def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
-        from ._stable import log2_power_sum, weighted_log2_sum
+    def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+        from . import _stable
         # some run holds an exact zero
         if self.alpha <= 0.0 and not flat[bounds[0]:bounds[-1]].all():
             raise DomainError(
                 f"zero probability with non-positive exponent alpha={self.alpha!r}"
             )
         if self.lam == 0.0:
-            return [self.tau * s for s in weighted_log2_sum(None, flat, bounds, self.alpha)]
-        return [-d / self.lam for d in log2_power_sum(flat, bounds, self.beta, self.alpha)]
+            return self.tau * _stable.weighted_log2_sum(None, flat, bounds, self.alpha)
+        return -_stable.log2_power_sum(flat, bounds, self.beta, self.alpha) / self.lam
 
 
 @dataclass(frozen=True)
@@ -168,11 +169,11 @@ class Nath(_Family):
     def mean_kappa(self) -> float:
         return 0.0 if self.alpha == 1.0 else self.lam
 
-    def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
+    def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
         if self.alpha == 1.0:
             return super()._formula(flat, bounds)
-        from ._stable import log2_power_sum
-        return [s / self.lam for s in log2_power_sum(flat, bounds, self.alpha)]
+        from . import _stable
+        return _stable.log2_power_sum(flat, bounds, self.alpha) / self.lam
 
     def _trace(self, n: int, log_n: float) -> float:
         if self.alpha == 1.0:
@@ -213,9 +214,9 @@ class HCT(_Family):
     def composition(self) -> Deformation:
         return Deformation(self.lam)
 
-    def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
-        from ._stable import power_sum
-        return [(s - 1.0) / self.lam for s in power_sum(flat, bounds, self.alpha)]
+    def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+        from . import _stable
+        return (_stable.power_sum(flat, bounds, self.alpha) - 1.0) / self.lam
 
     def _trace(self, n: int, log_n: float) -> float:
         try:
@@ -340,19 +341,21 @@ def _require_family(family: EntropyFamily) -> None:
         raise TypeError(f"unknown entropy family {family!r}")
 
 
-def span_entropies(family: EntropyFamily, flat: np.ndarray, bounds: Sequence[int]) -> list[float]:
-    """`entropy` of the distribution in each run ``flat[bounds[k]:bounds[k + 1]]``; a kernel's
-    ``OverflowError`` is raised as `Overflow`, its ``ValueError`` as `DomainError`."""
+def span_entropies(family: EntropyFamily, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+    """`entropy` of the distribution in each run ``flat[bounds[k]:bounds[k + 1]]``, in one
+    float64 array; a kernel's ``OverflowError`` is `Overflow`, its ``ValueError`` `DomainError`."""
+    import numpy as np
     _require_family(family)
     try:
-        values = family._formula(flat, bounds)
+        with np.errstate(all="ignore"):  # the caller's error state changes no result
+            values = family._formula(flat, bounds)
     except OverflowError as exc:
         raise Overflow(f"{family.name} entropy overflowed: {exc}") from exc
     except ValueError as exc:
         raise DomainError(f"{family.name} entropy is undefined: {exc}") from exc
-    if not all(map(math.isfinite, values)):
-        value = next(v for v in values if not math.isfinite(v))
-        raise Overflow(f"{family.name} entropy is not finite: {value!r}")
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < len(values):
+        raise Overflow(f"{family.name} entropy is not finite: {float(values[~finite][0])!r}")
     return values
 
 
@@ -361,14 +364,14 @@ def entropy(family: EntropyFamily, dist: Distribution) -> float:
 
     Raises :class:`Overflow` when the value is past the float range.
     """
-    from .distributions import Distribution, _require
-    _require(dist, Distribution)
-    return span_entropies(family, dist._array, [0, len(dist)])[0] + 0.0  # -0.0 to 0.0
+    from . import distributions
+    distributions._require(dist, distributions.Distribution)
+    return float(span_entropies(family, dist._array, [0, len(dist)])[0]) + 0.0  # -0.0 to 0.0
 
 
 def conditional_entropies(
     family: EntropyFamily, joint: JointDistribution, groups: Sequence[int], margs: np.ndarray
-) -> list[float]:
+) -> np.ndarray:
     """`conditional_entropy` of each group of consecutive rows of ``joint``.
 
     Rows ``groups[t]`` to ``groups[t + 1] - 1`` form joint t, and ``margs``
@@ -386,7 +389,7 @@ def conditional_entropies(
     positive = np.flatnonzero(weights > 0.0)
     cells, bounds = gather(joint._flat, joint._bounds, positive)
     cells = cells / np.repeat(joint._row_sums()[positive], np.diff(bounds))
-    values = np.array(span_entropies(family, cells, bounds))
+    values = span_entropies(family, cells, bounds)
     # where each group's rows start among the positive ones
     starts = np.searchsorted(positive, groups).tolist()
     kappa = family.mean_kappa
@@ -403,8 +406,8 @@ def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> floa
     """
     from .distributions import JointDistribution, _require, group_marginals
     _require(joint, JointDistribution)
-    groups = [0, len(joint)]
-    return conditional_entropies(family, joint, groups, group_marginals(joint, groups))[0] + 0.0
+    one = [0, len(joint)]  # one group: every row
+    return float(conditional_entropies(family, joint, one, group_marginals(joint, one))[0]) + 0.0
 
 
 def joint_entropy(family: EntropyFamily, joint: JointDistribution) -> float:

@@ -23,6 +23,8 @@ from .deformed import _LN2, _exp_coordinate, _log_coordinate
 from .errors import DimensionError, Overflow, ParameterError
 from .distributions import Distribution, _number, _require, _sized
 
+_SATURATED = 2.0 ** -20  # 1 + gamma*acc at or below it: the mean is max-factored
+
 
 @dataclass(frozen=True)
 class LinearGenerator:
@@ -48,10 +50,10 @@ class LinearGenerator:
         """g^{-1}(acc), where acc = sum w g(v) over the ``weights`` and ``values``."""
         return self.invert(acc)
 
-    def _invert_means(self, acc: list[float], weights: np.ndarray, values: np.ndarray,
-                      starts: Sequence[int]) -> list[float]:
+    def _invert_means(self, acc: np.ndarray, weights: np.ndarray, values: np.ndarray,
+                      starts: Sequence[int]) -> np.ndarray:
         """`invert_mean` of every run's accumulator at once, with the bits of `invert`."""
-        return (-np.array(acc) / self.c - self.shift).tolist()
+        return -acc / self.c - self.shift
 
 
 @dataclass(frozen=True)
@@ -81,35 +83,32 @@ class ExponentialGenerator:
     def invert_mean(self, acc: float, weights: np.ndarray, values: np.ndarray) -> float:
         """g^{-1}(acc), where acc = sum w g(v) over the ``weights`` and ``values``.
 
-        Where every 2**(kappa*(v + shift)) vanishes beside 1, expm1 saturates
-        and gamma*acc + 1 <= 0 leaves the domain of ``invert``; only then the
-        mean is taken max-factored: (m + log2 sum w 2**(e - m))/kappa - shift
-        over the exponents e = kappa*(v + shift), m = max e.
+        Where 1 + gamma*acc = sum w 2**(kappa*(v + shift)) is at most
+        ``_SATURATED``, its rounding has lost 20 bits or more: the mean is then
+        max-factored, (m + log2 sum w 2**(e - m))/kappa - shift over the
+        exponents e = kappa*(v + shift), m = max e.
         """
-        if not 1.0 + self.gamma * acc <= 0.0:  # nan stays with invert
+        if not 1.0 + self.gamma * acc <= _SATURATED:  # nan stays with invert
             return self.invert(acc)
         exponents = [self.kappa * (v + self.shift) for v in values.tolist()]
         top = max(exponents)
         total = math.fsum([w * 2.0 ** (e - top) for w, e in zip(weights.tolist(), exponents)])
         return (top + math.log2(total)) / self.kappa - self.shift
 
-    def _invert_means(self, acc: list[float], weights: np.ndarray, values: np.ndarray,
-                      starts: Sequence[int]) -> list[float]:
-        """`invert_mean` of every run's accumulator at once, with its bits.
-
-        t = gamma*acc and the arithmetic around log1p are numpy's correctly
-        rounded operations, and log1p is libm's in one C-level map, as in
-        `invert`.  Only a run whose t is not finite or has 1 + t <= 0 goes
-        through `invert_mean` itself.
-        """
+    def _invert_means(self, acc: np.ndarray, weights: np.ndarray, values: np.ndarray,
+                      starts: Sequence[int]) -> np.ndarray:
+        """`invert_mean` of every run's accumulator at once, with its bits: t = gamma*acc
+        and the arithmetic around log1p are numpy's correctly rounded operations, log1p
+        is libm's in one C-level map, as in `invert`, and only a run whose t is not
+        finite or has 1 + t <= ``_SATURATED`` goes through `invert_mean` itself."""
         with np.errstate(over="ignore", invalid="ignore"):
-            t = self.gamma * np.array(acc)
-            usable = np.isfinite(t) & (1.0 + t > 0.0)
+            t = self.gamma * acc
+            usable = np.isfinite(t) & (1.0 + t > _SATURATED)
         logs = np.fromiter(map(math.log1p, np.where(usable, t, 0.0).tolist()), np.float64, len(t))
-        means = (logs / (_LN2 * self.kappa) - self.shift).tolist()
+        means = logs / (_LN2 * self.kappa) - self.shift
         for k in np.flatnonzero(~usable).tolist():
             i, j = starts[k], starts[k + 1]
-            means[k] = self.invert_mean(acc[k], weights[i:j], values[i:j])
+            means[k] = self.invert_mean(float(acc[k]), weights[i:j], values[i:j])
         return means
 
 
@@ -131,12 +130,12 @@ def quasi_mean(generator: Generator, weights: Distribution, values: Sequence[flo
         raise DimensionError(f"{len(weights)} weights for {len(values)} values")
     positive = weights._array > 0.0
     kept = np.array([_number(v, "value") for v in itertools.compress(values, positive.tolist())])
-    return weighted_means(generator, weights._array[positive], kept, [0, len(kept)])[0]
+    return float(weighted_means(generator, weights._array[positive], kept, [0, len(kept)])[0])
 
 
 def weighted_means(
     generator: Generator, weights: np.ndarray, values: np.ndarray, starts: Sequence[int]
-) -> list[float]:
+) -> np.ndarray:
     """g^{-1}(sum w g(v)) over each run of terms ``starts[t]`` to ``starts[t + 1] - 1``
     of the positive ``weights`` and their ``values``.
 

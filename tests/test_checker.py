@@ -338,6 +338,12 @@ class TestRunSuite:
         assert probe.verdict == "violation detected"
         assert probe.max_residual >= VIOLATION_THRESHOLD
 
+    def test_large_order_renyi_passes(self):
+        # at lambda = -19 the rows' 2**(lam*H) are small beside 1: the
+        # conditional means must be taken max-factored to hold the residuals
+        report = run_suite(CheckConfig(family=renyi(20.0), trials=200, seed=1))
+        assert report.verdict == "pass", report.to_json()
+
     def test_checks_sorted_by_name(self):
         report = run_suite(CheckConfig(family=shannon(), trials=5, seed=0))
         names = [c.name for c in report.checks]

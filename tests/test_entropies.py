@@ -645,3 +645,28 @@ def test_results_do_not_depend_on_the_callers_numpy_error_state(family, n):
     expected = results()
     with np.errstate(all="raise"):
         assert results() == expected
+
+
+# `span_entropies` returns one float64 array, one entry per run, and each entry
+# has the bits of `entropy` of its run alone: runs of one entry, around the
+# exact sum's one-fsum size and past one block of it, with zeros, for every
+# family class and both branches of Nath and of the general escort.
+SPAN_FAMILIES = [shannon(), nath(1.0, 0.0, -1.5), renyi(2.0), tsallis(2.0),
+                 general_escort(2.0, -1.0, 0.0), general_escort(2.0, -1.0, -0.5)]
+
+
+@pytest.mark.parametrize("family", SPAN_FAMILIES, ids=repr)
+def test_span_entropies_is_one_array_with_the_bits_of_each_run_alone(family):
+    rng = np.random.default_rng(31)
+    lengths = [1, 2, 255, 256, 2 ** 15 + 1]
+    dists = []
+    for m in lengths:
+        x = rng.exponential(1.0, m)
+        x[rng.random(m) < 0.2] = 0.0
+        x[rng.integers(0, m)] = 1.0  # a positive entry in every run
+        dists.append(make_distribution((x / x.sum()).tolist()))
+    flat = np.concatenate([np.array(d.probs) for d in dists])
+    got = span_entropies(family, flat, np.cumsum([0, *lengths]))
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (len(lengths),)
+    # entropy adds 0.0, which turns a point mass's -0.0 into 0.0
+    assert [(v + 0.0).hex() for v in got.tolist()] == [entropy(family, d).hex() for d in dists]

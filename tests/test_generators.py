@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -124,6 +125,20 @@ class TestQuasiMean:
             ref = ref_quasi_mean_exponential(-99.0, gamma, shift, w.probs, (8.0, 9.0))
         assert 8.0 < ref < 8.1
         assert quasi_mean(g, w, (8.0, 9.0)) == pytest.approx(ref, rel=1e-14)
+
+    def test_partially_saturated_exponential_mean(self):
+        # kappa = -49, renyi(50)'s lambda: 2**(kappa*v) is 2**-53 at the first
+        # value and far smaller at the others, so 1 + gamma*acc is rounding
+        # noise of their sum, whose log1p gave 53/49.  The weights sum to 1
+        # exactly, so the oracle's generator form is the mean itself.
+        g = ExponentialGenerator(kappa=-49.0)
+        w = make_distribution((5.0 / 9.0, 3.0 / 9.0, 1.0 / 9.0))
+        assert sum(map(Fraction, w.probs)) == 1
+        values = (53.0 / 49.0, 2.0, 3.0)
+        with mpmath.workdps(300):
+            ref = ref_quasi_mean_exponential(-49.0, 1.0, 0.0, w.probs, values)
+        assert abs(ref - 53.0 / 49.0) > 0.01
+        assert quasi_mean(g, w, values) == pytest.approx(ref, rel=1e-14)
 
     @given(generators, distributions(min_size=1, max_size=6), st.floats(-6.0, 6.0))
     def test_idempotent_on_constants(self, gen, w, v):
@@ -249,7 +264,7 @@ def test_all_runs_invert_as_each_alone(generator):
     starts = list(range(0, len(values) + 1, 2))
     alone = [generator.invert_mean(a, weights[i:j], values[i:j])
              for a, i, j in zip(acc, starts, starts[1:])]
-    together = generator._invert_means(acc, weights, values, starts)
+    together = generator._invert_means(np.array(acc), weights, values, starts)
     assert [m.hex() for m in together] == [m.hex() for m in alone]
 
 

@@ -203,3 +203,55 @@ def test_conditional_entropy_of_a_joint_with_zeros(name, joint_with_zeros):
     assert conditional_entropy(family, joint) == pytest.approx(
         ref_conditional_entropy(family, rows), rel=1e-11, abs=1e-12
     )
+
+
+# Large |lambda|: the conditional entropy's exponential mean of the rows, where
+# 2**(lam*H) of every row is far below 1 and 1 + gamma*acc keeps little but
+# rounding noise of their sum; the mean is then taken max-factored.  Every
+# family errs past the tolerance on one of the two joints unless it is.
+LARGE_LAMBDA_FAMILIES = {
+    "renyi(20)": renyi(20.0),
+    "renyi(50)": renyi(50.0),
+    "renyi(300)": renyi(300.0),
+    "general_escort(11,-1,-10)": general_escort(11.0, -1.0, -10.0),
+}
+
+
+@pytest.fixture(scope="module", params=[8, 40], ids=["8x8", "40x40"])
+def large_lambda_joint(request, joint_with_zeros):
+    if request.param == 40:
+        return joint_with_zeros
+    rng = np.random.default_rng(140)
+    cells = rng.exponential(1.0, (8, 8))
+    cells[rng.random((8, 8)) < 0.2] = 0.0
+    joint = make_joint((cells / cells.sum()).tolist())
+    return joint, [list(r) for r in joint.rows]
+
+
+@pytest.mark.parametrize("name", list(LARGE_LAMBDA_FAMILIES))
+def test_conditional_entropy_at_large_lambda(name, large_lambda_joint):
+    family = LARGE_LAMBDA_FAMILIES[name]
+    joint, rows = large_lambda_joint
+    assert conditional_entropy(family, joint) == pytest.approx(
+        ref_conditional_entropy(family, rows), rel=1e-11, abs=1e-12
+    )
+
+
+# A tall joint: 1024 rows of 2 cells with zeros, whose per-row entropies and
+# means are arrays of 1024 entries.
+@pytest.fixture(scope="module")
+def tall_joint():
+    rng = np.random.default_rng(1024)
+    cells = rng.exponential(1.0, (1024, 2))
+    cells[rng.random((1024, 2)) < 0.2] = 0.0
+    joint = make_joint((cells / cells.sum()).tolist())
+    return joint, [list(r) for r in joint.rows]
+
+
+@pytest.mark.parametrize("name", ["shannon", "renyi(2)", "tsallis(2)"])
+def test_conditional_entropy_of_a_tall_joint(name, tall_joint):
+    family = TILED_FAMILIES[name]
+    joint, rows = tall_joint
+    assert conditional_entropy(family, joint) == pytest.approx(
+        ref_conditional_entropy(family, rows), rel=1e-11
+    )
