@@ -647,6 +647,15 @@ def test_results_do_not_depend_on_the_callers_numpy_error_state(family, n):
         assert results() == expected
 
 
+def test_an_underflowing_formula_does_not_depend_on_the_callers_numpy_error_state():
+    # tau * sum p log p is subnormal and inexact, so numpy flags an underflow
+    family, p = shannon(-1e-310), make_distribution([0.25, 0.75])
+    expected = entropy(family, p)
+    assert 0.0 < expected < 2.2e-308
+    with np.errstate(all="raise"):
+        assert entropy(family, p) == expected
+
+
 # `span_entropies` returns one float64 array, one entry per run, and each entry
 # has the bits of `entropy` of its run alone: runs of one entry, around the
 # exact sum's one-fsum size and past one block of it, with zeros, for every
