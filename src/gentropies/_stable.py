@@ -239,11 +239,10 @@ def _streamed(fn: Callable, bounds: np.ndarray, *cells: np.ndarray) -> np.ndarra
         stop = int(bounds[j])
         for b0 in range(int(bounds[i]), stop, _BLOCK):
             xs = [a[b0:min(b0 + _BLOCK, stop)] for a in cells]
-            if np.count_nonzero(keep := xs[0] > 0.0) == len(keep):
-                keep = None  # all kept: no mask
-            else:  # a boolean index compresses 5x faster than np.compress
+            keep = xs[0] > 0.0
+            if not keep.all():  # a boolean index compresses 5x faster than np.compress
                 xs = [a[keep] for a in xs]
-            yield fn(*xs, out=buf[:len(xs[0])]), keep
+            yield fn(*xs, out=buf[:len(xs[0])]), keep if len(xs[0]) < len(keep) else None
 
     return _blocked_fsum(blocks, bounds)
 
@@ -286,7 +285,7 @@ def _escort(logs: np.ndarray, bounds: np.ndarray, alpha: float, keep=False):
     return w, totals
 
 
-@np.errstate(all="ignore")  # as a decorator it costs half of a with statement
+@np.errstate(all="ignore")  # numpy >= 2 sets it per call and thread; half a with's cost
 def _span_map(bounds: Sequence[int], group: Callable) -> np.ndarray:
     """One result per run between consecutive ``bounds``, in order: ``group(window,
     bounds)`` maps the runs in the slice ``window`` of the input, cut at their bounds
@@ -300,8 +299,7 @@ def _span_map(bounds: Sequence[int], group: Callable) -> np.ndarray:
     if len(bounds) < 2:
         return np.zeros(0)
     try:
-        lo = int(bounds[0])
-        return group(slice(lo, int(bounds[-1])), bounds - lo if lo else bounds)
+        return group(slice(int(bounds[0]), int(bounds[-1])), bounds - bounds[0])
     except (OverflowError, ValueError):
         if len(bounds) > 2:
             for k in range(len(bounds) - 1):

@@ -160,8 +160,9 @@ def _evaluate(family, steps: Sequence) -> list[tuple[list[float], list[float]]]:
     triples = iter(())
     if joints:
         k = len(groups) - 1
-        triples = zip(list(itertools.islice(values, k)), list(itertools.islice(values, k)),
-                      conditional_entropies(family, batch, groups, margs).tolist())
+        wholes, marginals = list(itertools.islice(values, k)), list(itertools.islice(values, k))
+        conditionals = conditional_entropies(family, batch, groups, margs).tolist()
+        triples = zip(wholes, marginals, conditionals)
     uniforms = dict(zip(dims, values))
     results = []
     for step, mine, (_, joint, ns) in zip(steps, own, asks):

@@ -35,6 +35,8 @@ compute on arrays import `_stable`, `distributions` and numpy when called.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, ClassVar, Sequence, Union
@@ -51,6 +53,12 @@ if TYPE_CHECKING:  # for the annotations alone
 HCT_CONSTRAINT_TOLERANCE = 1e-9
 
 
+@functools.cache
+def _numeric(name: str):
+    """Module ``name`` of this package, imported once: a call costs a tenth of a relative import."""
+    return importlib.import_module(f".{name}", __package__)
+
+
 def _require_finite(family_name: str, **params: float) -> None:
     for key, value in params.items():
         if not math.isfinite(value):
@@ -61,11 +69,10 @@ class _Family:
     """A family's laws, Shannon's unless a family overrides them.
 
     Report ``name``, entropy ``_formula`` of each run between consecutive
-    bounds of a flat array of distributions (one float64 array, an entry per
-    run, from one array expression over a kernel's), uniform ``_trace`` from
-    log2 n, escort exponent ``alpha`` and exponential-mean ``mean_kappa`` (0:
-    linear mean) of the conditional entropy, and the ``composition`` of a
-    marginal's entropy with the conditional one.
+    bounds of a flat array of distributions (a float64 entry per run), uniform
+    ``_trace`` from log2 n, escort exponent ``alpha`` and exponential-mean
+    ``mean_kappa`` (0: linear mean) of the conditional entropy, and the
+    ``composition`` of a marginal's entropy with the conditional one.
     """
 
     name: ClassVar[str]
@@ -73,8 +80,7 @@ class _Family:
     composition: ClassVar[Deformation] = Deformation()  # ordinary addition
 
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
-        from . import _stable
-        return self.tau * _stable.plogp_sum(flat, bounds)
+        return self.tau * _numeric("_stable").plogp_sum(flat, bounds)
 
     def _trace(self, n: int, log_n: float) -> float:
         return -self.tau * log_n
@@ -128,7 +134,7 @@ class GeneralEscort(_Family):
         return self.lam
 
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
-        from . import _stable
+        _stable = _numeric("_stable")
         # some run holds an exact zero
         if self.alpha <= 0.0 and not flat[bounds[0]:bounds[-1]].all():
             raise DomainError(
@@ -172,8 +178,7 @@ class Nath(_Family):
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
         if self.alpha == 1.0:
             return super()._formula(flat, bounds)
-        from . import _stable
-        return _stable.log2_power_sum(flat, bounds, self.alpha) / self.lam
+        return _numeric("_stable").log2_power_sum(flat, bounds, self.alpha) / self.lam
 
     def _trace(self, n: int, log_n: float) -> float:
         if self.alpha == 1.0:
@@ -215,8 +220,7 @@ class HCT(_Family):
         return Deformation(self.lam)
 
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
-        from . import _stable
-        return (_stable.power_sum(flat, bounds, self.alpha) - 1.0) / self.lam
+        return (_numeric("_stable").power_sum(flat, bounds, self.alpha) - 1.0) / self.lam
 
     def _trace(self, n: int, log_n: float) -> float:
         try:
@@ -364,7 +368,7 @@ def entropy(family: EntropyFamily, dist: Distribution) -> float:
 
     Raises :class:`Overflow` when the value is past the float range.
     """
-    from . import distributions
+    distributions = _numeric("distributions")
     distributions._require(dist, distributions.Distribution)
     return float(span_entropies(family, dist._array, [0, len(dist)])[0]) + 0.0  # -0.0 to 0.0
 
@@ -381,20 +385,18 @@ def conditional_entropies(
     call then covers them.
     """
     import numpy as np
-
-    from ._stable import gather, segment_sums
-    from .distributions import _escort
+    _stable = _numeric("_stable")
     _require_family(family)
-    weights = _escort(margs, groups, family.alpha)
+    weights = _numeric("distributions")._escort(margs, groups, family.alpha)
     positive = np.flatnonzero(weights > 0.0)
-    cells, bounds = gather(joint._flat, joint._bounds, positive)
+    cells, bounds = _stable.gather(joint._flat, joint._bounds, positive)
     cells = cells / np.repeat(joint._row_sums()[positive], np.diff(bounds))
     values = span_entropies(family, cells, bounds)
     # where each group's rows start among the positive ones
     starts = np.searchsorted(positive, groups).tolist()
     kappa = family.mean_kappa
     if kappa == 0.0:
-        return segment_sums(weights[positive] * values, starts)
+        return _stable.segment_sums(weights[positive] * values, starts)
     from .generators import ExponentialGenerator, weighted_means  # only kappa != 0 loads them
     return weighted_means(ExponentialGenerator(kappa=kappa), weights[positive], values, starts)
 
@@ -406,14 +408,13 @@ def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> floa
     """
     from .distributions import JointDistribution, _require, group_marginals
     _require(joint, JointDistribution)
-    one = [0, len(joint)]  # one group: every row
-    return float(conditional_entropies(family, joint, one, group_marginals(joint, one))[0]) + 0.0
+    groups = [0, len(joint)]
+    return conditional_entropies(family, joint, groups, group_marginals(joint, groups)).item() + 0.0
 
 
 def joint_entropy(family: EntropyFamily, joint: JointDistribution) -> float:
     """Entropy of the flattened joint distribution."""
-    from .distributions import flatten
-    return entropy(family, flatten(joint))
+    return entropy(family, _numeric("distributions").flatten(joint))
 
 
 def uniform_trace(family: EntropyFamily, n: int) -> float:

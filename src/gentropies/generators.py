@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._stable import segment_sums
+from ._stable import gather, segment_sums
 from .deformed import _LN2, _exp_coordinate, _log_coordinate
 from .errors import DimensionError, Overflow, ParameterError
 from .distributions import Distribution, _number, _require, _sized
@@ -81,34 +81,34 @@ class ExponentialGenerator:
         return _log_coordinate(y, self.kappa, self.gamma, "generator") - self.shift
 
     def invert_mean(self, acc: float, weights: np.ndarray, values: np.ndarray) -> float:
-        """g^{-1}(acc), where acc = sum w g(v) over the ``weights`` and ``values``.
+        """g^{-1}(acc), where acc = sum w g(v) over the ``weights`` and ``values``."""
+        return float(self._invert_means(np.array([acc]), weights, values, [0, len(values)])[0])
 
-        Where 1 + gamma*acc = sum w 2**(kappa*(v + shift)) is at most
-        ``_SATURATED``, its rounding has lost 20 bits or more: the mean is then
-        max-factored, (m + log2 sum w 2**(e - m))/kappa - shift over the
-        exponents e = kappa*(v + shift), m = max e.
-        """
-        if not 1.0 + self.gamma * acc <= _SATURATED:  # nan stays with invert
-            return self.invert(acc)
-        exponents = [self.kappa * (v + self.shift) for v in values.tolist()]
-        top = max(exponents)
-        total = math.fsum([w * 2.0 ** (e - top) for w, e in zip(weights.tolist(), exponents)])
-        return (top + math.log2(total)) / self.kappa - self.shift
-
+    @np.errstate(all="ignore")  # numpy >= 2 sets it per call and thread
     def _invert_means(self, acc: np.ndarray, weights: np.ndarray, values: np.ndarray,
                       starts: Sequence[int]) -> np.ndarray:
-        """`invert_mean` of every run's accumulator at once, with its bits: t = gamma*acc
-        and the arithmetic around log1p are numpy's correctly rounded operations, log1p
-        is libm's in one C-level map, as in `invert`, and only a run whose t is not
-        finite or has 1 + t <= ``_SATURATED`` goes through `invert_mean` itself."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = self.gamma * acc
-            usable = np.isfinite(t) & (1.0 + t > _SATURATED)
+        """`invert_mean` of every run's accumulator at once.  Where 1 + gamma*acc passes
+        ``_SATURATED``, the bits of `invert`, with libm's log1p in one C-level map; at or
+        below it, sum w 2**e over e = kappa*(v + shift) has lost 20 bits or more, and all
+        such runs take (m + log2 sum w 2**(e - m))/kappa - shift, m = max e, with libm's
+        pow and log2 and one exact sum per run; a nan or +inf gamma*acc takes `invert`."""
+        t = self.gamma * acc
+        usable = np.isfinite(t) & (1.0 + t > _SATURATED)
+        saturated = 1.0 + t <= _SATURATED
         logs = np.fromiter(map(math.log1p, np.where(usable, t, 0.0).tolist()), np.float64, len(t))
         means = logs / (_LN2 * self.kappa) - self.shift
-        for k in np.flatnonzero(~usable).tolist():
-            i, j = starts[k], starts[k + 1]
-            means[k] = self.invert_mean(float(acc[k]), weights[i:j], values[i:j])
+        if saturated.any():
+            runs = np.flatnonzero(saturated)
+            w, bounds = gather(weights, starts, runs)
+            e = self.kappa * (gather(values, starts, runs)[0] + self.shift)
+            m = np.maximum.reduceat(e, bounds[:-1])
+            d = (e - np.repeat(m, np.diff(bounds))).tolist()
+            powers = np.fromiter(map(math.pow, itertools.repeat(2.0), d), np.float64, len(d))
+            sums = segment_sums(w * powers, bounds).tolist()
+            logs = np.fromiter(map(math.log2, sums), np.float64, len(sums))
+            means[runs] = (m + logs) / self.kappa - self.shift
+        for k in np.flatnonzero(~(usable | saturated)).tolist():
+            means[k] = self.invert(float(acc[k]))
         return means
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -654,6 +656,40 @@ def test_an_underflowing_formula_does_not_depend_on_the_callers_numpy_error_stat
     assert 0.0 < expected < 2.2e-308
     with np.errstate(all="raise"):
         assert entropy(family, p) == expected
+
+
+def test_threads_keep_their_own_numpy_error_state():
+    # the kernels set numpy's error state per call: a thread that calls them
+    # concurrently with others gets its results, and keeps its own state
+    family, p = renyi(100.0), make_distribution([1e-300, 0.25, 0.75 - 1e-300])
+    joint = make_joint([[0.1, 1e-300, 0.2], [0.3, 0.4, 0.0]])
+    expected = (entropy(family, p), conditional_entropy(family, joint))
+    states = [{"all": "raise"}, {"all": "ignore"}, {"over": "raise", "under": "ignore"},
+              {"divide": "warn", "invalid": "raise"}]
+    start, failures = threading.Barrier(len(states)), []
+
+    def work(state):
+        try:
+            with np.errstate(**state):
+                mine = np.geterr()
+                start.wait()
+                for _ in range(200):
+                    assert (entropy(family, p), conditional_entropy(family, joint)) == expected
+                    assert np.geterr() == mine
+        except BaseException as exc:  # reported by the main thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(state,)) for state in states]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
 
 
 # `span_entropies` returns one float64 array, one entry per run, and each entry

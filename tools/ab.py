@@ -5,7 +5,7 @@ package name (``gentropies_old``, ``gentropies_new``), so both run on the same
 numpy, the same caches and the same moment of the host's speed.  Each case
 builds its inputs once per side with that side's public API, warms both
 sides, then times them alternately: in every round each side takes one
-sample (the mean time per call over enough calls to fill ``--sample``
+sample (the mean time per call over enough calls to fill ``SAMPLE_S``
 seconds), and the side that goes first alternates from round to round.
 
 Per case it prints each side's median time per call with its quartiles,
@@ -16,12 +16,14 @@ range; else "same".  Two copies of one tree report "same" on every case.
 
 Usage, from any directory::
 
-    python tools/ab.py OLD_CHECKOUT NEW_CHECKOUT [--rounds N] [--sample S] [CASE ...]
+    python tools/ab.py OLD_CHECKOUT NEW_CHECKOUT [CASE ...]
 
 A CASE argument keeps the cases whose name contains it.  The cases are
 `conditional_entropy` on a 2**20 x 2 and a 1024 x 1024 joint and `entropy`
-on 2 entries, each for shannon, renyi(2) and tsallis(2), and `run_suite` of
-renyi(2) with 100 trials.
+on 2 entries, each for shannon, renyi(2) and tsallis(2); `conditional_entropy`
+of renyi(50) on the 1024 x 1024 joint and `run_suite` of renyi(20), whose
+exponential means are saturated (see `generators._SATURATED`); and `run_suite`
+of renyi(2), each suite with 100 trials.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+ROUNDS = 15  # samples per side and case; at least 4, for quartiles
+SAMPLE_S = 0.05  # seconds of calls per sample
 
 
 def load(checkout: Path, name: str):
@@ -65,8 +70,11 @@ def cases(g) -> dict:
             out[f"conditional_entropy {label} {shape}"] = (
                 lambda f=family, j=joint: g.conditional_entropy(f, j))
         out[f"entropy {label} 2"] = lambda f=family: g.entropy(f, pair)
-    config = g.CheckConfig(g.renyi(2.0), trials=100, seed=1)
-    out["run_suite renyi(2) 100"] = lambda: g.run_suite(config)
+    out["conditional_entropy renyi(50) 1024x1024"] = (
+        lambda f=g.renyi(50.0), j=joints["1024x1024"]: g.conditional_entropy(f, j))
+    for alpha in (2.0, 20.0):
+        config = g.CheckConfig(g.renyi(alpha), trials=100, seed=1)
+        out[f"run_suite renyi({alpha:g}) 100"] = lambda c=config: g.run_suite(c)
     return out
 
 
@@ -83,12 +91,12 @@ def sample(fn, number: int) -> float:
         gc.enable()
 
 
-def compare(old, new, rounds: int, seconds: float) -> dict:
+def compare(old, new) -> dict:
     """Each side's samples, alternating which side goes first."""
     old(), new()  # warm both: first-call imports and caches
-    number = max(1, round(seconds / min(sample(old, 1), sample(new, 1))))
+    number = max(1, round(SAMPLE_S / min(sample(old, 1), sample(new, 1))))
     times = {"old": [], "new": []}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         order = (("old", old), ("new", new)) if r % 2 == 0 else (("new", new), ("old", old))
         for side, fn in order:
             times[side].append(sample(fn, number))
@@ -114,18 +122,14 @@ def main(argv=None) -> int:
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
     parser.add_argument("cases", nargs="*", help="keep the cases whose name contains one of these")
-    parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--sample", type=float, default=0.05, help="seconds per sample")
     args = parser.parse_args(argv)
-    if args.rounds < 4:
-        parser.error("--rounds must be at least 4 (for quartiles)")
     old, new = cases(load(args.old, "gentropies_old")), cases(load(args.new, "gentropies_new"))
     print(f"{'case':<40} {'old median [q1, q3]':>34} {'new median [q1, q3]':>34} "
           f"{'new/old':>7} {'new won':>7}  verdict")
     for name in old:
         if args.cases and not any(c in name for c in args.cases):
             continue
-        o, n, won, verdict = summary(compare(old[name], new[name], args.rounds, args.sample))
+        o, n, won, verdict = summary(compare(old[name], new[name]))
         sides = [f"{_time(m)} [{_time(q1)}, {_time(q3)}]" for m, q1, q3 in (o, n)]
         print(f"{name:<40} {sides[0]:>34} {sides[1]:>34} {n[0] / o[0]:>7.3f} {won:>7.0%}  "
               f"{verdict}", flush=True)
