@@ -21,6 +21,12 @@ JSON file); ``conditional`` with an exponential mean adds `generators`, and
 ends with ``os._exit``, skipping interpreter teardown.  So no ``atexit`` hook
 runs after `main` returns, and whatever must reach a file is closed inside
 `main`.  `main(argv)` itself returns the exit code, for in-process callers.
+
+Before numpy loads, `console_main` sets ``OPENBLAS_NUM_THREADS=1`` unless the
+caller has set it: the package calls no BLAS routine, and OpenBLAS's worker
+thread would otherwise start with numpy and spin on a second core for a third
+of a ``compute`` process's CPU time.  `main` and library imports leave the
+environment alone, since a library caller may use BLAS.
 """
 
 from __future__ import annotations
@@ -279,6 +285,7 @@ def console_main() -> NoReturn:
     reports it as it would anyway: exit status 120 and an "Exception ignored"
     line on standard error.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # numpy is not loaded yet
     code = main()
     try:
         sys.stdout.flush()

@@ -390,13 +390,14 @@ def conditional_entropies(
     weights = _numeric("distributions")._escort(margs, groups, family.alpha)
     positive = np.flatnonzero(weights > 0.0)
     cells, bounds = _stable.gather(joint._flat, joint._bounds, positive)
-    cells = cells / np.repeat(joint._row_sums()[positive], np.diff(bounds))
-    values = span_entropies(family, cells, bounds)
-    # where each group's rows start among the positive ones
-    starts = np.searchsorted(positive, groups).tolist()
-    kappa = family.mean_kappa
-    if kappa == 0.0:
-        return _stable.segment_sums(weights[positive] * values, starts)
+    with np.errstate(all="ignore"):  # the caller's error state changes no result
+        cells = cells / np.repeat(joint._row_sums()[positive], np.diff(bounds))
+        values = span_entropies(family, cells, bounds)
+        # where each group's rows start among the positive ones
+        starts = np.searchsorted(positive, groups).tolist()
+        kappa = family.mean_kappa
+        if kappa == 0.0:
+            return _stable.segment_sums(weights[positive] * values, starts)
     from .generators import ExponentialGenerator, weighted_means  # only kappa != 0 loads them
     return weighted_means(ExponentialGenerator(kappa=kappa), weights[positive], values, starts)
 

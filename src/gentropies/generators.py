@@ -133,6 +133,7 @@ def quasi_mean(generator: Generator, weights: Distribution, values: Sequence[flo
     return float(weighted_means(generator, weights._array[positive], kept, [0, len(kept)])[0])
 
 
+@np.errstate(all="ignore")  # the caller's error state changes no result
 def weighted_means(
     generator: Generator, weights: np.ndarray, values: np.ndarray, starts: Sequence[int]
 ) -> np.ndarray:

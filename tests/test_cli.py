@@ -540,12 +540,18 @@ CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {
 }
 
 
-def child(argv, stdout=subprocess.PIPE):
+def child(argv, stdout=subprocess.PIPE, env=CHILD_ENV):
     """(exit code, stdout bytes, stderr text) of a ``python -m gentropies.cli`` child."""
     proc = subprocess.run([sys.executable, "-m", "gentropies.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, stdin=subprocess.DEVNULL, env=CHILD_ENV,
+                          stderr=subprocess.PIPE, stdin=subprocess.DEVNULL, env=env,
                           cwd=ROOT, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def blas_env(threads):
+    """`CHILD_ENV` with ``OPENBLAS_NUM_THREADS`` set to ``threads``, or unset for None."""
+    env = {k: v for k, v in CHILD_ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    return env if threads is None else env | {"OPENBLAS_NUM_THREADS": threads}
 
 
 # 10^4 points, 237,777 bytes: far past a pipe's and stdout's buffers
@@ -638,3 +644,41 @@ class TestProcess:
                    and ast.unparse(node.test) == "__name__ == '__main__'"]
         assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
         assert callable(getattr(cli, name))
+
+    # console_main, as the process entry, runs OpenBLAS with one thread unless the
+    # caller chose a number: the stub main reports what numpy would load under
+    CONSOLE_MAIN_STUB = """
+import os, sys
+from gentropies import cli
+def main():
+    print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)
+    return 0
+cli.main = main
+cli.console_main()
+"""
+
+    @pytest.mark.parametrize("threads, seen", [(None, "1"), ("4", "4")])
+    def test_console_main_runs_openblas_with_one_thread_by_default(self, threads, seen):
+        proc = subprocess.run([sys.executable, "-c", self.CONSOLE_MAIN_STUB],
+                              capture_output=True, text=True, env=blas_env(threads), cwd=ROOT,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{seen} False\n", "")
+
+    def test_main_leaves_the_environment_alone(self, capsys, monkeypatch, dist_file):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert run(capsys, "compute", "--family", "renyi", "--alpha", "2", dist_file)[0] == 0
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--family", "renyi", "--alpha", "2", "{many}"],
+        ["check", "--family", "tsallis", "--alpha", "2", "--trials", "30", "--seed", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_output_does_not_depend_on_blas_threads(self, tmp_path, argv):
+        many = tmp_path / "many.csv"
+        many.write_text("".join(",".join(repr(k / (n * (n + 1) / 2)) for k in range(1, n + 1))
+                                + "\n" for n in (2, 300, 5000)))
+        argv = [a.format(many=many) for a in argv]
+        unset = child(argv, env=blas_env(None))
+        assert unset[0] == 0 and unset[1]
+        assert child(argv, env=blas_env("2")) == unset

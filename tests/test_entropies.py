@@ -13,6 +13,7 @@ from gentropies import (
     DimensionError,
     Distribution,
     DomainError,
+    ExponentialGenerator,
     GeneralEscort,
     Nath,
     Overflow,
@@ -30,6 +31,8 @@ from gentropies import (
     make_distribution,
     make_family,
     make_joint,
+    quasi_mean,
+    strong_additivity_residual,
     uniform,
     uniform_trace,
 )
@@ -656,6 +659,25 @@ def test_an_underflowing_formula_does_not_depend_on_the_callers_numpy_error_stat
     assert 0.0 < expected < 2.2e-308
     with np.errstate(all="raise"):
         assert entropy(family, p) == expected
+
+
+# the escort weights times subnormal row entropies, and the weights times
+# subnormal generator values, are inexact subnormals: numpy flags an underflow
+PAIR_JOINT = make_joint([[0.1, 0.2], [0.3, 0.4]])
+UNDERFLOWING_MEANS = {
+    "conditional_entropy": lambda: conditional_entropy(shannon(-1e-310), PAIR_JOINT),
+    "strong_additivity_residual": lambda: strong_additivity_residual(shannon(-1e-310), PAIR_JOINT),
+    "quasi_mean": lambda: quasi_mean(ExponentialGenerator(kappa=1.0),
+                                     make_distribution([0.3, 0.7]), [1e-310, 3e-310]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDERFLOWING_MEANS))
+def test_an_underflowing_mean_does_not_depend_on_the_callers_numpy_error_state(case):
+    expected = UNDERFLOWING_MEANS[case]()
+    assert 0.0 < abs(expected) < 2.2e-308
+    with np.errstate(all="raise"):
+        assert UNDERFLOWING_MEANS[case]() == expected
 
 
 def test_threads_keep_their_own_numpy_error_state():
