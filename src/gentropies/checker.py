@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._stable import bounds_of, gather, segment_sums
+from ._stable import bounds_of, divide_runs, gather, segment_sums
 from .distributions import (
     Distribution,
     JointDistribution,
@@ -276,7 +276,8 @@ def _product(family, pairs):
     # the outer products end to end: one row per entry of p, its pair's q
     q_rows = np.repeat(np.arange(1, len(sizes), 2), sizes[0::2])
     cells = np.repeat(gather(t.flat, t.bounds, np.arange(0, len(sizes), 2))[0], sizes[q_rows])
-    cells *= gather(t.flat, t.bounds, q_rows)[0]
+    with np.errstate(all="ignore"):  # a product that underflows is still the correctly rounded one
+        cells *= gather(t.flat, t.bounds, q_rows)[0]
     (whole, parts), _, _ = yield [(cells, sizes[0::2] * sizes[1::2]), (t.flat, sizes)], None, []
     add = family.composition.add
     residuals = [abs(w - add(a, b)) for w, a, b in zip(whole, parts[0::2], parts[1::2])]
@@ -357,9 +358,9 @@ class CheckReport:
 
 def _normalized(cells: np.ndarray, totals, counts) -> np.ndarray:
     """Each trial's ``counts[t]`` cells over ``totals[t]``, then over their exact sum."""
-    flat = cells / np.repeat(totals, counts)
-    flat /= np.repeat(segment_sums(flat, bounds_of(counts)), counts)
-    return flat
+    bounds = bounds_of(counts)
+    flat = divide_runs(cells, totals, bounds)
+    return divide_runs(flat, segment_sums(flat, bounds), bounds, out=flat)
 
 
 def _rows_clear(least_row, total):
@@ -395,7 +396,8 @@ def _draw_joints(rng, trials: int, max_rows: int, max_cols: int):
         keep = np.zeros(len(trial_rows), bool) | clear  # one verdict per candidate
         if not keep.all():
             doubt, doubt_rows = ~keep, np.repeat(~keep, trial_rows)
-            scaled = cells[np.repeat(doubt_rows, sizes)] / np.repeat(totals[doubt], counts[doubt])
+            scaled = cells[np.repeat(doubt_rows, sizes)]
+            divide_runs(scaled, totals[doubt], bounds_of(counts[doubt]), out=scaled)
             exact = segment_sums(scaled, bounds_of(sizes[doubt_rows]))
             least = np.minimum.reduceat(exact, bounds_of(np.asarray(trial_rows)[doubt])[:-1])
             keep[doubt] = least >= 1e-12

@@ -19,10 +19,13 @@ is safe to call concurrently.  Validating constructors (`make_distribution`,
 exactly by the sum.  They read every input into one float64 array with
 `struct`, a chunk of at most ``_BLOCK`` entries at a time, check it in numpy
 whatever its size, and report the same first offending entry as a scalar
-loop.  The structural constructors (`uniform`, `direct_product`,
-`refinement_joint`) build their entries directly so that identities such as
-``flatten(refinement_joint(counts)) == uniform(sum(counts))`` hold exactly,
-bit for bit.  The raw constructors ``Distribution(probs)`` and
+loop.  They clip and divide that array in place (`_stable.divide_runs`), so
+it is the one input-sized array they hold: on 2**20 entries they peak at
+1.15x (`make_distribution`) and 1.13x (`make_joint`) the 8 MiB result, where
+a second array made it 2.0x.  The structural constructors (`uniform`,
+`direct_product`, `refinement_joint`) build their entries directly so that
+identities such as ``flatten(refinement_joint(counts)) == uniform(sum(counts))``
+hold exactly, bit for bit.  The raw constructors ``Distribution(probs)`` and
 ``JointDistribution(rows)`` copy their sequences and trust the values.
 
 File formats
@@ -44,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._stable import _BLOCK, bounds_of, escort_weights, exact_sum, segment_sums
+from ._stable import _BLOCK, bounds_of, divide_runs, escort_weights, exact_sum, segment_sums
 from .errors import (
     DimensionError,
     EscortUndefined,
@@ -229,7 +232,9 @@ def _clipped(parts: list[Sequence[float]], bounds: list[int], what: str) -> np.n
         # a nan, an infinity or a negative entry: rerun `_clip` up to the first
         first = int((~np.isfinite(arr) | (arr < -NEGATIVE_TOLERANCE)).argmax())
         _clip(itertools.islice(itertools.chain.from_iterable(parts), first + 1), what)
-    return np.where(arr < 0.0, 0.0, arr) if lo < 0.0 else arr
+    if lo < 0.0:
+        np.copyto(arr, 0.0, where=arr < 0.0)
+    return arr
 
 
 def _sized(values, what: str):
@@ -273,7 +278,7 @@ def make_distribution(values: Sequence[float]) -> Distribution:
     total = exact_sum(vals)
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise NotNormalized(f"probabilities sum to {total!r}, not 1")
-    return Distribution._wrap(vals / total)
+    return Distribution._wrap(divide_runs(vals, [total], [0, len(vals)], out=vals))
 
 
 def make_joint(rows: Sequence[Sequence[float]]) -> JointDistribution:
@@ -294,7 +299,7 @@ def make_joint(rows: Sequence[Sequence[float]]) -> JointDistribution:
     total = exact_sum(flat)
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise NotNormalized(f"joint entries sum to {total!r}, not 1")
-    return JointDistribution._wrap(flat / total, bounds)
+    return JointDistribution._wrap(divide_runs(flat, [total], [0, len(flat)], out=flat), bounds)
 
 
 #: Most entries of one float64 array: numpy refuses more bytes than an intp holds.
@@ -320,6 +325,7 @@ def uniform(n: int) -> Distribution:
     return Distribution._wrap(_even(n, "uniform dimension"))
 
 
+@np.errstate(all="ignore")  # a product that underflows is still the correctly rounded one
 def direct_product(p: Distribution, q: Distribution) -> JointDistribution:
     """Joint distribution of independent components: r_kl = p_k * q_l."""
     _require(p, Distribution)
@@ -337,8 +343,7 @@ def group_marginals(joint: JointDistribution, groups: Sequence[int]) -> np.ndarr
     exact row sums are divided by that group's exact total.
     """
     sums = joint._row_sums()
-    totals = segment_sums(sums, groups)
-    return sums / np.repeat(totals, np.diff(groups))
+    return divide_runs(sums, segment_sums(sums, groups), groups)
 
 
 def marginal(joint: JointDistribution) -> Distribution:
@@ -360,7 +365,7 @@ def conditional(joint: JointDistribution, k: int) -> Distribution:
     pk = joint._row_sums()[i]
     if pk <= 0.0:
         raise ZeroMarginal(f"row {k} has zero marginal")
-    return Distribution._wrap(row / pk)
+    return Distribution._wrap(divide_runs(row, [pk], [0, len(row)]))
 
 
 def escort(p: Distribution, alpha: float) -> Distribution:

@@ -390,8 +390,10 @@ def conditional_entropies(
     weights = _numeric("distributions")._escort(margs, groups, family.alpha)
     positive = np.flatnonzero(weights > 0.0)
     cells, bounds = _stable.gather(joint._flat, joint._bounds, positive)
+    # a view of the joint's read-only cells is divided into a new array, a gathered copy in place
+    cells = _stable.divide_runs(cells, joint._row_sums()[positive], bounds,
+                                out=cells if cells.flags.writeable else None)
     with np.errstate(all="ignore"):  # the caller's error state changes no result
-        cells = cells / np.repeat(joint._row_sums()[positive], np.diff(bounds))
         values = span_entropies(family, cells, bounds)
         # where each group's rows start among the positive ones
         starts = np.searchsorted(positive, groups).tolist()

@@ -15,11 +15,13 @@ from gentropies import (
     DomainError,
     ExponentialGenerator,
     GeneralEscort,
+    JointDistribution,
     Nath,
     Overflow,
     ParameterError,
     Shannon,
     VIOLATION_THRESHOLD,
+    conditional,
     conditional_entropy,
     counterexample_probe,
     direct_product,
@@ -31,6 +33,8 @@ from gentropies import (
     make_distribution,
     make_family,
     make_joint,
+    marginal,
+    product_additivity_residual,
     quasi_mean,
     strong_additivity_residual,
     uniform,
@@ -678,6 +682,34 @@ def test_an_underflowing_mean_does_not_depend_on_the_callers_numpy_error_state(c
     assert 0.0 < abs(expected) < 2.2e-308
     with np.errstate(all="raise"):
         assert UNDERFLOWING_MEANS[case]() == expected
+
+
+# Products and quotients that underflow to inexact subnormals or to zero: the
+# outer products of (1e-200, 1 - 1e-200) with itself, and the divisions by the
+# sums in the constructors, `marginal` and `conditional`
+TINY_PAIR = make_distribution([1e-200, 1 - 1e-200])
+TINY_JOINT = make_joint([[1e-310, 0.5], [0.5 + 1e-10]])
+UNDERFLOWING_BUILDS = {
+    "direct_product": lambda: direct_product(TINY_PAIR, TINY_PAIR).rows,
+    "product_additivity_residual":
+        lambda: product_additivity_residual(shannon(), TINY_PAIR, TINY_PAIR),
+    "make_distribution": lambda: make_distribution([1e-310, 1 + 1e-10]).probs,
+    "make_joint": lambda: make_joint([[1e-310, 0.5], [0.5 + 1e-10]]).rows,
+    # the raw constructor trusts its rows: `marginal` divides their total 0.9 out
+    "marginal": lambda: marginal(JointDistribution([[1e-310], [0.3, 0.6]])).probs,
+    "conditional": lambda: conditional(TINY_JOINT, 0).probs,
+}
+
+
+def _hexes(value):
+    return value.hex() if isinstance(value, float) else [_hexes(v) for v in value]
+
+
+@pytest.mark.parametrize("case", sorted(UNDERFLOWING_BUILDS))
+def test_an_underflowing_product_or_quotient_does_not_depend_on_the_callers_error_state(case):
+    expected = _hexes(UNDERFLOWING_BUILDS[case]())
+    with np.errstate(all="raise"):
+        assert _hexes(UNDERFLOWING_BUILDS[case]()) == expected
 
 
 def test_threads_keep_their_own_numpy_error_state():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import libm_reference as libm
 from gentropies import _stable
 from gentropies._stable import (
+    divide_runs,
     escort_weights,
     exact_sum,
     gather,
@@ -450,6 +451,31 @@ def test_binned_sums_with_chunks_across_segments(pool, lengths, block, seed):
     with mock.patch.object(_stable, "_BLOCK", block):
         assert _outcome(exact_sum, x) == _outcome(math.fsum, x.tolist())
         assert _outcomes(segment_sums, x, bounds) == _outcomes(_fsum_each, x, bounds)
+
+
+@given(
+    pool=st.lists(finite_floats(), min_size=1, max_size=10),
+    lengths=st.lists(SEGMENT_LENGTHS, min_size=1, max_size=8),
+    totals=st.lists(finite_floats(), min_size=8, max_size=8),
+    block=st.integers(5, 3000),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_divided_runs_equal_one_division_by_the_spread_totals(pool, lengths, totals, block, seed):
+    """Runs that blocks cross, empty runs and one run alone: `divide_runs` gives
+    the bits of dividing by each run's total spread over its entries, into a new
+    array or in place, under the caller's ``np.errstate(all="raise")``."""
+    x, bounds = _segments(pool, lengths, seed)
+    totals = np.array([t or 1.0 for t in totals[:len(lengths)]])
+    with np.errstate(all="ignore"):
+        want = (x / np.repeat(totals, lengths)).tobytes()
+        whole = (x / totals[0]).tobytes()
+    with mock.patch.object(_stable, "_BLOCK", block), np.errstate(all="raise"):
+        assert divide_runs(x, totals, bounds).tobytes() == want
+        assert divide_runs(x, totals[:1], [0, len(x)]).tobytes() == whole
+        mine = x.copy()
+        assert divide_runs(mine, totals, bounds, out=mine) is mine
+        assert mine.tobytes() == want
 
 
 def _blocked_sums(values, bounds):

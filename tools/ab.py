@@ -22,20 +22,33 @@ Usage, from any directory::
 
     python tools/ab.py OLD_CHECKOUT NEW_CHECKOUT [CASE ...]
 
-A CASE argument keeps the cases whose name contains it.  The cases are
-`conditional_entropy` on a 2**20 x 2 and a 1024 x 1024 joint and `entropy`
-on 2 entries, each for shannon, renyi(2) and tsallis(2); `conditional_entropy`
-of renyi(50) on the 1024 x 1024 joint and `run_suite` of renyi(20), whose
-exponential means are saturated (see `generators._SATURATED`); `run_suite`
-of renyi(2), each suite with 100 trials; and the children ``cli compute`` on
-a CSV of four distributions of 2**8 to 2**14 entries and ``cli check`` of
-tsallis(2) with 100 trials.
+A CASE argument keeps the cases whose name contains it, and only those
+cases' inputs are built.  The cases are `conditional_entropy` on a 2**20 x 2
+and a 1024 x 1024 joint and `entropy` on 2 entries, each for shannon,
+renyi(2) and tsallis(2); `conditional_entropy` of renyi(50) on the 1024 x
+1024 joint and `run_suite` of renyi(20), whose exponential means are
+saturated (see `generators._SATURATED`); `run_suite` of renyi(2), each suite
+with 100 trials; the children ``cli compute`` on a CSV of four distributions
+of 2**8 to 2**14 entries and ``cli check`` of tsallis(2) with 100 trials;
+and the ops of the benchmark's ``bulk`` workload at seed ``BULK_SEED``, named
+``bulk`` and the op's label.  The bulk schedule draws all of its ops from
+one seeded stream, so it is built whole, once per side, and only when no
+CASE is given or a CASE names ``bulk``; the ops not kept are dropped.  It
+comes from the new checkout's ``benchmarks/workloads.py``, loaded once per
+side against that side's package, so that both sides run one schedule.
+
+Before each sample of a child case, a bare ``python -S -c pass`` runs
+untimed, as the benchmark's ``calibrate("child")`` runs one before each
+``cli`` op: what ran just before a child changes its time, and without it
+the tool reads "same" where the benchmark sees a gain.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
+import importlib
 import importlib.util
 import os
 import statistics
@@ -49,6 +62,7 @@ import numpy as np
 
 ROUNDS = 15  # samples per side and case; at least 4, for quartiles
 SAMPLE_S = 0.05  # seconds of calls per sample
+BULK_SEED = 1  # the seed of the bulk schedule
 
 
 def load(checkout: Path, name: str):
@@ -59,6 +73,33 @@ def load(checkout: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads(path: Path, g):
+    """The benchmark's workloads module at ``path``, loaded against the package ``g``.
+
+    It builds its families at import from ``import gentropies as G`` and imports
+    ``gentropies.cli``, so while it loads, ``gentropies`` and its loaded submodules
+    in ``sys.modules`` are ``g`` and ``g``'s; rebinding ``G`` afterwards would miss
+    the families.  The module is registered under its own name before it runs,
+    where its ``@dataclass`` looks it up."""
+    importlib.import_module(f"{g.__name__}.cli")
+    aliases = {"gentropies" + name[len(g.__name__):]: module
+               for name, module in list(sys.modules.items())
+               if name == g.__name__ or name.startswith(g.__name__ + ".")}
+    saved = {name: sys.modules.pop(name) for name in aliases if name in sys.modules}
+    name = f"{g.__name__}_workloads"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    sys.modules.update(aliases)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        for alias in aliases:
+            del sys.modules[alias]
+        sys.modules.update(saved)
     return module
 
 
@@ -76,38 +117,61 @@ def child(g, argv):
                                   stdout=subprocess.DEVNULL, check=True)
 
 
+def bare_child() -> None:
+    """An interpreter that does nothing, as the benchmark's ``calibrate("child")`` starts."""
+    subprocess.run([sys.executable, "-S", "-c", "pass"], check=True,
+                   stdin=subprocess.DEVNULL, capture_output=True)
+
+
 def cases(g, workdir: Path) -> dict:
-    """Case name -> a call of no arguments, on inputs built once by the package ``g``
-    (the ``cli`` cases' file is written in ``workdir``)."""
-    rng = np.random.default_rng(0)
-    tall, square = rng.exponential(1.0, (2 ** 20, 2)), rng.exponential(1.0, (1024, 1024))
-    joints = {"2^20x2": g.make_joint(tall / tall.sum()),
-              "1024x1024": g.make_joint(square / square.sum())}
-    pair = g.make_distribution([0.25, 0.75])
+    """Case name -> a factory that builds the case's inputs with the package ``g``
+    and returns a call of no arguments on them (the ``cli compute`` file is
+    written in ``workdir``).  The names of the child cases start with ``cli``."""
+
+    @functools.cache  # the joints that several cases share
+    def joint(rows, cols, seed):
+        cells = np.random.default_rng(seed).exponential(1.0, (rows, cols))
+        return g.make_joint(cells / cells.sum())
+
+    def compute():
+        rng = np.random.default_rng(2)
+        csv = workdir / f"{g.__name__}.csv"
+        csv.write_text("".join(",".join(map(repr, (p / p.sum()).tolist())) + "\n"
+                               for p in (rng.exponential(1.0, 2 ** k) for k in (8, 10, 12, 14))))
+        return child(g, ["compute", "--family", "renyi", "--alpha", "2", str(csv)])
+
+    shapes = {"2^20x2": (2 ** 20, 2, 0), "1024x1024": (1024, 1024, 1)}
     out = {}
     for label, family in _families(g).items():
-        for shape, joint in joints.items():
+        for shape, dims in shapes.items():
             out[f"conditional_entropy {label} {shape}"] = (
-                lambda f=family, j=joint: g.conditional_entropy(f, j))
-        out[f"entropy {label} 2"] = lambda f=family: g.entropy(f, pair)
-    out["conditional_entropy renyi(50) 1024x1024"] = (
-        lambda f=g.renyi(50.0), j=joints["1024x1024"]: g.conditional_entropy(f, j))
+                lambda f=family, d=dims: functools.partial(g.conditional_entropy, f, joint(*d)))
+        out[f"entropy {label} 2"] = (
+            lambda f=family: functools.partial(g.entropy, f, g.make_distribution([0.25, 0.75])))
+    out["conditional_entropy renyi(50) 1024x1024"] = lambda: functools.partial(
+        g.conditional_entropy, g.renyi(50.0), joint(*shapes["1024x1024"]))
     for alpha in (2.0, 20.0):
-        config = g.CheckConfig(g.renyi(alpha), trials=100, seed=1)
-        out[f"run_suite renyi({alpha:g}) 100"] = lambda c=config: g.run_suite(c)
-    csv = workdir / f"{g.__name__}.csv"
-    csv.write_text("".join(",".join(map(repr, (p / p.sum()).tolist())) + "\n"
-                           for p in (rng.exponential(1.0, 2 ** k) for k in (8, 10, 12, 14))))
-    out["cli compute renyi(2) n=2^8..2^14"] = child(
-        g, ["compute", "--family", "renyi", "--alpha", "2", str(csv)])
-    out["cli check tsallis(2) 100"] = child(
+        out[f"run_suite renyi({alpha:g}) 100"] = lambda a=alpha: functools.partial(
+            g.run_suite, g.CheckConfig(g.renyi(a), trials=100, seed=1))
+    out["cli compute renyi(2) n=2^8..2^14"] = compute
+    out["cli check tsallis(2) 100"] = lambda: child(
         g, ["check", "--family", "tsallis", "--alpha", "2", "--trials", "100"])
     return out
 
 
-def sample(fn, number: int) -> float:
-    """Seconds per call of ``fn`` over ``number`` calls, with the collector off."""
+def bulk_cases(path: Path, g, kept) -> dict:
+    """`cases` of the ``bulk`` ops that ``kept`` keeps by name, from the workloads
+    module at ``path``."""
+    ops = load_workloads(path, g).build_bulk(BULK_SEED)
+    return {f"bulk {op.label}": lambda run=op.run: run for op in ops if kept(f"bulk {op.label}")}
+
+
+def sample(fn, number: int, prime=None) -> float:
+    """Seconds per call of ``fn`` over ``number`` calls, with the collector off,
+    after an untimed ``prime()`` if given."""
     gc.collect()
+    if prime is not None:
+        prime()
     gc.disable()
     try:
         start = time.perf_counter()
@@ -118,15 +182,15 @@ def sample(fn, number: int) -> float:
         gc.enable()
 
 
-def compare(old, new) -> dict:
+def compare(old, new, prime=None) -> dict:
     """Each side's samples, alternating which side goes first."""
     old(), new()  # warm both: first-call imports and caches
-    number = max(1, round(SAMPLE_S / min(sample(old, 1), sample(new, 1))))
+    number = max(1, round(SAMPLE_S / min(sample(old, 1, prime), sample(new, 1, prime))))
     times = {"old": [], "new": []}
     for r in range(ROUNDS):
         order = (("old", old), ("new", new)) if r % 2 == 0 else (("new", new), ("old", old))
         for side, fn in order:
-            times[side].append(sample(fn, number))
+            times[side].append(sample(fn, number, prime))
     return times
 
 
@@ -150,18 +214,28 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("cases", nargs="*", help="keep the cases whose name contains one of these")
     args = parser.parse_args(argv)
+
+    def kept(name):
+        return not args.cases or any(c in name for c in args.cases)
+
     with tempfile.TemporaryDirectory() as workdir:
-        old = cases(load(args.old, "gentropies_old"), Path(workdir))
-        new = cases(load(args.new, "gentropies_new"), Path(workdir))
-        print(f"{'case':<40} {'old median [q1, q3]':>34} {'new median [q1, q3]':>34} "
+        sides = [load(args.old, "gentropies_old"), load(args.new, "gentropies_new")]
+        old, new = ({name: make for name, make in cases(g, Path(workdir)).items() if kept(name)}
+                    for g in sides)
+        if not args.cases or any("bulk" in c for c in args.cases):
+            path = args.new / "benchmarks" / "workloads.py"
+            old.update(bulk_cases(path, sides[0], kept))
+            new.update(bulk_cases(path, sides[1], kept))
+        names = [name for name in old if name in new]
+        width = max(map(len, names), default=4)
+        print(f"{'case':<{width}} {'old median [q1, q3]':>34} {'new median [q1, q3]':>34} "
               f"{'new/old':>7} {'new won':>7}  verdict")
-        for name in old:
-            if args.cases and not any(c in name for c in args.cases):
-                continue
-            o, n, won, verdict = summary(compare(old[name], new[name]))
-            sides = [f"{_time(m)} [{_time(q1)}, {_time(q3)}]" for m, q1, q3 in (o, n)]
-            print(f"{name:<40} {sides[0]:>34} {sides[1]:>34} {n[0] / o[0]:>7.3f} {won:>7.0%}  "
-                  f"{verdict}", flush=True)
+        for name in names:
+            prime = bare_child if name.startswith("cli ") else None
+            o, n, won, verdict = summary(compare(old[name](), new[name](), prime))
+            sides_text = [f"{_time(m)} [{_time(q1)}, {_time(q3)}]" for m, q1, q3 in (o, n)]
+            print(f"{name:<{width}} {sides_text[0]:>34} {sides_text[1]:>34} {n[0] / o[0]:>7.3f} "
+                  f"{won:>7.0%}  {verdict}", flush=True)
     return 0
 
 
