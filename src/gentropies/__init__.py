@@ -9,103 +9,28 @@ reproduces the counterexamples that force the escort exponent to 1.
 
 ``import gentropies`` loads ``errors`` alone.  Every other submodule loads
 on the first access of one of its names (PEP 562), which binds all of that
-module's names here.  `entropies` (families, constructors, `make_family`,
-`uniform_trace`) and `deformed` are plain Python; `_stable`, `distributions`
-and numpy load on the first call that computes on arrays, such as
-`entropy` or `make_distribution`.  So a CLI process, which pays for every
-module it imports, runs ``trace`` without numpy, and loads the harness
+module's names here (``errors``' too); ``_LAZY`` is the one table of those
+names, and ``__all__`` is read from it.  `entropies` (families, constructors,
+`make_family`, `uniform_trace`) and `deformed` are plain Python; `_stable`,
+`distributions` and numpy load on the first call that computes on arrays,
+such as `entropy` or `make_distribution`.  So a CLI process, which pays for
+every module it imports, runs ``trace`` without numpy, and loads the harness
 (``checker``) only for ``check`` and the mean generators (``generators``)
 only for an exponential conditional mean.  ``json`` likewise loads only where
 JSON is read or written.
 """
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    DomainError,
-    EscortUndefined,
-    FormatError,
-    GentropiesError,
-    NegativeMass,
-    NotNormalized,
-    Overflow,
-    ParameterError,
-    SingularElement,
-    ZeroMarginal,
-)
+from . import errors
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckConfig",
-    "CheckRecord",
-    "CheckReport",
-    "ConfigError",
-    "Deformation",
-    "DimensionError",
-    "Distribution",
-    "DomainError",
-    "EntropyFamily",
-    "EscortUndefined",
-    "ExponentialGenerator",
-    "FormatError",
-    "GeneralEscort",
-    "Generator",
-    "GentropiesError",
-    "HCT",
-    "JointDistribution",
-    "LinearGenerator",
-    "Nath",
-    "NegativeMass",
-    "NotNormalized",
-    "Overflow",
-    "PROBE_JOINT",
-    "ParameterError",
-    "Shannon",
-    "SingularElement",
-    "VIOLATION_THRESHOLD",
-    "ZeroMarginal",
-    "chain_residual",
-    "conditional",
-    "conditional_entropy",
-    "counterexample_probe",
-    "direct_product",
-    "entropy",
-    "escort",
-    "family_name",
-    "family_params",
-    "flatten",
-    "general_escort",
-    "havrda_charvat",
-    "hct",
-    "joint_entropy",
-    "make_distribution",
-    "make_family",
-    "make_joint",
-    "marginal",
-    "nath",
-    "product_additivity_residual",
-    "quasi_mean",
-    "read_distributions",
-    "read_joint",
-    "refinement_consistency",
-    "refinement_joint",
-    "renyi",
-    "run_suite",
-    "shannon",
-    "strong_additivity_residual",
-    "strongly_additive_nath",
-    "tsallis",
-    "uniform",
-    "uniform_trace",
-    "uniform_trace_residual",
-    "write_distribution",
-    "write_joint",
-]
 
 #: name -> the submodule that defines it, imported on the first access of any
 #: of its names (PEP 562); a submodule's own name maps to it as well
 _LAZY = {
+    **dict.fromkeys(("ConfigError", "DimensionError", "DomainError", "EscortUndefined",
+                     "FormatError", "GentropiesError", "NegativeMass", "NotNormalized",
+                     "Overflow", "ParameterError", "SingularElement", "ZeroMarginal",
+                     "errors"), "errors"),
     **dict.fromkeys(("Deformation", "deformed"), "deformed"),
     **dict.fromkeys(("Distribution", "JointDistribution", "conditional", "direct_product",
                      "escort", "flatten", "make_distribution", "make_joint", "marginal",
@@ -124,6 +49,8 @@ _LAZY = {
     **dict.fromkeys(("ExponentialGenerator", "Generator", "LinearGenerator", "quasi_mean",
                      "generators"), "generators"),
 }
+
+__all__ = sorted(name for name, where in _LAZY.items() if name != where)
 
 
 def __getattr__(name: str):

@@ -65,12 +65,12 @@ def _reproduces(fills) -> bool:
 
 
 class _Buffer:
-    """A growing array: ``used()`` is what was appended so far."""
+    """A growing array of 256 items at first: ``used()`` is what was appended so far."""
 
     __slots__ = ("array", "view", "address", "size")
 
-    def __init__(self, dtype, capacity: int = 256) -> None:
-        self.array = np.empty(capacity, dtype)
+    def __init__(self, dtype) -> None:
+        self.array = np.empty(256, dtype)
         self.view, self.address, self.size = memoryview(self.array), self.array.ctypes.data, 0
 
     def take(self, count: int) -> int:

@@ -17,7 +17,8 @@ Runs are described one way throughout: by ``bounds``, run k being
 end to end (a view when they are adjacent) with their new bounds.  The power,
 log and escort kernels and `segment_sums` are span kernels: they take one
 flat array plus ``bounds`` and return one float64 array, one entry per run
-(`escort_weights` returns the weights, normalized within each run).  The
+(`escort_weights` returns the weights, normalized within each run).  The one
+sum of weighted logs, `weighted_log2_sum`, streams p log2 p at alpha 1.  The
 layers above keep per-run results in that format; a value becomes a Python
 float only at a public scalar return or in the axiom suite's per-trial
 arithmetic.  A kernel takes all of its runs at once, whatever their lengths:
@@ -239,20 +240,20 @@ def _cells(x: np.ndarray, bounds: np.ndarray):
     return np.log2(x, out=x), pos, bounds_of(positives)
 
 
-def _streamed(fn: Callable, bounds: np.ndarray, *cells: np.ndarray) -> np.ndarray:
-    """Per run of ``cells`` between ``bounds``, the exact sum of ``fn(x, *w, out=buf)`` over
-    the positive x of ``cells[0]`` (and their w in the other ``cells``), with no input-sized
-    temporary: a block of at most ``_BLOCK`` entries at a time, fed to `_blocked_fsum`."""
+def _streamed(fn: Callable, bounds: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per run of ``x`` between ``bounds``, the exact sum of ``fn(p, out=buf)`` over its
+    positive p, with no input-sized temporary: a block of at most ``_BLOCK`` entries at
+    a time, fed to `_blocked_fsum`."""
     buf = np.empty(min(int(bounds[-1]), _BLOCK))
 
     def blocks(i, j):
         stop = int(bounds[j])
         for b0 in range(int(bounds[i]), stop, _BLOCK):
-            xs = [a[b0:min(b0 + _BLOCK, stop)] for a in cells]
-            keep = xs[0] > 0.0
+            p = x[b0:min(b0 + _BLOCK, stop)]
+            keep = p > 0.0
             if not keep.all():  # a boolean index compresses 5x faster than np.compress
-                xs = [a[keep] for a in xs]
-            yield fn(*xs, out=buf[:len(xs[0])]), keep if len(xs[0]) < len(keep) else None
+                p = p[keep]
+            yield fn(p, out=buf[:len(p)]), keep if len(p) < len(keep) else None
 
     return _blocked_fsum(blocks, bounds)
 
@@ -370,25 +371,15 @@ def power_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarr
     return sums
 
 
-def plogp_sum(flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
-    """Per run, sum_k p_k * log2(p_k) over positive entries (0*log 0 := 0)."""
-    return weighted_log2_sum(None, flat, bounds)
-
-
-def weighted_log2_sum(
-    weights: np.ndarray | None, flat: np.ndarray, bounds: Sequence[int], alpha: float = 1.0
-) -> np.ndarray:
-    """Per run, sum_k w_k * log2(p_k) over the positive entries p_k of ``flat``.
-
-    Without ``weights``, w is each run's `escort_weights` of ``alpha`` (p
-    itself at alpha 1), bit for bit, from the same log2 per entry.
-    """
+def weighted_log2_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float = 1.0) -> np.ndarray:
+    """Per run, sum_k w_k * log2(p_k) over the positive entries p_k of ``flat``, w
+    being the run's `escort_weights` of ``alpha``, bit for bit, from the same log2 per
+    entry.  At alpha 1, w is p itself: the sum of p log2 p (0*log 0 := 0), streamed."""
 
     def group(window, bounds):
-        if weights is not None or alpha == 1.0:
-            return _streamed(  # w log2 x, or x log2 x
-                lambda x, *w, out: np.multiply(np.log2(x, out=out), w[0] if w else x, out=out),
-                bounds, *(a[window] for a in ((flat,) if weights is None else (flat, weights))))
+        if alpha == 1.0:
+            return _streamed(lambda x, out: np.multiply(np.log2(x, out=out), x, out=out),
+                             bounds, flat[window])
         logs, _, bounds = _cells(flat[window], bounds)
         logs *= _escort(logs, bounds, alpha, keep=True)[0]
         return _segment_fsum(logs, bounds)

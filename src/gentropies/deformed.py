@@ -43,7 +43,7 @@ def _exp_coordinate(x, rate: float, scale: float, what: str, shift: float = -0.0
     if isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ())) and x.ndim:
         import numpy as np
 
-        with np.errstate(over="ignore"), contextlib.suppress(OverflowError):
+        with np.errstate(all="ignore"), contextlib.suppress(OverflowError):
             grown = np.fromiter(map(math.expm1, ((x + shift) * c).tolist()), np.float64, len(x))
             grown /= scale
             if not np.isinf(grown).any():

@@ -66,7 +66,8 @@ def _require_finite(family_name: str, **params: float) -> None:
 
 
 class _Family:
-    """A family's laws, Shannon's unless a family overrides them.
+    """A family's laws, those of tau * sum P_alpha(p) log2 p unless it overrides them:
+    Shannon (alpha 1), Nath at alpha 1 and the lam == 0 escort share this formula.
 
     Report ``name``, entropy ``_formula`` of each run between consecutive
     bounds of a flat array of distributions (a float64 entry per run), uniform
@@ -80,7 +81,7 @@ class _Family:
     composition: ClassVar[Deformation] = Deformation()  # ordinary addition
 
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
-        return self.tau * _numeric("_stable").plogp_sum(flat, bounds)
+        return self.tau * _numeric("_stable").weighted_log2_sum(flat, bounds, self.alpha)
 
     def _trace(self, n: int, log_n: float) -> float:
         return -self.tau * log_n
@@ -134,15 +135,14 @@ class GeneralEscort(_Family):
         return self.lam
 
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
-        _stable = _numeric("_stable")
         # some run holds an exact zero
         if self.alpha <= 0.0 and not flat[bounds[0]:bounds[-1]].all():
             raise DomainError(
                 f"zero probability with non-positive exponent alpha={self.alpha!r}"
             )
         if self.lam == 0.0:
-            return self.tau * _stable.weighted_log2_sum(None, flat, bounds, self.alpha)
-        return -_stable.log2_power_sum(flat, bounds, self.beta, self.alpha) / self.lam
+            return super()._formula(flat, bounds)
+        return -_numeric("_stable").log2_power_sum(flat, bounds, self.beta, self.alpha) / self.lam
 
 
 @dataclass(frozen=True)

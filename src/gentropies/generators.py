@@ -39,6 +39,7 @@ class LinearGenerator:
         if self.c == 0.0:
             raise ParameterError("linear generator needs c != 0")
 
+    @np.errstate(all="ignore")  # the caller's error state changes no result
     def evaluate(self, x):
         """g(x) of a float, or of every entry of a float64 array."""
         return -self.c * (x + self.shift)

@@ -38,10 +38,6 @@ def plogp_sum(part):
     return math.fsum([p * math.log2(p) for p in part if p > 0.0])
 
 
-def weighted_log2_sum(weights, part):
-    return math.fsum([w * math.log2(p) for w, p in zip(weights, part) if p > 0.0])
-
-
 def escort_weights(part, alpha):
     logs = [alpha * math.log2(p) for p in part if p > 0.0]
     m = max(logs)

@@ -16,6 +16,7 @@ from gentropies import (
     ExponentialGenerator,
     GeneralEscort,
     JointDistribution,
+    LinearGenerator,
     Nath,
     Overflow,
     ParameterError,
@@ -258,7 +259,8 @@ class TestEntropyValues:
             entropy(shannon(-1.7e308), uniform(4))
         assert entropy(shannon(-1.7e308), uniform(2)) == 1.7e308
 
-    @pytest.mark.parametrize("family", [shannon(), nath(1.0, 1.0, -1.0)], ids=repr)
+    @pytest.mark.parametrize(
+        "family", [shannon(), nath(1.0, 1.0, -1.0), general_escort(1.0, -1.0, 0.0)], ids=repr)
     def test_overflowing_sum_is_typed_overflow(self, family):
         # raw values whose sum of p log2 p is past the float range
         with pytest.raises(Overflow, match=family.name):
@@ -593,11 +595,13 @@ def test_conditional_overflow_text_is_weighted_means():
 
 
 def _escort_formula_from_separate_kernels(family, flat, bounds):
-    from gentropies._stable import escort_weights, log2_power_sum, weighted_log2_sum
+    from gentropies._stable import escort_weights, log2_power_sum
 
-    if family.lam == 0.0:
+    if family.lam == 0.0:  # per run, the exact sum of numpy's log2(p) * w over positive p
         weights = escort_weights(flat, bounds, family.alpha)
-        return [family.tau * s for s in weighted_log2_sum(weights, flat, bounds)]
+        runs = [(flat[i:j], weights[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
+        return [family.tau * math.fsum((np.log2(p[p > 0.0]) * w[p > 0.0]).tolist())
+                for p, w in runs]
     beta = log2_power_sum(flat, bounds, family.beta)
     alpha = log2_power_sum(flat, bounds, family.alpha)
     return [-(b - a) / family.lam for b, a in zip(beta, alpha)]
@@ -630,6 +634,31 @@ def test_shared_log2_equals_the_separate_kernels(family, lengths):
     got = span_entropies(family, flat, bounds)
     expected = _escort_formula_from_separate_kernels(family, flat, bounds)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+# Shannon is the alpha = 1 member of the lam == 0 escort branch, and Nath at
+# alpha = 1 is Shannon whatever its lam: the three share one formula.
+@pytest.mark.parametrize("tau", [-1.0, -1.5])
+def test_the_lambda_zero_members_at_alpha_1_are_shannon_bit_for_bit(tau):
+    lengths = [1, 255, 256, 2 ** 15 + 1]
+    rng = np.random.default_rng(7)
+    rows = []
+    for m in lengths:
+        x = rng.exponential(1.0, m) ** 4
+        x[rng.random(m) < 0.3] = 0.0  # zeros in every run but the one-entry one
+        x[rng.integers(0, m)] = 1.0
+        rows.append(x / x.sum())
+    flat, bounds = np.concatenate(rows), np.cumsum([0, *lengths])
+    joint = make_joint([row / len(rows) for row in rows])
+
+    def bits(family):
+        return ([entropy(family, make_distribution(row)).hex() for row in rows],
+                [v.hex() for v in span_entropies(family, flat, bounds)],
+                conditional_entropy(family, joint).hex())
+
+    expected = bits(shannon(tau))
+    assert bits(nath(1.0, 0.5, tau)) == expected
+    assert bits(general_escort(1.0, tau, 0.0)) == expected
 
 
 # The kernels keep their own numpy error state: entries of 1e-300 underflow
@@ -685,8 +714,10 @@ def test_an_underflowing_mean_does_not_depend_on_the_callers_numpy_error_state(c
 
 
 # Products and quotients that underflow to inexact subnormals or to zero: the
-# outer products of (1e-200, 1 - 1e-200) with itself, and the divisions by the
-# sums in the constructors, `marginal` and `conditional`
+# outer products of (1e-200, 1 - 1e-200) with itself, the divisions by the
+# sums in the constructors, `marginal` and `conditional`, and the array forms
+# of the generators and of the deformation map, whose scalar forms return the
+# subnormal
 TINY_PAIR = make_distribution([1e-200, 1 - 1e-200])
 TINY_JOINT = make_joint([[1e-310, 0.5], [0.5 + 1e-10]])
 UNDERFLOWING_BUILDS = {
@@ -698,6 +729,11 @@ UNDERFLOWING_BUILDS = {
     # the raw constructor trusts its rows: `marginal` divides their total 0.9 out
     "marginal": lambda: marginal(JointDistribution([[1e-310], [0.3, 0.6]])).probs,
     "conditional": lambda: conditional(TINY_JOINT, 0).probs,
+    "ExponentialGenerator.evaluate":
+        lambda: ExponentialGenerator(1.0, gamma=1e300).evaluate(np.array([1e-10, 2.0])),
+    "Deformation.h": lambda: Deformation(1e300).h(np.array([1e-300, 1e-310])),
+    "LinearGenerator.evaluate":
+        lambda: LinearGenerator(c=1e-300).evaluate(np.array([1e-20, 2.0])),
 }
 
 

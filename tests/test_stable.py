@@ -17,7 +17,6 @@ from gentropies._stable import (
     exact_sum,
     gather,
     log2_power_sum,
-    plogp_sum,
     power_sum,
     segment_sums,
     weighted_log2_sum,
@@ -100,7 +99,7 @@ def test_exact_sum_of_probabilities_is_fsum():
 
 # Each kernel on one run, and the per-run libm loop of tests/libm_reference.py.
 KERNELS = {
-    "plogp_sum": (lambda p: plogp_sum(p, [0, len(p)]), libm.plogp_sum),
+    "plogp_sum": (lambda p: weighted_log2_sum(p, [0, len(p)]), libm.plogp_sum),
     "log2_power_sum(0.5)": (lambda p: log2_power_sum(p, [0, len(p)], 0.5),
                             lambda part: libm.log2_power_sum(part, 0.5)),
     "log2_power_sum(100)": (lambda p: log2_power_sum(p, [0, len(p)], 100.0),
@@ -111,8 +110,6 @@ KERNELS = {
                           lambda part: libm.escort_weights(part, 2.0)),
     "escort_weights(0.5)": (lambda p: escort_weights(p, [0, len(p)], 0.5),
                             lambda part: libm.escort_weights(part, 0.5)),
-    "weighted_log2_sum": (lambda p: weighted_log2_sum(p[::-1].copy(), p, [0, len(p)]),
-                          lambda part: libm.weighted_log2_sum(part[::-1], part)),
 }
 # The one-run shortcut of the exact sum (``math.fsum``) and the blocked sum
 # agree bit for bit.
@@ -186,14 +183,12 @@ def _each_alone(kernel, flat, bounds):
 
 
 SPAN_KERNELS = {
-    "plogp_sum": plogp_sum,
+    "plogp_sum": weighted_log2_sum,
     "log2_power_sum(0.5)": lambda p, bounds: log2_power_sum(p, bounds, 0.5),
     "log2_power_sum(100)": lambda p, bounds: log2_power_sum(p, bounds, 100.0),
     "power_sum(3)": lambda p, bounds: power_sum(p, bounds, 3.0),
     "escort_weights(2)": lambda p, bounds: _span_slices(escort_weights(p, bounds, 2.0), bounds),
     "escort_weights(0.5)": lambda p, bounds: _span_slices(escort_weights(p, bounds, 0.5), bounds),
-    # weights computed entry by entry, so a span's weights are the same alone
-    "weighted_log2_sum": lambda p, bounds: weighted_log2_sum(np.sqrt(p), p, bounds),
 }
 
 
@@ -257,7 +252,7 @@ def test_span_kernels_equal_each_slice_alone_with_long_spans(name, data):
 
 BOUNDS_KERNELS = {
     **SPAN_KERNELS,
-    "weighted_log2_sum(escort 2)": lambda p, bounds: weighted_log2_sum(None, p, bounds, 2.0),
+    "weighted_log2_sum(escort 2)": lambda p, bounds: weighted_log2_sum(p, bounds, 2.0),
     "segment_sums": segment_sums,
 }
 
@@ -771,22 +766,20 @@ def test_non_finite_runs_sum_a_block_at_a_time():
 
 @pytest.mark.parametrize("block, buffers", [(_stable._BLOCK, 6), (2 ** 13, 8)])
 def test_streamed_kernels_hold_no_input_sized_temporary(block, buffers):
-    """The power, p log p and weighted log sums walk their input a block of at
-    most ``_BLOCK`` entries at a time: on a held 2**18-entry array with 10 %
+    """The power and p log p sums walk their input a block of at most
+    ``_BLOCK`` entries at a time: on a held 2**18-entry array with 10 %
     zeros (2 MiB), as one span or as about 400 rows, each peaks under a few
     block-sized buffers (1.5 MiB at the real ``_BLOCK``, 512 KiB at 2**13)."""
     rng = np.random.default_rng(17)
     x = rng.exponential(1.0, 2 ** 18)
     x[rng.random(x.size) < 0.1] = 0.0
     x /= x.sum()
-    weights = np.sqrt(x)
     bounds = np.cumsum([0, *rng.integers(256, 1025, 1024)])
     rows = bounds[bounds <= x.size]
     with mock.patch.object(_stable, "_BLOCK", block):
         for runs in ([0, x.size], rows):
-            for fn in (lambda: plogp_sum(x, runs), lambda: power_sum(x, runs, 2.0),
-                       lambda: power_sum(x, runs, 50.0),
-                       lambda: weighted_log2_sum(weights, x, runs)):
+            for fn in (lambda: weighted_log2_sum(x, runs), lambda: power_sum(x, runs, 2.0),
+                       lambda: power_sum(x, runs, 50.0)):
                 assert _traced_peak(fn) < buffers * 8 * block
 
 
@@ -840,19 +833,17 @@ def test_max_factored_runs_across_block_edges_equal_each_run_alone(name):
 # entries of each span, with ``_BLOCK`` small and every nonempty span long.
 
 def _power_cases(*alphas):
-    return {f"power_sum({a:g})": (lambda p, w, bounds, a=a: power_sum(p, bounds, a),
-                                  lambda x, w, a=a: np.power(x, a)) for a in alphas}
+    return {f"power_sum({a:g})": (lambda p, bounds, a=a: power_sum(p, bounds, a),
+                                  lambda x, a=a: np.power(x, a)) for a in alphas}
 
 
 STREAMED = {
-    "plogp_sum": (lambda p, w, bounds: plogp_sum(p, bounds), lambda x, w: np.log2(x) * x),
+    "plogp_sum": (weighted_log2_sum, lambda x: np.log2(x) * x),
     **_power_cases(3.0, 0.5, -2.0),
-    "weighted_log2_sum": (lambda p, w, bounds: weighted_log2_sum(w, p, bounds),
-                          lambda x, w: np.log2(x) * w),
 }
 
 
-def _streamed_outcomes(name, flat, weights, bounds, block, levels=_stable._LEVELS):
+def _streamed_outcomes(name, flat, bounds, block, levels=_stable._LEVELS):
     """The kernel's results in hex, or the type of its error (`Overflow` as
     ``OverflowError``), with ``_BLOCK`` at ``block`` and every sum taking
     the blocked sum; and the same from ``math.fsum`` of
@@ -862,7 +853,7 @@ def _streamed_outcomes(name, flat, weights, bounds, block, levels=_stable._LEVEL
             mock.patch.object(_stable, "_LEVELS", levels), \
             mock.patch.object(_stable, "_FSUM_MAX", 0), np.errstate(over="ignore"):
         try:
-            got = [v.hex() for v in kernel(flat, weights, bounds)]
+            got = [v.hex() for v in kernel(flat, bounds)]
         except Overflow:
             got = OverflowError
         except (OverflowError, ValueError) as exc:
@@ -871,7 +862,7 @@ def _streamed_outcomes(name, flat, weights, bounds, block, levels=_stable._LEVEL
     for i, j in itertools.pairwise(bounds):
         keep = flat[i:j] > 0.0
         with np.errstate(over="ignore"):
-            values = terms(flat[i:j][keep], weights[i:j][keep]).tolist()
+            values = terms(flat[i:j][keep]).tolist()
         try:
             want.append(math.fsum(values).hex())
         except (OverflowError, ValueError) as exc:
@@ -901,8 +892,7 @@ def test_streamed_kernels_at_block_edges(name, parts, block, data):
         cells.append(x)
     flat = np.concatenate([np.zeros(0), *cells])
     bounds = _some_bounds(data.draw, np.cumsum([0, *(m for _, m in parts)]).tolist())
-    weights = rng.standard_normal(flat.size)
-    got, want = _streamed_outcomes(name, flat, weights, bounds, block)
+    got, want = _streamed_outcomes(name, flat, bounds, block)
     assert got == want
 
 
@@ -926,56 +916,44 @@ def test_streamed_kernels_on_block_edges(name, case):
     flat[rng.random(flat.size) < 0.1] = 0.0
     flat[z0:z1] = 0.0
     bounds = np.cumsum([0, *lengths]).tolist()
-    weights = rng.standard_normal(flat.size)
-    got, want = _streamed_outcomes(name, flat, weights, bounds, 8)
+    got, want = _streamed_outcomes(name, flat, bounds, 8)
     assert got == want
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3])
-@pytest.mark.parametrize("name", ["power_sum(1)", "weighted_log2_sum"])
-def test_streamed_uncertified_runs_recompute_their_terms(name, levels):
+def test_streamed_uncertified_runs_recompute_their_terms(levels):
     """Terms that tie (see `test_rest_that_the_pieces_cannot_certify_goes_to_fsum`),
     with zeros among their cells: the pieces cannot certify a run's rounding,
     so ``math.fsum`` takes the run's terms again, recomputed from its cells.
-    x**1 is x, and w * log2(0.5) is -w: the terms are the tie itself."""
+    x**1 is x: the terms are the tie itself."""
     run = [1.0, 2.0 ** -53, 2.0 ** -300]
     expected = math.fsum(run)
     assert expected != math.fsum(run[:2])
-    if name == "power_sum(1)":
-        flat, weights = np.array([1.0, 0.0, 2.0 ** -53, 2.0 ** -300] * 3), np.zeros(12)
-    else:
-        flat = np.array([0.5, 0.0, 0.5, 0.5] * 3)
-        weights = -np.array([1.0, 7.0, 2.0 ** -53, 2.0 ** -300] * 3)
-    kernel = {**STREAMED, **_power_cases(1.0)}[name][0]
+    flat = np.array([1.0, 0.0, 2.0 ** -53, 2.0 ** -300] * 3)
+    kernel = _power_cases(1.0)["power_sum(1)"][0]
     with mock.patch.object(_stable, "_BLOCK", 4), mock.patch.object(_stable, "_LEVELS", levels), \
             mock.patch.object(_stable, "_FSUM_MAX", 0), \
             mock.patch.object(_stable, "_fsum", wraps=_stable._fsum) as fallback:
-        assert kernel(flat, weights, [0, 4, 8, 12]).tolist() == [expected] * 3
+        assert kernel(flat, [0, 4, 8, 12]).tolist() == [expected] * 3
         assert fallback.call_count == 3
 
 
-@pytest.mark.parametrize("order", list(itertools.permutations(["fine", "overflow", "inf - inf"])))
+@pytest.mark.parametrize("order", list(itertools.permutations(["fine", "overflow", "inf"])))
 def test_streamed_kernels_raise_what_the_first_failing_span_raises(order):
-    """Huge finite terms overflow ``math.fsum`` (`power_sum` raises `Overflow`,
-    the others ``OverflowError``), and inf next to -inf is ``ValueError``:
-    the first failing span in order decides, as alone."""
+    """Huge finite terms overflow ``math.fsum`` (`power_sum` raises `Overflow`),
+    and an inf term makes an inf sum: in any order, the batch gives what the
+    spans give alone, the first failing span deciding."""
     spans_of_kind = {
-        "fine": ([0.25, 0.0, 0.5, 0.25], [1.0, 1.0, 1.0, 1.0]),
-        # x**-2 = 2**1022 and w * log2(x) = 511 * 2**1014: four of either overflow
-        "overflow": ([2.0 ** -511] * 4, [-2.0 ** 1014] * 4),
-        # w * log2(x) = -+inf for w = +-1e308 and log2(x) = -1074; x**-2 = inf
-        "inf - inf": ([5e-324, 0.0, 5e-324, 0.5], [1e308, 1.0, -1e308, 1.0]),
+        "fine": [0.25, 0.0, 0.5, 0.25],
+        "overflow": [2.0 ** -511] * 4,  # x**-2 = 2**1022: four of them overflow
+        "inf": [5e-324, 0.0, 5e-324, 0.5],  # x**-2 = inf
     }
-    flat = np.array([v for kind in order for v in spans_of_kind[kind][0]])
-    weights = np.array([v for kind in order for v in spans_of_kind[kind][1]])
+    flat = np.array([v for kind in order for v in spans_of_kind[kind]])
     bounds = [0, 4, 8, 12]
     for name in STREAMED:
-        got, want = _streamed_outcomes(name, flat, weights, bounds, 2)
+        got, want = _streamed_outcomes(name, flat, bounds, 2)
         assert got == want, name
-    assert _streamed_outcomes("power_sum(-2)", flat, weights, bounds, 2)[0] == OverflowError
-    first = min(order.index("overflow"), order.index("inf - inf"))
-    assert _streamed_outcomes("weighted_log2_sum", flat, weights, bounds, 2)[0] == (
-        OverflowError if order[first] == "overflow" else ValueError)
+    assert _streamed_outcomes("power_sum(-2)", flat, bounds, 2)[0] == OverflowError
 
 
 # Batches of short spans: every span as alone, and against the per-span libm
@@ -1043,16 +1021,12 @@ def _floats(values):
     return np.array([v for value in values for v in np.atleast_1d(value)], dtype=float)
 
 
-def _weights(flat):
-    return np.sqrt(flat) * 0.75
-
-
 def _magnitudes(name, flat, alpha, spans, want):
     """Per result of ``want``, the size that an error of a few ulps per term is
     relative to:
 
     - `power_sum`: the result, a sum of positive terms;
-    - `plogp_sum` and `weighted_log2_sum`: the sum of |terms|, which may cancel;
+    - `plogp_sum`: the sum of |terms|, which may cancel;
     - the max-factored kernels, whose terms are 2**(alpha log2 x - m): an ulp of
       difference in log2 x moves alpha log2 x by up to |alpha| L, L the largest
       |log2 x| of the span, an absolute error of `log2_power_sum` (to which its
@@ -1070,8 +1044,7 @@ def _magnitudes(name, flat, alpha, spans, want):
         elif name == "escort_weights":
             out += [abs(w) * (1.0 + big) for w in value]
         else:
-            w = x if name == "plogp_sum" else _weights(flat[i:j])[pos]
-            out.append(math.fsum(np.abs(w * np.log2(x)).tolist()))
+            out.append(math.fsum(np.abs(x * np.log2(x)).tolist()))
     return np.array(out)
 
 
@@ -1081,8 +1054,6 @@ def _short_cases(flat, alpha):
     def part(i, j):
         return flat[i:j].tolist()
 
-    weights = _weights(flat)
-
     def escorts(bounds):
         return [w.tolist() for w in _span_slices(escort_weights(flat, bounds, alpha), bounds)]
 
@@ -1091,12 +1062,8 @@ def _short_cases(flat, alpha):
                            lambda i, j: libm.log2_power_sum(part(i, j), alpha)),
         "power_sum": (lambda bounds: power_sum(flat, bounds, alpha),
                       lambda i, j: libm.power_sum(part(i, j), alpha)),
-        "plogp_sum": (lambda bounds: plogp_sum(flat, bounds),
+        "plogp_sum": (lambda bounds: weighted_log2_sum(flat, bounds),
                       lambda i, j: libm.plogp_sum(part(i, j))),
-        "weighted_log2_sum": (
-            lambda bounds: weighted_log2_sum(weights, flat, bounds),
-            lambda i, j: libm.weighted_log2_sum(weights[i:j].tolist(), part(i, j)),
-        ),
         "escort_weights": (escorts, lambda i, j: libm.escort_weights(part(i, j), alpha)),
     }
 
@@ -1128,7 +1095,7 @@ def test_short_batches_equal_the_per_span_reference(alpha, data):
 
 
 @pytest.mark.parametrize("name", ["log2_power_sum", "power_sum", "plogp_sum",
-                                  "weighted_log2_sum", "escort_weights"])
+                                  "escort_weights"])
 def test_no_spans(name):
     """``np.maximum.reduceat`` raises IndexError on empty input: no span
     reaches it."""
