@@ -47,6 +47,11 @@ def escort_weights(part, alpha):
     return [next(weights) if p > 0.0 else 0.0 for p in part]
 
 
+def weighted_log2_sum(part, alpha):
+    weights = escort_weights(part, alpha)
+    return math.fsum([w * math.log2(p) for w, p in zip(weights, part) if p > 0.0])
+
+
 def evaluate(generator, x):
     """g(x) with one expm1 for an exponential generator."""
     if not isinstance(generator, ExponentialGenerator):

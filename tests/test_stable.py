@@ -110,6 +110,8 @@ KERNELS = {
                           lambda part: libm.escort_weights(part, 2.0)),
     "escort_weights(0.5)": (lambda p: escort_weights(p, [0, len(p)], 0.5),
                             lambda part: libm.escort_weights(part, 0.5)),
+    "weighted_log2_sum": (lambda p: weighted_log2_sum(p, [0, len(p)], 2.0),
+                          lambda part: libm.weighted_log2_sum(part, 2.0)),
 }
 # The one-run shortcut of the exact sum (``math.fsum``) and the blocked sum
 # agree bit for bit.
@@ -189,6 +191,7 @@ SPAN_KERNELS = {
     "power_sum(3)": lambda p, bounds: power_sum(p, bounds, 3.0),
     "escort_weights(2)": lambda p, bounds: _span_slices(escort_weights(p, bounds, 2.0), bounds),
     "escort_weights(0.5)": lambda p, bounds: _span_slices(escort_weights(p, bounds, 0.5), bounds),
+    "weighted_log2_sum": lambda p, bounds: weighted_log2_sum(p, bounds, 0.5),
 }
 
 
@@ -286,7 +289,7 @@ def test_runs_past_0_and_before_the_end_equal_each_run_alone(name, lengths):
 # The kernels whose every run needs a positive entry: at the parent's (start,
 # stop) spans an empty span raised ValueError, and the sums gave it 0.0.
 MAX_FACTORED = {"log2_power_sum(0.5)", "log2_power_sum(100)", "escort_weights(2)",
-                "escort_weights(0.5)", "weighted_log2_sum(escort 2)"}
+                "escort_weights(0.5)", "weighted_log2_sum", "weighted_log2_sum(escort 2)"}
 
 
 @pytest.mark.parametrize("lengths", [[3, 0, 2], [300, 0, 700], [3, 0, 300], [0, 5], [700, 0]],
@@ -1030,7 +1033,8 @@ def _magnitudes(name, flat, alpha, spans, want):
     - the max-factored kernels, whose terms are 2**(alpha log2 x - m): an ulp of
       difference in log2 x moves alpha log2 x by up to |alpha| L, L the largest
       |log2 x| of the span, an absolute error of `log2_power_sum` (to which its
-      own log2 adds 1) and a relative one of each escort weight.
+      own log2 adds 1) and a relative one of each escort weight, and so of each
+      term w log2 x of `weighted_log2_sum`.
     """
     out = []
     for (i, j), value in zip(spans, want):
@@ -1043,6 +1047,9 @@ def _magnitudes(name, flat, alpha, spans, want):
             out.append(abs(value) + big + 1.0)
         elif name == "escort_weights":
             out += [abs(w) * (1.0 + big) for w in value]
+        elif name == "weighted_log2_sum":
+            w = np.array(libm.escort_weights(flat[i:j].tolist(), alpha))[pos]
+            out.append(math.fsum(np.abs(w * np.log2(x)).tolist()) * (1.0 + big))
         else:
             out.append(math.fsum(np.abs(x * np.log2(x)).tolist()))
     return np.array(out)
@@ -1065,6 +1072,8 @@ def _short_cases(flat, alpha):
         "plogp_sum": (lambda bounds: weighted_log2_sum(flat, bounds),
                       lambda i, j: libm.plogp_sum(part(i, j))),
         "escort_weights": (escorts, lambda i, j: libm.escort_weights(part(i, j), alpha)),
+        "weighted_log2_sum": (lambda bounds: weighted_log2_sum(flat, bounds, alpha),
+                              lambda i, j: libm.weighted_log2_sum(part(i, j), alpha)),
     }
 
 
@@ -1095,7 +1104,7 @@ def test_short_batches_equal_the_per_span_reference(alpha, data):
 
 
 @pytest.mark.parametrize("name", ["log2_power_sum", "power_sum", "plogp_sum",
-                                  "escort_weights"])
+                                  "weighted_log2_sum", "escort_weights"])
 def test_no_spans(name):
     """``np.maximum.reduceat`` raises IndexError on empty input: no span
     reaches it."""
