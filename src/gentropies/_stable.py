@@ -28,7 +28,7 @@ per run in one C-level map, and one blocked exact sum, so every run gets the
 bits it would get alone.  No temporary is input-sized but the logs that the
 max-factored kernels hold (see `_streamed` and `_per_run`).  The kernels
 keep their own numpy error state, so the caller's does not change a result
-(see `_span_map`).
+(see `_span_map`).  They raise Python's own errors alone, which the caller types.
 
 `divide_runs` divides each run by its total, one scalar per run and a block
 at a time, in place when the caller owns the array, else into one new array.
@@ -54,8 +54,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .errors import Overflow
 
 _FSUM_MAX = 255  # runs of at most this many entries in all: math.fsum beats the blocked sum
 # Blocks of the exact sum and of the streamed kernels: at most this many
@@ -360,14 +358,11 @@ def log2_power_sum(
 
 def power_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarray:
     """Per run, sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0);
-    a term or a sum past the float range raises `Overflow`."""
-    try:
-        sums = _span_map(bounds, lambda window, bounds: _streamed(
-            lambda x, out: np.power(x, alpha, out=out), bounds, flat[window]))
-    except OverflowError as exc:
-        raise Overflow(f"power sum with exponent {alpha!r} overflowed") from exc
+    a term or a sum past the float range raises ``OverflowError`` for the caller to type."""
+    sums = _span_map(bounds, lambda window, bounds: _streamed(
+        lambda x, out: np.power(x, alpha, out=out), bounds, flat[window]))
     if np.count_nonzero(np.isinf(sums)):
-        raise Overflow(f"power sum with exponent {alpha!r} overflowed")
+        raise OverflowError(f"power sum with exponent {alpha!r} overflowed")
     return sums
 
 

@@ -222,7 +222,7 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
     2**n cells, so n is capped at ``MAX_CHAIN_LENGTH`` and longer chains
     raise :class:`DimensionError` before anything is built.
     """
-    if not 1 <= _integer(n, "chain length") <= MAX_CHAIN_LENGTH:
+    if not 1 <= (n := _integer(n, "chain length")) <= MAX_CHAIN_LENGTH:
         raise DimensionError(
             f"chain length must be in 1..{MAX_CHAIN_LENGTH}, got {n}"
         )
@@ -238,7 +238,7 @@ def _trace(family, dims):
 def uniform_trace_residual(family: EntropyFamily, n: int) -> float:
     """|entropy at U_n - closed-form uniform trace|; n over 2**``MAX_CHAIN_LENGTH``
     raises :class:`DimensionError` before anything is built."""
-    if _integer(n, "uniform dimension") > 2 ** MAX_CHAIN_LENGTH:
+    if (n := _integer(n, "uniform dimension")) > 2 ** MAX_CHAIN_LENGTH:
         raise DimensionError(f"uniform dimension must be at most 2**{MAX_CHAIN_LENGTH}, got {n}")
     return _residual(_trace, family, n)
 

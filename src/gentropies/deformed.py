@@ -34,21 +34,21 @@ def _float(x, what: str) -> float:
 def _exp_coordinate(x, rate: float, scale: float, what: str, shift: float = -0.0):
     """(2**(rate*(x + shift)) - 1)/scale as expm1(ln2*rate*(x + shift))/scale, so
     that a small exponent does not cancel, of a float or of each entry of a
-    float64 array (libm's expm1 in one C-level map, numpy's correctly rounded
-    arithmetic: each entry gets its bits alone; adding -0.0 changes no float).
+    float64 array of any shape (libm's expm1 in one C-level map, numpy's correctly
+    rounded arithmetic: each entry gets its bits alone; adding -0.0 changes no float).
     A finite x whose result leaves the float range raises `Overflow`, on an
-    array the first such entry's; an infinite x gives its limit."""
+    array the first such entry's in row order; an infinite x gives its limit."""
     c = _LN2 * rate
     # no array exists before numpy is imported, and this module does not import it
     if isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ())) and x.ndim:
         import numpy as np
 
         with np.errstate(all="ignore"), contextlib.suppress(OverflowError):
-            grown = np.fromiter(map(math.expm1, ((x + shift) * c).tolist()), np.float64, len(x))
+            grown = np.fromiter(map(math.expm1, ((x.ravel() + shift) * c).tolist()), float, x.size)
             grown /= scale
             if not np.isinf(grown).any():
-                return grown
-        return np.array([_exp_coordinate(one, rate, scale, what, shift) for one in x.tolist()])
+                return grown.reshape(x.shape)
+        return np.reshape([_exp_coordinate(v, rate, scale, what, shift) for v in x.flat], x.shape)
     x = _float(x, what)
     with contextlib.suppress(OverflowError):
         try:

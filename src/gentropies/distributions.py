@@ -388,7 +388,10 @@ def _escort(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarray
         raise EscortUndefined(
             f"escort exponent {alpha!r} needs strictly positive entries"
         )
-    return escort_weights(flat, bounds, alpha)
+    try:
+        return escort_weights(flat, bounds, alpha)
+    except ValueError as exc:  # a run with no positive entry
+        raise EscortUndefined(f"escort of exponent {alpha!r} is undefined: {exc}") from exc
 
 
 def _check_counts(counts: Iterable[int]) -> list:

@@ -225,11 +225,8 @@ class HCT(_Family):
     def _trace(self, n: int, log_n: float) -> float:
         try:
             zpow = (1.0 / n) ** (self.tau * self.lam)
-        except OverflowError:  # 1.0 / n is not a float from n = 2**1024 on
-            try:
-                zpow = 2.0 ** (-(self.tau * self.lam) * log_n)
-            except OverflowError as exc:
-                raise Overflow(f"uniform trace overflowed at log2(n) = {log_n!r}") from exc
+        except OverflowError:  # 1.0 / n is not a float from n = 2**1024 on: h_lam(-tau log2 n)
+            return self.composition.h(-self.tau * log_n)
         return (zpow - 1.0) / self.lam
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._stable import gather, segment_sums
 from .deformed import _LN2, _exp_coordinate, _log_coordinate
-from .errors import DimensionError, Overflow, ParameterError
+from .errors import DimensionError, DomainError, Overflow, ParameterError
 from .distributions import Distribution, _number, _require, _sized
 
 _SATURATED = 2.0 ** -20  # 1 + gamma*acc at or below it: the mean is max-factored
@@ -91,11 +91,11 @@ class ExponentialGenerator:
         """`invert_mean` of every run's accumulator at once.  Where 1 + gamma*acc passes
         ``_SATURATED``, the bits of `invert`, with libm's log1p in one C-level map; at or
         below it, sum w 2**e over e = kappa*(v + shift) has lost 20 bits or more, and all
-        such runs take (m + log2 sum w 2**(e - m))/kappa - shift, m = max e, with libm's
-        pow and log2 and one exact sum per run; a nan or +inf gamma*acc takes `invert`."""
+        such runs with terms take (m + log2 sum w 2**(e - m))/kappa - shift, m = max e, with
+        libm's pow and log2 and one exact sum per run; the rest take `invert`."""
         t = self.gamma * acc
         usable = np.isfinite(t) & (1.0 + t > _SATURATED)
-        saturated = 1.0 + t <= _SATURATED
+        saturated = (1.0 + t <= _SATURATED) & (np.diff(starts) > 0)
         logs = np.fromiter(map(math.log1p, np.where(usable, t, 0.0).tolist()), np.float64, len(t))
         means = logs / (_LN2 * self.kappa) - self.shift
         if saturated.any():
@@ -143,10 +143,13 @@ def weighted_means(
 
     g is evaluated on all values at once, every run's accumulator is one
     exact sum (see `segment_sums`), and g^{-1} is taken of all accumulators
-    at once; a sum past the float range raises :class:`Overflow`.
+    at once; a sum past the float range raises :class:`Overflow`, and one of
+    opposite infinities :class:`DomainError`.
     """
     try:
         acc = segment_sums(weights * generator.evaluate(values), starts)
     except OverflowError as exc:
         raise Overflow("weighted sum of generator values overflowed") from exc
+    except ValueError as exc:
+        raise DomainError(f"weighted sum of generator values is undefined: {exc}") from exc
     return generator._invert_means(acc, weights, values, starts)

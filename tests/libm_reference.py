@@ -31,7 +31,7 @@ def power_sum(part, alpha):
     try:
         return math.fsum([p ** alpha for p in part if p > 0.0])
     except OverflowError as exc:
-        raise Overflow(f"power sum with exponent {alpha!r} overflowed") from exc
+        raise OverflowError(f"power sum with exponent {alpha!r} overflowed") from exc
 
 
 def plogp_sum(part):

@@ -157,6 +157,14 @@ class TestChainResidual:
         assert chain_residual(shannon(-1.0), np.int64(3)) == chain_residual(shannon(-1.0), 3)
 
 
+@pytest.mark.parametrize("name, family", THREE)
+def test_a_numpy_integer_dimension_gives_a_float(name, family):
+    """The checked int is what the residual computes on: at lam = 0 the
+    composition's h is the identity, and would pass an np.int64's arithmetic on."""
+    assert type(chain_residual(family, np.int64(4))) is float
+    assert type(uniform_trace_residual(family, np.int64(4))) is float
+
+
 class TestUniformTraceResidual:
     def test_shannon_1024(self):
         assert uniform_trace_residual(shannon(-1.0), 1024) < 1e-12

@@ -24,6 +24,17 @@ lambdas = st.floats(-2.0, 2.0, allow_nan=False).filter(
 
 
 class TestExamples:
+    def test_h_maps_every_entry_of_a_2d_array(self):
+        """A 2-D array gets the bits of its 1-D entries, in its own shape, and
+        an overflow names the first overflowing entry in row order."""
+        x = np.linspace(-3.0, 3.0, 6)
+        got = Deformation(0.7).h(x.reshape(3, 2))
+        assert got.shape == (3, 2)
+        assert [v.hex() for v in got.ravel().tolist()] == [
+            v.hex() for v in Deformation(0.7).h(x).tolist()]
+        with pytest.raises(Overflow, match=r"exponent 3000\.0 overflowed"):
+            Deformation(1.0).h(np.array([[0.0, 3000.0], [2000.0, 0.0]]))
+
     def test_plain_addition(self):
         assert Deformation(0.0).add(2.0, 3.0) == 5.0
 

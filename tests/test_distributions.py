@@ -33,6 +33,7 @@ from gentropies import (
     read_distributions,
     read_joint,
     refinement_joint,
+    renyi,
     shannon,
     uniform,
     write_distribution,
@@ -175,6 +176,14 @@ class TestEscort:
     def test_undefined_for_nonpositive_exponent_with_zero(self):
         with pytest.raises(EscortUndefined):
             escort(make_distribution((1.0, 0.0)), -1.0)
+
+    def test_undefined_without_a_positive_entry(self):
+        """A raw all-zero run has no escort at any exponent; so a conditional
+        entropy, whose escort weights are the marginal's, of an all-zero joint."""
+        with pytest.raises(EscortUndefined, match="escort of exponent 2.0 is undefined"):
+            escort(Distribution([0.0, 0.0]), 2.0)
+        with pytest.raises(EscortUndefined, match="escort of exponent 2.0 is undefined"):
+            conditional_entropy(renyi(2.0), JointDistribution([[0.0, 0.0], [0.0, 0.0]]))
 
     def test_large_exponent_stays_finite(self):
         e = escort(make_distribution((0.2, 0.8)), 100.0)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,7 +261,8 @@ class TestEntropyValues:
         assert entropy(shannon(-1.7e308), uniform(2)) == 1.7e308
 
     @pytest.mark.parametrize(
-        "family", [shannon(), nath(1.0, 1.0, -1.0), general_escort(1.0, -1.0, 0.0)], ids=repr)
+        "family", [shannon(), nath(1.0, 1.0, -1.0), general_escort(1.0, -1.0, 0.0),
+                   tsallis(2.0), havrda_charvat(2.0)], ids=repr)
     def test_overflowing_sum_is_typed_overflow(self, family):
         # raw values whose sum of p log2 p is past the float range
         with pytest.raises(Overflow, match=family.name):
@@ -354,6 +356,14 @@ class TestUniformTrace:
     def test_hct_beyond_float_range(self, alpha, expected):
         # 1.0 / 10**400 is not a float, but n**(1 - alpha) is
         assert uniform_trace(tsallis(alpha), 10 ** 400) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.25])
+    def test_havrda_charvat_beyond_float_range(self, alpha):
+        # h_lam(-tau log2 n) = (n**(1 - alpha) - 1)/lam, the family's float lam, in 50 digits
+        family, n = havrda_charvat(alpha), 10 ** 400
+        with mpmath.workdps(50):
+            expected = float((mpmath.mpf(n) ** (1 - mpmath.mpf(alpha)) - 1) / family.lam)
+        assert uniform_trace(family, n) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2.5, math.inf, math.nan, "4"], ids=repr)
     def test_dimension_must_be_an_integer(self, n):

@@ -452,3 +452,29 @@ def test_quasi_mean_keeps_nonfinite_values():
     assert quasi_mean(LinearGenerator(), uniform(2), [math.inf, 1.0]) == math.inf
     assert math.isnan(quasi_mean(LinearGenerator(), uniform(2), [math.nan, 1.0]))
     assert math.isnan(quasi_mean(ExponentialGenerator(1.0), uniform(2), [math.nan, 1.0]))
+
+
+def test_quasi_mean_of_opposite_infinities_is_typed_domain_error():
+    """inf - inf has no sum: the exact sum's ``ValueError``, typed by the mean."""
+    with pytest.raises(DomainError, match="weighted sum of generator values is undefined"):
+        quasi_mean(LinearGenerator(), uniform(2), [math.inf, -math.inf])
+
+
+def test_a_saturated_mean_of_no_terms_takes_invert():
+    """1 + gamma*acc = 0 with no terms to max-factor: `invert`'s `DomainError`."""
+    with pytest.raises(DomainError, match="outside the generator range"):
+        ExponentialGenerator(1.0).invert_mean(-1.0, np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize("generator", [
+    ExponentialGenerator(kappa=1.0),
+    ExponentialGenerator(kappa=-2.5, gamma=3.0, shift=0.25),
+    LinearGenerator(c=-3.0, shift=1.5),
+], ids=repr)
+def test_evaluate_maps_every_entry_of_a_2d_array(generator):
+    """A 2-D array gets the bits of its 1-D entries, in its own shape."""
+    x = np.linspace(-3.0, 3.0, 6)
+    got = generator.evaluate(x.reshape(2, 3))
+    assert got.shape == (2, 3)
+    assert [v.hex() for v in got.ravel().tolist()] == [
+        v.hex() for v in generator.evaluate(x).tolist()]

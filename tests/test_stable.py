@@ -1,7 +1,9 @@
 """The numeric kernels: exact sums, the span kernels and the one size switch."""
 
+import ast
 import itertools
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -943,7 +945,7 @@ def test_streamed_uncertified_runs_recompute_their_terms(levels):
 
 @pytest.mark.parametrize("order", list(itertools.permutations(["fine", "overflow", "inf"])))
 def test_streamed_kernels_raise_what_the_first_failing_span_raises(order):
-    """Huge finite terms overflow ``math.fsum`` (`power_sum` raises `Overflow`),
+    """Huge finite terms overflow ``math.fsum`` (`power_sum` raises ``OverflowError``),
     and an inf term makes an inf sum: in any order, the batch gives what the
     spans give alone, the first failing span deciding."""
     spans_of_kind = {
@@ -1117,14 +1119,14 @@ def test_no_spans(name):
 
 def test_power_sum_overflow_inside_a_short_batch():
     """A term past the float range (inf from numpy, an error from float **):
-    a span that overflows makes the whole batch raise `Overflow`, as that
+    a span that overflows makes the whole batch raise ``OverflowError``, as that
     span does alone, and so does a long run, with no warning."""
     flat = np.array([0.5, 0.5, 1e-120, 1.0, 0.25, 0.75])
-    with pytest.raises(Overflow, match=r"power sum with exponent -3\.0 overflowed"):
+    with pytest.raises(OverflowError, match=r"power sum with exponent -3\.0 overflowed"):
         power_sum(flat, [0, 2, 4, 6], -3.0)
-    with pytest.raises(Overflow, match=r"power sum with exponent -3\.0 overflowed"):
+    with pytest.raises(OverflowError, match=r"power sum with exponent -3\.0 overflowed"):
         power_sum(np.resize(flat, 300), [0, 300], -3.0)
-    with pytest.raises(Overflow, match=r"power sum with exponent -3\.0 overflowed"):
+    with pytest.raises(OverflowError, match=r"power sum with exponent -3\.0 overflowed"):
         libm.power_sum(flat[2:4].tolist(), -3.0)
     # bounds that end before the overflowing span, or start after it
     assert power_sum(flat, [0, 1, 2], -3.0).tolist() == [libm.power_sum([0.5], -3.0)] * 2
@@ -1170,3 +1172,15 @@ def test_gather_of_other_runs_concatenates_their_slices(runs):
 def test_gather_of_no_runs_is_empty():
     cells, bounds = gather(np.arange(10.0), GATHER_BOUNDS, np.array([], dtype=np.intp))
     assert cells.size == 0 and bounds.tolist() == [0]
+
+
+def test_the_kernels_import_only_the_standard_library_and_numpy():
+    """`_stable` is a leaf: it raises Python's own errors alone, and the layer
+    that owns a call types them, so it imports nothing from the package."""
+    with open(_stable.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported = {alias.name.partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {"." * node.level + (node.module or "").partition(".")[0]
+                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported and imported <= set(sys.stdlib_module_names) | {"numpy"}, imported
