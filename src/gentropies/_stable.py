@@ -20,15 +20,15 @@ flat array plus ``bounds`` and return one float64 array, one entry per run
 (`escort_weights` returns the weights, normalized within each run).  The one
 sum of weighted logs, `weighted_log2_sum`, streams p log2 p at alpha 1.  The
 layers above keep per-run results in that format; a value becomes a Python
-float only at a public scalar return or in the axiom suite's per-trial
-arithmetic.  A kernel takes all of its runs at once, whatever their lengths:
-per-run maxima from ``np.maximum.reduceat`` (exact), numpy's log2, exp2 and
-power and its basic operations, which act on each entry alone, libm's log2
-per run in one C-level map, and one blocked exact sum, so every run gets the
-bits it would get alone.  No temporary is input-sized but the logs that the
-max-factored kernels hold (see `_streamed` and `_per_run`).  The kernels
-keep their own numpy error state, so the caller's does not change a result
-(see `_span_map`).  They raise Python's own errors alone, which the caller types.
+float only at a public scalar return.  A kernel takes all of its runs at once,
+whatever their lengths: per-run maxima from ``np.maximum.reduceat`` (exact),
+numpy's log2, exp2 and power and its basic operations, which act on each entry
+alone, libm's log2 per run in one C-level map, and one blocked exact sum, so
+every run gets the bits it would get alone.  No temporary is input-sized but the
+logs that the max-factored kernels hold (see `_streamed` and `_per_run`).  The
+kernels keep their own numpy error state, so the caller's does not change a
+result (see `_span_map`).  They raise Python's own errors alone, which the
+caller types.
 
 `divide_runs` divides each run by its total, one scalar per run and a block
 at a time, in place when the caller owns the array, else into one new array.

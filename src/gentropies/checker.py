@@ -9,12 +9,13 @@ every check plus the fixed counterexample probe, and aggregates residuals
 into a reproducible report: the same configuration always serializes to
 identical bytes.  It evaluates a batch of trials of every check at once:
 one ``span_entropies`` call for all the entropies that they need, one
-``conditional_entropies`` call for all their joints; its docstring states
-which error a failing check raises.  It draws each store in one sampler
-loop (``_sampler.Draws.trials``) per chunk of trials, through numpy's
-exported C samplers on the seed's PCG64 stream, or where they are missing
-or differ (``_sampler.c_samplers()`` is None) through the Generator methods:
-the same numbers either way.
+``conditional_entropies`` call for all their joints, and the residuals as
+float64 arrays, which become Python floats only in the report's records; its
+docstring states which error a failing check raises.  It draws each store in
+one sampler loop (``_sampler.Draws.trials``) per chunk of trials, through
+numpy's exported C samplers on the seed's PCG64 stream, or where they are
+missing or differ (``_sampler.c_samplers()`` is None) through the Generator
+methods: the same numbers either way.
 
 Verdicts compare the residual relative to 1 + |reference value| against the
 configured tolerance; a check whose absolute residual reaches
@@ -25,13 +26,12 @@ expected outcome for escort families with exponent beta != 1.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._stable import bounds_of, divide_runs, gather, segment_sums
+from ._stable import bounds_of, divide_runs, exact_sum, gather, segment_sums
 from .distributions import (
     Distribution,
     JointDistribution,
@@ -75,7 +75,7 @@ MAX_SUITE_CELLS = 2 ** 24
 #: Least charge per trial against ``MAX_SUITE_CELLS`` (the default 8 x 8
 #: shape), for what every trial holds whatever its shape: the stores take
 #: 0.18-0.4 KB per trial from 2 x 1 to 8 x 8, and the residuals and their
-#: scales about 0.2 KB of Python floats more.
+#: scales 48 bytes of float64 more (tracemalloc).
 MIN_TRIAL_CELLS = 64
 
 #: Trials per batch of a check in `run_suite`: this bounds the arrays one
@@ -127,15 +127,16 @@ def _trials(inputs, parts: Callable[[Any], tuple[np.ndarray, Sequence[int]]]) ->
 # Each check below is a generator over a batch of inputs.  It yields
 # ``(runs, joint, dims)``: ``(cells, lengths)`` pieces whose runs need an
 # entropy, ``(joint, groups)`` or None, each group of rows one joint, and the
-# dimensions of uniforms.  It is sent the entropies of each piece's runs, the
-# (whole, marginal, conditional) entropies of each joint and the uniforms',
-# and returns the residual of every input and the magnitude of its reference
-# value.  `_evaluate` runs any list of checks at once; `run_suite` measures
-# its checks through it (`_measure`), and the public functions are its
-# one-input case (`_residual`).
+# dimensions of uniforms.  It is sent float64 arrays: the entropies of each
+# piece's runs, the whole, marginal and conditional entropies of the joints
+# and the uniforms', and returns float64 arrays: the residual of every input
+# and the magnitude of its reference value.  `_evaluate` runs any list of
+# checks at once; `run_suite` measures its checks through it (`_measure`),
+# and the public functions are its one-input case (`_residual`).
 
 
-def _evaluate(family, steps: Sequence) -> list[tuple[list[float], list[float]]]:
+@np.errstate(all="ignore")  # the checks' arithmetic too: the caller's error state changes no result
+def _evaluate(family, steps: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every check's result, from one `span_entropies`, one `group_marginals` and one
     `conditional_entropies` call for all of them: each run gets the bits it would alone."""
     asks = [next(s) for s in steps]
@@ -150,33 +151,32 @@ def _evaluate(family, steps: Sequence) -> list[tuple[list[float], list[float]]]:
         margs = group_marginals(batch, groups)
         pieces += [(batch._flat, np.diff(batch._bounds[groups])),
                    (margs, np.diff(groups))]
+    ends = list(itertools.accumulate(len(lengths) for _, lengths in pieces))
     dims = list(dict.fromkeys(n for _, _, ns in asks for n in ns))
     if dims:  # one uniform is `uniform`'s own, which checks its dimension
         cells = np.repeat(1.0 / np.array(dims), dims) if len(dims) > 1 else uniform(dims[0])._array
         pieces.append((cells, dims))
-    values = iter(span_entropies(family, *_joined(pieces)).tolist())
-    own = [[list(itertools.islice(values, len(lengths))) for _, lengths in runs]
-           for runs, _, _ in asks]
-    triples = iter(())
+    values = span_entropies(family, *_joined(pieces))
+    parts = iter([values[i:j] for i, j in itertools.pairwise([0, *ends])])  # not the uniforms
+    own = [[next(parts) for _ in runs] for runs, _, _ in asks]
+    triple = ()  # the wholes, marginals and conditionals of the joints
     if joints:
-        k = len(groups) - 1
-        wholes, marginals = list(itertools.islice(values, k)), list(itertools.islice(values, k))
-        conditionals = conditional_entropies(family, batch, groups, margs).tolist()
-        triples = zip(wholes, marginals, conditionals)
-    uniforms = dict(zip(dims, values))
+        triple = (next(parts), next(parts), conditional_entropies(family, batch, groups, margs))
+    index, at = dict(zip(dims, itertools.count(len(values) - len(dims)))), 0  # uniforms last
     results = []
     for step, mine, (_, joint, ns) in zip(steps, own, asks):
         n = 0 if joint is None else len(joint[1]) - 1
         try:
-            step.send((mine, list(itertools.islice(triples, n)), [uniforms[d] for d in ns]))
+            step.send((mine, [x[at:at + n] for x in triple], values.take([index[d] for d in ns])))
         except StopIteration as done:
             results.append(done.value)
+        at += n
     return results
 
 
 def _residual(check, family, x) -> float:
     """The residual of ``check`` on the one input ``x``."""
-    return _evaluate(family, [check(family, [x])])[0][0][0]
+    return _evaluate(family, [check(family, [x])])[0][0].item()
 
 
 def _strong_additivity(family, joints):
@@ -185,9 +185,8 @@ def _strong_additivity(family, joints):
         joint, groups = JointDistribution._wrap(t.flat, t.bounds), t.offsets
     else:  # one joint, whose cached exact row sums serve again
         joint, groups = joints[0], [0, len(joints[0])]
-    _, parts, _ = yield [], (joint, groups), []
-    add = family.composition.add
-    return [abs(w - add(m, c)) for w, m, c in parts], [abs(w) for w, _, _ in parts]
+    _, (whole, marg, cond), _ = yield [], (joint, groups), []
+    return np.abs(whole - family.composition.add(marg, cond)), np.abs(whole)
 
 
 def strong_additivity_residual(family: EntropyFamily, joint: JointDistribution) -> float:
@@ -208,9 +207,8 @@ def counterexample_probe(family: EntropyFamily) -> float:
 def _chain(family, lengths):
     # every product of powers of two is exact, so U_2^{(x)n} is U_{2**n} bit for bit
     _, _, values = yield [], None, [2 ** n for n in lengths] + [2]
-    d = family.composition
-    coin = d.h_inv(values.pop())
-    return [abs(v - d.h(n * coin)) for v, n in zip(values, lengths)], [abs(v) for v in values]
+    d, chain = family.composition, values[:-1]
+    return np.abs(chain - d.h(np.multiply(lengths, d.h_inv(values[-1])))), np.abs(chain)
 
 
 def chain_residual(family: EntropyFamily, n: int) -> float:
@@ -231,8 +229,8 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
 
 def _trace(family, dims):
     _, _, values = yield [], None, dims
-    residuals = [abs(v - uniform_trace(family, n)) for v, n in zip(values, dims)]
-    return residuals, [abs(v) for v in values]
+    traces = np.fromiter(map(uniform_trace, itertools.repeat(family), dims), float, len(dims))
+    return np.abs(values - traces), np.abs(values)
 
 
 def uniform_trace_residual(family: EntropyFamily, n: int) -> float:
@@ -251,9 +249,8 @@ def _refinement(family, counts_list):
     groups = t.bounds[t.offsets]
     sizes = np.diff(bounds[groups])
     joint = JointDistribution._wrap(np.repeat(1.0 / sizes, sizes), bounds)
-    _, parts, _ = yield [], (joint, groups), []
-    subtract = family.composition.subtract
-    return [abs(d - subtract(w, c)) for w, d, c in parts], [abs(d) for _, d, _ in parts]
+    _, (whole, marg, cond), _ = yield [], (joint, groups), []
+    return np.abs(marg - family.composition.subtract(whole, cond)), np.abs(marg)
 
 
 def refinement_consistency(family: EntropyFamily, counts: Iterable[int]) -> float:
@@ -276,12 +273,9 @@ def _product(family, pairs):
     # the outer products end to end: one row per entry of p, its pair's q
     q_rows = np.repeat(np.arange(1, len(sizes), 2), sizes[0::2])
     cells = np.repeat(gather(t.flat, t.bounds, np.arange(0, len(sizes), 2))[0], sizes[q_rows])
-    with np.errstate(all="ignore"):  # a product that underflows is still the correctly rounded one
-        cells *= gather(t.flat, t.bounds, q_rows)[0]
+    cells *= gather(t.flat, t.bounds, q_rows)[0]  # `_evaluate` ignores its underflows
     (whole, parts), _, _ = yield [(cells, sizes[0::2] * sizes[1::2]), (t.flat, sizes)], None, []
-    add = family.composition.add
-    residuals = [abs(w - add(a, b)) for w, a, b in zip(whole, parts[0::2], parts[1::2])]
-    return residuals, [abs(w) for w in whole]
+    return np.abs(whole - family.composition.add(parts[0::2], parts[1::2])), np.abs(whole)
 
 
 def product_additivity_residual(
@@ -444,7 +438,7 @@ def _draw_suite(cfg: CheckConfig) -> tuple[_Trials, _Trials, _Trials]:
     return joints, _Trials(dists.flat, dists.bounds, bounds_of([2] * cfg.trials)), counts
 
 
-def _measure(family, checks: Sequence[tuple]) -> list[tuple[list[float], list[float]]]:
+def _measure(family, checks: Sequence[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
     """The residuals and scales of every ``(name, check, inputs, describe)``:
     the one measuring loop of `run_suite`, whose docstring states what it raises."""
     measured = [([], []) for _ in checks]
@@ -460,27 +454,27 @@ def _measure(family, checks: Sequence[tuple]) -> list[tuple[list[float], list[fl
                     _measure(family, [(name, check, inputs[t:t + 1], None)])
             raise
         for ((residuals, scales), name, _, _), (more, their) in zip(batch, results):
-            if (bad := next(itertools.filterfalse(math.isfinite, more), None)) is not None:
-                raise Overflow(f"{name} residual is not finite: {bad!r}")
-            residuals += more
-            scales += their
-    return measured
+            if len(bad := np.flatnonzero(~np.isfinite(more))):
+                raise Overflow(f"{name} residual is not finite: {float(more[bad[0]])!r}")
+            residuals.append(more)
+            scales.append(their)
+    return [(np.concatenate(residuals), np.concatenate(scales)) for residuals, scales in measured]
 
 
-def _aggregate(name: str, residuals: Sequence[float], scales: Sequence[float], inputs,
+def _aggregate(name: str, residuals: np.ndarray, scales: np.ndarray, inputs,
                describe: Callable[[Any], Any], tolerance: float) -> CheckRecord:
-    relatives = [r / (1.0 + s) for r, s in zip(residuals, scales)]
-    worst = max(range(len(relatives)), key=relatives.__getitem__)  # the first maximum
-    worst_rel = relatives[worst]
-    max_abs = max(residuals)
+    relatives = residuals / (1.0 + scales)
+    worst = int(relatives.argmax())  # the first maximum
+    worst_rel = float(relatives[worst])
+    max_abs = float(residuals.max())
     verdict = ("pass" if worst_rel <= tolerance
                else "violation detected" if max_abs >= VIOLATION_THRESHOLD else "fail")
     return CheckRecord(
         name=name,
         max_residual=max_abs,
-        mean_residual=math.fsum(residuals) / len(residuals),
+        mean_residual=exact_sum(residuals) / len(residuals),
         max_relative_residual=worst_rel,
-        mean_relative_residual=math.fsum(relatives) / len(relatives),
+        mean_relative_residual=exact_sum(relatives) / len(relatives),
         worst_input=describe(inputs[worst:worst + 1]),
         verdict=verdict,
     )

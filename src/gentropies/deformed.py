@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -39,8 +38,7 @@ def _exp_coordinate(x, rate: float, scale: float, what: str, shift: float = -0.0
     A finite x whose result leaves the float range raises `Overflow`, on an
     array the first such entry's in row order; an infinite x gives its limit."""
     c = _LN2 * rate
-    # no array exists before numpy is imported, and this module does not import it
-    if isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ())) and x.ndim:
+    if getattr(x, "ndim", 0):  # an array
         import numpy as np
 
         with np.errstate(all="ignore"), contextlib.suppress(OverflowError):
@@ -61,8 +59,17 @@ def _exp_coordinate(x, rate: float, scale: float, what: str, shift: float = -0.0
     raise Overflow(f"{what} exponent {rate * (x + shift)!r} overflowed")
 
 
-def _log_coordinate(y: float, rate: float, scale: float, what: str) -> float:
-    """The inverse of `_exp_coordinate`: log1p(t)/(ln2*rate) at t = scale*y."""
+def _log_coordinate(y, rate: float, scale: float, what: str):
+    """The inverse of `_exp_coordinate`, log1p(t)/(ln2*rate) at t = scale*y, arrays alike
+    (libm's log1p in one C-level map); t + 1 <= 0 raises `DomainError`, the first in row order."""
+    if getattr(y, "ndim", 0):  # an array
+        import numpy as np
+
+        with np.errstate(all="ignore"), contextlib.suppress(ValueError):  # log1p of t <= -1
+            logs = np.fromiter(map(math.log1p, (scale * y.ravel()).tolist()), float, y.size)
+            if not np.isinf(logs).any():  # an infinite t, maybe of a finite y: each entry alone
+                return (logs / (_LN2 * rate)).reshape(y.shape)
+        return np.reshape([_log_coordinate(v, rate, scale, what) for v in y.flat], y.shape)
     y = _float(y, what)
     t = scale * y
     if 1.0 + t <= 0.0:
@@ -99,7 +106,16 @@ class Deformation:
         return self.subtract(-0.0, x)
 
     def subtract(self, x: float, y: float) -> float:
-        """Deformed difference: (x - y) / (1 + lam*y)."""
+        """Deformed difference: (x - y) / (1 + lam*y), of floats or of each entry of float64
+        arrays with a float's bits; a y at the pole raises, in an array the first in row order."""
+        if getattr(y, "ndim", 0):  # an array
+            import numpy as np
+
+            with np.errstate(all="ignore"):
+                den = 1.0 + self.lam * y
+                for pole in y[abs(den) < SINGULAR_THRESHOLD][:1].tolist():
+                    self.subtract(0.0, pole)  # raises the float's error
+                return (x - y) / den
         den = 1.0 + self.lam * y
         if abs(den) < SINGULAR_THRESHOLD:
             raise SingularElement(f"{y!r} is at the pole of lambda={self.lam!r}")
@@ -111,7 +127,7 @@ class Deformation:
         return x if self.lam == 0.0 else _exp_coordinate(x, self.lam, self.lam, "deformation")
 
     def h_inv(self, y: float) -> float:
-        """Inverse isomorphism log2(lam*y + 1)/lam; needs lam*y + 1 > 0."""
+        """Inverse isomorphism log2(lam*y + 1)/lam of a float or an array; needs lam*y + 1 > 0."""
         return y if self.lam == 0.0 else _log_coordinate(y, self.lam, self.lam, "deformation")
 
     def sum(self, xs: Iterable[float]) -> float:

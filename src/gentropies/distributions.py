@@ -347,9 +347,13 @@ def group_marginals(joint: JointDistribution, groups: Sequence[int]) -> np.ndarr
 
 
 def marginal(joint: JointDistribution) -> Distribution:
-    """Row-sum marginal p_k = sum_l r_kl, returned exactly normalized."""
+    """Row-sum marginal p_k = sum_l r_kl, returned exactly normalized; a joint of total mass 0
+    raises :class:`ZeroMarginal`."""
     _require(joint, JointDistribution)
-    return Distribution._wrap(group_marginals(joint, [0, len(joint)]))
+    sums = joint._row_sums()
+    if not (total := exact_sum(sums)):
+        raise ZeroMarginal("the joint has zero total mass")
+    return Distribution._wrap(divide_runs(sums, [total], [0, len(sums)]))
 
 
 def conditional(joint: JointDistribution, k: int) -> Distribution:
@@ -389,6 +393,8 @@ def _escort(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarray
             f"escort exponent {alpha!r} needs strictly positive entries"
         )
     try:
+        if alpha == 1.0 and not (np.maximum.reduceat(flat, bounds[:-1]) > 0.0).all():
+            raise ValueError("every run needs a positive entry")  # the kernel's, at alpha != 1
         return escort_weights(flat, bounds, alpha)
     except ValueError as exc:  # a run with no positive entry
         raise EscortUndefined(f"escort of exponent {alpha!r} is undefined: {exc}") from exc

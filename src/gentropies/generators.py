@@ -19,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._stable import gather, segment_sums
-from .deformed import _LN2, _exp_coordinate, _log_coordinate
+from .deformed import _exp_coordinate, _log_coordinate
 from .errors import DimensionError, DomainError, Overflow, ParameterError
 from .distributions import Distribution, _number, _require, _sized
 
@@ -54,7 +54,7 @@ class LinearGenerator:
     def _invert_means(self, acc: np.ndarray, weights: np.ndarray, values: np.ndarray,
                       starts: Sequence[int]) -> np.ndarray:
         """`invert_mean` of every run's accumulator at once, with the bits of `invert`."""
-        return -acc / self.c - self.shift
+        return self.invert(acc)
 
 
 @dataclass(frozen=True)
@@ -89,15 +89,12 @@ class ExponentialGenerator:
     def _invert_means(self, acc: np.ndarray, weights: np.ndarray, values: np.ndarray,
                       starts: Sequence[int]) -> np.ndarray:
         """`invert_mean` of every run's accumulator at once.  Where 1 + gamma*acc passes
-        ``_SATURATED``, the bits of `invert`, with libm's log1p in one C-level map; at or
-        below it, sum w 2**e over e = kappa*(v + shift) has lost 20 bits or more, and all
-        such runs with terms take (m + log2 sum w 2**(e - m))/kappa - shift, m = max e, with
-        libm's pow and log2 and one exact sum per run; the rest take `invert`."""
-        t = self.gamma * acc
-        usable = np.isfinite(t) & (1.0 + t > _SATURATED)
-        saturated = (1.0 + t <= _SATURATED) & (np.diff(starts) > 0)
-        logs = np.fromiter(map(math.log1p, np.where(usable, t, 0.0).tolist()), np.float64, len(t))
-        means = logs / (_LN2 * self.kappa) - self.shift
+        ``_SATURATED``, or the run has no terms, the bits of `invert`; at or below it, sum
+        w 2**e over e = kappa*(v + shift) has lost 20 bits or more, and such runs take
+        (m + log2 sum w 2**(e - m))/kappa - shift, m = max e, with libm's pow and log2 and
+        one exact sum per run."""
+        saturated = (1.0 + self.gamma * acc <= _SATURATED) & (np.diff(starts) > 0)
+        means = self.invert(np.where(saturated, 0.0, acc))
         if saturated.any():
             runs = np.flatnonzero(saturated)
             w, bounds = gather(weights, starts, runs)
@@ -108,8 +105,6 @@ class ExponentialGenerator:
             sums = segment_sums(w * powers, bounds).tolist()
             logs = np.fromiter(map(math.log2, sums), np.float64, len(sums))
             means[runs] = (m + logs) / self.kappa - self.shift
-        for k in np.flatnonzero(~(usable | saturated)).tolist():
-            means[k] = self.invert(float(acc[k]))
         return means
 
 

@@ -346,6 +346,15 @@ class TestRunSuite:
         assert probe.verdict == "violation detected"
         assert probe.max_residual >= VIOLATION_THRESHOLD
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+    def test_phase_diagram(self, alpha, beta):
+        """The characterization drawn as data: over the general escorts of exponent beta,
+        the axioms hold on the line beta = 1 alone, and fail detectably off it."""
+        family = general_escort(alpha, -1.0, beta - alpha)  # its exponent is beta
+        report = run_suite(CheckConfig(family, trials=40, seed=7))
+        assert report.verdict == ("pass" if beta == 1.0 else "violation detected"), report.to_json()
+
     def test_large_order_renyi_passes(self):
         # at lambda = -19 the rows' 2**(lam*H) are small beside 1: the
         # conditional means must be taken max-factored to hold the residuals
@@ -597,9 +606,9 @@ def test_batched_checks_equal_the_public_functions(family):
     ]
     for check, inputs, public in cases:
         residuals, scales = checker._evaluate(family, [check(family, inputs)])[0]
-        assert residuals == [public(x) for x in inputs], check.__name__
+        assert residuals.tolist() == [public(x) for x in inputs], check.__name__
         one = [checker._evaluate(family, [check(family, [x])])[0] for x in inputs]
-        assert scales == [their[0] for _, their in one], check.__name__
+        assert scales.tolist() == [their[0] for _, their in one], check.__name__
 
 
 @pytest.mark.parametrize("batch_trials", [2, checker._BATCH_TRIALS])
@@ -618,7 +627,8 @@ def test_failed_batch_raises_what_a_trial_by_trial_run_meets_first(monkeypatch, 
     with pytest.raises(DomainError, match="input 2"):
         checker._measure(shannon(), [("demo", check, [0, 2, 1, 3], None)])
     zeros = [0.0] * 3
-    assert checker._measure(shannon(), [("demo", check, [0, 3, 0], None)]) == [(zeros, zeros)]
+    measured = checker._measure(shannon(), [("demo", check, [0, 3, 0], None)])
+    assert [(r.tolist(), s.tolist()) for r, s in measured] == [(zeros, zeros)]
 
 
 def test_batch_error_is_raised_when_no_trial_fails_alone(monkeypatch):
@@ -632,7 +642,8 @@ def test_batch_error_is_raised_when_no_trial_fails_alone(monkeypatch):
 
     with pytest.raises(DomainError, match="^batch of 3$"):
         checker._measure(shannon(), [("demo", check, [0, 1, 2], None)])
-    assert checker._measure(shannon(), [("demo", check, [0], None)]) == [([0.0], [0.0])]
+    measured = checker._measure(shannon(), [("demo", check, [0], None)])
+    assert [(r.tolist(), s.tolist()) for r, s in measured] == [([0.0], [0.0])]
 
 
 def test_reports_do_not_depend_on_the_batch_size(monkeypatch):

@@ -240,3 +240,80 @@ def test_negate_is_the_difference_from_zero(lam):
         xs.append(-1.0 / lam)
     for x in xs:
         assert _hex_or_error(Deformation(lam).negate, x) == _hex_or_error(_negate_by_formula, lam, x)
+
+
+# The array arms of `h_inv`, `invert` and `subtract`: each entry of a 1-D or
+# 2-D float64 array gets the bits of the scalar call, whatever numpy's error
+# state, and the first bad entry in row order raises the scalar call's error.
+_ENTRIES = [0.0, -0.0, 0.5, -0.25, 3.0, -0.375, 1e-300, 7.0, 1e308, -1e308, math.inf,
+            -math.inf, math.nan, 2.0 ** -1074, -0.75, 123.5]
+_ARRAY_CALLS = [(f"h_inv lam={lam}", Deformation(lam).h_inv) for lam in (0.0, 1.0, -1.5, 1e-12)] + [
+    (repr(g), g.invert) for g in (ExponentialGenerator(2.5), ExponentialGenerator(-0.5, 4.0, 0.75))]
+
+
+def _scalar_outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except (DomainError, SingularElement) as exc:
+        return type(exc), str(exc)
+
+
+def _shapes(values):
+    """``values`` as 1-D and 2-D float64 arrays, the 2-D one of two rows."""
+    flat = np.array(values + values[-1:] * (len(values) % 2))
+    return [flat, flat.reshape(2, -1)]
+
+
+@pytest.mark.parametrize("name, fn", _ARRAY_CALLS, ids=[name for name, _ in _ARRAY_CALLS])
+def test_inverse_maps_arrays_with_the_scalar_bits(name, fn):
+    valid = [y for y in _ENTRIES if isinstance(_scalar_outcome(fn, y), str)]
+    finite = [y for y in valid if math.isfinite(y)]  # the one-map path, and the per-entry one
+    for values in (finite, valid):
+        for ys in _shapes(values):
+            with np.errstate(all="raise"):
+                got = fn(ys)
+            assert got.shape == ys.shape and got.dtype == np.float64, name
+            assert [v.hex() for v in got.ravel().tolist()] == [
+                _scalar_outcome(fn, y) for y in ys.ravel().tolist()], name
+
+
+@pytest.mark.parametrize("name, fn", _ARRAY_CALLS[1:], ids=[name for name, _ in _ARRAY_CALLS[1:]])
+def test_inverse_of_an_array_raises_the_first_bad_entry_in_row_order(name, fn):
+    bad = [y for y in _ENTRIES if not isinstance(_scalar_outcome(fn, y), str)]
+    assert len({_scalar_outcome(fn, y) for y in bad}) > 1, name  # the first is told apart
+    for ys in _shapes([0.5, bad[1], 0.25, bad[0], *bad[2:]]):
+        with pytest.raises(DomainError) as raised:
+            fn(ys)
+        assert (type(raised.value), str(raised.value)) == _scalar_outcome(fn, bad[1]), name
+
+
+def test_h_inv_of_a_2d_array_is_its_scalar_calls():
+    got = Deformation(1.0).h_inv(np.ones((2, 3)))
+    assert got.shape == (2, 3) and got.dtype == np.float64
+    assert {v.hex() for v in got.ravel().tolist()} == {Deformation(1.0).h_inv(1.0).hex()}
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, -1.5, 3.0])
+def test_subtract_maps_arrays_with_the_scalar_bits(lam):
+    d = Deformation(lam)
+    pairs = [(x, y) for x in _ENTRIES[::3] for y in _ENTRIES
+             if isinstance(_scalar_outcome(d.subtract, x, y), str)]
+    xs, ys = (_shapes([pair[k] for pair in pairs]) for k in (0, 1))
+    for x, y in zip(xs, ys):
+        with np.errstate(all="raise"):
+            got = d.subtract(x, y)
+        assert got.shape == y.shape
+        assert [v.hex() for v in got.ravel().tolist()] == [
+            d.subtract(a, b).hex() for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+
+
+def test_subtract_of_an_array_raises_the_first_pole_in_row_order():
+    d = Deformation(3.0)
+    poles = [-0.3333333333333333, -0.33333333333333337]  # both give 1 + 3y = 0 exactly
+    messages = [_scalar_outcome(d.subtract, 1.0, y) for y in poles]
+    assert messages[0] != messages[1] and all(m[0] is SingularElement for m in messages)
+    for first, second in (poles, poles[::-1]):
+        for ys in _shapes([0.5, 2.0, first, 1.0, second, first]):
+            with pytest.raises(SingularElement) as raised:
+                d.subtract(np.ones_like(ys), ys)
+            assert str(raised.value) == _scalar_outcome(d.subtract, 1.0, first)[1]

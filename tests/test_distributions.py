@@ -26,9 +26,11 @@ from gentropies import (
     direct_product,
     escort,
     flatten,
+    general_escort,
     make_distribution,
     make_joint,
     marginal,
+    nath,
     quasi_mean,
     read_distributions,
     read_joint,
@@ -122,6 +124,11 @@ class TestMarginal:
     def test_refinement(self):
         assert marginal(refinement_joint((1, 3))).probs == (0.25, 0.75)
 
+    def test_zero_total_mass(self):
+        """A raw joint of total mass 0 has no marginal: no (nan, nan)."""
+        with pytest.raises(ZeroMarginal, match="zero total mass"):
+            marginal(JointDistribution([[0.0, 0.0], [0.0, 0.0]]))
+
     @given(distributions(max_size=6), distributions(max_size=6))
     def test_product_marginal_is_left_factor(self, p, q):
         m = marginal(direct_product(p, q))
@@ -184,6 +191,16 @@ class TestEscort:
             escort(Distribution([0.0, 0.0]), 2.0)
         with pytest.raises(EscortUndefined, match="escort of exponent 2.0 is undefined"):
             conditional_entropy(renyi(2.0), JointDistribution([[0.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "family", [shannon(), nath(1.0, 0.5, -2.0), general_escort(1.0, -1.5, 0.0)], ids=repr)
+    def test_undefined_without_a_positive_entry_at_exponent_one(self, family):
+        """At alpha 1 the escort is the input itself, once each run has a positive entry."""
+        with pytest.raises(EscortUndefined, match="escort of exponent 1.0 is undefined"):
+            escort(Distribution([0.0, 0.0]), 1.0)
+        with pytest.raises(EscortUndefined, match="escort of exponent 1.0 is undefined"):
+            conditional_entropy(family, JointDistribution([[0.0, 0.0], [0.0, 0.0]]))
+        assert conditional_entropy(family, JointDistribution([[0.0, 0.0], [0.5, 0.5]])) > 0.0
 
     def test_large_exponent_stays_finite(self):
         e = escort(make_distribution((0.2, 0.8)), 100.0)

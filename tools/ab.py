@@ -12,7 +12,10 @@ The ``cli`` cases time whole processes instead: ``python -m gentropies.cli``
 with ``PYTHONPATH`` set to that side's ``src``, one child per sample (a child
 takes longer than ``SAMPLE_S``), for a change to start-up or import.
 
-Per case it prints each side's median time per call with its quartiles,
+Per case it prints two rows, one per clock: the wall-clock time per call and
+the CPU time per call (user and system; ``time.process_time`` for a call in
+this interpreter, the ``RUSAGE_CHILDREN`` deltas of ``resource.getrusage`` for
+a child process).  Each row gives each side's median with its quartiles,
 new/old of the medians, and the share of rounds that the new side won.  The
 verdict is "faster" or "slower" only where one side won at least 90 % of the
 rounds and the medians differ by more than the old side's interquartile
@@ -50,7 +53,9 @@ import functools
 import gc
 import importlib
 import importlib.util
+import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -166,31 +171,41 @@ def bulk_cases(path: Path, g, kept) -> dict:
     return {f"bulk {op.label}": lambda run=op.run: run for op in ops if kept(f"bulk {op.label}")}
 
 
-def sample(fn, number: int, prime=None) -> float:
-    """Seconds per call of ``fn`` over ``number`` calls, with the collector off,
-    after an untimed ``prime()`` if given."""
+def children_cpu() -> float:
+    """CPU seconds, user and system, of the child processes waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def sample(fn, number: int, prime=None, cpu=time.process_time) -> tuple[float, float]:
+    """Wall-clock and ``cpu`` seconds per call of ``fn`` over ``number`` calls, with the
+    collector off, after an untimed ``prime()`` if given."""
     gc.collect()
     if prime is not None:
         prime()
     gc.disable()
     try:
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), cpu()
         for _ in range(number):
             fn()
-        return (time.perf_counter() - start) / number
+        return (time.perf_counter() - start) / number, (cpu() - start_cpu) / number
     finally:
         gc.enable()
 
 
-def compare(old, new, prime=None) -> dict:
-    """Each side's samples, alternating which side goes first."""
+def compare(old, new, prime=None, cpu=time.process_time) -> dict:
+    """Each side's samples per clock (``"wall"`` and ``"cpu"``), alternating which side
+    goes first."""
     old(), new()  # warm both: first-call imports and caches
-    number = max(1, round(SAMPLE_S / min(sample(old, 1, prime), sample(new, 1, prime))))
-    times = {"old": [], "new": []}
+    first = min(sample(old, 1, prime, cpu)[0], sample(new, 1, prime, cpu)[0])
+    number = max(1, round(SAMPLE_S / first))
+    times = {clock: {"old": [], "new": []} for clock in ("wall", "cpu")}
     for r in range(ROUNDS):
         order = (("old", old), ("new", new)) if r % 2 == 0 else (("new", new), ("old", old))
         for side, fn in order:
-            times[side].append(sample(fn, number, prime))
+            wall, used = sample(fn, number, prime, cpu)
+            times["wall"][side].append(wall)
+            times["cpu"][side].append(used)
     return times
 
 
@@ -228,14 +243,18 @@ def main(argv=None) -> int:
             new.update(bulk_cases(path, sides[1], kept))
         names = [name for name in old if name in new]
         width = max(map(len, names), default=4)
-        print(f"{'case':<{width}} {'old median [q1, q3]':>34} {'new median [q1, q3]':>34} "
+        print(f"{'case':<{width}} clock {'old median [q1, q3]':>34} {'new median [q1, q3]':>34} "
               f"{'new/old':>7} {'new won':>7}  verdict")
         for name in names:
-            prime = bare_child if name.startswith("cli ") else None
-            o, n, won, verdict = summary(compare(old[name](), new[name](), prime))
-            sides_text = [f"{_time(m)} [{_time(q1)}, {_time(q3)}]" for m, q1, q3 in (o, n)]
-            print(f"{name:<{width}} {sides_text[0]:>34} {sides_text[1]:>34} {n[0] / o[0]:>7.3f} "
-                  f"{won:>7.0%}  {verdict}", flush=True)
+            child_case = name.startswith("cli ")
+            times = compare(old[name](), new[name](), bare_child if child_case else None,
+                            children_cpu if child_case else time.process_time)
+            for clock, samples in times.items():
+                o, n, won, verdict = summary(samples)
+                sides_text = [f"{_time(m)} [{_time(q1)}, {_time(q3)}]" for m, q1, q3 in (o, n)]
+                ratio = n[0] / o[0] if o[0] else math.nan  # a clock too coarse for the call
+                print(f"{name:<{width}} {clock:<5} {sides_text[0]:>34} {sides_text[1]:>34} "
+                      f"{ratio:>7.3f} {won:>7.0%}  {verdict}", flush=True)
     return 0
 
 
