@@ -53,16 +53,22 @@ def weighted_log2_sum(part, alpha):
 
 
 def evaluate(generator, x):
-    """g(x) with one expm1 for an exponential generator."""
+    """g(x) with one expm1 for an exponential generator; where expm1 leaves the
+    float range, 2**e/gamma as 2**(e mod 1)/gamma times 2**floor(e).  A result
+    past the float range raises `Overflow`."""
     if not isinstance(generator, ExponentialGenerator):
         return generator.evaluate(x)
+    e = generator.kappa * (x + generator.shift)
     try:
-        grown = math.expm1(_LN2 * generator.kappa * (x + generator.shift))
-    except OverflowError as exc:
-        raise Overflow(
-            f"generator exponent {generator.kappa * (x + generator.shift)!r} overflowed"
-        ) from exc
-    return grown / generator.gamma
+        grown = math.expm1(_LN2 * generator.kappa * (x + generator.shift)) / generator.gamma
+    except OverflowError:  # 2**e past the range, 2**e/gamma maybe not (|gamma| > 1)
+        try:
+            grown = math.ldexp(2.0 ** (e % 1.0) / generator.gamma, math.floor(e))
+        except OverflowError:
+            grown = math.inf
+    if math.isinf(grown):
+        raise Overflow(f"generator exponent {e!r} overflowed")
+    return grown
 
 
 def weighted_mean(generator, terms):

@@ -239,11 +239,14 @@ def _mean_outcome(mean, generator, terms):
     ),
 )
 @example(ExponentialGenerator(kappa=1.0), [(1.0, 979.0), (1.0, 1024.0)])  # finite terms, sum past
+@example(ExponentialGenerator(kappa=0.4115954262862669, gamma=2.0), [(1.0, 2488.0)])  # g finite
+@example(ExponentialGenerator(kappa=1.0, gamma=0.5), [(1.0, 1023.5)])  # 2**e finite, g past
 @settings(max_examples=300, deadline=None)
 def test_weighted_mean_equals_the_per_term_reference(generator, terms):
     """g evaluated on all values at once gives the bits of one expm1 per
     term, through the saturated branch and up to the same `Overflow` text,
-    also where the finite terms sum past the float range."""
+    also where the finite terms sum past the float range and where 2**e and
+    g = (2**e - 1)/gamma lie on opposite sides of it."""
     assert _mean_outcome(_one_run, generator, terms) == _mean_outcome(
         libm.weighted_mean, generator, terms)
 
