@@ -317,3 +317,19 @@ def test_subtract_of_an_array_raises_the_first_pole_in_row_order():
             with pytest.raises(SingularElement) as raised:
                 d.subtract(np.ones_like(ys), ys)
             assert str(raised.value) == _scalar_outcome(d.subtract, 1.0, first)[1]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, -0.5])
+def test_add_and_subtract_of_arrays_keep_the_float_results_under_a_raising_state(lam):
+    """An array argument, x or y or both, gets each entry's float result, inf past the
+    range included, whatever the caller's numpy error state."""
+    d = Deformation(lam)
+    xs = [1e308, -1e308, 1.7e308, 0.5, -0.25]
+    ys = [1e308, 1e308, -0.5, 1e-300, 0.75]
+    cases = [(np.array(xs), np.array(ys)), (np.array(xs), -0.5), (1e308, np.array(ys))]
+    for x, y in cases:
+        pairs = list(zip(*(np.broadcast_to(v, (len(xs),)).tolist() for v in (x, y))))
+        for op in (d.add, d.subtract):
+            with np.errstate(all="raise"):
+                got = op(x, y)
+            assert [v.hex() for v in got.tolist()] == [op(a, b).hex() for a, b in pairs]

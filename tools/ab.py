@@ -30,8 +30,11 @@ cases' inputs are built.  The cases are `conditional_entropy` on a 2**20 x 2
 and a 1024 x 1024 joint and `entropy` on 2 entries, each for shannon,
 renyi(2) and tsallis(2); `conditional_entropy` of renyi(50) on the 1024 x
 1024 joint and `run_suite` of renyi(20), whose exponential means are
-saturated (see `generators._SATURATED`); `run_suite` of renyi(2), each suite
-with 100 trials; the children ``cli compute`` on a CSV of four distributions
+saturated (see `generators._SATURATED`); `conditional_entropy` of
+general_escort(2, -1, -1) (two exponents) and of general_escort(2, -1, 0)
+(the lambda = 0 escort) on the 1024 x 1024 joint; `entropy` of renyi(2) on
+2**20 entries of which about 10 % are zero; `run_suite` of renyi(2), each
+suite with 100 trials; the children ``cli compute`` on a CSV of four distributions
 of 2**8 to 2**14 entries and ``cli check`` of tsallis(2) with 100 trials;
 and the ops of the benchmark's ``bulk`` workload at seed ``BULK_SEED``, named
 ``bulk`` and the op's label.  The bulk schedule draws all of its ops from
@@ -138,6 +141,12 @@ def cases(g, workdir: Path) -> dict:
         cells = np.random.default_rng(seed).exponential(1.0, (rows, cols))
         return g.make_joint(cells / cells.sum())
 
+    def sparse(n, zeros):
+        rng = np.random.default_rng(3)
+        p = rng.exponential(1.0, n)
+        p[rng.random(n) < zeros] = 0.0
+        return g.make_distribution(p / p.sum())
+
     def compute():
         rng = np.random.default_rng(2)
         csv = workdir / f"{g.__name__}.csv"
@@ -155,6 +164,12 @@ def cases(g, workdir: Path) -> dict:
             lambda f=family: functools.partial(g.entropy, f, g.make_distribution([0.25, 0.75])))
     out["conditional_entropy renyi(50) 1024x1024"] = lambda: functools.partial(
         g.conditional_entropy, g.renyi(50.0), joint(*shapes["1024x1024"]))
+    for params in ((2.0, -1.0, -1.0), (2.0, -1.0, 0.0)):
+        out["conditional_entropy general_escort(%g,%g,%g) 1024x1024" % params] = (
+            lambda a=params: functools.partial(
+                g.conditional_entropy, g.general_escort(*a), joint(*shapes["1024x1024"])))
+    out["entropy renyi(2) 2^20 10% zeros"] = lambda: functools.partial(
+        g.entropy, g.renyi(2.0), sparse(2 ** 20, 0.1))
     for alpha in (2.0, 20.0):
         out[f"run_suite renyi({alpha:g}) 100"] = lambda a=alpha: functools.partial(
             g.run_suite, g.CheckConfig(g.renyi(a), trials=100, seed=1))
