@@ -21,19 +21,14 @@ flat array plus ``bounds`` and return one float64 array, one entry per run
 sum of weighted logs, `weighted_log2_sum`, streams p log2 p at alpha 1.  The
 layers above keep per-run results in that format; a value becomes a Python
 float only at a public scalar return.  A kernel takes all of its runs at once,
-whatever their lengths: per-run extremes from ``reduceat`` (exact), numpy's
-log2, exp2 and power and its basic operations, which act on each entry alone,
-libm's log2 per run in one C-level map, and blocked exact sums, so every run
-gets the bits it would get alone.  `_walk` is the one block walk of every
-kernel: it hands each block's positive entries to a term function, and
-`_streamed` sums the terms.  A max-factored kernel takes each run's largest
-alpha * log2(p) from the run's largest (or least positive) probability before
-any term (see `_powers`), and the escort weights a block's runs from the sums
-of their terms in that block (see `_escort`), so no temporary is input-sized
-(but an escort's output, and a copy of the input at a negative exponent over
-zeros, which no family passes).  The kernels keep their own numpy error state,
-so the caller's does not change a result (see `_span_map`).  They raise
-Python's own errors alone, which the caller types.
+whatever their lengths: per-run maxima from ``np.maximum.reduceat`` (exact),
+numpy's log2, exp2 and power and its basic operations, which act on each entry
+alone, libm's log2 per run in one C-level map, and one blocked exact sum, so
+every run gets the bits it would get alone.  No temporary is input-sized but the
+logs that the max-factored kernels hold (see `_streamed` and `_per_run`).  The
+kernels keep their own numpy error state, so the caller's does not change a
+result (see `_span_map`).  They raise Python's own errors alone, which the
+caller types.
 
 `divide_runs` divides each run by its total, one scalar per run and a block
 at a time, in place when the caller owns the array, else into one new array.
@@ -42,8 +37,8 @@ constructors, the marginals and conditionals, the conditional entropies and
 the suite's draws), so they too hold at most one input-sized array: on 2**20
 entries, `make_distribution` and `make_joint` peak at 1.15x and 1.13x their
 8 MiB result (tracemalloc) where they held two arrays, and
-`conditional_entropy` on a held 1024 x 1024 joint at 1.08x (shannon) to
-1.21x (the general escort) one array of its cells.
+`conditional_entropy` of shannon on a held 1024 x 1024 joint at 1.08x one
+array of its cells, from 2.0x.
 
 ``_FSUM_MAX`` is the library's only size switch: runs of at most that many
 entries in all, in one block, are summed by one ``math.fsum`` each, which
@@ -82,8 +77,6 @@ def exact_sum(values: np.ndarray) -> float:
     certifies it; otherwise ``math.fsum`` sums the entries (see `_round`).
     An inf, nan or |x| >= 2**961 sends the sum to ``math.fsum``.
     """
-    if len(values) <= min(_FSUM_MAX, _BLOCK):  # one math.fsum, as `_blocked_fsum` would
-        return math.fsum(values.tolist())
     return float(_segment_fsum(values, [0, len(values)])[0])
 
 
@@ -104,70 +97,69 @@ def _blocked_fsum(blocks: Callable, bounds: np.ndarray) -> np.ndarray:
     """``math.fsum`` of the values that each run keeps, bit for bit; run k is at positions
     ``bounds[k]`` to ``bounds[k + 1]``.  ``blocks(i, j)`` yields, for each ``_BLOCK``
     positions of runs i to j - 1 from ``bounds[i]``, the values that they keep and the mask
-    of those (``None``: all).  Values in rows (a tuple of arrays) are summed row by row,
-    and row c's sums follow row c - 1's.  If a value is inf, nan or |x| >= 2**961,
-    ``math.fsum`` takes each run in order, so an error is the first failing run's."""
+    of those (``None``: all).  If a value is inf, nan or |x| >= 2**961, ``math.fsum`` takes
+    each run in order, so an error is the first failing run's."""
     n, k = int(bounds[-1]), len(bounds) - 1
-    if n <= min(_FSUM_MAX, _BLOCK):  # one block: one list per row, and one math.fsum per run
-        rows, ends = [[]], bounds.tolist()
-        for values, keep in blocks(0, k):
-            rows = [p.tolist() for p in (values if isinstance(values, tuple) else (values,))]
+    if n <= min(_FSUM_MAX, _BLOCK):  # one block: one list, and one math.fsum per run
+        values, ends = [], bounds.tolist()
+        for p, keep in blocks(0, k):
+            values = p.tolist()
             if keep is not None:  # where each run's kept values start in the list
                 ends = np.concatenate(([0], keep.cumsum()))[bounds].tolist()
-        return np.array([math.fsum(row[i:j]) for row in rows for i, j in itertools.pairwise(ends)])
+        return np.array([math.fsum(values[i:j]) for i, j in itertools.pairwise(ends)])
     size = min(n, _BLOCK) or 1
     m = max(size - 1, 1).bit_length()  # size <= 2**m
     q, r = np.empty(size), None  # the rest after each level; a later level's q
-    pending, rest = [], None  # per block and row: its runs with values, each level's pieces
-    for b0, (values, keep) in zip(range(0, n, _BLOCK), blocks(0, k)):
-        rows = values if isinstance(values, tuple) else (values,)
-        if rest is None:  # per run of each row, the sum of |what the levels leave|, rounded
-            rest = np.zeros(len(rows) * k)
-        first, starts = _cuts(bounds, slice(b0, min(b0 + _BLOCK, n)))
+    pending = []  # per block: the runs with values in it, and the exact pieces of each level
+    rest = np.zeros(k)  # per run, the sum of |what the levels leave|, rounded
+    for b0, (p, keep) in zip(range(0, n, _BLOCK), blocks(0, k)):
+        end = min(b0 + _BLOCK, n)
+        first, last = bisect.bisect_right(bounds, b0) - 1, bisect.bisect_right(bounds, end - 1) - 1
         offsets, segs = [0], np.array([first])  # the block's runs with values, their starts
-        if len(starts) > 2:
+        if first < last:
+            starts = bounds[first:last + 2] - b0
+            starts[0], starts[-1] = 0, end - b0
             segs = np.flatnonzero(starts[1:] != starts[:-1])
             offsets, segs = starts[segs], segs + first
             if keep is not None:  # to the kept values: a run that keeps none gets no start
                 per = np.add.reduceat(keep.view(np.int8), offsets, dtype=np.intp)
                 offsets, segs = (per.cumsum() - per)[per > 0], segs[per > 0]
-        for c, p in enumerate(rows):  # row c's runs are numbered from c * k
-            w = len(p)
-            if not w:
+        w = len(p)
+        if not w:
+            continue
+        lo, hi = p.min(), p.max()
+        top = max(hi, -lo)
+        if not top < 2.0 ** 961:
+            return np.array([_fsum(blocks, i, i + 1) for i in range(k)])
+        src, e = p, math.frexp(top)[1]  # max|src| <= 2**e
+        least = lo if lo > 0.0 else -hi if hi < 0.0 else 0.0  # the least nonzero |p|
+        if not least and top:  # zeros or both signs: zeros wrap to the top of the minimum
+            least = ((np.abs(p).view(np.int64) - 1).view(np.uint64).min() + 1).view(np.float64)
+        pieces = []
+        for level in range(_LEVELS if top else 0):
+            r = np.empty(size) if r is None and level else r
+            sigma, t = math.ldexp(1.0, e + m), (r if level else q)[:w]
+            np.add(src, sigma, out=t)
+            t -= sigma
+            pieces.append(np.add.reduceat(t, offsets))
+            src = np.subtract(src, t, out=q[:w])
+            e += m - 53  # |p - q| <= ulp(sigma)/2 <= 2**e
+            # the p - q are multiples of ulp(least), so once least >= 2**(e + m - 1)
+            # w of them sum exactly below 2**(e + m) <= 2**53 * ulp(least)
+            if least >= math.ldexp(1.0, e + m - 1):
+                pieces.append(np.add.reduceat(src, offsets))
+                top = 0
+            top = top and src.any()
+            if not top:
                 break
-            lo, hi = p.min(), p.max()
-            top = max(hi, -lo)
-            if not top < 2.0 ** 961:
-                return np.array([_fsum(blocks, run, k) for run in range(len(rest))])
-            src, e = p, math.frexp(top)[1]  # max|src| <= 2**e
-            least = lo if lo > 0.0 else -hi if hi < 0.0 else 0.0  # the least nonzero |p|
-            if not least and top:  # zeros or both signs: zeros wrap to the top of the minimum
-                least = ((np.abs(p).view(np.int64) - 1).view(np.uint64).min() + 1).view(np.float64)
-            pieces, runs = [], segs + c * k if c else segs
-            for level in range(_LEVELS if top else 0):
-                r = np.empty(size) if r is None and level else r
-                sigma, t = math.ldexp(1.0, e + m), (r if level else q)[:w]
-                np.add(src, sigma, out=t)
-                t -= sigma
-                pieces.append(np.add.reduceat(t, offsets))
-                src = np.subtract(src, t, out=q[:w])
-                e += m - 53  # |p - q| <= ulp(sigma)/2 <= 2**e
-                # the p - q are multiples of ulp(least), so once least >= 2**(e + m - 1)
-                # w of them sum exactly below 2**(e + m) <= 2**53 * ulp(least)
-                if least >= math.ldexp(1.0, e + m - 1):
-                    pieces.append(np.add.reduceat(src, offsets))
-                    top = 0
-                top = top and src.any()
-                if not top:
-                    break
-            if pieces:
-                pending.append((runs, pieces))
-            if top:
-                rest[runs] += np.add.reduceat(np.abs(src, out=src), offsets)
-    return _round(pending, rest, lambda run: _fsum(blocks, run, k))
+        if pieces:
+            pending.append((segs, pieces))
+        if top:
+            rest[segs] += np.add.reduceat(np.abs(src, out=src), offsets)
+    return _round(pending, rest, blocks)
 
 
-def _round(pending: list, rest: np.ndarray, alone: Callable) -> np.ndarray:
+def _round(pending: list, rest: np.ndarray, blocks: Callable) -> np.ndarray:
     """Every run's sum, in one call after the last block, from the exact pieces that
     ``pending`` holds per block (its runs, one array per level).  A run inside one
     block with no ``rest`` is rounded in numpy: its pieces are added smallest first,
@@ -176,7 +168,7 @@ def _round(pending: list, rest: np.ndarray, alone: Callable) -> np.ndarray:
     2**976, so no add overflows).  Any other run takes the ``math.fsum`` h of its
     pieces if ``rest[run]``, a bound on what they miss, is 0 or, plus the residual
     d past h, below half an ulp of h (a quarter at a power of two); else
-    ``alone(run)``, ``math.fsum`` of its values."""
+    ``math.fsum`` of its values."""
     out, redo = np.zeros(len(rest)), rest > 0.0
     if len(pending) > 1:
         runs = np.concatenate([segs for segs, _ in pending])
@@ -202,16 +194,13 @@ def _round(pending: list, rest: np.ndarray, alone: Callable) -> np.ndarray:
                 margin = math.ulp(h) / (4.0 if abs(math.frexp(h)[0]) == 0.5 else 2.0)
                 # the 2**-20 covers the roundings of d and of the bound
                 if not (abs(math.fsum(column + [-h])) + rest[run]) * (1.0 + 2.0 ** -20) < margin:
-                    out[run] = alone(run)
+                    out[run] = _fsum(blocks, run, run + 1)
     return out
 
 
-def _fsum(blocks: Callable, run: int, k: int) -> float:
-    """``math.fsum`` of the values of ``run``, one block-sized list at a time; of k runs
-    per row, run ``run`` is run ``run % k`` of row ``run // k``."""
-    row, i = divmod(run, k)
-    return math.fsum(itertools.chain.from_iterable(
-        (p[row] if isinstance(p, tuple) else p).tolist() for p, _ in blocks(i, i + 1)))
+def _fsum(blocks: Callable, i: int, j: int) -> float:
+    """``math.fsum`` of the values of runs i to j - 1, one block-sized list at a time."""
+    return math.fsum(itertools.chain.from_iterable(p.tolist() for p, _ in blocks(i, j)))
 
 
 def bounds_of(lengths) -> np.ndarray:
@@ -234,61 +223,56 @@ def gather(values: np.ndarray, bounds: Sequence[int], runs: Sequence[int]) -> tu
     return values[np.arange(gathered[-1]) + np.repeat(starts - gathered[:-1], lengths)], gathered
 
 
+def _cells(x: np.ndarray, bounds: np.ndarray):
+    """The log2 of the positive entries of the runs of ``x`` between ``bounds``, the mask
+    of those among all (``None`` when all are, which spares the compress) and their
+    bounds; the logs overwrite the compressed copy, never ``x``."""
+    pos = x > 0.0
+    if np.count_nonzero(pos) == len(pos):
+        return np.log2(x), None, bounds
+    # reduceat over the runs that have entries (it misreads empty ones)
+    nonempty = np.flatnonzero(bounds[1:] > bounds[:-1])
+    positives = np.zeros(len(bounds) - 1, dtype=np.intp)
+    positives[nonempty] = np.add.reduceat(pos, bounds[nonempty], dtype=np.intp)
+    x = x[pos]
+    return np.log2(x, out=x), pos, bounds_of(positives)
+
+
 def _streamed(fn: Callable, bounds: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per run of ``x`` between ``bounds``, the exact sum of the terms ``fn(p, buf, block,
-    mask)`` of its positive entries p (of each row of terms, see `_blocked_fsum`), with no
-    input-sized temporary: `_walk` gives them a block at a time."""
-    return _blocked_fsum(_walk(fn, bounds, x), bounds)
-
-
-def _walk(fn: Callable, bounds: np.ndarray, x: np.ndarray) -> Callable:
-    """The one block walk of the kernels: ``blocks(i, j)`` yields, for each ``_BLOCK``
-    entries of runs i to j - 1 of ``x`` between ``bounds``, ``fn(p, buf, block, mask)`` and
-    ``mask``: ``block`` is their slice of ``x``, ``mask`` marks their positive entries p
-    (``None``: all), compressed before ``fn`` sees them, and ``buf`` is a buffer of their
-    length."""
+    """Per run of ``x`` between ``bounds``, the exact sum of ``fn(p, out=buf)`` over its
+    positive p, with no input-sized temporary: a block of at most ``_BLOCK`` entries at
+    a time, fed to `_blocked_fsum`."""
     buf = np.empty(min(int(bounds[-1]), _BLOCK))
 
     def blocks(i, j):
         stop = int(bounds[j])
         for b0 in range(int(bounds[i]), stop, _BLOCK):
-            block = slice(b0, min(b0 + _BLOCK, stop))
-            p = x[block]
-            mask = p > 0.0
-            if np.count_nonzero(mask) == len(mask):
-                mask = None
-            else:  # a boolean index compresses 5x faster than np.compress
-                p = p[mask]
-            yield fn(p, buf[:len(p)], block, mask), mask
+            p = x[b0:min(b0 + _BLOCK, stop)]
+            keep = p > 0.0
+            if not keep.all():  # a boolean index compresses 5x faster than np.compress
+                p = p[keep]
+            yield fn(p, out=buf[:len(p)]), keep if len(p) < len(keep) else None
 
-    return blocks
+    return _blocked_fsum(blocks, bounds)
 
 
-def _cuts(bounds, block: slice) -> tuple:
-    """The first run between ``bounds`` (from 0) that the slice ``block`` meets, and where
-    it and the runs after it that the block meets start in the block, then its length."""
-    if block.stop - block.start == bounds[-1]:  # every run
-        return 0, bounds
-    first = bisect.bisect_right(bounds, block.start) - 1
-    last = bisect.bisect_right(bounds, block.stop - 1) - 1
-    if first == last:  # inside one run
-        return first, (0, block.stop - block.start)
-    cuts = np.subtract(bounds[first:last + 2], block.start)
-    cuts[0], cuts[-1] = 0, block.stop - block.start
-    return first, cuts
-
-
-def _spread(per_run, bounds, block: slice, mask=None):
-    """``per_run[k]`` at each position of the slice ``block`` in run k between ``bounds``
-    (at those that ``mask`` marks, if given, where each run has a position in the block):
-    a scalar where one run holds the block."""
+def _per_run(op: Callable, x: np.ndarray, per_run, bounds, out: np.ndarray) -> None:
+    """``op(x, per_run[k], out=out)`` over each run k of ``x`` between ``bounds``: at once
+    for at most ``_BLOCK`` entries, else a block at a time, so that no temporary is
+    input-sized.  A run that holds all of the entries, or of a block, takes a scalar."""
     if len(bounds) == 2:
-        return per_run[0]
-    first, cuts = _cuts(bounds, block)
-    if len(cuts) == 2:
-        return per_run[first]
-    counts = np.diff(cuts) if mask is None else np.add.reduceat(mask, cuts[:-1])
-    return np.repeat(per_run[first:first + len(cuts) - 1], counts)
+        return op(x, per_run[0], out=out)
+    if len(x) <= _BLOCK:
+        return op(x, np.repeat(per_run, np.diff(bounds)), out=out)
+    for b0 in range(0, len(x), _BLOCK):
+        block, dest = x[b0:b0 + _BLOCK], out[b0:b0 + _BLOCK]
+        first, last = np.searchsorted(bounds, [b0, b0 + len(block) - 1], "right") - 1
+        if first == last:
+            op(block, per_run[first], out=dest)
+        else:  # the runs' lengths inside the block
+            edges = bounds[first:last + 2].copy()
+            edges[0], edges[-1] = b0, b0 + len(block)
+            op(block, np.repeat(per_run[first:last + 1], np.diff(edges)), out=dest)
 
 
 @np.errstate(all="ignore")  # a quotient that underflows is still the correctly rounded one
@@ -296,76 +280,30 @@ def divide_runs(x: np.ndarray, totals, bounds: Sequence[int], out: np.ndarray | 
     """Each run k of ``x`` between ``bounds`` (from 0 to ``len(x)``) divided by
     ``totals[k]``, correctly rounded entry by entry, under the kernels' numpy error
     state: into ``out`` (``x`` itself, when the caller owns it, divides in place),
-    else into one new array, with no copy of ``x`` first, a block at a time, so that
-    no temporary is input-sized (see `_spread`)."""
+    else into one new array, with no copy of ``x`` first (see `_per_run`)."""
     out = np.empty(len(x)) if out is None else out
-    for b0 in range(0, len(x), _BLOCK):
-        block = slice(b0, min(b0 + _BLOCK, len(x)))
-        np.divide(x[block], _spread(totals, bounds, block), out=out[block])
+    _per_run(np.divide, x, totals, bounds, out)
     return out
 
 
-def _largest(x: np.ndarray, bounds: np.ndarray, alpha: float) -> np.ndarray:
-    """Per run of ``x`` between ``bounds``, the largest alpha * log2(p) over its positive
-    p, with no logs: numpy's log2 keeps the order of its inputs, so it is alpha * log2 of
-    the run's largest p at alpha >= 0, else of its least positive p (over a copy of the
-    input with nan for its zeros, which fmin passes over: at alpha < 0 no family passes
-    zeros).  Every run needs a positive entry."""
-    one = len(bounds) == 2  # one run: checked on Python scalars
-    if not len(x) if one else np.count_nonzero(bounds[1:] <= bounds[:-1]):
+def _scaled_powers(logs: np.ndarray, bounds: np.ndarray, alpha: float, keep=False):
+    """Per run between ``bounds`` the largest t = alpha * log2(x), m, and every
+    2**(t - m), from the ``logs`` of the positive x (overwritten unless ``keep``).
+    Every run needs a positive entry."""
+    if np.count_nonzero(bounds[1:] <= bounds[:-1]):
         raise ValueError("every run needs a positive entry")
-    if alpha < 0.0 and np.count_nonzero(x) < len(x):
-        extremes = np.fmin.reduceat(np.where(x > 0.0, x, np.nan), bounds[:-1])
-    else:
-        extremes = (np.fmin if alpha < 0.0 else np.fmax).reduceat(x, bounds[:-1])
-    if not extremes[0] > 0.0 if one else np.count_nonzero(extremes > 0.0) < len(extremes):
-        raise ValueError("every run needs a positive entry")
-    return np.log2(extremes, out=extremes) * alpha
+    t = np.multiply(logs, alpha, out=None if keep else logs)
+    m = np.maximum.reduceat(t, bounds[:-1])
+    _per_run(np.subtract, t, m, bounds, t)
+    return m, np.exp2(t, out=t)
 
 
-def _powers(x: np.ndarray, bounds: np.ndarray, exponents: Sequence[float]):
-    """Per exponent a, each run's largest t = a * log2(p) over its positive p, m (see
-    `_largest`), and a `_streamed` function of the terms 2**(t - m): one row per exponent
-    (one array for one), from one log2 per block, which it leaves in its buffer."""
-    maxima = [_largest(x, bounds, a) for a in exponents]
-    rows = [np.empty(min(len(x), _BLOCK)) for _ in exponents]
-
-    def terms(p, buf, block, mask):
-        logs, t = np.log2(p, out=buf), []
-        for row, a, m in zip(rows, exponents, maxima):
-            row = np.multiply(logs, a, out=row[:len(p)])
-            row -= _spread(m, bounds, block, mask)
-            t.append(np.exp2(row, out=row))
-        return tuple(t) if len(t) > 1 else t[0]
-
-    return maxima, terms
-
-
-def _escort(x: np.ndarray, bounds: np.ndarray, alpha: float) -> Callable:
-    """A `_streamed` function of the alpha-escort weights of a block's positive entries,
-    which leaves their logs in its buffer: their terms t (see `_powers`) over the exact
-    sum of their run's, which the block takes itself where it holds the run whole, and a
-    run across the edge of a block first, in a walk of its own."""
-    terms, totals = _powers(x, bounds, [alpha])[1], {}
-    if len(x) > _BLOCK:  # the runs across a block's edge take their totals first
-        for k in np.flatnonzero(bounds[:-1] // _BLOCK < (bounds[1:] - 1) // _BLOCK):
-            run, one = x[bounds[k]:bounds[k + 1]], bounds_of([bounds[k + 1] - bounds[k]])
-            totals[k] = _streamed(_powers(run, one, [alpha])[1], one, run)[0]
-
-    def weights(p, buf, block, mask):
-        t = terms(p, buf, block, mask)
-        first, cuts = _cuts(bounds, block)
-        if len(cuts) == 2:  # inside one run
-            t /= totals[first] if first in totals else exact_sum(t)
-            return t
-        cuts = cuts if mask is None else bounds_of(np.add.reduceat(mask, cuts[:-1]))
-        sums = _segment_fsum(t, cuts)
-        for k in totals.keys() & {first, first + len(sums) - 1}:  # runs across its edges
-            sums[k - first] = totals[k]
-        t /= np.repeat(sums, np.diff(cuts))
-        return t
-
-    return weights
+def _escort(logs: np.ndarray, bounds: np.ndarray, alpha: float, keep=False):
+    """The alpha-escort weights of each run's positive x from their ``logs``
+    (see `_scaled_powers`), and the sum that normalized each run."""
+    w = _scaled_powers(logs, bounds, alpha, keep)[1]
+    totals = _segment_fsum(w, bounds)
+    return divide_runs(w, totals, bounds, out=w), totals
 
 
 @np.errstate(all="ignore")  # numpy >= 2 sets it per call and thread; half a with's cost
@@ -382,8 +320,7 @@ def _span_map(bounds: Sequence[int], group: Callable) -> np.ndarray:
     if len(bounds) < 2:
         return np.zeros(0)
     try:
-        start = int(bounds[0])
-        return group(slice(start, int(bounds[-1])), bounds - start if start else bounds)
+        return group(slice(int(bounds[0]), int(bounds[-1])), bounds - bounds[0])
     except (OverflowError, ValueError):
         if len(bounds) > 2:
             for k in range(len(bounds) - 1):
@@ -406,17 +343,15 @@ def log2_power_sum(
     the result is finite for |alpha| up to several hundred.  Every run
     needs a positive entry.
     """
-    exponents = [alpha] if minus is None else [alpha, minus]
 
     def group(window, bounds):
-        x = flat[window]
-        maxima, terms = _powers(x, bounds, exponents)
-        sums = _streamed(terms, bounds, x)
-        logs = np.fromiter(map(math.log2, sums.tolist()), np.float64, len(sums))
-        if minus is None:
-            return maxima[0] + logs
-        k = len(bounds) - 1  # the second exponent's sums follow the first's
-        return (maxima[0] + logs[:k]) - (maxima[1] + logs[k:])
+        logs, _, bounds = _cells(flat[window], bounds)
+        exponents, values = [alpha] if minus is None else [alpha, minus], []
+        for k, a in enumerate(exponents):  # the last one may overwrite the logs
+            m, terms = _scaled_powers(logs, bounds, a, keep=k < len(exponents) - 1)
+            sums = _segment_fsum(terms, bounds)
+            values.append(m + np.fromiter(map(math.log2, sums.tolist()), np.float64, len(sums)))
+        return values[0] if minus is None else values[0] - values[1]
 
     return _span_map(bounds, group)
 
@@ -425,7 +360,7 @@ def power_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarr
     """Per run, sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0);
     a term or a sum past the float range raises ``OverflowError`` for the caller to type."""
     sums = _span_map(bounds, lambda window, bounds: _streamed(
-        lambda p, buf, *_: np.power(p, alpha, out=buf), bounds, flat[window]))
+        lambda x, out: np.power(x, alpha, out=out), bounds, flat[window]))
     if np.count_nonzero(np.isinf(sums)):
         raise OverflowError(f"power sum with exponent {alpha!r} overflowed")
     return sums
@@ -434,16 +369,15 @@ def power_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarr
 def weighted_log2_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float = 1.0) -> np.ndarray:
     """Per run, sum_k w_k * log2(p_k) over the positive entries p_k of ``flat``, w
     being the run's `escort_weights` of ``alpha``, bit for bit, from the same log2 per
-    entry.  At alpha 1, w is p itself: the sum of p log2 p (0*log 0 := 0).  Streamed."""
+    entry.  At alpha 1, w is p itself: the sum of p log2 p (0*log 0 := 0), streamed."""
 
     def group(window, bounds):
-        x = flat[window]
         if alpha == 1.0:
-            return _streamed(lambda p, buf, *_: np.multiply(np.log2(p, out=buf), p, out=buf),
-                             bounds, x)
-        weights = _escort(x, bounds, alpha)  # leaves the logs in buf
-        return _streamed(lambda p, buf, *at: np.multiply(weights(p, buf, *at), buf, out=buf),
-                         bounds, x)
+            return _streamed(lambda x, out: np.multiply(np.log2(x, out=out), x, out=out),
+                             bounds, flat[window])
+        logs, _, bounds = _cells(flat[window], bounds)
+        logs *= _escort(logs, bounds, alpha, keep=True)[0]
+        return _segment_fsum(logs, bounds)
 
     return _span_map(bounds, group)
 
@@ -451,24 +385,23 @@ def weighted_log2_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float = 1.
 def escort_weights(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarray:
     """Weights p_k**alpha / sum_i p_i**alpha, normalized within each run, max-factored.
 
-    Zero entries keep weight exactly 0 at every alpha (callers enforce
-    positivity of the input when alpha <= 0), and so do entries outside
-    ``[bounds[0], bounds[-1])``.  ``alpha == 1`` returns the input unchanged,
-    so the identity holds exactly.  Every run needs a positive entry.
+    Zero entries keep weight exactly 0 (valid only for alpha > 0; callers
+    enforce positivity of the input when alpha <= 0), and so do entries
+    outside ``[bounds[0], bounds[-1])``.  ``alpha == 1`` returns the input
+    unchanged, so the identity holds exactly.
     """
     if alpha == 1.0:
-        _span_map(bounds, lambda window, bounds: _largest(flat[window], bounds, alpha))
         return flat
     out = np.zeros(len(flat))
 
-    def group(window, bounds):  # places each block's weights; zeros stay 0
-        placed, weights = out[window], _escort(flat[window], bounds, alpha)
-
-        def place(p, buf, block, mask):
-            placed[block][... if mask is None else mask] = weights(p, buf, block, mask)
-
-        for _ in _walk(place, bounds, flat[window])(0, len(bounds) - 1):
-            pass
+    def group(window, bounds):  # writes the weights, returns the totals
+        logs, pos, bounds = _cells(flat[window], bounds)
+        w, totals = _escort(logs, bounds, alpha)
+        if pos is None:
+            out[window] = w
+        else:  # the zero weights stay in place
+            out[window][pos] = w
+        return totals
 
     _span_map(bounds, group)
     return out

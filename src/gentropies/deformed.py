@@ -30,16 +30,6 @@ def _float(x, what: str) -> float:
     raise Overflow(f"{what} argument is an integer past the float range")
 
 
-def _ignoring(*args):
-    """numpy's ignored error state where an argument is an array, so that each entry gets
-    a float's result (inf past the range, as float arithmetic gives); else no state."""
-    if any(getattr(a, "ndim", 0) for a in args):
-        import numpy as np
-
-        return np.errstate(all="ignore")
-    return contextlib.nullcontext()
-
-
 def _exp_coordinate(x, rate: float, scale: float, what: str, shift: float = -0.0):
     """(2**(rate*(x + shift)) - 1)/scale as expm1(ln2*rate*(x + shift))/scale, so
     that a small exponent does not cancel, of a float or of each entry of a
@@ -104,13 +94,17 @@ class Deformation:
             raise ParameterError(f"deformation parameter must be finite, got {self.lam!r}")
 
     def add(self, x: float, y: float) -> float:
-        """x + y + lam*x*y, of floats or of each entry of float64 arrays (see `_ignoring`)."""
-        with _ignoring(x, y):
-            if self.lam == 0.0:  # exact, also where x*y overflows (0*inf is nan)
-                return x + y
-            # lam*(x*y) keeps the rounding symmetric, so add(x, y) == add(y, x)
-            # exactly
-            return x + y + self.lam * (x * y)
+        """x + y + lam*x*y, of floats or of each entry of float64 arrays with a float's bits."""
+        if getattr(x, "ndim", 0) or getattr(y, "ndim", 0):  # arrays: inf past the range, as floats
+            import numpy as np
+
+            with np.errstate(all="ignore"):
+                return x + y if self.lam == 0.0 else x + y + self.lam * (x * y)
+        if self.lam == 0.0:  # exact, also where x*y overflows (0*inf is nan)
+            return x + y
+        # lam*(x*y) keeps the rounding symmetric, so add(x, y) == add(y, x)
+        # exactly
+        return x + y + self.lam * (x * y)
 
     def negate(self, x: float) -> float:
         """Inverse element: -x / (1 + lam*x)."""
@@ -118,16 +112,19 @@ class Deformation:
 
     def subtract(self, x: float, y: float) -> float:
         """Deformed difference: (x - y) / (1 + lam*y), of floats or of each entry of float64
-        arrays with a float's bits (see `_ignoring`); a y at the pole raises, in an array
-        the first in row order."""
-        with _ignoring(x, y):
-            den = 1.0 + self.lam * y
-            if getattr(y, "ndim", 0):  # an array: its first pole raises the float's error
-                for pole in y[abs(den) < SINGULAR_THRESHOLD][:1].tolist():
-                    self.subtract(0.0, pole)
-            elif abs(den) < SINGULAR_THRESHOLD:
-                raise SingularElement(f"{y!r} is at the pole of lambda={self.lam!r}")
-            return (x - y) / den
+        arrays with a float's bits; a y at the pole raises, in an array the first in row order."""
+        if getattr(x, "ndim", 0) or getattr(y, "ndim", 0):  # arrays: inf past the range, as floats
+            import numpy as np
+
+            with np.errstate(all="ignore"):
+                den = 1.0 + self.lam * y
+                for pole in np.extract(abs(den) < SINGULAR_THRESHOLD, y)[:1].tolist():
+                    self.subtract(0.0, pole)  # raises the float's error
+                return (x - y) / den
+        den = 1.0 + self.lam * y
+        if abs(den) < SINGULAR_THRESHOLD:
+            raise SingularElement(f"{y!r} is at the pole of lambda={self.lam!r}")
+        return (x - y) / den
 
     def h(self, x: float) -> float:
         """Group isomorphism (2**(lam*x) - 1)/lam; identity for lam == 0.  Raises

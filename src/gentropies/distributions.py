@@ -393,6 +393,8 @@ def _escort(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarray
             f"escort exponent {alpha!r} needs strictly positive entries"
         )
     try:
+        if alpha == 1.0 and not (np.maximum.reduceat(flat, bounds[:-1]) > 0.0).all():
+            raise ValueError("every run needs a positive entry")  # the kernel's, at alpha != 1
         return escort_weights(flat, bounds, alpha)
     except ValueError as exc:  # a run with no positive entry
         raise EscortUndefined(f"escort of exponent {alpha!r} is undefined: {exc}") from exc

@@ -919,19 +919,6 @@ def test_conditional_entropy_holds_one_input_sized_array():
     assert _traced_peak(lambda: conditional_entropy(shannon(), joint)) < 1.25 * square.nbytes
 
 
-@pytest.mark.parametrize(
-    "family", [renyi(2.0), general_escort(2.0, -1.0, -1.0), general_escort(2.0, -1.0, 0.0)],
-    ids=repr)
-def test_max_factored_conditional_entropy_holds_one_input_sized_array(family):
-    """The max-factored sums (one exponent or two) and the lambda = 0 escort stream the
-    divided rows a block at a time, with no logs of the cells held whole: on a held
-    1024 x 1024 joint the peak stays below 1.25x one array of its cells (2.13x, 3.08x
-    and 3.08x while the logs were held)."""
-    square = np.random.default_rng(12).exponential(1.0, (1024, 1024))
-    joint = make_joint((square / square.sum()).tolist())
-    assert _traced_peak(lambda: conditional_entropy(family, joint)) < 1.25 * square.nbytes
-
-
 # A value of the wrong type names the expected class, not a private attribute.
 WRONG_TYPE_CALLS = {
     "escort": (lambda v, path: escort(v, 2.0), "Distribution"),

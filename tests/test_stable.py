@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 import libm_reference as libm
 from gentropies import _stable
 from gentropies._stable import (
-    bounds_of,
     divide_runs,
     escort_weights,
     exact_sum,
@@ -772,12 +771,10 @@ def test_non_finite_runs_sum_a_block_at_a_time():
 
 @pytest.mark.parametrize("block, buffers", [(_stable._BLOCK, 6), (2 ** 13, 8)])
 def test_streamed_kernels_hold_no_input_sized_temporary(block, buffers):
-    """The power, p log p, max-factored and escort-weighted log sums walk their
-    input a block of at most ``_BLOCK`` entries at a time: on a held
-    2**18-entry array with 10 % zeros (2 MiB), as one span or as about 400
-    rows, each peaks under a few block-sized buffers (1.5 MiB at the real
-    ``_BLOCK``, 512 KiB at 2**13), the max-factored ones under two more (their
-    logs beside their terms, and for the escort the sums of a block's runs)."""
+    """The power and p log p sums walk their input a block of at most
+    ``_BLOCK`` entries at a time: on a held 2**18-entry array with 10 %
+    zeros (2 MiB), as one span or as about 400 rows, each peaks under a few
+    block-sized buffers (1.5 MiB at the real ``_BLOCK``, 512 KiB at 2**13)."""
     rng = np.random.default_rng(17)
     x = rng.exponential(1.0, 2 ** 18)
     x[rng.random(x.size) < 0.1] = 0.0
@@ -789,55 +786,49 @@ def test_streamed_kernels_hold_no_input_sized_temporary(block, buffers):
             for fn in (lambda: weighted_log2_sum(x, runs), lambda: power_sum(x, runs, 2.0),
                        lambda: power_sum(x, runs, 50.0)):
                 assert _traced_peak(fn) < buffers * 8 * block
-            for fn in (lambda: log2_power_sum(x, runs, 2.0),
-                       lambda: log2_power_sum(x, runs, 2.0, 1.0),
-                       lambda: weighted_log2_sum(x, runs, 2.0)):
-                assert _traced_peak(fn) < (buffers + 2) * 8 * block
 
 
-def test_max_factored_kernels_hold_no_array_of_logs():
-    """The max-factored power sum and the escort take each run's maximum from its
-    largest entry, before any term, and then stream their terms a block at a time,
-    never writing over the input: on a read-only 2**18-entry array with 10 % zeros
-    (2 MiB, eight blocks), the sum peaks under seven blocks (0.875x the input) and
-    the escort, whose output is input-sized, under that output and seven blocks."""
+def test_max_factored_kernels_hold_one_array_of_logs():
+    """The max-factored power sum and the escort need each run's maximum before
+    any term, so they hold the logs of the positive entries whole, written over
+    their compressed copy and never over the input: on a read-only 2**18-entry
+    array with 10 % zeros (2 MiB), the sum peaks under 1.5x the input and the
+    escort, whose output is input-sized too, under 2.5x."""
     rng = np.random.default_rng(17)
     x = rng.exponential(1.0, 2 ** 18)
     x[rng.random(x.size) < 0.1] = 0.0
     x /= x.sum()
     x.flags.writeable = False
-    assert _traced_peak(lambda: log2_power_sum(x, [0, x.size], 2.0)) < 0.875 * x.nbytes
-    assert _traced_peak(lambda: escort_weights(x, [0, x.size], 2.0)) < 1.875 * x.nbytes
+    assert _traced_peak(lambda: log2_power_sum(x, [0, x.size], 2.0)) < 1.5 * x.nbytes
+    assert _traced_peak(lambda: escort_weights(x, [0, x.size], 2.0)) < 2.5 * x.nbytes
     quarters = np.full(4, 0.25)  # all positive: nothing is compressed
     quarters.flags.writeable = False
     assert log2_power_sum(quarters, [0, 4], 2.0) == [-2.0]
 
 
 def _binade_edge_runs():
-    """Runs of the float neighbours of powers of two, from the subnormal 5e-324 up past 1:
-    three neighbours in either order, one alone, one twice, and one among zeros."""
+    """Runs of the positive float neighbours of powers of two, from the subnormal 5e-324
+    up past 1: three neighbours in either order, one alone, one twice, and the outer two."""
     runs = []
     for e in (-1074, -1073, -1060, -1023, -1022, -1021, -600, -53, -2, -1, 0, 1, 100):
         edge = math.ldexp(1.0, e)
         below, above = float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, 2.0 * edge))
         runs += [[below, edge, above], [above, edge, below], [edge], [edge, edge],
-                 [0.0, above, 0.0, below]]
-    return [run for run in runs if max(run) > 0.0]
+                 [above, below]]
+    return [[v for v in run if v > 0.0] for run in runs]  # nextafter(5e-324, 0) is 0
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 50.0, 300.0, -3.0])
 def test_the_largest_scaled_log_is_that_of_the_extreme_entry(alpha):
-    """The max-factored kernels take each run's largest alpha * log2(p) as alpha * log2
-    of its largest p (alpha > 0) or of its least positive p (alpha < 0), with no logs
-    held: numpy's log2 keeps the order of its inputs, so that equals the maximum over
-    the logs of all of the run's positive entries, bit for bit."""
+    """The maximum m that the max-factored kernels take over each run's alpha * log2(p)
+    is alpha * log2 of the run's largest p (alpha > 0) or of its least positive p
+    (alpha < 0), bit for bit: numpy's log2 keeps the order of its inputs.  So a kernel
+    can take m from the probabilities before any log, with no array of logs."""
     runs = _binade_edge_runs()
-    flat = np.concatenate([np.array(run) for run in runs])
-    bounds = bounds_of([len(run) for run in runs])
-    positive = flat > 0.0
-    scaled = alpha * np.log2(flat[positive])
-    want = np.maximum.reduceat(scaled, bounds_of(np.add.reduceat(positive, bounds[:-1]))[:-1])
-    got = _stable._largest(flat, bounds, alpha)
+    logs = np.log2(np.concatenate([np.array(run) for run in runs]))
+    bounds = _stable.bounds_of([len(run) for run in runs])
+    want = _stable._scaled_powers(logs, bounds, alpha)[0]
+    got = alpha * np.log2(np.array([max(run) if alpha > 0.0 else min(run) for run in runs]))
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
