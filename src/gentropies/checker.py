@@ -11,11 +11,10 @@ identical bytes.  It evaluates a batch of trials of every check at once:
 one ``span_entropies`` call for all the entropies that they need, one
 ``conditional_entropies`` call for all their joints, and the residuals as
 float64 arrays, which become Python floats only in the report's records; its
-docstring states which error a failing check raises.  It draws each store in
-one sampler loop (``_sampler.Draws.trials``) per chunk of trials, through
-numpy's exported C samplers on the seed's PCG64 stream, or where they are
-missing or differ (``_sampler.c_samplers()`` is None) through the Generator
-methods: the same numbers either way.
+docstring states which error a failing check raises.  It draws each store
+whole from the seed's PCG64 stream, one Generator call per quantity (draw
+order 2, which the reports name in ``prng``; see `_draw_joints`), and divides
+each trial by its exact sum.
 
 Verdicts compare the residual relative to 1 + |reference value| against the
 configured tolerance; a check whose absolute residual reaches
@@ -58,7 +57,7 @@ VIOLATION_THRESHOLD = 1e-3
 #: exponent to 1 in the uniqueness proofs.
 PROBE_JOINT = JointDistribution(((0.5, 0.0), (0.25, 0.25)))
 
-PRNG_NAME = "numpy.random.PCG64"
+PRNG_NAME = "numpy.random.PCG64, draw order 2"
 
 #: Longest fair-coin chain `chain_residual` checks: each call builds the
 #: chain's 2**n float64 cells (32 MiB at n = 22).
@@ -68,13 +67,14 @@ MAX_CHAIN_LENGTH = 22
 #: `run_suite` accepts.  The suite draws every trial before checking any,
 #: into one CSR store per check: 8 bytes per drawn cell (the joints take a
 #: quarter of the bound on average, 32 MiB at the bound) and per row and
-#: trial bound.  The trials are normalized in chunks of ``_BATCH_TRIALS``,
-#: so the draws waiting for a chunk's normalization add no more than one chunk.
+#: trial bound.  Each store is drawn whole and normalized in place, its exact
+#: sums taken ``_BATCH_TRIALS`` runs at a time: drawing the three stores peaks
+#: at about 0.15 and 0.4 KB per trial at 2 x 1 and 8 x 8 (tracemalloc).
 MAX_SUITE_CELLS = 2 ** 24
 
 #: Least charge per trial against ``MAX_SUITE_CELLS`` (the default 8 x 8
 #: shape), for what every trial holds whatever its shape: the stores take
-#: 0.18-0.4 KB per trial from 2 x 1 to 8 x 8, and the residuals and their
+#: 0.13-0.39 KB per trial from 2 x 1 to 8 x 8, and the residuals and their
 #: scales 48 bytes of float64 more (tracemalloc).
 MIN_TRIAL_CELLS = 64
 
@@ -350,92 +350,74 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _normalized(cells: np.ndarray, totals, counts) -> np.ndarray:
-    """Each trial's ``counts[t]`` cells over ``totals[t]``, then over their exact sum."""
-    bounds = bounds_of(counts)
-    flat = divide_runs(cells, totals, bounds)
-    return divide_runs(flat, segment_sums(flat, bounds), bounds, out=flat)
+def _run_sums(cells: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """`segment_sums` of each run between ``bounds``, over ``_BATCH_TRIALS`` runs a call:
+    its temporaries, about 75 bytes per run, stay within one call's runs."""
+    step = _BATCH_TRIALS
+    sums = [segment_sums(cells, bounds[i:i + step + 1]) for i in range(0, len(bounds) - 1, step)]
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
-def _rows_clear(least_row, total):
-    """Whether the least numpy row sum shows that every row over ``total`` sums to 1e-12 or
-    more: 2x covers the rounding of row sums and division (rows below 2**50 cells)."""
-    return least_row > 2e-12 * total
+def _normalized(cells: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``cells``, each run between ``bounds`` divided in place by its exact sum."""
+    return divide_runs(cells, _run_sums(cells, bounds), bounds, out=cells)
 
 
-# Each draw below draws its trials in one `_sampler.Draws.trials` loop (and one
-# more per round of redrawn joints) and returns their cells end to end, their
-# row lengths and the rows of each trial: the arguments of `_Trials`.  `_sampler`
-# is imported on the first draw: a process that draws nothing never loads it.
+# Draw order 2 (`PRNG_NAME`): each store below is drawn whole, one Generator call per
+# quantity in the order that its docstring states, and returned as a `_Trials`.
 
 
-def _draw_joints(rng, trials: int, max_rows: int, max_cols: int):
-    """``trials`` joints, drawn one after another, normalized all at once.
+def _draw_joints(rng, trials: int, max_rows: int, max_cols: int) -> _Trials:
+    """``trials`` joints, each divided by its exact sum.
 
-    A candidate joint with a row whose marginal falls below 1e-12 is
-    refused and the next candidate on the stream takes its place, so
-    conditionals are always defined: the joints are the candidates that
-    pass, in stream order.  The candidates are drawn ``trials`` at a time;
-    those that their numpy row sums do not clear (`_rows_clear`) take the
-    exact test, and as many more are drawn as failed it."""
-    from . import _sampler
-    draws, keep = _sampler.draws(rng), np.zeros(0, bool)
-    while need := trials - np.count_nonzero(keep):
-        draws.trials([max_rows] * need, max_cols)
-        trial_rows = draws.rows
-        sizes, cells = draws.ints.used(), draws.cells.used()
-        rows, starts = _sampler.row_sums(cells, sizes), bounds_of(trial_rows)[:-1]
-        totals, counts = _sampler.sequential_sums(rows, trial_rows), np.add.reduceat(sizes, starts)
-        clear = _rows_clear(np.minimum.reduceat(rows, starts), totals)
-        keep = np.zeros(len(trial_rows), bool) | clear  # one verdict per candidate
-        if not keep.all():
-            doubt, doubt_rows = ~keep, np.repeat(~keep, trial_rows)
-            scaled = cells[np.repeat(doubt_rows, sizes)]
-            divide_runs(scaled, totals[doubt], bounds_of(counts[doubt]), out=scaled)
-            exact = segment_sums(scaled, bounds_of(sizes[doubt_rows]))
-            least = np.minimum.reduceat(exact, bounds_of(np.asarray(trial_rows)[doubt])[:-1])
-            keep[doubt] = least >= 1e-12
-    if not keep.all():  # drop the refused candidates
-        kept_rows = np.repeat(keep, trial_rows)
-        cells, sizes = cells[np.repeat(kept_rows, sizes)], sizes[kept_rows]
-        totals, counts, trial_rows = totals[keep], counts[keep], np.asarray(trial_rows)[keep]
-    return _normalized(cells, totals, counts), sizes, trial_rows
+    Candidates are drawn k at a time (``trials`` at first) in three calls: every
+    candidate's row count, ``rng.integers(2, max_rows + 1, size=k)``; then all their
+    row lengths, ``rng.integers(1, max_cols + 1, size=r)``, r the sum of the counts;
+    then all their cells, ``rng.exponential(1.0, size=n)``, n the sum of the lengths.
+    A normalized candidate with a row whose exact sum falls below 1e-12 is refused,
+    so that conditionals are always defined, and as many candidates as were refused
+    are drawn again the same way: the joints are the candidates kept, in stream order."""
+    parts = []  # per round, the (cells, row lengths, row counts) of the candidates kept
+    while need := trials - sum(len(rows) for _, _, rows in parts):
+        rows = rng.integers(2, max_rows + 1, size=need)
+        lengths = rng.integers(1, max_cols + 1, size=int(rows.sum()))
+        bounds, offsets = bounds_of(lengths), bounds_of(rows)
+        ends = bounds[offsets]
+        cells = _normalized(rng.exponential(1.0, size=int(bounds[-1])), ends)
+        keep = np.minimum.reduceat(_run_sums(cells, bounds), offsets[:-1]) >= 1e-12
+        if not parts and keep.all():
+            return _Trials(cells, bounds, offsets)
+        kept = np.flatnonzero(keep)
+        parts.append((gather(cells, ends, kept)[0], gather(lengths, offsets, kept)[0], rows[kept]))
+    cells, lengths, rows = map(np.concatenate, zip(*parts))
+    return _Trials(cells, bounds_of(lengths), bounds_of(rows))
 
 
-def _draw_distributions(rng, max_dims: Sequence[int]):
-    """One distribution per entry of ``max_dims``, drawn one after another,
-    normalized all at once: one trial of one row each."""
-    from . import _sampler
-    draws = _sampler.draws(rng)
-    draws.trials([max(max_dim, 2) for max_dim in max_dims])
-    cells, dims = draws.cells.used(), draws.rows
-    return _normalized(cells, _sampler.row_sums(cells, dims), dims), dims, [1] * len(dims)
+def _draw_distributions(rng, trials: int, max_rows: int, max_cols: int) -> _Trials:
+    """``trials`` pairs of distributions p and q (trial t is the rows p and q), each
+    divided by its exact sum: their dimensions, ``rng.integers(2, highs, size=(trials,
+    2))`` with ``highs = np.maximum([max_rows, max_cols], 2) + 1`` (p's high, then q's),
+    then all their cells, ``rng.exponential(1.0, size=n)``, n the sum of the dimensions."""
+    dims = rng.integers(2, np.maximum([max_rows, max_cols], 2) + 1, size=(trials, 2)).ravel()
+    bounds = bounds_of(dims)
+    cells = _normalized(rng.exponential(1.0, size=int(bounds[-1])), bounds)
+    return _Trials(cells, bounds, np.arange(0, 2 * trials + 1, 2))
 
 
-def _draw_counts(rng, trials: int, max_rows: int, max_cols: int):
-    """``trials`` refinement block sizes, one trial of one row each."""
-    from . import _sampler
-    draws = _sampler.draws(rng)
-    draws.trials([max_rows] * trials, max_cols, cells=False)
-    return draws.ints.used(), draws.rows, [1] * trials
-
-
-def _drawn(draw: Callable[[int], tuple], trials: int) -> _Trials:
-    """The store of ``draw(n)`` over chunks of up to ``_BATCH_TRIALS`` trials, end
-    to end, so that only one chunk's own draws wait for their normalization."""
-    chunks = [draw(min(_BATCH_TRIALS, trials - s)) for s in range(0, trials, _BATCH_TRIALS)]
-    flat, lengths, trial_rows = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
-    return _Trials(flat, bounds_of(lengths), bounds_of(trial_rows))
+def _draw_counts(rng, trials: int, max_rows: int, max_cols: int) -> _Trials:
+    """``trials`` refinements' block sizes, one row each: their numbers of blocks,
+    ``rng.integers(2, max_rows + 1, size=trials)``, then all their sizes,
+    ``rng.integers(1, max_cols + 1, size=r)``, r the sum of the numbers."""
+    rows = rng.integers(2, max_rows + 1, size=trials)
+    return _Trials(rng.integers(1, max_cols + 1, size=int(rows.sum())), bounds_of(rows),
+                   np.arange(trials + 1))
 
 
 def _draw_suite(cfg: CheckConfig) -> tuple[_Trials, _Trials, _Trials]:
     """The suite's joints, product pairs and refinement counts, in that order."""
     rng = np.random.default_rng(cfg.seed)
-    rows, cols = cfg.max_rows, cfg.max_cols
-    joints = _drawn(lambda n: _draw_joints(rng, n, rows, cols), cfg.trials)
-    dists = _drawn(lambda n: _draw_distributions(rng, [rows, cols] * n), cfg.trials)
-    counts = _drawn(lambda n: _draw_counts(rng, n, rows, cols), cfg.trials)
-    return joints, _Trials(dists.flat, dists.bounds, bounds_of([2] * cfg.trials)), counts
+    shape = cfg.trials, cfg.max_rows, cfg.max_cols
+    return _draw_joints(rng, *shape), _draw_distributions(rng, *shape), _draw_counts(rng, *shape)
 
 
 def _measure(family, checks: Sequence[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:

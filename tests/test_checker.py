@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from conftest import constrained_grid
+from hypothesis import given, settings, strategies as st
+
 from trial_views import (
+    counts_of,
+    joints_of,
+    pairs_of,
     random_counts,
-    random_distribution,
-    random_distributions,
     random_joint,
-    random_joints,
+    random_pair,
+    reference_counts,
+    reference_distributions,
     reference_joints,
 )
 from gentropies import (
@@ -46,7 +51,7 @@ from gentropies import (
     uniform_trace,
     uniform_trace_residual,
 )
-from gentropies import _sampler, checker, entropies
+from gentropies import checker, entropies
 from gentropies.entropies import nath
 from gentropies.checker import (
     MAX_CHAIN_LENGTH,
@@ -302,21 +307,14 @@ class TestCheckConfig:
         with pytest.raises(ConfigError):
             CheckConfig(family=shannon(), **kwargs)
 
-    @pytest.mark.parametrize("sampler", ["c", "methods"])
     @pytest.mark.parametrize(
         "field, value", [("trials", 10.0), ("max_rows", 8.5), ("max_cols", "8"), ("seed", 1.5)]
     )
-    def test_integer_fields_refuse_other_numbers(self, monkeypatch, sampler, field, value):
-        """The same refusal whether or not the C samplers draw."""
-        if sampler == "methods":
-            monkeypatch.setattr(_sampler, "c_samplers", lambda: None)
+    def test_integer_fields_refuse_other_numbers(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             run_suite(CheckConfig(renyi(2.0), **{"trials": 5, field: value}))
 
-    @pytest.mark.parametrize("sampler", ["c", "methods"])
-    def test_numpy_integers_are_stored_as_ints(self, monkeypatch, sampler):
-        if sampler == "methods":
-            monkeypatch.setattr(_sampler, "c_samplers", lambda: None)
+    def test_numpy_integers_are_stored_as_ints(self):
         values = {"trials": 5, "max_rows": 4, "max_cols": 3, "seed": 7}
         cfg = CheckConfig(renyi(2.0), **{k: np.int64(v) for k, v in values.items()})
         assert all(type(getattr(cfg, k)) is int for k in values)
@@ -453,6 +451,23 @@ class TestRunSuite:
         assert [len(store) for store in stores] == [cfg.trials] * 3
         assert held / cfg.trials < parent_bytes
 
+    @pytest.mark.parametrize("shape, chunked_peak", [((2, 1), 218), ((8, 8), 561)], ids=str)
+    def test_drawing_whole_stores_peaks_no_higher_than_in_chunks(self, shape, chunked_peak):
+        """At 20 000 trials, drawing the three stores whole peaks (traced) at no
+        more bytes per trial than drawing them in chunks of 1,024 trials did
+        (``chunked_peak``), about 0.15 and 0.4 KB."""
+        rows, cols = shape
+        cfg = CheckConfig(family=shannon(), trials=20_000, max_rows=rows, max_cols=cols)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stores = checker._draw_suite(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert [len(store) for store in stores] == [cfg.trials] * 3
+        assert peak / cfg.trials <= chunked_peak
+
     def test_cell_budget_admits_its_bound(self):
         # 10**5 trials at the default 8 x 8 fit; so does the bound itself
         assert 10 ** 5 * 64 <= MAX_SUITE_CELLS
@@ -469,18 +484,10 @@ class TestRunSuite:
 
 
 def _drawn_inputs(cfg):
-    """The suite's random inputs, drawn in `run_suite`'s order."""
-    rng = np.random.default_rng(cfg.seed)
-    joints = [random_joint(rng, cfg.max_rows, cfg.max_cols) for _ in range(cfg.trials)]
-    pairs = [
-        (
-            random_distribution(rng, cfg.max_rows),
-            random_distribution(rng, cfg.max_cols),
-        )
-        for _ in range(cfg.trials)
-    ]
-    counts = [random_counts(rng, cfg.max_rows, cfg.max_cols) for _ in range(cfg.trials)]
-    return joints, pairs, counts
+    """The suite's random inputs, read one trial at a time from the stores that
+    `run_suite` draws."""
+    joints, pairs, counts = checker._draw_suite(cfg)
+    return joints_of(joints), pairs_of(pairs), counts_of(counts)
 
 
 def _public_trials(family, cfg):
@@ -592,10 +599,7 @@ def test_batched_checks_equal_the_public_functions(family):
     rng = np.random.default_rng(77)
     joints = [random_joint(rng, 6, 9) for _ in range(12)]
     joints += [PROBE_JOINT, _wide_rows_joint(rng)]
-    pairs = [
-        (random_distribution(rng, 5), random_distribution(rng, 400))
-        for _ in range(6)
-    ]
+    pairs = [random_pair(rng, 5, 400) for _ in range(6)]
     counts = [random_counts(rng, 5, 300) for _ in range(6)] + [(1,), (2, 1)]
     cases = [
         (checker._strong_additivity, joints, lambda j: strong_additivity_residual(family, j)),
@@ -653,10 +657,56 @@ def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
     assert run_suite(cfg).to_json() == whole
 
 
+def _drawn(draw, rng, *args):
+    """The store that ``draw(rng, *args)`` draws, as bytes and lists, and the
+    stream's next draw after it."""
+    drawn = draw(rng, *args)
+    if isinstance(drawn, checker._Trials):
+        drawn = drawn.flat, np.diff(drawn.bounds), np.diff(drawn.offsets)
+    flat, sizes, trial_rows = drawn
+    return flat.dtype.str, flat.tobytes(), list(sizes), list(trial_rows), rng.integers(2 ** 62)
+
+
+# Store shapes (max_rows, max_cols): the least, the default, long and tall rows,
+# and a high of 1 for the pairs' q.
+SHAPES = [(2, 1), (8, 8), (3, 40), (40, 3), (5, 1)]
+
+
+# The suite's draws in its order, each with its reference.
+DRAWS = [
+    (checker._draw_joints, reference_joints),
+    (checker._draw_distributions, reference_distributions),
+    (checker._draw_counts, reference_counts),
+]
+
+
+@pytest.mark.parametrize("draw, reference", DRAWS, ids=["joints", "distributions", "counts"])
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), trials=st.integers(1, 30))
+def test_drawn_stores_are_the_documented_calls(draw, reference, shape, seed, trials):
+    """Each store is the Generator calls that its docstring states, each trial
+    over its exact sum, and it leaves the stream where those calls do."""
+    drawn = _drawn(draw, np.random.default_rng(seed), trials, *shape)
+    assert drawn == _drawn(reference, np.random.default_rng(seed), trials, *shape)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_the_suite_draws_its_stores_in_order_on_one_stream(shape):
+    """Joints, then product pairs, then refinement counts, from the seed's generator."""
+    cfg = CheckConfig(shannon(), trials=7, max_rows=shape[0], max_cols=shape[1], seed=11)
+    rng = np.random.default_rng(cfg.seed)
+    for store, (draw, _) in zip(checker._draw_suite(cfg), DRAWS):
+        expected = draw(rng, cfg.trials, *shape)
+        assert store.flat.tobytes() == expected.flat.tobytes(), draw.__name__
+        assert store.bounds.tolist() == expected.bounds.tolist(), draw.__name__
+        assert store.offsets.tolist() == expected.offsets.tolist(), draw.__name__
+
+
 class _SmallRows:
-    """A PCG64 generator whose every other exponential draw keeps only its
-    last cell: then every row but the last sums below 1e-12, and the joint
-    is redrawn."""
+    """A PCG64 generator whose every other exponential draw has every other
+    cell scaled by 1e-20: a joint with a row of one such cell is refused, and
+    as many joints are drawn again."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
@@ -669,58 +719,28 @@ class _SmallRows:
         cells = self._rng.exponential(*args, **kwargs)
         self._calls += 1
         if self._calls % 2:
-            cells[:-1] *= 1e-20
+            cells[::2] *= 1e-20
         return cells
 
 
-@pytest.mark.parametrize("defer", [False, True], ids=["row-sum-bound", "exact-test"])
 @pytest.mark.parametrize("make_rng", [np.random.default_rng, _SmallRows], ids=["pcg64", "redraws"])
-@pytest.mark.parametrize("shape", [(8, 8), (3, 40), (2, 1)], ids=str)
-def test_batched_draws_equal_one_trial_draws(monkeypatch, defer, make_rng, shape):
-    """N batched draws are N one-trial draws byte for byte, on the same
-    stream; with ``defer`` the row-sum bound clears nothing, so every joint
-    takes the exact redraw test."""
-    if defer:
-        monkeypatch.setattr(checker, "_rows_clear", lambda row_sums, total: False)
-    max_rows, max_cols = shape
-    batched, alone = make_rng(5), make_rng(5)
-    joints = random_joints(batched, 25, max_rows, max_cols)
-    if make_rng is _SmallRows:  # every joint was drawn twice
-        assert batched._calls == 50
-    dists = random_distributions(batched, [max_rows, max_cols] * 25)
-    for joint in joints:
-        one = random_joint(alone, max_rows, max_cols)
-        assert joint._flat.tobytes() == one._flat.tobytes()
-        assert list(joint._bounds) == list(one._bounds)
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_drawn_joints_are_the_reference_rejection_loop(make_rng, shape):
+    """`_draw_joints` keeps the candidates that the loop of `reference_joints`
+    keeps, byte for byte, and leaves the stream where it does; every row of a
+    kept joint sums to 1e-12 or more, and the joint to 1."""
+    drawn, reference = make_rng(5), make_rng(5)
+    store = checker._draw_joints(drawn, 25, *shape)
+    expected = reference_joints(reference, 25, *shape)
+    assert store.flat.tobytes() == expected[0].tobytes()
+    assert np.diff(store.bounds).tolist() == expected[1].tolist()
+    assert np.diff(store.offsets).tolist() == expected[2]
+    assert drawn.integers(2 ** 62) == reference.integers(2 ** 62)
+    if make_rng is _SmallRows:  # some candidates were refused, and redrawn once
+        assert drawn._calls == 2
+    for joint in joints_of(store):
         rows = checker.segment_sums(joint._flat, joint._bounds)
         assert min(rows) >= 1e-12 and math.fsum(rows) == pytest.approx(1.0, abs=1e-15)
-    for dist, max_dim in zip(dists, [max_rows, max_cols] * 25):
-        one = random_distribution(alone, max_dim)
-        assert dist._array.tobytes() == one._array.tobytes()
-    assert batched.integers(2 ** 62) == alone.integers(2 ** 62)
-
-
-@pytest.mark.parametrize("defer", [False, True], ids=["row-sum-bound", "exact-test"])
-@pytest.mark.parametrize("make_rng", [np.random.default_rng, _SmallRows], ids=["pcg64", "redraws"])
-@pytest.mark.parametrize("shape", [(8, 8), (3, 40), (2, 1)], ids=str)
-def test_drawn_joints_are_the_reference_rejection_loop(monkeypatch, defer, make_rng, shape):
-    """`_draw_joints` keeps the candidates that the one-at-a-time loop of
-    `reference_joints` keeps, byte for byte, and leaves the stream where it does."""
-    if defer:
-        monkeypatch.setattr(checker, "_rows_clear", lambda row_sums, total: False)
-    drawn, reference = make_rng(5), make_rng(5)
-    flat, sizes, trial_rows = checker._draw_joints(drawn, 25, *shape)
-    expected = reference_joints(reference, 25, *shape)
-    assert flat.tobytes() == expected[0].tobytes()
-    assert list(sizes) == list(expected[1]) and list(trial_rows) == expected[2]
-    assert drawn.integers(2 ** 62) == reference.integers(2 ** 62)
-
-
-def test_reports_do_not_depend_on_the_row_sum_bound(monkeypatch):
-    cfg = CheckConfig(family=renyi(2.0), trials=50, seed=9)
-    bound = run_suite(cfg).to_json()
-    monkeypatch.setattr(checker, "_rows_clear", lambda row_sums, total: False)
-    assert run_suite(cfg).to_json() == bound
 
 
 # `run_suite` measures every check at once (one `_measure` call) and, when

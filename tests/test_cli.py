@@ -682,3 +682,35 @@ cli.console_main()
         unset = child(argv, env=blas_env(None))
         assert unset[0] == 0 and unset[1]
         assert child(argv, env=blas_env("2")) == unset
+
+
+def test_importing_the_cli_loads_no_sampler(tmp_path):
+    """A CLI process loads only the modules its command runs: ``numpy.random``
+    alone costs about 9 ms to import, and the checker about 4 ms.  compute and
+    trace load neither the suite, nor the means, nor ``numpy.random``, nor json;
+    a conditional entropy with an exponential mean loads the generators, and
+    check the checker."""
+    dist = tmp_path / "d.csv"
+    dist.write_text("0.25,0.75\n0.5,0.5\n")
+    joint = tmp_path / "j.csv"
+    joint.write_text("0.125,0.375\n0.25,0.25\n")
+    code = f"""
+import contextlib, io, sys
+import gentropies.cli
+WATCHED = ("gentropies.checker", "gentropies.generators", "numpy.random", "json")
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gentropies.cli.main(list(argv)) == 0
+    print([m for m in WATCHED if m in sys.modules])
+run("compute", "--family", "renyi", "--alpha", "2", {str(dist)!r})
+run("trace", "--family", "tsallis", "--alpha", "2", "--n", "8")
+run("conditional", "--family", "general", "--alpha", "2", "--tau", "-1", "--lambda", "-1",
+    {str(joint)!r})
+run("check", "--family", "shannon", "--trials", "2")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV, capture_output=True,
+                          text=True, timeout=120, check=True)
+    compute, trace, conditional, check = proc.stdout.splitlines()
+    assert compute == trace == "[]"
+    assert conditional == "['gentropies.generators']"
+    assert "'gentropies.checker'" in check

@@ -87,7 +87,7 @@ DIGEST_FAMILIES = [
     general_escort(2.0, -1.0, 1.0),
     general_escort(3.0, -1.0, 0.0),
 ]
-DIGEST = "8acd0d91764d4c6f95e641d2b6022c0fd2193937f0408598c7f6dcb40833a002"
+DIGEST = "0679799dbb0a019b1290ba08090261ea3a0ea47ee8ef3531a222e65edef3c198"
 
 
 def test_108_report_digest_unchanged():

@@ -2,7 +2,8 @@
 stores of `checker._draw_suite`; the tests compare trials one by one.  And
 `reference_joints`, `reference_distributions` and `reference_counts`, the
 stores that `checker._draw_joints`, `_draw_distributions` and `_draw_counts`
-must draw."""
+must draw: draw order 2, the Generator calls that their docstrings state,
+with each trial's sums and its rejection taken in plain Python."""
 
 import itertools
 import math
@@ -13,76 +14,83 @@ from gentropies import checker
 from gentropies.distributions import Distribution, JointDistribution
 
 
-def random_joints(rng, trials: int, max_rows: int, max_cols: int) -> list[JointDistribution]:
-    flat, sizes, trial_rows = checker._draw_joints(rng, trials, max_rows, max_cols)
-    store = checker._Trials(flat, checker.bounds_of(sizes), checker.bounds_of(trial_rows))
-    ones = (store[t:t + 1] for t in range(trials))
-    return [JointDistribution._wrap(one.flat, one.bounds.tolist()) for one in ones]
+def _ones(store):
+    return (store[t:t + 1] for t in range(len(store)))
+
+
+def joints_of(store) -> list[JointDistribution]:
+    return [JointDistribution._wrap(one.flat, one.bounds.tolist()) for one in _ones(store)]
+
+
+def pairs_of(store) -> list[tuple[Distribution, Distribution]]:
+    return [tuple(map(Distribution._wrap, np.split(one.flat, one.bounds[1:-1]))) for one in _ones(store)]
+
+
+def counts_of(store) -> list[tuple[int, ...]]:
+    return [tuple(one.flat.tolist()) for one in _ones(store)]
 
 
 def random_joint(rng, max_rows: int, max_cols: int) -> JointDistribution:
-    return random_joints(rng, 1, max_rows, max_cols)[0]
+    return joints_of(checker._draw_joints(rng, 1, max_rows, max_cols))[0]
 
 
-def random_distributions(rng, max_dims) -> list[Distribution]:
-    flat, sizes, _ = checker._draw_distributions(rng, max_dims)
-    return [Distribution._wrap(d) for d in np.split(flat, np.cumsum(sizes)[:-1])]
-
-
-def random_distribution(rng, max_dim: int) -> Distribution:
-    return random_distributions(rng, [max_dim])[0]
+def random_pair(rng, max_rows: int, max_cols: int) -> tuple[Distribution, Distribution]:
+    return pairs_of(checker._draw_distributions(rng, 1, max_rows, max_cols))[0]
 
 
 def random_counts(rng, max_rows: int, max_cols: int) -> tuple[int, ...]:
-    return tuple(checker._draw_counts(rng, 1, max_rows, max_cols)[0].tolist())
+    return counts_of(checker._draw_counts(rng, 1, max_rows, max_cols))[0]
+
+
+def _cut(values: list, lengths: list) -> list[list]:
+    """``values`` cut into consecutive runs of ``lengths``."""
+    ends = list(itertools.accumulate(lengths, initial=0))
+    return [values[i:j] for i, j in itertools.pairwise(ends)]
+
+
+def _over_fsum(cells: list) -> list:
+    total = math.fsum(cells)
+    return [c / total for c in cells]
 
 
 def reference_joints(rng, trials: int, max_rows: int, max_cols: int):
-    """The rejection rule of `checker._draw_joints`, one candidate joint at
-    a time through ``rng.integers`` and ``rng.exponential``: its total is the
-    left-to-right sum of its ``np.add.reduce`` row sums, and it is kept when
-    the least exact row sum of ``cells / total`` is 1e-12 or more, else the
-    next candidate takes its place.  Returns what `checker._draw_joints`
-    does: the kept joints' cells, each over its exact sum, end to end; their
-    row lengths; and the rows of each joint."""
+    """The rejection loop of `checker._draw_joints`: k candidates (``trials`` at
+    first) drawn as their row counts, then all their row lengths, then all their
+    cells, one ``rng.integers`` or ``rng.exponential`` call each; a candidate is
+    its cells over their ``math.fsum``, kept when the ``math.fsum`` of each of its
+    rows is 1e-12 or more, and k is then the number refused.  Returns the kept
+    joints' cells end to end, their row lengths and the rows of each joint."""
     flat, sizes, trial_rows = [], [], []
-    while len(trial_rows) < trials:
-        rows = int(rng.integers(2, max_rows + 1))
-        lengths = rng.integers(1, max_cols + 1, size=rows).tolist()
-        cells = rng.exponential(1.0, size=sum(lengths))
-        bounds = list(itertools.pairwise(itertools.accumulate(lengths, initial=0)))
-        total = 0.0
-        for i, j in bounds:
-            total += float(np.add.reduce(cells[i:j]))
-        scaled = cells / total
-        terms = scaled.tolist()
-        if min(math.fsum(terms[i:j]) for i, j in bounds) >= 1e-12:
-            flat.append(scaled / math.fsum(terms))
-            sizes += lengths
-            trial_rows.append(rows)
-    return np.concatenate(flat), np.array(sizes), trial_rows
+    while need := trials - len(trial_rows):
+        rows = rng.integers(2, max_rows + 1, size=need).tolist()
+        lengths = rng.integers(1, max_cols + 1, size=sum(rows)).tolist()
+        cells = rng.exponential(1.0, size=sum(lengths)).tolist()
+        per_trial = _cut(lengths, rows)
+        for own, mine in zip(per_trial, _cut(cells, list(map(sum, per_trial)))):
+            scaled = _over_fsum(mine)
+            if min(map(math.fsum, _cut(scaled, own))) >= 1e-12:
+                flat += scaled
+                sizes += own
+                trial_rows.append(len(own))
+    return np.array(flat), np.array(sizes), trial_rows
 
 
-def reference_distributions(rng, max_dims):
-    """What `checker._draw_distributions` must draw, one distribution at a time
-    through ``rng.integers`` and ``rng.exponential``: each one's cells over
-    their ``np.add.reduce`` sum, then over the exact sum of those."""
-    flat, dims = [], []
-    for max_dim in max_dims:
-        n = int(rng.integers(2, max(max_dim, 2) + 1))
-        cells = rng.exponential(1.0, size=n)
-        scaled = cells / np.add.reduce(cells)
-        flat.append(scaled / math.fsum(scaled.tolist()))
-        dims.append(n)
-    return np.concatenate(flat), dims, [1] * len(dims)
+def reference_distributions(rng, trials: int, max_rows: int, max_cols: int):
+    """What `checker._draw_distributions` must draw: every pair's two dimensions,
+    p's from [2, max(max_rows, 2)] and q's from [2, max(max_cols, 2)], in one
+    ``rng.integers`` call, then all their cells in one ``rng.exponential`` call;
+    each distribution is its cells over their ``math.fsum``.  Returns the cells
+    end to end, the dimensions and two rows per trial."""
+    highs = np.maximum([max_rows, max_cols], 2) + 1
+    dims = rng.integers(2, highs, size=(trials, 2)).ravel().tolist()
+    cells = rng.exponential(1.0, size=sum(dims)).tolist()
+    flat = [c for run in _cut(cells, dims) for c in _over_fsum(run)]
+    return np.array(flat), np.array(dims), [2] * trials
 
 
 def reference_counts(rng, trials: int, max_rows: int, max_cols: int):
-    """What `checker._draw_counts` must draw, one trial at a time through
-    ``rng.integers``: r in [2, max_rows], then r block sizes in [1, max_cols]."""
-    counts, lengths = [], []
-    for _ in range(trials):
-        r = int(rng.integers(2, max_rows + 1))
-        counts += rng.integers(1, max_cols + 1, size=r).tolist()
-        lengths.append(r)
-    return np.array(counts, dtype=np.int64), lengths, [1] * trials
+    """What `checker._draw_counts` must draw: every trial's number r of blocks in
+    [2, max_rows], then all their sizes in [1, max_cols], one ``rng.integers``
+    call each.  Returns the sizes end to end, the r and one row per trial."""
+    rows = rng.integers(2, max_rows + 1, size=trials).tolist()
+    return np.array(rng.integers(1, max_cols + 1, size=sum(rows))), np.array(rows), [1] * trials

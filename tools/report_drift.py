@@ -5,7 +5,8 @@ Runs the 8 golden configurations and the 108 digest configurations of
 per checkout with that checkout's ``src`` and ``tests`` on its path, and
 compares the reports: which differ in any byte, which report or check
 verdicts changed, which checks name a different worst input, and the largest
-|delta| of each residual field.
+|delta| of each residual field.  Where the reports' ``prng`` (the draw order)
+differs, it prints both values, and the deltas compare different inputs.
 
 Usage, from any directory::
 
@@ -62,13 +63,15 @@ def _residuals(check: dict) -> dict[str, float]:
 
 def compare(old: dict[str, str], new: dict[str, str]) -> tuple[list[str], bool]:
     """The lines of the drift report, and whether a verdict changed."""
-    lines, verdicts, worst, largest = [], [], [], {}
+    lines, verdicts, worst, largest, prngs = [], [], [], {}, set()
     differ = [label for label in old if new.get(label) != old[label]]
     for label in differ:
         if label not in new:
             lines.append(f"missing in the new checkout: {label}")
             continue
         a, b = json.loads(old[label]), json.loads(new[label])
+        if a["prng"] != b["prng"]:
+            prngs.add((a["prng"], b["prng"]))
         if a["verdict"] != b["verdict"]:
             verdicts.append(f"{label}: report {a['verdict']} -> {b['verdict']}")
         for ca, cb in zip(a["checks"], b["checks"]):
@@ -82,12 +85,15 @@ def compare(old: dict[str, str], new: dict[str, str]) -> tuple[list[str], bool]:
                 if math.isnan(delta) or delta > largest.setdefault(field, (0.0, ""))[0]:
                     largest[field] = (delta, where)
     lines[:0] = [f"reports: {len(old)} old, {len(new)} new, {len(differ)} differ"]
+    lines[1:1] = [f"prng: {a!r} old, {b!r} new" for a, b in sorted(prngs)]
     lines += [f"  {label}" for label in differ]
     lines.append(f"verdicts changed: {len(verdicts)}")
     lines += [f"  {v}" for v in verdicts]
     lines.append(f"checks with a different worst input: {len(worst)}")
     lines += [f"  {w}" for w in worst]
-    lines.append("largest |delta| per residual field:")
+    # a different prng draws different inputs: the deltas are not rounding
+    lines.append("largest |delta| per residual field"
+                 + (", between reports on different inputs:" if prngs else ":"))
     lines += [f"  {field}: {delta:.3g} ({where})" if delta else f"  {field}: 0"
               for field, (delta, where) in sorted(largest.items())]
     return lines, bool(verdicts)
