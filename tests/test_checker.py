@@ -743,6 +743,52 @@ def test_drawn_joints_are_the_reference_rejection_loop(make_rng, shape):
         assert min(rows) >= 1e-12 and math.fsum(rows) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, _SmallRows], ids=["pcg64", "redraws"])
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_batched_draws_equal_one_trial_draws(monkeypatch, make_rng, shape):
+    """The exact sums that normalize a store and refuse a joint are taken
+    ``_BATCH_TRIALS`` runs a call: one run a call, a few, or all at once draw
+    the same three stores byte for byte, and leave the stream at one place."""
+
+    def stores(batch_trials):
+        monkeypatch.setattr(checker, "_BATCH_TRIALS", batch_trials)
+        rng = make_rng(5)
+        return [_drawn(draw, rng, 25, *shape) for draw, _ in DRAWS]
+
+    whole = stores(checker._BATCH_TRIALS)
+    assert stores(1) == whole
+    assert stores(7) == whole
+
+
+@pytest.mark.parametrize(
+    "draw", [draw for draw, _ in DRAWS], ids=["joints", "distributions", "counts"]
+)
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_numpy_integer_counts_and_shapes_draw_what_python_ints_draw(draw, shape):
+    """A ``CheckConfig`` stores ints, but a store drawn from numpy integers is
+    the store drawn from the same Python ints, and so is the stream after it."""
+    n, (rows, cols) = np.int64(5), np.array(shape, dtype=np.int64)
+    numpy_args = _drawn(draw, np.random.default_rng(3), n, rows, cols)
+    assert numpy_args == _drawn(draw, np.random.default_rng(3), 5, *shape)
+
+
+@pytest.mark.parametrize("runs", [1, 1023, 1024, 1025, 3 * 1024 + 1])
+def test_run_sums_are_the_segment_sums_of_every_run_at_once(runs):
+    """`checker._run_sums` takes ``_BATCH_TRIALS`` runs a call; the sums are
+    those of one `segment_sums` call over every run, bit for bit, and
+    `checker._normalized` divides each run by its sum in place."""
+    assert checker._BATCH_TRIALS == 1024
+    rng = np.random.default_rng(runs)
+    bounds = checker.bounds_of(rng.integers(1, 9, size=runs))
+    n = int(bounds[-1])
+    cells = rng.exponential(1.0, size=n) * np.exp2(rng.integers(-60, 60, size=n))
+    sums = checker._run_sums(cells, bounds)
+    assert sums.tobytes() == checker.segment_sums(cells, bounds).tobytes()
+    expected = cells / np.repeat(sums, np.diff(bounds))
+    normalized = checker._normalized(cells, bounds)
+    assert normalized is cells and normalized.tobytes() == expected.tobytes()
+
+
 # `run_suite` measures every check at once (one `_measure` call) and, when
 # that raises, again one check per `_measure` call.
 _MEASURE = checker._measure
