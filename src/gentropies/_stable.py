@@ -4,10 +4,10 @@ The kernels take float64 ndarrays.  Every sum equals ``math.fsum`` bit for
 bit, so results do not depend on the order of the terms.  A sum runs in
 blocks through levels of error-free extraction (Rump, Ogita and Oishi,
 "Accurate floating-point summation part I", 2008), which leave each run a few
-exact pieces per block.  The runs inside one block are rounded from them in
-numpy, with one add where TwoSum (Knuth) shows the others exact;
-``math.fsum`` takes the rest: a run's pieces where it spans blocks, and its
-entries where no bound certifies the pieces (see `exact_sum` and `_round`).
+exact pieces per block, and rounds each block's runs as it ends: in numpy,
+with one add where TwoSum (Knuth) shows the others exact; else ``math.fsum``
+of the pieces (after its last block, for a run that spans blocks) or of the
+entries, where no bound certifies the pieces (see `exact_sum` and `_round`).
 Power sums are max-factored in log2 space, which keeps them finite for
 exponents far beyond the naive overflow point.
 
@@ -48,7 +48,6 @@ above take one path at every size.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from typing import Callable, Sequence
@@ -75,8 +74,10 @@ def exact_sum(values: np.ndarray) -> float:
     where the run lies in one block and TwoSum shows every add but the last
     exact, else by ``math.fsum``, if a bound on what the levels leave
     certifies it; otherwise ``math.fsum`` sums the entries (see `_round`).
-    An inf, nan or |x| >= 2**961 sends the sum to ``math.fsum``.
+    An inf, nan or |x| >= 2**961, or at most ``_FSUM_MAX`` entries, go to ``math.fsum``.
     """
+    if len(values) <= min(_FSUM_MAX, _BLOCK):
+        return math.fsum(values.tolist())
     return float(_segment_fsum(values, [0, len(values)])[0])
 
 
@@ -97,8 +98,9 @@ def _blocked_fsum(blocks: Callable, bounds: np.ndarray) -> np.ndarray:
     """``math.fsum`` of the values that each run keeps, bit for bit; run k is at positions
     ``bounds[k]`` to ``bounds[k + 1]``.  ``blocks(i, j)`` yields, for each ``_BLOCK``
     positions of runs i to j - 1 from ``bounds[i]``, the values that they keep and the mask
-    of those (``None``: all).  If a value is inf, nan or |x| >= 2**961, ``math.fsum`` takes
-    each run in order, so an error is the first failing run's."""
+    of those (``None``: all).  The runs are split once per call, by one search, and each
+    block's runs are rounded as it ends (see `_round`).  If a value is inf, nan or |x| >=
+    2**961, ``math.fsum`` takes each run in order, so an error is the first failing run's."""
     n, k = int(bounds[-1]), len(bounds) - 1
     if n <= min(_FSUM_MAX, _BLOCK):  # one block: one list, and one math.fsum per run
         values, ends = [], bounds.tolist()
@@ -107,23 +109,27 @@ def _blocked_fsum(blocks: Callable, bounds: np.ndarray) -> np.ndarray:
             if keep is not None:  # where each run's kept values start in the list
                 ends = np.concatenate(([0], keep.cumsum()))[bounds].tolist()
         return np.array([math.fsum(values[i:j]) for i, j in itertools.pairwise(ends)])
-    size = min(n, _BLOCK) or 1
+    size = min(n, _BLOCK)
     m = max(size - 1, 1).bit_length()  # size <= 2**m
     q, r = np.empty(size), None  # the rest after each level; a later level's q
-    pending = []  # per block: the runs with values in it, and the exact pieces of each level
-    rest = np.zeros(k)  # per run, the sum of |what the levels leave|, rounded
-    for b0, (p, keep) in zip(range(0, n, _BLOCK), blocks(0, k)):
-        end = min(b0 + _BLOCK, n)
-        first, last = bisect.bisect_right(bounds, b0) - 1, bisect.bisect_right(bounds, end - 1) - 1
-        offsets, segs = [0], np.array([first])  # the block's runs with values, their starts
-        if first < last:
-            starts = bounds[first:last + 2] - b0
-            starts[0], starts[-1] = 0, end - b0
-            segs = np.flatnonzero(starts[1:] != starts[:-1])
-            offsets, segs = starts[segs], segs + first
-            if keep is not None:  # to the kept values: a run that keeps none gets no start
-                per = np.add.reduceat(keep.view(np.int8), offsets, dtype=np.intp)
-                offsets, segs = (per.cumsum() - per)[per > 0], segs[per > 0]
+    # the runs with values (None: all), their starts then n, and each block's first and last
+    runs = bounds[1:] > bounds[:-1]
+    runs = None if np.count_nonzero(runs) == k else np.flatnonzero(runs)
+    cuts = bounds if runs is None else np.append(bounds[runs], n)
+    starts = range(0, n, _BLOCK)
+    cut = cuts[1:-1].searchsorted([*starts, *(b + _BLOCK - 1 for b in starts)], "right").tolist()
+    out, held = np.zeros(k), None
+    for b0, first, last, (p, keep) in zip(starts, cut, cut[len(starts):], blocks(0, k)):
+        segs = np.arange(first, last + 1) if runs is None else runs[first:last + 1]
+        offsets = cuts[first:last + 1]  # the block's runs with values, their starts in it
+        if b0:
+            offsets = offsets - b0
+            offsets[0] = 0
+        crossing = cuts[last + 1] > b0 + _BLOCK  # the last run goes on into the next block
+        if keep is not None and first < last:  # to the kept values: a run keeping none has no start
+            per = np.add.reduceat(keep.view(np.int8), offsets, dtype=np.intp)
+            kept = per > 0
+            offsets, segs, crossing = (per.cumsum() - per)[kept], segs[kept], crossing and kept[-1]
         w = len(p)
         if not w:
             continue
@@ -152,50 +158,58 @@ def _blocked_fsum(blocks: Callable, bounds: np.ndarray) -> np.ndarray:
             top = top and src.any()
             if not top:
                 break
-        if pieces:
-            pending.append((segs, pieces))
-        if top:
-            rest[segs] += np.add.reduceat(np.abs(src, out=src), offsets)
-    return _round(pending, rest, blocks)
-
-
-def _round(pending: list, rest: np.ndarray, blocks: Callable) -> np.ndarray:
-    """Every run's sum, in one call after the last block, from the exact pieces that
-    ``pending`` holds per block (its runs, one array per level).  A run inside one
-    block with no ``rest`` is rounded in numpy: its pieces are added smallest first,
-    and if TwoSum (Knuth) finds every add but the last exact, the last one rounds the
-    exact sum once, as ``math.fsum`` does (whose zero is +0.0; no piece reaches
-    2**976, so no add overflows).  Any other run takes the ``math.fsum`` h of its
-    pieces if ``rest[run]``, a bound on what they miss, is 0 or, plus the residual
-    d past h, below half an ulp of h (a quarter at a power of two); else
-    ``math.fsum`` of its values."""
-    out, redo = np.zeros(len(rest)), rest > 0.0
-    if len(pending) > 1:
-        runs = np.concatenate([segs for segs, _ in pending])
-        redo |= np.bincount(runs, minlength=len(rest)) > 1
-    for segs, pieces in pending:
-        total = pieces[-1]
-        for level in range(len(pieces) - 2, -1, -1):
-            piece, total, low = pieces[level], pieces[level] + total, total
-            if level:  # TwoSum's error of the add: not 0, the add rounded
-                back = total - piece
-                redo[segs] |= (piece - (total - back)) + (low - back) != 0.0
-        out[segs] = total
-    out += 0.0  # a sum of -0.0s is -0.0 in numpy, +0.0 in fsum
-    if redo.any():
-        ready = {run: [] for run in np.flatnonzero(redo).tolist()}
-        for segs, pieces in pending:
-            hit = np.flatnonzero(redo[segs])
-            for run, column in zip(segs[hit].tolist(), np.array(pieces)[:, hit].T.tolist()):
-                ready[run] += column
-        for run, column in ready.items():
-            h = out[run] = math.fsum(column)
-            if rest[run]:
-                margin = math.ulp(h) / (4.0 if abs(math.frexp(h)[0]) == 0.5 else 2.0)
-                # the 2**-20 covers the roundings of d and of the bound
-                if not (abs(math.fsum(column + [-h])) + rest[run]) * (1.0 + 2.0 ** -20) < margin:
-                    out[run] = _fsum(blocks, run, run + 1)
+        if pieces:  # per run, the sum of |what the levels leave|, rounded
+            rest = np.add.reduceat(np.abs(src, out=src), offsets) if top else np.zeros(len(segs))
+            held = _round(out, segs, pieces, rest, held, crossing, blocks)
+    if held:
+        _settle(out, *held, blocks)
     return out
+
+
+def _round(out, segs, pieces, rest, held, crossing, blocks) -> tuple | None:
+    """The sums of one block's runs ``segs`` into ``out`` from each level's exact pieces
+    and ``rest``, per run a bound on what they miss.  ``held`` (or ``None``) is the run
+    that came in from the blocks before: its index, pieces and rest so far; the same for
+    the block's last run is returned if ``crossing`` says that it goes on.  A run inside
+    the block with no rest is rounded in numpy: its pieces are added smallest first, and
+    if TwoSum (Knuth) finds every add but the last exact, the last one rounds the exact
+    sum once, as ``math.fsum`` does (no piece reaches 2**976, so no add overflows; a
+    level's pieces sum (p + sigma) - sigma, never -0.0, so neither is a total).  `_settle`
+    takes any other run after its last block with values, so one block's pieces are held."""
+    total, redo = pieces[-1], rest > 0.0
+    for level in range(len(pieces) - 2, -1, -1):
+        piece, total, low = pieces[level], pieces[level] + total, total
+        if level:  # TwoSum's error of the add: not 0, the add rounded
+            back = total - piece
+            redo |= (piece - (total - back)) + (low - back) != 0.0
+    out[segs] = total
+    run, column, bound = held or (-1, [], 0.0)
+    if held and run != segs[0]:  # it ended in a block before, with no values there
+        _settle(out, run, column, bound, blocks)
+    redo[0] |= run == segs[0]
+    redo[-1] |= crossing
+    if not np.count_nonzero(redo):
+        return None
+    hit = redo.nonzero()[0]
+    for i, s, r, *own in zip(hit.tolist(), segs[hit].tolist(), rest[hit].tolist(),
+                             *(piece[hit].tolist() for piece in pieces)):
+        if s == run:
+            own, r = column + own, bound + r
+        if crossing and i == len(segs) - 1:
+            return s, own, r
+        _settle(out, s, own, r, blocks)
+
+
+def _settle(out: np.ndarray, run: int, column: list, rest: float, blocks: Callable) -> None:
+    """``out[run]``: the ``math.fsum`` h of its exact pieces ``column`` if ``rest``, a bound
+    on what they miss, is 0 or, plus the residual d past h, below half an ulp of h (a
+    quarter at a power of two); else ``math.fsum`` of the run's values."""
+    h = out[run] = math.fsum(column)
+    if rest:
+        margin = math.ulp(h) / (4.0 if abs(math.frexp(h)[0]) == 0.5 else 2.0)
+        # the 2**-20 covers the roundings of d and of the bound
+        if not (abs(math.fsum(column + [-h])) + rest) * (1.0 + 2.0 ** -20) < margin:
+            out[run] = _fsum(blocks, run, run + 1)
 
 
 def _fsum(blocks: Callable, i: int, j: int) -> float:

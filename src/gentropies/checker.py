@@ -351,8 +351,8 @@ class CheckReport:
 
 
 def _run_sums(cells: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """`segment_sums` of each run between ``bounds``, over ``_BATCH_TRIALS`` runs a call:
-    its temporaries, about 75 bytes per run, stay within one call's runs."""
+    """`segment_sums` of each run between ``bounds``, over ``_BATCH_TRIALS`` runs a call: a
+    call holds about 75 bytes per run of a block, up to 2**15 one-cell runs in one."""
     step = _BATCH_TRIALS
     sums = [segment_sums(cells, bounds[i:i + step + 1]) for i in range(0, len(bounds) - 1, step)]
     return sums[0] if len(sums) == 1 else np.concatenate(sums)

@@ -919,6 +919,17 @@ def test_conditional_entropy_holds_one_input_sized_array():
     assert _traced_peak(lambda: conditional_entropy(shannon(), joint)) < 1.25 * square.nbytes
 
 
+def test_marginal_of_many_short_rows_holds_one_block_of_pieces():
+    """The exact row sums of a held 2**19 x 2 joint round each block's rows as
+    the block ends: `marginal` peaks below 1.5x its cells (holding every
+    block's pieces until the last block took 4.2x)."""
+    cells = np.random.default_rng(13).exponential(1.0, (2 ** 19, 2))
+    joint = make_joint(cells / cells.sum())
+    assert _traced_peak(lambda: marginal(joint)) < 1.5 * cells.nbytes
+    rows = joint._flat.reshape(-1, 2).tolist()
+    assert joint._row_sums().tolist() == [math.fsum(row) for row in rows]
+
+
 # A value of the wrong type names the expected class, not a private attribute.
 WRONG_TYPE_CALLS = {
     "escort": (lambda v, path: escort(v, 2.0), "Distribution"),

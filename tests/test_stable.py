@@ -613,13 +613,13 @@ class _CountingMath:
 
 def _rounded(values, counts, block=_stable._BLOCK):
     """`_stable._segment_fsum` of the runs of ``counts`` in blocks of ``block``: the sums in
-    hex, the number of pieces per run of each block that `_round` rounds, and the number
-    of ``math.fsum`` calls."""
+    hex, the number of pieces per run of each block that `_round` rounds, in block order
+    (one call per block), and the number of ``math.fsum`` calls."""
     shapes, counting, real = [], _CountingMath(), _stable._round
 
-    def spy(pending, rest, blocks):
-        shapes.extend(len(pieces) for _, pieces in pending)
-        return real(pending, rest, blocks)
+    def spy(out, segs, pieces, *args):
+        shapes.append(len(pieces))
+        return real(out, segs, pieces, *args)
 
     with mock.patch.multiple(_stable, _round=spy, math=counting, _BLOCK=block, _FSUM_MAX=0):
         sums = _stable._segment_fsum(
@@ -732,9 +732,9 @@ def test_sums_hold_no_input_sized_temporary():
 
 
 def test_thousands_of_runs_round_once_without_an_input_sized_temporary():
-    """8192 runs of 256 entries (16 MB) in one call: every run's pieces wait
-    for the one rounding pass after the last block, and still the peak stays
-    under 6 MB, on probabilities and on their 50th powers."""
+    """8192 runs of 256 entries (16 MB) in one call: each block's runs are
+    rounded as the block ends, once each, and the peak stays under 6 MB, on
+    probabilities and on their 50th powers."""
     rng = np.random.default_rng(16)
     x = rng.exponential(1.0, 2 ** 21)
     x[rng.random(x.size) < 0.1] = 0.0
@@ -744,6 +744,18 @@ def test_thousands_of_runs_round_once_without_an_input_sized_temporary():
         expected = [math.fsum(values[i:j].tolist()) for i, j in itertools.pairwise(bounds)]
         assert segment_sums(values, bounds).tolist() == expected
         assert _traced_peak(lambda: segment_sums(values, bounds)) < 6 * 2 ** 20
+
+
+@pytest.mark.parametrize("cells", [2, 5])
+def test_many_short_runs_hold_one_block_of_pieces(cells):
+    """40,000 runs of 2 or 5 cells: each block's runs are rounded as the block
+    ends, so the sum holds one block's pieces, not every run's, and peaks
+    under 2 MiB (holding them all until the last block took about 3 MB)."""
+    x = np.random.default_rng(cells).exponential(1.0, 40_000 * cells)
+    bounds = np.arange(0, x.size + 1, cells)
+    expected = [math.fsum(x[i:i + cells].tolist()) for i in range(0, x.size, cells)]
+    assert segment_sums(x, bounds).tolist() == expected
+    assert _traced_peak(lambda: segment_sums(x, bounds)) < 2 * 2 ** 20
 
 
 def test_uncertified_run_sums_a_block_at_a_time():

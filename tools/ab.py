@@ -34,14 +34,16 @@ saturated (see `generators._SATURATED`); `conditional_entropy` of
 general_escort(2, -1, -1) (two exponents) and of general_escort(2, -1, 0)
 (the lambda = 0 escort) on the 1024 x 1024 joint; `entropy` of renyi(2) on
 2**20 entries of which about 10 % are zero; `run_suite` of renyi(2), each
-suite with 100 trials; the children ``cli compute`` on a CSV of four distributions
-of 2**8 to 2**14 entries and ``cli check`` of tsallis(2) with 100 trials;
-and the ops of the benchmark's ``bulk`` workload at seed ``BULK_SEED``, named
-``bulk`` and the op's label.  The bulk schedule draws all of its ops from
-one seeded stream, so it is built whole, once per side, and only when no
-CASE is given or a CASE names ``bulk``; the ops not kept are dropped.  It
-comes from the new checkout's ``benchmarks/workloads.py``, loaded once per
-side against that side's package, so that both sides run one schedule.
+suite with 100 trials; `marginal` of a held 2**19 x 2 joint, whose row sums
+are taken anew in every call (a new joint on the same arrays); the children
+``cli compute`` on a CSV of four distributions of 2**8 to 2**14 entries and
+``cli check`` of tsallis(2) with 100 trials; and the ops of the benchmark's
+``bulk`` and ``suite`` workloads at seed ``BULK_SEED``, named ``bulk`` or
+``suite`` and the op's label.  A workload's schedule draws all of its ops
+from one seeded stream, so it is built whole, once per side, and only when
+no CASE is given or a CASE names the workload; the ops not kept are dropped.
+It comes from the new checkout's ``benchmarks/workloads.py``, loaded once
+per side against that side's package, so that both sides run one schedule.
 
 Before each sample of a child case, a bare ``python -S -c pass`` runs
 untimed, as the benchmark's ``calibrate("child")`` runs one before each
@@ -70,7 +72,8 @@ import numpy as np
 
 ROUNDS = 15  # samples per side and case; at least 4, for quartiles
 SAMPLE_S = 0.05  # seconds of calls per sample
-BULK_SEED = 1  # the seed of the bulk schedule
+BULK_SEED = 1  # the seed of the bulk and suite schedules
+WORKLOADS = ("bulk", "suite")  # the benchmark workloads whose ops are cases
 
 
 def load(checkout: Path, name: str):
@@ -168,6 +171,9 @@ def cases(g, workdir: Path) -> dict:
         out["conditional_entropy general_escort(%g,%g,%g) 1024x1024" % params] = (
             lambda a=params: functools.partial(
                 g.conditional_entropy, g.general_escort(*a), joint(*shapes["1024x1024"])))
+    out["marginal 2^19x2"] = lambda: functools.partial(
+        lambda held: g.marginal(g.JointDistribution._wrap(held._flat, held._bounds)),
+        joint(2 ** 19, 2, 4))
     out["entropy renyi(2) 2^20 10% zeros"] = lambda: functools.partial(
         g.entropy, g.renyi(2.0), sparse(2 ** 20, 0.1))
     for alpha in (2.0, 20.0):
@@ -179,11 +185,15 @@ def cases(g, workdir: Path) -> dict:
     return out
 
 
-def bulk_cases(path: Path, g, kept) -> dict:
-    """`cases` of the ``bulk`` ops that ``kept`` keeps by name, from the workloads
-    module at ``path``."""
-    ops = load_workloads(path, g).build_bulk(BULK_SEED)
-    return {f"bulk {op.label}": lambda run=op.run: run for op in ops if kept(f"bulk {op.label}")}
+def workload_cases(path: Path, g, workloads, kept) -> dict:
+    """`cases` of the ops of the benchmark's ``workloads`` that ``kept`` keeps by name,
+    from the workloads module at ``path``."""
+    module, out = load_workloads(path, g), {}
+    for workload in workloads:
+        for op in getattr(module, f"build_{workload}")(BULK_SEED):
+            if kept(name := f"{workload} {op.label}"):
+                out[name] = lambda run=op.run: run
+    return out
 
 
 def children_cpu() -> float:
@@ -252,10 +262,11 @@ def main(argv=None) -> int:
         sides = [load(args.old, "gentropies_old"), load(args.new, "gentropies_new")]
         old, new = ({name: make for name, make in cases(g, Path(workdir)).items() if kept(name)}
                     for g in sides)
-        if not args.cases or any("bulk" in c for c in args.cases):
+        workloads = [w for w in WORKLOADS if not args.cases or any(w in c for c in args.cases)]
+        if workloads:
             path = args.new / "benchmarks" / "workloads.py"
-            old.update(bulk_cases(path, sides[0], kept))
-            new.update(bulk_cases(path, sides[1], kept))
+            old.update(workload_cases(path, sides[0], workloads, kept))
+            new.update(workload_cases(path, sides[1], workloads, kept))
         names = [name for name in old if name in new]
         width = max(map(len, names), default=4)
         print(f"{'case':<{width}} clock {'old median [q1, q3]':>34} {'new median [q1, q3]':>34} "
