@@ -333,8 +333,9 @@ def _span_map(bounds: Sequence[int], group: Callable) -> np.ndarray:
     bounds = np.asarray(bounds, dtype=np.intp)
     if len(bounds) < 2:
         return np.zeros(0)
-    try:
-        return group(slice(int(bounds[0]), int(bounds[-1])), bounds - bounds[0])
+    start = int(bounds[0])
+    try:  # bounds from 0 as they are: a rebased copy takes 8 bytes per run
+        return group(slice(start, int(bounds[-1])), bounds - start if start else bounds)
     except (OverflowError, ValueError):
         if len(bounds) > 2:
             for k in range(len(bounds) - 1):

@@ -7,14 +7,14 @@ uniform trace, and the reconstruction of a rational distribution's entropy
 from its even refinement.  `run_suite` draws seeded random inputs, runs
 every check plus the fixed counterexample probe, and aggregates residuals
 into a reproducible report: the same configuration always serializes to
-identical bytes.  It evaluates a batch of trials of every check at once:
-one ``span_entropies`` call for all the entropies that they need, one
-``conditional_entropies`` call for all their joints, and the residuals as
-float64 arrays, which become Python floats only in the report's records; its
-docstring states which error a failing check raises.  It draws each store
-whole from the seed's PCG64 stream, one Generator call per quantity (draw
-order 2, which the reports name in ``prng``; see `_draw_joints`), and divides
-each trial by its exact sum.
+identical bytes.  It evaluates a batch of trials of every check at once: one
+``span_entropies`` call for the drawn runs that they need, one for the
+uniforms, one ``conditional_entropies`` call for all their joints, and the
+residuals as float64 arrays, which become Python floats only in the report's
+records; its docstring states which error a failing check raises.  It draws
+each store whole from the seed's PCG64 stream, one Generator call per
+quantity (draw order 2, which the reports name in ``prng``; see
+`_draw_joints`), and divides each trial by its exact sum.
 
 Verdicts compare the residual relative to 1 + |reference value| against the
 configured tolerance; a check whose absolute residual reaches
@@ -137,8 +137,9 @@ def _trials(inputs, parts: Callable[[Any], tuple[np.ndarray, Sequence[int]]]) ->
 
 @np.errstate(all="ignore")  # the checks' arithmetic too: the caller's error state changes no result
 def _evaluate(family, steps: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every check's result, from one `span_entropies`, one `group_marginals` and one
-    `conditional_entropies` call for all of them: each run gets the bits it would alone."""
+    """Every check's result, from one `span_entropies` call for the drawn runs, one for the
+    uniforms (exact terms, which need fewer extraction levels), and one `group_marginals` and
+    one `conditional_entropies` call for the joints: each run gets the bits it would alone."""
     asks = [next(s) for s in steps]
     pieces = [piece for runs, _, _ in asks for piece in runs]
     joints = [joint for _, joint, _ in asks if joint is not None]
@@ -151,23 +152,26 @@ def _evaluate(family, steps: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
         margs = group_marginals(batch, groups)
         pieces += [(batch._flat, np.diff(batch._bounds[groups])),
                    (margs, np.diff(groups))]
-    ends = list(itertools.accumulate(len(lengths) for _, lengths in pieces))
-    dims = list(dict.fromkeys(n for _, _, ns in asks for n in ns))
-    if dims:  # one uniform is `uniform`'s own, which checks its dimension
-        cells = np.repeat(1.0 / np.array(dims), dims) if len(dims) > 1 else uniform(dims[0])._array
-        pieces.append((cells, dims))
-    values = span_entropies(family, *_joined(pieces))
-    parts = iter([values[i:j] for i, j in itertools.pairwise([0, *ends])])  # not the uniforms
+    values = span_entropies(family, *_joined(pieces)) if pieces else None
+    ends = itertools.accumulate(len(lengths) for _, lengths in pieces)
+    parts = iter([values[i:j] for i, j in itertools.pairwise([0, *ends])])
     own = [[next(parts) for _ in runs] for runs, _, _ in asks]
     triple = ()  # the wholes, marginals and conditionals of the joints
     if joints:
         triple = (next(parts), next(parts), conditional_entropies(family, batch, groups, margs))
-    index, at = dict(zip(dims, itertools.count(len(values) - len(dims)))), 0  # uniforms last
+    dims = list(dict.fromkeys(n for _, _, ns in asks for n in ns))
+    uniforms = np.zeros(0)
+    # after the joints' calls, which find the drawn cells in cache; one uniform is
+    # `uniform`'s own, which checks its dimension
+    if dims:
+        cells = np.repeat(1.0 / np.array(dims), dims) if len(dims) > 1 else uniform(dims[0])._array
+        uniforms = span_entropies(family, cells, bounds_of(dims))
+    index, at = {n: k for k, n in enumerate(dims)}, 0
     results = []
     for step, mine, (_, joint, ns) in zip(steps, own, asks):
         n = 0 if joint is None else len(joint[1]) - 1
         try:
-            step.send((mine, [x[at:at + n] for x in triple], values.take([index[d] for d in ns])))
+            step.send((mine, [x[at:at + n] for x in triple], uniforms.take([index[d] for d in ns])))
         except StopIteration as done:
             results.append(done.value)
         at += n

@@ -52,6 +52,7 @@ from gentropies import (
     uniform_trace_residual,
 )
 from gentropies import checker, entropies
+from gentropies._stable import _BLOCK, bounds_of
 from gentropies.entropies import nath
 from gentropies.checker import (
     MAX_CHAIN_LENGTH,
@@ -845,12 +846,15 @@ def test_an_earlier_check_failing_in_a_later_batch_is_raised(monkeypatch):
         run_suite(CheckConfig(family=renyi(2.0), trials=7, seed=1))
 
 
-def test_a_suite_batch_makes_one_entropy_and_one_conditional_call(monkeypatch):
+def test_a_suite_batch_makes_one_drawn_one_uniform_and_one_conditional_call(monkeypatch):
+    """A 100-trial suite is one batch: one `span_entropies` call for the drawn runs, one
+    `conditional_entropies` call, which makes its own for the conditional rows, and then
+    one for the uniforms U_2 ... U_2**14 that the chain and the trace share."""
     calls = []
 
     def counted(fn):
         def call(*args):
-            calls.append(fn.__name__)
+            calls.append((fn.__name__, args))
             return fn(*args)
 
         return call
@@ -860,5 +864,56 @@ def test_a_suite_batch_makes_one_entropy_and_one_conditional_call(monkeypatch):
     monkeypatch.setattr(checker, "span_entropies", span_entropies)
     monkeypatch.setattr(checker, "conditional_entropies", counted(checker.conditional_entropies))
     run_suite(CheckConfig(family=renyi(2.0), trials=100, seed=1))
-    # conditional_entropies makes the second span_entropies call
-    assert sorted(calls) == ["conditional_entropies", "span_entropies", "span_entropies"]
+    assert [name for name, _ in calls] == [
+        "span_entropies", "conditional_entropies", "span_entropies", "span_entropies"]
+    dims = [2 ** k for k in range(1, 15)]
+    _, (_, cells, bounds) = calls[-1]
+    assert np.asarray(bounds).tolist() == bounds_of(dims).tolist()
+    assert cells.tolist() == np.repeat(1.0 / np.array(dims), dims).tolist()
+
+
+# The public residual functions are the one-check case of `checker._evaluate`: each makes
+# one `span_entropies` call, on the uniforms alone or on the drawn runs alone.
+ONE_CALL_RESIDUALS = {
+    "chain": (lambda f: chain_residual(f, 12), [2 ** 12, 2]),
+    "uniform_trace": (lambda f: uniform_trace_residual(f, 2 ** 14), [2 ** 14]),
+    "strong_additivity": (  # the whole, then the marginal
+        lambda f: strong_additivity_residual(f, make_joint([[0.25, 0.25], [0.375, 0.125]])), [4, 2]),
+    "product_additivity": (  # the product, then p and q
+        lambda f: product_additivity_residual(f, uniform(3), make_distribution([0.25, 0.75])),
+        [6, 3, 2]),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_CALL_RESIDUALS))
+def test_a_residual_function_makes_one_entropy_call(monkeypatch, name):
+    residual, lengths = ONE_CALL_RESIDUALS[name]
+    calls = []
+
+    def span_entropies(family, cells, bounds):
+        calls.append(np.asarray(bounds).tolist())
+        return entropies.span_entropies(family, cells, bounds)
+
+    monkeypatch.setattr(checker, "span_entropies", span_entropies)
+    residual(renyi(2.0))
+    assert calls == [bounds_of(lengths).tolist()]
+
+
+# `checker._evaluate` takes a batch's drawn runs and its uniforms in two `span_entropies`
+# calls, which moves no bit: one call on both, whose runs cross a block of the exact sum,
+# gives every run the bits that the two calls give it, for each member of the suite.
+@pytest.mark.parametrize("_, family", GRID + [(repr(f), f) for f in FORCING])
+def test_drawn_runs_and_uniforms_in_one_call_equal_two_calls(_, family):
+    rng = np.random.default_rng(41)
+    lengths = rng.integers(1, 9, size=1000)
+    bounds = bounds_of(lengths)
+    drawn = rng.exponential(1.0, int(bounds[-1]))
+    drawn /= np.repeat(np.add.reduceat(drawn, bounds[:-1]), lengths)
+    dims = [2 ** k for k in range(1, 15)]
+    uniforms = np.repeat(1.0 / np.array(dims), dims)
+    assert len(drawn) < _BLOCK < len(drawn) + len(uniforms)
+    span_entropies = entropies.span_entropies
+    merged = span_entropies(family, np.concatenate([drawn, uniforms]), bounds_of([*lengths, *dims]))
+    apart = [*span_entropies(family, drawn, bounds).tolist(),
+             *span_entropies(family, uniforms, bounds_of(dims)).tolist()]
+    assert [v.hex() for v in merged.tolist()] == [v.hex() for v in apart]

@@ -921,11 +921,12 @@ def test_conditional_entropy_holds_one_input_sized_array():
 
 def test_marginal_of_many_short_rows_holds_one_block_of_pieces():
     """The exact row sums of a held 2**19 x 2 joint round each block's rows as
-    the block ends: `marginal` peaks below 1.5x its cells (holding every
-    block's pieces until the last block took 4.2x)."""
+    the block ends, and take the joint's bounds as they are, from 0: `marginal`
+    peaks at 1.05x its cells at most (holding every block's pieces until the
+    last block took 4.2x, and a rebased copy of the bounds 1.24x)."""
     cells = np.random.default_rng(13).exponential(1.0, (2 ** 19, 2))
     joint = make_joint(cells / cells.sum())
-    assert _traced_peak(lambda: marginal(joint)) < 1.5 * cells.nbytes
+    assert _traced_peak(lambda: marginal(joint)) <= 1.05 * cells.nbytes
     rows = joint._flat.reshape(-1, 2).tolist()
     assert joint._row_sums().tolist() == [math.fsum(row) for row in rows]
 
