@@ -28,7 +28,7 @@ every run gets the bits it would get alone.  No temporary is input-sized but the
 logs that the max-factored kernels hold (see `_streamed` and `_per_run`).  The
 kernels keep their own numpy error state, so the caller's does not change a
 result (see `_span_map`).  They raise Python's own errors alone, which the
-caller types.
+caller types: a call's is its first failing run's (see `_blocked_fsum`).
 
 `divide_runs` divides each run by its total, one scalar per run and a block
 at a time, in place when the caller owns the array, else into one new array.
@@ -328,19 +328,15 @@ def _span_map(bounds: Sequence[int], group: Callable) -> np.ndarray:
     the caller's: a term that underflows is exact after max-factoring, and one that
     overflows is an inf term.
 
-    An error is the one that the first failing run raises alone.
+    An error is the one that the first failing run raises alone: `_blocked_fsum` takes
+    the runs in order where a sum can fail, and the kernels' other errors name no run.
     """
     bounds = np.asarray(bounds, dtype=np.intp)
     if len(bounds) < 2:
         return np.zeros(0)
     start = int(bounds[0])
-    try:  # bounds from 0 as they are: a rebased copy takes 8 bytes per run
-        return group(slice(start, int(bounds[-1])), bounds - start if start else bounds)
-    except (OverflowError, ValueError):
-        if len(bounds) > 2:
-            for k in range(len(bounds) - 1):
-                group(slice(int(bounds[k]), int(bounds[k + 1])), bounds[k:k + 2] - bounds[k])
-        raise
+    # bounds from 0 as they are: a rebased copy takes 8 bytes per run
+    return group(slice(start, int(bounds[-1])), bounds - start if start else bounds)
 
 
 def segment_sums(values: np.ndarray, bounds: Sequence[int]) -> np.ndarray:

@@ -68,8 +68,8 @@ MAX_CHAIN_LENGTH = 22
 #: into one CSR store per check: 8 bytes per drawn cell (the joints take a
 #: quarter of the bound on average, 32 MiB at the bound) and per row and
 #: trial bound.  Each store is drawn whole and normalized in place, its exact
-#: sums taken ``_BATCH_TRIALS`` runs at a time: drawing the three stores peaks
-#: at about 0.15 and 0.4 KB per trial at 2 x 1 and 8 x 8 (tracemalloc).
+#: sums taken in one call: drawing the three stores peaks at about 0.21 and
+#: 0.43 KB per trial at 2 x 1 and 8 x 8 (tracemalloc, 20,000 trials).
 MAX_SUITE_CELLS = 2 ** 24
 
 #: Least charge per trial against ``MAX_SUITE_CELLS`` (the default 8 x 8
@@ -78,8 +78,8 @@ MAX_SUITE_CELLS = 2 ** 24
 #: scales 48 bytes of float64 more (tracemalloc).
 MIN_TRIAL_CELLS = 64
 
-#: Trials per batch of a check in `run_suite`: this bounds the arrays one
-#: batch allocates, whatever the number of trials.
+#: Trials per batch of a check in `_measure`: this bounds the arrays that one
+#: batch of the checks allocates, whatever the number of trials.
 _BATCH_TRIALS = 1024
 
 
@@ -354,17 +354,9 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _run_sums(cells: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """`segment_sums` of each run between ``bounds``, over ``_BATCH_TRIALS`` runs a call: a
-    call holds about 75 bytes per run of a block, up to 2**15 one-cell runs in one."""
-    step = _BATCH_TRIALS
-    sums = [segment_sums(cells, bounds[i:i + step + 1]) for i in range(0, len(bounds) - 1, step)]
-    return sums[0] if len(sums) == 1 else np.concatenate(sums)
-
-
 def _normalized(cells: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """``cells``, each run between ``bounds`` divided in place by its exact sum."""
-    return divide_runs(cells, _run_sums(cells, bounds), bounds, out=cells)
+    return divide_runs(cells, segment_sums(cells, bounds), bounds, out=cells)
 
 
 # Draw order 2 (`PRNG_NAME`): each store below is drawn whole, one Generator call per
@@ -388,7 +380,7 @@ def _draw_joints(rng, trials: int, max_rows: int, max_cols: int) -> _Trials:
         bounds, offsets = bounds_of(lengths), bounds_of(rows)
         ends = bounds[offsets]
         cells = _normalized(rng.exponential(1.0, size=int(bounds[-1])), ends)
-        keep = np.minimum.reduceat(_run_sums(cells, bounds), offsets[:-1]) >= 1e-12
+        keep = np.minimum.reduceat(segment_sums(cells, bounds), offsets[:-1]) >= 1e-12
         if not parts and keep.all():
             return _Trials(cells, bounds, offsets)
         kept = np.flatnonzero(keep)

@@ -52,7 +52,7 @@ from gentropies import (
     uniform_trace_residual,
 )
 from gentropies import checker, entropies
-from gentropies._stable import _BLOCK, bounds_of
+from gentropies._stable import _BLOCK, bounds_of, segment_sums
 from gentropies.entropies import nath
 from gentropies.checker import (
     MAX_CHAIN_LENGTH,
@@ -439,7 +439,7 @@ class TestRunSuite:
     def test_drawn_trials_are_compact(self, shape, parent_bytes):
         """The drawn trials live in CSR stores: at 20 000 trials they hold
         fewer bytes per trial (traced) than the objects per trial did
-        (``parent_bytes``, cells included), about 0.18 and 0.4 KB."""
+        (``parent_bytes``, cells included), about 0.17 and 0.43 KB."""
         rows, cols = shape
         cfg = CheckConfig(family=shannon(), trials=20_000, max_rows=rows, max_cols=cols)
         tracemalloc.start()
@@ -456,7 +456,7 @@ class TestRunSuite:
     def test_drawing_whole_stores_peaks_no_higher_than_in_chunks(self, shape, chunked_peak):
         """At 20 000 trials, drawing the three stores whole peaks (traced) at no
         more bytes per trial than drawing them in chunks of 1,024 trials did
-        (``chunked_peak``), about 0.15 and 0.4 KB."""
+        (``chunked_peak``), about 0.21 and 0.43 KB."""
         rows, cols = shape
         cfg = CheckConfig(family=shannon(), trials=20_000, max_rows=rows, max_cols=cols)
         tracemalloc.start()
@@ -468,6 +468,24 @@ class TestRunSuite:
             tracemalloc.stop()
         assert [len(store) for store in stores] == [cfg.trials] * 3
         assert peak / cfg.trials <= chunked_peak
+
+    @pytest.mark.parametrize("shape", [(2, 1), (8, 8)], ids=str)
+    def test_drawing_takes_one_exact_sum_call_per_normalization_and_refusal_round(
+            self, monkeypatch, shape):
+        """At 20 000 trials, with no candidate refused, the draws call `segment_sums`
+        three times, each over all of its runs: the joints' normalization, their
+        rows' refusal round and the product pairs' normalization."""
+        runs = []
+
+        def counted(cells, bounds):
+            runs.append(len(bounds) - 1)
+            return segment_sums(cells, bounds)
+
+        monkeypatch.setattr(checker, "segment_sums", counted)
+        rows, cols = shape
+        cfg = CheckConfig(family=shannon(), trials=20_000, max_rows=rows, max_cols=cols)
+        joints, pairs, _ = checker._draw_suite(cfg)
+        assert runs == [cfg.trials, len(joints.bounds) - 1, 2 * cfg.trials]
 
     def test_cell_budget_admits_its_bound(self):
         # 10**5 trials at the default 8 x 8 fit; so does the bound itself
@@ -744,23 +762,6 @@ def test_drawn_joints_are_the_reference_rejection_loop(make_rng, shape):
         assert min(rows) >= 1e-12 and math.fsum(rows) == pytest.approx(1.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("make_rng", [np.random.default_rng, _SmallRows], ids=["pcg64", "redraws"])
-@pytest.mark.parametrize("shape", SHAPES, ids=str)
-def test_batched_draws_equal_one_trial_draws(monkeypatch, make_rng, shape):
-    """The exact sums that normalize a store and refuse a joint are taken
-    ``_BATCH_TRIALS`` runs a call: one run a call, a few, or all at once draw
-    the same three stores byte for byte, and leave the stream at one place."""
-
-    def stores(batch_trials):
-        monkeypatch.setattr(checker, "_BATCH_TRIALS", batch_trials)
-        rng = make_rng(5)
-        return [_drawn(draw, rng, 25, *shape) for draw, _ in DRAWS]
-
-    whole = stores(checker._BATCH_TRIALS)
-    assert stores(1) == whole
-    assert stores(7) == whole
-
-
 @pytest.mark.parametrize(
     "draw", [draw for draw, _ in DRAWS], ids=["joints", "distributions", "counts"]
 )
@@ -774,18 +775,13 @@ def test_numpy_integer_counts_and_shapes_draw_what_python_ints_draw(draw, shape)
 
 
 @pytest.mark.parametrize("runs", [1, 1023, 1024, 1025, 3 * 1024 + 1])
-def test_run_sums_are_the_segment_sums_of_every_run_at_once(runs):
-    """`checker._run_sums` takes ``_BATCH_TRIALS`` runs a call; the sums are
-    those of one `segment_sums` call over every run, bit for bit, and
-    `checker._normalized` divides each run by its sum in place."""
-    assert checker._BATCH_TRIALS == 1024
+def test_normalized_divides_each_run_in_place_by_its_exact_sum(runs):
+    """`checker._normalized` divides each run by its `segment_sums` sum, in place."""
     rng = np.random.default_rng(runs)
     bounds = checker.bounds_of(rng.integers(1, 9, size=runs))
     n = int(bounds[-1])
     cells = rng.exponential(1.0, size=n) * np.exp2(rng.integers(-60, 60, size=n))
-    sums = checker._run_sums(cells, bounds)
-    assert sums.tobytes() == checker.segment_sums(cells, bounds).tobytes()
-    expected = cells / np.repeat(sums, np.diff(bounds))
+    expected = cells / np.repeat(checker.segment_sums(cells, bounds), np.diff(bounds))
     normalized = checker._normalized(cells, bounds)
     assert normalized is cells and normalized.tobytes() == expected.tobytes()
 

@@ -87,17 +87,21 @@ DIGEST_FAMILIES = [
     general_escort(2.0, -1.0, 1.0),
     general_escort(3.0, -1.0, 0.0),
 ]
+#: The digest's 108 configurations, in its order: 18 families x 3 seeds x 2
+#: shapes, the default 8 x 8 joints and 40 x 40 ones, whose flattened joints
+#: and products have 256 cells and more.
+DIGEST_CONFIGS = [
+    CheckConfig(family, trials, max_rows=size, max_cols=size, seed=seed)
+    for family in DIGEST_FAMILIES
+    for seed in (0, 7, 12345)
+    for trials, size in ((100, 8), (30, 40))
+]
 DIGEST = "0679799dbb0a019b1290ba08090261ea3a0ea47ee8ef3531a222e65edef3c198"
 
 
 def test_108_report_digest_unchanged():
-    """SHA-256 over 108 reports: 18 families x 3 seeds x 2 shapes, the
-    default 8 x 8 joints and 40 x 40 ones, whose flattened joints and
-    products have 256 cells and more."""
+    """SHA-256 over the reports of `DIGEST_CONFIGS`, in order."""
     digest = hashlib.sha256()
-    for family in DIGEST_FAMILIES:
-        for seed in (0, 7, 12345):
-            for trials, size in ((100, 8), (30, 40)):
-                cfg = CheckConfig(family, trials, max_rows=size, max_cols=size, seed=seed)
-                digest.update(run_suite(cfg).to_json().encode())
+    for cfg in DIGEST_CONFIGS:
+        digest.update(run_suite(cfg).to_json().encode())
     assert digest.hexdigest() == DIGEST

@@ -437,6 +437,32 @@ def test_segment_sums_raise_what_the_first_failing_segment_raises(order):
     assert _outcomes(_fsum_each, x, bounds) in (OverflowError, ValueError)
 
 
+# Runs that fail differently, with the error that ``math.fsum`` raises on each.
+FAILING_RUNS = {
+    "overflow": ([1e308, 1e308], OverflowError, "intermediate overflow in fsum"),
+    "inf - inf": ([math.inf, -math.inf], ValueError, "-inf + inf in fsum"),
+}
+
+
+@pytest.mark.parametrize("lead", [0, 3, 300, _stable._BLOCK - 1, 40_000],
+                         ids=["empty lead", "one list", "blocked", "across a block edge",
+                              "past a block"])
+@pytest.mark.parametrize("order", list(itertools.permutations(FAILING_RUNS)), ids=str)
+def test_a_call_over_many_runs_raises_the_first_failing_runs_error(lead, order):
+    """`_blocked_fsum` takes the runs in order once a value is inf, nan or huge, so one
+    call raises its first failing run's error, type and message: with at most
+    ``_FSUM_MAX`` entries (one list), with more, with the first failing run across the
+    first block edge, and with the failures past the first ``_BLOCK`` entries, behind a
+    lead run that crosses into the next block."""
+    runs = [[0.5] * lead, *(FAILING_RUNS[name][0] for name in order), [1.0]]
+    x = np.array([v for run in runs for v in run])
+    assert (len(x) <= _stable._FSUM_MAX) == (lead <= 3)
+    _, error, message = FAILING_RUNS[order[0]]
+    with pytest.raises(error) as raised:
+        segment_sums(x, _stable.bounds_of(list(map(len, runs))))
+    assert type(raised.value) is error and str(raised.value) == message
+
+
 @given(
     pool=st.lists(finite_floats(), min_size=1, max_size=10),
     lengths=st.lists(SEGMENT_LENGTHS, min_size=2, max_size=8),

@@ -1,12 +1,14 @@
 """Drift of the suite reports between two checkouts of the repository.
 
-Runs the 8 golden configurations and the 108 digest configurations of
-``tests/test_golden_reports.py`` in each checkout, in one child interpreter
-per checkout with that checkout's ``src`` and ``tests`` on its path, and
-compares the reports: which differ in any byte, which report or check
-verdicts changed, which checks name a different worst input, and the largest
-|delta| of each residual field.  Where the reports' ``prng`` (the draw order)
-differs, it prints both values, and the deltas compare different inputs.
+Runs the 8 golden configurations and the 108 digest configurations of this
+tool's own ``tests/test_golden_reports.py`` in each checkout, in one child
+interpreter per checkout with that checkout's ``src`` on its path, so that
+both run the same configurations, whatever the other checkout's tests
+define; and compares the reports: which differ in any byte, which report or
+check verdicts changed, which checks name a different worst input, and the
+largest |delta| of each residual field.  Where the reports' ``prng`` (the
+draw order) differs, it prints both values, and the deltas compare different
+inputs.
 
 Usage, from any directory::
 
@@ -32,26 +34,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+
 # Printed by the child: {label: report JSON} for every golden configuration,
 # then the digest's configurations in the order of its test.
 _CHILD = """
 import json
-from gentropies import CheckConfig, run_suite
+from gentropies import run_suite
 import test_golden_reports as golden
 
 configs = dict(golden.CONFIGS)
-for family in golden.DIGEST_FAMILIES:
-    for seed in (0, 7, 12345):
-        for trials, size in ((100, 8), (30, 40)):
-            configs[f"digest {family!r} seed={seed} {size}x{size}"] = CheckConfig(
-                family, trials, max_rows=size, max_cols=size, seed=seed)
+for cfg in golden.DIGEST_CONFIGS:
+    configs[f"digest {cfg.family!r} seed={cfg.seed} {cfg.max_rows}x{cfg.max_cols}"] = cfg
 print(json.dumps({label: run_suite(cfg).to_json() for label, cfg in configs.items()}))
 """
 
 
 def reports(checkout: Path) -> dict[str, str]:
     """Every configuration's report JSON, as the checkout's code writes it."""
-    path = os.pathsep.join(str(checkout / part) for part in ("src", "tests"))
+    path = os.pathsep.join([str(checkout / "src"), str(TESTS)])
     done = subprocess.run([sys.executable, "-c", _CHILD], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
