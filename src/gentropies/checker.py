@@ -8,13 +8,12 @@ from its even refinement.  `run_suite` draws seeded random inputs, runs
 every check plus the fixed counterexample probe, and aggregates residuals
 into a reproducible report: the same configuration always serializes to
 identical bytes.  It evaluates a batch of trials of every check at once: one
-``span_entropies`` call for the drawn runs that they need, one for the
-uniforms, one ``conditional_entropies`` call for all their joints, and the
-residuals as float64 arrays, which become Python floats only in the report's
-records; its docstring states which error a failing check raises.  It draws
-each store whole from the seed's PCG64 stream, one Generator call per
-quantity (draw order 2, which the reports name in ``prng``; see
-`_draw_joints`), and divides each trial by its exact sum.
+``span_entropies`` call for the drawn runs and the joints' rows that they need,
+one for the uniforms, and the residuals as float64 arrays, which become Python
+floats only in the report's records; its docstring states which error a failing
+check raises.  It draws each store whole from the seed's PCG64 stream, one
+Generator call per quantity (draw order 2, which the reports name in ``prng``;
+see `_draw_joints`), and divides each trial by its exact sum.
 
 Verdicts compare the residual relative to 1 + |reference value| against the
 configured tolerance; a check whose absolute residual reaches
@@ -25,6 +24,7 @@ expected outcome for escort families with exponent beta != 1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -41,13 +41,13 @@ from .distributions import (
 )
 from .entropies import (
     EntropyFamily,
-    conditional_entropies,
+    conditional_means,
+    conditional_rows,
     family_name,
     family_params,
     span_entropies,
-    uniform_trace,
 )
-from .errors import ConfigError, DimensionError, Overflow, _integer
+from .errors import ConfigError, DimensionError, EscortUndefined, Overflow, _integer
 
 #: absolute residual at which a must-fail check counts as a detected violation.
 VIOLATION_THRESHOLD = 1e-3
@@ -84,16 +84,16 @@ _BATCH_TRIALS = 1024
 
 
 class _Trials:
-    """Trials in one CSR store: ``flat`` cut into rows at ``bounds``, row k
-    being ``flat[bounds[k]:bounds[k + 1]]``, and the rows into trials at
-    ``offsets``, trial t being rows ``offsets[t]`` to ``offsets[t + 1] - 1``.
-    A check reads a batch of trials as arrays, without an object per trial;
-    slicing gives a run of trials as a store over a view of the same cells."""
+    """Trials in one CSR store: ``flat`` cut into rows at ``bounds``, row k being
+    ``flat[bounds[k]:bounds[k + 1]]`` (of exact sum ``sums[k]`` where the draw keeps the
+    sums), and the rows into trials at ``offsets``, trial t being rows ``offsets[t]`` to
+    ``offsets[t + 1] - 1``.  A check reads a batch of trials as arrays, without an object
+    per trial; slicing gives a run of trials as a store over a view of the same cells."""
 
-    __slots__ = ("flat", "bounds", "offsets")
+    __slots__ = ("flat", "bounds", "offsets", "sums")
 
-    def __init__(self, flat: np.ndarray, bounds: np.ndarray, offsets: np.ndarray) -> None:
-        self.flat, self.bounds, self.offsets = flat, bounds, offsets
+    def __init__(self, flat: np.ndarray, bounds: np.ndarray, offsets: np.ndarray, sums=None):
+        self.flat, self.bounds, self.offsets, self.sums = flat, bounds, offsets, sums
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -102,7 +102,8 @@ class _Trials:
         start, stop, _ = trials.indices(len(self))
         rows = self.offsets[start:stop + 1]
         bounds = self.bounds[rows[0]:rows[-1] + 1]
-        return _Trials(self.flat[bounds[0]:bounds[-1]], bounds - bounds[0], rows - rows[0])
+        sums = None if self.sums is None else self.sums[rows[0]:rows[-1]]
+        return _Trials(self.flat[bounds[0]:bounds[-1]], bounds - bounds[0], rows - rows[0], sums)
 
     def rows(self) -> list[list]:
         """Every row, as a list."""
@@ -137,31 +138,37 @@ def _trials(inputs, parts: Callable[[Any], tuple[np.ndarray, Sequence[int]]]) ->
 
 @np.errstate(all="ignore")  # the checks' arithmetic too: the caller's error state changes no result
 def _evaluate(family, steps: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every check's result, from one `span_entropies` call for the drawn runs, one for the
-    uniforms (exact terms, which need fewer extraction levels), and one `group_marginals` and
-    one `conditional_entropies` call for the joints: each run gets the bits it would alone."""
+    """Every check's result, from one `span_entropies` call for the drawn runs, then the
+    joints' wholes, marginals and conditional rows, and one for the uniforms (exact terms,
+    which need fewer extraction levels): each run gets the bits it would alone."""
     asks = [next(s) for s in steps]
     pieces = [piece for runs, _, _ in asks for piece in runs]
     joints = [joint for _, joint, _ in asks if joint is not None]
-    if len(joints) > 1:  # every joint's rows end to end, one group per joint
-        rows = _joined([(joint._flat, np.diff(joint._bounds)) for joint, _ in joints])
-        lengths = np.concatenate([np.diff(groups) for _, groups in joints])
-        joints = [(JointDistribution._wrap(*rows), bounds_of(lengths))]
-    if joints:  # the wholes, then the marginals
+    if len(joints) > 1:  # every joint's rows and exact row sums end to end, one group per joint
+        batch = JointDistribution._wrap(
+            *_joined([(joint._flat, np.diff(joint._bounds)) for joint, _ in joints]))
+        batch._sums = np.concatenate([joint._row_sums() for joint, _ in joints])
+        joints = [(batch, bounds_of(np.concatenate([np.diff(groups) for _, groups in joints])))]
+    if joints:  # the wholes, the marginals, then the conditional rows
         batch, groups = joints[0]
         margs = group_marginals(batch, groups)
-        pieces += [(batch._flat, np.diff(batch._bounds[groups])),
-                   (margs, np.diff(groups))]
+        pieces += [(batch._flat, np.diff(batch._bounds[groups])), (margs, np.diff(groups))]
+        try:
+            cells, bounds, weights, starts = conditional_rows(family, batch, groups, margs)
+        except EscortUndefined:  # the runs before the rows raise first if they fail alone
+            span_entropies(family, *_joined(pieces))
+            raise
+        pieces.append((cells, np.diff(bounds)))
     values = span_entropies(family, *_joined(pieces)) if pieces else None
     ends = itertools.accumulate(len(lengths) for _, lengths in pieces)
     parts = iter([values[i:j] for i, j in itertools.pairwise([0, *ends])])
     own = [[next(parts) for _ in runs] for runs, _, _ in asks]
     triple = ()  # the wholes, marginals and conditionals of the joints
     if joints:
-        triple = (next(parts), next(parts), conditional_entropies(family, batch, groups, margs))
+        triple = (next(parts), next(parts), conditional_means(family, weights, next(parts), starts))
     dims = list(dict.fromkeys(n for _, _, ns in asks for n in ns))
     uniforms = np.zeros(0)
-    # after the joints' calls, which find the drawn cells in cache; one uniform is
+    # after the runs' call, which so finds the drawn cells in cache; one uniform is
     # `uniform`'s own, which checks its dimension
     if dims:
         cells = np.repeat(1.0 / np.array(dims), dims) if len(dims) > 1 else uniform(dims[0])._array
@@ -187,6 +194,7 @@ def _strong_additivity(family, joints):
     if isinstance(joints, _Trials) or len(joints) != 1:
         t = _trials(joints, lambda joint: (joint._flat, np.diff(joint._bounds)))
         joint, groups = JointDistribution._wrap(t.flat, t.bounds), t.offsets
+        joint._sums = t.sums  # the draw's, if it kept them
     else:  # one joint, whose cached exact row sums serve again
         joint, groups = joints[0], [0, len(joints[0])]
     _, (whole, marg, cond), _ = yield [], (joint, groups), []
@@ -233,7 +241,7 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
 
 def _trace(family, dims):
     _, _, values = yield [], None, dims
-    traces = np.fromiter(map(uniform_trace, itertools.repeat(family), dims), float, len(dims))
+    traces = np.array([family._trace(n, math.log2(n)) + 0.0 for n in dims])
     return np.abs(values - traces), np.abs(values)
 
 
@@ -253,6 +261,8 @@ def _refinement(family, counts_list):
     groups = t.bounds[t.offsets]
     sizes = np.diff(bounds[groups])
     joint = JointDistribution._wrap(np.repeat(1.0 / sizes, sizes), bounds)
+    # row i sums exactly to m_i * (1/m), which one multiply rounds once, as fsum does
+    joint._sums = t.flat * np.repeat(1.0 / sizes, np.diff(groups))
     _, (whole, marg, cond), _ = yield [], (joint, groups), []
     return np.abs(marg - family.composition.subtract(whole, cond)), np.abs(marg)
 
@@ -370,23 +380,24 @@ def _draw_joints(rng, trials: int, max_rows: int, max_cols: int) -> _Trials:
     candidate's row count, ``rng.integers(2, max_rows + 1, size=k)``; then all their
     row lengths, ``rng.integers(1, max_cols + 1, size=r)``, r the sum of the counts;
     then all their cells, ``rng.exponential(1.0, size=n)``, n the sum of the lengths.
-    A normalized candidate with a row whose exact sum falls below 1e-12 is refused,
-    so that conditionals are always defined, and as many candidates as were refused
-    are drawn again the same way: the joints are the candidates kept, in stream order."""
-    parts = []  # per round, the (cells, row lengths, row counts) of the candidates kept
-    while need := trials - sum(len(rows) for _, _, rows in parts):
+    A normalized candidate with a row whose exact sum falls below 1e-12 is refused, so that
+    conditionals are always defined, and as many candidates as were refused are drawn again
+    the same way: the joints are the candidates kept, in stream order, with their row sums."""
+    parts = []  # per round, the (cells, row lengths, row counts, row sums) of the candidates kept
+    while need := trials - sum(len(rows) for _, _, rows, _ in parts):
         rows = rng.integers(2, max_rows + 1, size=need)
         lengths = rng.integers(1, max_cols + 1, size=int(rows.sum()))
         bounds, offsets = bounds_of(lengths), bounds_of(rows)
         ends = bounds[offsets]
         cells = _normalized(rng.exponential(1.0, size=int(bounds[-1])), ends)
-        keep = np.minimum.reduceat(segment_sums(cells, bounds), offsets[:-1]) >= 1e-12
+        keep = np.minimum.reduceat(sums := segment_sums(cells, bounds), offsets[:-1]) >= 1e-12
         if not parts and keep.all():
-            return _Trials(cells, bounds, offsets)
+            return _Trials(cells, bounds, offsets, sums)
         kept = np.flatnonzero(keep)
-        parts.append((gather(cells, ends, kept)[0], gather(lengths, offsets, kept)[0], rows[kept]))
-    cells, lengths, rows = map(np.concatenate, zip(*parts))
-    return _Trials(cells, bounds_of(lengths), bounds_of(rows))
+        parts.append((gather(cells, ends, kept)[0], gather(lengths, offsets, kept)[0], rows[kept],
+                      gather(sums, offsets, kept)[0]))
+    cells, lengths, rows, sums = map(np.concatenate, zip(*parts))
+    return _Trials(cells, bounds_of(lengths), bounds_of(rows), sums)
 
 
 def _draw_distributions(rng, trials: int, max_rows: int, max_cols: int) -> _Trials:

@@ -373,14 +373,18 @@ def entropy(family: EntropyFamily, dist: Distribution) -> float:
 def conditional_entropies(
     family: EntropyFamily, joint: JointDistribution, groups: Sequence[int], margs: np.ndarray
 ) -> np.ndarray:
-    """`conditional_entropy` of each group of consecutive rows of ``joint``.
+    """`conditional_entropy` of each group of consecutive rows of ``joint``, rows ``groups[t]``
+    to ``groups[t + 1] - 1`` forming joint t, whose marginals ``margs`` holds end to end (see
+    `distributions.group_marginals`): `conditional_means` of the entropies of its
+    `conditional_rows`, which a caller may take in a call with runs of its own."""
+    cells, bounds, weights, starts = conditional_rows(family, joint, groups, margs)
+    return conditional_means(family, weights, span_entropies(family, cells, bounds), starts)
 
-    Rows ``groups[t]`` to ``groups[t + 1] - 1`` form joint t, and ``margs``
-    holds the groups' marginals end to end (see `distributions.group_marginals`).
-    The rows of positive escort weight are gathered once (a view when every
-    row has weight) and divided by their exact sums at once; one formula
-    call then covers them.
-    """
+
+def conditional_rows(family: EntropyFamily, joint: JointDistribution, groups, margs) -> tuple:
+    """The rows of positive escort weight, gathered once (a view when every row has weight)
+    and divided by their exact sums at once, their bounds and weights, and where each
+    group's rows start among them (see `conditional_entropies`)."""
     import numpy as np
     _stable = _numeric("_stable")
     _require_family(family)
@@ -390,15 +394,17 @@ def conditional_entropies(
     # a view of the joint's read-only cells is divided into a new array, a gathered copy in place
     cells = _stable.divide_runs(cells, joint._row_sums()[positive], bounds,
                                 out=cells if cells.flags.writeable else None)
-    with np.errstate(all="ignore"):  # the caller's error state changes no result
-        values = span_entropies(family, cells, bounds)
-        # where each group's rows start among the positive ones
-        starts = np.searchsorted(positive, groups).tolist()
-        kappa = family.mean_kappa
-        if kappa == 0.0:
-            return _stable.segment_sums(weights[positive] * values, starts)
+    return cells, bounds, weights[positive], np.searchsorted(positive, groups).tolist()
+
+
+def conditional_means(family: EntropyFamily, weights, values, starts) -> np.ndarray:
+    """Each group's escort-weighted mean of its rows' entropies ``values`` (`conditional_rows`)."""
+    import numpy as np
+    if (kappa := family.mean_kappa) == 0.0:
+        with np.errstate(all="ignore"):  # the caller's error state changes no result
+            return _numeric("_stable").segment_sums(weights * values, starts)
     from .generators import ExponentialGenerator, weighted_means  # only kappa != 0 loads them
-    return weighted_means(ExponentialGenerator(kappa=kappa), weights[positive], values, starts)
+    return weighted_means(ExponentialGenerator(kappa=kappa), weights, values, starts)
 
 
 def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> float:

@@ -44,3 +44,10 @@ def test_children_cpu_counts_the_waited_for_children():
     before = ab.children_cpu()
     ab.bare_child()
     assert ab.children_cpu() > before
+
+
+def test_workload_sums_add_each_sides_medians_per_workload():
+    medians = {"bulk entropy a": (1.0, 0.5), "suite renyi(2)": (2.0, 1.5),
+               "cli check tsallis(2) 100": (9.0, 9.0), "bulk entropy b": (0.25, 0.25),
+               "run_suite renyi(2) 100": (7.0, 7.0)}
+    assert ab.workload_sums(medians) == {"bulk": (1.25, 0.75, 2), "suite": (2.0, 1.5, 1)}

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -51,7 +53,7 @@ from gentropies import (
     uniform_trace,
     uniform_trace_residual,
 )
-from gentropies import checker, entropies
+from gentropies import _stable, checker, entropies
 from gentropies._stable import _BLOCK, bounds_of, segment_sums
 from gentropies.entropies import nath
 from gentropies.checker import (
@@ -762,6 +764,17 @@ def test_drawn_joints_are_the_reference_rejection_loop(make_rng, shape):
         assert min(rows) >= 1e-12 and math.fsum(rows) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_drawn_joints_keep_the_exact_sums_of_the_rows_kept(shape):
+    """After a refused round, the store's row sums are `segment_sums` of the rows that it
+    kept, and so are a slice's of its rows."""
+    rng = _SmallRows(5)
+    store = checker._draw_joints(rng, 25, *shape)
+    assert rng._calls == 2
+    for t in (store, store[3:11]):
+        assert t.sums.tobytes() == segment_sums(t.flat, t.bounds).tobytes()
+
+
 @pytest.mark.parametrize(
     "draw", [draw for draw, _ in DRAWS], ids=["joints", "distributions", "counts"]
 )
@@ -823,6 +836,30 @@ def test_one_pass_raises_what_the_check_by_check_run_raises(monkeypatch):
     assert str(fused.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("family, rows, message", [
+    (general_escort(-1.0, -1.0, 3.0), [[0.5, 0.5], [0.0, 0.0]],
+     "zero probability with non-positive exponent alpha=-1.0"),
+    (general_escort(-1.0, -1.0, 3.0), [[0.5, 0.5], []],
+     "zero probability with non-positive exponent alpha=-1.0"),
+    (renyi(2.0), [[0.0, 0.0], [0.0]],
+     "nath entropy is undefined: every run needs a positive entry"),
+], ids=["zero row, alpha -1", "empty row, alpha -1", "zero joint, renyi(2)"])
+def test_a_row_of_zero_mass_raises_the_error_of_the_runs_before_the_conditional_rows(
+        family, rows, message):
+    """The escort of a marginal with a zero entry is undefined at alpha <= 0 (and of
+    one with no positive entry at any alpha), but the wholes and marginals come first:
+    their entropies' error is raised, as their own call raises it."""
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        strong_additivity_residual(family, checker.JointDistribution(rows))
+
+
+def test_a_suite_under_a_non_positive_alpha_raises_the_probes_entropy_error():
+    """The probe joint holds a zero, whose entropy is undefined at alpha <= 0."""
+    message = "zero probability with non-positive exponent alpha=-1.0"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        run_suite(CheckConfig(family=general_escort(-1.0, -1.0, 3.0), trials=10, seed=1))
+
+
 def test_an_earlier_check_failing_in_a_later_batch_is_raised(monkeypatch):
     """The product fails in batch 1 and strong additivity, listed first, in
     batch 2: the error is strong additivity's, as a check-by-check run meets it."""
@@ -842,10 +879,10 @@ def test_an_earlier_check_failing_in_a_later_batch_is_raised(monkeypatch):
         run_suite(CheckConfig(family=renyi(2.0), trials=7, seed=1))
 
 
-def test_a_suite_batch_makes_one_drawn_one_uniform_and_one_conditional_call(monkeypatch):
-    """A 100-trial suite is one batch: one `span_entropies` call for the drawn runs, one
-    `conditional_entropies` call, which makes its own for the conditional rows, and then
-    one for the uniforms U_2 ... U_2**14 that the chain and the trace share."""
+def test_a_suite_batch_makes_one_drawn_and_conditional_call_then_one_uniform_call(monkeypatch):
+    """A 100-trial suite is one batch: one `span_entropies` call for the drawn runs and the
+    joints' wholes, marginals and conditional rows, and then one for the uniforms U_2 ...
+    U_2**14 that the chain and the trace share."""
     calls = []
 
     def counted(fn):
@@ -858,10 +895,16 @@ def test_a_suite_batch_makes_one_drawn_one_uniform_and_one_conditional_call(monk
     span_entropies = counted(entropies.span_entropies)
     monkeypatch.setattr(entropies, "span_entropies", span_entropies)
     monkeypatch.setattr(checker, "span_entropies", span_entropies)
-    monkeypatch.setattr(checker, "conditional_entropies", counted(checker.conditional_entropies))
-    run_suite(CheckConfig(family=renyi(2.0), trials=100, seed=1))
-    assert [name for name, _ in calls] == [
-        "span_entropies", "conditional_entropies", "span_entropies", "span_entropies"]
+    conditional_entropies = counted(entropies.conditional_entropies)
+    monkeypatch.setattr(entropies, "conditional_entropies", conditional_entropies)
+    cfg = CheckConfig(family=renyi(2.0), trials=100, seed=1)
+    run_suite(cfg)
+    assert [name for name, _ in calls] == ["span_entropies", "span_entropies"]
+    joints, _, counts = checker._draw_suite(cfg)
+    wholes = cfg.trials + 1 + cfg.trials  # the joints', the probe's and the refinements'
+    rows = len(joints.bounds) - 1 + len(PROBE_JOINT) + len(counts.flat)
+    _, (_, _, bounds) = calls[0]  # the products, p and q, the wholes, marginals and rows
+    assert len(bounds) - 1 == 3 * cfg.trials + 2 * wholes + rows
     dims = [2 ** k for k in range(1, 15)]
     _, (_, cells, bounds) = calls[-1]
     assert np.asarray(bounds).tolist() == bounds_of(dims).tolist()
@@ -869,12 +912,13 @@ def test_a_suite_batch_makes_one_drawn_one_uniform_and_one_conditional_call(monk
 
 
 # The public residual functions are the one-check case of `checker._evaluate`: each makes
-# one `span_entropies` call, on the uniforms alone or on the drawn runs alone.
+# one `span_entropies` call, on the uniforms alone or on the drawn runs and rows alone.
 ONE_CALL_RESIDUALS = {
     "chain": (lambda f: chain_residual(f, 12), [2 ** 12, 2]),
     "uniform_trace": (lambda f: uniform_trace_residual(f, 2 ** 14), [2 ** 14]),
-    "strong_additivity": (  # the whole, then the marginal
-        lambda f: strong_additivity_residual(f, make_joint([[0.25, 0.25], [0.375, 0.125]])), [4, 2]),
+    "strong_additivity": (  # the whole, the marginal, then the two conditional rows
+        lambda f: strong_additivity_residual(f, make_joint([[0.25, 0.25], [0.375, 0.125]])),
+        [4, 2, 2, 2]),
     "product_additivity": (  # the product, then p and q
         lambda f: product_additivity_residual(f, uniform(3), make_distribution([0.25, 0.75])),
         [6, 3, 2]),
@@ -913,3 +957,61 @@ def test_drawn_runs_and_uniforms_in_one_call_equal_two_calls(_, family):
     apart = [*span_entropies(family, drawn, bounds).tolist(),
              *span_entropies(family, uniforms, bounds_of(dims)).tolist()]
     assert [v.hex() for v in merged.tolist()] == [v.hex() for v in apart]
+
+
+# The joints' conditional rows follow the drawn runs in that first call, which moves no
+# bit either, here on rows that `conditional_rows` makes and that cross a block's edge.
+@pytest.mark.parametrize("_, family", GRID + [(repr(f), f) for f in FORCING])
+def test_drawn_runs_and_conditional_rows_in_one_call_equal_two_calls(_, family):
+    rng = np.random.default_rng(43)
+    lengths = rng.integers(1, 9, size=1000)
+    bounds = bounds_of(lengths)
+    drawn = rng.exponential(1.0, int(bounds[-1]))
+    drawn /= np.repeat(np.add.reduceat(drawn, bounds[:-1]), lengths)
+    store = checker._draw_joints(rng, 2000, 8, 8)
+    joint = checker.JointDistribution._wrap(store.flat, store.bounds)
+    margs = checker.group_marginals(joint, store.offsets)
+    rows, row_bounds, _, _ = entropies.conditional_rows(family, joint, store.offsets, margs)
+    assert len(drawn) < _BLOCK < len(drawn) + len(rows)
+    span_entropies = entropies.span_entropies
+    merged = span_entropies(family, np.concatenate([drawn, rows]),
+                            bounds_of([*lengths, *np.diff(row_bounds)]))
+    apart = [*span_entropies(family, drawn, bounds).tolist(),
+             *span_entropies(family, rows, row_bounds).tolist()]
+    assert [v.hex() for v in merged.tolist()] == [v.hex() for v in apart]
+
+
+@st.composite
+def _refinement_counts(draw):
+    """Block sizes m_i whose sum m is at most 2**22 and not a power of two, so 1/m is inexact."""
+    m = draw(st.integers(3, 2 ** 22).filter(lambda m: m & (m - 1)))
+    cuts = sorted(draw(st.lists(st.integers(1, m - 1), max_size=6, unique=True)))
+    return [j - i for i, j in itertools.pairwise([0, *cuts, m])]
+
+
+@settings(max_examples=20, deadline=None)
+@given(counts=_refinement_counts())
+def test_refinement_row_sums_are_the_math_fsum_of_each_row(counts):
+    """The refinement's row i holds m_i cells of 1/m, and its exact sum is taken as
+    m_i * (1/m): one multiply of an exact integer, as correctly rounded as ``math.fsum``."""
+    _, (joint, _), _ = next(checker._refinement(shannon(), [counts]))
+    rows = itertools.pairwise(joint._bounds.tolist())
+    assert [s.hex() for s in joint._sums.tolist()] == [
+        math.fsum(joint._flat[i:j].tolist()).hex() for i, j in rows]
+
+
+def test_a_100_trial_suite_takes_8_exact_sums(monkeypatch):
+    """Each joint's rows are summed once: a 100-trial renyi(2) suite makes 8 exact-sum
+    calls, the draws' three (the joints' normalization and refusal round, the pairs'
+    normalization), the marginals' totals, the runs' entropies, the escort weights, the
+    exponential means and the uniforms' entropies."""
+    calls = []
+    blocked = _stable._blocked_fsum
+
+    def counted(blocks, bounds):
+        calls.append(len(bounds) - 1)
+        return blocked(blocks, bounds)
+
+    monkeypatch.setattr(_stable, "_blocked_fsum", counted)
+    run_suite(CheckConfig(family=renyi(2.0), trials=100, seed=1))
+    assert len(calls) == 8

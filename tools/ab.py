@@ -35,7 +35,10 @@ general_escort(2, -1, -1) (two exponents) and of general_escort(2, -1, 0)
 (the lambda = 0 escort) on the 1024 x 1024 joint; `entropy` of renyi(2) on
 2**20 entries of which about 10 % are zero; `run_suite` of renyi(2), each
 suite with 100 trials; `marginal` of a held 2**19 x 2 joint, whose row sums
-are taken anew in every call (a new joint on the same arrays); the children
+are taken anew in every call (a new joint on the same arrays); for shannon,
+renyi(2) and tsallis(2), the one-input residual functions: `counterexample_probe`,
+and `strong_additivity_residual` and `refinement_consistency` on an 8 x 8 and a
+64 x 48 joint (the refinement of 8 or 64 blocks of 1 to 8 or 48 cells); the children
 ``cli compute`` on a CSV of four distributions of 2**8 to 2**14 entries and
 ``cli check`` of tsallis(2) with 100 trials; and the ops of the benchmark's
 ``bulk`` and ``suite`` workloads at seed ``BULK_SEED``, named ``bulk`` or
@@ -44,6 +47,10 @@ from one seeded stream, so it is built whole, once per side, and only when
 no CASE is given or a CASE names the workload; the ops not kept are dropped.
 It comes from the new checkout's ``benchmarks/workloads.py``, loaded once
 per side against that side's package, so that both sides run one schedule.
+After the cases, each workload with kept ops gets one more row: each side's
+sum of its ops' wall-clock medians and new/old of the sums.  The benchmark's
+``ops_per_s`` is its ops divided by the sum of their medians, so on all of a
+workload's ops the ratio is old/new of ``ops_per_s``, read in one run.
 
 Before each sample of a child case, a bare ``python -S -c pass`` runs
 untimed, as the benchmark's ``calibrate("child")`` runs one before each
@@ -165,6 +172,16 @@ def cases(g, workdir: Path) -> dict:
                 lambda f=family, d=dims: functools.partial(g.conditional_entropy, f, joint(*d)))
         out[f"entropy {label} 2"] = (
             lambda f=family: functools.partial(g.entropy, f, g.make_distribution([0.25, 0.75])))
+        out[f"counterexample_probe {label}"] = (
+            lambda f=family: functools.partial(g.counterexample_probe, f))
+        for rows, cols in ((8, 8), (64, 48)):
+            out[f"strong_additivity_residual {label} {rows}x{cols}"] = (
+                lambda f=family, d=(rows, cols, 5): functools.partial(
+                    g.strong_additivity_residual, f, joint(*d)))
+            out[f"refinement_consistency {label} {rows}x{cols}"] = (
+                lambda f=family, d=(rows, cols): functools.partial(
+                    g.refinement_consistency, f,
+                    np.random.default_rng(6).integers(1, d[1] + 1, size=d[0]).tolist()))
     out["conditional_entropy renyi(50) 1024x1024"] = lambda: functools.partial(
         g.conditional_entropy, g.renyi(50.0), joint(*shapes["1024x1024"]))
     for params in ((2.0, -1.0, -1.0), (2.0, -1.0, 0.0)):
@@ -244,6 +261,17 @@ def summary(times: dict) -> tuple:
     return (mo, q1o, q3o), (mn, q1n, q3n), won, verdict
 
 
+def workload_sums(medians: dict) -> dict:
+    """Workload -> the sums of the old and new wall-clock ``medians`` (case -> (old, new))
+    of its cases, named ``"<workload> <op label>"`` (see `workload_cases`), and their number."""
+    sums = {}
+    for name, (old, new) in medians.items():
+        if (workload := name.split(" ", 1)[0]) in WORKLOADS:
+            o, n, k = sums.get(workload, (0.0, 0.0, 0))
+            sums[workload] = o + old, n + new, k + 1
+    return sums
+
+
 def _time(t: float) -> str:
     return f"{t * 1e3:.3f} ms" if t >= 1e-3 else f"{t * 1e6:.2f} us"
 
@@ -271,16 +299,22 @@ def main(argv=None) -> int:
         width = max(map(len, names), default=4)
         print(f"{'case':<{width}} clock {'old median [q1, q3]':>34} {'new median [q1, q3]':>34} "
               f"{'new/old':>7} {'new won':>7}  verdict")
+        medians = {}  # case -> the (old, new) wall-clock medians
         for name in names:
             child_case = name.startswith("cli ")
             times = compare(old[name](), new[name](), bare_child if child_case else None,
                             children_cpu if child_case else time.process_time)
             for clock, samples in times.items():
                 o, n, won, verdict = summary(samples)
+                if clock == "wall":
+                    medians[name] = o[0], n[0]
                 sides_text = [f"{_time(m)} [{_time(q1)}, {_time(q3)}]" for m, q1, q3 in (o, n)]
                 ratio = n[0] / o[0] if o[0] else math.nan  # a clock too coarse for the call
                 print(f"{name:<{width}} {clock:<5} {sides_text[0]:>34} {sides_text[1]:>34} "
                       f"{ratio:>7.3f} {won:>7.0%}  {verdict}", flush=True)
+        for workload, (o, n, k) in workload_sums(medians).items():
+            print(f"{workload}, {k} ops: sum of wall-clock medians {_time(o)} old, "
+                  f"{_time(n)} new, new/old {n / o:.3f}")
     return 0
 
 
