@@ -13,7 +13,8 @@ one for the uniforms, and the residuals as float64 arrays, which become Python
 floats only in the report's records; its docstring states which error a failing
 check raises.  It draws each store whole from the seed's PCG64 stream, one
 Generator call per quantity (draw order 2, which the reports name in ``prng``;
-see `_draw_joints`), and divides each trial by its exact sum.
+see `_draw_joints`), and divides each trial by its exact sum.  Every check but
+the chain and the trace reads such a store; a public function, one of one trial.
 
 Verdicts compare the residual relative to 1 + |reference value| against the
 configured tolerance; a check whose absolute residual reaches
@@ -85,7 +86,7 @@ _BATCH_TRIALS = 1024
 
 class _Trials:
     """Trials in one CSR store: ``flat`` cut into rows at ``bounds``, row k being
-    ``flat[bounds[k]:bounds[k + 1]]`` (of exact sum ``sums[k]`` where the draw keeps the
+    ``flat[bounds[k]:bounds[k + 1]]`` (of exact sum ``sums[k]`` where the store keeps the
     sums), and the rows into trials at ``offsets``, trial t being rows ``offsets[t]`` to
     ``offsets[t + 1] - 1``.  A check reads a batch of trials as arrays, without an object
     per trial; slicing gives a run of trials as a store over a view of the same cells."""
@@ -117,12 +118,14 @@ def _joined(pieces: list) -> tuple[np.ndarray, np.ndarray]:
     return flat, bounds_of(np.concatenate(lengths))
 
 
-def _trials(inputs, parts: Callable[[Any], tuple[np.ndarray, Sequence[int]]]) -> _Trials:
-    """``inputs`` as a store: a store as it is, else one trial per x of ``parts(x)``."""
-    if isinstance(inputs, _Trials):
-        return inputs
-    pieces = list(map(parts, inputs))
-    return _Trials(*_joined(pieces), bounds_of([len(lengths) for _, lengths in pieces]))
+def _one(cells: np.ndarray, lengths: Sequence[int]) -> _Trials:
+    """One trial: ``cells`` cut into rows of ``lengths``."""
+    return _Trials(cells, bounds_of(lengths), np.array([0, len(lengths)]))
+
+
+def _joint(joint: JointDistribution) -> _Trials:
+    """One trial: ``joint``'s own cells, bounds and exact row sums, cached on it."""
+    return _Trials(joint._flat, joint._bounds, np.array([0, len(joint)]), joint._row_sums())
 
 
 # Each check below is a generator over a batch of inputs.  It yields
@@ -132,22 +135,22 @@ def _trials(inputs, parts: Callable[[Any], tuple[np.ndarray, Sequence[int]]]) ->
 # piece's runs, the whole, marginal and conditional entropies of the joints
 # and the uniforms', and returns float64 arrays: the residual of every input
 # and the magnitude of its reference value.  `_evaluate` runs any list of
-# checks at once; `run_suite` measures its checks through it (`_measure`),
-# and the public functions are its one-input case (`_residual`).
+# checks at once; `run_suite` measures its checks through it (`_measure`), and
+# the public functions are its one-trial case (`_residual` of `_one` or `_joint`).
 
 
 @np.errstate(all="ignore")  # the checks' arithmetic too: the caller's error state changes no result
 def _evaluate(family, steps: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every check's result, from one `span_entropies` call for the drawn runs, then the
-    joints' wholes, marginals and conditional rows, and one for the uniforms (exact terms,
-    which need fewer extraction levels): each run gets the bits it would alone."""
+    """Every check's result, from one `span_entropies` call for the drawn runs, then the joints'
+    wholes, marginals and conditional rows (from the row sums that they carry), and one for the
+    uniforms (exact terms: fewer extraction levels): each run gets the bits it would alone."""
     asks = [next(s) for s in steps]
     pieces = [piece for runs, _, _ in asks for piece in runs]
     joints = [joint for _, joint, _ in asks if joint is not None]
     if len(joints) > 1:  # every joint's rows and exact row sums end to end, one group per joint
         batch = JointDistribution._wrap(
-            *_joined([(joint._flat, np.diff(joint._bounds)) for joint, _ in joints]))
-        batch._sums = np.concatenate([joint._row_sums() for joint, _ in joints])
+            *_joined([(joint._flat, np.diff(joint._bounds)) for joint, _ in joints]),
+            np.concatenate([joint._row_sums() for joint, _ in joints]))
         joints = [(batch, bounds_of(np.concatenate([np.diff(groups) for _, groups in joints])))]
     if joints:  # the wholes, the marginals, then the conditional rows
         batch, groups = joints[0]
@@ -185,26 +188,21 @@ def _evaluate(family, steps: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
     return results
 
 
-def _residual(check, family, x) -> float:
-    """The residual of ``check`` on the one input ``x``."""
-    return _evaluate(family, [check(family, [x])])[0][0].item()
+def _residual(check, family, inputs) -> float:
+    """The residual of ``check`` on the one input in ``inputs``: a one-trial store or ``[n]``."""
+    return _evaluate(family, [check(family, inputs)])[0][0].item()
 
 
-def _strong_additivity(family, joints):
-    if isinstance(joints, _Trials) or len(joints) != 1:
-        t = _trials(joints, lambda joint: (joint._flat, np.diff(joint._bounds)))
-        joint, groups = JointDistribution._wrap(t.flat, t.bounds), t.offsets
-        joint._sums = t.sums  # the draw's, if it kept them
-    else:  # one joint, whose cached exact row sums serve again
-        joint, groups = joints[0], [0, len(joints[0])]
-    _, (whole, marg, cond), _ = yield [], (joint, groups), []
+def _strong_additivity(family, t):
+    joint = JointDistribution._wrap(t.flat, t.bounds, t.sums)  # the sums, if the store has them
+    _, (whole, marg, cond), _ = yield [], (joint, t.offsets), []
     return np.abs(whole - family.composition.add(marg, cond)), np.abs(whole)
 
 
 def strong_additivity_residual(family: EntropyFamily, joint: JointDistribution) -> float:
     """|H(joint) - H(marginal) (+) H(conditional)| with the family's composition."""
     _require(joint, JointDistribution)
-    return _residual(_strong_additivity, family, joint)
+    return _residual(_strong_additivity, family, _joint(joint))
 
 
 def counterexample_probe(family: EntropyFamily) -> float:
@@ -213,7 +211,7 @@ def counterexample_probe(family: EntropyFamily) -> float:
     Vanishes (to rounding) exactly for the strongly additive members; stays
     above ~1e-1 for escort exponents beta != 1.
     """
-    return _residual(_strong_additivity, family, PROBE_JOINT)
+    return _residual(_strong_additivity, family, _joint(PROBE_JOINT))
 
 
 def _chain(family, lengths):
@@ -236,7 +234,7 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
         raise DimensionError(
             f"chain length must be in 1..{MAX_CHAIN_LENGTH}, got {n}"
         )
-    return _residual(_chain, family, n)
+    return _residual(_chain, family, [n])
 
 
 def _trace(family, dims):
@@ -250,19 +248,18 @@ def uniform_trace_residual(family: EntropyFamily, n: int) -> float:
     raises :class:`DimensionError` before anything is built."""
     if (n := _integer(n, "uniform dimension")) > 2 ** MAX_CHAIN_LENGTH:
         raise DimensionError(f"uniform dimension must be at most 2**{MAX_CHAIN_LENGTH}, got {n}")
-    return _residual(_trace, family, n)
+    return _residual(_trace, family, [n])
 
 
-def _refinement(family, counts_list):
-    t = _trials(counts_list, lambda counts: (np.array(counts, dtype=np.intp), [len(counts)]))
+def _refinement(family, t):
     # the refinement joints end to end: joint t has one row of m_i cells of
     # 1/m per count m_i of trial t (its one row of the store), m their sum
     bounds = bounds_of(t.flat)
     groups = t.bounds[t.offsets]
     sizes = np.diff(bounds[groups])
-    joint = JointDistribution._wrap(np.repeat(1.0 / sizes, sizes), bounds)
     # row i sums exactly to m_i * (1/m), which one multiply rounds once, as fsum does
-    joint._sums = t.flat * np.repeat(1.0 / sizes, np.diff(groups))
+    joint = JointDistribution._wrap(np.repeat(1.0 / sizes, sizes), bounds,
+                                    t.flat * np.repeat(1.0 / sizes, np.diff(groups)))
     _, (whole, marg, cond), _ = yield [], (joint, groups), []
     return np.abs(marg - family.composition.subtract(whole, cond)), np.abs(marg)
 
@@ -278,11 +275,10 @@ def refinement_consistency(family: EntropyFamily, counts: Iterable[int]) -> floa
     counts = _check_counts(counts)
     if (m := sum(map(int, counts))) > 2 ** MAX_CHAIN_LENGTH:
         raise DimensionError(f"refinement must have at most 2**{MAX_CHAIN_LENGTH} cells, got {m}")
-    return _residual(_refinement, family, counts)
+    return _residual(_refinement, family, _one(np.array(counts, dtype=np.intp), [len(counts)]))
 
 
-def _product(family, pairs):
-    t = _trials(pairs, lambda pq: (np.concatenate([d._array for d in pq]), list(map(len, pq))))
+def _product(family, t):
     sizes = np.diff(t.bounds)  # p and q of trial t are its runs 2t and 2t + 1
     # the outer products end to end: one row per entry of p, its pair's q
     q_rows = np.repeat(np.arange(1, len(sizes), 2), sizes[0::2])
@@ -298,7 +294,7 @@ def product_additivity_residual(
     """Additivity defect on the direct product of two distributions."""
     _require(p, Distribution)
     _require(q, Distribution)
-    return _residual(_product, family, (p, q))
+    return _residual(_product, family, _one(np.concatenate([p._array, q._array]), [len(p), len(q)]))
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +499,8 @@ def run_suite(cfg: CheckConfig) -> CheckReport:
     joints, pairs, counts = _draw_suite(cfg)
     checks = [
         ("strong_additivity", _strong_additivity, joints, lambda t: {"rows": t.rows()}),
-        ("counterexample_probe", _strong_additivity, [PROBE_JOINT],
-         lambda js: {"rows": [list(r) for r in js[0].rows]}),
+        ("counterexample_probe", _strong_additivity, _joint(PROBE_JOINT),
+         lambda t: {"rows": t.rows()}),
         ("product_additivity", _product, pairs, lambda t: dict(zip("pq", t.rows()))),
         ("refinement_consistency", _refinement, counts, lambda t: {"counts": t.rows()[0]}),
         ("chain", _chain, list(range(1, 13)), lambda n: {"n": n[0]}),

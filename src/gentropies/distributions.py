@@ -128,14 +128,15 @@ class JointDistribution:
         self._sums = None
 
     @classmethod
-    def _wrap(cls, flat: np.ndarray, bounds: Sequence[int]) -> JointDistribution:
-        """Take a flat float64 array and its row bounds; flags the array read-only."""
+    def _wrap(cls, flat: np.ndarray, bounds: Sequence[int], sums=None) -> JointDistribution:
+        """Take a flat float64 array, its row bounds and, if known, the exact sums of its
+        rows (else taken on first use); flags the array read-only."""
         self = cls.__new__(cls)
         flat.setflags(write=False)
         self._flat = flat
         self._bounds = np.asarray(bounds, dtype=np.intp)
         self._rows = None
-        self._sums = None
+        self._sums = sums
         return self
 
     def _row_sums(self) -> np.ndarray:

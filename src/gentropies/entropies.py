@@ -370,21 +370,13 @@ def entropy(family: EntropyFamily, dist: Distribution) -> float:
     return float(span_entropies(family, dist._array, [0, len(dist)])[0]) + 0.0  # -0.0 to 0.0
 
 
-def conditional_entropies(
-    family: EntropyFamily, joint: JointDistribution, groups: Sequence[int], margs: np.ndarray
-) -> np.ndarray:
-    """`conditional_entropy` of each group of consecutive rows of ``joint``, rows ``groups[t]``
-    to ``groups[t + 1] - 1`` forming joint t, whose marginals ``margs`` holds end to end (see
-    `distributions.group_marginals`): `conditional_means` of the entropies of its
-    `conditional_rows`, which a caller may take in a call with runs of its own."""
-    cells, bounds, weights, starts = conditional_rows(family, joint, groups, margs)
-    return conditional_means(family, weights, span_entropies(family, cells, bounds), starts)
-
-
 def conditional_rows(family: EntropyFamily, joint: JointDistribution, groups, margs) -> tuple:
-    """The rows of positive escort weight, gathered once (a view when every row has weight)
-    and divided by their exact sums at once, their bounds and weights, and where each
-    group's rows start among them (see `conditional_entropies`)."""
+    """The rows of positive escort weight of each group of consecutive rows of ``joint``,
+    rows ``groups[t]`` to ``groups[t + 1] - 1`` forming joint t, whose marginals ``margs``
+    holds end to end (see `distributions.group_marginals`): gathered once (a view when every
+    row has weight) and divided by their exact sums at once, their bounds and weights, and
+    where each group's rows start among them.  `conditional_means` of their entropies is each
+    joint's `conditional_entropy`; a caller may take those entropies in a call with its own runs."""
     import numpy as np
     _stable = _numeric("_stable")
     _require_family(family)
@@ -415,7 +407,10 @@ def conditional_entropy(family: EntropyFamily, joint: JointDistribution) -> floa
     from .distributions import JointDistribution, _require, group_marginals
     _require(joint, JointDistribution)
     groups = [0, len(joint)]
-    return conditional_entropies(family, joint, groups, group_marginals(joint, groups)).item() + 0.0
+    cells, bounds, weights, starts = conditional_rows(family, joint, groups,
+                                                      group_marginals(joint, groups))
+    values = span_entropies(family, cells, bounds)
+    return conditional_means(family, weights, values, starts).item() + 0.0
 
 
 def joint_entropy(family: EntropyFamily, joint: JointDistribution) -> float:

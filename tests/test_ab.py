@@ -51,3 +51,17 @@ def test_workload_sums_add_each_sides_medians_per_workload():
                "cli check tsallis(2) 100": (9.0, 9.0), "bulk entropy b": (0.25, 0.25),
                "run_suite renyi(2) 100": (7.0, 7.0)}
     assert ab.workload_sums(medians) == {"bulk": (1.25, 0.75, 2), "suite": (2.0, 1.5, 1)}
+
+
+def test_product_cases_time_the_public_residual_on_two_shapes(tmp_path):
+    import gentropies as g
+    cases = ab.cases(g, tmp_path)
+    names = [name for name in cases if name.startswith("product_additivity_residual")]
+    assert names == [f"product_additivity_residual {family} {shape}"
+                     for family in ("shannon", "renyi(2)", "tsallis(2)") for shape in ("8x8", "64x48")]
+    for name in names:
+        call = cases[name]()
+        family, p, q = call.args
+        assert f"{len(p)}x{len(q)}" == name.rsplit(" ", 1)[1]
+        assert call.func is g.product_additivity_residual
+        assert call() == g.product_additivity_residual(family, p, q)

@@ -20,6 +20,9 @@ from trial_views import (
     reference_counts,
     reference_distributions,
     reference_joints,
+    store_of_counts,
+    store_of_joints,
+    store_of_pairs,
 )
 from gentropies import (
     PROBE_JOINT,
@@ -53,7 +56,7 @@ from gentropies import (
     uniform_trace,
     uniform_trace_residual,
 )
-from gentropies import _stable, checker, entropies
+from gentropies import _stable, checker, distributions, entropies
 from gentropies._stable import _BLOCK, bounds_of, segment_sums
 from gentropies.entropies import nath
 from gentropies.checker import (
@@ -118,6 +121,29 @@ class TestStrongAdditivityResidual:
         fresh = checker.JointDistribution._wrap(joint._flat.copy(), list(joint._bounds))
         assert residual(renyi(2.0), joint) == strong_additivity_residual(renyi(2.0), fresh)
         assert joint._sums is sums
+
+    def test_a_joints_one_trial_store_is_the_joints_own_arrays(self):
+        joint = make_joint([[0.125, 0.375], [0.25], [0.0, 0.125, 0.125]])
+        store = checker._joint(joint)
+        assert np.shares_memory(store.flat, joint._flat)
+        assert np.shares_memory(store.bounds, joint._bounds)
+        assert store.sums is joint._sums is not None
+        assert store.offsets.tolist() == [0, 3]
+
+    def test_a_held_joint_takes_no_second_row_sum_call(self, monkeypatch):
+        joint = direct_product(uniform(64), uniform(48))
+        calls = []
+
+        def counted(values, bounds):
+            calls.append(np.shares_memory(values, joint._flat))
+            return segment_sums(values, bounds)
+
+        monkeypatch.setattr(distributions, "segment_sums", counted)
+        first = strong_additivity_residual(renyi(2.0), joint)
+        assert calls.count(True) == 1
+        calls.clear()
+        assert strong_additivity_residual(renyi(2.0), joint) == first
+        assert calls and True not in calls  # the marginal's total alone
 
 
 class TestCounterexampleProbe:
@@ -622,17 +648,22 @@ def test_batched_checks_equal_the_public_functions(family):
     joints += [PROBE_JOINT, _wide_rows_joint(rng)]
     pairs = [random_pair(rng, 5, 400) for _ in range(6)]
     counts = [random_counts(rng, 5, 300) for _ in range(6)] + [(1,), (2, 1)]
-    cases = [
-        (checker._strong_additivity, joints, lambda j: strong_additivity_residual(family, j)),
-        (checker._product, pairs, lambda pq: product_additivity_residual(family, *pq)),
-        (checker._refinement, counts, lambda c: refinement_consistency(family, c)),
-        (checker._chain, [1, 9, 2, 12], lambda n: chain_residual(family, n)),
-        (checker._trace, [1, 3, 256, 2, 1000], lambda n: uniform_trace_residual(family, n)),
+    cases = [  # the check, its store of the inputs, the inputs and their public function
+        (checker._strong_additivity, store_of_joints(joints), joints,
+         lambda j: strong_additivity_residual(family, j)),
+        (checker._product, store_of_pairs(pairs), pairs,
+         lambda pq: product_additivity_residual(family, *pq)),
+        (checker._refinement, store_of_counts(counts), counts,
+         lambda c: refinement_consistency(family, c)),
+        (checker._chain, [1, 9, 2, 12], [1, 9, 2, 12], lambda n: chain_residual(family, n)),
+        (checker._trace, [1, 3, 256, 2, 1000], [1, 3, 256, 2, 1000],
+         lambda n: uniform_trace_residual(family, n)),
     ]
-    for check, inputs, public in cases:
-        residuals, scales = checker._evaluate(family, [check(family, inputs)])[0]
+    for check, store, inputs, public in cases:
+        residuals, scales = checker._evaluate(family, [check(family, store)])[0]
         assert residuals.tolist() == [public(x) for x in inputs], check.__name__
-        one = [checker._evaluate(family, [check(family, [x])])[0] for x in inputs]
+        one = [checker._evaluate(family, [check(family, store[t:t + 1])])[0]
+               for t in range(len(inputs))]
         assert scales.tolist() == [their[0] for _, their in one], check.__name__
 
 
@@ -895,8 +926,6 @@ def test_a_suite_batch_makes_one_drawn_and_conditional_call_then_one_uniform_cal
     span_entropies = counted(entropies.span_entropies)
     monkeypatch.setattr(entropies, "span_entropies", span_entropies)
     monkeypatch.setattr(checker, "span_entropies", span_entropies)
-    conditional_entropies = counted(entropies.conditional_entropies)
-    monkeypatch.setattr(entropies, "conditional_entropies", conditional_entropies)
     cfg = CheckConfig(family=renyi(2.0), trials=100, seed=1)
     run_suite(cfg)
     assert [name for name, _ in calls] == ["span_entropies", "span_entropies"]
@@ -994,7 +1023,7 @@ def _refinement_counts(draw):
 def test_refinement_row_sums_are_the_math_fsum_of_each_row(counts):
     """The refinement's row i holds m_i cells of 1/m, and its exact sum is taken as
     m_i * (1/m): one multiply of an exact integer, as correctly rounded as ``math.fsum``."""
-    _, (joint, _), _ = next(checker._refinement(shannon(), [counts]))
+    _, (joint, _), _ = next(checker._refinement(shannon(), store_of_counts([counts])))
     rows = itertools.pairwise(joint._bounds.tolist())
     assert [s.hex() for s in joint._sums.tolist()] == [
         math.fsum(joint._flat[i:j].tolist()).hex() for i, j in rows]

@@ -588,8 +588,11 @@ def test_conditional_overflow_text_is_weighted_means():
     tinier = make_joint([[0.5, 1e-120], [0.5]])
     # the three joints' rows end to end, and the row where each joint starts
     batch, groups = JointDistribution([*fine.rows, *tiny.rows, *tinier.rows]), [0, 2, 4, 6]
+    rows, bounds, weights, starts = entropies.conditional_rows(
+        family, batch, groups, group_marginals(batch, groups))
+    values = entropies.span_entropies(family, rows, bounds)
     with pytest.raises(Overflow, match="generator exponent") as batched:
-        entropies.conditional_entropies(family, batch, groups, group_marginals(batch, groups))
+        entropies.conditional_means(family, weights, values, starts)
     weights = escort(marginal(tiny), family.alpha).probs
     terms = [(w, entropy(family, conditional(tiny, k))) for k, w in enumerate(weights)]
     with pytest.raises(Overflow) as alone:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from gentropies import checker
+from gentropies._stable import bounds_of
 from gentropies.distributions import Distribution, JointDistribution
 
 
@@ -28,6 +29,28 @@ def pairs_of(store) -> list[tuple[Distribution, Distribution]]:
 
 def counts_of(store) -> list[tuple[int, ...]]:
     return [tuple(one.flat.tolist()) for one in _ones(store)]
+
+
+def _store(cells: list, lengths: list, rows: list) -> checker._Trials:
+    return checker._Trials(np.concatenate(cells), bounds_of(np.concatenate(lengths)), bounds_of(rows))
+
+
+def store_of_joints(joints) -> checker._Trials:
+    """The store whose trials are ``joints``: the inverse of `joints_of`."""
+    return _store([j._flat for j in joints], [np.diff(j._bounds) for j in joints],
+                  list(map(len, joints)))
+
+
+def store_of_pairs(pairs) -> checker._Trials:
+    """The store whose trials are the pairs p, q of ``pairs``: the inverse of `pairs_of`."""
+    return _store([d._array for pq in pairs for d in pq], [list(map(len, pq)) for pq in pairs],
+                  [2] * len(pairs))
+
+
+def store_of_counts(counts) -> checker._Trials:
+    """The store whose trials are the block sizes ``counts``: the inverse of `counts_of`."""
+    return _store([np.array(c, dtype=np.intp) for c in counts], [[len(c)] for c in counts],
+                  [1] * len(counts))
 
 
 def random_joint(rng, max_rows: int, max_cols: int) -> JointDistribution:

@@ -38,7 +38,8 @@ suite with 100 trials; `marginal` of a held 2**19 x 2 joint, whose row sums
 are taken anew in every call (a new joint on the same arrays); for shannon,
 renyi(2) and tsallis(2), the one-input residual functions: `counterexample_probe`,
 and `strong_additivity_residual` and `refinement_consistency` on an 8 x 8 and a
-64 x 48 joint (the refinement of 8 or 64 blocks of 1 to 8 or 48 cells); the children
+64 x 48 joint (the refinement of 8 or 64 blocks of 1 to 8 or 48 cells) and
+`product_additivity_residual` on a pair of 8 and 8 or 64 and 48 entries; the children
 ``cli compute`` on a CSV of four distributions of 2**8 to 2**14 entries and
 ``cli check`` of tsallis(2) with 100 trials; and the ops of the benchmark's
 ``bulk`` and ``suite`` workloads at seed ``BULK_SEED``, named ``bulk`` or
@@ -151,6 +152,12 @@ def cases(g, workdir: Path) -> dict:
         cells = np.random.default_rng(seed).exponential(1.0, (rows, cols))
         return g.make_joint(cells / cells.sum())
 
+    @functools.cache
+    def pair(m, n):
+        rng = np.random.default_rng(7)
+        return tuple(g.make_distribution(p / p.sum()) for p in (rng.exponential(1.0, m),
+                                                                 rng.exponential(1.0, n)))
+
     def sparse(n, zeros):
         rng = np.random.default_rng(3)
         p = rng.exponential(1.0, n)
@@ -182,6 +189,9 @@ def cases(g, workdir: Path) -> dict:
                 lambda f=family, d=(rows, cols): functools.partial(
                     g.refinement_consistency, f,
                     np.random.default_rng(6).integers(1, d[1] + 1, size=d[0]).tolist()))
+            out[f"product_additivity_residual {label} {rows}x{cols}"] = (
+                lambda f=family, d=(rows, cols): functools.partial(
+                    g.product_additivity_residual, f, *pair(*d)))
     out["conditional_entropy renyi(50) 1024x1024"] = lambda: functools.partial(
         g.conditional_entropy, g.renyi(50.0), joint(*shapes["1024x1024"]))
     for params in ((2.0, -1.0, -1.0), (2.0, -1.0, 0.0)):

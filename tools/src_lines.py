@@ -8,10 +8,11 @@ line; the rest are blank.  So the four counts of a file sum to its lines.
 
 Usage, from any directory::
 
-    python tools/src_lines.py [--against REV]
+    python tools/src_lines.py [--against REV_OR_CHECKOUT]
 
-With ``--against``, the same table follows for the change from git revision
-REV to the working tree, read through ``git show REV:path``: a module that
+With ``--against``, the same table follows for the change to the working tree
+from a checkout directory of the repository (one that holds ``src/gentropies``),
+or else from a git revision, read through ``git show REV:path``: a module that
 exists on one side only counts as empty on the other.
 """
 
@@ -59,13 +60,15 @@ def split(source: str) -> dict[str, int]:
     return counts
 
 
-def _sources(rev: str | None) -> dict[str, str]:
-    """Module file name -> source, in the working tree or at git revision ``rev``."""
-    if rev is None:
-        return {path.name: path.read_text() for path in sorted((ROOT / PACKAGE).glob("*.py"))}
-    names = subprocess.run(["git", "-C", str(ROOT), "ls-tree", "--name-only", f"{rev}:{PACKAGE}"],
+def _sources(against: str | None) -> dict[str, str]:
+    """Module file name -> source, in the working tree, in the checkout directory
+    ``against`` or at the git revision ``against``."""
+    if ((root := ROOT if against is None else Path(against)) / PACKAGE).is_dir():
+        return {path.name: path.read_text() for path in sorted((root / PACKAGE).glob("*.py"))}
+    names = subprocess.run(["git", "-C", str(ROOT), "ls-tree", "--name-only",
+                            f"{against}:{PACKAGE}"],
                            capture_output=True, text=True, check=True).stdout.split()
-    return {name: subprocess.run(["git", "-C", str(ROOT), "show", f"{rev}:{PACKAGE}/{name}"],
+    return {name: subprocess.run(["git", "-C", str(ROOT), "show", f"{against}:{PACKAGE}/{name}"],
                                  capture_output=True, text=True, check=True).stdout
             for name in names if name.endswith(".py")}
 
@@ -83,7 +86,8 @@ def _table(rows: dict[str, dict[str, int]], signed: bool = False) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--against", metavar="REV", help="also print the change from REV")
+    parser.add_argument("--against", metavar="REV_OR_CHECKOUT",
+                        help="also print the change from a git revision or a checkout directory")
     args = parser.parse_args(argv)
     now = {name: split(source) for name, source in _sources(None).items()}
     print(_table(now))
