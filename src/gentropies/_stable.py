@@ -13,6 +13,8 @@ exponents far beyond the naive overflow point.
 
 Runs are described one way throughout: by ``bounds``, run k being
 ``flat[bounds[k]:bounds[k + 1]]``, and a selection of runs by their indices.
+The bounds run from 0 to ``len(flat)``, so the runs cover their input
+(``[0]``: no runs); no kernel checks it.
 `bounds_of` makes bounds from run lengths, and `gather` puts selected runs
 end to end (a view when they are adjacent) with their new bounds.  The power,
 log and escort kernels and `segment_sums` are span kernels: they take one
@@ -27,8 +29,11 @@ alone, libm's log2 per run in one C-level map, and one blocked exact sum, so
 every run gets the bits it would get alone.  No temporary is input-sized but the
 logs that the max-factored kernels hold (see `_streamed` and `_per_run`).  The
 kernels keep their own numpy error state, so the caller's does not change a
-result (see `_span_map`).  They raise Python's own errors alone, which the
-caller types: a call's is its first failing run's (see `_blocked_fsum`).
+result: a term that underflows is exact after max-factoring, and one that
+overflows is an inf term.  They raise Python's own errors alone, which the
+caller types: a call's is the one that its first failing run raises alone, as
+`_blocked_fsum` takes the runs in order where a sum can fail, and the kernels'
+other errors name no run.
 
 `divide_runs` divides each run by its total, one scalar per run and a block
 at a time, in place when the caller owns the array, else into one new array.
@@ -291,10 +296,10 @@ def _per_run(op: Callable, x: np.ndarray, per_run, bounds, out: np.ndarray) -> N
 
 @np.errstate(all="ignore")  # a quotient that underflows is still the correctly rounded one
 def divide_runs(x: np.ndarray, totals, bounds: Sequence[int], out: np.ndarray | None = None):
-    """Each run k of ``x`` between ``bounds`` (from 0 to ``len(x)``) divided by
-    ``totals[k]``, correctly rounded entry by entry, under the kernels' numpy error
-    state: into ``out`` (``x`` itself, when the caller owns it, divides in place),
-    else into one new array, with no copy of ``x`` first (see `_per_run`)."""
+    """Each run k of ``x`` between ``bounds`` divided by ``totals[k]``, correctly
+    rounded entry by entry, under the kernels' numpy error state: into ``out`` (``x``
+    itself, when the caller owns it, divides in place), else into one new array, with
+    no copy of ``x`` first (see `_per_run`)."""
     out = np.empty(len(x)) if out is None else out
     _per_run(np.divide, x, totals, bounds, out)
     return out
@@ -320,30 +325,13 @@ def _escort(logs: np.ndarray, bounds: np.ndarray, alpha: float, keep=False):
     return divide_runs(w, totals, bounds, out=w), totals
 
 
-@np.errstate(all="ignore")  # numpy >= 2 sets it per call and thread; half a with's cost
-def _span_map(bounds: Sequence[int], group: Callable) -> np.ndarray:
-    """One result per run between consecutive ``bounds``, in order: ``group(window,
-    bounds)`` maps the runs in the slice ``window`` of the input, cut at their bounds
-    rebased to 0, to their results.  numpy's error state is the kernels' own, whatever
-    the caller's: a term that underflows is exact after max-factoring, and one that
-    overflows is an inf term.
-
-    An error is the one that the first failing run raises alone: `_blocked_fsum` takes
-    the runs in order where a sum can fail, and the kernels' other errors name no run.
-    """
-    bounds = np.asarray(bounds, dtype=np.intp)
-    if len(bounds) < 2:
-        return np.zeros(0)
-    start = int(bounds[0])
-    # bounds from 0 as they are: a rebased copy takes 8 bytes per run
-    return group(slice(start, int(bounds[-1])), bounds - start if start else bounds)
-
-
+@np.errstate(all="ignore")
 def segment_sums(values: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     """Exact sums of ``values[bounds[k]:bounds[k + 1]]`` for every k."""
-    return _span_map(bounds, lambda window, bounds: _segment_fsum(values[window], bounds))
+    return _segment_fsum(values, bounds)
 
 
+@np.errstate(all="ignore")
 def log2_power_sum(
     flat: np.ndarray, bounds: Sequence[int], alpha: float, minus: float | None = None
 ) -> np.ndarray:
@@ -354,65 +342,53 @@ def log2_power_sum(
     the result is finite for |alpha| up to several hundred.  Every run
     needs a positive entry.
     """
-
-    def group(window, bounds):
-        logs, _, bounds = _cells(flat[window], bounds)
-        exponents, values = [alpha] if minus is None else [alpha, minus], []
-        for k, a in enumerate(exponents):  # the last one may overwrite the logs
-            m, terms = _scaled_powers(logs, bounds, a, keep=k < len(exponents) - 1)
-            sums = _segment_fsum(terms, bounds)
-            values.append(m + np.fromiter(map(math.log2, sums.tolist()), np.float64, len(sums)))
-        return values[0] if minus is None else values[0] - values[1]
-
-    return _span_map(bounds, group)
+    logs, _, bounds = _cells(flat, np.asarray(bounds, dtype=np.intp))
+    exponents, values = [alpha] if minus is None else [alpha, minus], []
+    for k, a in enumerate(exponents):  # the last one may overwrite the logs
+        m, terms = _scaled_powers(logs, bounds, a, keep=k < len(exponents) - 1)
+        sums = _segment_fsum(terms, bounds)
+        values.append(m + np.fromiter(map(math.log2, sums.tolist()), np.float64, len(sums)))
+    return values[0] if minus is None else values[0] - values[1]
 
 
+@np.errstate(all="ignore")
 def power_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarray:
     """Per run, sum_k p_k**alpha over positive entries (0**alpha := 0 for alpha > 0);
     a term or a sum past the float range raises ``OverflowError`` for the caller to type."""
-    sums = _span_map(bounds, lambda window, bounds: _streamed(
-        lambda x, out: np.power(x, alpha, out=out), bounds, flat[window]))
+    sums = _streamed(lambda x, out: np.power(x, alpha, out=out),
+                     np.asarray(bounds, dtype=np.intp), flat)
     if np.count_nonzero(np.isinf(sums)):
         raise OverflowError(f"power sum with exponent {alpha!r} overflowed")
     return sums
 
 
+@np.errstate(all="ignore")
 def weighted_log2_sum(flat: np.ndarray, bounds: Sequence[int], alpha: float = 1.0) -> np.ndarray:
     """Per run, sum_k w_k * log2(p_k) over the positive entries p_k of ``flat``, w
     being the run's `escort_weights` of ``alpha``, bit for bit, from the same log2 per
     entry.  At alpha 1, w is p itself: the sum of p log2 p (0*log 0 := 0), streamed."""
-
-    def group(window, bounds):
-        if alpha == 1.0:
-            return _streamed(lambda x, out: np.multiply(np.log2(x, out=out), x, out=out),
-                             bounds, flat[window])
-        logs, _, bounds = _cells(flat[window], bounds)
-        logs *= _escort(logs, bounds, alpha, keep=True)[0]
-        return _segment_fsum(logs, bounds)
-
-    return _span_map(bounds, group)
+    bounds = np.asarray(bounds, dtype=np.intp)
+    if alpha == 1.0:
+        return _streamed(lambda x, out: np.multiply(np.log2(x, out=out), x, out=out), bounds, flat)
+    logs, _, bounds = _cells(flat, bounds)
+    logs *= _escort(logs, bounds, alpha, keep=True)[0]
+    return _segment_fsum(logs, bounds)
 
 
+@np.errstate(all="ignore")
 def escort_weights(flat: np.ndarray, bounds: Sequence[int], alpha: float) -> np.ndarray:
     """Weights p_k**alpha / sum_i p_i**alpha, normalized within each run, max-factored.
 
     Zero entries keep weight exactly 0 (valid only for alpha > 0; callers
-    enforce positivity of the input when alpha <= 0), and so do entries
-    outside ``[bounds[0], bounds[-1])``.  ``alpha == 1`` returns the input
-    unchanged, so the identity holds exactly.
+    enforce positivity of the input when alpha <= 0).  ``alpha == 1`` returns
+    the input unchanged, so the identity holds exactly.
     """
     if alpha == 1.0:
         return flat
-    out = np.zeros(len(flat))
-
-    def group(window, bounds):  # writes the weights, returns the totals
-        logs, pos, bounds = _cells(flat[window], bounds)
-        w, totals = _escort(logs, bounds, alpha)
-        if pos is None:
-            out[window] = w
-        else:  # the zero weights stay in place
-            out[window][pos] = w
-        return totals
-
-    _span_map(bounds, group)
+    logs, pos, bounds = _cells(flat, np.asarray(bounds, dtype=np.intp))
+    w = _escort(logs, bounds, alpha)[0]
+    if pos is None:
+        return w
+    out = np.zeros(len(flat))  # the zero weights stay in place
+    out[pos] = w
     return out

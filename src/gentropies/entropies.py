@@ -136,7 +136,7 @@ class GeneralEscort(_Family):
 
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
         # some run holds an exact zero
-        if self.alpha <= 0.0 and not flat[bounds[0]:bounds[-1]].all():
+        if self.alpha <= 0.0 and not flat.all():
             raise DomainError(
                 f"zero probability with non-positive exponent alpha={self.alpha!r}"
             )

@@ -1,8 +1,10 @@
-"""``tools/ab.py``: the verdict of `summary` and the clocks of `sample`, on fixed numbers."""
+"""``tools/ab.py``: the verdict of `summary` and the clocks of `sample` on fixed numbers,
+the workloads that a CASE selects and the inputs of some cases, with no timing run."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,3 +67,28 @@ def test_product_cases_time_the_public_residual_on_two_shapes(tmp_path):
         assert f"{len(p)}x{len(q)}" == name.rsplit(" ", 1)[1]
         assert call.func is g.product_additivity_residual
         assert call() == g.product_additivity_residual(family, p, q)
+
+
+@pytest.mark.parametrize("selected, workloads", [
+    ([], ["bulk", "suite"]),
+    (["suite"], ["suite"]),
+    (["suite run_suite renyi(2)"], ["suite"]),
+    (["bulk make_distribution", "suite"], ["bulk", "suite"]),
+    (["run_suite renyi(2)"], []),  # "suite" inside another case's name
+    (["bulky", "suites"], []),
+])
+def test_a_case_selects_a_workload_by_its_name_and_a_space(selected, workloads):
+    assert ab.workloads_of(selected) == workloads
+
+
+def test_escort_cases_time_the_public_escort_on_2_20_entries(tmp_path):
+    import gentropies as g
+    cases = ab.cases(g, tmp_path)
+    zeros = {"escort(2) 2^20": 0, "escort(2) 2^20 10% zeros": 0.1}
+    assert [name for name in cases if name.startswith("escort")] == list(zeros)
+    for name, share in zeros.items():
+        call = cases[name]()
+        p, alpha = call.args
+        assert call.func is g.escort and alpha == 2.0 and len(p) == 2 ** 20
+        assert np.count_nonzero(p._array == 0.0) / len(p) == pytest.approx(share, abs=0.01)
+        assert call()._array.tobytes() == g.escort(p, alpha)._array.tobytes()

@@ -931,6 +931,15 @@ def test_marginal_of_many_short_rows_holds_one_block_of_pieces():
     assert joint._row_sums().tolist() == [math.fsum(row) for row in rows]
 
 
+def test_escort_of_positive_entries_holds_one_input_sized_array():
+    """With no zero entry the escort's weights are its result, written over its
+    logs, with no zero array to scatter them into: `escort` of 2**20 positive
+    entries peaks below 1.25x them (a full-length zero output took 2.13x)."""
+    x = np.random.default_rng(14).exponential(1.0, 2 ** 20)
+    p = make_distribution(x / x.sum())
+    assert _traced_peak(lambda: escort(p, 2.0)) < 1.25 * x.nbytes
+
+
 # A value of the wrong type names the expected class, not a private attribute.
 WRONG_TYPE_CALLS = {
     "escort": (lambda v, path: escort(v, 2.0), "Distribution"),

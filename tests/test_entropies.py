@@ -238,17 +238,19 @@ class TestEntropyValues:
         [3, 4, 6, 9],  # past the first zero, the zero in the last span
     ])
     def test_zero_in_any_span_raises_before_any_kernel(self, monkeypatch, bounds):
+        """The runs between ``bounds`` in ``cells``, cut out with their bounds from 0."""
         def refuse(*args):
             raise AssertionError("a kernel ran before the zero check")
 
         f = general_escort(-1.0, -1.0, 3.0)  # alpha <= 0
-        flat = np.array([0.5, 0.5, 0.0, 1.0, 0.25, 0.75, 0.3, 0.0, 0.7])
+        cells = np.array([0.5, 0.5, 0.0, 1.0, 0.25, 0.75, 0.3, 0.0, 0.7])
+        flat = cells[bounds[0]:bounds[-1]]
         monkeypatch.setattr(_stable, "log2_power_sum", refuse)  # looked up there when called
         with pytest.raises(DomainError):
-            span_entropies(f, flat, bounds)
+            span_entropies(f, flat, [b - bounds[0] for b in bounds])
         monkeypatch.undo()
-        # bounds that start after one zero and end before the other are fine
-        assert all(map(math.isfinite, span_entropies(f, flat, [3, 4, 6])))
+        # runs that start after one zero and end before the other are fine
+        assert all(map(math.isfinite, span_entropies(f, cells[3:6], [0, 1, 3])))
 
     def test_huge_alpha_stays_finite(self):
         value = entropy(renyi(100.0), make_distribution((0.3, 0.7)))
@@ -642,8 +644,8 @@ def test_shared_log2_equals_the_separate_kernels(family, lengths):
         x[rng.random(m) < 0.3] = 0.0  # zeros in most spans
         x[rng.integers(0, m)] = 1.0
         parts.append(x / x.sum())
-    flat = np.concatenate(parts)
-    bounds = np.cumsum([0, *lengths])[1:]  # past the first span too
+    flat = np.concatenate(parts)[lengths[0]:]  # a view past the first span
+    bounds = np.cumsum([0, *lengths[1:]])
     got = span_entropies(family, flat, bounds)
     expected = _escort_formula_from_separate_kernels(family, flat, bounds)
     assert [v.hex() for v in got] == [v.hex() for v in expected]

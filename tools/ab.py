@@ -33,7 +33,8 @@ renyi(2) and tsallis(2); `conditional_entropy` of renyi(50) on the 1024 x
 saturated (see `generators._SATURATED`); `conditional_entropy` of
 general_escort(2, -1, -1) (two exponents) and of general_escort(2, -1, 0)
 (the lambda = 0 escort) on the 1024 x 1024 joint; `entropy` of renyi(2) on
-2**20 entries of which about 10 % are zero; `run_suite` of renyi(2), each
+2**20 entries of which about 10 % are zero; `escort` of exponent 2 on 2**20
+entries, with no zero and with about 10 % zeros; `run_suite` of renyi(2), each
 suite with 100 trials; `marginal` of a held 2**19 x 2 joint, whose row sums
 are taken anew in every call (a new joint on the same arrays); for shannon,
 renyi(2) and tsallis(2), the one-input residual functions: `counterexample_probe`,
@@ -45,7 +46,8 @@ and `strong_additivity_residual` and `refinement_consistency` on an 8 x 8 and a
 ``bulk`` and ``suite`` workloads at seed ``BULK_SEED``, named ``bulk`` or
 ``suite`` and the op's label.  A workload's schedule draws all of its ops
 from one seeded stream, so it is built whole, once per side, and only when
-no CASE is given or a CASE names the workload; the ops not kept are dropped.
+no CASE is given or a CASE is the workload's name or starts with it and a
+space (see `workloads_of`); the ops not kept are dropped.
 It comes from the new checkout's ``benchmarks/workloads.py``, loaded once
 per side against that side's package, so that both sides run one schedule.
 After the cases, each workload with kept ops gets one more row: each side's
@@ -203,6 +205,9 @@ def cases(g, workdir: Path) -> dict:
         joint(2 ** 19, 2, 4))
     out["entropy renyi(2) 2^20 10% zeros"] = lambda: functools.partial(
         g.entropy, g.renyi(2.0), sparse(2 ** 20, 0.1))
+    for zeros, text in ((0.0, ""), (0.1, " 10% zeros")):
+        out[f"escort(2) 2^20{text}"] = lambda z=zeros: functools.partial(
+            g.escort, sparse(2 ** 20, z), 2.0)
     for alpha in (2.0, 20.0):
         out[f"run_suite renyi({alpha:g}) 100"] = lambda a=alpha: functools.partial(
             g.run_suite, g.CheckConfig(g.renyi(a), trials=100, seed=1))
@@ -210,6 +215,14 @@ def cases(g, workdir: Path) -> dict:
     out["cli check tsallis(2) 100"] = lambda: child(
         g, ["check", "--family", "tsallis", "--alpha", "2", "--trials", "100"])
     return out
+
+
+def workloads_of(selected) -> list:
+    """The benchmark workloads whose ops the CASE arguments ``selected`` may keep: all
+    when there are none, else each that a CASE names or starts with and a space, so
+    that ``run_suite renyi(2)`` builds no ``suite`` schedule."""
+    return [w for w in WORKLOADS
+            if not selected or any(c == w or c.startswith(w + " ") for c in selected)]
 
 
 def workload_cases(path: Path, g, workloads, kept) -> dict:
@@ -300,7 +313,7 @@ def main(argv=None) -> int:
         sides = [load(args.old, "gentropies_old"), load(args.new, "gentropies_new")]
         old, new = ({name: make for name, make in cases(g, Path(workdir)).items() if kept(name)}
                     for g in sides)
-        workloads = [w for w in WORKLOADS if not args.cases or any(w in c for c in args.cases)]
+        workloads = workloads_of(args.cases)
         if workloads:
             path = args.new / "benchmarks" / "workloads.py"
             old.update(workload_cases(path, sides[0], workloads, kept))
