@@ -9,9 +9,9 @@ every check plus the fixed counterexample probe, and aggregates residuals
 into a reproducible report: the same configuration always serializes to
 identical bytes.  It evaluates a batch of trials of every check at once: one
 ``span_entropies`` call for the drawn runs and the joints' rows that they need,
-one for the uniforms, and the residuals as float64 arrays, which become Python
-floats only in the report's records; its docstring states which error a failing
-check raises.  It draws each store whole from the seed's PCG64 stream, one
+the uniforms in closed form (``uniform_entropies``: no cells), and the residuals
+as float64 arrays, which become Python floats only in the report's records; its
+docstring states which error a failing check raises.  It draws each store whole from the seed's PCG64 stream, one
 Generator call per quantity (draw order 2, which the reports name in ``prng``;
 see `_draw_joints`), and divides each trial by its exact sum.  Every check but
 the chain and the trace reads such a store; a public function, one of one trial.
@@ -38,7 +38,6 @@ from .distributions import (
     _check_counts,
     _require,
     group_marginals,
-    uniform,
 )
 from .entropies import (
     EntropyFamily,
@@ -47,6 +46,7 @@ from .entropies import (
     family_name,
     family_params,
     span_entropies,
+    uniform_entropies,
 )
 from .errors import ConfigError, DimensionError, EscortUndefined, Overflow, _integer
 
@@ -60,8 +60,9 @@ PROBE_JOINT = JointDistribution(((0.5, 0.0), (0.25, 0.25)))
 
 PRNG_NAME = "numpy.random.PCG64, draw order 2"
 
-#: Longest fair-coin chain `chain_residual` checks: each call builds the
-#: chain's 2**n float64 cells (32 MiB at n = 22).
+#: Longest fair-coin chain that `chain_residual` checks, and the log2 of the
+#: largest dimension of `uniform_trace_residual` and of the most cells of
+#: `refinement_consistency`.  The chain and the trace build no cells.
 MAX_CHAIN_LENGTH = 22
 
 #: Largest ``trials * max(max_rows * max_cols, MIN_TRIAL_CELLS)`` that
@@ -133,17 +134,18 @@ def _joint(joint: JointDistribution) -> _Trials:
 # entropy, ``(joint, groups)`` or None, each group of rows one joint, and the
 # dimensions of uniforms.  It is sent float64 arrays: the entropies of each
 # piece's runs, the whole, marginal and conditional entropies of the joints
-# and the uniforms', and returns float64 arrays: the residual of every input
-# and the magnitude of its reference value.  `_evaluate` runs any list of
-# checks at once; `run_suite` measures its checks through it (`_measure`), and
-# the public functions are its one-trial case (`_residual` of `_one` or `_joint`).
+# and the uniforms' (in closed form), and returns float64 arrays: the residual
+# of every input and the magnitude of its reference value.  `_evaluate` runs
+# any list of checks at once; `run_suite` measures its checks through it
+# (`_measure`), and the public functions are its one-trial case (`_residual`
+# of `_one` or `_joint`).
 
 
 @np.errstate(all="ignore")  # the checks' arithmetic too: the caller's error state changes no result
 def _evaluate(family, steps: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every check's result, from one `span_entropies` call for the drawn runs, then the joints'
-    wholes, marginals and conditional rows (from the row sums that they carry), and one for the
-    uniforms (exact terms: fewer extraction levels): each run gets the bits it would alone."""
+    wholes, marginals and conditional rows (from the row sums that they carry), and the uniforms
+    from `uniform_entropies`, with no cells: each run and uniform gets the bits it would alone."""
     asks = [next(s) for s in steps]
     pieces = [piece for runs, _, _ in asks for piece in runs]
     joints = [joint for _, joint, _ in asks if joint is not None]
@@ -169,22 +171,17 @@ def _evaluate(family, steps: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
     triple = ()  # the wholes, marginals and conditionals of the joints
     if joints:
         triple = (next(parts), next(parts), conditional_means(family, weights, next(parts), starts))
-    dims = list(dict.fromkeys(n for _, _, ns in asks for n in ns))
-    uniforms = np.zeros(0)
-    # after the runs' call, which so finds the drawn cells in cache; one uniform is
-    # `uniform`'s own, which checks its dimension
-    if dims:
-        cells = np.repeat(1.0 / np.array(dims), dims) if len(dims) > 1 else uniform(dims[0])._array
-        uniforms = span_entropies(family, cells, bounds_of(dims))
-    index, at = {n: k for k, n in enumerate(dims)}, 0
+    dims = [n for _, _, ns in asks for n in ns]
+    uniforms = uniform_entropies(family, dims) if dims else None
+    at = u = 0
     results = []
     for step, mine, (_, joint, ns) in zip(steps, own, asks):
         n = 0 if joint is None else len(joint[1]) - 1
         try:
-            step.send((mine, [x[at:at + n] for x in triple], uniforms.take([index[d] for d in ns])))
+            step.send((mine, [x[at:at + n] for x in triple], ns and uniforms[u:u + len(ns)]))
         except StopIteration as done:
             results.append(done.value)
-        at += n
+        at, u = at + n, u + len(ns)
     return results
 
 
@@ -226,9 +223,10 @@ def chain_residual(family: EntropyFamily, n: int) -> float:
 
     Additive families are checked against n * H(U_2); HCT families against
     h(n * h_inv(T(U_2))) with the family's deformation.  The chain is
-    U_{2**n}, which the products of powers of two reproduce exactly; it has
-    2**n cells, so n is capped at ``MAX_CHAIN_LENGTH`` and longer chains
-    raise :class:`DimensionError` before anything is built.
+    U_{2**n}, which the products of powers of two reproduce exactly, and its
+    entropy and the coin's are taken from their dimensions alone
+    (`uniform_entropies`), with no cells.  n is capped at ``MAX_CHAIN_LENGTH``:
+    a longer chain raises :class:`DimensionError` before anything is computed.
     """
     if not 1 <= (n := _integer(n, "chain length")) <= MAX_CHAIN_LENGTH:
         raise DimensionError(
@@ -244,9 +242,12 @@ def _trace(family, dims):
 
 
 def uniform_trace_residual(family: EntropyFamily, n: int) -> float:
-    """|entropy at U_n - closed-form uniform trace|; n over 2**``MAX_CHAIN_LENGTH``
-    raises :class:`DimensionError` before anything is built."""
-    if (n := _integer(n, "uniform dimension")) > 2 ** MAX_CHAIN_LENGTH:
+    """|entropy at U_n - closed-form uniform trace|, the entropy taken from n alone with the
+    kernels' bits on U_n's cells (`uniform_entropies`); n below 1 or over
+    2**``MAX_CHAIN_LENGTH`` raises :class:`DimensionError` before anything is computed."""
+    if (n := _integer(n, "uniform dimension")) < 1:
+        raise DimensionError(f"uniform dimension must be >= 1, got {n}")
+    if n > 2 ** MAX_CHAIN_LENGTH:
         raise DimensionError(f"uniform dimension must be at most 2**{MAX_CHAIN_LENGTH}, got {n}")
     return _residual(_trace, family, [n])
 
@@ -270,7 +271,7 @@ def refinement_consistency(family: EntropyFamily, counts: Iterable[int]) -> floa
     The refinement joint has uniform conditional rows, so for a strongly
     additive family the marginal entropy must equal the joint entropy minus
     (deformed-minus for HCT) the conditional entropy.  Its m cells are
-    capped at 2**``MAX_CHAIN_LENGTH``, as `chain_residual` caps its own.
+    capped at 2**``MAX_CHAIN_LENGTH``, as `uniform_trace_residual` caps its n.
     """
     counts = _check_counts(counts)
     if (m := sum(map(int, counts))) > 2 ** MAX_CHAIN_LENGTH:

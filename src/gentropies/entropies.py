@@ -21,7 +21,8 @@ HCT(alpha, lam, tau)
     (1/lam) (sum p**alpha - 1); composes by the lam-deformed addition.
     Tsallis at lam = 1 - alpha, Havrda-Charvat at lam = 2**(1-alpha) - 1.
 
-Each family class holds its formula, uniform trace, mean and composition law.
+Each family class holds its formula (and its closed form on the uniforms U_n,
+from n alone), uniform trace, mean and composition law.
 Conditional entropies weight the per-row entropies by the alpha-escort of
 the marginal: Shannon and the alpha == 1 / lam == 0 branches use the plain
 weighted average, Nath/GeneralEscort with lam != 0 use the quasi-linear mean
@@ -70,7 +71,8 @@ class _Family:
     Shannon (alpha 1), Nath at alpha 1 and the lam == 0 escort share this formula.
 
     Report ``name``, entropy ``_formula`` of each run between consecutive
-    bounds of a flat array of distributions (a float64 entry per run), uniform
+    bounds of a flat array of distributions (a float64 entry per run), the
+    same in closed form on U_n for each n of ``dims`` (``_uniform``), uniform
     ``_trace`` from log2 n, escort exponent ``alpha`` and exponential-mean
     ``mean_kappa`` (0: linear mean) of the conditional entropy, and the
     ``composition`` of a marginal's entropy with the conditional one.
@@ -82,6 +84,9 @@ class _Family:
 
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
         return self.tau * _numeric("_stable").weighted_log2_sum(flat, bounds, self.alpha)
+
+    def _uniform(self, dims: np.ndarray) -> np.ndarray:
+        return self.tau * _numeric("_stable").uniform_weighted_log2_sum(dims, self.alpha)
 
     def _trace(self, n: int, log_n: float) -> float:
         return -self.tau * log_n
@@ -144,6 +149,11 @@ class GeneralEscort(_Family):
             return super()._formula(flat, bounds)
         return -_numeric("_stable").log2_power_sum(flat, bounds, self.beta, self.alpha) / self.lam
 
+    def _uniform(self, dims: np.ndarray) -> np.ndarray:
+        if self.lam == 0.0:
+            return super()._uniform(dims)
+        return -_numeric("_stable").uniform_log2_power_sum(dims, self.beta, self.alpha) / self.lam
+
 
 @dataclass(frozen=True)
 class Nath(_Family):
@@ -179,6 +189,11 @@ class Nath(_Family):
         if self.alpha == 1.0:
             return super()._formula(flat, bounds)
         return _numeric("_stable").log2_power_sum(flat, bounds, self.alpha) / self.lam
+
+    def _uniform(self, dims: np.ndarray) -> np.ndarray:
+        if self.alpha == 1.0:
+            return super()._uniform(dims)
+        return _numeric("_stable").uniform_log2_power_sum(dims, self.alpha) / self.lam
 
     def _trace(self, n: int, log_n: float) -> float:
         if self.alpha == 1.0:
@@ -221,6 +236,9 @@ class HCT(_Family):
 
     def _formula(self, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
         return (_numeric("_stable").power_sum(flat, bounds, self.alpha) - 1.0) / self.lam
+
+    def _uniform(self, dims: np.ndarray) -> np.ndarray:
+        return (_numeric("_stable").uniform_power_sum(dims, self.alpha) - 1.0) / self.lam
 
     def _trace(self, n: int, log_n: float) -> float:
         try:
@@ -345,11 +363,24 @@ def _require_family(family: EntropyFamily) -> None:
 def span_entropies(family: EntropyFamily, flat: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     """`entropy` of the distribution in each run ``flat[bounds[k]:bounds[k + 1]]``, in one
     float64 array; a kernel's ``OverflowError`` is `Overflow`, its ``ValueError`` `DomainError`."""
+    return _typed(family, lambda: family._formula(flat, bounds))
+
+
+def uniform_entropies(family: EntropyFamily, dims: Sequence[int]) -> np.ndarray:
+    """`span_entropies` of the uniforms U_n, n in ``dims`` (1 <= n < 2**53), with its bits and
+    errors, in closed form from n alone: no cell is built."""
+    import numpy as np
+    return _typed(family, lambda: family._uniform(np.asarray(dims, dtype=np.float64)))
+
+
+def _typed(family: EntropyFamily, formula: Callable[[], np.ndarray]) -> np.ndarray:
+    """``formula()``, the entropies of ``family`` on some runs, with the kernels' errors typed
+    and a value that is not finite raised as `Overflow`."""
     import numpy as np
     _require_family(family)
     try:
         with np.errstate(all="ignore"):  # the caller's error state changes no result
-            values = family._formula(flat, bounds)
+            values = formula()
     except OverflowError as exc:
         raise Overflow(f"{family.name} entropy overflowed: {exc}") from exc
     except ValueError as exc:

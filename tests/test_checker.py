@@ -58,7 +58,7 @@ from gentropies import (
 )
 from gentropies import _stable, checker, distributions, entropies
 from gentropies._stable import _BLOCK, bounds_of, segment_sums
-from gentropies.entropies import nath
+from gentropies.entropies import nath, strongly_additive_nath
 from gentropies.checker import (
     MAX_CHAIN_LENGTH,
     MAX_SUITE_CELLS,
@@ -178,10 +178,8 @@ class TestChainResidual:
 
     @pytest.mark.parametrize("n", [0, MAX_CHAIN_LENGTH + 1, 10 ** 6])
     def test_out_of_range_raises_before_building(self, monkeypatch, n):
-        def refuse(_):
-            raise AssertionError("the chain was built")
-
-        monkeypatch.setattr(checker, "uniform", refuse)
+        """The cap is checked before the chain's closed-form entropies are asked for."""
+        monkeypatch.setattr(checker, "uniform_entropies", _refuse)
         with pytest.raises(DimensionError, match=str(MAX_CHAIN_LENGTH)):
             chain_residual(shannon(-1.0), n)
 
@@ -211,11 +209,19 @@ class TestUniformTraceResidual:
 
     @pytest.mark.parametrize("n", [2 ** MAX_CHAIN_LENGTH + 1, 2 ** 40])
     def test_too_large_raises_before_building(self, monkeypatch, n):
-        monkeypatch.setattr(checker, "uniform", _refuse)
-        with pytest.raises(DimensionError, match=f"2\\*\\*{MAX_CHAIN_LENGTH}, got {n}"):
+        with monkeypatch.context() as patched:
+            patched.setattr(checker, "uniform_entropies", _refuse)
+            with pytest.raises(DimensionError, match=f"2\\*\\*{MAX_CHAIN_LENGTH}, got {n}"):
+                uniform_trace_residual(renyi(2.0), n)
+        # the cap itself computes, in closed form, with no cells and no span kernel
+        monkeypatch.setattr(checker, "span_entropies", _refuse)
+        assert uniform_trace_residual(renyi(2.0), 2 ** MAX_CHAIN_LENGTH) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, -1, -(2 ** 40)])
+    def test_a_dimension_below_one_raises_before_computing(self, monkeypatch, n):
+        monkeypatch.setattr(checker, "uniform_entropies", _refuse)
+        with pytest.raises(DimensionError, match=f"^uniform dimension must be >= 1, got {n}$"):
             uniform_trace_residual(renyi(2.0), n)
-        with pytest.raises(AssertionError, match="refused"):  # the cap itself is built
-            uniform_trace_residual(renyi(2.0), 2 ** MAX_CHAIN_LENGTH)
 
 
 class TestNonDyadicDimensions:
@@ -910,67 +916,159 @@ def test_an_earlier_check_failing_in_a_later_batch_is_raised(monkeypatch):
         run_suite(CheckConfig(family=renyi(2.0), trials=7, seed=1))
 
 
-def test_a_suite_batch_makes_one_drawn_and_conditional_call_then_one_uniform_call(monkeypatch):
+def test_a_suite_batch_makes_one_span_call_and_takes_the_uniforms_in_closed_form(monkeypatch):
     """A 100-trial suite is one batch: one `span_entropies` call for the drawn runs and the
-    joints' wholes, marginals and conditional rows, and then one for the uniforms U_2 ...
-    U_2**14 that the chain and the trace share."""
+    joints' wholes, marginals and conditional rows, and one `uniform_entropies` call for the
+    chain's U_2 ... U_2**12 and coin U_2 and the trace's U_2 ... U_2**14, whose values are
+    those that the kernels give on the built uniforms."""
     calls = []
 
     def counted(fn):
         def call(*args):
-            calls.append((fn.__name__, args))
-            return fn(*args)
+            value = fn(*args)
+            calls.append((fn.__name__, args, value))
+            return value
 
         return call
 
     span_entropies = counted(entropies.span_entropies)
     monkeypatch.setattr(entropies, "span_entropies", span_entropies)
     monkeypatch.setattr(checker, "span_entropies", span_entropies)
-    cfg = CheckConfig(family=renyi(2.0), trials=100, seed=1)
+    monkeypatch.setattr(checker, "uniform_entropies", counted(entropies.uniform_entropies))
+    family = renyi(2.0)
+    cfg = CheckConfig(family=family, trials=100, seed=1)
     run_suite(cfg)
-    assert [name for name, _ in calls] == ["span_entropies", "span_entropies"]
+    assert [name for name, _, _ in calls] == ["span_entropies", "uniform_entropies"]
     joints, _, counts = checker._draw_suite(cfg)
     wholes = cfg.trials + 1 + cfg.trials  # the joints', the probe's and the refinements'
     rows = len(joints.bounds) - 1 + len(PROBE_JOINT) + len(counts.flat)
-    _, (_, _, bounds) = calls[0]  # the products, p and q, the wholes, marginals and rows
+    _, (_, _, bounds), _ = calls[0]  # the products, p and q, the wholes, marginals and rows
     assert len(bounds) - 1 == 3 * cfg.trials + 2 * wholes + rows
-    dims = [2 ** k for k in range(1, 15)]
-    _, (_, cells, bounds) = calls[-1]
-    assert np.asarray(bounds).tolist() == bounds_of(dims).tolist()
-    assert cells.tolist() == np.repeat(1.0 / np.array(dims), dims).tolist()
+    dims = [2 ** k for k in range(1, 13)] + [2] + [2 ** k for k in range(1, 15)]
+    _, (_, asked), uniforms = calls[-1]
+    assert asked == dims
+    built = entropies.span_entropies(family, np.repeat(1.0 / np.array(dims), dims), bounds_of(dims))
+    assert [v.hex() for v in uniforms.tolist()] == [v.hex() for v in built.tolist()]
 
 
 # The public residual functions are the one-check case of `checker._evaluate`: each makes
-# one `span_entropies` call, on the uniforms alone or on the drawn runs and rows alone.
+# one entropy call, and no other: a `uniform_entropies` call on the uniforms' dimensions
+# alone (no `span_entropies` call), or a `span_entropies` call on the drawn runs and rows
+# alone, given here by ``("span", lengths)`` and ``("uniform", dims)``.
 ONE_CALL_RESIDUALS = {
-    "chain": (lambda f: chain_residual(f, 12), [2 ** 12, 2]),
-    "uniform_trace": (lambda f: uniform_trace_residual(f, 2 ** 14), [2 ** 14]),
+    "chain": (lambda f: chain_residual(f, 12), ("uniform", [2 ** 12, 2])),
+    "uniform_trace": (lambda f: uniform_trace_residual(f, 2 ** 14), ("uniform", [2 ** 14])),
     "strong_additivity": (  # the whole, the marginal, then the two conditional rows
         lambda f: strong_additivity_residual(f, make_joint([[0.25, 0.25], [0.375, 0.125]])),
-        [4, 2, 2, 2]),
+        ("span", bounds_of([4, 2, 2, 2]).tolist())),
     "product_additivity": (  # the product, then p and q
         lambda f: product_additivity_residual(f, uniform(3), make_distribution([0.25, 0.75])),
-        [6, 3, 2]),
+        ("span", bounds_of([6, 3, 2]).tolist())),
 }
 
 
 @pytest.mark.parametrize("name", list(ONE_CALL_RESIDUALS))
 def test_a_residual_function_makes_one_entropy_call(monkeypatch, name):
-    residual, lengths = ONE_CALL_RESIDUALS[name]
+    residual, call = ONE_CALL_RESIDUALS[name]
     calls = []
 
     def span_entropies(family, cells, bounds):
-        calls.append(np.asarray(bounds).tolist())
+        calls.append(("span", np.asarray(bounds).tolist()))
         return entropies.span_entropies(family, cells, bounds)
 
+    def uniform_entropies(family, dims):
+        calls.append(("uniform", list(dims)))
+        return entropies.uniform_entropies(family, dims)
+
     monkeypatch.setattr(checker, "span_entropies", span_entropies)
+    monkeypatch.setattr(checker, "uniform_entropies", uniform_entropies)
     residual(renyi(2.0))
-    assert calls == [bounds_of(lengths).tolist()]
+    assert calls == [call]
 
 
-# `checker._evaluate` takes a batch's drawn runs and its uniforms in two `span_entropies`
-# calls, which moves no bit: one call on both, whose runs cross a block of the exact sum,
-# gives every run the bits that the two calls give it, for each member of the suite.
+# The uniforms in closed form: `uniform_entropies` is each family's `_uniform`, which the
+# chain and the trace take in place of the kernels on built uniforms.  These pin its bits
+# to the kernels' on every branch of the formulas: Shannon, Nath at alpha 1 and not, the
+# escort at lam 0 and not (alpha <= 0 too) and HCT, with the suite's members and members of
+# extreme exponents.  On a long run each term that the kernels sum is the same at any
+# alpha (the max-factored 1, or log2(c) * c), but HCT's c**alpha, so the long runs take
+# one member per kernel (Shannon's sum, Nath's max-factored one, the lam == 0 escort's) and
+# HCT members of small and large alpha: about 0.8 s.
+UNIFORM_MEMBERS = GRID + [(repr(f), f) for f in FORCING + [
+    nath(1.0, 1.0, -1.0), general_escort(1.0, -1.0, 0.0), general_escort(0.0, -1.0, 1.0),
+    general_escort(-1.0, -1.0, 3.0), general_escort(-2.0, -1.0, 4.0), renyi(300.0),
+    renyi(1.0 + 1e-10), tsallis(12.0), havrda_charvat(16.0), strongly_additive_nath(40.0, -2.0)]]
+SHORT_UNIFORMS = [1, *(2 ** k for k in range(1, 15)), 3, 5, 7, 10, 100, 999, 1000, 3 ** 10]
+LONG_UNIFORMS = [*(2 ** k for k in range(15, 23)), 10 ** 5, 999983, 2 * 3 ** 12]
+LONG_MEMBERS = [(repr(f), f) for f in (shannon(), renyi(2.0), general_escort(2.0, -1.0, 0.0),
+                                       tsallis(0.5), tsallis(3.0), havrda_charvat(16.0))]
+
+
+@pytest.fixture(scope="module")
+def long_uniforms():
+    dims = LONG_UNIFORMS
+    return dims, np.repeat(1.0 / np.array(dims), dims), bounds_of(dims)
+
+
+def _hex_equal(family, dims, cells, bounds):
+    closed = entropies.uniform_entropies(family, dims)
+    built = entropies.span_entropies(family, cells, bounds)
+    assert [v.hex() for v in closed.tolist()] == [v.hex() for v in built.tolist()]
+
+
+@pytest.mark.parametrize("_, family", UNIFORM_MEMBERS)
+def test_closed_form_uniforms_equal_the_kernels_on_built_uniforms(_, family):
+    dims = SHORT_UNIFORMS
+    _hex_equal(family, dims, np.repeat(1.0 / np.array(dims), dims), bounds_of(dims))
+
+
+@pytest.mark.parametrize("_, family", LONG_MEMBERS)
+def test_closed_form_long_uniforms_equal_the_kernels_on_built_uniforms(_, family, long_uniforms):
+    _hex_equal(family, *long_uniforms)
+
+
+@pytest.mark.parametrize("family", [nath(1e308, -1.0, -1.0), general_escort(1e308, -1.0, 0.0),
+                                    general_escort(-1e308, -1.0, 1.5e308)], ids=repr)
+def test_closed_form_uniforms_raise_as_the_kernels_where_alpha_log2_c_overflows(family):
+    """Where alpha * log2(1/n) is not finite, the max-factored terms are nan in both."""
+    dims = [4, 8]
+    with pytest.raises(Overflow) as built:
+        entropies.span_entropies(family, np.repeat(1.0 / np.array(dims), dims), bounds_of(dims))
+    with pytest.raises(Overflow, match=f"^{re.escape(str(built.value))}$"):
+        entropies.uniform_entropies(family, dims)
+
+
+def test_a_uniform_that_is_not_finite_raises_the_same_overflow_everywhere():
+    family = nath(2.0, -1e-308, -1.0)
+    message = "^nath entropy is not finite: inf$"
+    with pytest.raises(Overflow, match=message):
+        entropies.span_entropies(family, uniform(4)._array, [0, 4])
+    with pytest.raises(Overflow, match=message):
+        uniform_trace_residual(family, 4)
+    with pytest.raises(Overflow, match=message):
+        run_suite(CheckConfig(family=family, trials=10, seed=1))
+
+
+@pytest.mark.parametrize("residual", [lambda f: chain_residual(f, 22),
+                                      lambda f: uniform_trace_residual(f, 2 ** 22)],
+                         ids=["chain", "uniform_trace"])
+@pytest.mark.parametrize("_, family", THREE)
+def test_the_longest_chain_and_trace_peak_below_a_mebibyte(_, family, residual):
+    """No cell is built: U_2**22 alone was 32 MiB."""
+    residual(family)  # the imports and caches first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        residual(family)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+# One `span_entropies` call on drawn runs followed by long constant runs, the two crossing a
+# block of the exact sum, gives every run the bits that two calls give it, for each member
+# of the suite: a kernel's runs never share a result, whatever their neighbours.
 @pytest.mark.parametrize("_, family", GRID + [(repr(f), f) for f in FORCING])
 def test_drawn_runs_and_uniforms_in_one_call_equal_two_calls(_, family):
     rng = np.random.default_rng(41)
@@ -1029,11 +1127,11 @@ def test_refinement_row_sums_are_the_math_fsum_of_each_row(counts):
         math.fsum(joint._flat[i:j].tolist()).hex() for i, j in rows]
 
 
-def test_a_100_trial_suite_takes_8_exact_sums(monkeypatch):
-    """Each joint's rows are summed once: a 100-trial renyi(2) suite makes 8 exact-sum
-    calls, the draws' three (the joints' normalization and refusal round, the pairs'
-    normalization), the marginals' totals, the runs' entropies, the escort weights, the
-    exponential means and the uniforms' entropies."""
+def test_a_100_trial_suite_takes_7_exact_sums(monkeypatch):
+    """Each joint's rows are summed once and the uniforms in closed form: a 100-trial
+    renyi(2) suite makes 7 exact-sum calls, the draws' three (the joints' normalization and
+    refusal round, the pairs' normalization), the marginals' totals, the runs' entropies,
+    the escort weights and the exponential means."""
     calls = []
     blocked = _stable._blocked_fsum
 
@@ -1043,4 +1141,4 @@ def test_a_100_trial_suite_takes_8_exact_sums(monkeypatch):
 
     monkeypatch.setattr(_stable, "_blocked_fsum", counted)
     run_suite(CheckConfig(family=renyi(2.0), trials=100, seed=1))
-    assert len(calls) == 8
+    assert len(calls) == 7
